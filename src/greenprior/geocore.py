@@ -279,6 +279,26 @@ def points_in_polygon(points: np.ndarray, poly: Polygon, tol: float = EDGE_TOL) 
     return inside | on_edge
 
 
+def cells_in_polygon(grid: RasterGrid, poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the grid cells whose centers lie in the polygon.
+
+    One vectorized containment test over the centers of the cells in the
+    polygon's bounding box, padded by one cell; boundary centers count as
+    inside. Cells come in row-major order.
+    """
+    x_min, y_min, x_max, y_max = poly.bounds()
+    row_lo = max(0, math.floor((y_min - grid.origin_y) / grid.cell) - 1)
+    row_hi = min(grid.nrows, math.floor((y_max - grid.origin_y) / grid.cell) + 2)
+    col_lo = max(0, math.floor((x_min - grid.origin_x) / grid.cell) - 1)
+    col_hi = min(grid.ncols, math.floor((x_max - grid.origin_x) / grid.cell) + 2)
+    rr, cc = np.meshgrid(np.arange(row_lo, row_hi), np.arange(col_lo, col_hi), indexing="ij")
+    rr, cc = rr.ravel(), cc.ravel()
+    centers = np.column_stack([grid.origin_x + (cc + 0.5) * grid.cell,
+                               grid.origin_y + (rr + 0.5) * grid.cell])
+    inside = points_in_polygon(centers, poly)
+    return rr[inside], cc[inside]
+
+
 def point_in_polygon(x: float, y: float, poly: Polygon) -> bool:
     """True iff (x, y) is inside the polygon; boundary points count as inside."""
     return poly.contains(x, y)

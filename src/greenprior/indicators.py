@@ -19,8 +19,8 @@ from .geocore import (
     PointCloud,
     Polyline,
     RasterGrid,
+    cells_in_polygon,
     distance_to_polylines,
-    points_in_polygon,
 )
 from .ingest import BuildingAttributes
 from .roofs import PotentialDecision, RoofSegment, segment_cell_centers
@@ -189,19 +189,9 @@ def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes
     if centroid_cell is None:
         raise ComputationError(
             f"building {building.id}: centroid ({cx:.1f}, {cy:.1f}) outside surface extent")
-    x_min, y_min, x_max, y_max = building.footprint.bounds()
-    row_lo = max(0, int(math.floor((y_min - surface.origin_y) / surface.cell)))
-    row_hi = min(surface.nrows, int(math.floor((y_max - surface.origin_y) / surface.cell)) + 1)
-    col_lo = max(0, int(math.floor((x_min - surface.origin_x) / surface.cell)))
-    col_hi = min(surface.ncols, int(math.floor((x_max - surface.origin_x) / surface.cell)) + 1)
-    vals = []
-    for r in range(row_lo, row_hi):
-        for c in range(col_lo, col_hi):
-            px, py = surface.cell_center(r, c)
-            v = surface.values[r, c]
-            if np.isfinite(v) and building.footprint.contains(px, py):
-                vals.append(float(v))
-    if vals:
+    vals = surface.values[cells_in_polygon(surface, building.footprint)]
+    vals = vals[np.isfinite(vals)]
+    if vals.size:
         return float(np.mean(vals))
     v = surface.values[centroid_cell]
     if not np.isfinite(v):

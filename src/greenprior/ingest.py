@@ -300,15 +300,17 @@ def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
     header and nodata cells are written with repr() either way.
     """
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    nodata_text = repr(nodata)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
         fh.write(f"xllcorner {repr(grid.origin_x)}\n")
         fh.write(f"yllcorner {repr(grid.origin_y)}\n")
         fh.write(f"cellsize {repr(grid.cell)}\n")
-        fh.write(f"NODATA_value {repr(nodata)}\n")
+        fh.write(f"NODATA_value {nodata_text}\n")
+        # one row at a time as plain floats; v != v only for NaN
         for row in np.flipud(grid.values):
-            fh.write(" ".join(repr(nodata) if np.isnan(v) else fmt(float(v)) for v in row))
+            fh.write(" ".join(nodata_text if v != v else fmt(v) for v in row.tolist()))
             fh.write("\n")
 
 

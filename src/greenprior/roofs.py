@@ -21,6 +21,7 @@ from .geocore import (
     ComputationError,
     PointCloud,
     RasterGrid,
+    cells_in_polygon,
     points_in_polygon,
     point_segment_distance,
 )
@@ -145,11 +146,13 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
     """
     occupied = np.isfinite(dsm.values)
     labels, count = scipy.ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
-    comps = []
-    for lab in range(1, count + 1):
-        rr, cc = np.nonzero(labels == lab)
-        order = np.lexsort((cc, rr))
-        comps.append([(int(r), int(c)) for r, c in zip(rr[order], cc[order])])
+    # nonzero is row-major; a stable sort by label keeps that order per component
+    rr, cc = np.nonzero(labels)
+    labs = labels[rr, cc]
+    order = np.argsort(labs, kind="stable")
+    rr, cc = rr[order].tolist(), cc[order].tolist()
+    ends = np.cumsum(np.bincount(labs, minlength=count + 1)).tolist()
+    comps = [list(zip(rr[lo:hi], cc[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
     comps.sort(key=lambda cells: (min(r for r, _ in cells), min(c for _, c in cells)))
     return comps
 
@@ -489,18 +492,9 @@ def building_height(building: BuildingAttributes, dsm: RasterGrid,
     footprint; with no such point it defaults to 0. Result is clamped at 0.
     """
     x_min, y_min, x_max, y_max = building.footprint.bounds()
-    zs = []
-    for r in range(dsm.nrows):
-        cy = dsm.origin_y + (r + 0.5) * dsm.cell
-        if cy < y_min - dsm.cell or cy > y_max + dsm.cell:
-            continue
-        for c in range(dsm.ncols):
-            cx = dsm.origin_x + (c + 0.5) * dsm.cell
-            if cx < x_min - dsm.cell or cx > x_max + dsm.cell:
-                continue
-            if np.isfinite(dsm.values[r, c]) and building.footprint.contains(cx, cy):
-                zs.append(float(dsm.values[r, c]))
-    if not zs:
+    zs = dsm.values[cells_in_polygon(dsm, building.footprint)]
+    zs = zs[np.isfinite(zs)]
+    if not zs.size:
         raise ComputationError(f"building {building.id}: no roof cells inside footprint")
     ground_z = 0.0
     if ground_xyz.shape[0]:

@@ -1,0 +1,213 @@
+"""The footprint kernels against the per-cell loops they replaced.
+
+``building_height`` and ``sample_surface_at_building`` find the cells of a
+footprint with one vectorized containment test (``cells_in_polygon``). The
+scalar loops below are their earlier bodies, kept as oracles: on
+rectilinear footprints whose vertices sit on cell edges and cell centers,
+so that centers land exactly on edges and corners, the new code must return
+the same float to the last bit or raise the same error.
+"""
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from greenprior.geocore import (
+    ComputationError,
+    Polygon,
+    RasterGrid,
+    cells_in_polygon,
+    point_segment_distance,
+    points_in_polygon,
+)
+from greenprior.indicators import sample_surface_at_building
+from greenprior.ingest import BuildingAttributes
+from greenprior.roofs import building_height
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles
+# ---------------------------------------------------------------------------
+
+def _building_height_oracle(building, dsm, ground_xyz, search_m=10.0):
+    x_min, y_min, x_max, y_max = building.footprint.bounds()
+    zs = []
+    for r in range(dsm.nrows):
+        cy = dsm.origin_y + (r + 0.5) * dsm.cell
+        if cy < y_min - dsm.cell or cy > y_max + dsm.cell:
+            continue
+        for c in range(dsm.ncols):
+            cx = dsm.origin_x + (c + 0.5) * dsm.cell
+            if cx < x_min - dsm.cell or cx > x_max + dsm.cell:
+                continue
+            if np.isfinite(dsm.values[r, c]) and building.footprint.contains(cx, cy):
+                zs.append(float(dsm.values[r, c]))
+    if not zs:
+        raise ComputationError(f"building {building.id}: no roof cells inside footprint")
+    ground_z = 0.0
+    if ground_xyz.shape[0]:
+        near = ground_xyz[
+            (ground_xyz[:, 0] >= x_min - search_m) & (ground_xyz[:, 0] <= x_max + search_m)
+            & (ground_xyz[:, 1] >= y_min - search_m) & (ground_xyz[:, 1] <= y_max + search_m)]
+        keep = []
+        ring = building.footprint.exterior
+        if near.shape[0]:
+            inside = points_in_polygon(near[:, :2], building.footprint)
+            for (x, y, z), ins in zip(near, inside):
+                if ins:
+                    keep.append(z)
+                    continue
+                d = min(point_segment_distance(x, y, ax, ay, bx, by)
+                        for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]))
+                if d <= search_m:
+                    keep.append(z)
+        if keep:
+            ground_z = float(min(keep))
+    return max(0.0, float(np.median(zs)) - ground_z)
+
+
+def _sample_surface_oracle(surface, building):
+    cx, cy = building.footprint.centroid()
+    centroid_cell = surface.world_to_cell(cx, cy)
+    if centroid_cell is None:
+        raise ComputationError(
+            f"building {building.id}: centroid ({cx:.1f}, {cy:.1f}) outside surface extent")
+    x_min, y_min, x_max, y_max = building.footprint.bounds()
+    row_lo = max(0, int(math.floor((y_min - surface.origin_y) / surface.cell)))
+    row_hi = min(surface.nrows, int(math.floor((y_max - surface.origin_y) / surface.cell)) + 1)
+    col_lo = max(0, int(math.floor((x_min - surface.origin_x) / surface.cell)))
+    col_hi = min(surface.ncols, int(math.floor((x_max - surface.origin_x) / surface.cell)) + 1)
+    vals = []
+    for r in range(row_lo, row_hi):
+        for c in range(col_lo, col_hi):
+            px, py = surface.cell_center(r, c)
+            v = surface.values[r, c]
+            if np.isfinite(v) and building.footprint.contains(px, py):
+                vals.append(float(v))
+    if vals:
+        return float(np.mean(vals))
+    v = surface.values[centroid_cell]
+    if not np.isfinite(v):
+        raise ComputationError(f"building {building.id}: no data at footprint")
+    return float(v)
+
+
+def _outcome(fn, *args):
+    """The exact result of fn: ("ok", repr of the float) or ("error", message)."""
+    try:
+        return "ok", repr(fn(*args))
+    except ComputationError as exc:
+        return "error", str(exc)
+
+
+# ---------------------------------------------------------------------------
+# scenes: a small grid and a rectilinear footprint on its half-cell lattice
+# ---------------------------------------------------------------------------
+
+CELLS = (0.5, 1.0, 2.0, 5.0)
+ORIGINS = (0.0, -3.0, 10.5)
+# shifts of every footprint vertex: none, inside EDGE_TOL either way, and beyond it
+JITTERS = (0.0, 5e-10, -5e-10, 2e-9)
+
+
+@st.composite
+def grids(draw):
+    nrows = draw(st.integers(1, 9))
+    ncols = draw(st.integers(1, 9))
+    values = draw(st.lists(
+        st.one_of(st.just(math.nan), st.floats(-50.0, 50.0, allow_nan=False)),
+        min_size=nrows * ncols, max_size=nrows * ncols))
+    return RasterGrid(draw(st.sampled_from(ORIGINS)), draw(st.sampled_from(ORIGINS)),
+                      draw(st.sampled_from(CELLS)),
+                      np.array(values, dtype=float).reshape(nrows, ncols))
+
+
+def _span(draw, n_cells, parts):
+    """Increasing half-cell indices, from up to 4 cells before the grid to 4 past it."""
+    ks = draw(st.lists(st.integers(-8, 2 * n_cells + 8), min_size=parts, max_size=parts,
+                       unique=True))
+    return sorted(ks)
+
+
+@st.composite
+def footprints(draw, grid):
+    half = grid.cell / 2.0
+    kind = draw(st.sampled_from(("rectangle", "l_shape", "holed")))
+    parts = {"rectangle": 2, "l_shape": 3, "holed": 4}[kind]
+    kx = _span(draw, grid.ncols, parts)
+    ky = _span(draw, grid.nrows, parts)
+    jitter = draw(st.sampled_from(JITTERS))
+    x = [grid.origin_x + k * half + jitter for k in kx]
+    y = [grid.origin_y + k * half + jitter for k in ky]
+    holes = []
+    if kind == "rectangle":
+        ring = [(x[0], y[0]), (x[1], y[0]), (x[1], y[1]), (x[0], y[1])]
+    elif kind == "l_shape":
+        # the full box less its upper-right corner
+        ring = [(x[0], y[0]), (x[2], y[0]), (x[2], y[1]), (x[1], y[1]), (x[1], y[2]),
+                (x[0], y[2])]
+    else:
+        ring = [(x[0], y[0]), (x[3], y[0]), (x[3], y[3]), (x[0], y[3])]
+        hole = [(x[1], y[1]), (x[2], y[1]), (x[2], y[2]), (x[1], y[2])]
+        holes = [hole + hole[:1]]
+    return Polygon(ring + ring[:1], holes)
+
+
+@st.composite
+def scenes(draw):
+    grid = draw(grids())
+    return grid, draw(footprints(grid))
+
+
+@st.composite
+def ground_points(draw, grid):
+    n = draw(st.integers(0, 4))
+    span_x = grid.ncols * grid.cell
+    span_y = grid.nrows * grid.cell
+    return np.array([[grid.origin_x + draw(st.floats(-0.5, 1.5)) * span_x,
+                      grid.origin_y + draw(st.floats(-0.5, 1.5)) * span_y,
+                      draw(st.floats(-5.0, 5.0))] for _ in range(n)]).reshape(n, 3)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+# an L whose corners and edges run through cell centers exactly
+_L_ON_CENTERS = Polygon([[0.5, 0.5], [2.5, 0.5], [2.5, 1.5], [1.5, 1.5], [1.5, 2.5],
+                         [0.5, 2.5], [0.5, 0.5]])
+_BEYOND_GRID = Polygon([[10, 10], [12, 10], [12, 12], [10, 12], [10, 10]])
+_GRID_4X4 = RasterGrid(0.0, 0.0, 1.0, np.arange(16, dtype=float).reshape(4, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes())
+@example((_GRID_4X4, _L_ON_CENTERS))
+@example((_GRID_4X4, _BEYOND_GRID))
+def test_cells_in_polygon_matches_full_scan(scene):
+    grid, poly = scene
+    rows, cols = cells_in_polygon(grid, poly)
+    expected = [(r, c) for r in range(grid.nrows) for c in range(grid.ncols)
+                if poly.contains(*grid.cell_center(r, c))]
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_building_height_matches_scalar_oracle(data):
+    grid, poly = data.draw(scenes())
+    ground = data.draw(ground_points(grid))
+    b = BuildingAttributes("b1", 10, "public", poly)
+    assert _outcome(building_height, b, grid, ground) == \
+        _outcome(_building_height_oracle, b, grid, ground)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes())
+@example((_GRID_4X4, _L_ON_CENTERS))
+def test_sample_surface_matches_scalar_oracle(scene):
+    grid, poly = scene
+    b = BuildingAttributes("b1", 10, "public", poly)
+    assert _outcome(sample_surface_at_building, grid, b) == \
+        _outcome(_sample_surface_oracle, grid, b)

@@ -241,6 +241,35 @@ def test_raster_row_order_top_first(tmp_path):
     assert lines[-1].split() == ["1.0", "2.0"]
 
 
+def _write_raster_asc_oracle(grid, path, nodata=-9999.0, decimals=None):
+    """The per-element writer that write_raster_asc replaced."""
+    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"ncols {grid.ncols}\n")
+        fh.write(f"nrows {grid.nrows}\n")
+        fh.write(f"xllcorner {repr(grid.origin_x)}\n")
+        fh.write(f"yllcorner {repr(grid.origin_y)}\n")
+        fh.write(f"cellsize {repr(grid.cell)}\n")
+        fh.write(f"NODATA_value {repr(nodata)}\n")
+        for row in np.flipud(grid.values):
+            fh.write(" ".join(repr(nodata) if np.isnan(v) else fmt(float(v)) for v in row))
+            fh.write("\n")
+
+
+@pytest.mark.parametrize("decimals", [None, 6])
+def test_raster_writer_matches_per_element_oracle(tmp_path, decimals):
+    vals = np.array([
+        [np.nan, -0.0, np.inf, -np.inf],
+        [5e-324, 1e-7, 1e16, 0.1 + 0.2],
+        [-9999.0, 0.0, -1.5, np.nan],
+    ])
+    g = RasterGrid(-1.5, 2.25, 0.7, vals)
+    got, want = tmp_path / "got.asc", tmp_path / "want.asc"
+    write_raster_asc(g, got, decimals=decimals)
+    _write_raster_asc_oracle(g, want, decimals=decimals)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_raster_missing_header_keyword(tmp_path):
     p = tmp_path / "g.asc"
     p.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4\n")

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage
 
+from greenprior import geocore, roofs
 from greenprior.geocore import (
     BUILDING,
     GROUND,
@@ -185,6 +187,28 @@ def test_components_match_flood_fill_oracle():
         comps = label_components(grid_from(vals))
         got = {frozenset(c) for c in comps}
         assert got == _flood_fill_oracle(occ)
+
+
+def _label_components_per_label_oracle(dsm):
+    """The one-scan-per-label loop that label_components replaced."""
+    labels, count = scipy.ndimage.label(np.isfinite(dsm.values),
+                                        structure=np.ones((3, 3), dtype=int))
+    comps = []
+    for lab in range(1, count + 1):
+        rr, cc = np.nonzero(labels == lab)
+        order = np.lexsort((cc, rr))
+        comps.append([(int(r), int(c)) for r, c in zip(rr[order], cc[order])])
+    comps.sort(key=lambda cells: (min(r for r, _ in cells), min(c for _, c in cells)))
+    return comps
+
+
+def test_components_order_matches_per_label_oracle():
+    # exact list equality: component order (ties included) and cell order
+    rng = np.random.default_rng(37)
+    for density in (0.05, 0.3, 0.55):
+        occ = rng.random((48, 40)) < density
+        grid = grid_from(np.where(occ, 1.0, np.nan))
+        assert label_components(grid) == _label_components_per_label_oracle(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +444,41 @@ def test_extract_all_small_scene():
     assert out.heights["b3"] == 0.0
     # every reported segment belongs to a real building
     assert {s.building_id for s in out.segments} <= {"b1", "b2"}
+
+
+def test_extract_all_containment_work_is_per_footprint(monkeypatch):
+    # guards against per-cell containment tests: one Polygon.contains per
+    # grown segment (its centroid lookup) and two vectorized
+    # points_in_polygon per building (roof cells, ground points)
+    calls = {"contains": 0, "points_in_polygon": 0, "segments": 0}
+    contains = geocore.Polygon.contains
+    pip = geocore.points_in_polygon
+    grow = roofs.grow_segments
+
+    def counted_contains(self, x, y):
+        calls["contains"] += 1
+        return contains(self, x, y)
+
+    def counted_pip(*args, **kwargs):
+        calls["points_in_polygon"] += 1
+        return pip(*args, **kwargs)
+
+    def counted_grow(*args, **kwargs):
+        segs = grow(*args, **kwargs)
+        calls["segments"] += len(segs)
+        return segs
+
+    monkeypatch.setattr(geocore.Polygon, "contains", counted_contains)
+    monkeypatch.setattr(geocore, "points_in_polygon", counted_pip)
+    monkeypatch.setattr(roofs, "points_in_polygon", counted_pip)
+    monkeypatch.setattr(roofs, "grow_segments", counted_grow)
+    buildings = [
+        BuildingAttributes("b1", 20, "public", square(10, 10, 12)),
+        BuildingAttributes("b2", 30, "private",
+                           Polygon([[40, 10], [54, 10], [54, 20], [40, 20], [40, 10]])),
+        BuildingAttributes("b3", 10, "misc", square(60, 30, 5)),
+    ]
+    extract_all(_scene_points(), buildings, RoofParams())
+    assert calls["segments"] > 0
+    assert calls["contains"] <= calls["segments"]
+    assert calls["points_in_polygon"] <= 2 * len(buildings) + calls["segments"]
