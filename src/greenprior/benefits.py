@@ -113,10 +113,14 @@ def greenspace_exposure(mask, population, radius=GC_RADIUS_DEFAULT):
     total = float(pop.sum())
     if total <= 0:
         raise ComputationError("population grid has zero total population")
+    rows, cols = np.nonzero(pop > 0)
+    cov = greenspace_coverage(mask, population.x_centers()[cols],
+                              population.y_centers()[rows], radius)
+    # a plain left-to-right sum in row-major order, not numpy's pairwise
+    # one, so the exposure keeps its last bits
     weighted = 0.0
-    for row, col in zip(*np.nonzero(pop > 0)):
-        x, y = population.cell_center(int(row), int(col))
-        weighted += pop[row, col] * greenspace_coverage(mask, x, y, radius)
+    for w in pop[rows, cols] * cov:
+        weighted += w
     return weighted / total
 
 

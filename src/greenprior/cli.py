@@ -30,6 +30,7 @@ from .indicators import (
 )
 from .ingest import (
     BuildingReportRow,
+    FormatError,
     read_footprints,
     read_point_cloud,
     read_raster_asc,
@@ -187,7 +188,10 @@ def _load_segments(cfg):
     segments, qualifying = {}, {}
     for row in seg_rows:
         key = (row["building_id"], row["seg_id"])
-        seg = RoofSegment(cells_by_seg.get(key, []),
+        if key not in cells_by_seg:
+            raise FormatError(
+                f"cells.csv: segment ({key[0]}, {key[1]}) has no cells")
+        seg = RoofSegment(cells_by_seg[key],
                           (float(row["plane_a"]), float(row["plane_b"]),
                            float(row["plane_c"])),
                           float(row["slope_deg"]), float(row["area_m2"]),

@@ -23,7 +23,7 @@ from .geocore import (
     distance_to_polylines,
 )
 from .ingest import BuildingAttributes
-from .roofs import PotentialDecision, RoofSegment, segment_cell_centers
+from .roofs import RoofSegment, segment_cell_centers
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 SEASON_MONTHS = {
@@ -118,34 +118,86 @@ def build_greenspace_mask(pc: PointCloud, potential_roofs: list[RoofSegment] | N
     return RasterGrid(origin_x, origin_y, cell, values)
 
 
-def greenspace_coverage(mask: RasterGrid, x: float, y: float,
-                        radius: float = GC_RADIUS_DEFAULT) -> float:
-    """Share of the disk around (x, y) covered by green pixels.
+# (query, mask row) pairs the coverage kernel handles per vectorized pass
+COVERAGE_CHUNK_PAIRS = 1 << 16
 
-    Counts mask pixels whose centers lie within the radius and multiplies
-    by the pixel area over the disk area; pixels beyond the mask extent
-    contribute zero, and the result is capped at 1.
+
+def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.ndarray,
+                        radius: float = GC_RADIUS_DEFAULT) -> float | np.ndarray:
+    """Share of the disk around each (x, y) covered by green pixels.
+
+    Counts mask pixels (value > 0) whose centers lie within the radius and
+    multiplies by the pixel area over the disk area; pixels beyond the mask
+    extent contribute zero, and the result is capped at 1. Scalar x, y give
+    a float, arrays an array of their broadcast shape.
+
+    Each (query, mask row) pair takes its count from row-wise prefix sums of
+    the mask. The disk's column interval in that row starts from a sqrt
+    estimate, and both ends are then settled with the exact test on pixel
+    centers, ``dy**2 + dx**2 <= radius**2``, so pixels on the circle count
+    exactly as a direct scan of the bounding window counts them.
     """
-    cell = mask.cell
-    row_lo = max(0, int(math.floor((y - radius - mask.origin_y) / cell)))
-    row_hi = min(mask.nrows, int(math.floor((y + radius - mask.origin_y) / cell)) + 1)
-    col_lo = max(0, int(math.floor((x - radius - mask.origin_x) / cell)))
-    col_hi = min(mask.ncols, int(math.floor((x + radius - mask.origin_x) / cell)) + 1)
-    if row_lo >= row_hi or col_lo >= col_hi:
-        return 0.0
-    sub = mask.values[row_lo:row_hi, col_lo:col_hi]
-    ys = mask.origin_y + (np.arange(row_lo, row_hi) + 0.5) * cell
-    xs = mask.origin_x + (np.arange(col_lo, col_hi) + 0.5) * cell
-    d2 = (ys[:, None] - y) ** 2 + (xs[None, :] - x) ** 2
-    count = float(np.sum((sub > 0) & (d2 <= radius * radius)))
-    return min(1.0, count * cell * cell / (math.pi * radius * radius))
+    if not radius > 0:
+        raise ValueError("coverage radius must be positive")
+    xq, yq = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = xq.shape
+    xq, yq = xq.ravel(), yq.ravel()
+    if not (np.isfinite(xq).all() and np.isfinite(yq).all()):
+        raise ValueError("coverage query points must be finite")
+    cell, ox, oy = mask.cell, mask.origin_x, mask.origin_y
+    nrows, ncols = mask.nrows, mask.ncols
+    r2 = radius * radius
+    # bounding window of each disk, clipped to the mask
+    row_lo = np.clip(np.floor((yq - radius - oy) / cell), 0, nrows).astype(np.int64)
+    row_hi = np.clip(np.floor((yq + radius - oy) / cell) + 1, row_lo, nrows).astype(np.int64)
+    col_lo = np.clip(np.floor((xq - radius - ox) / cell), 0, ncols).astype(np.int64)
+    col_hi = np.clip(np.floor((xq + radius - ox) / cell) + 1, col_lo, ncols).astype(np.int64)
+    # first window column whose center lies at or east of the query: left of
+    # it the disk test can only turn from false to true, from it on only
+    # from true to false
+    split = np.clip(np.searchsorted(mask.x_centers(), xq), col_lo, col_hi)
+
+    pref = np.zeros((nrows, ncols + 1), dtype=np.int64)
+    np.cumsum(mask.values > 0, axis=1, out=pref[:, 1:])
+    starts = np.concatenate(([0], np.cumsum(row_hi - row_lo)))
+    counts = np.zeros(xq.size)
+    for k0 in range(0, int(starts[-1]), COVERAGE_CHUNK_PAIRS):
+        k = np.arange(k0, min(k0 + COVERAGE_CHUNK_PAIRS, int(starts[-1])))
+        q = np.searchsorted(starts, k, side="right") - 1
+        rows = row_lo[q] + (k - starts[q])
+        dy2 = (oy + (rows + 0.5) * cell - yq[q]) ** 2
+        qx, mid = xq[q], split[q]
+
+        def inside(i, c):
+            return dy2[i] + (ox + (c + 0.5) * cell - qx[i]) ** 2 <= r2
+
+        half = np.sqrt(np.maximum(r2 - dy2, 0.0)) / cell
+        u = (qx - ox) / cell - 0.5
+        # [a, b) is the run of columns inside the disk
+        a = np.clip(np.ceil(u - half).astype(np.int64), col_lo[q], mid)
+        b = np.clip(np.floor(u + half).astype(np.int64) + 1, mid, col_hi[q])
+        _first_true(a, inside, col_lo[q], mid)
+        _first_true(b, lambda i, c: ~inside(i, c), mid, col_hi[q])
+        counts += np.bincount(q, weights=pref[rows, b] - pref[rows, a], minlength=xq.size)
+    cov = np.minimum(1.0, counts * cell * cell / (math.pi * radius * radius))
+    return float(cov[0]) if shape == () else cov.reshape(shape)
 
 
-def roof_coverage_rate(segment: RoofSegment, mask: RasterGrid, roof_grid: RasterGrid,
-                       radius: float = GC_RADIUS_DEFAULT) -> float:
-    """Mean greenspace coverage over the segment's cell centers."""
-    centers = segment_cell_centers(segment, roof_grid)
-    return float(np.mean([greenspace_coverage(mask, cx, cy, radius) for cx, cy in centers]))
+def _first_true(c, test, lo, hi):
+    """Move each c[i] in place to the first index in [lo[i], hi[i]) where
+    test(i, index) holds, or to hi[i] where none does. test must be
+    monotone, false then true, over that range; c[i] starts inside it.
+    test takes the positions i as an index array or as slice(None) for all."""
+    i = np.flatnonzero((c > lo) & test(slice(None), c - 1))
+    while i.size:
+        c[i] -= 1
+        i = i[c[i] > lo[i]]
+        i = i[test(i, c[i] - 1)]
+    i = np.flatnonzero((c < hi) & ~test(slice(None), c))
+    while i.size:
+        c[i] += 1
+        i = i[c[i] < hi[i]]
+        i = i[~test(i, c[i])]
 
 
 def building_coverage_rate(segments: list[RoofSegment], mask: RasterGrid,
@@ -153,11 +205,8 @@ def building_coverage_rate(segments: list[RoofSegment], mask: RasterGrid,
     """Mean coverage over all cells of the building's segments together."""
     if not segments:
         raise ValueError("building has no segments to evaluate")
-    rates = []
-    for seg in segments:
-        centers = segment_cell_centers(seg, roof_grid)
-        rates.extend(greenspace_coverage(mask, cx, cy, radius) for cx, cy in centers)
-    return float(np.mean(rates))
+    centers = np.concatenate([segment_cell_centers(seg, roof_grid) for seg in segments])
+    return float(np.mean(greenspace_coverage(mask, centers[:, 0], centers[:, 1], radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +322,3 @@ def measure_building(building: BuildingAttributes, segments: list[RoofSegment],
         precipitation=sample_surface_at_building(precip, building),
     )
 
-
-def qualifying_segments(decision: PotentialDecision, segments: list[RoofSegment],
-                        slope_max_deg: float = 15.0, area_min_m2: float = 10.0) -> list[RoofSegment]:
-    """The segments that made the building greenable (flat and large enough)."""
-    return [s for s in segments
-            if s.slope_deg < slope_max_deg and s.area_m2 > area_min_m2]

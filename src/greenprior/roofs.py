@@ -431,7 +431,8 @@ def segment_slope_area(segment: RoofSegment, cell: float) -> tuple[float, float]
 
 def segment_cell_centers(segment: RoofSegment, grid: RasterGrid) -> np.ndarray:
     """World coordinates of the segment's cell centers, shape (m, 2)."""
-    return np.array([grid.cell_center(r, c) for r, c in segment.cells])
+    cols_rows = np.asarray(segment.cells, dtype=np.int64).reshape(-1, 2)[:, ::-1]
+    return np.array([grid.origin_x, grid.origin_y]) + (cols_rows + 0.5) * grid.cell
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,25 @@ def test_missing_artifact_names_prior_stage(small_city, tmp_path, capsys):
     assert "extract" in err and "dsm.asc" in err
 
 
+def test_truncated_cells_table_exit_one(small_city, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    segs = _read_rows(out / "segments.csv")
+    target = next((r["building_id"], r["seg_id"]) for r in segs
+                  if r["qualifying"] == "true")
+    with open(out / "cells.csv", newline="") as fh:
+        lines = fh.readlines()
+    kept = [ln for ln in lines if not ln.startswith(",".join(target) + ",")]
+    assert len(kept) < len(lines)
+    (out / "cells.csv").write_text("".join(kept))
+    code = cli.main(["indicators", "--config", str(small_city / "config.txt"),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"({target[0]}, {target[1]})" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_exit_one(tmp_path, capsys):
     code = cli.main(["extract", "--config", str(tmp_path / "no.cfg")])
     assert code == 1

@@ -1,0 +1,256 @@
+"""The batched coverage-disk kernel against the per-query code it replaced.
+
+``greenspace_coverage`` counts each disk from row-wise prefix sums, and
+``greenspace_exposure`` and ``building_coverage_rate`` call it once for all
+their query points. The scalar window scan and the per-cell exposure loop
+below are their earlier bodies, kept as oracles: the new code must return
+the same floats to the last bit, including for pixels whose centers lie
+exactly on the circle.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from greenprior import benefits, indicators
+from greenprior.benefits import greenspace_exposure
+from greenprior.geocore import Polygon, Polyline, RasterGrid
+from greenprior.indicators import greenspace_coverage
+from greenprior.ingest import BuildingAttributes
+from greenprior.roofs import RoofSegment
+
+# ---------------------------------------------------------------------------
+# scalar oracles
+# ---------------------------------------------------------------------------
+
+
+def _coverage_oracle(mask, x, y, radius):
+    cell = mask.cell
+    row_lo = max(0, int(math.floor((y - radius - mask.origin_y) / cell)))
+    row_hi = min(mask.nrows, int(math.floor((y + radius - mask.origin_y) / cell)) + 1)
+    col_lo = max(0, int(math.floor((x - radius - mask.origin_x) / cell)))
+    col_hi = min(mask.ncols, int(math.floor((x + radius - mask.origin_x) / cell)) + 1)
+    if row_lo >= row_hi or col_lo >= col_hi:
+        return 0.0
+    sub = mask.values[row_lo:row_hi, col_lo:col_hi]
+    ys = mask.origin_y + (np.arange(row_lo, row_hi) + 0.5) * cell
+    xs = mask.origin_x + (np.arange(col_lo, col_hi) + 0.5) * cell
+    d2 = (ys[:, None] - y) ** 2 + (xs[None, :] - x) ** 2
+    count = float(np.sum((sub > 0) & (d2 <= radius * radius)))
+    return min(1.0, count * cell * cell / (math.pi * radius * radius))
+
+
+def _exposure_oracle(mask, population, radius):
+    pop = np.nan_to_num(population.values, nan=0.0)
+    total = float(pop.sum())
+    weighted = 0.0
+    for row, col in zip(*np.nonzero(pop > 0)):
+        x, y = population.cell_center(int(row), int(col))
+        weighted += pop[row, col] * _coverage_oracle(mask, x, y, radius)
+    return weighted / total
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+# 0.1 and 0.3 are not binary fractions, so centers and radii that meet
+# exactly in decimal meet only up to rounding in floats
+CELLS = (5.0, 1.0, 2.5, 0.1, 0.3)
+MASK_VALUES = (0.0, 1.0, 0.5, -1.0, float("nan"))
+
+
+@st.composite
+def masks(draw):
+    cell = draw(st.sampled_from(CELLS))
+    nrows = draw(st.integers(1, 24))
+    ncols = draw(st.integers(1, 24))
+    values = draw(st.lists(st.sampled_from(MASK_VALUES),
+                           min_size=nrows * ncols, max_size=nrows * ncols))
+    origin = draw(st.sampled_from((0.0, -3.0, 12.5, 0.1)))
+    return RasterGrid(origin, -origin, cell, np.array(values).reshape(nrows, ncols))
+
+
+@st.composite
+def radii(draw, cell):
+    # 3-4-5 and 5-12-13 multiples put pixel centers on the circle; 0.4 cells
+    # is smaller than one pixel
+    k = draw(st.sampled_from((5.0, 13.0, 2.5, 0.4, 1.0)))
+    scale = draw(st.sampled_from((1.0, 2.0)))
+    return draw(st.sampled_from((k * scale * cell,
+                                 draw(st.floats(0.05, 30.0)) * cell)))
+
+
+@st.composite
+def queries(draw, mask, n):
+    """Points on pixel centers, on grid lines, at random offsets, or beyond
+    the mask on any side."""
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("center", "grid", "offset")))
+        c = draw(st.integers(-6, mask.ncols + 6))
+        r = draw(st.integers(-6, mask.nrows + 6))
+        if kind == "center":
+            out.append(mask.cell_center(r, c))
+        elif kind == "grid":
+            out.append((mask.origin_x + c * mask.cell, mask.origin_y + r * mask.cell))
+        else:
+            fx, fy = draw(st.tuples(st.floats(0, 1), st.floats(0, 1)))
+            out.append((mask.origin_x + (c + fx) * mask.cell,
+                        mask.origin_y + (r + fy) * mask.cell))
+    return np.array(out)
+
+
+@st.composite
+def coverage_cases(draw):
+    mask = draw(masks())
+    return mask, draw(radii(mask.cell)), draw(queries(mask, draw(st.integers(1, 12))))
+
+
+# a 5 m mask, radius 500, query on a pixel center: the pixels at
+# (+-300, +-400), (+-400, +-300), (+-500, 0) and (0, +-500) lie on the circle
+_ON_CIRCLE = RasterGrid(0.0, 0.0, 5.0, np.ones((220, 220)))
+_ON_CIRCLE_QUERY = np.array([_ON_CIRCLE.cell_center(110, 110)])
+# the same triples at a 0.1 m pitch, where the sums round
+_ON_CIRCLE_DECIMAL = RasterGrid(0.1, -0.1, 0.1, np.ones((24, 24)))
+_ON_CIRCLE_DECIMAL_QUERIES = np.array([_ON_CIRCLE_DECIMAL.cell_center(r, c)
+                                       for r in range(4, 20) for c in range(4, 20)])
+
+
+# ---------------------------------------------------------------------------
+# coverage kernel
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(coverage_cases())
+@example((_ON_CIRCLE, 500.0, _ON_CIRCLE_QUERY))
+@example((_ON_CIRCLE_DECIMAL, 0.5, _ON_CIRCLE_DECIMAL_QUERIES))
+@example((_ON_CIRCLE_DECIMAL, 1.3, _ON_CIRCLE_DECIMAL_QUERIES))
+def test_coverage_matches_scalar_oracle_bits(case):
+    mask, radius, pts = case
+    got = greenspace_coverage(mask, pts[:, 0], pts[:, 1], radius)
+    want = [_coverage_oracle(mask, x, y, radius) for x, y in pts]
+    assert got.shape == (len(pts),)
+    assert _bits(got) == _bits(want)
+
+
+def test_coverage_counts_pixels_on_the_circle():
+    x, y = _ON_CIRCLE_QUERY[0]
+    # every pixel of the disk counts, the 12 on the circle included: the
+    # lattice points within 100 cells of the query
+    inside = sum(1 for i in range(-100, 101) for j in range(-100, 101)
+                 if i * i + j * j <= 100 * 100)
+    assert inside == 31417
+    want = inside * 25.0 / (math.pi * 500.0 * 500.0)
+    got = greenspace_coverage(_ON_CIRCLE, x, y, 500.0)
+    assert got == min(1.0, want) == _coverage_oracle(_ON_CIRCLE, x, y, 500.0)
+
+
+def test_scalar_query_returns_python_float():
+    x, y = (float(v) for v in _ON_CIRCLE_QUERY[0])
+    got = greenspace_coverage(_ON_CIRCLE, x, y, 500.0)
+    assert type(got) is float
+    assert got == _coverage_oracle(_ON_CIRCLE, x, y, 500.0)
+    assert type(greenspace_coverage(_ON_CIRCLE, -5000.0, 0.0, 500.0)) is float
+    arr = greenspace_coverage(_ON_CIRCLE, np.array([[x]]), np.array([[y]]), 500.0)
+    assert isinstance(arr, np.ndarray) and arr.shape == (1, 1)
+    assert arr[0, 0] == got
+
+
+def test_coverage_rejects_bad_radius_and_queries():
+    with pytest.raises(ValueError):
+        greenspace_coverage(_ON_CIRCLE, 550.0, 550.0, 0.0)
+    with pytest.raises(ValueError):
+        greenspace_coverage(_ON_CIRCLE, np.array([550.0, np.nan]), 550.0)
+
+
+def test_coverage_independent_of_chunking(monkeypatch):
+    rng = np.random.default_rng(4)
+    vals = rng.choice(np.array(MASK_VALUES), size=(200, 200), p=[0.5, 0.3, 0.1, 0.05, 0.05])
+    mask = RasterGrid(-3.0, 12.5, 5.0, vals)
+    n = 2000
+    cols = rng.integers(-20, 220, n)
+    rows = rng.integers(-20, 220, n)
+    offset = np.where(rng.random(n) < 0.5, 0.5, rng.random(n))
+    xs = mask.origin_x + (cols + offset) * mask.cell
+    ys = mask.origin_y + (rows + offset) * mask.cell
+    # about 400k (query, row) pairs: several default chunks
+    whole = greenspace_coverage(mask, xs, ys, 500.0)
+    assert _bits(whole) == _bits([_coverage_oracle(mask, x, y, 500.0) for x, y in zip(xs, ys)])
+    halves = np.concatenate([greenspace_coverage(mask, xs[:777], ys[:777], 500.0),
+                             greenspace_coverage(mask, xs[777:], ys[777:], 500.0)])
+    assert _bits(halves) == _bits(whole)
+    for pairs in (1, 97, 4099):
+        monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
+        assert _bits(greenspace_coverage(mask, xs[:300], ys[:300], 500.0)) == _bits(whole[:300])
+
+
+# ---------------------------------------------------------------------------
+# callers
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(masks(), st.integers(1, 8), st.integers(1, 8), st.floats(0.5, 20.0),
+       st.lists(st.sampled_from((0.0, 1.0, 3.0, 17.5, 0.1, float("nan"))),
+                min_size=64, max_size=64))
+def test_exposure_matches_loop_oracle_bits(mask, nrows, ncols, radius_cells, pops):
+    pop_values = np.array(pops[:nrows * ncols]).reshape(nrows, ncols)
+    pop_values[0, 0] = 2.0  # never an empty population
+    population = RasterGrid(mask.origin_x - 7 * mask.cell, mask.origin_y,
+                            3.5 * mask.cell, pop_values)
+    radius = radius_cells * mask.cell
+    got = greenspace_exposure(mask, population, radius)
+    assert _bits([got]) == _bits([_exposure_oracle(mask, population, radius)])
+
+
+def test_building_coverage_is_mean_of_scalar_oracle():
+    rng = np.random.default_rng(11)
+    mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((60, 60)) < 0.4).astype(float))
+    roof_grid = RasterGrid(0.5, -0.5, 1.0, np.zeros((300, 300)))
+    segs = [RoofSegment([(int(r), int(c)) for r, c in rng.integers(0, 300, (k, 2))],
+                        (0.0, 0.0, 1.0), 0.0, float(k)) for k in (5, 1, 30)]
+    got = indicators.building_coverage_rate(segs, mask, roof_grid, radius=120.0)
+    want = [_coverage_oracle(mask, *roof_grid.cell_center(r, c), 120.0)
+            for seg in segs for r, c in seg.cells]
+    assert _bits([got]) == _bits([float(np.mean(want))])
+
+
+def test_coverage_work_is_one_call_per_building_and_mask(monkeypatch):
+    # guards against per-cell coverage queries coming back: one kernel call
+    # per building in measure_building, one per mask in greenspace_exposure
+    calls = []
+    kernel = indicators.greenspace_coverage
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(indicators, "greenspace_coverage", counted)
+    monkeypatch.setattr(benefits, "greenspace_coverage", counted)
+    mask = RasterGrid(0.0, 0.0, 5.0, np.ones((40, 40)))
+    roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
+    surface = RasterGrid(0.0, 0.0, 10.0, np.ones((20, 20)))
+    building = BuildingAttributes("b1", 20, "public",
+                                  Polygon([[10, 10], [30, 10], [30, 30], [10, 30], [10, 10]]))
+    segs = [RoofSegment([(r, c) for r in range(10, 20) for c in range(10, 20)],
+                        (0.0, 0.0, 1.0), 0.0, 100.0),
+            RoofSegment([(r, c) for r in range(20, 30) for c in range(10, 30)],
+                        (0.0, 0.0, 1.0), 0.0, 200.0)]
+    temps = {s: surface for s in indicators.SEASONS}
+    roads = [Polyline([[0.0, 0.0], [100.0, 0.0]], tag="main")]
+    indicators.measure_building(building, segs, mask, roof_grid, roads, surface, temps,
+                                surface, radius=50.0)
+    assert len(calls) == 1
+    assert np.size(calls[0]) == 300
+
+    calls.clear()
+    population = RasterGrid(0.0, 0.0, 20.0, np.ones((6, 6)))
+    for m in (mask, RasterGrid(0.0, 0.0, 5.0, np.zeros((40, 40)))):
+        greenspace_exposure(m, population, radius=50.0)
+    assert [np.size(x) for x in calls] == [36, 36]

@@ -18,7 +18,6 @@ from greenprior.indicators import (
     greenspace_coverage,
     minmax_scale,
     normalize_indicators,
-    roof_coverage_rate,
     sample_surface_at_building,
 )
 from greenprior.ingest import BuildingAttributes
@@ -144,7 +143,7 @@ def test_roof_coverage_is_mean_over_cells():
     mask = RasterGrid(0.0, 0.0, 5.0, vals)
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
     seg = RoofSegment([(100, 40), (100, 160)], (0.0, 0.0, 5.0), 0.0, 2.0)
-    got = roof_coverage_rate(seg, mask, roof_grid, radius=100.0)
+    got = building_coverage_rate([seg], mask, roof_grid, radius=100.0)
     g1 = greenspace_coverage(mask, 40.5, 100.5, radius=100.0)
     g2 = greenspace_coverage(mask, 160.5, 100.5, radius=100.0)
     assert g1 != g2  # the two cells genuinely see different surroundings
@@ -156,7 +155,7 @@ def test_single_cell_roof_equals_point_coverage():
     mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((60, 60)) < 0.4).astype(float))
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((300, 300)))
     seg = flat_segment([(123, 77)])
-    got = roof_coverage_rate(seg, mask, roof_grid, radius=200.0)
+    got = building_coverage_rate([seg], mask, roof_grid, radius=200.0)
     assert got == pytest.approx(greenspace_coverage(mask, 77.5, 123.5, 200.0))
 
 

@@ -317,6 +317,18 @@ def test_assign_segments_by_centroid():
     assert seg_out.building_id is None
 
 
+def test_segment_cell_centers_match_cell_center_bits():
+    rng = np.random.default_rng(21)
+    grid = RasterGrid(0.1, -1234.3, 0.3, np.zeros((400, 400)))
+    cells = [(int(r), int(c)) for r, c in rng.integers(0, 400, (50, 2))]
+    got = roofs.segment_cell_centers(make_segment(cells), grid)
+    want = np.array([grid.cell_center(r, c) for r, c in cells])
+    assert got.shape == (50, 2)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert roofs.segment_cell_centers(make_segment([]), grid).shape == (0, 2)
+    assert roofs.segment_cell_centers(make_segment([(3, 7)]), grid).shape == (1, 2)
+
+
 def test_decide_potential_cases():
     b_young = BuildingAttributes("a", 30, "public", square(0, 0, 10))
     d = decide_potential(b_young, [make_segment([(0, 0)], slope=5.0, area=50.0)])
