@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .geocore import ComputationError, RasterGrid
+from .geocore import ComputationError, RasterGrid, snapped_grid
 from .indicators import GC_RADIUS_DEFAULT, greenspace_coverage
 
 KWH_PER_JOULE = 1.0 / 3.6e6
@@ -231,20 +231,14 @@ def income_greenspace_regression(pairs):
 def population_grid_from_points(points, cell=100.0):
     """Accumulate (x, y, count) triples into a population raster.
 
-    The grid origin snaps to multiples of the cell size and the extent is
-    padded by one cell so every point lands strictly inside.
+    The grid is the :func:`snapped_grid` of the points, and each cell sums
+    the counts of the points that fall in it.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise ValueError("expected a non-empty array of (x, y, count) rows")
     if arr[:, 2].min() < 0:
         raise ValueError("population counts must be non-negative")
-    origin_x = math.floor(arr[:, 0].min() / cell) * cell
-    origin_y = math.floor(arr[:, 1].min() / cell) * cell
-    ncols = int(math.floor((arr[:, 0].max() - origin_x) / cell)) + 1
-    nrows = int(math.floor((arr[:, 1].max() - origin_y) / cell)) + 1
-    values = np.zeros((nrows, ncols))
-    cols = np.floor((arr[:, 0] - origin_x) / cell).astype(int)
-    rows = np.floor((arr[:, 1] - origin_y) / cell).astype(int)
-    np.add.at(values, (rows, cols), arr[:, 2])
-    return RasterGrid(origin_x, origin_y, cell, values)
+    grid = snapped_grid(arr, cell)
+    np.add.at(grid.values, grid.cells_of(arr), arr[:, 2])
+    return grid

@@ -8,7 +8,6 @@ unchanged inputs reproduces its files byte for byte.
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -21,9 +20,10 @@ from .benefits import (
     population_grid_from_points,
 )
 from .config import ConfigError, load_config
-from .geocore import ComputationError, RasterGrid
+from .geocore import ComputationError, snapped_grid
 from .indicators import (
     SEASONS,
+    IndicatorVector,
     build_greenspace_mask,
     measure_building,
     normalize_indicators,
@@ -50,10 +50,8 @@ from .priority import (
 from .roofs import RoofSegment, extract_all
 from .synth import SyntheticCitySpec, generate_city
 
-IND_FIELDS = ("greenspace", "road_distance", "category", "income",
-              "temperature", "precipitation")
-WEIGHT_COLUMNS = ("w_greenspace", "w_road_dist", "w_category", "w_income",
-                  "w_temperature", "w_precip")
+IND_COLUMNS = tuple("ind_" + short for short in IndicatorVector.SHORT_NAMES)
+WEIGHT_COLUMNS = tuple("w_" + short for short in IndicatorVector.SHORT_NAMES)
 
 # Reference values reported by the Hong Kong 2021 citywide study the method
 # follows; shown in report.md for orientation only, since a synthetic
@@ -84,9 +82,27 @@ def _artifact(cfg, name, prior):
     return path
 
 
-def _read_rows(path):
+def _read_rows(path, columns):
+    """The rows of a CSV artifact as dicts keyed by its header.
+
+    The header must hold every name in columns, and each row must have as
+    many fields as the header; blank lines are skipped.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise FormatError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        rows = []
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise FormatError(f"{path}: line {reader.line_num}: expected "
+                                  f"{len(header)} fields, got {len(fields)}")
+            rows.append(dict(zip(header, fields)))
+    return rows
 
 
 def _write_rows(path, header, rows):
@@ -179,8 +195,11 @@ def cmd_extract(cfg):
 
 def _load_segments(cfg):
     """Rebuild RoofSegment objects from the extract stage's tables."""
-    seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"))
-    cell_rows = _read_rows(_artifact(cfg, "cells.csv", "extract"))
+    seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"),
+                          ("building_id", "seg_id", "qualifying", "slope_deg", "area_m2",
+                           "plane_a", "plane_b", "plane_c"))
+    cell_rows = _read_rows(_artifact(cfg, "cells.csv", "extract"),
+                           ("building_id", "seg_id", "row", "col"))
     cells_by_seg = {}
     for row in cell_rows:
         key = (row["building_id"], row["seg_id"])
@@ -202,23 +221,14 @@ def _load_segments(cfg):
     return segments, qualifying
 
 
-def _interp_template(pc, cell):
-    x_min, y_min = pc.xyz[:, 0].min(), pc.xyz[:, 1].min()
-    x_max, y_max = pc.xyz[:, 0].max(), pc.xyz[:, 1].max()
-    ox = math.floor(x_min / cell) * cell
-    oy = math.floor(y_min / cell) * cell
-    ncols = int(math.floor((x_max - ox) / cell)) + 1
-    nrows = int(math.floor((y_max - oy) / cell)) + 1
-    return RasterGrid(ox, oy, cell, np.zeros((nrows, ncols)))
-
-
 def cmd_indicators(cfg):
     cfg.require("points", "footprints", "roads", "income_stations",
                 "precip_stations", "temp_spring", "temp_summer",
                 "temp_autumn", "temp_winter")
     dsm = read_raster_asc(_artifact(cfg, "dsm.asc", "extract"))
     _, qualifying = _load_segments(cfg)
-    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"))
+    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
+                               ("id", "potential"))
     potential_ids = [r["id"] for r in building_rows if r["potential"] == "true"]
 
     pc = read_point_cloud(cfg.points)
@@ -232,7 +242,7 @@ def cmd_indicators(cfg):
     write_raster_asc(mask_base, _out_path(cfg, "greenspace_base.asc"))
     write_raster_asc(mask_green, _out_path(cfg, "greenspace_greened.asc"))
 
-    template = _interp_template(pc, cfg.interp_cell)
+    template = snapped_grid(pc.xyz, cfg.interp_cell)
     income_surface = interpolate_grid(
         SampleSet.from_points(read_xy_value(cfg.income_stations)), template,
         method=cfg.interp_method)
@@ -263,13 +273,11 @@ def cmd_indicators(cfg):
                      raw.category, _f(raw.income)]
                     + [_f(t) for t in raw.seasonal_temps]
                     + [_f(raw.precipitation)]
-                    + [_f(getattr(vec, name)) for name in IND_FIELDS])
+                    + [_f(v) for v in vec.as_array()])
     _write_rows(_out_path(cfg, "indicators.csv"),
                 ("id", "gc_raw", "road_dist_m", "category", "income_raw",
                  "temp_spring_raw", "temp_summer_raw", "temp_autumn_raw",
-                 "temp_winter_raw", "precip_raw", "ind_greenspace",
-                 "ind_road_dist", "ind_category", "ind_income",
-                 "ind_temperature", "ind_precip"), rows)
+                 "temp_winter_raw", "precip_raw") + IND_COLUMNS, rows)
     print(f"indicators: scored {len(raws)} potential buildings")
     return 0
 
@@ -278,17 +286,15 @@ def cmd_indicators(cfg):
 # prioritize
 # ---------------------------------------------------------------------------
 
-def _read_indicator_vectors(cfg, prior="indicators"):
-    rows = _read_rows(_artifact(cfg, "indicators.csv", prior))
+def _read_indicator_vectors(cfg):
+    rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"), ("id",) + IND_COLUMNS)
     ids = [r["id"] for r in rows]
-    matrix = np.array([[float(r["ind_" + short]) for short in
-                        ("greenspace", "road_dist", "category", "income",
-                         "temperature", "precip")] for r in rows])
-    return ids, matrix, rows
+    matrix = np.array([[float(r[c]) for c in IND_COLUMNS] for r in rows])
+    return ids, matrix
 
 
 def cmd_prioritize(cfg):
-    ids, matrix, _ = _read_indicator_vectors(cfg)
+    ids, matrix = _read_indicator_vectors(cfg)
     if not ids:
         raise ComputationError("no potential buildings to prioritize")
     weights = {}
@@ -334,10 +340,12 @@ def cmd_prioritize(cfg):
 
 def cmd_benefits(cfg):
     cfg.require("population")
-    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"))
+    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
+                               ("potential", "greenable_m2", "height_m"))
     mask_base = read_raster_asc(_artifact(cfg, "greenspace_base.asc", "indicators"))
     mask_green = read_raster_asc(_artifact(cfg, "greenspace_greened.asc", "indicators"))
-    ind_rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"))
+    ind_rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"),
+                          ("income_raw", "gc_raw"))
 
     population = population_grid_from_points(read_xy_value(cfg.population),
                                              cell=cfg.population_cell)
@@ -391,21 +399,26 @@ def cmd_benefits(cfg):
 # ---------------------------------------------------------------------------
 
 def _benefit_map(cfg):
-    rows = _read_rows(_artifact(cfg, "benefits.csv", "benefits"))
+    rows = _read_rows(_artifact(cfg, "benefits.csv", "benefits"), ("metric", "value"))
     return {r["metric"]: float(r["value"]) for r in rows}
 
 
 def cmd_report(cfg):
     cfg.require("footprints")
-    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"))
-    seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"))
+    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
+                               ("id", "potential", "greenable_m2", "height_m"))
+    seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"),
+                          ("building_id", "slope_deg"))
     ind_rows = {r["id"]: r for r in
-                _read_rows(_artifact(cfg, "indicators.csv", "indicators"))}
+                _read_rows(_artifact(cfg, "indicators.csv", "indicators"),
+                           ("id",) + IND_COLUMNS)}
     pri_rows = {r["id"]: r for r in
-                _read_rows(_artifact(cfg, "priorities.csv", "prioritize"))}
-    weight_rows = _read_rows(_artifact(cfg, "weights.csv", "prioritize"))
+                _read_rows(_artifact(cfg, "priorities.csv", "prioritize"), ("id", "priority"))}
+    weight_rows = _read_rows(_artifact(cfg, "weights.csv", "prioritize"),
+                             ("scheme", "active") + WEIGHT_COLUMNS)
     metrics = _benefit_map(cfg)
-    reg_rows = _read_rows(_artifact(cfg, "regression.csv", "benefits"))
+    reg_rows = _read_rows(_artifact(cfg, "regression.csv", "benefits"),
+                          ("slope", "pearson_r", "p_value", "n"))
 
     min_slope = {}
     for r in seg_rows:
@@ -426,13 +439,8 @@ def cmd_report(cfg):
             roof_area_m2=float(r["greenable_m2"]),
             slope_deg=min_slope.get(bid),
             height_m=float(r["height_m"]),
-            ind_greenspace=float(ind["ind_greenspace"]) if ind else None,
-            ind_road_dist=float(ind["ind_road_dist"]) if ind else None,
-            ind_category=float(ind["ind_category"]) if ind else None,
-            ind_income=float(ind["ind_income"]) if ind else None,
-            ind_temperature=float(ind["ind_temperature"]) if ind else None,
-            ind_precip=float(ind["ind_precip"]) if ind else None,
             priority=float(pri["priority"]) if pri else None,
+            **{c: float(ind[c]) if ind else None for c in IND_COLUMNS},
         ))
     write_building_report(rows, _out_path(cfg, "buildings_report.csv"),
                           _out_path(cfg, "buildings_report.geojson"), footprints)

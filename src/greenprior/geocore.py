@@ -109,6 +109,12 @@ class RasterGrid:
             return row, col
         return None
 
+    def cells_of(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the cells holding each point of xy (x and y in
+        its first two columns); indices off the grid are not clipped."""
+        return (np.floor((xy[:, 1] - self.origin_y) / self.cell).astype(int),
+                np.floor((xy[:, 0] - self.origin_x) / self.cell).astype(int))
+
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         return (self.origin_x + (col + 0.5) * self.cell,
                 self.origin_y + (row + 0.5) * self.cell)
@@ -131,9 +137,23 @@ class RasterGrid:
                 and np.array_equal(self.values, other.values, equal_nan=True))
 
 
-def world_to_cell(grid: RasterGrid, x: float, y: float) -> tuple[int, int] | None:
-    """Module-level alias for :meth:`RasterGrid.world_to_cell`."""
-    return grid.world_to_cell(x, y)
+def snapped_grid(xy: np.ndarray, cell: float) -> RasterGrid:
+    """The grid of zeros, snapped to multiples of the cell, that holds xy.
+
+    Only the first two columns of xy, x and y, are read. On each axis the
+    origin is floor(min / cell) * cell and the cell count is
+    floor((max - origin) / cell) + 1, so every point falls in a cell and
+    grids built from shifted subsets of one scene stay aligned. Every grid
+    the pipeline builds from points (surface model, greenspace mask, kriging
+    template, population) follows this one rule.
+    """
+    if cell <= 0:
+        raise ValueError("cell size must be positive")
+    origin_x = math.floor(xy[:, 0].min() / cell) * cell
+    origin_y = math.floor(xy[:, 1].min() / cell) * cell
+    ncols = int(math.floor((xy[:, 0].max() - origin_x) / cell)) + 1
+    nrows = int(math.floor((xy[:, 1].max() - origin_y) / cell)) + 1
+    return RasterGrid(origin_x, origin_y, cell, np.zeros((nrows, ncols)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +317,6 @@ def cells_in_polygon(grid: RasterGrid, poly: Polygon) -> tuple[np.ndarray, np.nd
                                grid.origin_y + (rr + 0.5) * grid.cell])
     inside = points_in_polygon(centers, poly)
     return rr[inside], cc[inside]
-
-
-def point_in_polygon(x: float, y: float, poly: Polygon) -> bool:
-    """True iff (x, y) is inside the polygon; boundary points count as inside."""
-    return poly.contains(x, y)
 
 
 # ---------------------------------------------------------------------------

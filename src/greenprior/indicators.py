@@ -21,6 +21,7 @@ from .geocore import (
     RasterGrid,
     cells_in_polygon,
     distance_to_polylines,
+    snapped_grid,
 )
 from .ingest import BuildingAttributes
 from .roofs import RoofSegment, segment_cell_centers
@@ -68,6 +69,9 @@ class IndicatorVector:
 
     FIELDS = ("greenspace", "road_distance", "category", "income",
               "temperature", "precipitation")
+    # the same indicators, as named in the CSV columns (ind_*, w_*)
+    SHORT_NAMES = ("greenspace", "road_dist", "category", "income",
+                   "temperature", "precip")
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, f) for f in self.FIELDS])
@@ -91,31 +95,18 @@ def build_greenspace_mask(pc: PointCloud, potential_roofs: list[RoofSegment] | N
     Baseline mode (no segments) marks pixels containing vegetation points.
     Greened mode additionally marks pixels under the given roof segments,
     which requires the surface-model grid to place their cells. The mask
-    extent covers the whole cloud either way.
+    is the :func:`snapped_grid` of the whole cloud either way.
     """
-    if cell <= 0:
-        raise ValueError("cell size must be positive")
     if potential_roofs and roof_grid is None:
         raise ValueError("greened mode needs the roof grid for georeferencing")
-    xy = pc.xyz[:, :2]
-    origin_x = math.floor(xy[:, 0].min() / cell) * cell
-    origin_y = math.floor(xy[:, 1].min() / cell) * cell
-    ncols = int(math.floor((xy[:, 0].max() - origin_x) / cell)) + 1
-    nrows = int(math.floor((xy[:, 1].max() - origin_y) / cell)) + 1
-    values = np.zeros((nrows, ncols))
-    veg = pc.points_of(VEGETATION)
-    if veg.shape[0]:
-        cols = np.floor((veg[:, 0] - origin_x) / cell).astype(int)
-        rows = np.floor((veg[:, 1] - origin_y) / cell).astype(int)
-        inside = (rows >= 0) & (rows < nrows) & (cols >= 0) & (cols < ncols)
-        values[rows[inside], cols[inside]] = 1.0
-    for seg in potential_roofs or []:
-        centers = segment_cell_centers(seg, roof_grid)
-        cols = np.floor((centers[:, 0] - origin_x) / cell).astype(int)
-        rows = np.floor((centers[:, 1] - origin_y) / cell).astype(int)
-        inside = (rows >= 0) & (rows < nrows) & (cols >= 0) & (cols < ncols)
-        values[rows[inside], cols[inside]] = 1.0
-    return RasterGrid(origin_x, origin_y, cell, values)
+    mask = snapped_grid(pc.xyz, cell)
+    green = [pc.points_of(VEGETATION)]
+    green += [segment_cell_centers(seg, roof_grid) for seg in potential_roofs or []]
+    for xy in green:
+        rows, cols = mask.cells_of(xy)
+        inside = (rows >= 0) & (rows < mask.nrows) & (cols >= 0) & (cols < mask.ncols)
+        mask.values[rows[inside], cols[inside]] = 1.0
+    return mask
 
 
 # (query, mask row) pairs the coverage kernel handles per vectorized pass

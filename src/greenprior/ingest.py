@@ -7,13 +7,12 @@ validate and fail loudly; none of them skip a malformed record silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .geocore import (
     CLASS_NAMES,
-    GeometryError,
     PointCloud,
     Polygon,
     Polyline,
@@ -116,15 +115,25 @@ def _load_feature_collection(path):
     return feats
 
 
+def _feature_parts(path, idx, feat):
+    """The properties and geometry objects of one feature; absent ones are {}."""
+    if not isinstance(feat, dict):
+        raise FormatError(f"{path}: feature #{idx}: not a JSON object")
+    parts = (feat.get("properties") or {}, feat.get("geometry") or {})
+    for key, part in zip(("properties", "geometry"), parts):
+        if not isinstance(part, dict):
+            raise FormatError(f"{path}: feature #{idx}: {key} is not a JSON object")
+    return parts
+
+
 def read_footprints(path) -> list[BuildingAttributes]:
     """Load building footprints with id, age_years and category properties."""
     feats = _load_feature_collection(path)
     out: list[BuildingAttributes] = []
     seen: set[str] = set()
     for idx, feat in enumerate(feats):
-        props = feat.get("properties") or {}
+        props, geom = _feature_parts(path, idx, feat)
         label = props.get("id", f"feature #{idx}")
-        geom = feat.get("geometry") or {}
         if geom.get("type") != "Polygon":
             raise FormatError(f"{path}: {label}: geometry must be Polygon, got {geom.get('type')!r}")
         for key in ("id", "age_years", "category"):
@@ -135,11 +144,11 @@ def read_footprints(path) -> list[BuildingAttributes]:
             raise FormatError(f"{path}: duplicate building id {bid!r}")
         seen.add(bid)
         rings = geom.get("coordinates")
-        if not rings:
-            raise FormatError(f"{path}: {bid}: polygon has no rings")
+        if not isinstance(rings, list) or not rings:
+            raise FormatError(f"{path}: {bid}: coordinates must be a non-empty list of rings")
         try:
             poly = Polygon(rings[0], holes=list(rings[1:]))
-        except GeometryError as exc:
+        except (TypeError, ValueError) as exc:  # GeometryError, non-numeric coordinates
             raise FormatError(f"{path}: {bid}: {exc}") from None
         try:
             age = int(props["age_years"])
@@ -157,17 +166,16 @@ def read_roads(path) -> list[Polyline]:
     feats = _load_feature_collection(path)
     out: list[Polyline] = []
     for idx, feat in enumerate(feats):
-        geom = feat.get("geometry") or {}
+        props, geom = _feature_parts(path, idx, feat)
         if geom.get("type") != "LineString":
             raise FormatError(f"{path}: feature #{idx}: geometry must be LineString")
-        props = feat.get("properties") or {}
         tag = props.get("class")
         if tag not in ROAD_CLASSES:
             raise FormatError(f"{path}: feature #{idx}: road class must be one of "
                               f"{ROAD_CLASSES}, got {tag!r}")
         try:
             out.append(Polyline(geom.get("coordinates"), tag=tag))
-        except GeometryError as exc:
+        except (TypeError, ValueError) as exc:  # GeometryError, non-numeric coordinates
             raise FormatError(f"{path}: feature #{idx}: {exc}") from None
     if not out:
         raise FormatError(f"{path}: no road features")
@@ -318,22 +326,6 @@ def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
 # building report
 # ---------------------------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "id",
-    "potential",
-    "roof_area_m2",
-    "slope_deg",
-    "height_m",
-    "ind_greenspace",
-    "ind_road_dist",
-    "ind_category",
-    "ind_income",
-    "ind_temperature",
-    "ind_precip",
-    "priority",
-)
-
-
 @dataclass
 class BuildingReportRow:
     """One output row of the final per-building report.
@@ -357,6 +349,10 @@ class BuildingReportRow:
     priority: float | None = None
 
 
+# the report's column order: the fields of BuildingReportRow
+REPORT_COLUMNS = tuple(f.name for f in fields(BuildingReportRow))
+
+
 def _fmt(v: float | None) -> str:
     return "" if v is None else f"{v:.6f}"
 
@@ -371,20 +367,8 @@ def write_building_report(rows: list[BuildingReportRow], path_csv, path_geojson=
     with open(path_csv, "w", encoding="utf-8") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for r in rows:
-            fh.write(",".join([
-                r.id,
-                "true" if r.potential else "false",
-                _fmt(r.roof_area_m2),
-                _fmt(r.slope_deg),
-                _fmt(r.height_m),
-                _fmt(r.ind_greenspace),
-                _fmt(r.ind_road_dist),
-                _fmt(r.ind_category),
-                _fmt(r.ind_income),
-                _fmt(r.ind_temperature),
-                _fmt(r.ind_precip),
-                _fmt(r.priority),
-            ]) + "\n")
+            fh.write(",".join([r.id, "true" if r.potential else "false"]
+                              + [_fmt(getattr(r, col)) for col in REPORT_COLUMNS[2:]]) + "\n")
     if path_geojson is None:
         return
     footprints = footprints or {}
@@ -403,24 +387,3 @@ def write_building_report(rows: list[BuildingReportRow], path_csv, path_geojson=
     with open(path_geojson, "w", encoding="utf-8") as fh:
         json.dump({"type": "FeatureCollection", "features": feats}, fh, indent=1)
         fh.write("\n")
-
-
-def read_building_report(path_csv) -> list[BuildingReportRow]:
-    """Read back a report CSV written by write_building_report."""
-    rows: list[BuildingReportRow] = []
-    with open(path_csv, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != list(REPORT_COLUMNS):
-            raise FormatError(f"{path_csv}: unexpected report columns")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(REPORT_COLUMNS):
-                raise FormatError(f"{path_csv}: line {lineno}: wrong field count")
-            if parts[1] not in ("true", "false"):
-                raise FormatError(f"{path_csv}: line {lineno}: potential must be true/false")
-            vals = [None if p == "" else float(p) for p in parts[2:]]
-            rows.append(BuildingReportRow(parts[0], parts[1] == "true", *vals))
-    return rows

@@ -7,7 +7,6 @@ of input file ordering.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +122,13 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
     return out
 
 
+def _shape(kind, ratio):
+    """Unit-sill variogram shape at lag ratio = h / range."""
+    if kind == "spherical":
+        return np.where(ratio < 1.0, 1.5 * ratio - 0.5 * ratio ** 3, 1.0)
+    return 1.0 - np.exp(-3.0 * ratio)
+
+
 @dataclass
 class VariogramModel:
     """Isotropic semivariogram: nugget + partial sill shaped by range."""
@@ -143,11 +149,7 @@ class VariogramModel:
         """Semivariance at lag h (array friendly); exactly 0 at h = 0."""
         h = np.asarray(h, dtype=float)
         partial = self.sill - self.nugget
-        ratio = h / self.range_m
-        if self.kind == "spherical":
-            shape = np.where(ratio < 1.0, 1.5 * ratio - 0.5 * ratio ** 3, 1.0)
-        else:
-            shape = 1.0 - np.exp(-3.0 * ratio)
+        shape = _shape(self.kind, h / self.range_m)
         out = np.where(h > 0, self.nugget + partial * shape, 0.0)
         return out if out.ndim else float(out)
 
@@ -192,28 +194,18 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
     if np.all(gammas <= 1e-15):
         return VariogramModel(kind, 0.0, 1e-12, max_lag, degenerate=True)
 
-    def shape_of(r):
-        ratio = lags / r
-        if kind == "spherical":
-            return np.where(ratio < 1.0, 1.5 * ratio - 0.5 * ratio ** 3, 1.0)
-        return 1.0 - np.exp(-3.0 * ratio)
-
     best = None
     for r in np.geomspace(0.25 * float(lags.min()), 2.0 * max_lag, 24):
-        nugget, partial = _linear_subfit(lags, gammas, weights, shape_of(r))
-        sse = float(np.sum(weights * (nugget + partial * shape_of(r) - gammas) ** 2))
+        shape = _shape(kind, lags / r)
+        nugget, partial = _linear_subfit(lags, gammas, weights, shape)
+        sse = float(np.sum(weights * (nugget + partial * shape - gammas) ** 2))
         if best is None or sse < best[0]:
             best = (sse, nugget, partial, r)
     _, n0, p0, r0 = best
 
     def residuals(theta):
         nugget, partial, r = theta
-        ratio = lags / r
-        if kind == "spherical":
-            shape = np.where(ratio < 1.0, 1.5 * ratio - 0.5 * ratio ** 3, 1.0)
-        else:
-            shape = 1.0 - np.exp(-3.0 * ratio)
-        return np.sqrt(weights) * (nugget + partial * shape - gammas)
+        return np.sqrt(weights) * (nugget + partial * _shape(kind, lags / r) - gammas)
 
     # range capped at twice the observed lag span: a larger value would make
     # the sill an extrapolation the data cannot support

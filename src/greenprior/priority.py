@@ -80,11 +80,6 @@ def equal_weight_priority(vector):
     return float(np.mean(vector.as_array()))
 
 
-def weighted_priority(vector, weights):
-    """Dot product of the indicator vector with a WeightVector."""
-    return float(np.dot(vector.as_array(), weights.as_array()))
-
-
 def _as_matrix(matrix):
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:

@@ -24,6 +24,7 @@ from .geocore import (
     cells_in_polygon,
     points_in_polygon,
     point_segment_distance,
+    snapped_grid,
 )
 from .ingest import BuildingAttributes
 
@@ -32,13 +33,6 @@ NEIGH8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 # one-sided 2x2 stencil quadrants, in tie-break order
 QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-@dataclass(frozen=True)
-class RoofCell:
-    row: int
-    col: int
-    z: float
 
 
 @dataclass
@@ -79,30 +73,17 @@ class PotentialDecision:
 def candidate_roof_points(pc: PointCloud, cell: float) -> RasterGrid:
     """Rasterize building points to a grid of per-cell maximum elevations.
 
-    Cells without any building point are NaN. The grid origin is snapped to
-    a multiple of the cell size so reruns on shifted subsets stay aligned.
+    Cells without any building point are NaN. The grid is the
+    :func:`snapped_grid` of the building points.
     """
-    if cell <= 0:
-        raise ValueError("cell size must be positive")
     pts = pc.points_of(BUILDING)
     if pts.shape[0] == 0:
         raise ComputationError("no building points in the cloud")
-    origin_x = math.floor(pts[:, 0].min() / cell) * cell
-    origin_y = math.floor(pts[:, 1].min() / cell) * cell
-    cols = np.floor((pts[:, 0] - origin_x) / cell).astype(int)
-    rows = np.floor((pts[:, 1] - origin_y) / cell).astype(int)
-    values = np.full((rows.max() + 1, cols.max() + 1), -np.inf)
-    np.maximum.at(values, (rows, cols), pts[:, 2])
-    values[np.isinf(values)] = np.nan
-    return RasterGrid(origin_x, origin_y, cell, values)
-
-
-def roof_cells(dsm: RasterGrid) -> list[RoofCell]:
-    """The occupied cells of a surface model, ordered by (row, col)."""
-    rr, cc = np.nonzero(np.isfinite(dsm.values))
-    order = np.lexsort((cc, rr))
-    return [RoofCell(int(r), int(c), float(dsm.values[r, c]))
-            for r, c in zip(rr[order], cc[order])]
+    grid = snapped_grid(pts, cell)
+    grid.values[:] = -np.inf
+    np.maximum.at(grid.values, grid.cells_of(pts), pts[:, 2])
+    grid.values[np.isinf(grid.values)] = np.nan
+    return grid
 
 
 def _shift(values: np.ndarray, dr: int, dc: int) -> np.ndarray:
@@ -279,31 +260,22 @@ def _unit_normal(a: float, b: float) -> np.ndarray:
 class _PlaneFit:
     """Running least-squares plane over cells, in seed-local coordinates."""
 
-    def __init__(self, x0: float, y0: float, fallback_ab: tuple[float, float]):
-        self.x0 = x0
-        self.y0 = y0
+    def __init__(self, fallback_ab: tuple[float, float]):
         self.fallback_ab = fallback_ab
         self.S = np.zeros((3, 3))
         self.t = np.zeros(3)
         self.n = 0
-        self.sum_z = 0.0
-        self.sum_dx = 0.0
-        self.sum_dy = 0.0
 
     def add(self, dx: float, dy: float, z: float):
         v = np.array([dx, dy, 1.0])
         self.S += np.outer(v, v)
         self.t += z * v
         self.n += 1
-        self.sum_z += z
-        self.sum_dx += dx
-        self.sum_dy += dy
 
     def rebuild(self, rows):
         self.S[:] = 0.0
         self.t[:] = 0.0
         self.n = 0
-        self.sum_z = self.sum_dx = self.sum_dy = 0.0
         for dx, dy, z in rows:
             self.add(dx, dy, z)
 
@@ -313,9 +285,10 @@ class _PlaneFit:
         if self.n >= 3 and np.linalg.matrix_rank(self.S, tol=1e-8) == 3:
             a, b, c = np.linalg.solve(self.S, self.t)
             return float(a), float(b), float(c)
+        # t[2], S[0, 2] and S[1, 2] are the sums of z, dx and dy
         a, b = self.fallback_ab
-        c = (self.sum_z - a * self.sum_dx - b * self.sum_dy) / max(self.n, 1)
-        return a, b, c
+        c = (self.t[2] - a * self.S[0, 2] - b * self.S[1, 2]) / max(self.n, 1)
+        return a, b, float(c)
 
 
 def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
@@ -349,7 +322,7 @@ def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
         cells = sorted(members)
         x0, y0 = dsm.cell_center(*seed)
         fallback = (float(A[seed]), float(B[seed])) if np.isfinite(curv[seed]) else (0.0, 0.0)
-        fit = _PlaneFit(x0, y0, fallback)
+        fit = _PlaneFit(fallback)
         for r, c in cells:
             cx, cy = dsm.cell_center(r, c)
             fit.add(cx - x0, cy - y0, float(V[r, c]))
@@ -366,7 +339,7 @@ def _grow_one(seed, pool, comp, dsm, A, B, curv, cos_tol, residual_tol_m):
         return {seed}
     seed_normal = _unit_normal(float(A[seed]), float(B[seed]))
     x0, y0 = dsm.cell_center(*seed)
-    fit = _PlaneFit(x0, y0, (float(A[seed]), float(B[seed])))
+    fit = _PlaneFit((float(A[seed]), float(B[seed])))
     members = {seed}
     rows = {seed: (0.0, 0.0, float(V[seed]))}
     fit.add(0.0, 0.0, float(V[seed]))
@@ -421,12 +394,6 @@ def _grow_one(seed, pool, comp, dsm, A, B, curv, cos_tol, residual_tol_m):
                 reachable.add(nb)
                 stack.append(nb)
     return reachable
-
-
-def segment_slope_area(segment: RoofSegment, cell: float) -> tuple[float, float]:
-    """Slope (degrees from horizontal) and plan-view area of a segment."""
-    a, b, _ = segment.plane
-    return math.degrees(math.atan(math.hypot(a, b))), len(segment.cells) * cell * cell
 
 
 def segment_cell_centers(segment: RoofSegment, grid: RasterGrid) -> np.ndarray:

@@ -176,6 +176,43 @@ def test_truncated_cells_table_exit_one(small_city, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("header", "line 1: missing column(s) greenable_m2, height_m"),
+    ("short", "line 2: expected 7 fields, got 3"),
+    ("long", "line 3: expected 7 fields, got 8"),
+])
+def test_damaged_buildings_table_exit_one(small_city, tmp_path, capsys, damage, message):
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / "buildings.csv").read_text().splitlines(keepends=True)
+    if damage == "header":
+        lines = ["id,potential\n"]
+    elif damage == "short":
+        lines[1] = ",".join(lines[1].split(",")[:3]) + "\n"
+    else:
+        lines[2] = lines[2].rstrip("\n") + ",extra\n"
+    (out / "buildings.csv").write_text("".join(lines))
+    code = cli.main(["benefits", "--config", str(small_city / "config.txt"),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"buildings.csv: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_footprint_exit_one(tmp_path, capsys):
+    (tmp_path / "points.csv").write_text("x,y,z,class\n0.5,0.5,10.0,1\n")
+    (tmp_path / "footprints.geojson").write_text(
+        '{"type": "FeatureCollection", "features": ["x"]}')
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("points = points.csv\nfootprints = footprints.geojson\n")
+    code = cli.main(["extract", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "footprints.geojson: feature #0" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_exit_one(tmp_path, capsys):
     code = cli.main(["extract", "--config", str(tmp_path / "no.cfg")])
     assert code == 1

@@ -12,7 +12,6 @@ from greenprior.geocore import (
     Polyline,
     RasterGrid,
     distance_to_polylines,
-    point_in_polygon,
     point_segment_distance,
     points_in_polygon,
 )
@@ -145,21 +144,21 @@ def test_polygon_with_hole():
     assert poly.area() == pytest.approx(96.0)
     # symmetric hole leaves the centroid in place
     assert poly.centroid() == pytest.approx((5.0, 5.0))
-    assert point_in_polygon(1.0, 1.0, poly)
-    assert not point_in_polygon(5.0, 5.0, poly)  # inside the hole
-    assert point_in_polygon(4.0, 5.0, poly)  # hole boundary still counts
+    assert poly.contains(1.0, 1.0)
+    assert not poly.contains(5.0, 5.0)  # inside the hole
+    assert poly.contains(4.0, 5.0)  # hole boundary still counts
 
 
 def test_point_in_polygon_basics():
     sq = square(0.0, 0.0, 10.0)
-    assert point_in_polygon(5.0, 5.0, sq)
-    assert not point_in_polygon(15.0, 5.0, sq)
-    assert not point_in_polygon(-0.5, 5.0, sq)
+    assert sq.contains(5.0, 5.0)
+    assert not sq.contains(15.0, 5.0)
+    assert not sq.contains(-0.5, 5.0)
     # boundary and corners count as inside
-    assert point_in_polygon(0.0, 0.0, sq)
-    assert point_in_polygon(10.0, 10.0, sq)
-    assert point_in_polygon(5.0, 0.0, sq)
-    assert point_in_polygon(0.0, 5.0, sq)
+    assert sq.contains(0.0, 0.0)
+    assert sq.contains(10.0, 10.0)
+    assert sq.contains(5.0, 0.0)
+    assert sq.contains(0.0, 5.0)
 
 
 def test_points_in_polygon_vectorized_matches_scalar():
@@ -168,7 +167,7 @@ def test_points_in_polygon_vectorized_matches_scalar():
     pts = rng.uniform(-2, 10, size=(200, 2))
     mask = points_in_polygon(pts, poly)
     for (x, y), m in zip(pts, mask):
-        assert point_in_polygon(float(x), float(y), poly) == bool(m)
+        assert poly.contains(float(x), float(y)) == bool(m)
 
 
 def _convex_side_oracle(pts, hull, tol=1e-9):

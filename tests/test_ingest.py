@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ from greenprior.geocore import BUILDING, GROUND, RasterGrid
 from greenprior.ingest import (
     BuildingReportRow,
     FormatError,
-    read_building_report,
     read_footprints,
     read_point_cloud,
     read_raster_asc,
@@ -172,6 +172,45 @@ def test_read_roads_bad_class(tmp_path):
         read_roads(p)
 
 
+def _road_feature():
+    return {"type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[0, 0], [100, 0]]},
+            "properties": {"class": "main"}}
+
+
+@pytest.mark.parametrize("reader, key, value, label", [
+    pytest.param(read_footprints, None, "x", "feature #0", id="footprint-not-an-object"),
+    pytest.param(read_footprints, "properties", 3, "feature #0", id="footprint-properties-3"),
+    pytest.param(read_footprints, "geometry", [1], "feature #0", id="footprint-geometry-list"),
+    pytest.param(read_footprints, "coordinates", 5, "b1", id="footprint-coordinates-5"),
+    pytest.param(read_footprints, "coordinates", [["a", "b"]] * 5, "b1",
+                 id="footprint-ring-of-strings"),
+    pytest.param(read_footprints, "coordinates", [[{}, {}]] * 5, "b1",
+                 id="footprint-ring-of-objects"),
+    pytest.param(read_footprints, "coordinates", [[[0, 0], [1]]], "b1", id="footprint-ragged"),
+    pytest.param(read_roads, None, None, "feature #0", id="road-null"),
+    pytest.param(read_roads, "properties", 3, "feature #0", id="road-properties-3"),
+    pytest.param(read_roads, "coordinates", 5, "feature #0", id="road-coordinates-5"),
+    pytest.param(read_roads, "coordinates", [["a", "b"], ["c", "d"]], "feature #0",
+                 id="road-line-of-strings"),
+    pytest.param(read_roads, "coordinates", [[0, {}], [1, 1]], "feature #0",
+                 id="road-line-with-object"),
+])
+def test_malformed_features_raise_format_error(tmp_path, reader, key, value, label):
+    feat = square_feature("b1") if reader is read_footprints else _road_feature()
+    if key is None:
+        feat = value
+    elif key == "coordinates":
+        feat["geometry"]["coordinates"] = value
+    else:
+        feat[key] = value
+    p = tmp_path / "layer.geojson"
+    p.write_text(json.dumps(feature_collection([feat])))
+    with pytest.raises(FormatError) as info:
+        reader(p)
+    assert str(info.value).startswith(f"{p}: {label}: ")
+
+
 # ---------------------------------------------------------------------------
 # x,y,value CSV
 # ---------------------------------------------------------------------------
@@ -298,12 +337,13 @@ def test_building_report_roundtrip(tmp_path):
     csv_path = tmp_path / "report.csv"
     gj_path = tmp_path / "report.geojson"
     write_building_report(rows, csv_path, gj_path)
-    back = read_building_report(csv_path)
+    with open(csv_path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == 2
-    assert back[0].id == "b1" and back[0].potential is True
-    assert back[0].priority == pytest.approx(0.733333)
-    assert back[1].potential is False
-    assert back[1].roof_area_m2 is None
+    assert back[0]["id"] == "b1" and back[0]["potential"] == "true"
+    assert float(back[0]["priority"]) == pytest.approx(0.733333)
+    assert back[1]["potential"] == "false"
+    assert back[1]["roof_area_m2"] == ""
 
     doc = json.loads(gj_path.read_text())
     assert doc["type"] == "FeatureCollection"

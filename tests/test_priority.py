@@ -12,7 +12,6 @@ from greenprior.priority import (
     equal_weight_priority,
     priority_summary,
     rank_buildings,
-    weighted_priority,
 )
 
 HAND_MATRIX = np.array([
@@ -48,15 +47,6 @@ def test_equal_weight_priority_properties():
         i = rng.integers(6)
         bumped[i] = min(1.0, bumped[i] + rng.random() * (1.0 - bumped[i]))
         assert equal_weight_priority(IndicatorVector(*bumped)) >= base - 1e-12
-
-
-def test_weighted_priority_matches_dot():
-    v = IndicatorVector(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-    w = WeightVector(0.5, 0.1, 0.1, 0.1, 0.1, 0.1)
-    assert weighted_priority(v, w) == pytest.approx(
-        0.5 * 0.1 + 0.1 * (0.2 + 0.3 + 0.4 + 0.5 + 0.6))
-    assert weighted_priority(v, WeightVector.equal()) == pytest.approx(
-        equal_weight_priority(v))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from greenprior.roofs import (
     filter_wall_edges,
     grow_segments,
     label_components,
-    roof_cells,
-    segment_slope_area,
 )
 
 
@@ -52,9 +50,9 @@ def test_candidate_max_per_cell():
     pc = PointCloud(np.array([[0.5, 0.5, 5.0], [0.6, 0.4, 8.0]]),
                     np.array([BUILDING, BUILDING], dtype=np.uint8))
     dsm = candidate_roof_points(pc, 1.0)
-    cells = roof_cells(dsm)
-    assert len(cells) == 1
-    assert cells[0].z == 8.0
+    rows, cols = np.nonzero(np.isfinite(dsm.values))
+    assert len(rows) == 1
+    assert dsm.values[rows[0], cols[0]] == 8.0
 
 
 def test_candidate_requires_building_points():
@@ -92,7 +90,8 @@ def test_candidate_matches_bruteforce_oracle():
             continue
         rc = (math.floor((y - dsm.origin_y) / cell), math.floor((x - dsm.origin_x) / cell))
         expect[rc] = max(expect.get(rc, -math.inf), z)
-    got = {(c.row, c.col): c.z for c in roof_cells(dsm)}
+    got = {(int(r), int(c)): float(dsm.values[r, c])
+           for r, c in zip(*np.nonzero(np.isfinite(dsm.values)))}
     assert got == pytest.approx(expect)
 
 
@@ -283,15 +282,13 @@ def test_slope_recovery_known_pitch(theta):
 def test_segment_slope_area_arithmetic():
     dsm = grid_from(np.full((5, 5), 10.0))
     seg = grow_segments(dense_component(dsm), dsm)[0]
-    slope, area = segment_slope_area(seg, 1.0)
-    assert (slope, area) == (pytest.approx(0.0, abs=1e-9), 25.0)
-    _, area_half = segment_slope_area(seg, 0.5)
-    assert area_half == 6.25  # 25 cells at 0.5 m
+    assert (seg.slope_deg, seg.area_m2) == (pytest.approx(0.0, abs=1e-9), 25.0)
+    half = RasterGrid(0.0, 0.0, 0.5, np.full((5, 5), 10.0))
+    assert grow_segments(dense_component(half), half)[0].area_m2 == 6.25  # 25 cells at 0.5 m
 
     pitched = grid_from(np.tile(0.2677 * (np.arange(12) + 0.5), (12, 1)))
     seg_p = grow_segments(dense_component(pitched), pitched)[0]
-    slope_p, _ = segment_slope_area(seg_p, 1.0)
-    assert slope_p == pytest.approx(15.0, abs=0.1)
+    assert seg_p.slope_deg == pytest.approx(15.0, abs=0.1)
 
 
 # ---------------------------------------------------------------------------
