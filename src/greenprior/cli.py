@@ -52,6 +52,7 @@ from .synth import SyntheticCitySpec, generate_city
 
 IND_COLUMNS = tuple("ind_" + short for short in IndicatorVector.SHORT_NAMES)
 WEIGHT_COLUMNS = tuple("w_" + short for short in IndicatorVector.SHORT_NAMES)
+IND_TYPES = {"id": str, **dict.fromkeys(IND_COLUMNS, float)}  # as later stages read them
 
 # Reference values reported by the Hong Kong 2021 citywide study the method
 # follows; shown in report.md for orientation only, since a synthetic
@@ -83,10 +84,12 @@ def _artifact(cfg, name, prior):
 
 
 def _read_rows(path, columns):
-    """The rows of a CSV artifact as dicts keyed by its header.
+    """The rows of a CSV artifact as dicts of the columns a caller reads.
 
-    The header must hold every name in columns, and each row must have as
-    many fields as the header; blank lines are skipped.
+    columns maps each name to the type its values are parsed with (str,
+    int or float). The header must hold every name, each row must have as
+    many fields as the header, and every value must parse; blank lines are
+    skipped.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -94,6 +97,7 @@ def _read_rows(path, columns):
         missing = [c for c in columns if c not in header]
         if missing:
             raise FormatError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        where = {name: i for i, name in enumerate(header)}
         rows = []
         for fields in reader:
             if not fields:
@@ -101,7 +105,15 @@ def _read_rows(path, columns):
             if len(fields) != len(header):
                 raise FormatError(f"{path}: line {reader.line_num}: expected "
                                   f"{len(header)} fields, got {len(fields)}")
-            rows.append(dict(zip(header, fields)))
+            row = {}
+            for name, kind in columns.items():
+                value = fields[where[name]]
+                try:
+                    row[name] = kind(value)
+                except ValueError:
+                    raise FormatError(f"{path}: line {reader.line_num}: column {name}: "
+                                      f"{value!r} is not a valid {kind.__name__}") from None
+            rows.append(row)
     return rows
 
 
@@ -196,24 +208,23 @@ def cmd_extract(cfg):
 def _load_segments(cfg):
     """Rebuild RoofSegment objects from the extract stage's tables."""
     seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"),
-                          ("building_id", "seg_id", "qualifying", "slope_deg", "area_m2",
-                           "plane_a", "plane_b", "plane_c"))
+                          {"building_id": str, "seg_id": str, "qualifying": str,
+                           "slope_deg": float, "area_m2": float, "plane_a": float,
+                           "plane_b": float, "plane_c": float})
     cell_rows = _read_rows(_artifact(cfg, "cells.csv", "extract"),
-                           ("building_id", "seg_id", "row", "col"))
+                           {"building_id": str, "seg_id": str, "row": int, "col": int})
     cells_by_seg = {}
     for row in cell_rows:
         key = (row["building_id"], row["seg_id"])
-        cells_by_seg.setdefault(key, []).append((int(row["row"]), int(row["col"])))
+        cells_by_seg.setdefault(key, []).append((row["row"], row["col"]))
     segments, qualifying = {}, {}
     for row in seg_rows:
         key = (row["building_id"], row["seg_id"])
         if key not in cells_by_seg:
             raise FormatError(
                 f"cells.csv: segment ({key[0]}, {key[1]}) has no cells")
-        seg = RoofSegment(cells_by_seg[key],
-                          (float(row["plane_a"]), float(row["plane_b"]),
-                           float(row["plane_c"])),
-                          float(row["slope_deg"]), float(row["area_m2"]),
+        seg = RoofSegment(cells_by_seg[key], (row["plane_a"], row["plane_b"], row["plane_c"]),
+                          row["slope_deg"], row["area_m2"],
                           building_id=row["building_id"], seg_id=row["seg_id"])
         segments.setdefault(row["building_id"], []).append(seg)
         if row["qualifying"] == "true":
@@ -228,7 +239,7 @@ def cmd_indicators(cfg):
     dsm = read_raster_asc(_artifact(cfg, "dsm.asc", "extract"))
     _, qualifying = _load_segments(cfg)
     building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
-                               ("id", "potential"))
+                               {"id": str, "potential": str})
     potential_ids = [r["id"] for r in building_rows if r["potential"] == "true"]
 
     pc = read_point_cloud(cfg.points)
@@ -287,9 +298,9 @@ def cmd_indicators(cfg):
 # ---------------------------------------------------------------------------
 
 def _read_indicator_vectors(cfg):
-    rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"), ("id",) + IND_COLUMNS)
+    rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"), IND_TYPES)
     ids = [r["id"] for r in rows]
-    matrix = np.array([[float(r[c]) for c in IND_COLUMNS] for r in rows])
+    matrix = np.array([[r[c] for c in IND_COLUMNS] for r in rows])
     return ids, matrix
 
 
@@ -341,11 +352,11 @@ def cmd_prioritize(cfg):
 def cmd_benefits(cfg):
     cfg.require("population")
     building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
-                               ("potential", "greenable_m2", "height_m"))
+                               {"potential": str, "greenable_m2": float, "height_m": float})
     mask_base = read_raster_asc(_artifact(cfg, "greenspace_base.asc", "indicators"))
     mask_green = read_raster_asc(_artifact(cfg, "greenspace_greened.asc", "indicators"))
     ind_rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"),
-                          ("income_raw", "gc_raw"))
+                          {"income_raw": float, "gc_raw": float})
 
     population = population_grid_from_points(read_xy_value(cfg.population),
                                              cell=cfg.population_cell)
@@ -353,8 +364,8 @@ def cmd_benefits(cfg):
     exposure_green = greenspace_exposure(mask_green, population, radius=cfg.gc_radius)
 
     potential = [r for r in building_rows if r["potential"] == "true"]
-    greenable = sum(float(r["greenable_m2"]) for r in potential)
-    volumes = [(float(r["greenable_m2"]), float(r["height_m"])) for r in potential]
+    greenable = sum(r["greenable_m2"] for r in potential)
+    volumes = [(r["greenable_m2"], r["height_m"]) for r in potential]
     report = assemble_report(greenable, exposure_base, exposure_green, volumes,
                              cooling=cfg.cooling(), econ=cfg.econ())
 
@@ -374,7 +385,7 @@ def cmd_benefits(cfg):
     ]
     _write_rows(_out_path(cfg, "benefits.csv"), ("metric", "value", "unit"), rows)
 
-    pairs = [(float(r["income_raw"]), float(r["gc_raw"])) for r in ind_rows]
+    pairs = [(r["income_raw"], r["gc_raw"]) for r in ind_rows]
     reg_rows = []
     try:
         reg = income_greenspace_regression(pairs)
@@ -399,31 +410,33 @@ def cmd_benefits(cfg):
 # ---------------------------------------------------------------------------
 
 def _benefit_map(cfg):
-    rows = _read_rows(_artifact(cfg, "benefits.csv", "benefits"), ("metric", "value"))
-    return {r["metric"]: float(r["value"]) for r in rows}
+    rows = _read_rows(_artifact(cfg, "benefits.csv", "benefits"), {"metric": str, "value": float})
+    return {r["metric"]: r["value"] for r in rows}
 
 
 def cmd_report(cfg):
     cfg.require("footprints")
     building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
-                               ("id", "potential", "greenable_m2", "height_m"))
+                               {"id": str, "potential": str, "greenable_m2": float,
+                                "height_m": float})
     seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"),
-                          ("building_id", "slope_deg"))
+                          {"building_id": str, "slope_deg": float})
     ind_rows = {r["id"]: r for r in
-                _read_rows(_artifact(cfg, "indicators.csv", "indicators"),
-                           ("id",) + IND_COLUMNS)}
+                _read_rows(_artifact(cfg, "indicators.csv", "indicators"), IND_TYPES)}
     pri_rows = {r["id"]: r for r in
-                _read_rows(_artifact(cfg, "priorities.csv", "prioritize"), ("id", "priority"))}
+                _read_rows(_artifact(cfg, "priorities.csv", "prioritize"),
+                           {"id": str, "priority": float})}
     weight_rows = _read_rows(_artifact(cfg, "weights.csv", "prioritize"),
-                             ("scheme", "active") + WEIGHT_COLUMNS)
+                             {"scheme": str, "active": str,
+                              **dict.fromkeys(WEIGHT_COLUMNS, float)})
     metrics = _benefit_map(cfg)
     reg_rows = _read_rows(_artifact(cfg, "regression.csv", "benefits"),
-                          ("slope", "pearson_r", "p_value", "n"))
+                          {"slope": float, "pearson_r": float, "p_value": float, "n": str})
 
     min_slope = {}
     for r in seg_rows:
         bid = r["building_id"]
-        s = float(r["slope_deg"])
+        s = r["slope_deg"]
         if bid not in min_slope or s < min_slope[bid]:
             min_slope[bid] = s
 
@@ -436,11 +449,11 @@ def cmd_report(cfg):
         rows.append(BuildingReportRow(
             id=bid,
             potential=r["potential"] == "true",
-            roof_area_m2=float(r["greenable_m2"]),
+            roof_area_m2=r["greenable_m2"],
             slope_deg=min_slope.get(bid),
-            height_m=float(r["height_m"]),
-            priority=float(pri["priority"]) if pri else None,
-            **{c: float(ind[c]) if ind else None for c in IND_COLUMNS},
+            height_m=r["height_m"],
+            priority=pri["priority"] if pri else None,
+            **{c: ind[c] if ind else None for c in IND_COLUMNS},
         ))
     write_building_report(rows, _out_path(cfg, "buildings_report.csv"),
                           _out_path(cfg, "buildings_report.geojson"), footprints)
@@ -473,7 +486,7 @@ def _render_report(cfg, building_rows, report_rows, weight_rows, metrics, reg_ro
     w("|---|---|" + "---|" * len(WEIGHT_COLUMNS))
     for r in weight_rows:
         w("| " + r["scheme"] + " | " + r["active"] + " | "
-          + " | ".join(f"{float(r[c]):.4f}" for c in WEIGHT_COLUMNS) + " |")
+          + " | ".join(f"{r[c]:.4f}" for c in WEIGHT_COLUMNS) + " |")
     scored = [r for r in report_rows if r.priority is not None]
     if scored:
         ps = [r.priority for r in scored]
@@ -499,8 +512,8 @@ def _render_report(cfg, building_rows, report_rows, weight_rows, metrics, reg_ro
     w("")
     if reg_rows:
         r = reg_rows[0]
-        w(f"- linear fit of coverage on income: slope {float(r['slope']):.3e}, "
-          f"r = {float(r['pearson_r']):.3f}, p = {float(r['p_value']):.4g}, "
+        w(f"- linear fit of coverage on income: slope {r['slope']:.3e}, "
+          f"r = {r['pearson_r']:.3f}, p = {r['p_value']:.4g}, "
           f"n = {r['n']}")
     else:
         w("- regression not computed (too few scored buildings or no spread)")

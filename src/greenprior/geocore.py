@@ -141,19 +141,20 @@ def snapped_grid(xy: np.ndarray, cell: float) -> RasterGrid:
     """The grid of zeros, snapped to multiples of the cell, that holds xy.
 
     Only the first two columns of xy, x and y, are read. On each axis the
-    origin is floor(min / cell) * cell and the cell count is
-    floor((max - origin) / cell) + 1, so every point falls in a cell and
-    grids built from shifted subsets of one scene stay aligned. Every grid
-    the pipeline builds from points (surface model, greenspace mask, kriging
-    template, population) follows this one rule.
+    origin is floor(min / cell) * cell, one cell lower where that product
+    rounds above the minimum (a cell such as 0.1 is not exact in binary),
+    and the cell count is floor((max - origin) / cell) + 1. So every point
+    falls in a cell, and grids built from shifted subsets of one scene stay
+    aligned. Every grid the pipeline builds from points (surface model,
+    greenspace mask, kriging template, population) follows this one rule.
     """
     if cell <= 0:
         raise ValueError("cell size must be positive")
-    origin_x = math.floor(xy[:, 0].min() / cell) * cell
-    origin_y = math.floor(xy[:, 1].min() / cell) * cell
-    ncols = int(math.floor((xy[:, 0].max() - origin_x) / cell)) + 1
-    nrows = int(math.floor((xy[:, 1].max() - origin_y) / cell)) + 1
-    return RasterGrid(origin_x, origin_y, cell, np.zeros((nrows, ncols)))
+    lo, hi = xy[:, :2].min(axis=0), xy[:, :2].max(axis=0)
+    origin = [math.floor(v / cell) * cell for v in lo]
+    origin = [o - cell if o > v else o for o, v in zip(origin, lo)]
+    ncols, nrows = (int(math.floor((h - o) / cell)) + 1 for h, o in zip(hi, origin))
+    return RasterGrid(origin[0], origin[1], cell, np.zeros((nrows, ncols)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,6 @@ from .ingest import BuildingAttributes
 from .roofs import RoofSegment, segment_cell_centers
 
 SEASONS = ("spring", "summer", "autumn", "winter")
-SEASON_MONTHS = {
-    "spring": (3, 4, 5),
-    "summer": (6, 7, 8),
-    "autumn": (9, 10, 11),
-    "winter": (12, 1, 2),
-}
-# seasonal blend of the temperature indicator: summer and autumn dominate
-SEASON_WEIGHTS = (0.1, 0.4, 0.4, 0.1)
 
 MASK_CELL_DEFAULT = 5.0
 GC_RADIUS_DEFAULT = 500.0

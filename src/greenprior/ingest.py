@@ -140,6 +140,9 @@ def read_footprints(path) -> list[BuildingAttributes]:
             if key not in props:
                 raise FormatError(f"{path}: {label}: missing property {key!r}")
         bid = str(props["id"])
+        if any(ch in bid for ch in ',"\r\n'):
+            raise FormatError(f"{path}: feature #{idx}: building id {bid!r} holds a comma, "
+                              "quote or line break, which the stage tables cannot hold")
         if bid in seen:
             raise FormatError(f"{path}: duplicate building id {bid!r}")
         seen.add(bid)

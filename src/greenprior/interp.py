@@ -66,24 +66,27 @@ class SampleSet:
             self._tree = cKDTree(self.xy)
         return self._tree
 
-    def nearest(self, x: float, y: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and indices of the k nearest samples (k clamped to n)."""
+    def nearest(self, x, y, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and indices of the k nearest samples (k clamped to n),
+        of shape x.shape + (k,)."""
         k = min(k, len(self))
-        d, idx = self.tree.query([x, y], k=k)
-        return np.atleast_1d(d), np.atleast_1d(idx)
+        d, idx = self.tree.query(np.stack([x, y], axis=-1), k=k)
+        shape = np.shape(x) + (k,)
+        return np.reshape(d, shape), np.reshape(idx, shape)
 
 
 # ---------------------------------------------------------------------------
 # inverse distance weighting
 # ---------------------------------------------------------------------------
 
-def idw_predict(samples: SampleSet, x: float, y: float, power: float = 2.0,
-                k_neighbors: int = 12) -> float:
-    d, idx = samples.nearest(x, y, k_neighbors)
-    if d[0] < MATCH_TOL:
-        return float(samples.values[idx[0]])
-    w = d ** (-power)
-    return float(np.sum(w * samples.values[idx]) / np.sum(w))
+def idw_predict(samples: SampleSet, x, y, power: float = 2.0, k_neighbors: int = 12):
+    """Inverse-distance estimate at (x, y), shaped like x (a float for a scalar)."""
+    d, idx = samples.nearest(np.ravel(x), np.ravel(y), k_neighbors)
+    out = samples.values[idx[:, 0]]
+    far = d[:, 0] >= MATCH_TOL
+    w = d[far] ** (-power)
+    out[far] = np.sum(w * samples.values[idx[far]], axis=1) / np.sum(w, axis=1)
+    return out.reshape(np.shape(x))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -222,51 +225,53 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
 # ordinary kriging
 # ---------------------------------------------------------------------------
 
-def _ok_solve(samples: SampleSet, model: VariogramModel, x: float, y: float,
-              k_neighbors: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Neighbor indices, kriging weights, and the Lagrange multiplier."""
-    d, idx = samples.nearest(x, y, k_neighbors)
+def _ok_weights(samples: SampleSet, model: VariogramModel, d: np.ndarray,
+                idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kriging weights and Lagrange multipliers for neighbor distances and
+    indices of shape (..., k), from one stacked solve."""
+    k = idx.shape[-1]
     pts = samples.xy[idx]
-    k = len(idx)
-    pair = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    off = pair[np.triu_indices(k, 1)]
-    if off.size and off.min() < MATCH_TOL:
-        ii, jj = np.triu_indices(k, 1)
-        flat = int(np.argmin(off))
-        a, b = idx[ii[flat]], idx[jj[flat]]
+    pair = np.linalg.norm(pts[..., :, None, :] - pts[..., None, :, :], axis=-1)
+    ii, jj = np.triu_indices(k, 1)
+    off = pair[..., ii, jj]
+    dup = np.flatnonzero((off < MATCH_TOL).any(axis=-1))
+    if dup.size:
+        flat = int(np.argmin(off.reshape(-1, ii.size)[dup[0]]))
+        a, b = idx.reshape(-1, k)[dup[0], [ii[flat], jj[flat]]]
         raise ComputationError(
             f"duplicate sample coordinates at {tuple(samples.xy[a])} "
             f"(samples {a} and {b}); kriging system is singular")
-    A = np.empty((k + 1, k + 1))
-    A[:k, :k] = model.gamma(pair)
-    A[k, :] = 1.0
-    A[:, k] = 1.0
-    A[k, k] = 0.0
-    rhs = np.empty(k + 1)
-    rhs[:k] = model.gamma(d)
-    rhs[k] = 1.0
+    A = np.ones(idx.shape[:-1] + (k + 1, k + 1))
+    A[..., :k, :k] = model.gamma(pair)
+    A[..., k, k] = 0.0
+    rhs = np.append(model.gamma(d), np.ones_like(d[..., :1]), axis=-1)
     try:
-        sol = np.linalg.solve(A, rhs)
+        sol = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise ComputationError("kriging system is singular") from None
-    return idx, sol[:k], float(sol[k])
+    return sol[..., :k], sol[..., k]
 
 
-def kriging_predict(samples: SampleSet, model: VariogramModel, x: float, y: float,
-                    k_neighbors: int = 16) -> tuple[float, float]:
-    """Ordinary-kriging estimate and variance at one location.
+def _ok_solve(samples: SampleSet, model: VariogramModel, x, y, k_neighbors: int):
+    """Neighbor indices, kriging weights and Lagrange multipliers, stacked like x."""
+    d, idx = samples.nearest(x, y, k_neighbors)
+    return (idx, *_ok_weights(samples, model, d, idx))
+
+
+def kriging_predict(samples: SampleSet, model: VariogramModel, x, y, k_neighbors: int = 16):
+    """Ordinary-kriging estimate and variance at (x, y), each shaped like x.
 
     Queries that coincide with a sample short-circuit to (value, 0); the
     estimator is exact there anyway, this just avoids the solve.
     """
-    d, idx = samples.nearest(x, y, k_neighbors)
-    if d[0] < MATCH_TOL:
-        return float(samples.values[idx[0]]), 0.0
-    nb_idx, w, mu = _ok_solve(samples, model, x, y, k_neighbors)
-    dist = np.linalg.norm(samples.xy[nb_idx] - [x, y], axis=1)
-    value = float(np.sum(w * samples.values[nb_idx]))
-    variance = float(np.sum(w * model.gamma(dist)) + mu)
-    return value, max(variance, 0.0)
+    d, idx = samples.nearest(np.ravel(x), np.ravel(y), k_neighbors)
+    value = samples.values[idx[:, 0]]
+    variance = np.zeros(value.size)
+    far = d[:, 0] >= MATCH_TOL
+    w, mu = _ok_weights(samples, model, d[far], idx[far])
+    value[far] = np.sum(w * samples.values[idx[far]], axis=1)
+    variance[far] = np.maximum(np.sum(w * model.gamma(d[far]), axis=1) + mu, 0.0)
+    return value.reshape(np.shape(x))[()], variance.reshape(np.shape(x))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +289,9 @@ def interpolate_grid(samples: SampleSet, template: RasterGrid, method: str = "kr
         if len(samples) < 2:
             raise ValueError("kriging needs at least 2 samples")
         model = fit_variogram(empirical_semivariogram(samples), variogram_kind)
-    out = np.empty((template.nrows, template.ncols))
-    for row in range(template.nrows):
-        cy = template.origin_y + (row + 0.5) * template.cell
-        for col in range(template.ncols):
-            cx = template.origin_x + (col + 0.5) * template.cell
-            if method == "idw":
-                out[row, col] = idw_predict(samples, cx, cy, idw_power, idw_k)
-            else:
-                out[row, col], _ = kriging_predict(samples, model, cx, cy, kriging_k)
+    xs, ys = np.meshgrid(template.x_centers(), template.y_centers())
+    out = (idw_predict(samples, xs, ys, idw_power, idw_k) if method == "idw"
+           else kriging_predict(samples, model, xs, ys, kriging_k)[0])
     return RasterGrid(template.origin_x, template.origin_y, template.cell, out)
 
 
@@ -303,18 +302,17 @@ def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
     The valid cells become the sample set; filled-in values land only where
     the input had gaps, everything else is untouched.
     """
-    rr, cc = np.nonzero(np.isfinite(grid.values))
+    valid = np.isfinite(grid.values)
+    rr, cc = np.nonzero(valid)
     if rr.size < 3:
         raise ComputationError("too few valid cells to fill gaps")
-    xs = grid.origin_x + (cc + 0.5) * grid.cell
-    ys = grid.origin_y + (rr + 0.5) * grid.cell
-    samples = SampleSet.from_points(np.column_stack([xs, ys, grid.values[rr, cc]]))
-    gaps = ~np.isfinite(grid.values)
-    if not gaps.any():
+    if valid.all():
         return grid.copy()
+    samples = SampleSet.from_points(np.column_stack(
+        [grid.x_centers()[cc], grid.y_centers()[rr], grid.values[rr, cc]]))
     model = fit_variogram(empirical_semivariogram(samples), kind)
+    rows, cols = np.nonzero(~valid)
     out = grid.values.copy()
-    for row, col in zip(*np.nonzero(gaps)):
-        cx, cy = grid.cell_center(int(row), int(col))
-        out[row, col], _ = kriging_predict(samples, model, cx, cy, k_neighbors)
+    out[rows, cols], _ = kriging_predict(samples, model, grid.x_centers()[cols],
+                                         grid.y_centers()[rows], k_neighbors)
     return RasterGrid(grid.origin_x, grid.origin_y, grid.cell, out)

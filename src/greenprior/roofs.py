@@ -182,27 +182,26 @@ def _quadrant_planes(V: np.ndarray, h: float) -> list[tuple[np.ndarray, np.ndarr
     return out
 
 
-def _window_score(V: np.ndarray, h: float, r: int, c: int, dr: int, dc: int) -> float:
-    """Worst plane-fit deviation over the one-sided 3x3 window of a quadrant.
-
-    A 2x2 stencil that straddles a crease can be coplanar by accident (a
-    symmetric ridge, a two-level step); extending it one cell deeper on the
-    same side exposes the bend, while a stencil inside a true face stays
-    exact. Used only to break ties between equally flat stencils.
+def _window_scores(V: np.ndarray, r, c, dr, dc) -> np.ndarray:
+    """Worst plane-fit deviation over the one-sided 3x3 window of each
+    (cell, quadrant) pair (arrays r, c, dr, dc), 0 under four cells. A 2x2
+    stencil that straddles a crease can be coplanar by accident (a symmetric
+    ridge, a two-level step); one cell deeper on the same side exposes the
+    bend, while a stencil inside a true face stays exact. Deviations depend
+    on neither cell size nor window direction: the fit uses the unit lattice.
     """
-    n, m = V.shape
-    pts = []
-    for i in (0, 1, 2):
-        for j in (0, 1, 2):
-            rr, cc = r + i * dr, c + j * dc
-            if 0 <= rr < n and 0 <= cc < m and np.isfinite(V[rr, cc]):
-                pts.append((j * dc * h, i * dr * h, V[rr, cc]))
-    if len(pts) < 4:
-        return 0.0
-    arr = np.array(pts)
-    design = np.column_stack([arr[:, 0], arr[:, 1], np.ones(len(pts))])
-    coef, *_ = np.linalg.lstsq(design, arr[:, 2], rcond=None)
-    return float(np.max(np.abs(design @ coef - arr[:, 2])))
+    i, j = np.divmod(np.arange(9), 3)
+    z = np.pad(V, 2, constant_values=np.nan)[
+        r[:, None] + 2 + i * dr[:, None], c[:, None] + 2 + j * dc[:, None]]
+    occ = np.isfinite(z)
+    z = np.where(occ, z - V[r, c][:, None], 0.0)
+    design = np.column_stack([j, i, np.ones(9)])
+    S = np.einsum("nk,ki,kj->nij", occ.astype(float), design, design)
+    few = occ.sum(axis=1) < 4
+    S[few] = np.eye(3)
+    coef = np.linalg.solve(S, (z @ design)[..., None])[..., 0]
+    dev = np.where(occ, np.abs(z - coef @ design.T), 0.0).max(axis=1)
+    return np.where(few, 0.0, dev)
 
 
 def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,8 +216,7 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     curvature is +inf where no quadrant has three stencil cells.
     """
     V = dsm.values
-    h = dsm.cell
-    quads = _quadrant_planes(V, h)
+    quads = _quadrant_planes(V, dsm.cell)
     best_a = np.full(V.shape, np.nan)
     best_b = np.full(V.shape, np.nan)
     best_res = np.full(V.shape, np.inf)
@@ -235,16 +233,18 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             tie = np.isfinite(a) & (res <= best_res + 1e-12)
             differs = (np.abs(a - best_a) > 1e-9) | (np.abs(b - best_b) > 1e-9)
         ambiguous |= tie & differs
-    for r, c in zip(*np.nonzero(ambiguous)):
-        scored = []
-        for q, (a, b, res) in enumerate(quads):
-            if not np.isfinite(a[r, c]) or res[r, c] > best_res[r, c] + 1e-12:
-                continue
-            dr, dc = QUADRANTS[q]
-            scored.append((_window_score(V, h, int(r), int(c), dr, dc), q))
-        _, q = min(scored)
-        best_a[r, c] = quads[q][0][r, c]
-        best_b[r, c] = quads[q][1][r, c]
+    # score all tying quadrants of all ambiguous cells at once; rounding to
+    # 1e-9 sends gaps at rounding-noise level to quadrant order on any build
+    rr, cc = np.nonzero(ambiguous)
+    tie = np.stack([np.isfinite(a[rr, cc]) & (res[rr, cc] <= best_res[rr, cc] + 1e-12)
+                    for a, _, res in quads], axis=1)
+    pair, q = np.nonzero(tie)
+    dr, dc = np.array(QUADRANTS)[q].T
+    score = np.full(tie.shape, np.inf)
+    score[pair, q] = np.round(_window_scores(V, rr[pair], cc[pair], dr, dc), 9)
+    pick = np.argmin(score, axis=1), np.arange(rr.size)
+    best_a[rr, cc] = np.stack([a[rr, cc] for a, _, _ in quads])[pick]
+    best_b[rr, cc] = np.stack([b[rr, cc] for _, b, _ in quads])[pick]
     return best_a, best_b, best_res
 
 

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import json
 import os
 import shutil
 
@@ -180,6 +181,7 @@ def test_truncated_cells_table_exit_one(small_city, tmp_path, capsys):
     ("header", "line 1: missing column(s) greenable_m2, height_m"),
     ("short", "line 2: expected 7 fields, got 3"),
     ("long", "line 3: expected 7 fields, got 8"),
+    ("abc", "line 2: column greenable_m2: 'abc' is not a valid float"),
 ])
 def test_damaged_buildings_table_exit_one(small_city, tmp_path, capsys, damage, message):
     out = tmp_path / "out"
@@ -189,6 +191,10 @@ def test_damaged_buildings_table_exit_one(small_city, tmp_path, capsys, damage, 
         lines = ["id,potential\n"]
     elif damage == "short":
         lines[1] = ",".join(lines[1].split(",")[:3]) + "\n"
+    elif damage == "abc":
+        fields = lines[1].split(",")
+        fields[lines[0].split(",").index("greenable_m2")] = "abc"
+        lines[1] = ",".join(fields)
     else:
         lines[2] = lines[2].rstrip("\n") + ",extra\n"
     (out / "buildings.csv").write_text("".join(lines))
@@ -197,6 +203,44 @@ def test_damaged_buildings_table_exit_one(small_city, tmp_path, capsys, damage, 
     assert code == 1
     err = capsys.readouterr().err
     assert f"buildings.csv: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("table, column, value, message", [
+    ("cells.csv", "row", "2.5", "column row: '2.5' is not a valid int"),
+    ("segments.csv", "plane_a", "", "column plane_a: '' is not a valid float"),
+    ("indicators.csv", "ind_income", "high", "column ind_income: 'high' is not a valid float"),
+])
+def test_non_numeric_stage_value_exit_one(small_city, tmp_path, capsys, table, column, value,
+                                          message):
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / table).read_text().splitlines(keepends=True)
+    fields = lines[1].rstrip("\n").split(",")
+    fields[lines[0].rstrip("\n").split(",").index(column)] = value
+    lines[1] = ",".join(fields) + "\n"
+    (out / table).write_text("".join(lines))
+    command = "prioritize" if table == "indicators.csv" else "indicators"
+    code = cli.main([command, "--config", str(small_city / "config.txt"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{table}: line 2: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_building_id_with_comma_exit_one(small_city, tmp_path, capsys):
+    # such an id used to pass extract and break segments.csv for indicators
+    text = (small_city / "footprints.geojson").read_text()
+    first_id = json.loads(text)["features"][0]["properties"]["id"]
+    (tmp_path / "footprints.geojson").write_text(
+        text.replace(json.dumps(first_id), json.dumps("b,001"), 1))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"points = {small_city / 'points.csv'}\n"
+                       "footprints = footprints.geojson\n")
+    code = cli.main(["extract", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "footprints.geojson: feature #0: building id 'b,001'" in err
     assert "Traceback" not in err
 
 

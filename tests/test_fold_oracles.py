@@ -28,10 +28,17 @@ CELLS = (0.1, 1.0, 5.0, 50.0, 100.0)
 # ---------------------------------------------------------------------------
 
 
+def _origin(v, cell):
+    # the earlier floor(v / cell) * cell, changed knowingly: one cell lower
+    # where the product rounds above v, so that v never lands at index -1
+    o = math.floor(v / cell) * cell
+    return o - cell if o > v else o
+
+
 def _old_candidate_roof_points(pc, cell):
     pts = pc.points_of(BUILDING)
-    origin_x = math.floor(pts[:, 0].min() / cell) * cell
-    origin_y = math.floor(pts[:, 1].min() / cell) * cell
+    origin_x = _origin(pts[:, 0].min(), cell)
+    origin_y = _origin(pts[:, 1].min(), cell)
     cols = np.floor((pts[:, 0] - origin_x) / cell).astype(int)
     rows = np.floor((pts[:, 1] - origin_y) / cell).astype(int)
     values = np.full((rows.max() + 1, cols.max() + 1), -np.inf)
@@ -42,8 +49,8 @@ def _old_candidate_roof_points(pc, cell):
 
 def _old_build_greenspace_mask(pc, potential_roofs, cell, roof_grid):
     xy = pc.xyz[:, :2]
-    origin_x = math.floor(xy[:, 0].min() / cell) * cell
-    origin_y = math.floor(xy[:, 1].min() / cell) * cell
+    origin_x = _origin(xy[:, 0].min(), cell)
+    origin_y = _origin(xy[:, 1].min(), cell)
     ncols = int(math.floor((xy[:, 0].max() - origin_x) / cell)) + 1
     nrows = int(math.floor((xy[:, 1].max() - origin_y) / cell)) + 1
     values = np.zeros((nrows, ncols))
@@ -64,8 +71,8 @@ def _old_build_greenspace_mask(pc, potential_roofs, cell, roof_grid):
 
 def _old_population_grid(points, cell):
     arr = np.asarray(points, dtype=float)
-    origin_x = math.floor(arr[:, 0].min() / cell) * cell
-    origin_y = math.floor(arr[:, 1].min() / cell) * cell
+    origin_x = _origin(arr[:, 0].min(), cell)
+    origin_y = _origin(arr[:, 1].min(), cell)
     ncols = int(math.floor((arr[:, 0].max() - origin_x) / cell)) + 1
     nrows = int(math.floor((arr[:, 1].max() - origin_y) / cell)) + 1
     values = np.zeros((nrows, ncols))
@@ -78,8 +85,8 @@ def _old_population_grid(points, cell):
 def _old_interp_template(pc, cell):
     x_min, y_min = pc.xyz[:, 0].min(), pc.xyz[:, 1].min()
     x_max, y_max = pc.xyz[:, 0].max(), pc.xyz[:, 1].max()
-    ox = math.floor(x_min / cell) * cell
-    oy = math.floor(y_min / cell) * cell
+    ox = _origin(x_min, cell)
+    oy = _origin(y_min, cell)
     ncols = int(math.floor((x_max - ox) / cell)) + 1
     nrows = int(math.floor((y_max - oy) / cell)) + 1
     return RasterGrid(ox, oy, cell, np.zeros((nrows, ncols)))
@@ -224,6 +231,7 @@ def test_kriging_template_matches_inline_builder(cp):
 @settings(max_examples=200, deadline=None)
 @given(cp=cell_and_points())
 @example(cp=(5.0, np.array([[-10.0, 15.0], [0.0, -5.0]])))
+@example(cp=(0.1, np.array([[1.7, 0.3], [2.5, 1.0]])))
 def test_cells_of_matches_inline_indices(cp):
     cell, xy = cp
     grid = snapped_grid(xy, cell)
@@ -232,8 +240,23 @@ def test_cells_of_matches_inline_indices(cp):
     assert cols.tolist() == np.floor((xy[:, 0] - grid.origin_x) / cell).astype(int).tolist()
     # the far edge holds the largest coordinate by construction; the near edge
     # need not hold the smallest one exactly (with a 0.1 cell it can land at
-    # index -1 or 1), which the oracles above reproduce
+    # index 1), but never below index 0
     assert rows.max() == grid.nrows - 1 and cols.max() == grid.ncols - 1
+    assert rows.min() >= 0 and cols.min() >= 0
+
+
+def test_snapped_grid_holds_a_minimum_that_the_product_overshoots():
+    # floor(1.7 / 0.1) * 0.1 is 1.7000000000000002, above the minimum
+    xy = np.array([[1.7, 0.3], [2.5, 1.0]])
+    grid = snapped_grid(xy, 0.1)
+    assert grid.origin_x <= 1.7 and grid.origin_y <= 0.3
+    rows, cols = grid.cells_of(xy)
+    assert cols.tolist() == [0, grid.ncols - 1] and rows.tolist() == [0, grid.nrows - 1]
+    # every coordinate 0.0, 0.1, ..., 299.9 as a minimum lands in column 0
+    for cell in (0.1, 0.2, 0.3):
+        for v in np.arange(3000) / 10.0:
+            g = snapped_grid(np.array([[v, 0.0], [v + 1.0, 1.0]]), cell)
+            assert g.cells_of(np.array([[v, 0.0]]))[1][0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ import pytest
 
 from greenprior.geocore import BUILDING, GROUND, VEGETATION, ComputationError, PointCloud, Polygon, Polyline, RasterGrid
 from greenprior.indicators import (
-    SEASON_MONTHS,
-    SEASON_WEIGHTS,
     SEASONS,
     IndicatorVector,
     RawIndicators,
@@ -236,13 +234,6 @@ def test_combine_seasonal_temperature():
 
 def test_season_constants():
     assert SEASONS == ("spring", "summer", "autumn", "winter")
-    assert SEASON_MONTHS["spring"] == (3, 4, 5)
-    assert SEASON_MONTHS["summer"] == (6, 7, 8)
-    assert SEASON_MONTHS["autumn"] == (9, 10, 11)
-    assert SEASON_MONTHS["winter"] == (12, 1, 2)
-    assert sorted(m for months in SEASON_MONTHS.values() for m in months) == list(range(1, 13))
-    assert SEASON_WEIGHTS == (0.1, 0.4, 0.4, 0.1)
-    assert sum(SEASON_WEIGHTS) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,16 @@ def test_malformed_features_raise_format_error(tmp_path, reader, key, value, lab
     assert str(info.value).startswith(f"{p}: {label}: ")
 
 
+@pytest.mark.parametrize("bid", ["b,001", 'b"1', "b\n1", "b\r1"])
+def test_building_id_that_breaks_stage_tables_is_rejected(tmp_path, bid):
+    # stage tables are plain comma-separated lines with no quoting
+    p = tmp_path / "footprints.geojson"
+    p.write_text(json.dumps(feature_collection([square_feature("b0"), square_feature(bid)])))
+    with pytest.raises(FormatError) as info:
+        read_footprints(p)
+    assert str(info.value).startswith(f"{p}: feature #1: building id {bid!r}")
+
+
 # ---------------------------------------------------------------------------
 # x,y,value CSV
 # ---------------------------------------------------------------------------

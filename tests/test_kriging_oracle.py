@@ -1,0 +1,257 @@
+"""Whole-array kriging and IDW against the per-cell loops they replaced.
+
+``interpolate_grid`` and ``fill_raster_nodata`` make one call each to
+``kriging_predict`` or ``idw_predict`` for all their cells: one tree query
+and one stacked ``np.linalg.solve``. The per-point predictors and the
+per-cell grid loops below are their earlier bodies, kept as oracles: grids
+and gap fills must match to the last bit, and damaged sample sets must
+fail with the same ``ComputationError`` message.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from greenprior import interp
+from greenprior.geocore import ComputationError, RasterGrid
+from greenprior.interp import (
+    MATCH_TOL,
+    SampleSet,
+    VariogramModel,
+    empirical_semivariogram,
+    fill_raster_nodata,
+    fit_variogram,
+    interpolate_grid,
+    kriging_predict,
+)
+
+# ---------------------------------------------------------------------------
+# oracles: the earlier per-point bodies
+# ---------------------------------------------------------------------------
+
+
+def _old_nearest(samples, x, y, k):
+    k = min(k, len(samples))
+    d, idx = samples.tree.query([x, y], k=k)
+    return np.atleast_1d(d), np.atleast_1d(idx)
+
+
+def _old_idw_predict(samples, x, y, power, k_neighbors):
+    d, idx = _old_nearest(samples, x, y, k_neighbors)
+    if d[0] < MATCH_TOL:
+        return float(samples.values[idx[0]])
+    w = d ** (-power)
+    return float(np.sum(w * samples.values[idx]) / np.sum(w))
+
+
+def _old_ok_solve(samples, model, x, y, k_neighbors):
+    d, idx = _old_nearest(samples, x, y, k_neighbors)
+    pts = samples.xy[idx]
+    k = len(idx)
+    pair = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    off = pair[np.triu_indices(k, 1)]
+    if off.size and off.min() < MATCH_TOL:
+        ii, jj = np.triu_indices(k, 1)
+        flat = int(np.argmin(off))
+        a, b = idx[ii[flat]], idx[jj[flat]]
+        raise ComputationError(
+            f"duplicate sample coordinates at {tuple(samples.xy[a])} "
+            f"(samples {a} and {b}); kriging system is singular")
+    A = np.empty((k + 1, k + 1))
+    A[:k, :k] = model.gamma(pair)
+    A[k, :] = 1.0
+    A[:, k] = 1.0
+    A[k, k] = 0.0
+    rhs = np.empty(k + 1)
+    rhs[:k] = model.gamma(d)
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        raise ComputationError("kriging system is singular") from None
+    return idx, sol[:k], float(sol[k])
+
+
+def _old_kriging_predict(samples, model, x, y, k_neighbors):
+    d, idx = _old_nearest(samples, x, y, k_neighbors)
+    if d[0] < MATCH_TOL:
+        return float(samples.values[idx[0]]), 0.0
+    nb_idx, w, mu = _old_ok_solve(samples, model, x, y, k_neighbors)
+    dist = np.linalg.norm(samples.xy[nb_idx] - [x, y], axis=1)
+    value = float(np.sum(w * samples.values[nb_idx]))
+    variance = float(np.sum(w * model.gamma(dist)) + mu)
+    return value, max(variance, 0.0)
+
+
+def _old_interpolate_grid(samples, template, method, model, k):
+    out = np.empty((template.nrows, template.ncols))
+    for row in range(template.nrows):
+        cy = template.origin_y + (row + 0.5) * template.cell
+        for col in range(template.ncols):
+            cx = template.origin_x + (col + 0.5) * template.cell
+            if method == "idw":
+                out[row, col] = _old_idw_predict(samples, cx, cy, 2.0, k)
+            else:
+                out[row, col], _ = _old_kriging_predict(samples, model, cx, cy, k)
+    return out
+
+
+def _old_fill_raster_nodata(grid, kind, k_neighbors):
+    rr, cc = np.nonzero(np.isfinite(grid.values))
+    if rr.size < 3:
+        raise ComputationError("too few valid cells to fill gaps")
+    xs = grid.origin_x + (cc + 0.5) * grid.cell
+    ys = grid.origin_y + (rr + 0.5) * grid.cell
+    samples = SampleSet.from_points(np.column_stack([xs, ys, grid.values[rr, cc]]))
+    gaps = ~np.isfinite(grid.values)
+    if not gaps.any():
+        return grid.values.copy()
+    model = fit_variogram(empirical_semivariogram(samples), kind)
+    out = grid.values.copy()
+    for row, col in zip(*np.nonzero(gaps)):
+        cx, cy = grid.cell_center(int(row), int(col))
+        out[row, col], _ = _old_kriging_predict(samples, model, cx, cy, k_neighbors)
+    return out
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _outcome(fn, *args):
+    """Float bits of the result, or the type and message of the error."""
+    try:
+        return _bits(fn(*args))
+    except (ComputationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def scenes(draw):
+    """Samples, some on template cell centers and some duplicated, a
+    template of up to 8 x 8 cells, a variogram model and a neighbor count
+    that may exceed the sample count."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    template = RasterGrid(5.0, -5.0, 20.0, np.zeros((nrows, ncols)))
+    coord = st.one_of(st.floats(-20.0, 200.0), st.integers(-1, 10).map(lambda k: 20.0 * k))
+    xy = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24))
+    on_centre = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+                              max_size=3))
+    xy += [template.cell_center(r, c) for r, c in on_centre]
+    values = draw(st.lists(st.floats(-50.0, 50.0), min_size=len(xy), max_size=len(xy)))
+    if draw(st.booleans()):
+        samples = SampleSet.from_points(np.column_stack([np.array(xy), values]))
+    else:  # raw, so exact duplicates survive
+        samples = SampleSet(np.array(xy), np.array(values))
+    kind = draw(st.sampled_from(interp.VARIOGRAM_KINDS))
+    nugget = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    model = VariogramModel(kind, nugget, nugget + draw(st.sampled_from([0.5, 2.0, 30.0])),
+                           draw(st.sampled_from([15.0, 60.0, 400.0])))
+    k = draw(st.sampled_from([1, 2, 5, 16, 40]))
+    return samples, template, model, k
+
+
+# ---------------------------------------------------------------------------
+# checks
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=scenes(), method=st.sampled_from(["idw", "kriging"]))
+def test_grid_matches_per_cell_loop(scene, method):
+    samples, template, model, k = scene
+
+    def new(samples, template):
+        return interpolate_grid(samples, template, method=method, model=model,
+                                idw_k=k, kriging_k=k).values
+
+    def old(samples, template):
+        return _old_interpolate_grid(samples, template, method, model, k)
+
+    assert _outcome(new, samples, template) == _outcome(old, samples, template)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nrows=st.integers(2, 9), ncols=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+       gap_share=st.sampled_from([0.0, 0.1, 0.4, 0.9]),
+       kind=st.sampled_from(interp.VARIOGRAM_KINDS), k=st.sampled_from([1, 4, 16, 100]))
+def test_gap_fill_matches_per_cell_loop(nrows, ncols, seed, gap_share, kind, k):
+    rng = np.random.default_rng(seed)
+    values = 15.0 + rng.normal(0.0, 1.5, (nrows, ncols)) + np.arange(ncols) * 0.3
+    values[rng.uniform(size=values.shape) < gap_share] = np.nan
+    grid = RasterGrid(100.0, 200.0, 30.0, values)
+    assert (_outcome(lambda g: fill_raster_nodata(g, kind, k).values, grid)
+            == _outcome(_old_fill_raster_nodata, grid, kind, k))
+
+
+def test_duplicate_sample_message_names_the_first_failing_cell():
+    samples = SampleSet(np.array([[0.0, 0.0], [40.0, 40.0], [40.0, 40.0], [100.0, 0.0]]),
+                        np.array([1.0, 2.0, 3.0, 4.0]))
+    model = VariogramModel("spherical", 0.1, 2.0, 60.0)
+    template = RasterGrid(0.0, 0.0, 10.0, np.zeros((6, 6)))
+    with pytest.raises(ComputationError) as new:
+        interpolate_grid(samples, template, model=model, kriging_k=2)
+    with pytest.raises(ComputationError) as old:
+        _old_interpolate_grid(samples, template, "kriging", model, 2)
+    assert str(new.value) == str(old.value)
+    assert "duplicate sample coordinates at" in str(new.value)
+
+
+def test_scalar_and_array_queries_agree():
+    rng = np.random.default_rng(5)
+    samples = SampleSet.from_points(np.column_stack([rng.uniform(0, 100, (30, 2)),
+                                                     rng.normal(0, 1, 30)]))
+    model = VariogramModel("exponential", 0.0, 1.0, 50.0)
+    xs, ys = rng.uniform(0, 100, (2, 3, 4))
+    values, variances = kriging_predict(samples, model, xs, ys)
+    assert values.shape == variances.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            v, var = kriging_predict(samples, model, float(xs[i, j]), float(ys[i, j]))
+            assert isinstance(v, float) and isinstance(var, float)
+            assert _bits(v) == _bits(values[i, j])
+            assert (v, var) == pytest.approx(
+                _old_kriging_predict(samples, model, float(xs[i, j]), float(ys[i, j]), 16),
+                rel=1e-12, abs=1e-12)
+
+
+class _CountingTree(interp.cKDTree):
+    queries = 0
+
+    def query(self, *args, **kwargs):
+        _CountingTree.queries += 1
+        return super().query(*args, **kwargs)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 5), (12, 15)])
+def test_grid_work_does_not_grow_with_cells(monkeypatch, shape):
+    # one stacked solve and one tree query per call, whatever the cell count
+    calls = {"solve": 0}
+    solve = np.linalg.solve
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    model = VariogramModel("spherical", 0.1, 2.0, 60.0)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(interp, "cKDTree", _CountingTree)
+    monkeypatch.setattr(interp, "fit_variogram", lambda empirical, kind="spherical": model)
+    rng = np.random.default_rng(11)
+    pts = np.column_stack([rng.uniform(0, 300, (25, 2)), rng.normal(0, 1, 25)])
+    template = RasterGrid(0.0, 0.0, 300.0 / max(shape), np.zeros(shape))
+    for method in ("idw", "kriging"):
+        _CountingTree.queries, calls["solve"] = 0, 0
+        interpolate_grid(SampleSet.from_points(pts), template, method=method, model=model)
+        assert _CountingTree.queries == 1
+        assert calls["solve"] == (method == "kriging")
+    values = 10.0 + rng.normal(0, 1, (shape[0] + 2, shape[1] + 2))
+    values[::2, ::2] = np.nan
+    _CountingTree.queries, calls["solve"] = 0, 0
+    fill_raster_nodata(RasterGrid(0.0, 0.0, 10.0, values))
+    assert _CountingTree.queries == 1
+    assert calls["solve"] == 1
