@@ -10,6 +10,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .ingest import (
 from .interp import SampleSet, fill_raster_nodata, interpolate_grid
 from .priority import (
     WEIGHT_SCHEMES,
-    WeightVector,
     compute_weights,
     priority_summary,
     rank_buildings,
@@ -52,7 +52,40 @@ from .synth import SyntheticCitySpec, generate_city
 
 IND_COLUMNS = tuple("ind_" + short for short in IndicatorVector.SHORT_NAMES)
 WEIGHT_COLUMNS = tuple("w_" + short for short in IndicatorVector.SHORT_NAMES)
-IND_TYPES = {"id": str, **dict.fromkeys(IND_COLUMNS, float)}  # as later stages read them
+FLAGS = ("false", "true")
+
+
+def flag(text):
+    """A flag column value: exactly 'true' or 'false', else ValueError."""
+    return bool(FLAGS.index(text))
+
+
+Table = namedtuple("Table", "stage columns")
+
+# Every CSV one stage hands to another: the stage that writes it, and its
+# columns in file order, each with the type later stages parse it with.
+TABLES = {
+    "segments.csv": Table("extract", {
+        "building_id": str, "seg_id": str, "qualifying": flag, "slope_deg": float,
+        "area_m2": float, "n_cells": int, "plane_a": float, "plane_b": float,
+        "plane_c": float}),
+    "cells.csv": Table("extract", {"building_id": str, "seg_id": str, "row": int, "col": int}),
+    "buildings.csv": Table("extract", {
+        "id": str, "potential": flag, "reasons": str, "greenable_m2": float,
+        "height_m": float, "age_years": int, "category": str}),
+    "indicators.csv": Table("indicators", {
+        "id": str, "gc_raw": float, "road_dist_m": float, "category": str,
+        "income_raw": float, **{f"temp_{season}_raw": float for season in SEASONS},
+        "precip_raw": float, **dict.fromkeys(IND_COLUMNS, float)}),
+    "weights.csv": Table("prioritize", {
+        "scheme": str, "active": flag, **dict.fromkeys(WEIGHT_COLUMNS, float)}),
+    "priorities.csv": Table("prioritize", {
+        "id": str, **{f"p_{scheme}": float for scheme in WEIGHT_SCHEMES},
+        "priority": float, "rank": int, "percentile": float}),
+    "benefits.csv": Table("benefits", {"metric": str, "value": float, "unit": str}),
+    "regression.csv": Table("benefits", {
+        "slope": float, "intercept": float, "pearson_r": float, "p_value": float, "n": int}),
+}
 
 # Reference values reported by the Hong Kong 2021 citywide study the method
 # follows; shown in report.md for orientation only, since a synthetic
@@ -83,21 +116,22 @@ def _artifact(cfg, name, prior):
     return path
 
 
-def _read_rows(path, columns):
-    """The rows of a CSV artifact as dicts of the columns a caller reads.
+def _read_table(cfg, name):
+    """The rows of a stage table as dicts, every column parsed with its type.
 
-    columns maps each name to the type its values are parsed with (str,
-    int or float). The header must hold every name, each row must have as
+    The header must hold every column of TABLES[name], each row must have as
     many fields as the header, and every value must parse; blank lines are
     skipped.
     """
+    table = TABLES[name]
+    path = _artifact(cfg, name, table.stage)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        missing = [c for c in columns if c not in header]
+        missing = [c for c in table.columns if c not in header]
         if missing:
             raise FormatError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
-        where = {name: i for i, name in enumerate(header)}
+        where = {column: i for i, column in enumerate(header)}
         rows = []
         for fields in reader:
             if not fields:
@@ -106,20 +140,20 @@ def _read_rows(path, columns):
                 raise FormatError(f"{path}: line {reader.line_num}: expected "
                                   f"{len(header)} fields, got {len(fields)}")
             row = {}
-            for name, kind in columns.items():
-                value = fields[where[name]]
+            for column, kind in table.columns.items():
+                value = fields[where[column]]
                 try:
-                    row[name] = kind(value)
+                    row[column] = kind(value)
                 except ValueError:
-                    raise FormatError(f"{path}: line {reader.line_num}: column {name}: "
+                    raise FormatError(f"{path}: line {reader.line_num}: column {column}: "
                                       f"{value!r} is not a valid {kind.__name__}") from None
             rows.append(row)
     return rows
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+def _write_table(cfg, name, rows):
+    with open(_out_path(cfg, name), "w", encoding="utf-8") as fh:
+        fh.write(",".join(TABLES[name].columns) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
 
@@ -169,28 +203,22 @@ def cmd_extract(cfg):
         qualifying = (seg.slope_deg < th.slope_max_deg
                       and seg.area_m2 > th.area_min_m2)
         a, b, c = seg.plane
-        seg_rows.append([seg.building_id, seg.seg_id,
-                         "true" if qualifying else "false",
+        seg_rows.append([seg.building_id, seg.seg_id, FLAGS[bool(qualifying)],
                          _f(seg.slope_deg), _f(seg.area_m2),
                          str(len(seg.cells)), _f(a), _f(b), _f(c)])
         for row, col in seg.cells:
             cell_rows.append([seg.building_id, seg.seg_id, str(row), str(col)])
-    _write_rows(_out_path(cfg, "segments.csv"),
-                ("building_id", "seg_id", "qualifying", "slope_deg", "area_m2",
-                 "n_cells", "plane_a", "plane_b", "plane_c"), seg_rows)
-    _write_rows(_out_path(cfg, "cells.csv"),
-                ("building_id", "seg_id", "row", "col"), cell_rows)
+    _write_table(cfg, "segments.csv", seg_rows)
+    _write_table(cfg, "cells.csv", cell_rows)
 
     b_rows = []
     for b in sorted(buildings, key=lambda b: b.id):
         dec = extraction.decisions[b.id]
-        b_rows.append([b.id, "true" if dec.potential else "false",
+        b_rows.append([b.id, FLAGS[bool(dec.potential)],
                        "|".join(sorted(dec.reasons)),
                        _f(dec.greenable_m2), _f(extraction.heights[b.id]),
                        str(b.age_years), b.category])
-    _write_rows(_out_path(cfg, "buildings.csv"),
-                ("id", "potential", "reasons", "greenable_m2", "height_m",
-                 "age_years", "category"), b_rows)
+    _write_table(cfg, "buildings.csv", b_rows)
 
     n_pot = sum(1 for d in extraction.decisions.values() if d.potential)
     greenable = sum(d.greenable_m2 for d in extraction.decisions.values()
@@ -206,30 +234,25 @@ def cmd_extract(cfg):
 # ---------------------------------------------------------------------------
 
 def _load_segments(cfg):
-    """Rebuild RoofSegment objects from the extract stage's tables."""
-    seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"),
-                          {"building_id": str, "seg_id": str, "qualifying": str,
-                           "slope_deg": float, "area_m2": float, "plane_a": float,
-                           "plane_b": float, "plane_c": float})
-    cell_rows = _read_rows(_artifact(cfg, "cells.csv", "extract"),
-                           {"building_id": str, "seg_id": str, "row": int, "col": int})
+    """Rebuild the qualifying RoofSegments of each building from the extract
+    stage's tables."""
+    seg_rows = _read_table(cfg, "segments.csv")
     cells_by_seg = {}
-    for row in cell_rows:
+    for row in _read_table(cfg, "cells.csv"):
         key = (row["building_id"], row["seg_id"])
         cells_by_seg.setdefault(key, []).append((row["row"], row["col"]))
-    segments, qualifying = {}, {}
+    qualifying = {}
     for row in seg_rows:
         key = (row["building_id"], row["seg_id"])
         if key not in cells_by_seg:
             raise FormatError(
                 f"cells.csv: segment ({key[0]}, {key[1]}) has no cells")
-        seg = RoofSegment(cells_by_seg[key], (row["plane_a"], row["plane_b"], row["plane_c"]),
-                          row["slope_deg"], row["area_m2"],
-                          building_id=row["building_id"], seg_id=row["seg_id"])
-        segments.setdefault(row["building_id"], []).append(seg)
-        if row["qualifying"] == "true":
-            qualifying.setdefault(row["building_id"], []).append(seg)
-    return segments, qualifying
+        if row["qualifying"]:
+            qualifying.setdefault(row["building_id"], []).append(RoofSegment(
+                cells_by_seg[key], (row["plane_a"], row["plane_b"], row["plane_c"]),
+                row["slope_deg"], row["area_m2"],
+                building_id=row["building_id"], seg_id=row["seg_id"]))
+    return qualifying
 
 
 def cmd_indicators(cfg):
@@ -237,10 +260,8 @@ def cmd_indicators(cfg):
                 "precip_stations", "temp_spring", "temp_summer",
                 "temp_autumn", "temp_winter")
     dsm = read_raster_asc(_artifact(cfg, "dsm.asc", "extract"))
-    _, qualifying = _load_segments(cfg)
-    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
-                               {"id": str, "potential": str})
-    potential_ids = [r["id"] for r in building_rows if r["potential"] == "true"]
+    qualifying = _load_segments(cfg)
+    potential_ids = [r["id"] for r in _read_table(cfg, "buildings.csv") if r["potential"]]
 
     pc = read_point_cloud(cfg.points)
     buildings = {b.id: b for b in read_footprints(cfg.footprints)}
@@ -285,10 +306,7 @@ def cmd_indicators(cfg):
                     + [_f(t) for t in raw.seasonal_temps]
                     + [_f(raw.precipitation)]
                     + [_f(v) for v in vec.as_array()])
-    _write_rows(_out_path(cfg, "indicators.csv"),
-                ("id", "gc_raw", "road_dist_m", "category", "income_raw",
-                 "temp_spring_raw", "temp_summer_raw", "temp_autumn_raw",
-                 "temp_winter_raw", "precip_raw") + IND_COLUMNS, rows)
+    _write_table(cfg, "indicators.csv", rows)
     print(f"indicators: scored {len(raws)} potential buildings")
     return 0
 
@@ -298,7 +316,7 @@ def cmd_indicators(cfg):
 # ---------------------------------------------------------------------------
 
 def _read_indicator_vectors(cfg):
-    rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"), IND_TYPES)
+    rows = _read_table(cfg, "indicators.csv")
     ids = [r["id"] for r in rows]
     matrix = np.array([[r[c] for c in IND_COLUMNS] for r in rows])
     return ids, matrix
@@ -308,24 +326,15 @@ def cmd_prioritize(cfg):
     ids, matrix = _read_indicator_vectors(cfg)
     if not ids:
         raise ComputationError("no potential buildings to prioritize")
-    weights = {}
-    for scheme in WEIGHT_SCHEMES:
-        if len(ids) < 2:
-            # column statistics need at least two buildings; every scheme
-            # degenerates to equal weights for a single row
-            weights[scheme] = WeightVector.equal()
-        else:
-            weights[scheme] = WeightVector.from_array(compute_weights(matrix, scheme))
+    # column statistics need at least two buildings; every scheme
+    # degenerates to equal weights for a single row
+    weights = {s: compute_weights(matrix, s if len(ids) > 1 else "equal")
+               for s in WEIGHT_SCHEMES}
+    _write_table(cfg, "weights.csv", [
+        [s, FLAGS[s == cfg.scheme]] + [f"{w:.9f}" for w in weights[s]]
+        for s in WEIGHT_SCHEMES])
 
-    w_rows = []
-    for scheme in WEIGHT_SCHEMES:
-        arr = weights[scheme].as_array()
-        w_rows.append([scheme, "true" if scheme == cfg.scheme else "false"]
-                      + [f"{w:.9f}" for w in arr])
-    _write_rows(_out_path(cfg, "weights.csv"),
-                ("scheme", "active") + WEIGHT_COLUMNS, w_rows)
-
-    per_scheme = {s: matrix @ weights[s].as_array() for s in WEIGHT_SCHEMES}
+    per_scheme = {s: matrix @ weights[s] for s in WEIGHT_SCHEMES}
     active = {bid: float(p) for bid, p in zip(ids, per_scheme[cfg.scheme])}
     ranked = rank_buildings(active)
     order = {s.building_id: s for s in ranked}
@@ -334,9 +343,7 @@ def cmd_prioritize(cfg):
         s = order[bid]
         p_rows.append([bid] + [_f(per_scheme[sch][i]) for sch in WEIGHT_SCHEMES]
                       + [_f(s.priority), str(s.rank), _f(s.percentile)])
-    _write_rows(_out_path(cfg, "priorities.csv"),
-                ("id", "p_equal", "p_entropy", "p_cv", "p_critic", "priority",
-                 "rank", "percentile"), p_rows)
+    _write_table(cfg, "priorities.csv", p_rows)
 
     summary = priority_summary(ranked)
     print(f"prioritize: scheme={cfg.scheme}, {summary.count} buildings, "
@@ -351,19 +358,17 @@ def cmd_prioritize(cfg):
 
 def cmd_benefits(cfg):
     cfg.require("population")
-    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
-                               {"potential": str, "greenable_m2": float, "height_m": float})
+    building_rows = _read_table(cfg, "buildings.csv")
     mask_base = read_raster_asc(_artifact(cfg, "greenspace_base.asc", "indicators"))
     mask_green = read_raster_asc(_artifact(cfg, "greenspace_greened.asc", "indicators"))
-    ind_rows = _read_rows(_artifact(cfg, "indicators.csv", "indicators"),
-                          {"income_raw": float, "gc_raw": float})
+    ind_rows = _read_table(cfg, "indicators.csv")
 
     population = population_grid_from_points(read_xy_value(cfg.population),
                                              cell=cfg.population_cell)
     exposure_base = greenspace_exposure(mask_base, population, radius=cfg.gc_radius)
     exposure_green = greenspace_exposure(mask_green, population, radius=cfg.gc_radius)
 
-    potential = [r for r in building_rows if r["potential"] == "true"]
+    potential = [r for r in building_rows if r["potential"]]
     greenable = sum(r["greenable_m2"] for r in potential)
     volumes = [(r["greenable_m2"], r["height_m"]) for r in potential]
     report = assemble_report(greenable, exposure_base, exposure_green, volumes,
@@ -383,7 +388,7 @@ def cmd_benefits(cfg):
         ["value_carbon_hkd", _f(report.value_carbon_hkd), "HKD_per_yr"],
         ["value_total_hkd", _f(report.value_total_hkd), "HKD_per_yr"],
     ]
-    _write_rows(_out_path(cfg, "benefits.csv"), ("metric", "value", "unit"), rows)
+    _write_table(cfg, "benefits.csv", rows)
 
     pairs = [(r["income_raw"], r["gc_raw"]) for r in ind_rows]
     reg_rows = []
@@ -395,8 +400,7 @@ def cmd_benefits(cfg):
                     f"p = {reg.p_value:.4g}, n = {reg.n}")
     except ValueError as exc:
         reg_note = f"regression: skipped ({exc})"
-    _write_rows(_out_path(cfg, "regression.csv"),
-                ("slope", "intercept", "pearson_r", "p_value", "n"), reg_rows)
+    _write_table(cfg, "regression.csv", reg_rows)
 
     print(f"benefits: exposure {exposure_base:.3f} -> {exposure_green:.3f}, "
           f"carbon {report.carbon_total_kg / 1000.0:.1f} t/yr, "
@@ -409,29 +413,15 @@ def cmd_benefits(cfg):
 # report
 # ---------------------------------------------------------------------------
 
-def _benefit_map(cfg):
-    rows = _read_rows(_artifact(cfg, "benefits.csv", "benefits"), {"metric": str, "value": float})
-    return {r["metric"]: r["value"] for r in rows}
-
-
 def cmd_report(cfg):
     cfg.require("footprints")
-    building_rows = _read_rows(_artifact(cfg, "buildings.csv", "extract"),
-                               {"id": str, "potential": str, "greenable_m2": float,
-                                "height_m": float})
-    seg_rows = _read_rows(_artifact(cfg, "segments.csv", "extract"),
-                          {"building_id": str, "slope_deg": float})
-    ind_rows = {r["id"]: r for r in
-                _read_rows(_artifact(cfg, "indicators.csv", "indicators"), IND_TYPES)}
-    pri_rows = {r["id"]: r for r in
-                _read_rows(_artifact(cfg, "priorities.csv", "prioritize"),
-                           {"id": str, "priority": float})}
-    weight_rows = _read_rows(_artifact(cfg, "weights.csv", "prioritize"),
-                             {"scheme": str, "active": str,
-                              **dict.fromkeys(WEIGHT_COLUMNS, float)})
-    metrics = _benefit_map(cfg)
-    reg_rows = _read_rows(_artifact(cfg, "regression.csv", "benefits"),
-                          {"slope": float, "pearson_r": float, "p_value": float, "n": str})
+    building_rows = _read_table(cfg, "buildings.csv")
+    seg_rows = _read_table(cfg, "segments.csv")
+    ind_rows = {r["id"]: r for r in _read_table(cfg, "indicators.csv")}
+    pri_rows = {r["id"]: r for r in _read_table(cfg, "priorities.csv")}
+    weight_rows = _read_table(cfg, "weights.csv")
+    metrics = {r["metric"]: r["value"] for r in _read_table(cfg, "benefits.csv")}
+    reg_rows = _read_table(cfg, "regression.csv")
 
     min_slope = {}
     for r in seg_rows:
@@ -448,7 +438,7 @@ def cmd_report(cfg):
         pri = pri_rows.get(bid)
         rows.append(BuildingReportRow(
             id=bid,
-            potential=r["potential"] == "true",
+            potential=r["potential"],
             roof_area_m2=r["greenable_m2"],
             slope_deg=min_slope.get(bid),
             height_m=r["height_m"],
@@ -485,7 +475,7 @@ def _render_report(cfg, building_rows, report_rows, weight_rows, metrics, reg_ro
     w("| scheme | active | " + " | ".join(WEIGHT_COLUMNS) + " |")
     w("|---|---|" + "---|" * len(WEIGHT_COLUMNS))
     for r in weight_rows:
-        w("| " + r["scheme"] + " | " + r["active"] + " | "
+        w("| " + r["scheme"] + " | " + FLAGS[r["active"]] + " | "
           + " | ".join(f"{r[c]:.4f}" for c in WEIGHT_COLUMNS) + " |")
     scored = [r for r in report_rows if r.priority is not None]
     if scored:
@@ -557,8 +547,6 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="override out_dir")
         p.add_argument("--scheme", default=None, choices=WEIGHT_SCHEMES)
-        p.add_argument("--cell", type=float, default=None,
-                       help="override dsm_cell in meters")
 
     return parser
 
@@ -577,8 +565,7 @@ def main(argv=None):
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        cfg = load_config(args.config, overrides={
-            "out_dir": args.out, "scheme": args.scheme, "dsm_cell": args.cell})
+        cfg = load_config(args.config, overrides={"out_dir": args.out, "scheme": args.scheme})
         os.makedirs(cfg.out_dir, exist_ok=True)
         return _COMMANDS[args.command](cfg)
     except ComputationError as exc:

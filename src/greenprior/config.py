@@ -230,10 +230,6 @@ def load_config(path, overrides=None):
             if value not in WEIGHT_SCHEMES:
                 raise ConfigError(f"unknown weighting scheme {value!r}")
             cfg.scheme = value
-        elif key == "dsm_cell":
-            if value <= 0:
-                raise ConfigError("dsm_cell must be positive")
-            cfg.numbers["dsm_cell"] = float(value)
         else:
             raise ConfigError(f"unsupported override {key!r}")
     return cfg

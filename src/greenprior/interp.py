@@ -20,6 +20,10 @@ MATCH_TOL = 1e-9  # queries closer than this to a sample return it exactly
 
 VARIOGRAM_KINDS = ("spherical", "exponential")
 
+# Kriging systems built and solved together; each query holds about 13 kB
+# of stacked arrays with 16 neighbors.
+KRIGING_CHUNK_QUERIES = 1 << 10
+
 
 @dataclass
 class SampleSet:
@@ -262,15 +266,19 @@ def kriging_predict(samples: SampleSet, model: VariogramModel, x, y, k_neighbors
     """Ordinary-kriging estimate and variance at (x, y), each shaped like x.
 
     Queries that coincide with a sample short-circuit to (value, 0); the
-    estimator is exact there anyway, this just avoids the solve.
+    estimator is exact there anyway, this just avoids the solve. The others
+    are solved KRIGING_CHUNK_QUERIES at a time, so working memory does not
+    grow with the number of queries.
     """
     d, idx = samples.nearest(np.ravel(x), np.ravel(y), k_neighbors)
     value = samples.values[idx[:, 0]]
     variance = np.zeros(value.size)
-    far = d[:, 0] >= MATCH_TOL
-    w, mu = _ok_weights(samples, model, d[far], idx[far])
-    value[far] = np.sum(w * samples.values[idx[far]], axis=1)
-    variance[far] = np.maximum(np.sum(w * model.gamma(d[far]), axis=1) + mu, 0.0)
+    far = np.flatnonzero(d[:, 0] >= MATCH_TOL)
+    for start in range(0, far.size, KRIGING_CHUNK_QUERIES):
+        q = far[start:start + KRIGING_CHUNK_QUERIES]
+        w, mu = _ok_weights(samples, model, d[q], idx[q])
+        value[q] = np.sum(w * samples.values[idx[q]], axis=1)
+        variance[q] = np.maximum(np.sum(w * model.gamma(d[q]), axis=1) + mu, 0.0)
     return value.reshape(np.shape(x))[()], variance.reshape(np.shape(x))[()]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicators import IndicatorVector
+from .geocore import ComputationError
 
 WEIGHT_SCHEMES = ("equal", "entropy", "cv", "critic")
 
@@ -23,40 +23,6 @@ _ENTROPY_FLOOR = 1e-9
 # Below this total divergence the matrix is treated as uninformative and the
 # scheme falls back to equal weights.
 _DEGENERATE_TOTAL = 1e-12
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Weights for the six indicators, in IndicatorVector.FIELDS order."""
-
-    greenspace: float
-    road_distance: float
-    category: float
-    income: float
-    temperature: float
-    precipitation: float
-
-    def __post_init__(self):
-        arr = self.as_array()
-        if np.any(arr < -1e-12):
-            raise ValueError("weights must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-
-    def as_array(self):
-        return np.array([getattr(self, name) for name in IndicatorVector.FIELDS])
-
-    @classmethod
-    def from_array(cls, weights):
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(IndicatorVector.FIELDS),):
-            raise ValueError("expected one weight per indicator")
-        return cls(*(float(w) for w in weights))
-
-    @classmethod
-    def equal(cls):
-        return cls.from_array(np.full(len(IndicatorVector.FIELDS), 1.0 / 6.0))
 
 
 @dataclass(frozen=True)
@@ -173,17 +139,27 @@ def critic_weights(matrix):
 
 
 def compute_weights(matrix, scheme):
-    """Dispatch to one of the WEIGHT_SCHEMES; 'equal' ignores the matrix."""
+    """Dispatch to one of the WEIGHT_SCHEMES; 'equal' ignores the matrix.
+
+    Raises ComputationError if the weights come out negative or do not sum
+    to one.
+    """
     if scheme == "equal":
         m = np.asarray(matrix).shape[1]
-        return np.full(m, 1.0 / m)
-    if scheme == "entropy":
-        return entropy_weights(matrix)
-    if scheme == "cv":
-        return cv_weights(matrix)
-    if scheme == "critic":
-        return critic_weights(matrix)
-    raise ValueError(f"unknown weighting scheme {scheme!r}")
+        weights = np.full(m, 1.0 / m)
+    elif scheme == "entropy":
+        weights = entropy_weights(matrix)
+    elif scheme == "cv":
+        weights = cv_weights(matrix)
+    elif scheme == "critic":
+        weights = critic_weights(matrix)
+    else:
+        raise ValueError(f"unknown weighting scheme {scheme!r}")
+    total = float(weights.sum())
+    if np.any(weights < -1e-12) or not abs(total - 1.0) <= 1e-9:
+        raise ComputationError(f"{scheme} weights must be non-negative and sum to 1, "
+                               f"got {weights.tolist()}")
+    return weights
 
 
 def rank_buildings(priorities):

@@ -57,6 +57,15 @@ def test_full_chain_writes_all_artifacts(small_city):
         assert (out / fname).is_file(), fname
 
 
+def test_stage_tables_match_schema(small_city):
+    out = small_city / "out"
+    tables = sorted(p.name for p in out.glob("*.csv") if p.name != "buildings_report.csv")
+    assert tables == sorted(cli.TABLES)
+    for name in tables:
+        header = (out / name).read_text().split("\n", 1)[0]
+        assert header == ",".join(cli.TABLES[name].columns), name
+
+
 def test_synth_subcommand(tmp_path):
     out = tmp_path / "c"
     code = cli.main(["synth", "--out", str(out), "--seed", "3",
@@ -178,7 +187,7 @@ def test_truncated_cells_table_exit_one(small_city, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("header", "line 1: missing column(s) greenable_m2, height_m"),
+    ("header", "line 1: missing column(s) reasons, greenable_m2, height_m, age_years, category"),
     ("short", "line 2: expected 7 fields, got 3"),
     ("long", "line 3: expected 7 fields, got 8"),
     ("abc", "line 2: column greenable_m2: 'abc' is not a valid float"),
@@ -210,6 +219,8 @@ def test_damaged_buildings_table_exit_one(small_city, tmp_path, capsys, damage, 
     ("cells.csv", "row", "2.5", "column row: '2.5' is not a valid int"),
     ("segments.csv", "plane_a", "", "column plane_a: '' is not a valid float"),
     ("indicators.csv", "ind_income", "high", "column ind_income: 'high' is not a valid float"),
+    ("buildings.csv", "potential", "TRUE", "column potential: 'TRUE' is not a valid flag"),
+    ("segments.csv", "qualifying", "yes", "column qualifying: 'yes' is not a valid flag"),
 ])
 def test_non_numeric_stage_value_exit_one(small_city, tmp_path, capsys, table, column, value,
                                           message):
@@ -220,7 +231,7 @@ def test_non_numeric_stage_value_exit_one(small_city, tmp_path, capsys, table, c
     fields[lines[0].rstrip("\n").split(",").index(column)] = value
     lines[1] = ",".join(fields) + "\n"
     (out / table).write_text("".join(lines))
-    command = "prioritize" if table == "indicators.csv" else "indicators"
+    command = {"indicators.csv": "prioritize", "buildings.csv": "benefits"}.get(table, "indicators")
     code = cli.main([command, "--config", str(small_city / "config.txt"), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err

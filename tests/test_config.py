@@ -80,10 +80,8 @@ def test_load_config_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("dsm_cell = 1.0\nscheme = equal\n")
     cfg = load_config(str(path), overrides={"scheme": "critic",
-                                            "dsm_cell": 2.0,
                                             "out_dir": str(tmp_path / "o")})
     assert cfg.scheme == "critic"
-    assert cfg.dsm_cell == 2.0
     assert cfg.out_dir == str(tmp_path / "o")
     with pytest.raises(ConfigError):
         load_config(str(path), overrides={"scheme": "bogus"})

@@ -2,11 +2,14 @@
 
 ``interpolate_grid`` and ``fill_raster_nodata`` make one call each to
 ``kriging_predict`` or ``idw_predict`` for all their cells: one tree query
-and one stacked ``np.linalg.solve``. The per-point predictors and the
-per-cell grid loops below are their earlier bodies, kept as oracles: grids
-and gap fills must match to the last bit, and damaged sample sets must
-fail with the same ``ComputationError`` message.
+and one stacked ``np.linalg.solve`` per ``KRIGING_CHUNK_QUERIES`` cells.
+The per-point predictors and the per-cell grid loops below are their
+earlier bodies, kept as oracles: grids and gap fills must match to the
+last bit, and damaged sample sets must fail with the same
+``ComputationError`` message.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,3 +258,39 @@ def test_grid_work_does_not_grow_with_cells(monkeypatch, shape):
     fill_raster_nodata(RasterGrid(0.0, 0.0, 10.0, values))
     assert _CountingTree.queries == 1
     assert calls["solve"] == 1
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_grid_over_several_chunks_matches_per_cell_loop(duplicate):
+    rng = np.random.default_rng(17)
+    xy = rng.uniform(0.0, 500.0, (40, 2))
+    if duplicate:  # near the last rows, so the first failing cell is in a late chunk
+        xy[-2:] = [[250.0, 490.0], [250.0, 490.0]]
+    samples = SampleSet(xy, rng.normal(0.0, 1.0, len(xy)))
+    model = VariogramModel("spherical", 0.1, 2.0, 150.0)
+    template = RasterGrid(0.0, 0.0, 10.0, np.zeros((50, 50)))
+    assert template.values.size > 2 * interp.KRIGING_CHUNK_QUERIES
+    k = 2 if duplicate else 16
+
+    def new(samples, template):
+        return interpolate_grid(samples, template, model=model, kriging_k=k).values
+
+    def old(samples, template):
+        return _old_interpolate_grid(samples, template, "kriging", model, k)
+
+    assert _outcome(new, samples, template) == _outcome(old, samples, template)
+
+
+def test_kriging_memory_does_not_grow_with_cells():
+    rng = np.random.default_rng(23)
+    samples = SampleSet.from_points(np.column_stack([rng.uniform(0, 2000, (30, 2)),
+                                                     rng.normal(0, 1, 30)]))
+    model = VariogramModel("spherical", 0.1, 2.0, 600.0)
+    template = RasterGrid(0.0, 0.0, 10.0, np.zeros((200, 200)))
+    tracemalloc.start()
+    try:
+        interpolate_grid(samples, template, model=model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from greenprior import priority
+from greenprior.geocore import ComputationError
 from greenprior.indicators import IndicatorVector
 from greenprior.priority import (
     PriorityScore,
-    WeightVector,
     compute_weights,
     critic_weights,
     cv_weights,
@@ -19,14 +20,6 @@ HAND_MATRIX = np.array([
     [0.8, 0.4, 0.1, 0.5, 0.35, 0.3],
     [0.5, 0.7, 0.3, 0.9, 0.15, 0.6],
 ])
-
-
-def test_weight_vector_validation():
-    WeightVector.equal()
-    with pytest.raises(ValueError):
-        WeightVector(0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        WeightVector(-0.1, 0.3, 0.2, 0.2, 0.2, 0.2)
 
 
 def test_equal_weight_priority_examples():
@@ -175,6 +168,17 @@ def test_cv_critic_scale_invariant_ranking():
 def test_compute_weights_unknown_scheme():
     with pytest.raises(ValueError, match="unknown weighting scheme"):
         compute_weights(np.ones((3, 6)) * 0.5, "delphi")
+
+
+@pytest.mark.parametrize("bad", [
+    [0.5, 0.5, 0.5, 0.0, 0.0, 0.0],
+    [-0.1, 0.3, 0.2, 0.2, 0.2, 0.2],
+    [np.nan, 0.2, 0.2, 0.2, 0.2, 0.2],
+])
+def test_compute_weights_rejects_its_own_bad_result(monkeypatch, bad):
+    monkeypatch.setattr(priority, "cv_weights", lambda matrix: np.array(bad))
+    with pytest.raises(ComputationError, match="cv weights must be non-negative and sum to 1"):
+        compute_weights(HAND_MATRIX, "cv")
 
 
 def test_matrix_validation():
