@@ -257,24 +257,64 @@ def _unit_normal(a: float, b: float) -> np.ndarray:
 # region growing
 # ---------------------------------------------------------------------------
 
+# Growth and eviction decide on a plane solved by cofactors in Python floats
+# (_PlaneFit.refit); the final per-segment plane and every guarded decision
+# use the numpy solve (_PlaneFit.plane). Each decision equals the one the
+# numpy plane gives, because a guard sends it to numpy wherever the two
+# solves could disagree. With eps the float64 machine epsilon:
+#
+# * Rank guard. The normal matrix S is symmetric positive semi-definite with
+#   eigenvalues l1 >= l2 >= l3; l1 * l2 <= (trace / 2)**2, so
+#   4 * det / trace**2 <= l3. Cofactors are used only when that bound
+#   exceeds RANK_GUARD, a hundred times matrix_rank's 1e-8 tolerance, plus
+#   the SVD's rounding (eps * trace): numpy then also finds rank 3 and
+#   solves. The bound also caps the condition number,
+#   l1 / l3 <= kappa = trace**3 / (4 * det).
+# * Residual margin. To first order the cofactor solve is within about
+#   16 * eps * kappa * max|(a, b, c)| of the exact plane, and LU with partial
+#   pivoting within about 108 * eps * kappa * max|(a, b, c)|, so the two
+#   planes differ by under SOLVE_ERROR_ULPS * eps * kappa * max|(a, b, c)|
+#   per coefficient, the residuals of one cell by that times
+#   |dx| + |dy| + 1, and the two residual evaluations (five roundings each)
+#   by 10 * eps * (|z| + |a * dx| + |b * dy| + |c|) more. A residual within
+#   that sum plus RESIDUAL_MARGIN_M of the tolerance is decided by plane().
+#   On synthetic cities the measured gap stays below 1/4000 of the margin.
+# * Cosine margin. Both cosines of the normal test take about ten roundings
+#   on terms whose magnitudes sum to at most 1 (Cauchy-Schwarz), so they
+#   differ by under 3e-15; COS_MARGIN leaves a factor above 300.
+RANK_GUARD = 1e-6
+RESIDUAL_MARGIN_M = 1e-7
+SOLVE_ERROR_ULPS = 256.0
+COS_MARGIN = 1e-12
+_EPS = float(np.finfo(float).eps)
+
+
 class _PlaneFit:
-    """Running least-squares plane over cells, in seed-local coordinates."""
+    """Running least-squares plane over cells, in seed-local coordinates.
+
+    The normal equations S @ (a, b, c) = t are kept as their nine sums,
+    added in the same order as the elementwise ``S += outer(v, v)``,
+    ``t += z * v`` with v = (dx, dy, 1), so both solves see the same bits.
+    """
 
     def __init__(self, fallback_ab: tuple[float, float]):
         self.fallback_ab = fallback_ab
-        self.S = np.zeros((3, 3))
-        self.t = np.zeros(3)
-        self.n = 0
+        self.rebuild(())
 
     def add(self, dx: float, dy: float, z: float):
-        v = np.array([dx, dy, 1.0])
-        self.S += np.outer(v, v)
-        self.t += z * v
+        self.sxx += dx * dx
+        self.sxy += dx * dy
+        self.sx += dx
+        self.syy += dy * dy
+        self.sy += dy
         self.n += 1
+        self.tx += z * dx
+        self.ty += z * dy
+        self.tz += z
 
     def rebuild(self, rows):
-        self.S[:] = 0.0
-        self.t[:] = 0.0
+        self.sxx = self.sxy = self.sx = self.syy = self.sy = 0.0
+        self.tx = self.ty = self.tz = 0.0
         self.n = 0
         for dx, dy, z in rows:
             self.add(dx, dy, z)
@@ -282,13 +322,62 @@ class _PlaneFit:
     def plane(self) -> tuple[float, float, float]:
         """(a, b, c) minimizing squared residuals; degenerate member sets
         keep the seed's local gradient and only fit the offset."""
-        if self.n >= 3 and np.linalg.matrix_rank(self.S, tol=1e-8) == 3:
-            a, b, c = np.linalg.solve(self.S, self.t)
-            return float(a), float(b), float(c)
-        # t[2], S[0, 2] and S[1, 2] are the sums of z, dx and dy
+        if self.n >= 3:
+            S = np.array([[self.sxx, self.sxy, self.sx],
+                          [self.sxy, self.syy, self.sy],
+                          [self.sx, self.sy, float(self.n)]])
+            if np.linalg.matrix_rank(S, tol=1e-8) == 3:
+                a, b, c = np.linalg.solve(S, np.array([self.tx, self.ty, self.tz]))
+                return float(a), float(b), float(c)
         a, b = self.fallback_ab
-        c = (self.t[2] - a * self.S[0, 2] - b * self.S[1, 2]) / max(self.n, 1)
-        return a, b, float(c)
+        return a, b, (self.tz - a * self.sx - b * self.sy) / max(self.n, 1)
+
+    def refit(self):
+        """Set the plane the residual tests use: by cofactors when the rank
+        guard passes, else the numpy plane."""
+        sxx, sxy, sx, syy, sy = self.sxx, self.sxy, self.sx, self.syy, self.sy
+        n = float(self.n)
+        c00 = syy * n - sy * sy
+        c01 = sy * sx - sxy * n
+        c02 = sxy * sy - syy * sx
+        det = sxx * c00 + sxy * c01 + sx * c02
+        trace = sxx + syy + n
+        if self.n < 3 or 4.0 * det <= (RANK_GUARD + _EPS * trace) * trace * trace:
+            self.coef, self.slack = self.plane(), None
+            return
+        c11 = sxx * n - sx * sx
+        c12 = sxy * sx - sxx * sy
+        c22 = sxx * syy - sxy * sxy
+        tx, ty, tz = self.tx, self.ty, self.tz
+        a = (c00 * tx + c01 * ty + c02 * tz) / det
+        b = (c01 * tx + c11 * ty + c12 * tz) / det
+        c = (c02 * tx + c12 * ty + c22 * tz) / det
+        self.coef = (a, b, c)
+        self.slack = (SOLVE_ERROR_ULPS * _EPS * trace ** 3 / (4.0 * det)
+                      * max(abs(a), abs(b), abs(c)))
+
+    def holds(self, dx: float, dy: float, z: float, residual_tol_m: float) -> bool:
+        """Whether the cell lies within residual_tol_m of the current plane,
+        decided as the numpy plane decides it."""
+        a, b, c = self.coef
+        res = abs(z - (a * dx + b * dy + c))
+        if self.slack is not None:
+            margin = (RESIDUAL_MARGIN_M + self.slack * (abs(dx) + abs(dy) + 1.0)
+                      + 10.0 * _EPS * (abs(z) + abs(a * dx) + abs(b * dy) + abs(c)))
+            if abs(res - residual_tol_m) <= margin:
+                self.coef, self.slack = self.plane(), None
+                return self.holds(dx, dy, z, residual_tol_m)
+        return res <= residual_tol_m
+
+
+def _normals_agree(a: float, b: float, q: float, sa: float, sb: float, sq: float,
+                   cos_tol: float) -> bool:
+    """Whether the unit normals of gradients (a, b) and (sa, sb) are within
+    cos_tol of each other; q and sq are 1 / |(-a, -b, 1)| and its seed twin."""
+    cos = (a * sa + b * sb + 1.0) * q * sq
+    if abs(cos - cos_tol) <= COS_MARGIN:
+        return float(_unit_normal(a, b) @ _unit_normal(sa, sb)) >= cos_tol
+    return cos >= cos_tol
 
 
 def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
@@ -298,7 +387,8 @@ def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
     Seeds are picked flattest-first. A frontier cell joins when its local
     normal is within normal_tol_deg of the seed normal and its elevation is
     within residual_tol_m of the segment's running plane fit. After growth
-    the fit is re-checked and outlier cells are evicted back into the pool.
+    the fit is re-checked and outlier cells are evicted back into the pool
+    until it holds every member.
     Cells with no usable local normal end up as singletons.
     """
     if not component:
@@ -306,82 +396,83 @@ def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
     if normals is None:
         normals = local_normals(dsm)
     A, B, curv = normals
-    V = dsm.values
     h = dsm.cell
-    comp = set(component)
-    order = sorted(comp, key=lambda rc: (curv[rc], rc[0], rc[1]))
+    rr, cc = np.asarray(component, dtype=np.int64).reshape(-1, 2).T
+    a, b = A[rr, cc], B[rr, cc]
+    # per cell: center x, y, elevation, gradient, 1 / |normal|, curvature
+    info = dict(zip(map(tuple, component), zip(
+        (dsm.origin_x + (cc + 0.5) * h).tolist(), (dsm.origin_y + (rr + 0.5) * h).tolist(),
+        dsm.values[rr, cc].tolist(), a.tolist(), b.tolist(),
+        (1.0 / np.sqrt(a * a + b * b + 1.0)).tolist(), curv[rr, cc].tolist())))
+    order = sorted(info, key=lambda rc: (info[rc][6], rc[0], rc[1]))
     cos_tol = math.cos(math.radians(normal_tol_deg))
-    pool = set(comp)
+    pool = set(info)
     segments: list[RoofSegment] = []
 
     for seed in order:
         if seed not in pool:
             continue
-        members = _grow_one(seed, pool, comp, dsm, A, B, curv, cos_tol, residual_tol_m)
+        members = _grow_one(seed, pool, info, cos_tol, residual_tol_m)
         pool -= members
         cells = sorted(members)
-        x0, y0 = dsm.cell_center(*seed)
-        fallback = (float(A[seed]), float(B[seed])) if np.isfinite(curv[seed]) else (0.0, 0.0)
-        fit = _PlaneFit(fallback)
-        for r, c in cells:
-            cx, cy = dsm.cell_center(r, c)
-            fit.add(cx - x0, cy - y0, float(V[r, c]))
-        a, b, c_loc = fit.plane()
-        plane = (a, b, c_loc - a * x0 - b * y0)
-        slope = math.degrees(math.atan(math.hypot(a, b)))
+        x0, y0, _, sa, sb, _, k = info[seed]
+        fit = _PlaneFit((sa, sb) if math.isfinite(k) else (0.0, 0.0))
+        for cell in cells:
+            x, y, z = info[cell][:3]
+            fit.add(x - x0, y - y0, z)
+        pa, pb, c_loc = fit.plane()
+        plane = (pa, pb, c_loc - pa * x0 - pb * y0)
+        slope = math.degrees(math.atan(math.hypot(pa, pb)))
         segments.append(RoofSegment(cells, plane, slope, len(cells) * h * h))
     return segments
 
 
-def _grow_one(seed, pool, comp, dsm, A, B, curv, cos_tol, residual_tol_m):
-    V = dsm.values
-    if not np.isfinite(curv[seed]):
+def _grow_one(seed, pool, info, cos_tol, residual_tol_m):
+    x0, y0, z0, sa, sb, sq, k = info[seed]
+    if not math.isfinite(k):
         return {seed}
-    seed_normal = _unit_normal(float(A[seed]), float(B[seed]))
-    x0, y0 = dsm.cell_center(*seed)
-    fit = _PlaneFit((float(A[seed]), float(B[seed])))
+    fit = _PlaneFit((sa, sb))
     members = {seed}
-    rows = {seed: (0.0, 0.0, float(V[seed]))}
-    fit.add(0.0, 0.0, float(V[seed]))
-    a, b, c = fit.plane()
+    rows = {seed: (0.0, 0.0, z0)}
+    fit.add(0.0, 0.0, z0)
+    fit.refit()
 
     queue = deque()
     for dr, dc in NEIGH8:
         nb = (seed[0] + dr, seed[1] + dc)
-        if nb in comp:
+        if nb in info:
             queue.append(nb)
     while queue:
         cell = queue.popleft()
         if cell in members or cell not in pool:
             continue
-        if not np.isfinite(curv[cell]):
+        x, y, z, a, b, q, k = info[cell]
+        if not math.isfinite(k) or not _normals_agree(a, b, q, sa, sb, sq, cos_tol):
             continue
-        if float(_unit_normal(float(A[cell]), float(B[cell])) @ seed_normal) < cos_tol:
-            continue
-        cx, cy = dsm.cell_center(*cell)
-        dx, dy, z = cx - x0, cy - y0, float(V[cell])
-        if abs(z - (a * dx + b * dy + c)) > residual_tol_m:
+        dx, dy = x - x0, y - y0
+        if not fit.holds(dx, dy, z, residual_tol_m):
             continue
         members.add(cell)
         rows[cell] = (dx, dy, z)
         fit.add(dx, dy, z)
-        a, b, c = fit.plane()
+        fit.refit()
         for dr, dc in NEIGH8:
             nb = (cell[0] + dr, cell[1] + dc)
-            if nb in comp and nb not in members:
+            if nb in info and nb not in members:
                 queue.append(nb)
 
-    # evict cells the final fit cannot hold, then re-check
-    for _ in range(50):
-        a, b, c = fit.plane()
+    # evict cells the fit cannot hold and refit, until it holds them all;
+    # every round drops at least one non-seed cell, so this ends
+    while True:
         bad = [cell for cell, (dx, dy, z) in rows.items()
-               if cell != seed and abs(z - (a * dx + b * dy + c)) > residual_tol_m]
+               if cell != seed and not fit.holds(dx, dy, z, residual_tol_m)]
         if not bad:
             break
         for cell in bad:
             members.discard(cell)
             del rows[cell]
         fit.rebuild(rows.values())
+        fit.refit()
 
     # eviction may have split the patch; keep only the part still touching the seed
     reachable = {seed}
@@ -452,6 +543,49 @@ def decide_potential(building: BuildingAttributes, segments: list[RoofSegment],
     return PotentialDecision(building.id, len(reasons) == 0, frozenset(reasons), greenable)
 
 
+# np.hypot and math.hypot may differ in the last bit, so a ground point whose
+# vectorized ring distance lies within this of search_m is measured again by
+# point_segment_distance; a last-bit difference of a distance below 1e6 m
+# is under 2e-10 m
+RING_DISTANCE_MARGIN_M = 1e-9
+
+
+def _ring_distances(xy: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest segment of the ring, with the
+    arithmetic of point_segment_distance except for np.hypot."""
+    px, py = xy[:, 0], xy[:, 1]
+    best = np.full(xy.shape[0], np.inf)
+    for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
+        dx, dy = bx - ax, by - ay
+        seg_len2 = dx * dx + dy * dy
+        if seg_len2 == 0.0:
+            d = np.hypot(px - ax, py - ay)
+        else:
+            t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg_len2, 0.0, 1.0)
+            d = np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        np.minimum(best, d, out=best)
+    return best
+
+
+def _ground_level(footprint, ground_xyz: np.ndarray, search_m: float) -> float:
+    """Lowest ground-class point inside the footprint or within search_m of
+    its exterior ring; 0 when there is none."""
+    x_min, y_min, x_max, y_max = footprint.bounds()
+    near = ground_xyz[
+        (ground_xyz[:, 0] >= x_min - search_m) & (ground_xyz[:, 0] <= x_max + search_m)
+        & (ground_xyz[:, 1] >= y_min - search_m) & (ground_xyz[:, 1] <= y_max + search_m)]
+    keep = points_in_polygon(near[:, :2], footprint)
+    out = np.flatnonzero(~keep)
+    ring = footprint.exterior
+    d = _ring_distances(near[out, :2], ring)
+    keep[out] = d <= search_m
+    for i in out[np.abs(d - search_m) <= RING_DISTANCE_MARGIN_M]:
+        x, y = near[i, :2]
+        keep[i] = min(point_segment_distance(x, y, ax, ay, bx, by)
+                      for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:])) <= search_m
+    return float(near[keep, 2].min()) if keep.any() else 0.0
+
+
 def building_height(building: BuildingAttributes, dsm: RasterGrid,
                     ground_xyz: np.ndarray, search_m: float = 10.0) -> float:
     """Roof elevation (median of in-footprint cells) above local ground.
@@ -459,30 +593,11 @@ def building_height(building: BuildingAttributes, dsm: RasterGrid,
     Ground level is the lowest ground-class point within search_m of the
     footprint; with no such point it defaults to 0. Result is clamped at 0.
     """
-    x_min, y_min, x_max, y_max = building.footprint.bounds()
     zs = dsm.values[cells_in_polygon(dsm, building.footprint)]
     zs = zs[np.isfinite(zs)]
     if not zs.size:
         raise ComputationError(f"building {building.id}: no roof cells inside footprint")
-    ground_z = 0.0
-    if ground_xyz.shape[0]:
-        near = ground_xyz[
-            (ground_xyz[:, 0] >= x_min - search_m) & (ground_xyz[:, 0] <= x_max + search_m)
-            & (ground_xyz[:, 1] >= y_min - search_m) & (ground_xyz[:, 1] <= y_max + search_m)]
-        keep = []
-        ring = building.footprint.exterior
-        if near.shape[0]:
-            inside = points_in_polygon(near[:, :2], building.footprint)
-            for (x, y, z), ins in zip(near, inside):
-                if ins:
-                    keep.append(z)
-                    continue
-                d = min(point_segment_distance(x, y, ax, ay, bx, by)
-                        for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]))
-                if d <= search_m:
-                    keep.append(z)
-        if keep:
-            ground_z = float(min(keep))
+    ground_z = _ground_level(building.footprint, ground_xyz, search_m)
     return max(0.0, float(np.median(zs)) - ground_z)
 
 

@@ -23,7 +23,7 @@ from greenprior.geocore import (
 )
 from greenprior.indicators import sample_surface_at_building
 from greenprior.ingest import BuildingAttributes
-from greenprior.roofs import building_height
+from greenprior.roofs import _ground_level, building_height
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +45,21 @@ def _building_height_oracle(building, dsm, ground_xyz, search_m=10.0):
                 zs.append(float(dsm.values[r, c]))
     if not zs:
         raise ComputationError(f"building {building.id}: no roof cells inside footprint")
+    return max(0.0, float(np.median(zs)) - _ground_z_oracle(building.footprint, ground_xyz,
+                                                            search_m))
+
+
+def _ground_z_oracle(footprint, ground_xyz, search_m=10.0):
+    x_min, y_min, x_max, y_max = footprint.bounds()
     ground_z = 0.0
     if ground_xyz.shape[0]:
         near = ground_xyz[
             (ground_xyz[:, 0] >= x_min - search_m) & (ground_xyz[:, 0] <= x_max + search_m)
             & (ground_xyz[:, 1] >= y_min - search_m) & (ground_xyz[:, 1] <= y_max + search_m)]
         keep = []
-        ring = building.footprint.exterior
+        ring = footprint.exterior
         if near.shape[0]:
-            inside = points_in_polygon(near[:, :2], building.footprint)
+            inside = points_in_polygon(near[:, :2], footprint)
             for (x, y, z), ins in zip(near, inside):
                 if ins:
                     keep.append(z)
@@ -64,7 +70,7 @@ def _building_height_oracle(building, dsm, ground_xyz, search_m=10.0):
                     keep.append(z)
         if keep:
             ground_z = float(min(keep))
-    return max(0.0, float(np.median(zs)) - ground_z)
+    return ground_z
 
 
 def _sample_surface_oracle(surface, building):
@@ -211,3 +217,73 @@ def test_sample_surface_matches_scalar_oracle(scene):
     b = BuildingAttributes("b1", 10, "public", poly)
     assert _outcome(sample_surface_at_building, grid, b) == \
         _outcome(_sample_surface_oracle, grid, b)
+
+
+# ---------------------------------------------------------------------------
+# ground level: the vectorized ring distance against the per-point loop
+# ---------------------------------------------------------------------------
+
+SEARCH_M = 10.0
+
+
+@st.composite
+def ring_probes(draw):
+    """A rectangle, a diamond (edges at 45 degrees) or a 3-4-5 triangle, and
+    ground points 10 m out from its edges and vertices, a last bit either
+    side of that, and anywhere in the search box."""
+    kind = draw(st.sampled_from(("rectangle", "diamond", "triangle")))
+    ox, oy = draw(st.sampled_from(((0.0, 0.0), (-3.0, 10.5), (512345.25, 5432109.75))))
+    size = draw(st.sampled_from((4.0, 12.5, 30.0)))
+    if kind == "rectangle":
+        ring = [(ox, oy), (ox + size, oy), (ox + size, oy + 0.6 * size), (ox, oy + 0.6 * size)]
+    elif kind == "diamond":
+        ring = [(ox, oy - size), (ox + size, oy), (ox, oy + size), (ox - size, oy)]
+    else:
+        ring = [(ox, oy), (ox + size, oy), (ox, oy + 0.75 * size)]
+    poly = Polygon(ring + ring[:1])
+    pts = []
+    # counter-clockwise rings: the outward normal of edge (dx, dy) is (dy, -dx)
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+        dx, dy = bx - ax, by - ay
+        length = math.hypot(dx, dy)
+        t = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0))) if draw(st.booleans()) \
+            else draw(st.floats(0.0, 1.0))
+        pts.append((ax + t * dx + SEARCH_M * dy / length, ay + t * dy - SEARCH_M * dx / length))
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        pts.append((ax + SEARCH_M * math.cos(theta), ay + SEARCH_M * math.sin(theta)))
+        pts.append((ax - 6.0, ay - 8.0))
+    pts += [(np.nextafter(x, x + step), np.nextafter(y, y + step))
+            for x, y in pts for step in (-1.0, 1.0)]
+    x_min, y_min, x_max, y_max = poly.bounds()
+    for _ in range(draw(st.integers(0, 6))):
+        pts.append((draw(st.floats(x_min - 12.0, x_max + 12.0)),
+                    draw(st.floats(y_min - 12.0, y_max + 12.0))))
+    zs = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(pts), max_size=len(pts), unique=True))
+    return poly, np.array([(x, y, z) for (x, y), z in zip(pts, zs)])
+
+
+# a rectangle with ground points exactly 10 m from an edge and from a vertex,
+# and two about 10 m from a vertex where math.hypot and np.hypot round to
+# either side of 10 m (10.000000000000002 and 10.0, then the reverse)
+_RECT = Polygon([[0.0, 0.0], [20.0, 0.0], [20.0, 12.0], [0.0, 12.0], [0.0, 0.0]])
+_RECT_GROUND = np.array([[5.0, -10.0, 1.0], [-6.0, -8.0, 2.0], [30.0, 6.0, 3.0],
+                         [26.0, 20.0, 4.0], [5.0, -10.000000000000002, 0.5],
+                         [-3.775793, -9.259772525345912, -1.0],
+                         [-6.788069, -7.343168202570265, -2.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_probes())
+@example((_RECT, _RECT_GROUND))
+def test_ground_level_matches_per_point_loop(case):
+    poly, ground = case
+    for point in ground:
+        single = point[None, :]
+        assert _bits(_ground_level(poly, single, SEARCH_M)) == \
+            _bits(_ground_z_oracle(poly, single, SEARCH_M))
+    assert _bits(_ground_level(poly, ground, SEARCH_M)) == \
+        _bits(_ground_z_oracle(poly, ground, SEARCH_M))
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64).item()

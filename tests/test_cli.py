@@ -26,21 +26,6 @@ IND_HEADER = ("id,gc_raw,road_dist_m,category,income_raw,temp_spring_raw,"
               "ind_temperature,ind_precip")
 
 
-@pytest.fixture(scope="module")
-def small_city(tmp_path_factory):
-    """One 12-building city with the whole pipeline already run."""
-    root = tmp_path_factory.mktemp("smallcity")
-    city = root / "city"
-    generate_city(SyntheticCitySpec(seed=7, n_buildings=12), str(city))
-    config = str(city / "config.txt")
-    out = str(city / "out")
-    for command in ("extract", "indicators", "prioritize", "benefits",
-                    "report"):
-        code = cli.main([command, "--config", config, "--out", out])
-        assert code == 0, command
-    return city
-
-
 def _read_metric_map(path):
     with open(path, newline="") as fh:
         return {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
