@@ -35,6 +35,7 @@ from .ingest import (
     read_footprints,
     read_point_cloud,
     read_raster_asc,
+    read_raster_geometry,
     read_roads,
     read_xy_value,
     write_building_report,
@@ -233,14 +234,19 @@ def cmd_extract(cfg):
 # indicators
 # ---------------------------------------------------------------------------
 
-def _load_segments(cfg):
+def _load_segments(cfg, grid):
     """Rebuild the qualifying RoofSegments of each building from the extract
-    stage's tables."""
+    stage's tables; every cell must lie on the surface-model grid."""
     seg_rows = _read_table(cfg, "segments.csv")
     cells_by_seg = {}
     for row in _read_table(cfg, "cells.csv"):
         key = (row["building_id"], row["seg_id"])
-        cells_by_seg.setdefault(key, []).append((row["row"], row["col"]))
+        cell = (row["row"], row["col"])
+        if not (0 <= cell[0] < grid.nrows and 0 <= cell[1] < grid.ncols):
+            raise FormatError(
+                f"cells.csv: segment ({key[0]}, {key[1]}) has cell {cell}, outside "
+                f"the {grid.nrows} x {grid.ncols} grid of dsm.asc")
+        cells_by_seg.setdefault(key, []).append(cell)
     qualifying = {}
     for row in seg_rows:
         key = (row["building_id"], row["seg_id"])
@@ -259,8 +265,9 @@ def cmd_indicators(cfg):
     cfg.require("points", "footprints", "roads", "income_stations",
                 "precip_stations", "temp_spring", "temp_summer",
                 "temp_autumn", "temp_winter")
-    dsm = read_raster_asc(_artifact(cfg, "dsm.asc", "extract"))
-    qualifying = _load_segments(cfg)
+    # only the header: segment cells are placed by its origin and cell size
+    dsm = read_raster_geometry(_artifact(cfg, "dsm.asc", "extract"))
+    qualifying = _load_segments(cfg, dsm)
     potential_ids = [r["id"] for r in _read_table(cfg, "buildings.csv") if r["potential"]]
 
     pc = read_point_cloud(cfg.points)

@@ -23,7 +23,7 @@ from .geocore import (
     distance_to_polylines,
     snapped_grid,
 )
-from .ingest import BuildingAttributes
+from .ingest import BuildingAttributes, GridGeometry
 from .roofs import RoofSegment, segment_cell_centers
 
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -81,7 +81,7 @@ class IndicatorVector:
 
 def build_greenspace_mask(pc: PointCloud, potential_roofs: list[RoofSegment] | None = None,
                           cell: float = MASK_CELL_DEFAULT,
-                          roof_grid: RasterGrid | None = None) -> RasterGrid:
+                          roof_grid: RasterGrid | GridGeometry | None = None) -> RasterGrid:
     """Binary plan-view map of green pixels.
 
     Baseline mode (no segments) marks pixels containing vegetation points.
@@ -184,7 +184,8 @@ def _first_true(c, test, lo, hi):
 
 
 def building_coverage_rate(segments: list[RoofSegment], mask: RasterGrid,
-                           roof_grid: RasterGrid, radius: float = GC_RADIUS_DEFAULT) -> float:
+                           roof_grid: RasterGrid | GridGeometry,
+                           radius: float = GC_RADIUS_DEFAULT) -> float:
     """Mean coverage over all cells of the building's segments together."""
     if not segments:
         raise ValueError("building has no segments to evaluate")
@@ -288,7 +289,8 @@ def normalize_indicators(raws: list[RawIndicators],
 # ---------------------------------------------------------------------------
 
 def measure_building(building: BuildingAttributes, segments: list[RoofSegment],
-                     mask: RasterGrid, roof_grid: RasterGrid, roads: list[Polyline],
+                     mask: RasterGrid, roof_grid: RasterGrid | GridGeometry,
+                     roads: list[Polyline],
                      income: RasterGrid, temps: dict[str, RasterGrid],
                      precip: RasterGrid, radius: float = GC_RADIUS_DEFAULT,
                      road_class: str = "main") -> RawIndicators:

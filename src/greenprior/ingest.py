@@ -6,7 +6,9 @@ validate and fail loudly; none of them skip a malformed record silently.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,30 +35,81 @@ class FormatError(ValueError):
 # point clouds
 # ---------------------------------------------------------------------------
 
+# lines of a point-cloud CSV parsed per bulk pass; bounds the token lists
+POINT_BLOCK_LINES = 1 << 12
+
+
 def read_point_cloud(path) -> PointCloud:
     """Parse a "x,y,z,class" CSV into a PointCloud.
 
     A single header line is allowed on line 1, recognized by a non-numeric
     first field. Any malformed data line is an error that names the 1-based
-    line number.
+    line number. Numbers are read exactly as Python's ``float()`` (x, y, z)
+    and ``int()`` (class) read them.
+
+    Blocks of POINT_BLOCK_LINES lines are split into tokens and converted by
+    one numpy cast each, which calls the same ``float()``/``int()``. A file
+    the blocks turn down is read again line by line: that loop raises the
+    error naming the first bad line, or returns the cloud when only the
+    block test was stricter (ASCII separator characters around a line,
+    which ``str.strip`` drops and ``float()`` does not).
     """
+    try:
+        parsed = _point_blocks(path)
+    except (ValueError, OverflowError):
+        parsed = None
+    if parsed is None:
+        return _read_point_lines(path)
+    return PointCloud(*parsed)
+
+
+def _point_blocks(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (xyz, class codes) of a point CSV, or None when a line has the
+    wrong field count, a class code is unknown or there are no points; a
+    token that is no number raises ValueError or OverflowError."""
+    xyz_blocks, code_blocks = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        head = first.strip()
+        lines = [] if head and _is_point_header(head.split(",")) else [first]
+        lines += itertools.islice(fh, POINT_BLOCK_LINES - len(lines))
+        while lines:
+            rows = [ln for ln in lines if ln.strip()]
+            if any(ln.count(",") != 3 for ln in rows):
+                return None
+            if rows:
+                tokens = ",".join(rows).split(",")
+                xyz_blocks.append(np.array([tokens[0::4], tokens[1::4], tokens[2::4]],
+                                           dtype=float))
+                code_blocks.append(np.array(tokens[3::4], dtype=np.int64))
+            lines = list(itertools.islice(fh, POINT_BLOCK_LINES))
+    if not code_blocks:
+        return None
+    codes = np.concatenate(code_blocks)
+    if not np.isin(codes, list(CLASS_NAMES)).all():
+        return None
+    return np.ascontiguousarray(np.concatenate(xyz_blocks, axis=1).T), codes.astype(np.uint8)
+
+
+def _is_point_header(parts: list[str]) -> bool:
+    try:
+        float(parts[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _read_point_lines(path) -> PointCloud:
+    """read_point_cloud one line at a time: the path that names bad lines."""
     xyz = []
     cls = []
-
-    def is_header(parts: list[str]) -> bool:
-        try:
-            float(parts[0])
-        except ValueError:
-            return True
-        return False
-
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if lineno == 1 and is_header(parts):
+            if lineno == 1 and _is_point_header(parts):
                 continue
             if len(parts) != 4:
                 raise FormatError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
@@ -257,42 +310,85 @@ def write_xy_value(arr: np.ndarray, path, header: str = "x,y,value") -> None:
 _ASC_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-def read_raster_asc(path) -> RasterGrid:
-    """Read an ESRI ASCII grid. Nodata cells become NaN internally."""
+@dataclass(frozen=True)
+class GridGeometry:
+    """Where an ESRI ASCII grid lies: lower-left origin, cell size and shape,
+    named as on RasterGrid."""
+
+    origin_x: float
+    origin_y: float
+    cell: float
+    nrows: int
+    ncols: int
+
+
+def _read_asc_header(fh, path) -> tuple[GridGeometry, float, list[str]]:
+    """Read lines from fh until all six header keywords are seen.
+
+    Returns the geometry, the nodata value and the data tokens met before
+    the header was complete; every later line is data. A keyword line is
+    one of the six names (any case) and one value; a repeated keyword
+    overwrites the earlier value.
+    """
     header: dict[str, float] = {}
-    data_tokens: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            key = parts[0].lower()
-            if len(header) < 6 and key in _ASC_KEYS and len(parts) == 2:
-                try:
-                    header[key] = float(parts[1])
-                except ValueError:
-                    raise FormatError(f"{path}: bad header value for {parts[0]}") from None
-            else:
-                data_tokens.extend(parts)
+    tokens: list[str] = []
+    while len(header) < len(_ASC_KEYS):
+        raw = fh.readline()
+        if not raw:
+            break
+        parts = raw.split()
+        if len(parts) == 2 and parts[0].lower() in _ASC_KEYS:
+            try:
+                header[parts[0].lower()] = float(parts[1])
+            except ValueError:
+                raise FormatError(f"{path}: bad header value for {parts[0]}") from None
+        else:
+            tokens.extend(parts)
     missing = [k for k in _ASC_KEYS if k not in header]
     if missing:
         raise FormatError(f"{path}: missing header keyword(s): {', '.join(missing)}")
-    ncols = int(header["ncols"])
-    nrows = int(header["nrows"])
-    if ncols < 1 or nrows < 1:
-        raise FormatError(f"{path}: grid dimensions must be positive")
-    if len(data_tokens) != ncols * nrows:
-        raise FormatError(f"{path}: expected {ncols * nrows} values, found {len(data_tokens)}")
+    for key in ("ncols", "nrows"):
+        if not (header[key].is_integer() and header[key] >= 1):
+            raise FormatError(f"{path}: {key} must be a positive integer, got {header[key]!r}")
+    for key in ("xllcorner", "yllcorner"):
+        if not math.isfinite(header[key]):
+            raise FormatError(f"{path}: {key} must be finite, got {header[key]!r}")
+    if not (math.isfinite(header["cellsize"]) and header["cellsize"] > 0):
+        raise FormatError(f"{path}: cellsize must be positive and finite, "
+                          f"got {header['cellsize']!r}")
+    geometry = GridGeometry(header["xllcorner"], header["yllcorner"], header["cellsize"],
+                            int(header["nrows"]), int(header["ncols"]))
+    return geometry, header["nodata_value"], tokens
+
+
+def read_raster_geometry(path) -> GridGeometry:
+    """The geometry of an ESRI ASCII grid, from its header alone; the body
+    is neither read nor checked."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read_asc_header(fh, path)[0]
+
+
+def read_raster_asc(path) -> RasterGrid:
+    """Read an ESRI ASCII grid. Nodata cells become NaN internally.
+
+    Values are read exactly as Python's ``float()`` reads them, in one numpy
+    cast over the body's whitespace-separated tokens; rows may wrap across
+    lines.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        geometry, nodata, tokens = _read_asc_header(fh, path)
+        tokens += fh.read().split()
+    nrows, ncols = geometry.nrows, geometry.ncols
+    if len(tokens) != ncols * nrows:
+        raise FormatError(f"{path}: expected {ncols * nrows} values, found {len(tokens)}")
     try:
-        flat = np.array([float(t) for t in data_tokens], dtype=float)
+        flat = np.array(tokens, dtype=float)
     except ValueError:
         raise FormatError(f"{path}: non-numeric raster value") from None
-    nodata = header["nodata_value"]
     flat[flat == nodata] = np.nan
     # file stores the top row first; flip into the bottom-row-0 convention
     values = np.flipud(flat.reshape(nrows, ncols))
-    return RasterGrid(header["xllcorner"], header["yllcorner"], header["cellsize"], values)
+    return RasterGrid(geometry.origin_x, geometry.origin_y, geometry.cell, values)
 
 
 def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,

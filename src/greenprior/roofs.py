@@ -26,7 +26,7 @@ from .geocore import (
     point_segment_distance,
     snapped_grid,
 )
-from .ingest import BuildingAttributes
+from .ingest import BuildingAttributes, GridGeometry
 
 NEIGH4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 NEIGH8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -487,7 +487,7 @@ def _grow_one(seed, pool, info, cos_tol, residual_tol_m):
     return reachable
 
 
-def segment_cell_centers(segment: RoofSegment, grid: RasterGrid) -> np.ndarray:
+def segment_cell_centers(segment: RoofSegment, grid: RasterGrid | GridGeometry) -> np.ndarray:
     """World coordinates of the segment's cell centers, shape (m, 2)."""
     cols_rows = np.asarray(segment.cells, dtype=np.int64).reshape(-1, 2)[:, ::-1]
     return np.array([grid.origin_x, grid.origin_y]) + (cols_rows + 0.5) * grid.cell

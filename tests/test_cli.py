@@ -171,6 +171,54 @@ def test_truncated_cells_table_exit_one(small_city, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cell_outside_surface_model_exit_one(small_city, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / "cells.csv").read_text().splitlines(keepends=True)
+    bid, seg, row, _ = lines[1].rstrip("\n").split(",")
+    lines[1] = f"{bid},{seg},{row},99999\n"
+    (out / "cells.csv").write_text("".join(lines))
+    code = cli.main(["indicators", "--config", str(small_city / "config.txt"),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"cells.csv: segment ({bid}, {seg}) has cell ({row}, 99999), outside" in err
+    assert "Traceback" not in err
+
+
+RASTER_HEADER = {"ncols": "3", "nrows": "2", "xllcorner": "0.0", "yllcorner": "0.0",
+                 "cellsize": "1.0", "NODATA_value": "-9999.0"}
+
+
+@pytest.mark.parametrize("name", ["dsm.asc", "greenspace_base.asc"])
+@pytest.mark.parametrize("key, value, message", [
+    ("ncols", "inf", "ncols must be a positive integer, got inf"),
+    ("ncols", "1181.5", "ncols must be a positive integer, got 1181.5"),
+    ("nrows", "0", "nrows must be a positive integer, got 0.0"),
+    ("nrows", "nan", "nrows must be a positive integer, got nan"),
+    ("xllcorner", "nan", "xllcorner must be finite, got nan"),
+    ("yllcorner", "-inf", "yllcorner must be finite, got -inf"),
+    ("cellsize", "0", "cellsize must be positive and finite, got 0.0"),
+    ("cellsize", "-1", "cellsize must be positive and finite, got -1.0"),
+    ("cellsize", "inf", "cellsize must be positive and finite, got inf"),
+])
+def test_malformed_raster_header_exit_one(small_city, tmp_path, capsys, name, key, value,
+                                          message):
+    # dsm.asc is read header-only by indicators, the greenspace mask in full by benefits
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(small_city / "out" / "buildings.csv", out)
+    header = dict(RASTER_HEADER, **{key: value})
+    (out / name).write_text("".join(f"{k} {v}\n" for k, v in header.items())
+                            + "1 2 3\n4 5 6\n")
+    command = "indicators" if name == "dsm.asc" else "benefits"
+    code = cli.main([command, "--config", str(small_city / "config.txt"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{out / name}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage, message", [
     ("header", "line 1: missing column(s) reasons, greenable_m2, height_m, age_years, category"),
     ("short", "line 2: expected 7 fields, got 3"),

@@ -1,0 +1,296 @@
+"""Bulk point-cloud and raster parsing against the line loops they replaced.
+
+``read_point_cloud`` converts blocks of ``POINT_BLOCK_LINES`` lines with one
+numpy cast per column and falls back to its line loop to name a bad line;
+``read_raster_asc`` converts its whole body with one cast. The earlier
+bodies below are kept as oracles: over generated files (awkward
+number spellings, blank lines, CRLF, header present or absent, ragged
+raster rows, wrong field counts, unknown class codes) the new readers must
+give the same float bits and class codes, or fail with the same exception
+and message.
+"""
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from greenprior import ingest
+from greenprior.geocore import CLASS_NAMES, PointCloud, RasterGrid
+from greenprior.ingest import (
+    FormatError,
+    read_point_cloud,
+    read_raster_asc,
+    read_raster_geometry,
+)
+
+# ---------------------------------------------------------------------------
+# oracles: the earlier per-line bodies
+# ---------------------------------------------------------------------------
+
+
+def _old_read_point_cloud(path):
+    xyz = []
+    cls = []
+
+    def is_header(parts):
+        try:
+            float(parts[0])
+        except ValueError:
+            return True
+        return False
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if lineno == 1 and is_header(parts):
+                continue
+            if len(parts) != 4:
+                raise FormatError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+            try:
+                x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
+                code = int(parts[3])
+            except ValueError:
+                raise FormatError(f"{path}: line {lineno}: could not parse {line!r}") from None
+            if code not in CLASS_NAMES:
+                raise FormatError(f"{path}: line {lineno}: unknown class code {code}")
+            xyz.append((x, y, z))
+            cls.append(code)
+    if not xyz:
+        raise FormatError(f"{path}: no points found")
+    return PointCloud(np.array(xyz, dtype=float), np.array(cls, dtype=np.uint8))
+
+
+_ASC_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+
+def _old_read_raster_asc(path):
+    header = {}
+    data_tokens = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split()
+            key = parts[0].lower()
+            if len(header) < 6 and key in _ASC_KEYS and len(parts) == 2:
+                try:
+                    header[key] = float(parts[1])
+                except ValueError:
+                    raise FormatError(f"{path}: bad header value for {parts[0]}") from None
+            else:
+                data_tokens.extend(parts)
+    missing = [k for k in _ASC_KEYS if k not in header]
+    if missing:
+        raise FormatError(f"{path}: missing header keyword(s): {', '.join(missing)}")
+    ncols = int(header["ncols"])
+    nrows = int(header["nrows"])
+    if ncols < 1 or nrows < 1:
+        raise FormatError(f"{path}: grid dimensions must be positive")
+    if len(data_tokens) != ncols * nrows:
+        raise FormatError(f"{path}: expected {ncols * nrows} values, found {len(data_tokens)}")
+    try:
+        flat = np.array([float(t) for t in data_tokens], dtype=float)
+    except ValueError:
+        raise FormatError(f"{path}: non-numeric raster value") from None
+    nodata = header["nodata_value"]
+    flat[flat == nodata] = np.nan
+    values = np.flipud(flat.reshape(nrows, ncols))
+    return RasterGrid(header["xllcorner"], header["yllcorner"], header["cellsize"], values)
+
+
+# ---------------------------------------------------------------------------
+# generated files
+# ---------------------------------------------------------------------------
+
+# spellings float() accepts or rejects in ways a hand-written parser could miss
+AWKWARD_FLOATS = (
+    "1_0", "1__0", "_1", "١٢", "１２", "Infinity", "-inf", "nan", "-nan",
+    "nan(1)", "1e309", "-1e-400", "-0.0", "+5", " 1.5 ", "\t2", "　1", "3　",
+    "\x1c1", "1\x1f", "3\x85", "1.0", "0x10", "1#", "#1", "", " ", "x", "1\x00", "5e-324",
+)
+CLASS_TOKENS = ("0", "1", "2", "3", " 2 ", "٢", "２", "0_1", "4", "-1", "1.0",
+                "99999999999999999999", "x", "#1", "")
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+float_tokens = st.one_of(finite_floats.map(repr), st.sampled_from(AWKWARD_FLOATS),
+                         st.floats().map(repr))
+blank_lines = st.sampled_from(("", "   ", "\t", " 　 "))
+line_ends = st.sampled_from(("\n", "\r\n"))
+
+
+@st.composite
+def point_files(draw):
+    """The text of a point CSV: a header or not, mostly well-formed rows,
+    blank lines, CRLF, and fields that are awkward or wrong."""
+    good = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(("x,y,z,class", " X , Y , Z , class ", "#x,y,z,c"))))
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(blank_lines))
+            continue
+        coords = draw(st.lists(finite_floats.map(repr) if good else float_tokens,
+                               min_size=3, max_size=3))
+        code = draw(st.sampled_from(("0", "1", "2", "3") if good else CLASS_TOKENS))
+        fields = coords + [code]
+        if not good and draw(st.integers(0, 7)) == 0:
+            fields = fields[:draw(st.integers(1, 3))] + ["1"] * draw(st.integers(0, 2))
+        lines.append(draw(st.sampled_from(("", " ", "\t"))) + ",".join(fields)
+                     + draw(st.sampled_from(("", " ", "\t"))))
+    end = draw(line_ends)
+    return end.join(lines) + draw(st.sampled_from(("", end)))
+
+
+@st.composite
+def raster_files(draw):
+    """The text of an ESRI ASCII grid with a valid header in any order and
+    case, and a body of awkward tokens wrapped across lines at random."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spell = st.sampled_from(("{}", "{}.0", "{}e0"))
+    header = [
+        ("ncols", draw(spell).format(ncols)),
+        ("nrows", draw(spell).format(nrows)),
+        ("xllcorner", draw(st.one_of(finite_floats.map(repr), st.sampled_from(("1_0", "-0.0"))))),
+        ("yllcorner", draw(finite_floats.map(repr))),
+        ("cellsize", draw(st.one_of(st.floats(1e-3, 1e3).map(repr), st.just("２")))),
+        ("NODATA_value", draw(st.sampled_from(("-9999", "-9999.0", "nan", "0", "1e309")))),
+    ]
+    header = draw(st.permutations(header))
+    lines = [draw(st.sampled_from((k, k.upper(), k.capitalize()))) + " " + v for k, v in header]
+    if draw(st.booleans()):  # a repeated keyword overwrites the first value
+        lines.insert(draw(st.integers(0, len(lines) - 1)), "cellsize 7")
+    good = draw(st.booleans())
+    count = nrows * ncols + (0 if good else draw(st.sampled_from((0, 0, -1, 1))))
+    values = (st.one_of(finite_floats.map(repr), st.sampled_from(("-9999", "nan")))
+              if good else float_tokens)
+    # whitespace inside a token separates values, as in the file
+    body = " ".join(draw(st.lists(values, min_size=count, max_size=count))).split()
+    rows = []
+    while body:
+        take = draw(st.integers(1, len(body)))
+        rows.append(draw(st.sampled_from((" ", "  ", "\t"))).join(body[:take]))
+        body = body[take:]
+        if draw(st.integers(0, 4)) == 0:
+            rows.append(draw(blank_lines))
+    if rows and draw(st.integers(0, 4)) == 0:  # a data line before the header is complete
+        lines.insert(draw(st.integers(0, len(lines) - 1)), rows.pop(0))
+    end = draw(line_ends)
+    return end.join(lines + rows) + end
+
+
+def _outcome_points(read, path):
+    try:
+        pc = read(path)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return (pc.xyz.view(np.int64).tolist(), pc.xyz.flags.c_contiguous,
+            pc.cls.tolist(), pc.cls.dtype)
+
+
+def _outcome_raster(read, path):
+    try:
+        g = read(path)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return (g.values.view(np.int64).tolist(),
+            np.array([g.origin_x, g.origin_y, g.cell]).view(np.int64).tolist())
+
+
+# ---------------------------------------------------------------------------
+# point clouds
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=point_files(), block=st.sampled_from((1, 2, 3, 4096)))
+@example(text="x,y,z,class\n1_0,١٢,１２,٢\n", block=4096)
+@example(text="1,2,3,1\r\n\r\n  \r\n4,5,6,2\r\n", block=1)
+@example(text="x,y,z,class\n", block=1)
+@example(text="\x1c1,2,3,1\n", block=4096)
+@example(text="1,2,3,99999999999999999999\n", block=4096)
+@example(text="1,2,Infinity,1\n", block=4096)
+@example(text="1,-nan,3,1\n", block=4096)
+@example(text="\n\n\n1,2,3,1\n", block=2)
+@example(text="", block=4096)
+def test_point_cloud_matches_line_loop(tmp_path_factory, text, block):
+    path = tmp_path_factory.mktemp("pc") / "points.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(ingest, "POINT_BLOCK_LINES", block):
+        got = _outcome_points(read_point_cloud, path)
+    assert got == _outcome_points(_old_read_point_cloud, path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,y,z,class\n1,2,3,1\n1,2,3\n", "line 3: expected 4 fields, got 3"),
+    ("1,2,3,1\n\n1,2,3,1,5\n", "line 3: expected 4 fields, got 5"),
+    ("1,2,3,1\n1,2,#3,1\n", "line 2: could not parse '1,2,#3,1'"),
+    ("1,2,3,1.0\n", "line 1: could not parse '1,2,3,1.0'"),
+    ("1,2,3,7\n", "line 1: unknown class code 7"),
+])
+def test_point_cloud_error_names_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        read_point_cloud(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_point_cloud_bulk_parse_holds_less_than_line_loop(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 30_000
+    pc = PointCloud(rng.uniform(0, 1200, (n, 3)), rng.integers(0, 4, n))
+    path = tmp_path / "points.csv"
+    ingest.write_point_cloud(pc, path)
+    peaks = []
+    for read in (read_point_cloud, _old_read_point_cloud):
+        tracemalloc.start()
+        read(path)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < peaks[1]
+
+
+# ---------------------------------------------------------------------------
+# rasters
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=raster_files())
+@example(text="ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+              "1_0 ١٢\n")
+@example(text="ncols 3\r\nnrows 1\r\nxllcorner 0\r\nyllcorner 0\r\ncellsize 1\r\n"
+              "NODATA_value nan\r\nnan -nan\r\n\r\n Infinity\r\n")
+@example(text="ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+              "1 #\n")
+@example(text="ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+              "1 2 3\n")
+@example(text="ncols 1\nnrows 1\nxllcorner 0\n5\nyllcorner 0\ncellsize 1\nNODATA_value 0\n")
+def test_raster_matches_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("asc") / "grid.asc"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome_raster(read_raster_asc, path)
+    assert got == _outcome_raster(_old_read_raster_asc, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=raster_files())
+def test_header_read_gives_raster_geometry(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("asc") / "grid.asc"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        grid = read_raster_asc(path)
+    except FormatError:
+        return
+    geometry = read_raster_geometry(path)
+    assert (geometry.origin_x, geometry.origin_y, geometry.cell,
+            geometry.nrows, geometry.ncols) == (grid.origin_x, grid.origin_y, grid.cell,
+                                                grid.nrows, grid.ncols)
