@@ -35,7 +35,8 @@ class FormatError(ValueError):
 # point clouds
 # ---------------------------------------------------------------------------
 
-# lines of a point-cloud CSV parsed per bulk pass; bounds the token lists
+# lines of a point-cloud CSV parsed or written per bulk pass; bounds the
+# token lists and strings held at once
 POINT_BLOCK_LINES = 1 << 12
 
 
@@ -45,7 +46,8 @@ def read_point_cloud(path) -> PointCloud:
     A single header line is allowed on line 1, recognized by a non-numeric
     first field. Any malformed data line is an error that names the 1-based
     line number. Numbers are read exactly as Python's ``float()`` (x, y, z)
-    and ``int()`` (class) read them.
+    and ``int()`` (class) read them; a line whose coordinates read as NaN
+    or infinite is malformed.
 
     Blocks of POINT_BLOCK_LINES lines are split into tokens and converted by
     one numpy cast each, which calls the same ``float()``/``int()``. A file
@@ -65,8 +67,9 @@ def read_point_cloud(path) -> PointCloud:
 
 def _point_blocks(path) -> tuple[np.ndarray, np.ndarray] | None:
     """The (xyz, class codes) of a point CSV, or None when a line has the
-    wrong field count, a class code is unknown or there are no points; a
-    token that is no number raises ValueError or OverflowError."""
+    wrong field count, a coordinate is not finite, a class code is unknown
+    or there are no points; a token that is no number raises ValueError or
+    OverflowError."""
     xyz_blocks, code_blocks = [], []
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -79,8 +82,10 @@ def _point_blocks(path) -> tuple[np.ndarray, np.ndarray] | None:
                 return None
             if rows:
                 tokens = ",".join(rows).split(",")
-                xyz_blocks.append(np.array([tokens[0::4], tokens[1::4], tokens[2::4]],
-                                           dtype=float))
+                xyz = np.array([tokens[0::4], tokens[1::4], tokens[2::4]], dtype=float)
+                if not np.isfinite(xyz).all():
+                    return None
+                xyz_blocks.append(xyz)
                 code_blocks.append(np.array(tokens[3::4], dtype=np.int64))
             lines = list(itertools.islice(fh, POINT_BLOCK_LINES))
     if not code_blocks:
@@ -118,6 +123,9 @@ def _read_point_lines(path) -> PointCloud:
                 code = int(parts[3])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: could not parse {line!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise FormatError(f"{path}: line {lineno}: coordinates must be finite, "
+                                  f"got {line!r}")
             if code not in CLASS_NAMES:
                 raise FormatError(f"{path}: line {lineno}: unknown class code {code}")
             xyz.append((x, y, z))
@@ -128,10 +136,16 @@ def _read_point_lines(path) -> PointCloud:
 
 
 def write_point_cloud(pc: PointCloud, path) -> None:
+    """Write a "x,y,z,class" CSV, coordinates with four decimals; each block
+    of POINT_BLOCK_LINES rows is formatted by one %-format."""
+    row = "%.4f,%.4f,%.4f,%d\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,z,class\n")
-        for (x, y, z), c in zip(pc.xyz, pc.cls):
-            fh.write(f"{x:.4f},{y:.4f},{z:.4f},{int(c)}\n")
+        for lo in range(0, len(pc.cls), POINT_BLOCK_LINES):
+            xyz = pc.xyz[lo:lo + POINT_BLOCK_LINES].tolist()
+            codes = pc.cls[lo:lo + POINT_BLOCK_LINES].tolist()
+            fields = [v for (x, y, z), c in zip(xyz, codes) for v in (x, y, z, c)]
+            fh.write(row * len(codes) % tuple(fields))
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +336,34 @@ class GridGeometry:
     ncols: int
 
 
-def _read_asc_header(fh, path) -> tuple[GridGeometry, float, list[str]]:
+def _read_asc_header(fh, path) -> tuple[GridGeometry, float]:
     """Read lines from fh until all six header keywords are seen.
 
-    Returns the geometry, the nodata value and the data tokens met before
-    the header was complete; every later line is data. A keyword line is
-    one of the six names (any case) and one value; a repeated keyword
-    overwrites the earlier value.
+    Returns the geometry and the nodata value; every later line is data. A
+    keyword line is one of the six names (any case) and one value. Blank
+    lines may come between them; a repeated keyword or any other line
+    before the sixth keyword is an error.
     """
     header: dict[str, float] = {}
-    tokens: list[str] = []
+    lineno = 0
     while len(header) < len(_ASC_KEYS):
         raw = fh.readline()
         if not raw:
             break
+        lineno += 1
         parts = raw.split()
-        if len(parts) == 2 and parts[0].lower() in _ASC_KEYS:
-            try:
-                header[parts[0].lower()] = float(parts[1])
-            except ValueError:
-                raise FormatError(f"{path}: bad header value for {parts[0]}") from None
-        else:
-            tokens.extend(parts)
+        if not parts:
+            continue
+        key = parts[0].lower()
+        if len(parts) != 2 or key not in _ASC_KEYS:
+            missing = ", ".join(k for k in _ASC_KEYS if k not in header)
+            raise FormatError(f"{path}: line {lineno}: data before header keyword(s) {missing}")
+        if key in header:
+            raise FormatError(f"{path}: line {lineno}: repeated header keyword {parts[0]}")
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            raise FormatError(f"{path}: bad header value for {parts[0]}") from None
     missing = [k for k in _ASC_KEYS if k not in header]
     if missing:
         raise FormatError(f"{path}: missing header keyword(s): {', '.join(missing)}")
@@ -358,7 +378,7 @@ def _read_asc_header(fh, path) -> tuple[GridGeometry, float, list[str]]:
                           f"got {header['cellsize']!r}")
     geometry = GridGeometry(header["xllcorner"], header["yllcorner"], header["cellsize"],
                             int(header["nrows"]), int(header["ncols"]))
-    return geometry, header["nodata_value"], tokens
+    return geometry, header["nodata_value"]
 
 
 def read_raster_geometry(path) -> GridGeometry:
@@ -376,8 +396,8 @@ def read_raster_asc(path) -> RasterGrid:
     lines.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        geometry, nodata, tokens = _read_asc_header(fh, path)
-        tokens += fh.read().split()
+        geometry, nodata = _read_asc_header(fh, path)
+        tokens = fh.read().split()
     nrows, ncols = geometry.nrows, geometry.ncols
     if len(tokens) != ncols * nrows:
         raise FormatError(f"{path}: expected {ncols * nrows} values, found {len(tokens)}")
@@ -408,6 +428,14 @@ def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
     """
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
     nodata_text = repr(nodata)
+    # only values that are not NaN are formatted, in file order; each row
+    # is then the nodata row with those values put in at their columns
+    values = np.flipud(grid.values)
+    occupied = ~np.isnan(values)
+    texts = [fmt(v) for v in values[occupied].tolist()]
+    cols = np.nonzero(occupied)[1].tolist()
+    nodata_row = [nodata_text] * grid.ncols
+    nodata_line = " ".join(nodata_row) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
@@ -415,10 +443,20 @@ def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
         fh.write(f"yllcorner {repr(grid.origin_y)}\n")
         fh.write(f"cellsize {repr(grid.cell)}\n")
         fh.write(f"NODATA_value {nodata_text}\n")
-        # one row at a time as plain floats; v != v only for NaN
-        for row in np.flipud(grid.values):
-            fh.write(" ".join(nodata_text if v != v else fmt(v) for v in row.tolist()))
-            fh.write("\n")
+        lo = 0
+        for count in occupied.sum(axis=1).tolist():
+            if count == 0:
+                fh.write(nodata_line)
+                continue
+            hi = lo + count
+            if count == grid.ncols:
+                row = texts[lo:hi]
+            else:
+                row = nodata_row.copy()
+                for col, text in zip(cols[lo:hi], texts[lo:hi]):
+                    row[col] = text
+            fh.write(" ".join(row) + "\n")
+            lo = hi
 
 
 # ---------------------------------------------------------------------------

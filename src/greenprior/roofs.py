@@ -5,6 +5,11 @@ cell), drop wall and edge cells by the neighbor elevation test, cluster the
 survivors with 8-connected component labeling, split each cluster into
 planar segments by region growing, and finally decide per building whether
 any segment is worth greening.
+
+The wall filter and the local plane estimates work on the arrays of
+occupied cells only, reading each neighbor from one copy of the grid with
+a NaN border, so their cost follows the roof area rather than the scene's;
+off-grid and empty neighbors read alike as NaN.
 """
 from __future__ import annotations
 
@@ -86,32 +91,25 @@ def candidate_roof_points(pc: PointCloud, cell: float) -> RasterGrid:
     return grid
 
 
-def _shift(values: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """out[r, c] = values[r+dr, c+dc], NaN where that index is off-grid."""
-    n, m = values.shape
-    out = np.full((n, m), np.nan)
-    r0, r1 = max(0, -dr), min(n, n - dr)
-    c0, c1 = max(0, -dc), min(m, m - dc)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = values[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
-    return out
-
-
 def filter_wall_edges(dsm: RasterGrid, threshold: float = 1.0) -> RasterGrid:
     """Drop cells that sit against a vertical discontinuity.
 
     A cell survives iff every occupied 4-neighbor differs in elevation by
     less than the threshold. Missing neighbors pass vacuously, so roof
-    borders and isolated cells are kept.
+    borders and isolated cells are kept. Only occupied cells are tested,
+    against their neighbors in a copy of the grid with a NaN border.
     """
     V = dsm.values
-    keep = np.isfinite(V)
+    rr, cc = np.nonzero(np.isfinite(V))
+    padded = np.pad(V, 1, constant_values=np.nan)
+    z = V[rr, cc]
+    keep = np.ones(rr.size, dtype=bool)
     for dr, dc in NEIGH4:
-        nb = _shift(V, dr, dc)
+        nb = padded[rr + 1 + dr, cc + 1 + dc]
         with np.errstate(invalid="ignore"):
-            bad = np.abs(V - nb) >= threshold
-        keep &= ~(np.isfinite(nb) & bad)
-    out = np.where(keep, V, np.nan)
+            keep &= ~(np.isfinite(nb) & (np.abs(z - nb) >= threshold))
+    out = np.full(V.shape, np.nan)
+    out[rr[keep], cc[keep]] = z[keep]
     return RasterGrid(dsm.origin_x, dsm.origin_y, dsm.cell, out)
 
 
@@ -142,59 +140,67 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
 # local plane estimates
 # ---------------------------------------------------------------------------
 
-def _quadrant_planes(V: np.ndarray, h: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+# local_normals reads every stencil from one copy of the grid with a border
+# of this many NaN cells, wide enough for the 3x3 tie-break windows
+STENCIL_PAD = 2
+
+
+def _quadrant_planes(padded: np.ndarray, rr: np.ndarray, cc: np.ndarray,
+                     h: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Gradient and flatness residual of each one-sided 2x2 stencil.
 
-    Returns, per quadrant, arrays (a, b, res): the least-squares plane
-    gradient over the up-to-four stencil cells and the worst per-point
-    deviation. Stencils with fewer than three cells yield NaN/inf.
+    padded is the grid with a NaN border of STENCIL_PAD cells; (rr, cc) are
+    its occupied cells in grid indices. Returns, per quadrant, arrays
+    (a, b, res) over those cells: the least-squares plane gradient over the
+    up-to-four stencil cells and the worst per-point deviation. Stencils
+    with fewer than three cells yield NaN/inf.
     """
-    occ = np.isfinite(V)
+    r, c = rr + STENCIL_PAD, cc + STENCIL_PAD
+    V = padded[r, c]
     out = []
     for dr, dc in QUADRANTS:
-        Zx = _shift(V, 0, dc)
-        Zy = _shift(V, dr, 0)
-        Zxy = _shift(V, dr, dc)
+        Zx, Zy, Zxy = padded[r, c + dc], padded[r + dr, c], padded[r + dr, c + dc]
         fx, fy, fxy = np.isfinite(Zx), np.isfinite(Zy), np.isfinite(Zxy)
-        with np.errstate(invalid="ignore"):
-            a = np.full(V.shape, np.nan)
-            b = np.full(V.shape, np.nan)
-            res = np.full(V.shape, np.inf)
-            # all four corners: least-squares bilinear gradient
-            m = occ & fx & fy & fxy
-            a[m] = ((Zx + Zxy - V - Zy)[m] / 2.0) * dc / h
-            b[m] = ((Zy + Zxy - V - Zx)[m] / 2.0) * dr / h
-            res[m] = np.abs((V + Zxy - Zx - Zy)[m]) / 4.0
-            # three corners: the plane through them is exact
-            m = occ & fx & fy & ~fxy
-            a[m] = (Zx - V)[m] * dc / h
-            b[m] = (Zy - V)[m] * dr / h
-            res[m] = 0.0
-            m = occ & ~fx & fy & fxy
-            a[m] = (Zxy - Zy)[m] * dc / h
-            b[m] = (Zy - V)[m] * dr / h
-            res[m] = 0.0
-            m = occ & fx & ~fy & fxy
-            a[m] = (Zx - V)[m] * dc / h
-            b[m] = (Zxy - Zx)[m] * dr / h
-            res[m] = 0.0
+        a = np.full(V.shape, np.nan)
+        b = np.full(V.shape, np.nan)
+        res = np.full(V.shape, np.inf)
+        # all four corners: least-squares bilinear gradient
+        m = fx & fy & fxy
+        z, zx, zy, zxy = V[m], Zx[m], Zy[m], Zxy[m]
+        a[m] = ((zx + zxy - z - zy) / 2.0) * dc / h
+        b[m] = ((zy + zxy - z - zx) / 2.0) * dr / h
+        res[m] = np.abs(z + zxy - zx - zy) / 4.0
+        # three corners: the plane through them is exact
+        m = fx & fy & ~fxy
+        a[m] = (Zx[m] - V[m]) * dc / h
+        b[m] = (Zy[m] - V[m]) * dr / h
+        res[m] = 0.0
+        m = ~fx & fy & fxy
+        a[m] = (Zxy[m] - Zy[m]) * dc / h
+        b[m] = (Zy[m] - V[m]) * dr / h
+        res[m] = 0.0
+        m = fx & ~fy & fxy
+        a[m] = (Zx[m] - V[m]) * dc / h
+        b[m] = (Zxy[m] - Zx[m]) * dr / h
+        res[m] = 0.0
         out.append((a, b, res))
     return out
 
 
-def _window_scores(V: np.ndarray, r, c, dr, dc) -> np.ndarray:
+def _window_scores(padded: np.ndarray, r, c, dr, dc) -> np.ndarray:
     """Worst plane-fit deviation over the one-sided 3x3 window of each
-    (cell, quadrant) pair (arrays r, c, dr, dc), 0 under four cells. A 2x2
+    (cell, quadrant) pair (arrays r, c, dr, dc), 0 under four cells; padded
+    is the grid with a NaN border of STENCIL_PAD cells. A 2x2
     stencil that straddles a crease can be coplanar by accident (a symmetric
     ridge, a two-level step); one cell deeper on the same side exposes the
     bend, while a stencil inside a true face stays exact. Deviations depend
     on neither cell size nor window direction: the fit uses the unit lattice.
     """
     i, j = np.divmod(np.arange(9), 3)
-    z = np.pad(V, 2, constant_values=np.nan)[
-        r[:, None] + 2 + i * dr[:, None], c[:, None] + 2 + j * dc[:, None]]
+    r, c = r + STENCIL_PAD, c + STENCIL_PAD
+    z = padded[r[:, None] + i * dr[:, None], c[:, None] + j * dc[:, None]]
     occ = np.isfinite(z)
-    z = np.where(occ, z - V[r, c][:, None], 0.0)
+    z = np.where(occ, z - padded[r, c][:, None], 0.0)
     design = np.column_stack([j, i, np.ones(9)])
     S = np.einsum("nk,ki,kj->nij", occ.astype(float), design, design)
     few = occ.sum(axis=1) < 4
@@ -212,14 +218,17 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ridge still gets the pure gradient of its own face instead of an
     average across the crease. When several stencils are equally flat but
     disagree on the gradient, the deeper-window score arbitrates; remaining
-    ties fall to fixed quadrant order. Returns (a, b, curvature) arrays;
-    curvature is +inf where no quadrant has three stencil cells.
+    ties fall to fixed quadrant order. Returns (a, b, curvature) arrays of
+    the grid's shape; curvature is +inf where no quadrant has three stencil
+    cells. Only occupied cells are computed; the rest stay NaN/inf.
     """
     V = dsm.values
-    quads = _quadrant_planes(V, dsm.cell)
-    best_a = np.full(V.shape, np.nan)
-    best_b = np.full(V.shape, np.nan)
-    best_res = np.full(V.shape, np.inf)
+    rr, cc = np.nonzero(np.isfinite(V))
+    padded = np.pad(V, STENCIL_PAD, constant_values=np.nan)
+    quads = _quadrant_planes(padded, rr, cc, dsm.cell)
+    best_a = np.full(rr.size, np.nan)
+    best_b = np.full(rr.size, np.nan)
+    best_res = np.full(rr.size, np.inf)
     for a, b, res in quads:
         upd = np.isfinite(a) & (res < best_res)
         best_a[upd] = a[upd]
@@ -227,7 +236,7 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         best_res[upd] = res[upd]
     # find cells where another quadrant ties the minimum with a different
     # gradient; those need the deeper look
-    ambiguous = np.zeros(V.shape, dtype=bool)
+    ambiguous = np.zeros(rr.size, dtype=bool)
     for a, b, res in quads:
         with np.errstate(invalid="ignore"):
             tie = np.isfinite(a) & (res <= best_res + 1e-12)
@@ -235,17 +244,21 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ambiguous |= tie & differs
     # score all tying quadrants of all ambiguous cells at once; rounding to
     # 1e-9 sends gaps at rounding-noise level to quadrant order on any build
-    rr, cc = np.nonzero(ambiguous)
-    tie = np.stack([np.isfinite(a[rr, cc]) & (res[rr, cc] <= best_res[rr, cc] + 1e-12)
+    amb = np.flatnonzero(ambiguous)
+    tie = np.stack([np.isfinite(a[amb]) & (res[amb] <= best_res[amb] + 1e-12)
                     for a, _, res in quads], axis=1)
     pair, q = np.nonzero(tie)
     dr, dc = np.array(QUADRANTS)[q].T
     score = np.full(tie.shape, np.inf)
-    score[pair, q] = np.round(_window_scores(V, rr[pair], cc[pair], dr, dc), 9)
-    pick = np.argmin(score, axis=1), np.arange(rr.size)
-    best_a[rr, cc] = np.stack([a[rr, cc] for a, _, _ in quads])[pick]
-    best_b[rr, cc] = np.stack([b[rr, cc] for _, b, _ in quads])[pick]
-    return best_a, best_b, best_res
+    score[pair, q] = np.round(_window_scores(padded, rr[amb][pair], cc[amb][pair], dr, dc), 9)
+    pick = np.argmin(score, axis=1), np.arange(amb.size)
+    best_a[amb] = np.stack([a[amb] for a, _, _ in quads])[pick]
+    best_b[amb] = np.stack([b[amb] for _, b, _ in quads])[pick]
+    A = np.full(V.shape, np.nan)
+    B = np.full(V.shape, np.nan)
+    curvature = np.full(V.shape, np.inf)
+    A[rr, cc], B[rr, cc], curvature[rr, cc] = best_a, best_b, best_res
+    return A, B, curvature
 
 
 def _unit_normal(a: float, b: float) -> np.ndarray:

@@ -288,6 +288,23 @@ def test_building_id_with_comma_exit_one(small_city, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e309"])
+def test_non_finite_point_coordinate_exit_one(small_city, tmp_path, capsys, column, token):
+    lines = (small_city / "points.csv").read_text().splitlines(keepends=True)[:5]
+    fields = lines[3].split(",")
+    fields[column] = token
+    lines[3] = ",".join(fields)
+    (tmp_path / "points.csv").write_text("".join(lines))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"points = points.csv\nfootprints = {small_city / 'footprints.geojson'}\n")
+    code = cli.main(["extract", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'points.csv'}: line 4: coordinates must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_footprint_exit_one(tmp_path, capsys):
     (tmp_path / "points.csv").write_text("x,y,z,class\n0.5,0.5,10.0,1\n")
     (tmp_path / "footprints.geojson").write_text(

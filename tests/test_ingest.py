@@ -1,10 +1,14 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from greenprior.geocore import BUILDING, GROUND, RasterGrid
+from greenprior import ingest
+from greenprior.geocore import BUILDING, CLASS_NAMES, GROUND, PointCloud, RasterGrid
 from greenprior.ingest import (
     BuildingReportRow,
     FormatError,
@@ -79,8 +83,6 @@ def test_read_point_cloud_empty(tmp_path):
 
 
 def test_point_cloud_roundtrip(tmp_path):
-    from greenprior.geocore import PointCloud
-
     rng = np.random.default_rng(5)
     pc = PointCloud(np.round(rng.uniform(0, 100, (50, 3)), 4),
                     rng.integers(0, 4, 50).astype(np.uint8))
@@ -89,6 +91,41 @@ def test_point_cloud_roundtrip(tmp_path):
     back = read_point_cloud(p)
     np.testing.assert_array_equal(back.xyz, pc.xyz)
     np.testing.assert_array_equal(back.cls, pc.cls)
+
+
+def _write_point_cloud_oracle(pc, path):
+    """The per-row writer that write_point_cloud replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,z,class\n")
+        for (x, y, z), c in zip(pc.xyz, pc.cls):
+            fh.write(f"{x:.4f},{y:.4f},{z:.4f},{int(c)}\n")
+
+
+# values whose four-decimal text is easy to get wrong: signed zeros, values
+# that round to -0.0000 or to a carry, ties, and large magnitudes
+AWKWARD_COORDS = (0.0, -0.0, -0.00004, -0.00005, 0.00005, 0.99995, -0.99995, 1.00005,
+                  2.5e-5, 1e15 + 0.3, -1e16, 1.7976931348623157e308, -5e-324, 1234.56785)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(
+           st.lists(st.one_of(st.sampled_from(AWKWARD_COORDS),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=3, max_size=3),
+           st.sampled_from(sorted(CLASS_NAMES))), max_size=40),
+       block=st.sampled_from((1, 3, 4096)))
+@example(rows=[([x, -x, x], code) for x, code in zip(AWKWARD_COORDS, [0, 1, 2, 3] * 4)],
+         block=4096)
+@example(rows=[], block=4096)
+def test_point_writer_matches_per_row_oracle(tmp_path_factory, rows, block):
+    xyz = np.array([r[0] for r in rows], dtype=float).reshape(-1, 3)
+    pc = PointCloud(xyz, np.array([r[1] for r in rows], dtype=np.uint8))
+    folder = tmp_path_factory.mktemp("pc")
+    got, want = folder / "got.csv", folder / "want.csv"
+    with mock.patch.object(ingest, "POINT_BLOCK_LINES", block):
+        write_point_cloud(pc, got)
+    _write_point_cloud_oracle(pc, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +353,40 @@ def test_raster_writer_matches_per_element_oracle(tmp_path, decimals):
     got, want = tmp_path / "got.asc", tmp_path / "want.asc"
     write_raster_asc(g, got, decimals=decimals)
     _write_raster_asc_oracle(g, want, decimals=decimals)
+    assert got.read_bytes() == want.read_bytes()
+
+
+RASTER_VALUES = (-0.0, 0.0, np.inf, -np.inf, 5e-324, 1e-7, 1e16, 0.1 + 0.2, -9999.0,
+                 0.0000005, -0.0000004, 123.4567895, 1.7976931348623157e308)
+
+
+@st.composite
+def raster_rows(draw):
+    """A grid whose rows are each all NaN, mixed, or free of NaN."""
+    ncols = draw(st.integers(1, 12))
+    values = st.one_of(st.sampled_from(RASTER_VALUES),
+                       st.floats(allow_nan=False, width=draw(st.sampled_from((32, 64)))))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("empty", "mixed", "full")), min_size=1,
+                              max_size=8)):
+        row = draw(st.lists(values, min_size=ncols, max_size=ncols))
+        if kind == "empty":
+            row = [np.nan] * ncols
+        elif kind == "mixed":
+            for col in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=ncols)):
+                row[col] = np.nan
+        rows.append(row)
+    return RasterGrid(-1.5, 2.25, 0.7, np.array(rows, dtype=float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=raster_rows(), decimals=st.sampled_from((None, 6)),
+       nodata=st.sampled_from((-9999.0, 0.0, -1e30)))
+def test_raster_writer_matches_oracle_row_by_row(tmp_path_factory, grid, decimals, nodata):
+    folder = tmp_path_factory.mktemp("asc")
+    got, want = folder / "got.asc", folder / "want.asc"
+    write_raster_asc(grid, got, nodata=nodata, decimals=decimals)
+    _write_raster_asc_oracle(grid, want, nodata=nodata, decimals=decimals)
     assert got.read_bytes() == want.read_bytes()
 
 

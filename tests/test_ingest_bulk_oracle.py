@@ -8,7 +8,14 @@ number spellings, blank lines, CRLF, header present or absent, ragged
 raster rows, wrong field counts, unknown class codes) the new readers must
 give the same float bits and class codes, or fail with the same exception
 and message.
+
+The point oracle has gained the reader's one later rule, a line whose
+coordinates are not finite is malformed, so that both name that line. The
+raster generator marks the two header quirks the old loop accepted, a
+repeated keyword and a data line before the sixth keyword; the reader now
+rejects those files, and the oracle is compared on the others.
 """
+import math
 import tracemalloc
 from unittest import mock
 
@@ -57,6 +64,9 @@ def _old_read_point_cloud(path):
                 code = int(parts[3])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: could not parse {line!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise FormatError(f"{path}: line {lineno}: coordinates must be finite, "
+                                  f"got {line!r}")
             if code not in CLASS_NAMES:
                 raise FormatError(f"{path}: line {lineno}: unknown class code {code}")
             xyz.append((x, y, z))
@@ -151,8 +161,10 @@ def point_files(draw):
 
 @st.composite
 def raster_files(draw):
-    """The text of an ESRI ASCII grid with a valid header in any order and
-    case, and a body of awkward tokens wrapped across lines at random."""
+    """(text, quirks) of an ESRI ASCII grid with a header in any order and
+    case, and a body of awkward tokens wrapped across lines at random.
+    quirks names the header faults drawn: "repeated" for a keyword given
+    twice, "early" for a data line before the sixth keyword."""
     nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     spell = st.sampled_from(("{}", "{}.0", "{}e0"))
     header = [
@@ -165,8 +177,11 @@ def raster_files(draw):
     ]
     header = draw(st.permutations(header))
     lines = [draw(st.sampled_from((k, k.upper(), k.capitalize()))) + " " + v for k, v in header]
-    if draw(st.booleans()):  # a repeated keyword overwrites the first value
-        lines.insert(draw(st.integers(0, len(lines) - 1)), "cellsize 7")
+    quirks = set()
+    if draw(st.booleans()):  # both before the last keyword, so before the header ends
+        again = draw(st.sampled_from([key for key, _ in header[:-1]]))
+        lines.insert(draw(st.integers(0, len(lines) - 1)), again + " 7")
+        quirks.add("repeated")
     good = draw(st.booleans())
     count = nrows * ncols + (0 if good else draw(st.sampled_from((0, 0, -1, 1))))
     values = (st.one_of(finite_floats.map(repr), st.sampled_from(("-9999", "nan")))
@@ -180,10 +195,13 @@ def raster_files(draw):
         body = body[take:]
         if draw(st.integers(0, 4)) == 0:
             rows.append(draw(blank_lines))
-    if rows and draw(st.integers(0, 4)) == 0:  # a data line before the header is complete
-        lines.insert(draw(st.integers(0, len(lines) - 1)), rows.pop(0))
+    if rows and draw(st.integers(0, 4)) == 0:
+        row = rows.pop(0)
+        lines.insert(draw(st.integers(0, len(lines) - 1)), row)
+        if row.strip():
+            quirks.add("early")
     end = draw(line_ends)
-    return end.join(lines + rows) + end
+    return end.join(lines + rows) + end, frozenset(quirks)
 
 
 def _outcome_points(read, path):
@@ -234,6 +252,9 @@ def test_point_cloud_matches_line_loop(tmp_path_factory, text, block):
     ("1,2,3,1\n1,2,#3,1\n", "line 2: could not parse '1,2,#3,1'"),
     ("1,2,3,1.0\n", "line 1: could not parse '1,2,3,1.0'"),
     ("1,2,3,7\n", "line 1: unknown class code 7"),
+    ("1,2,3,1\n1,nan,3,7\n1,2\n", "line 2: coordinates must be finite, got '1,nan,3,7'"),
+    ("x,y,z,class\n1,2,3,1\n1e309,2,3,1\n", "line 3: coordinates must be finite, "
+     "got '1e309,2,3,1'"),
 ])
 def test_point_cloud_error_names_first_bad_line(tmp_path, text, message):
     path = tmp_path / "points.csv"
@@ -263,27 +284,59 @@ def test_point_cloud_bulk_parse_holds_less_than_line_loop(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+QUIRK_MESSAGES = {"repeated": "repeated header keyword", "early": "data before header keyword(s)"}
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=raster_files())
-@example(text="ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
-              "1_0 ١٢\n")
-@example(text="ncols 3\r\nnrows 1\r\nxllcorner 0\r\nyllcorner 0\r\ncellsize 1\r\n"
-              "NODATA_value nan\r\nnan -nan\r\n\r\n Infinity\r\n")
-@example(text="ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
-              "1 #\n")
-@example(text="ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
-              "1 2 3\n")
-@example(text="ncols 1\nnrows 1\nxllcorner 0\n5\nyllcorner 0\ncellsize 1\nNODATA_value 0\n")
-def test_raster_matches_line_loop(tmp_path_factory, text):
+@given(file=raster_files())
+@example(file=("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+               "1_0 ١٢\n", frozenset()))
+@example(file=("ncols 3\r\nnrows 1\r\nxllcorner 0\r\nyllcorner 0\r\ncellsize 1\r\n"
+               "NODATA_value nan\r\nnan -nan\r\n\r\n Infinity\r\n", frozenset()))
+@example(file=("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+               "1 #\n", frozenset()))
+@example(file=("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+               "1 2 3\n", frozenset()))
+@example(file=("ncols 1\nnrows 1\nxllcorner 0\n5\nyllcorner 0\ncellsize 1\nNODATA_value 0\n",
+               frozenset({"early"})))
+@example(file=("ncols 1\nnrows 1\ncellsize 7\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+               "NODATA_value 0\n5\n", frozenset({"repeated"})))
+def test_raster_matches_line_loop(tmp_path_factory, file):
+    text, quirks = file
     path = tmp_path_factory.mktemp("asc") / "grid.asc"
     path.write_bytes(text.encode("utf-8"))
     got = _outcome_raster(read_raster_asc, path)
-    assert got == _outcome_raster(_old_read_raster_asc, path)
+    if quirks:
+        kind, message = got
+        assert kind is FormatError and message.startswith(f"{path}: line ")
+        assert any(QUIRK_MESSAGES[q] in message for q in quirks)
+    else:
+        assert got == _outcome_raster(_old_read_raster_asc, path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ncols 1\nnrows 1\nxllcorner 0\n5\nyllcorner 0\ncellsize 1\nNODATA_value 0\n",
+     "line 4: data before header keyword(s) yllcorner, cellsize, nodata_value"),
+    ("ncols 1\n\nnrows 1\n 5 \n", "line 4: data before header keyword(s) "
+     "xllcorner, yllcorner, cellsize, nodata_value"),
+    ("ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNCOLS 1\nNODATA_value 0\n5\n",
+     "line 6: repeated header keyword NCOLS"),
+    ("ncols 1\nnrows 1\nxllcorner 0 1\nyllcorner 0\ncellsize 1\nNODATA_value 0\n5\n",
+     "line 3: data before header keyword(s) xllcorner, yllcorner, cellsize, nodata_value"),
+])
+def test_raster_header_quirks_are_errors(tmp_path, text, message):
+    path = tmp_path / "grid.asc"
+    path.write_text(text)
+    for read in (read_raster_asc, read_raster_geometry):
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=raster_files())
-def test_header_read_gives_raster_geometry(tmp_path_factory, text):
+@given(file=raster_files())
+def test_header_read_gives_raster_geometry(tmp_path_factory, file):
+    text, _ = file
     path = tmp_path_factory.mktemp("asc") / "grid.asc"
     path.write_bytes(text.encode("utf-8"))
     try:

@@ -1,0 +1,175 @@
+"""The occupied-cell wall filter and local normals against the full-grid
+kernels they replaced (kept in ``fullgrid_kernels``).
+
+``roofs.filter_wall_edges`` and ``roofs.local_normals`` gather the
+neighbours of each occupied cell from one copy of the grid with a NaN
+border, instead of shifting and masking the whole grid. Over generated
+scenes, with roofs 1-3 cells apart, touching each grid edge, single cells
+and one-cell-wide strips, they must give the same float bits; and a roof
+must get the same bits wherever it lies in a large empty grid.
+"""
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fullgrid_kernels
+from greenprior.geocore import RasterGrid
+from greenprior.roofs import (
+    QUADRANTS,
+    STENCIL_PAD,
+    _quadrant_planes,
+    filter_wall_edges,
+    local_normals,
+)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# generated scenes
+# ---------------------------------------------------------------------------
+
+PITCHES = (0.0, 0.25, 0.5, -0.3333, 1.0)
+
+
+@st.composite
+def roof_patch(draw, h, w):
+    """Elevations of an h x w roof: a plane, a gable or a step, rounded to
+    centimetres so that equally flat stencils tie, with optional holes."""
+    y, x = np.mgrid[0:h, 0:w].astype(float)
+    base = draw(st.sampled_from((5.0, 12.34, 30.0)))
+    pa, pb = draw(st.sampled_from(PITCHES)), draw(st.sampled_from(PITCHES))
+    kind = draw(st.sampled_from(("plane", "gable", "step")))
+    if kind == "gable":
+        z = base - pa * np.abs(x - draw(st.integers(0, w - 1))) + pb * y
+    elif kind == "step":
+        z = base + pa * x + draw(st.sampled_from((0.5, 1.0, 2.5))) * (x >= draw(st.integers(0, w)))
+    else:
+        z = base + pa * x + pb * y
+    if draw(st.booleans()):
+        z = z + np.reshape(draw(st.lists(st.integers(-3, 3), min_size=z.size,
+                                         max_size=z.size)), z.shape) * 0.01
+    z = np.round(z, 2)
+    for r, c in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
+                              max_size=2)):
+        z[r, c] = np.nan
+    return z
+
+
+@st.composite
+def scenes(draw):
+    """A NaN grid holding a few roofs: each a single cell, a one-cell strip
+    or a block, placed against a grid edge or 1-3 cells from the last one."""
+    nrows, ncols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    V = np.full((nrows, ncols), np.nan)
+    r0 = c0 = h = w = 0
+    for _ in range(draw(st.integers(0, 5))):
+        last = r0, c0, r0 + h, c0 + w
+        shape = draw(st.sampled_from(("cell", "row", "column", "block")))
+        h = 1 if shape in ("cell", "row") else draw(st.integers(1, nrows))
+        w = 1 if shape in ("cell", "column") else draw(st.integers(1, ncols))
+        place = draw(st.sampled_from(("near", "top", "bottom", "left", "right", "anywhere")))
+        if place == "near":  # beside or above the last roof, 1-3 empty cells between
+            gap = draw(st.integers(1, 3))
+            r0, c0 = (last[0], last[3] + gap) if draw(st.booleans()) else (last[2] + gap, last[1])
+        else:
+            r0, c0 = draw(st.integers(0, nrows - h)), draw(st.integers(0, ncols - w))
+            r0 = {"top": nrows - h, "bottom": 0}.get(place, r0)
+            c0 = {"left": 0, "right": ncols - w}.get(place, c0)
+        r0, c0 = min(r0, nrows - h), min(c0, ncols - w)
+        V[r0:r0 + h, c0:c0 + w] = draw(roof_patch(h, w))
+    return RasterGrid(0.0, 0.0, draw(st.sampled_from((0.5, 1.0, 2.0))), V)
+
+
+# ---------------------------------------------------------------------------
+# same bits as the full-grid kernels
+# ---------------------------------------------------------------------------
+
+EMPTY = RasterGrid(0.0, 0.0, 1.0, np.full((3, 4), np.nan))
+SINGLE = RasterGrid(0.0, 0.0, 1.0, np.array([[7.0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dsm=scenes(), threshold=st.sampled_from((0.5, 1.0, 3.0)))
+@example(dsm=EMPTY, threshold=1.0)
+@example(dsm=SINGLE, threshold=1.0)
+def test_wall_filter_matches_full_grid(dsm, threshold):
+    got = filter_wall_edges(dsm, threshold)
+    want = fullgrid_kernels.filter_wall_edges(dsm, threshold)
+    assert _bits(got.values) == _bits(want.values)
+    assert (got.origin_x, got.origin_y, got.cell) == (want.origin_x, want.origin_y, want.cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dsm=scenes(), filtered=st.booleans())
+@example(dsm=EMPTY, filtered=False)
+@example(dsm=SINGLE, filtered=False)
+def test_local_normals_match_full_grid(dsm, filtered):
+    if filtered:  # as extract_all calls it
+        dsm = filter_wall_edges(dsm)
+    for got, want in zip(local_normals(dsm), fullgrid_kernels.local_normals(dsm)):
+        assert got.shape == want.shape
+        assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dsm=scenes())
+def test_quadrant_planes_match_full_grid_on_occupied_cells(dsm):
+    V = dsm.values
+    rr, cc = np.nonzero(np.isfinite(V))
+    padded = np.pad(V, STENCIL_PAD, constant_values=np.nan)
+    got = _quadrant_planes(padded, rr, cc, dsm.cell)
+    want = fullgrid_kernels.quadrant_planes(V, dsm.cell)
+    assert len(got) == len(want) == len(QUADRANTS)
+    for g, w in zip(got, want):
+        for g_arr, w_arr in zip(g, w):
+            assert _bits(g_arr) == _bits(w_arr[rr, cc])
+
+
+# ---------------------------------------------------------------------------
+# a roof gives the same bits wherever it lies
+# ---------------------------------------------------------------------------
+
+
+def _hip_roof():
+    y, x = np.mgrid[0:9, 0:13].astype(float)
+    z = 20.0 - 0.5 * np.maximum(np.abs(x - 6.0) - 2.0, np.abs(y - 4.0))
+    z[4, 2] = np.nan  # a hole next to the ridge
+    z[0, 12] = 27.0  # a chimney cell the wall filter drops
+    return z
+
+
+@pytest.mark.parametrize("where", ["south-west", "north-east", "west edge", "north edge",
+                                   "middle"])
+def test_roof_bits_do_not_depend_on_its_place_in_the_grid(where):
+    roof = _hip_roof()
+    h, w = roof.shape
+    nrows, ncols = 300, 400
+    r0, c0 = {"south-west": (0, 0), "north-east": (nrows - h, ncols - w),
+              "west edge": (140, 0), "north edge": (nrows - h, 190),
+              "middle": (150, 200)}[where]
+    big = np.full((nrows, ncols), np.nan)
+    big[r0:r0 + h, c0:c0 + w] = roof
+    alone = RasterGrid(0.0, 0.0, 1.0, roof)
+    placed = RasterGrid(0.0, 0.0, 1.0, big)
+    own = np.s_[r0:r0 + h, c0:c0 + w]
+    outside = np.ones(big.shape, dtype=bool)
+    outside[own] = False
+
+    got = filter_wall_edges(placed).values
+    assert _bits(got[own]) == _bits(filter_wall_edges(alone).values)
+    assert np.isnan(got[outside]).all()
+
+    for dsm_alone, dsm_placed in ((alone, placed),
+                                  (filter_wall_edges(alone), filter_wall_edges(placed))):
+        a, b, curvature = local_normals(dsm_placed)
+        for got, want in zip((a, b, curvature), local_normals(dsm_alone)):
+            assert _bits(got[own]) == _bits(want)
+        assert np.isnan(a[outside]).all() and np.isnan(b[outside]).all()
+        assert (curvature[outside] == np.inf).all()
+    # and the roof alone matches the full-grid oracle
+    for got, want in zip(local_normals(alone), fullgrid_kernels.local_normals(alone)):
+        assert _bits(got) == _bits(want)

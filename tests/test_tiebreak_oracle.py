@@ -5,14 +5,16 @@ with one stacked normal-equation solve (``roofs._window_scores``) and
 rounds the score to 1e-9. The per-cell ``lstsq`` loop below is its earlier
 body, kept as an oracle with the same rounding: the quadrant choices, and
 so the gradients, must match to the last bit. The unrounded scores must
-agree with ``lstsq`` within 1e-10.
+agree with ``lstsq`` within 1e-10. The stencil planes come from the
+full-grid oracle in ``fullgrid_kernels``.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullgrid_kernels import quadrant_planes
 from greenprior.geocore import RasterGrid
-from greenprior.roofs import QUADRANTS, _quadrant_planes, _window_scores, local_normals
+from greenprior.roofs import QUADRANTS, STENCIL_PAD, _window_scores, local_normals
 
 # ---------------------------------------------------------------------------
 # oracle: the earlier per-cell body
@@ -38,7 +40,7 @@ def _old_window_score(V, h, r, c, dr, dc):
 def _old_local_normals(dsm):
     V = dsm.values
     h = dsm.cell
-    quads = _quadrant_planes(V, h)
+    quads = quadrant_planes(V, h)
     best_a = np.full(V.shape, np.nan)
     best_b = np.full(V.shape, np.nan)
     best_res = np.full(V.shape, np.inf)
@@ -122,8 +124,9 @@ def test_tie_break_matches_per_cell_loop(dsm):
 def test_window_scores_match_lstsq(dsm):
     V = dsm.values
     rr, cc = np.nonzero(np.isfinite(V))
+    padded = np.pad(V, STENCIL_PAD, constant_values=np.nan)
     for dr, dc in QUADRANTS:
-        got = _window_scores(V, rr, cc, np.full(rr.size, dr), np.full(rr.size, dc))
+        got = _window_scores(padded, rr, cc, np.full(rr.size, dr), np.full(rr.size, dc))
         want = [_old_window_score(V, dsm.cell, int(r), int(c), dr, dc) for r, c in zip(rr, cc)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
