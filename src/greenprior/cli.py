@@ -293,9 +293,13 @@ def cmd_indicators(cfg):
 
     temps = {}
     for season in SEASONS:
-        grid = read_raster_asc(getattr(cfg, f"temp_{season}"))
+        path = getattr(cfg, f"temp_{season}")
+        grid = read_raster_asc(path)
         if np.isnan(grid.values).any():
-            grid = fill_raster_nodata(grid)
+            try:
+                grid = fill_raster_nodata(grid)
+            except ComputationError as exc:
+                raise ComputationError(f"{path}: cannot fill gaps: {exc}") from None
         temps[season] = grid
 
     raws = []

@@ -128,12 +128,17 @@ class RasterGrid:
     def copy(self) -> "RasterGrid":
         return RasterGrid(self.origin_x, self.origin_y, self.cell, self.values.copy())
 
-    def same_as(self, other: "RasterGrid") -> bool:
-        """Exact equality of georeference and values (NaN placement included)."""
+    def same_geometry(self, other: "RasterGrid") -> bool:
+        """Exact equality of origin, cell size and shape: every (row, col)
+        covers the same box on both grids."""
         return (self.origin_x == other.origin_x
                 and self.origin_y == other.origin_y
                 and self.cell == other.cell
-                and self.values.shape == other.values.shape
+                and self.values.shape == other.values.shape)
+
+    def same_as(self, other: "RasterGrid") -> bool:
+        """Exact equality of georeference and values (NaN placement included)."""
+        return (self.same_geometry(other)
                 and np.array_equal(self.values, other.values, equal_nan=True))
 
 

@@ -211,18 +211,23 @@ def category_indicator(category: str) -> float:
         raise ValueError(f"unknown building category {category!r}") from None
 
 
-def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes) -> float:
+def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes,
+                               cells: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Mean surface value over cells whose centers fall inside the footprint.
 
     Small footprints that trap no cell center fall back to the value at the
     centroid's cell. A centroid beyond the surface extent is an error.
+    cells, when given, is ``cells_in_polygon`` of the footprint on a grid of
+    the surface's geometry.
     """
     cx, cy = building.footprint.centroid()
     centroid_cell = surface.world_to_cell(cx, cy)
     if centroid_cell is None:
         raise ComputationError(
             f"building {building.id}: centroid ({cx:.1f}, {cy:.1f}) outside surface extent")
-    vals = surface.values[cells_in_polygon(surface, building.footprint)]
+    if cells is None:
+        cells = cells_in_polygon(surface, building.footprint)
+    vals = surface.values[cells]
     vals = vals[np.isfinite(vals)]
     if vals.size:
         return float(np.mean(vals))
@@ -294,16 +299,29 @@ def measure_building(building: BuildingAttributes, segments: list[RoofSegment],
                      income: RasterGrid, temps: dict[str, RasterGrid],
                      precip: RasterGrid, radius: float = GC_RADIUS_DEFAULT,
                      road_class: str = "main") -> RawIndicators:
-    """Collect all raw indicator inputs for one building."""
+    """Collect all raw indicator inputs for one building.
+
+    The footprint's cells are looked up once per distinct grid geometry
+    among the six surfaces (the seasonal rasters share one, the kriged
+    surfaces another).
+    """
     cx, cy = building.footprint.centroid()
+    looked_up: list[tuple[RasterGrid, tuple[np.ndarray, np.ndarray]]] = []
+
+    def sample(surface):
+        cells = next((c for g, c in looked_up if g.same_geometry(surface)), None)
+        if cells is None:
+            cells = cells_in_polygon(surface, building.footprint)
+            looked_up.append((surface, cells))
+        return sample_surface_at_building(surface, building, cells)
+
     return RawIndicators(
         building_id=building.id,
         greenspace=building_coverage_rate(segments, mask, roof_grid, radius),
         road_distance_m=distance_to_polylines(cx, cy, roads, tag=road_class),
         category=building.category,
-        income=sample_surface_at_building(income, building),
-        seasonal_temps=tuple(sample_surface_at_building(temps[s], building)
-                             for s in SEASONS),
-        precipitation=sample_surface_at_building(precip, building),
+        income=sample(income),
+        seasonal_temps=tuple(sample(temps[s]) for s in SEASONS),
+        precipitation=sample(precip),
     )
 

@@ -103,10 +103,15 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
 
     Returns (mean pair distance, semivariance, pair count) per nonempty
     bin, ordered by lag. max_dist defaults to half the bounding-box
-    diagonal, the usual rule of thumb.
+    diagonal, the usual rule of thumb. Pairs at distance 0 or beyond
+    max_dist are left out; bin b holds the pairs with
+    edges[b] < d <= edges[b + 1].
+
+    One pass: the pairs are stably sorted by bin, so each bin's pairs lie
+    in one contiguous slice in their pdist order, and its means sum the
+    same values in the same order as a per-bin mask would.
     """
-    n = len(samples)
-    if n < 2:
+    if len(samples) < 2:
         raise ValueError("need at least 2 samples for a semivariogram")
     if max_dist is None:
         span = samples.xy.max(axis=0) - samples.xy.min(axis=0)
@@ -114,18 +119,28 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
         if max_dist <= 0:
             raise ValueError("all samples at one location")
     d = pdist(samples.xy)
-    iu, ju = np.triu_indices(n, k=1)
-    sq = 0.5 * (samples.values[iu] - samples.values[ju]) ** 2
     keep = (d > 0) & (d <= max_dist)
-    d, sq = d[keep], sq[keep]
+    d = d[keep]
+    # (v_i - v_j)**2 in the pair order of pdist(xy)
+    sq = pdist(samples.values[:, None], "sqeuclidean")[keep]
+    del keep
+    sq *= 0.5
     edges = np.linspace(0.0, max_dist, n_bins + 1)
-    which = np.clip(np.searchsorted(edges, d, side="left") - 1, 0, n_bins - 1)
+    if n_bins < 1:
+        return []
+    # d <= max_dist == edges[-1], so every bin index is below n_bins
+    which = np.searchsorted(edges[1:], d)
+    counts = np.bincount(which, minlength=n_bins)
+    # a stable sort of small ints is numpy's radix sort
+    which = which.astype(np.min_scalar_type(n_bins - 1))
+    order = np.argsort(which, kind="stable")
+    d = d[order]
+    sq = sq[order]
+    stops = np.cumsum(counts)
     out = []
-    for b in range(n_bins):
-        m = which == b
-        if not m.any():
-            continue
-        out.append((float(d[m].mean()), float(sq[m].mean()), int(m.sum())))
+    for b in np.flatnonzero(counts):
+        s = slice(stops[b] - counts[b], stops[b])
+        out.append((float(d[s].mean()), float(sq[s].mean()), int(counts[b])))
     return out
 
 
@@ -308,17 +323,24 @@ def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
     """Krige the NaN cells of a raster from its valid cells.
 
     The valid cells become the sample set; filled-in values land only where
-    the input had gaps, everything else is untouched.
+    the input had gaps, everything else is untouched. A grid without gaps
+    comes back as a copy. Valid cells too few or too close together for a
+    variogram fit raise ComputationError, as on any well-formed grid that
+    cannot be filled.
     """
     valid = np.isfinite(grid.values)
-    rr, cc = np.nonzero(valid)
-    if rr.size < 3:
-        raise ComputationError("too few valid cells to fill gaps")
     if valid.all():
         return grid.copy()
+    rr, cc = np.nonzero(valid)
+    if rr.size < 3:
+        raise ComputationError(f"too few valid cells to fill gaps ({rr.size} of {valid.size})")
     samples = SampleSet.from_points(np.column_stack(
         [grid.x_centers()[cc], grid.y_centers()[rr], grid.values[rr, cc]]))
-    model = fit_variogram(empirical_semivariogram(samples), kind)
+    empirical = empirical_semivariogram(samples)
+    try:
+        model = fit_variogram(empirical, kind)
+    except ValueError as exc:  # valid cells too close together for 3 lag bins
+        raise ComputationError(f"{rr.size} valid cells: {exc}") from None
     rows, cols = np.nonzero(~valid)
     out = grid.values.copy()
     out[rows, cols], _ = kriging_predict(samples, model, grid.x_centers()[cols],

@@ -219,6 +219,27 @@ def test_malformed_raster_header_exit_one(small_city, tmp_path, capsys, name, ke
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("valid, message", [
+    (2, "too few valid cells to fill gaps (2 of 1600)"),
+    (3, "3 valid cells: need at least 3 semivariogram bins to fit"),
+])
+def test_degenerate_gap_fill_exit_three(small_city, tmp_path, capsys, valid, message):
+    # a well-formed raster whose few valid cells, in one row, cannot be kriged
+    city = tmp_path / "city"
+    shutil.copytree(small_city, city)
+    path = city / "temp_summer.asc"
+    grid = read_raster_asc(path)
+    values = np.full(grid.values.shape, np.nan)
+    values[0, :valid] = grid.values[0, :valid]
+    write_raster_asc(RasterGrid(grid.origin_x, grid.origin_y, grid.cell, values), path)
+    code = cli.main(["indicators", "--config", str(city / "config.txt"),
+                     "--out", str(city / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"error: {path}: cannot fill gaps: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage, message", [
     ("header", "line 1: missing column(s) reasons, greenable_m2, height_m, age_years, category"),
     ("short", "line 2: expected 7 fields, got 3"),

@@ -107,6 +107,18 @@ def test_raster_same_as_handles_nan():
     assert not a.same_as(c)
 
 
+def test_raster_same_geometry_ignores_values():
+    a = RasterGrid(0.0, 0.0, 1.0, np.zeros((2, 3)))
+    assert a.same_geometry(RasterGrid(0.0, 0.0, 1.0, np.full((2, 3), np.nan)))
+    assert a.same_geometry(RasterGrid(-0.0, 0.0, 1.0, np.ones((2, 3))))
+    for other in (RasterGrid(0.5, 0.0, 1.0, np.zeros((2, 3))),
+                  RasterGrid(0.0, 0.5, 1.0, np.zeros((2, 3))),
+                  RasterGrid(0.0, 0.0, 2.0, np.zeros((2, 3))),
+                  RasterGrid(0.0, 0.0, 1.0, np.zeros((3, 2)))):
+        assert not a.same_geometry(other)
+        assert not a.same_as(other)
+
+
 # ---------------------------------------------------------------------------
 # Polygon
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from greenprior import indicators
 from greenprior.geocore import BUILDING, GROUND, VEGETATION, ComputationError, PointCloud, Polygon, Polyline, RasterGrid
 from greenprior.indicators import (
     SEASONS,
@@ -14,6 +15,7 @@ from greenprior.indicators import (
     combine_seasonal_temperature,
     distance_indicator,
     greenspace_coverage,
+    measure_building,
     minmax_scale,
     normalize_indicators,
     sample_surface_at_building,
@@ -216,6 +218,35 @@ def test_sample_surface_outside_extent_errors():
     b = BuildingAttributes("b1", 10, "public", square(100, 100, 10))
     with pytest.raises(ComputationError, match="outside surface extent"):
         sample_surface_at_building(surf, b)
+
+
+def test_measure_building_looks_up_cells_once_per_grid_geometry(monkeypatch):
+    # income and precipitation share one geometry, the four seasons another;
+    # each surface must still be sampled as on its own
+    rng = np.random.default_rng(41)
+    kriged = [RasterGrid(-20.0, -20.0, 50.0, rng.normal(0.0, 1.0, (6, 6))) for _ in range(2)]
+    seasonal = {s: RasterGrid(0.0, 0.0, 7.0, rng.normal(25.0, 2.0, (30, 30))) for s in SEASONS}
+    seasonal["winter"].values[10:20, 10:20] = np.nan
+    b = BuildingAttributes("b1", 10, "public", Polygon(
+        [[30, 40], [120, 45], [110, 130], [35, 120], [30, 40]]))
+    mask = RasterGrid(0.0, 0.0, 5.0, np.zeros((40, 40)))
+    segments = [flat_segment([(8, 8), (8, 9)])]
+    roads = [Polyline([[0, 0], [200, 0]], tag="main")]
+    lookups = []
+    cells_in_polygon = indicators.cells_in_polygon
+
+    def counted(grid, poly):
+        lookups.append(grid)
+        return cells_in_polygon(grid, poly)
+
+    monkeypatch.setattr(indicators, "cells_in_polygon", counted)
+    raw = measure_building(b, segments, mask, mask, roads, kriged[0], seasonal, kriged[1])
+    assert len(lookups) == 2
+    monkeypatch.setattr(indicators, "cells_in_polygon", cells_in_polygon)
+    assert raw.income == sample_surface_at_building(kriged[0], b)
+    assert raw.precipitation == sample_surface_at_building(kriged[1], b)
+    assert raw.seasonal_temps == tuple(sample_surface_at_building(seasonal[s], b)
+                                       for s in SEASONS)
 
 
 def test_combine_seasonal_temperature():

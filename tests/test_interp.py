@@ -370,3 +370,18 @@ def test_fill_raster_nodata_leaves_valid_cells():
     # filled cells stay in a plausible range
     assert filled.values[~keep].min() >= vals[keep].min() - 3.0
     assert filled.values[~keep].max() <= vals[keep].max() + 3.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2)])
+def test_fill_raster_nodata_gapless_grid_comes_back_as_copy(shape):
+    # fewer than 3 cells is too few to krige, but a grid without gaps needs none
+    g = RasterGrid(5.0, -5.0, 30.0, np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+    filled = fill_raster_nodata(g)
+    assert filled.same_as(g)
+    assert filled.values is not g.values
+
+
+def test_fill_raster_nodata_too_few_valid_cells():
+    g = RasterGrid(0.0, 0.0, 30.0, np.array([[1.0, np.nan], [2.0, np.nan]]))
+    with pytest.raises(ComputationError, match=r"too few valid cells to fill gaps \(2 of 4\)"):
+        fill_raster_nodata(g)

@@ -100,16 +100,23 @@ def _old_interpolate_grid(samples, template, method, model, k):
 
 
 def _old_fill_raster_nodata(grid, kind, k_neighbors):
-    rr, cc = np.nonzero(np.isfinite(grid.values))
-    if rr.size < 3:
-        raise ComputationError("too few valid cells to fill gaps")
-    xs = grid.origin_x + (cc + 0.5) * grid.cell
-    ys = grid.origin_y + (rr + 0.5) * grid.cell
-    samples = SampleSet.from_points(np.column_stack([xs, ys, grid.values[rr, cc]]))
+    # the error contract is the current one: a gapless grid comes back
+    # before the cell count is checked, and a fit with too few bins is a
+    # ComputationError, not fit_variogram's ValueError
     gaps = ~np.isfinite(grid.values)
     if not gaps.any():
         return grid.values.copy()
-    model = fit_variogram(empirical_semivariogram(samples), kind)
+    rr, cc = np.nonzero(np.isfinite(grid.values))
+    if rr.size < 3:
+        raise ComputationError(
+            f"too few valid cells to fill gaps ({rr.size} of {grid.values.size})")
+    xs = grid.origin_x + (cc + 0.5) * grid.cell
+    ys = grid.origin_y + (rr + 0.5) * grid.cell
+    samples = SampleSet.from_points(np.column_stack([xs, ys, grid.values[rr, cc]]))
+    try:
+        model = fit_variogram(empirical_semivariogram(samples), kind)
+    except ValueError as exc:
+        raise ComputationError(f"{rr.size} valid cells: {exc}") from None
     out = grid.values.copy()
     for row, col in zip(*np.nonzero(gaps)):
         cx, cy = grid.cell_center(int(row), int(col))
