@@ -238,13 +238,14 @@ def _load_segments(cfg, grid):
     """Rebuild the qualifying RoofSegments of each building from the extract
     stage's tables; every cell must lie on the surface-model grid."""
     seg_rows = _read_table(cfg, "segments.csv")
+    cells_path = _out_path(cfg, "cells.csv")
     cells_by_seg = {}
     for row in _read_table(cfg, "cells.csv"):
         key = (row["building_id"], row["seg_id"])
         cell = (row["row"], row["col"])
         if not (0 <= cell[0] < grid.nrows and 0 <= cell[1] < grid.ncols):
             raise FormatError(
-                f"cells.csv: segment ({key[0]}, {key[1]}) has cell {cell}, outside "
+                f"{cells_path}: segment ({key[0]}, {key[1]}) has cell {cell}, outside "
                 f"the {grid.nrows} x {grid.ncols} grid of dsm.asc")
         cells_by_seg.setdefault(key, []).append(cell)
     qualifying = {}
@@ -252,13 +253,23 @@ def _load_segments(cfg, grid):
         key = (row["building_id"], row["seg_id"])
         if key not in cells_by_seg:
             raise FormatError(
-                f"cells.csv: segment ({key[0]}, {key[1]}) has no cells")
+                f"{cells_path}: segment ({key[0]}, {key[1]}) has no cells")
         if row["qualifying"]:
             qualifying.setdefault(row["building_id"], []).append(RoofSegment(
                 cells_by_seg[key], (row["plane_a"], row["plane_b"], row["plane_c"]),
                 row["slope_deg"], row["area_m2"],
                 building_id=row["building_id"], seg_id=row["seg_id"]))
     return qualifying
+
+
+def _station_surface(path, template, method):
+    """The stations of one x,y,value file interpolated onto the template; a
+    well-formed file that cannot be kriged names itself in the error."""
+    samples = SampleSet.from_points(read_xy_value(path))
+    try:
+        return interpolate_grid(samples, template, method=method)
+    except ComputationError as exc:
+        raise ComputationError(f"{path}: {exc}") from None
 
 
 def cmd_indicators(cfg):
@@ -282,12 +293,8 @@ def cmd_indicators(cfg):
     write_raster_asc(mask_green, _out_path(cfg, "greenspace_greened.asc"))
 
     template = snapped_grid(pc.xyz, cfg.interp_cell)
-    income_surface = interpolate_grid(
-        SampleSet.from_points(read_xy_value(cfg.income_stations)), template,
-        method=cfg.interp_method)
-    precip_surface = interpolate_grid(
-        SampleSet.from_points(read_xy_value(cfg.precip_stations)), template,
-        method=cfg.interp_method)
+    income_surface = _station_surface(cfg.income_stations, template, cfg.interp_method)
+    precip_surface = _station_surface(cfg.precip_stations, template, cfg.interp_method)
     _write_surface(income_surface, _out_path(cfg, "income_surface.asc"))
     _write_surface(precip_surface, _out_path(cfg, "precip_surface.asc"))
 

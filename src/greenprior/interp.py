@@ -305,13 +305,22 @@ def interpolate_grid(samples: SampleSet, template: RasterGrid, method: str = "kr
                      model: VariogramModel | None = None, idw_power: float = 2.0,
                      idw_k: int = 12, kriging_k: int = 16,
                      variogram_kind: str = "spherical") -> RasterGrid:
-    """Predict a full raster (every cell center) from scattered samples."""
+    """Predict a full raster (every cell center) from scattered samples.
+
+    Without a model, kriging fits one; samples too few or too close
+    together for that fit raise ComputationError, as on any well-formed
+    sample set that cannot be kriged.
+    """
     if method not in ("idw", "kriging"):
         raise ValueError(f"unknown interpolation method {method!r}")
     if method == "kriging" and model is None:
         if len(samples) < 2:
-            raise ValueError("kriging needs at least 2 samples")
-        model = fit_variogram(empirical_semivariogram(samples), variogram_kind)
+            raise ComputationError(
+                f"kriging needs at least 2 distinct sample locations, got {len(samples)}")
+        try:
+            model = fit_variogram(empirical_semivariogram(samples), variogram_kind)
+        except ValueError as exc:  # samples too close together for 3 lag bins
+            raise ComputationError(f"{len(samples)} distinct sample locations: {exc}") from None
     xs, ys = np.meshgrid(template.x_centers(), template.y_centers())
     out = (idw_predict(samples, xs, ys, idw_power, idw_k) if method == "idw"
            else kriging_predict(samples, model, xs, ys, kriging_k)[0])

@@ -7,9 +7,12 @@ planar segments by region growing, and finally decide per building whether
 any segment is worth greening.
 
 The wall filter and the local plane estimates work on the arrays of
-occupied cells only, reading each neighbor from one copy of the grid with
-a NaN border, so their cost follows the roof area rather than the scene's;
-off-grid and empty neighbors read alike as NaN.
+occupied cells only, reading each neighbor with a bounds-checked gather
+from the grid itself, so their cost follows the roof area rather than the
+scene's; off-grid and empty neighbors read alike as NaN. The plane
+estimates are kept per occupied cell, never as grids, so extraction holds
+at most two scene-sized grids at a time: the rasterized surface model and
+its wall-filtered copy.
 """
 from __future__ import annotations
 
@@ -91,21 +94,27 @@ def candidate_roof_points(pc: PointCloud, cell: float) -> RasterGrid:
     return grid
 
 
+def _gather(V: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """V[r, c] over index arrays that broadcast together, NaN wherever
+    (r, c) lies off the grid, as if the grid had a NaN border."""
+    n, m = V.shape
+    inside = (r >= 0) & (r < n) & (c >= 0) & (c < m)
+    return np.where(inside, V[np.clip(r, 0, n - 1), np.clip(c, 0, m - 1)], np.nan)
+
+
 def filter_wall_edges(dsm: RasterGrid, threshold: float = 1.0) -> RasterGrid:
     """Drop cells that sit against a vertical discontinuity.
 
     A cell survives iff every occupied 4-neighbor differs in elevation by
     less than the threshold. Missing neighbors pass vacuously, so roof
-    borders and isolated cells are kept. Only occupied cells are tested,
-    against their neighbors in a copy of the grid with a NaN border.
+    borders and isolated cells are kept. Only occupied cells are tested.
     """
     V = dsm.values
     rr, cc = np.nonzero(np.isfinite(V))
-    padded = np.pad(V, 1, constant_values=np.nan)
     z = V[rr, cc]
     keep = np.ones(rr.size, dtype=bool)
     for dr, dc in NEIGH4:
-        nb = padded[rr + 1 + dr, cc + 1 + dc]
+        nb = _gather(V, rr + dr, cc + dc)
         with np.errstate(invalid="ignore"):
             keep &= ~(np.isfinite(nb) & (np.abs(z - nb) >= threshold))
     out = np.full(V.shape, np.nan)
@@ -140,67 +149,60 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
 # local plane estimates
 # ---------------------------------------------------------------------------
 
-# local_normals reads every stencil from one copy of the grid with a border
-# of this many NaN cells, wide enough for the 3x3 tie-break windows
-STENCIL_PAD = 2
-
-
-def _quadrant_planes(padded: np.ndarray, rr: np.ndarray, cc: np.ndarray,
+def _quadrant_planes(V: np.ndarray, rr: np.ndarray, cc: np.ndarray,
                      h: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Gradient and flatness residual of each one-sided 2x2 stencil.
 
-    padded is the grid with a NaN border of STENCIL_PAD cells; (rr, cc) are
-    its occupied cells in grid indices. Returns, per quadrant, arrays
-    (a, b, res) over those cells: the least-squares plane gradient over the
-    up-to-four stencil cells and the worst per-point deviation. Stencils
-    with fewer than three cells yield NaN/inf.
+    (rr, cc) are occupied cells of the grid V. Returns, per quadrant,
+    arrays (a, b, res) over those cells: the least-squares plane gradient
+    over the up-to-four stencil cells and the worst per-point deviation.
+    Stencils with fewer than three cells yield NaN/inf.
     """
-    r, c = rr + STENCIL_PAD, cc + STENCIL_PAD
-    V = padded[r, c]
+    Z = V[rr, cc]
     out = []
     for dr, dc in QUADRANTS:
-        Zx, Zy, Zxy = padded[r, c + dc], padded[r + dr, c], padded[r + dr, c + dc]
+        Zx, Zy = _gather(V, rr, cc + dc), _gather(V, rr + dr, cc)
+        Zxy = _gather(V, rr + dr, cc + dc)
         fx, fy, fxy = np.isfinite(Zx), np.isfinite(Zy), np.isfinite(Zxy)
-        a = np.full(V.shape, np.nan)
-        b = np.full(V.shape, np.nan)
-        res = np.full(V.shape, np.inf)
+        a = np.full(Z.shape, np.nan)
+        b = np.full(Z.shape, np.nan)
+        res = np.full(Z.shape, np.inf)
         # all four corners: least-squares bilinear gradient
         m = fx & fy & fxy
-        z, zx, zy, zxy = V[m], Zx[m], Zy[m], Zxy[m]
+        z, zx, zy, zxy = Z[m], Zx[m], Zy[m], Zxy[m]
         a[m] = ((zx + zxy - z - zy) / 2.0) * dc / h
         b[m] = ((zy + zxy - z - zx) / 2.0) * dr / h
         res[m] = np.abs(z + zxy - zx - zy) / 4.0
         # three corners: the plane through them is exact
         m = fx & fy & ~fxy
-        a[m] = (Zx[m] - V[m]) * dc / h
-        b[m] = (Zy[m] - V[m]) * dr / h
+        a[m] = (Zx[m] - Z[m]) * dc / h
+        b[m] = (Zy[m] - Z[m]) * dr / h
         res[m] = 0.0
         m = ~fx & fy & fxy
         a[m] = (Zxy[m] - Zy[m]) * dc / h
-        b[m] = (Zy[m] - V[m]) * dr / h
+        b[m] = (Zy[m] - Z[m]) * dr / h
         res[m] = 0.0
         m = fx & ~fy & fxy
-        a[m] = (Zx[m] - V[m]) * dc / h
+        a[m] = (Zx[m] - Z[m]) * dc / h
         b[m] = (Zxy[m] - Zx[m]) * dr / h
         res[m] = 0.0
         out.append((a, b, res))
     return out
 
 
-def _window_scores(padded: np.ndarray, r, c, dr, dc) -> np.ndarray:
+def _window_scores(V: np.ndarray, r, c, dr, dc) -> np.ndarray:
     """Worst plane-fit deviation over the one-sided 3x3 window of each
-    (cell, quadrant) pair (arrays r, c, dr, dc), 0 under four cells; padded
-    is the grid with a NaN border of STENCIL_PAD cells. A 2x2
-    stencil that straddles a crease can be coplanar by accident (a symmetric
-    ridge, a two-level step); one cell deeper on the same side exposes the
-    bend, while a stencil inside a true face stays exact. Deviations depend
-    on neither cell size nor window direction: the fit uses the unit lattice.
+    (cell, quadrant) pair (arrays r, c, dr, dc) of the grid V, 0 under four
+    cells. A 2x2 stencil that straddles a crease can be coplanar by accident
+    (a symmetric ridge, a two-level step); one cell deeper on the same side
+    exposes the bend, while a stencil inside a true face stays exact.
+    Deviations depend on neither cell size nor window direction: the fit
+    uses the unit lattice.
     """
     i, j = np.divmod(np.arange(9), 3)
-    r, c = r + STENCIL_PAD, c + STENCIL_PAD
-    z = padded[r[:, None] + i * dr[:, None], c[:, None] + j * dc[:, None]]
+    z = _gather(V, r[:, None] + i * dr[:, None], c[:, None] + j * dc[:, None])
     occ = np.isfinite(z)
-    z = np.where(occ, z - padded[r, c][:, None], 0.0)
+    z = np.where(occ, z - V[r, c][:, None], 0.0)
     design = np.column_stack([j, i, np.ones(9)])
     S = np.einsum("nk,ki,kj->nij", occ.astype(float), design, design)
     few = occ.sum(axis=1) < 4
@@ -210,7 +212,7 @@ def _window_scores(padded: np.ndarray, r, c, dr, dc) -> np.ndarray:
     return np.where(few, 0.0, dev)
 
 
-def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell plane gradient (a, b) and flatness residual.
 
     Each occupied cell tries the four one-sided 2x2 stencils around it and
@@ -218,14 +220,14 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ridge still gets the pure gradient of its own face instead of an
     average across the crease. When several stencils are equally flat but
     disagree on the gradient, the deeper-window score arbitrates; remaining
-    ties fall to fixed quadrant order. Returns (a, b, curvature) arrays of
-    the grid's shape; curvature is +inf where no quadrant has three stencil
-    cells. Only occupied cells are computed; the rest stay NaN/inf.
+    ties fall to fixed quadrant order. Returns (cells, a, b, curvature):
+    the flat indices of the occupied cells in row-major order, and one
+    value per such cell; a and b are NaN and curvature +inf where no
+    quadrant has three stencil cells.
     """
     V = dsm.values
     rr, cc = np.nonzero(np.isfinite(V))
-    padded = np.pad(V, STENCIL_PAD, constant_values=np.nan)
-    quads = _quadrant_planes(padded, rr, cc, dsm.cell)
+    quads = _quadrant_planes(V, rr, cc, dsm.cell)
     best_a = np.full(rr.size, np.nan)
     best_b = np.full(rr.size, np.nan)
     best_res = np.full(rr.size, np.inf)
@@ -250,15 +252,11 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pair, q = np.nonzero(tie)
     dr, dc = np.array(QUADRANTS)[q].T
     score = np.full(tie.shape, np.inf)
-    score[pair, q] = np.round(_window_scores(padded, rr[amb][pair], cc[amb][pair], dr, dc), 9)
+    score[pair, q] = np.round(_window_scores(V, rr[amb][pair], cc[amb][pair], dr, dc), 9)
     pick = np.argmin(score, axis=1), np.arange(amb.size)
     best_a[amb] = np.stack([a[amb] for a, _, _ in quads])[pick]
     best_b[amb] = np.stack([b[amb] for _, b, _ in quads])[pick]
-    A = np.full(V.shape, np.nan)
-    B = np.full(V.shape, np.nan)
-    curvature = np.full(V.shape, np.inf)
-    A[rr, cc], B[rr, cc], curvature[rr, cc] = best_a, best_b, best_res
-    return A, B, curvature
+    return np.ravel_multi_index((rr, cc), V.shape), best_a, best_b, best_res
 
 
 def _unit_normal(a: float, b: float) -> np.ndarray:
@@ -402,21 +400,27 @@ def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
     within residual_tol_m of the segment's running plane fit. After growth
     the fit is re-checked and outlier cells are evicted back into the pool
     until it holds every member.
-    Cells with no usable local normal end up as singletons.
+    Cells with no usable local normal end up as singletons. The component's
+    cells must be occupied cells of dsm; normals, if given, is what
+    local_normals(dsm) returns.
     """
     if not component:
         return []
     if normals is None:
         normals = local_normals(dsm)
-    A, B, curv = normals
+    cells, A, B, curv = normals
     h = dsm.cell
     rr, cc = np.asarray(component, dtype=np.int64).reshape(-1, 2).T
-    a, b = A[rr, cc], B[rr, cc]
+    flat = np.ravel_multi_index((rr, cc), dsm.values.shape)
+    at = np.minimum(np.searchsorted(cells, flat), cells.size - 1)
+    if cells.size == 0 or (cells[at] != flat).any():
+        raise ValueError("component holds a cell that is not occupied in the surface model")
+    a, b, k = A[at], B[at], curv[at]
     # per cell: center x, y, elevation, gradient, 1 / |normal|, curvature
     info = dict(zip(map(tuple, component), zip(
         (dsm.origin_x + (cc + 0.5) * h).tolist(), (dsm.origin_y + (rr + 0.5) * h).tolist(),
         dsm.values[rr, cc].tolist(), a.tolist(), b.tolist(),
-        (1.0 / np.sqrt(a * a + b * b + 1.0)).tolist(), curv[rr, cc].tolist())))
+        (1.0 / np.sqrt(a * a + b * b + 1.0)).tolist(), k.tolist())))
     order = sorted(info, key=lambda rc: (info[rc][6], rc[0], rc[1]))
     cos_tol = math.cos(math.radians(normal_tol_deg))
     pool = set(info)
@@ -641,6 +645,7 @@ def extract_all(pc: PointCloud, buildings: list[BuildingAttributes],
     p = params or RoofParams()
     raw = candidate_roof_points(pc, p.cell)
     dsm = filter_wall_edges(raw, p.wall_diff_m)
+    del raw  # from here on only the filtered grid is scene-sized
     normals = local_normals(dsm)
     segments: list[RoofSegment] = []
     for comp in label_components(dsm):

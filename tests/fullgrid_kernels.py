@@ -9,6 +9,7 @@ import numpy as np
 
 from greenprior.geocore import RasterGrid
 from greenprior.roofs import NEIGH4, QUADRANTS
+from greenprior.roofs import local_normals as occupied_local_normals
 
 
 def shift(values, dr, dc):
@@ -109,3 +110,16 @@ def local_normals(dsm):
     best_a[rr, cc] = np.stack([a[rr, cc] for a, _, _ in quads])[pick]
     best_b[rr, cc] = np.stack([b[rr, cc] for _, b, _ in quads])[pick]
     return best_a, best_b, best_res
+
+
+def scatter_normals(dsm):
+    """roofs.local_normals' per-cell (a, b, curvature) scattered into grids
+    of the surface model's shape, NaN, NaN and +inf off the occupied cells:
+    the form local_normals above returns."""
+    cells, *per_cell = occupied_local_normals(dsm)
+    grids = []
+    for values, fill in zip(per_cell, (np.nan, np.nan, np.inf)):
+        grid = np.full(dsm.values.shape, fill)
+        grid.flat[cells] = values
+        grids.append(grid)
+    return tuple(grids)

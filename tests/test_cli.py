@@ -167,7 +167,7 @@ def test_truncated_cells_table_exit_one(small_city, tmp_path, capsys):
                      "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"({target[0]}, {target[1]})" in err
+    assert f"{out / 'cells.csv'}: segment ({target[0]}, {target[1]}) has no cells" in err
     assert "Traceback" not in err
 
 
@@ -237,6 +237,25 @@ def test_degenerate_gap_fill_exit_three(small_city, tmp_path, capsys, valid, mes
     assert code == 3
     err = capsys.readouterr().err
     assert f"error: {path}: cannot fill gaps: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stations, message", [
+    (1, "kriging needs at least 2 distinct sample locations, got 1"),
+    (2, "2 distinct sample locations: need at least 3 semivariogram bins to fit"),
+])
+def test_degenerate_station_file_exit_three(small_city, tmp_path, capsys, stations, message):
+    # a well-formed station file with too few stations to fit a variogram
+    city = tmp_path / "city"
+    shutil.copytree(small_city, city)
+    path = city / "income_stations.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1 + stations]))
+    code = cli.main(["indicators", "--config", str(city / "config.txt"),
+                     "--out", str(city / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"error: {path}: {message}" in err
     assert "Traceback" not in err
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fullgrid_kernels import scatter_normals
 from greenprior import cli, roofs
 from greenprior.geocore import RasterGrid
 from greenprior.roofs import (
@@ -163,7 +164,8 @@ def _bits(values):
 
 
 def _segments(grow, dsm, normal_tol_deg=10.0, residual_tol_m=0.2):
-    normals = local_normals(dsm)
+    # the oracle indexes full grids; grow_segments takes the per-cell form
+    normals = local_normals(dsm) if grow is grow_segments else scatter_normals(dsm)
     return [(s.cells, _bits(s.plane), _bits(s.slope_deg), s.area_m2)
             for comp in label_components(dsm)
             for s in grow(comp, dsm, normal_tol_deg, residual_tol_m, normals)]

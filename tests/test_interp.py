@@ -358,6 +358,21 @@ def test_grid_reorder_invariance_bitwise():
         assert np.array_equal(g1.values, g2.values)  # bit-identical
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[50, 50, 1.0]], "kriging needs at least 2 distinct sample locations, got 1"),
+    ([[50, 50, 1.0], [50, 50, 3.0]],
+     "kriging needs at least 2 distinct sample locations, got 1"),
+    ([[50, 50, 1.0], [60, 50, 3.0]],
+     "2 distinct sample locations: need at least 3 semivariogram bins to fit"),
+])
+def test_grid_kriging_too_few_samples_to_fit(rows, message):
+    # a model can only be fitted from three lag bins; idw needs no model
+    template = RasterGrid(0.0, 0.0, 10.0, np.zeros((3, 3)))
+    with pytest.raises(ComputationError, match=f"^{message}$"):
+        interpolate_grid(SampleSet.from_points(np.array(rows, dtype=float)), template)
+    assert interpolate_grid(samples_of(rows), template, method="idw").values.shape == (3, 3)
+
+
 def test_fill_raster_nodata_leaves_valid_cells():
     rng = np.random.default_rng(7)
     vals = 15.0 + rng.normal(0, 0.5, (12, 12))

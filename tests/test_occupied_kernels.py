@@ -2,8 +2,9 @@
 kernels they replaced (kept in ``fullgrid_kernels``).
 
 ``roofs.filter_wall_edges`` and ``roofs.local_normals`` gather the
-neighbours of each occupied cell from one copy of the grid with a NaN
-border, instead of shifting and masking the whole grid. Over generated
+neighbours of each occupied cell with a bounds-checked read of the grid,
+instead of shifting and masking the whole grid; ``local_normals`` returns
+one value per occupied cell, scattered here into grids. Over generated
 scenes, with roofs 1-3 cells apart, touching each grid edge, single cells
 and one-cell-wide strips, they must give the same float bits; and a roof
 must get the same bits wherever it lies in a large empty grid.
@@ -15,13 +16,7 @@ from hypothesis import strategies as st
 
 import fullgrid_kernels
 from greenprior.geocore import RasterGrid
-from greenprior.roofs import (
-    QUADRANTS,
-    STENCIL_PAD,
-    _quadrant_planes,
-    filter_wall_edges,
-    local_normals,
-)
+from greenprior.roofs import QUADRANTS, _quadrant_planes, filter_wall_edges
 
 
 def _bits(values):
@@ -110,7 +105,8 @@ def test_wall_filter_matches_full_grid(dsm, threshold):
 def test_local_normals_match_full_grid(dsm, filtered):
     if filtered:  # as extract_all calls it
         dsm = filter_wall_edges(dsm)
-    for got, want in zip(local_normals(dsm), fullgrid_kernels.local_normals(dsm)):
+    want_grids = fullgrid_kernels.local_normals(dsm)
+    for got, want in zip(fullgrid_kernels.scatter_normals(dsm), want_grids):
         assert got.shape == want.shape
         assert _bits(got) == _bits(want)
 
@@ -120,8 +116,7 @@ def test_local_normals_match_full_grid(dsm, filtered):
 def test_quadrant_planes_match_full_grid_on_occupied_cells(dsm):
     V = dsm.values
     rr, cc = np.nonzero(np.isfinite(V))
-    padded = np.pad(V, STENCIL_PAD, constant_values=np.nan)
-    got = _quadrant_planes(padded, rr, cc, dsm.cell)
+    got = _quadrant_planes(V, rr, cc, dsm.cell)
     want = fullgrid_kernels.quadrant_planes(V, dsm.cell)
     assert len(got) == len(want) == len(QUADRANTS)
     for g, w in zip(got, want):
@@ -165,11 +160,12 @@ def test_roof_bits_do_not_depend_on_its_place_in_the_grid(where):
 
     for dsm_alone, dsm_placed in ((alone, placed),
                                   (filter_wall_edges(alone), filter_wall_edges(placed))):
-        a, b, curvature = local_normals(dsm_placed)
-        for got, want in zip((a, b, curvature), local_normals(dsm_alone)):
+        a, b, curvature = fullgrid_kernels.scatter_normals(dsm_placed)
+        for got, want in zip((a, b, curvature), fullgrid_kernels.scatter_normals(dsm_alone)):
             assert _bits(got[own]) == _bits(want)
         assert np.isnan(a[outside]).all() and np.isnan(b[outside]).all()
         assert (curvature[outside] == np.inf).all()
     # and the roof alone matches the full-grid oracle
-    for got, want in zip(local_normals(alone), fullgrid_kernels.local_normals(alone)):
+    want_grids = fullgrid_kernels.local_normals(alone)
+    for got, want in zip(fullgrid_kernels.scatter_normals(alone), want_grids):
         assert _bits(got) == _bits(want)

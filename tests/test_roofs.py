@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from greenprior.geocore import (
     Polygon,
     RasterGrid,
 )
-from greenprior.ingest import BuildingAttributes
+from greenprior.ingest import BuildingAttributes, read_footprints, read_point_cloud
 from greenprior.roofs import (
     PotentialThresholds,
     RoofParams,
@@ -27,6 +28,7 @@ from greenprior.roofs import (
     grow_segments,
     label_components,
 )
+from greenprior.synth import SyntheticCitySpec, generate_city
 
 
 def grid_from(values):
@@ -269,6 +271,14 @@ def test_grow_empty_component():
     assert grow_segments([], dsm) == []
 
 
+@pytest.mark.parametrize("values", [[[np.nan, 10.0]], [[np.nan, np.nan]]])
+def test_grow_rejects_unoccupied_cell(values):
+    # the local normals exist only for occupied cells
+    dsm = grid_from(values)
+    with pytest.raises(ValueError, match="not occupied"):
+        grow_segments([(0, 0)], dsm)
+
+
 @pytest.mark.parametrize("theta", [0.0, 5.0, 14.0, 15.0, 30.0])
 def test_slope_recovery_known_pitch(theta):
     slope = math.tan(math.radians(theta))
@@ -491,3 +501,21 @@ def test_extract_all_containment_work_is_per_footprint(monkeypatch):
     assert calls["segments"] > 0
     assert calls["contains"] <= calls["segments"]
     assert calls["points_in_polygon"] <= 2 * len(buildings) + calls["segments"]
+
+
+def test_extract_peak_memory_follows_the_roofs(tmp_path):
+    # the surface model spans the scene while roofs fill a few per cent of
+    # it: extraction may hold the rasterized and the wall-filtered grid at
+    # once, but no third scene-sized array
+    generate_city(SyntheticCitySpec(seed=7, n_buildings=15), str(tmp_path))
+    pc = read_point_cloud(str(tmp_path / "points.csv"))
+    buildings = read_footprints(str(tmp_path / "footprints.geojson"))
+    tracemalloc.start()
+    try:
+        out = extract_all(pc, buildings, RoofParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = out.dsm.values
+    assert min(grid.shape) >= 1000
+    assert peak <= 3 * grid.nbytes

@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgrid_kernels import quadrant_planes
+from fullgrid_kernels import quadrant_planes, scatter_normals
 from greenprior.geocore import RasterGrid
-from greenprior.roofs import QUADRANTS, STENCIL_PAD, _window_scores, local_normals
+from greenprior.roofs import QUADRANTS, _window_scores
 
 # ---------------------------------------------------------------------------
 # oracle: the earlier per-cell body
@@ -113,7 +113,7 @@ def _bits(values):
 @settings(max_examples=150, deadline=None)
 @given(dsm=roofs_dsm())
 def test_tie_break_matches_per_cell_loop(dsm):
-    new = local_normals(dsm)
+    new = scatter_normals(dsm)
     old = _old_local_normals(dsm)
     for got, want in zip(new, old):
         assert _bits(got) == _bits(want)
@@ -124,9 +124,8 @@ def test_tie_break_matches_per_cell_loop(dsm):
 def test_window_scores_match_lstsq(dsm):
     V = dsm.values
     rr, cc = np.nonzero(np.isfinite(V))
-    padded = np.pad(V, STENCIL_PAD, constant_values=np.nan)
     for dr, dc in QUADRANTS:
-        got = _window_scores(padded, rr, cc, np.full(rr.size, dr), np.full(rr.size, dc))
+        got = _window_scores(V, rr, cc, np.full(rr.size, dr), np.full(rr.size, dc))
         want = [_old_window_score(V, dsm.cell, int(r), int(c), dr, dc) for r, c in zip(rr, cc)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -147,7 +146,7 @@ def test_local_normals_makes_one_solve_and_no_lstsq(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    got = local_normals(dsm)
+    got = scatter_normals(dsm)
     assert calls["solve"] == 1
     monkeypatch.undo()
     for new, old in zip(got, _old_local_normals(dsm)):
