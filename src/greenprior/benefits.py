@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .geocore import ComputationError, RasterGrid, snapped_grid
 from .indicators import GC_RADIUS_DEFAULT, greenspace_coverage
@@ -224,6 +223,7 @@ def income_greenspace_regression(pairs):
     else:
         dof = n - 2
         t2 = r * r * dof / (1.0 - r * r)
+        from scipy import special
         p = float(special.betainc(dof / 2.0, 0.5, dof / (dof + t2)))
     return RegressionResult(slope, intercept, r, p, n)
 

@@ -178,6 +178,9 @@ def _write_surface(grid, path):
 
 def cmd_synth(args):
     spec = SyntheticCitySpec(seed=args.seed, n_buildings=args.buildings)
+    if not 0 <= spec.n_buildings <= spec.max_buildings:
+        raise ValueError(f"--buildings must be from 0 to {spec.max_buildings} "
+                         f"(one per parcel), got {spec.n_buildings}")
     truths = generate_city(spec, args.out)
     n_pot = sum(1 for t in truths if t.potential)
     print(f"synth: wrote {len(truths)} buildings ({n_pot} with potential) "

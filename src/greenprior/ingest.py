@@ -6,9 +6,9 @@ validate and fail loudly; none of them skip a malformed record silently.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,9 +35,13 @@ class FormatError(ValueError):
 # point clouds
 # ---------------------------------------------------------------------------
 
-# lines of a point-cloud CSV parsed or written per bulk pass; bounds the
-# token lists and strings held at once
+# lines of a point-cloud CSV written per bulk pass; bounds the strings held
+# at once
 POINT_BLOCK_LINES = 1 << 12
+
+# ASCII separator characters: np.loadtxt skips them around a field, as it
+# does any whitespace, but float() and int() reject them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 def read_point_cloud(path) -> PointCloud:
@@ -49,51 +53,43 @@ def read_point_cloud(path) -> PointCloud:
     and ``int()`` (class) read them; a line whose coordinates read as NaN
     or infinite is malformed.
 
-    Blocks of POINT_BLOCK_LINES lines are split into tokens and converted by
-    one numpy cast each, which calls the same ``float()``/``int()``. A file
-    the blocks turn down is read again line by line: that loop raises the
-    error naming the first bad line, or returns the cloud when only the
-    block test was stricter (ASCII separator characters around a line,
-    which ``str.strip`` drops and ``float()`` does not).
+    The file is parsed in one ``np.loadtxt`` call, whose conversions give
+    the bits of ``float()`` and ``int()`` on every spelling it accepts. A
+    file it cannot read, or that it reads to a non-finite coordinate, an
+    unknown class code or no points, is read again line by line: that loop
+    raises the error naming the first bad line, or returns the cloud when
+    only loadtxt was stricter (underscores in numbers, non-ASCII digits,
+    whitespace-only lines).
     """
     try:
-        parsed = _point_blocks(path)
-    except (ValueError, OverflowError):
+        parsed = _point_table(path)
+    except (ValueError, OverflowError, UserWarning):
         parsed = None
     if parsed is None:
         return _read_point_lines(path)
     return PointCloud(*parsed)
 
 
-def _point_blocks(path) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (xyz, class codes) of a point CSV, or None when a line has the
-    wrong field count, a coordinate is not finite, a class code is unknown
-    or there are no points; a token that is no number raises ValueError or
-    OverflowError."""
-    xyz_blocks, code_blocks = [], []
+def _point_table(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (xyz, class codes) of a point CSV read by np.loadtxt, or None
+    when the file holds an ASCII separator character, a coordinate is not
+    finite, a class code is unknown or there are no points; loadtxt raises
+    on a line it cannot read, and on no points warns, which raises here."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        head = first.strip()
-        lines = [] if head and _is_point_header(head.split(",")) else [first]
-        lines += itertools.islice(fh, POINT_BLOCK_LINES - len(lines))
-        while lines:
-            rows = [ln for ln in lines if ln.strip()]
-            if any(ln.count(",") != 3 for ln in rows):
-                return None
-            if rows:
-                tokens = ",".join(rows).split(",")
-                xyz = np.array([tokens[0::4], tokens[1::4], tokens[2::4]], dtype=float)
-                if not np.isfinite(xyz).all():
-                    return None
-                xyz_blocks.append(xyz)
-                code_blocks.append(np.array(tokens[3::4], dtype=np.int64))
-            lines = list(itertools.islice(fh, POINT_BLOCK_LINES))
-    if not code_blocks:
+        text = fh.read()
+    if any(sep in text for sep in _SEPARATORS):
         return None
-    codes = np.concatenate(code_blocks)
-    if not np.isin(codes, list(CLASS_NAMES)).all():
+    head = text.partition("\n")[0].strip()
+    del text
+    header = bool(head) and _is_point_header(head.split(","))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        rows = np.loadtxt(path, dtype="f8,f8,f8,i8", delimiter=",", comments=None,
+                          quotechar=None, skiprows=int(header), encoding="utf-8", ndmin=1)
+    xyz = np.column_stack([rows["f0"], rows["f1"], rows["f2"]])
+    if not np.isfinite(xyz).all() or not np.isin(rows["f3"], list(CLASS_NAMES)).all():
         return None
-    return np.ascontiguousarray(np.concatenate(xyz_blocks, axis=1).T), codes.astype(np.uint8)
+    return xyz, rows["f3"].astype(np.uint8)
 
 
 def _is_point_header(parts: list[str]) -> bool:

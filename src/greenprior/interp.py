@@ -4,17 +4,21 @@ kriging, plus the variogram machinery kriging needs.
 Sample sets are canonicalized on construction (exact duplicate coordinates
 averaged, then sorted), which makes every downstream prediction independent
 of input file ordering.
+
+scipy is imported inside the functions that compute with it, so the
+stages that import this module without kriging do not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.optimize
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .geocore import ComputationError, RasterGrid
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 MATCH_TOL = 1e-9  # queries closer than this to a sample return it exactly
 
@@ -67,6 +71,7 @@ class SampleSet:
     @property
     def tree(self) -> cKDTree:
         if self._tree is None:
+            from scipy.spatial import cKDTree
             self._tree = cKDTree(self.xy)
         return self._tree
 
@@ -118,6 +123,7 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
         max_dist = float(np.hypot(span[0], span[1])) / 2.0
         if max_dist <= 0:
             raise ValueError("all samples at one location")
+    from scipy.spatial.distance import pdist
     d = pdist(samples.xy)
     keep = (d > 0) & (d <= max_dist)
     d = d[keep]
@@ -233,6 +239,7 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
     # the sill an extrapolation the data cannot support
     lo = [0.0, 1e-12, 0.01 * float(lags.min())]
     hi = [np.inf, np.inf, 2.0 * max_lag]
+    import scipy.optimize
     sol = scipy.optimize.least_squares(residuals, [n0, max(p0, 1e-10), r0],
                                        bounds=(lo, hi), method="trf")
     nugget, partial, range_m = sol.x

@@ -9,7 +9,9 @@ any segment is worth greening.
 The wall filter and the local plane estimates work on the arrays of
 occupied cells only, reading each neighbor with a bounds-checked gather
 from the grid itself, so their cost follows the roof area rather than the
-scene's; off-grid and empty neighbors read alike as NaN. The plane
+scene's; off-grid and empty neighbors read alike as NaN. The component
+labeling finds each occupied cell's neighbors by a binary search of the
+occupied cells' flat indices, and grows no label grid. The plane
 estimates are kept per occupied cell, never as grids, so extraction holds
 at most two scene-sized grids at a time: the rasterized surface model and
 its wall-filtered copy.
@@ -21,7 +23,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage
 
 from .geocore import (
     BUILDING,
@@ -131,15 +132,40 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
 
     Components are ordered by (min row, min col); cells within a component
     by (row, col).
+
+    Works on the occupied cells only, by hook and compress (Shiloach and
+    Vishkin): every cell starts as its own root, each edge to a forward
+    8-neighbour hooks the larger of its two roots to the smaller, and
+    pointer jumping flattens the trees, until every edge has one root. The
+    root of a component is then its first cell in row-major order.
     """
-    occupied = np.isfinite(dsm.values)
-    labels, count = scipy.ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
-    # nonzero is row-major; a stable sort by label keeps that order per component
-    rr, cc = np.nonzero(labels)
-    labs = labels[rr, cc]
-    order = np.argsort(labs, kind="stable")
+    V = dsm.values
+    n, m = V.shape
+    rr, cc = np.nonzero(np.isfinite(V))
+    flat = rr * m + cc
+    src, dst = [], []
+    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        on = np.flatnonzero((rr + dr < n) & (cc + dc >= 0) & (cc + dc < m))
+        nb = flat[on] + (dr * m + dc)
+        at = np.minimum(np.searchsorted(flat, nb), flat.size - 1)
+        hit = flat[at] == nb
+        src.append(on[hit])
+        dst.append(at[hit])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    root = np.arange(rr.size)
+    while True:
+        a, b = root[src], root[dst]
+        if (a == b).all():
+            break
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        jumped = root[root]
+        while (jumped != root).any():
+            root, jumped = jumped, jumped[jumped]
+    # nonzero is row-major; a stable sort by root keeps that order per component
+    order = np.argsort(root, kind="stable")
     rr, cc = rr[order].tolist(), cc[order].tolist()
-    ends = np.cumsum(np.bincount(labs, minlength=count + 1)).tolist()
+    sizes = np.bincount(root)
+    ends = [0] + np.cumsum(sizes[sizes > 0]).tolist()
     comps = [list(zip(rr[lo:hi], cc[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
     comps.sort(key=lambda cells: (min(r for r, _ in cells), min(c for _, c in cells)))
     return comps

@@ -47,6 +47,11 @@ class SyntheticCitySpec:
     old_share: float = 0.15
     temp_cell_m: float = 30.0
 
+    @property
+    def max_buildings(self) -> int:
+        """The number of parcels; each holds at most one building."""
+        return int(self.domain_m / self.parcel_m) ** 2
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -273,7 +278,7 @@ def generate_city(spec, out_dir):
     rng = np.random.default_rng(spec.seed)
     n_parcels = int(spec.domain_m / spec.parcel_m)
 
-    parcel_ids = np.sort(rng.choice(n_parcels * n_parcels, size=spec.n_buildings,
+    parcel_ids = np.sort(rng.choice(spec.max_buildings, size=spec.n_buildings,
                                     replace=False)) if spec.n_buildings else np.array([], dtype=int)
     counts = _type_counts(spec.n_buildings)
     type_list = [t for t in ROOF_TYPES for _ in range(counts[t])]

@@ -1,11 +1,15 @@
-"""The full-grid wall filter and local normals, kept as oracles.
+"""The full-grid wall filter, local normals and component labeling, kept
+as oracles.
 
-``roofs.filter_wall_edges`` and ``roofs.local_normals`` visit only the
-occupied cells of the surface model. The bodies below are their earlier
-versions, which shifted and masked the whole grid once per neighbour and
-per quadrant; the occupied-cell kernels must give the same float bits.
+``roofs.filter_wall_edges``, ``roofs.local_normals`` and
+``roofs.label_components`` visit only the occupied cells of the surface
+model. The bodies below are their earlier versions, which shifted and
+masked the whole grid once per neighbour and per quadrant, or labeled it
+with ``scipy.ndimage``; the occupied-cell kernels must give the same float
+bits and the same component lists.
 """
 import numpy as np
+import scipy.ndimage
 
 from greenprior.geocore import RasterGrid
 from greenprior.roofs import NEIGH4, QUADRANTS
@@ -123,3 +127,17 @@ def scatter_normals(dsm):
         grid.flat[cells] = values
         grids.append(grid)
     return tuple(grids)
+
+
+def label_components(dsm):
+    occupied = np.isfinite(dsm.values)
+    labels, count = scipy.ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
+    # nonzero is row-major; a stable sort by label keeps that order per component
+    rr, cc = np.nonzero(labels)
+    labs = labels[rr, cc]
+    order = np.argsort(labs, kind="stable")
+    rr, cc = rr[order].tolist(), cc[order].tolist()
+    ends = np.cumsum(np.bincount(labs, minlength=count + 1)).tolist()
+    comps = [list(zip(rr[lo:hi], cc[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
+    comps.sort(key=lambda cells: (min(r for r, _ in cells), min(c for _, c in cells)))
+    return comps

@@ -60,6 +60,23 @@ def test_synth_subcommand(tmp_path):
     assert len((out / "groundtruth.csv").read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize("count", ["-3", "145", "200"])
+def test_synth_building_count_out_of_range_exit_one(tmp_path, capsys, count):
+    out = tmp_path / "c"
+    code = cli.main(["synth", "--out", str(out), "--buildings", count])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --buildings must be from 0 to 144 (one per parcel), got {count}\n"
+    assert not out.exists()
+
+
+def test_synth_zero_buildings(tmp_path):
+    assert SyntheticCitySpec().max_buildings == 144
+    code = cli.main(["synth", "--out", str(tmp_path / "none"), "--buildings", "0"])
+    assert code == 0
+    assert (tmp_path / "none" / "groundtruth.csv").read_text().count("\n") == 1
+
+
 def test_priorities_consistent_with_weights(small_city):
     rows = _read_rows(small_city / "out" / "priorities.csv")
     assert rows

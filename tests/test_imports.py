@@ -1,0 +1,59 @@
+"""Which stages load scipy.
+
+Only the stages that compute with scipy import it: ``indicators`` (kriging
+and gap fills) and ``benefits`` (one incomplete beta function). Importing
+the CLI, and running ``synth``, ``extract``, ``prioritize`` or ``report``,
+must leave scipy unloaded, so that each of those processes starts in the
+time numpy takes. Each stage runs in a fresh interpreter on a tiny city.
+"""
+import os
+import subprocess
+import sys
+
+import pytest
+
+import greenprior
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(greenprior.__file__)))
+
+# runs the CLI with the given arguments (none: only imports it), then prints
+# its exit code and whether any scipy module was loaded
+PROBE = ("import sys\n"
+         "from greenprior import cli\n"
+         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+         "print(code, any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n")
+
+
+def _run(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, scipy_loaded = done.stdout.split()[-2:]
+    assert code == "0", done.stderr
+    return scipy_loaded == "True"
+
+
+@pytest.fixture(scope="module")
+def stages(tmp_path_factory):
+    """Whether each stage of a tiny city's chain loaded scipy, stage by stage
+    in pipeline order, plus the bare CLI import."""
+    city = tmp_path_factory.mktemp("imports") / "city"
+    loaded = {"import": _run(),
+              "synth": _run("synth", "--out", str(city), "--seed", "7", "--buildings", "4")}
+    config = str(city / "config.txt")
+    for stage in ("extract", "indicators", "prioritize", "benefits", "report"):
+        loaded[stage] = _run(stage, "--config", config)
+    return loaded
+
+
+@pytest.mark.parametrize("stage", ["import", "synth", "extract", "prioritize", "report"])
+def test_stage_does_not_load_scipy(stages, stage):
+    assert not stages[stage]
+
+
+def test_indicators_loads_scipy(stages):
+    # the probe sees modules that are loaded: without this the checks above
+    # could pass on a probe that never sees any
+    assert stages["indicators"]

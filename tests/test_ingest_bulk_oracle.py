@@ -1,8 +1,9 @@
 """Bulk point-cloud and raster parsing against the line loops they replaced.
 
-``read_point_cloud`` converts blocks of ``POINT_BLOCK_LINES`` lines with one
-numpy cast per column and falls back to its line loop to name a bad line;
-``read_raster_asc`` converts its whole body with one cast. The earlier
+``read_point_cloud`` parses the file with one ``np.loadtxt`` call and falls
+back to its line loop to name a bad line, or where loadtxt reads numbers
+differently from ``float()`` and ``int()``; ``read_raster_asc`` converts
+its whole body with one cast. The earlier
 bodies below are kept as oracles: over generated files (awkward
 number spellings, blank lines, CRLF, header present or absent, ragged
 raster rows, wrong field counts, unknown class codes) the new readers must
@@ -17,6 +18,7 @@ rejects those files, and the oracle is compared on the others.
 """
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -238,6 +240,16 @@ def _outcome_raster(read, path):
 @example(text="1,-nan,3,1\n", block=4096)
 @example(text="\n\n\n1,2,3,1\n", block=2)
 @example(text="", block=4096)
+@example(text="1_0,2,3_5,0_1\n", block=4096)
+@example(text="+1,+2.5,+3e0,+2\n", block=4096)
+@example(text=" 1 , 2 ,\t3\t, 2 \n", block=4096)
+@example(text="x,y,z,class\r\n1,2,3,1\r\n4,5,6,2\r\n", block=4096)
+@example(text="1,2,3,1\n\n\n4,5,6,2\n\n", block=4096)
+@example(text="x,y,z,class", block=4096)
+@example(text="7.5,8.25,9,3", block=4096)
+@example(text="x,y,z,class\n7.5,8.25,9,3\n", block=4096)
+@example(text="1,2\x1c,3,1\n", block=4096)
+@example(text="1,2,3,\u01fe\n", block=4096)
 def test_point_cloud_matches_line_loop(tmp_path_factory, text, block):
     path = tmp_path_factory.mktemp("pc") / "points.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -262,6 +274,17 @@ def test_point_cloud_error_names_first_bad_line(tmp_path, text, message):
     with pytest.raises(FormatError) as exc:
         read_point_cloud(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text", ["", "x,y,z,class\n", "\n\n"])
+def test_point_cloud_without_points_warns_nothing(tmp_path, text):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FormatError, match="no points found"):
+            read_point_cloud(path)
+    assert caught == []
 
 
 def test_point_cloud_bulk_parse_holds_less_than_line_loop(tmp_path):

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,7 +230,7 @@ def test_scalar_and_array_queries_agree():
                 rel=1e-12, abs=1e-12)
 
 
-class _CountingTree(interp.cKDTree):
+class _CountingTree(scipy.spatial.cKDTree):
     queries = 0
 
     def query(self, *args, **kwargs):
@@ -249,7 +250,7 @@ def test_grid_work_does_not_grow_with_cells(monkeypatch, shape):
 
     model = VariogramModel("spherical", 0.1, 2.0, 60.0)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(interp, "cKDTree", _CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _CountingTree)
     monkeypatch.setattr(interp, "fit_variogram", lambda empirical, kind="spherical": model)
     rng = np.random.default_rng(11)
     pts = np.column_stack([rng.uniform(0, 300, (25, 2)), rng.normal(0, 1, 25)])

@@ -1,5 +1,5 @@
-"""The occupied-cell wall filter and local normals against the full-grid
-kernels they replaced (kept in ``fullgrid_kernels``).
+"""The occupied-cell wall filter, local normals and component labeling
+against the full-grid kernels they replaced (kept in ``fullgrid_kernels``).
 
 ``roofs.filter_wall_edges`` and ``roofs.local_normals`` gather the
 neighbours of each occupied cell with a bounds-checked read of the grid,
@@ -8,6 +8,9 @@ one value per occupied cell, scattered here into grids. Over generated
 scenes, with roofs 1-3 cells apart, touching each grid edge, single cells
 and one-cell-wide strips, they must give the same float bits; and a roof
 must get the same bits wherever it lies in a large empty grid.
+``roofs.label_components`` hooks and compresses the occupied cells instead
+of labeling the grid with ``scipy.ndimage``; it must give the same
+component lists, in the same order.
 """
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import fullgrid_kernels
 from greenprior.geocore import RasterGrid
-from greenprior.roofs import QUADRANTS, _quadrant_planes, filter_wall_edges
+from greenprior.roofs import QUADRANTS, _quadrant_planes, filter_wall_edges, label_components
 
 
 def _bits(values):
@@ -122,6 +125,69 @@ def test_quadrant_planes_match_full_grid_on_occupied_cells(dsm):
     for g, w in zip(got, want):
         for g_arr, w_arr in zip(g, w):
             assert _bits(g_arr) == _bits(w_arr[rr, cc])
+
+
+# ---------------------------------------------------------------------------
+# component labeling: the same lists as scipy.ndimage
+# ---------------------------------------------------------------------------
+
+
+def _occupied(*rows):
+    """A grid from rows of '#' (occupied) and '.' (empty), top row first as
+    row 0."""
+    return RasterGrid(0.0, 0.0, 1.0, np.array([[1.0 if ch == "#" else np.nan for ch in row]
+                                               for row in rows]))
+
+
+@st.composite
+def occupancies(draw):
+    """A grid of random occupancy, of any density."""
+    nrows, ncols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
+    bits = draw(st.lists(st.floats(0.0, 1.0), min_size=nrows * ncols, max_size=nrows * ncols))
+    occ = np.reshape(bits, (nrows, ncols)) < density
+    return RasterGrid(0.0, 0.0, 1.0, np.where(occ, 1.0, np.nan))
+
+
+SPIRAL = _occupied("#########",
+                   "........#",
+                   "#######.#",
+                   "#.....#.#",
+                   "#.###.#.#",
+                   "#.#...#.#",
+                   "#.#####.#",
+                   "#.......#",
+                   "#########")
+# both components start at (min row, min col) = (0, 5); the lone cell comes
+# first in row-major order, and so first in the list
+TIE = _occupied(".....#....#",
+                ".........#.",
+                "........#..",
+                ".......#...",
+                "......#....",
+                ".....#.....")
+
+
+@settings(max_examples=300, deadline=None)
+@given(dsm=st.one_of(occupancies(), scenes()))
+@example(dsm=EMPTY)
+@example(dsm=SINGLE)
+@example(dsm=_occupied("#######", "#######", "#######", "#######"))
+@example(dsm=_occupied("..#..", "#...#", ".....", "..#..", "#...#"))  # cells on every edge
+@example(dsm=_occupied("#...#.", ".#.#..", "..#...", ".#.#..", "#...#."))  # diagonals only
+@example(dsm=_occupied("#.#.#.#", "#.#.#.#", "#.#.#.#", "#######"))  # U shapes joined at the bottom
+@example(dsm=_occupied("#####", "....#", "#####", "#....", "#####"))  # a serpentine
+@example(dsm=SPIRAL)
+@example(dsm=TIE)
+def test_components_match_scipy_labeling(dsm):
+    assert label_components(dsm) == fullgrid_kernels.label_components(dsm)
+
+
+def test_tied_components_keep_row_major_order():
+    comps = label_components(TIE)
+    assert [min(comp) for comp in comps] == [(0, 5), (0, 10)]
+    assert [(min(r for r, _ in comp), min(c for _, c in comp)) for comp in comps] == [(0, 5)] * 2
+    assert len(label_components(SPIRAL)) == 1
 
 
 # ---------------------------------------------------------------------------
