@@ -15,11 +15,17 @@ occupied cells' flat indices, and grows no label grid. The plane
 estimates are kept per occupied cell, never as grids, so extraction holds
 at most two scene-sized grids at a time: the rasterized surface model and
 its wall-filtered copy.
+
+Region growing works on one component at a time, on integer positions of
+its cells, with a neighbor table from the same binary search. Per seed,
+the normal test covers all of the component's cells in one array
+expression; a segment's eviction sweeps and its final plane fit are
+whole-array too. Only the breadth-first growth visits cells one by one,
+because each cell it takes changes the running plane fit.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +133,20 @@ def filter_wall_edges(dsm: RasterGrid, threshold: float = 1.0) -> RasterGrid:
 # connected components
 # ---------------------------------------------------------------------------
 
+def _neighbour_positions(flat: np.ndarray, rr: np.ndarray, cc: np.ndarray,
+                         shape: tuple[int, int], offsets):
+    """Per (dr, dc) of offsets, the pairs (i, j) of positions in flat, the
+    sorted flat indices of cells (rr, cc) of a grid of the given shape, such
+    that cell j is cell i moved by (dr, dc). One binary search per offset."""
+    n, m = shape
+    for dr, dc in offsets:
+        on = np.flatnonzero((rr + dr >= 0) & (rr + dr < n) & (cc + dc >= 0) & (cc + dc < m))
+        nb = flat[on] + (dr * m + dc)
+        at = np.minimum(np.searchsorted(flat, nb), flat.size - 1)
+        hit = flat[at] == nb
+        yield on[hit], at[hit]
+
+
 def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
     """Partition occupied cells into 8-connected components.
 
@@ -140,18 +160,10 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
     root of a component is then its first cell in row-major order.
     """
     V = dsm.values
-    n, m = V.shape
     rr, cc = np.nonzero(np.isfinite(V))
-    flat = rr * m + cc
-    src, dst = [], []
-    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        on = np.flatnonzero((rr + dr < n) & (cc + dc >= 0) & (cc + dc < m))
-        nb = flat[on] + (dr * m + dc)
-        at = np.minimum(np.searchsorted(flat, nb), flat.size - 1)
-        hit = flat[at] == nb
-        src.append(on[hit])
-        dst.append(at[hit])
-    src, dst = np.concatenate(src), np.concatenate(dst)
+    flat = rr * V.shape[1] + cc
+    src, dst = map(np.concatenate, zip(*_neighbour_positions(
+        flat, rr, cc, V.shape, ((0, 1), (1, -1), (1, 0), (1, 1)))))
     root = np.arange(rr.size)
     while True:
         a, b = root[src], root[dst]
@@ -417,6 +429,77 @@ def _normals_agree(a: float, b: float, q: float, sa: float, sb: float, sq: float
     return cos >= cos_tol
 
 
+def _summed_fit(fallback_ab: tuple[float, float], dx: np.ndarray, dy: np.ndarray,
+                z: np.ndarray) -> _PlaneFit:
+    """The fit that add() over the rows (dx, dy, z) in order would build.
+
+    Each sum is accumulated left to right from 0.0 (a cumulative sum, never
+    numpy's pairwise one), so it has the bits of the += chain, signed zeros
+    included.
+    """
+    fit = _PlaneFit(fallback_ab)
+    terms = np.stack([dx * dx, dx * dy, dx, dy * dy, dy, z * dx, z * dy, z])
+    sums = np.cumsum(np.hstack([np.zeros((8, 1)), terms]), axis=1)[:, -1].tolist()
+    fit.sxx, fit.sxy, fit.sx, fit.syy, fit.sy, fit.tx, fit.ty, fit.tz = sums
+    fit.n = dx.size
+    return fit
+
+
+def _misfits(fit: _PlaneFit, dx: np.ndarray, dy: np.ndarray, z: np.ndarray,
+             residual_tol_m: float) -> np.ndarray:
+    """Where fit.holds, called on each row (dx, dy, z) in order, is False.
+
+    The first row within the residual margin switches the fit to its numpy
+    plane, which then decides that row and every later one, as the scalar
+    calls would.
+    """
+    a, b, c = fit.coef
+    res = np.abs(z - (a * dx + b * dy + c))
+    if fit.slack is not None:
+        margin = (RESIDUAL_MARGIN_M + fit.slack * (np.abs(dx) + np.abs(dy) + 1.0)
+                  + 10.0 * _EPS * (np.abs(z) + np.abs(a * dx) + np.abs(b * dy) + abs(c)))
+        close = np.flatnonzero(np.abs(res - residual_tol_m) <= margin)
+        if close.size:
+            fit.coef, fit.slack = fit.plane(), None
+            a, b, c = fit.coef
+            i = close[0]
+            res[i:] = np.abs(z[i:] - (a * dx[i:] + b * dy[i:] + c))
+    return ~(res <= residual_tol_m)
+
+
+class _ComponentCells:
+    """The cells of one component at positions 0 .. size - 1, in (row, col)
+    order, with their centres, elevations and local normals.
+
+    neighbours[i] lists the positions of cell i's 8-neighbours in NEIGH8
+    order; a neighbour outside the component is position size, a sentinel
+    that the growth flags mark as taken.
+    """
+
+    def __init__(self, component, dsm: RasterGrid, normals):
+        cells, A, B, curv = normals
+        shape = dsm.values.shape
+        flat = np.unique(np.ravel_multi_index(
+            np.asarray(component, dtype=np.int64).reshape(-1, 2).T, shape))
+        at = np.minimum(np.searchsorted(cells, flat), cells.size - 1)
+        if cells.size == 0 or (cells[at] != flat).any():
+            raise ValueError("component holds a cell that is not occupied in the surface model")
+        self.size = flat.size
+        self.rr, self.cc = rr, cc = np.divmod(flat, shape[1])
+        self.x = dsm.origin_x + (cc + 0.5) * dsm.cell
+        self.y = dsm.origin_y + (rr + 0.5) * dsm.cell
+        self.z = dsm.values[rr, cc]
+        self.a, self.b, self.k = A[at], B[at], curv[at]
+        self.q = 1.0 / np.sqrt(self.a * self.a + self.b * self.b + 1.0)
+        self.usable = np.isfinite(self.k)
+        nb = np.full((self.size, len(NEIGH8)), self.size)
+        for d, (i, j) in enumerate(_neighbour_positions(flat, rr, cc, shape, NEIGH8)):
+            nb[i, d] = j
+        self.neighbours = nb.tolist()
+        # Python floats for the per-cell growth loop
+        self.xs, self.ys, self.zs = self.x.tolist(), self.y.tolist(), self.z.tolist()
+
+
 def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
                   residual_tol_m: float = 0.2, normals=None) -> list[RoofSegment]:
     """Split one connected component into planar segments.
@@ -434,100 +517,100 @@ def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
         return []
     if normals is None:
         normals = local_normals(dsm)
-    cells, A, B, curv = normals
-    h = dsm.cell
-    rr, cc = np.asarray(component, dtype=np.int64).reshape(-1, 2).T
-    flat = np.ravel_multi_index((rr, cc), dsm.values.shape)
-    at = np.minimum(np.searchsorted(cells, flat), cells.size - 1)
-    if cells.size == 0 or (cells[at] != flat).any():
-        raise ValueError("component holds a cell that is not occupied in the surface model")
-    a, b, k = A[at], B[at], curv[at]
-    # per cell: center x, y, elevation, gradient, 1 / |normal|, curvature
-    info = dict(zip(map(tuple, component), zip(
-        (dsm.origin_x + (cc + 0.5) * h).tolist(), (dsm.origin_y + (rr + 0.5) * h).tolist(),
-        dsm.values[rr, cc].tolist(), a.tolist(), b.tolist(),
-        (1.0 / np.sqrt(a * a + b * b + 1.0)).tolist(), k.tolist())))
-    order = sorted(info, key=lambda rc: (info[rc][6], rc[0], rc[1]))
+    cells = _ComponentCells(component, dsm, normals)
     cos_tol = math.cos(math.radians(normal_tol_deg))
-    pool = set(info)
+    h = dsm.cell
+    pool = bytearray(b"\x01") * cells.size
     segments: list[RoofSegment] = []
-
-    for seed in order:
-        if seed not in pool:
+    # positions are in (row, col) order, so the stable sort orders seeds by
+    # (curvature, row, col)
+    for seed in np.argsort(cells.k, kind="stable").tolist():
+        if not pool[seed]:
             continue
-        members = _grow_one(seed, pool, info, cos_tol, residual_tol_m)
-        pool -= members
-        cells = sorted(members)
-        x0, y0, _, sa, sb, _, k = info[seed]
-        fit = _PlaneFit((sa, sb) if math.isfinite(k) else (0.0, 0.0))
-        for cell in cells:
-            x, y, z = info[cell][:3]
-            fit.add(x - x0, y - y0, z)
+        members = np.sort(_grow_one(seed, cells, pool, cos_tol, residual_tol_m))
+        for i in members.tolist():
+            pool[i] = 0
+        x0, y0 = cells.xs[seed], cells.ys[seed]
+        fallback = ((float(cells.a[seed]), float(cells.b[seed]))
+                    if math.isfinite(cells.k[seed]) else (0.0, 0.0))
+        fit = _summed_fit(fallback, cells.x[members] - x0, cells.y[members] - y0,
+                          cells.z[members])
         pa, pb, c_loc = fit.plane()
         plane = (pa, pb, c_loc - pa * x0 - pb * y0)
         slope = math.degrees(math.atan(math.hypot(pa, pb)))
-        segments.append(RoofSegment(cells, plane, slope, len(cells) * h * h))
+        rc = list(zip(cells.rr[members].tolist(), cells.cc[members].tolist()))
+        segments.append(RoofSegment(rc, plane, slope, members.size * h * h))
     return segments
 
 
-def _grow_one(seed, pool, info, cos_tol, residual_tol_m):
-    x0, y0, z0, sa, sb, sq, k = info[seed]
-    if not math.isfinite(k):
-        return {seed}
+def _grow_one(seed: int, cells: _ComponentCells, pool: bytearray, cos_tol: float,
+              residual_tol_m: float) -> list[int]:
+    """Positions of the segment grown from seed over the pool's cells."""
+    if not math.isfinite(cells.k[seed]):
+        return [seed]
+    sa, sb, sq = float(cells.a[seed]), float(cells.b[seed]), float(cells.q[seed])
+    # the normal test depends on the seed alone: decide it for every cell at
+    # once, and send only the close calls to _normals_agree
+    cos = (cells.a * sa + cells.b * sb + 1.0) * cells.q * sq
+    agree = cells.usable & (cos >= cos_tol)
+    for i in np.flatnonzero(cells.usable & (np.abs(cos - cos_tol) <= COS_MARGIN)).tolist():
+        agree[i] = _normals_agree(float(cells.a[i]), float(cells.b[i]), float(cells.q[i]),
+                                  sa, sb, sq, cos_tol)
+    agree = agree.tobytes()
+
+    xs, ys, zs, neighbours = cells.xs, cells.ys, cells.zs, cells.neighbours
+    x0, y0 = xs[seed], ys[seed]
     fit = _PlaneFit((sa, sb))
-    members = {seed}
-    rows = {seed: (0.0, 0.0, z0)}
-    fit.add(0.0, 0.0, z0)
+    member = bytearray(cells.size) + b"\x01"  # the sentinel counts as taken
+    member[seed] = 1
+    joined = [seed]
+    fit.add(0.0, 0.0, zs[seed])
     fit.refit()
 
-    queue = deque()
-    for dr, dc in NEIGH8:
-        nb = (seed[0] + dr, seed[1] + dc)
-        if nb in info:
-            queue.append(nb)
-    while queue:
-        cell = queue.popleft()
-        if cell in members or cell not in pool:
+    # breadth first: the loop reads the queue while extending it
+    queue = list(neighbours[seed])
+    for i in queue:
+        if member[i] or not pool[i] or not agree[i]:
             continue
-        x, y, z, a, b, q, k = info[cell]
-        if not math.isfinite(k) or not _normals_agree(a, b, q, sa, sb, sq, cos_tol):
-            continue
-        dx, dy = x - x0, y - y0
+        dx, dy, z = xs[i] - x0, ys[i] - y0, zs[i]
         if not fit.holds(dx, dy, z, residual_tol_m):
             continue
-        members.add(cell)
-        rows[cell] = (dx, dy, z)
+        member[i] = 1
+        joined.append(i)
         fit.add(dx, dy, z)
         fit.refit()
-        for dr, dc in NEIGH8:
-            nb = (cell[0] + dr, cell[1] + dc)
-            if nb in info and nb not in members:
-                queue.append(nb)
+        queue.extend(neighbours[i])
 
     # evict cells the fit cannot hold and refit, until it holds them all;
     # every round drops at least one non-seed cell, so this ends
-    while True:
-        bad = [cell for cell, (dx, dy, z) in rows.items()
-               if cell != seed and not fit.holds(dx, dy, z, residual_tol_m)]
-        if not bad:
+    evicted = False
+    while len(joined) > 1:
+        at = np.array(joined)
+        dx, dy, z = cells.x[at] - x0, cells.y[at] - y0, cells.z[at]
+        keep = np.concatenate([[True], ~_misfits(fit, dx[1:], dy[1:], z[1:], residual_tol_m)])
+        if keep.all():
             break
-        for cell in bad:
-            members.discard(cell)
-            del rows[cell]
-        fit.rebuild(rows.values())
+        for i in at[~keep].tolist():
+            member[i] = 0
+        joined = at[keep].tolist()
+        fit.rebuild(zip(dx[keep].tolist(), dy[keep].tolist(), z[keep].tolist()))
         fit.refit()
+        evicted = True
+    if not evicted:
+        return joined  # every member joined next to an earlier one
 
     # eviction may have split the patch; keep only the part still touching the seed
-    reachable = {seed}
+    reached = bytearray(cells.size) + b"\x01"
+    reached[seed] = 1
+    out = [seed]
     stack = [seed]
     while stack:
-        r, c = stack.pop()
-        for dr, dc in NEIGH8:
-            nb = (r + dr, c + dc)
-            if nb in members and nb not in reachable:
-                reachable.add(nb)
-                stack.append(nb)
-    return reachable
+        for j in neighbours[stack.pop()]:
+            if member[j] and not reached[j]:
+                reached[j] = 1
+                out.append(j)
+                stack.append(j)
+    return out
 
 
 def segment_cell_centers(segment: RoofSegment, grid: RasterGrid | GridGeometry) -> np.ndarray:
@@ -548,11 +631,11 @@ def assign_segments(segments: list[RoofSegment], buildings: list[BuildingAttribu
     building_id None; callers usually drop those.
     """
     ordered = sorted(buildings, key=lambda b: b.id)
+    boxes = [b.footprint.bounds() for b in ordered]
     for seg in segments:
         centers = segment_cell_centers(seg, grid)
         cx, cy = float(centers[:, 0].mean()), float(centers[:, 1].mean())
-        for b in ordered:
-            x_min, y_min, x_max, y_max = b.footprint.bounds()
+        for b, (x_min, y_min, x_max, y_max) in zip(ordered, boxes):
             if x_min <= cx <= x_max and y_min <= cy <= y_max and b.footprint.contains(cx, cy):
                 seg.building_id = b.id
                 break

@@ -273,7 +273,14 @@ def _temperature_rasters(rng, spec):
 
 
 def generate_city(spec, out_dir):
-    """Write the full dataset into out_dir and return the ground truth."""
+    """Write the full dataset into out_dir and return the ground truth.
+
+    Raises ValueError, before anything is written, when spec.n_buildings is
+    not from 0 to spec.max_buildings.
+    """
+    if not 0 <= spec.n_buildings <= spec.max_buildings:
+        raise ValueError(f"n_buildings must be from 0 to {spec.max_buildings} "
+                         f"(one per parcel), got {spec.n_buildings}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     n_parcels = int(spec.domain_m / spec.parcel_m)

@@ -7,11 +7,15 @@ unit normals wherever the two could disagree. ``_OldPlaneFit``,
 ``_old_grow_one`` and ``_old_grow_segments`` below are the earlier bodies
 (one ``np.outer``, ``matrix_rank`` and ``solve`` per grown cell, eviction
 capped at 50 rounds), kept as oracles: every segment must have the same
-member cells and the same plane and slope bits.
+member cells and the same plane and slope bits. The eviction sweep tests
+all members at once (``roofs._misfits``); it is also checked against
+``_PlaneFit.holds`` called row by row.
 """
+import copy
 import filecmp
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,6 +276,63 @@ def test_strip_takes_rank_guard(dsm, monkeypatch):
     assert any(guarded)
 
 
+def _scalar_checked_misfits(switched_at):
+    """roofs._misfits, checked against fit.holds called row by row on a copy
+    of the fit; appends to switched_at the row at which the copy left the
+    cofactor plane for the numpy one."""
+    misfits = roofs._misfits
+
+    def checked(fit, dx, dy, z, residual_tol_m):
+        twin = copy.copy(fit)
+        expected = []
+        for i, row in enumerate(zip(dx.tolist(), dy.tolist(), z.tolist())):
+            cofactor = twin.slack is not None
+            expected.append(not twin.holds(*row, residual_tol_m))
+            if cofactor and twin.slack is None:
+                switched_at.append(i)
+        bad = misfits(fit, dx, dy, z, residual_tol_m)
+        assert bad.tolist() == expected
+        assert (fit.coef, fit.slack) == (twin.coef, twin.slack)
+        return bad
+
+    return checked
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.01, 0.05, 0.1])
+@settings(max_examples=40, deadline=None)
+@given(dsm=roof_grids(), residual_tol_m=st.sampled_from((0.05, 0.2, 0.5)))
+@example(dsm=_EVICTING, residual_tol_m=0.2)
+def test_wide_residual_margin_matches_numpy_oracle(margin, dsm, residual_tol_m):
+    # a wide margin sends many residual tests to the numpy plane, so close
+    # calls land inside the vectorized eviction sweeps too
+    with mock.patch.object(roofs, "RESIDUAL_MARGIN_M", margin), \
+            mock.patch.object(roofs, "_misfits", _scalar_checked_misfits([])):
+        assert _segments(grow_segments, dsm, 10.0, residual_tol_m) == \
+            _segments(_old_grow_segments, dsm, 10.0, residual_tol_m)
+
+
+@pytest.mark.parametrize("margin", [0.01, 0.05])
+def test_evicting_roof_switches_plane_inside_a_sweep(margin, monkeypatch):
+    # an eviction sweep of the noisy roof meets a close call after its first
+    # row, so the rows before it keep the cofactor plane's verdict
+    switched_at = []
+    monkeypatch.setattr(roofs, "RESIDUAL_MARGIN_M", margin)
+    monkeypatch.setattr(roofs, "_misfits", _scalar_checked_misfits(switched_at))
+    assert _segments(grow_segments, _EVICTING) == _segments(_old_grow_segments, _EVICTING)
+    assert any(i > 0 for i in switched_at)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dsm=roof_grids(), shuffle=st.randoms(use_true_random=False))
+def test_grow_segments_ignores_cell_order(dsm, shuffle):
+    normals = local_normals(dsm)
+    for comp in label_components(dsm):
+        shuffled = list(comp)
+        shuffle.shuffle(shuffled)
+        assert [(s.cells, _bits(s.plane)) for s in grow_segments(shuffled, dsm, normals=normals)] \
+            == [(s.cells, _bits(s.plane)) for s in grow_segments(comp, dsm, normals=normals)]
+
+
 COORD = st.floats(-30.0, 30.0)
 
 
@@ -305,6 +366,40 @@ def test_normal_decision_matches_numpy_at_the_tolerance(cell, seed):
     cos = float(_unit_normal(a, b) @ _unit_normal(sa, sb))
     for tol in (np.nextafter(cos, -np.inf), cos, np.nextafter(cos, np.inf)):
         assert _normals_agree(a, b, q, sa, sb, sq, float(tol)) == (not cos < tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(COORD, COORD, st.floats(-5.0, 60.0)), min_size=3, max_size=12),
+       coef=st.tuples(GRADIENT, GRADIENT, st.floats(-5.0, 60.0)), slack=st.floats(0.0, 0.1),
+       residual_tol_m=st.sampled_from((0.05, 0.2, 0.5)))
+@example(rows=[(0.0, 0.0, 10.0), (1.0, 0.0, 9.7), (0.0, 1.0, 10.0), (1.0, 1.0, 10.0),
+               (2.0, 2.0, 10.0)], coef=(0.0, 0.0, 9.5), slack=0.0, residual_tol_m=0.2)
+def test_eviction_sweep_copies_holds_row_by_row(rows, coef, slack, residual_tol_m):
+    # a made-up plane stands in for the cofactor one; it can disagree with
+    # the numpy plane outside the margin, so each verdict shows which plane
+    # gave it (in the example, the first row is decided before the close
+    # call on the second)
+    fit = _PlaneFit((0.0, 0.0))
+    for row in rows:
+        fit.add(*row)
+    fit.coef, fit.slack = coef, slack
+    dx, dy, z = np.array(rows).T
+    _scalar_checked_misfits([])(fit, dx, dy, z, residual_tol_m)
+
+
+def test_close_normal_calls_go_to_numpy(monkeypatch):
+    # an infinite margin makes every usable cell's normal test a close call
+    asked = []
+    agree = roofs._normals_agree
+
+    def spied(*args):
+        asked.append(args)
+        return agree(*args)
+
+    monkeypatch.setattr(roofs, "COS_MARGIN", math.inf)
+    monkeypatch.setattr(roofs, "_normals_agree", spied)
+    assert _segments(grow_segments, _EVICTING) == _segments(_old_grow_segments, _EVICTING)
+    assert asked
 
 
 def test_numpy_path_alone_gives_the_same_segments(small_city, tmp_path, monkeypatch):

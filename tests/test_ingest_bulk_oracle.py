@@ -19,7 +19,6 @@ rejects those files, and the oracle is compared on the others.
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,32 +229,30 @@ def _outcome_raster(read, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=point_files(), block=st.sampled_from((1, 2, 3, 4096)))
-@example(text="x,y,z,class\n1_0,١٢,１２,٢\n", block=4096)
-@example(text="1,2,3,1\r\n\r\n  \r\n4,5,6,2\r\n", block=1)
-@example(text="x,y,z,class\n", block=1)
-@example(text="\x1c1,2,3,1\n", block=4096)
-@example(text="1,2,3,99999999999999999999\n", block=4096)
-@example(text="1,2,Infinity,1\n", block=4096)
-@example(text="1,-nan,3,1\n", block=4096)
-@example(text="\n\n\n1,2,3,1\n", block=2)
-@example(text="", block=4096)
-@example(text="1_0,2,3_5,0_1\n", block=4096)
-@example(text="+1,+2.5,+3e0,+2\n", block=4096)
-@example(text=" 1 , 2 ,\t3\t, 2 \n", block=4096)
-@example(text="x,y,z,class\r\n1,2,3,1\r\n4,5,6,2\r\n", block=4096)
-@example(text="1,2,3,1\n\n\n4,5,6,2\n\n", block=4096)
-@example(text="x,y,z,class", block=4096)
-@example(text="7.5,8.25,9,3", block=4096)
-@example(text="x,y,z,class\n7.5,8.25,9,3\n", block=4096)
-@example(text="1,2\x1c,3,1\n", block=4096)
-@example(text="1,2,3,\u01fe\n", block=4096)
-def test_point_cloud_matches_line_loop(tmp_path_factory, text, block):
+@given(text=point_files())
+@example(text="x,y,z,class\n1_0,١٢,１２,٢\n")
+@example(text="1,2,3,1\r\n\r\n  \r\n4,5,6,2\r\n")
+@example(text="x,y,z,class\n")
+@example(text="\x1c1,2,3,1\n")
+@example(text="1,2,3,99999999999999999999\n")
+@example(text="1,2,Infinity,1\n")
+@example(text="1,-nan,3,1\n")
+@example(text="\n\n\n1,2,3,1\n")
+@example(text="")
+@example(text="1_0,2,3_5,0_1\n")
+@example(text="+1,+2.5,+3e0,+2\n")
+@example(text=" 1 , 2 ,\t3\t, 2 \n")
+@example(text="x,y,z,class\r\n1,2,3,1\r\n4,5,6,2\r\n")
+@example(text="1,2,3,1\n\n\n4,5,6,2\n\n")
+@example(text="x,y,z,class")
+@example(text="7.5,8.25,9,3")
+@example(text="x,y,z,class\n7.5,8.25,9,3\n")
+@example(text="1,2\x1c,3,1\n")
+@example(text="1,2,3,\u01fe\n")
+def test_point_cloud_matches_line_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("pc") / "points.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(ingest, "POINT_BLOCK_LINES", block):
-        got = _outcome_points(read_point_cloud, path)
-    assert got == _outcome_points(_old_read_point_cloud, path)
+    assert _outcome_points(read_point_cloud, path) == _outcome_points(_old_read_point_cloud, path)
 
 
 @pytest.mark.parametrize("text, message", [

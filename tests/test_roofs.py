@@ -503,13 +503,20 @@ def test_extract_all_containment_work_is_per_footprint(monkeypatch):
     assert calls["points_in_polygon"] <= 2 * len(buildings) + calls["segments"]
 
 
-def test_extract_peak_memory_follows_the_roofs(tmp_path):
+@pytest.fixture(scope="module")
+def sparse_city(tmp_path_factory):
+    """Points and footprints of the seed-7, 15-building city."""
+    city = tmp_path_factory.mktemp("sparse")
+    generate_city(SyntheticCitySpec(seed=7, n_buildings=15), str(city))
+    return (read_point_cloud(str(city / "points.csv")),
+            read_footprints(str(city / "footprints.geojson")))
+
+
+def test_extract_peak_memory_follows_the_roofs(sparse_city):
     # the surface model spans the scene while roofs fill a few per cent of
     # it: extraction may hold the rasterized and the wall-filtered grid at
     # once, but no third scene-sized array
-    generate_city(SyntheticCitySpec(seed=7, n_buildings=15), str(tmp_path))
-    pc = read_point_cloud(str(tmp_path / "points.csv"))
-    buildings = read_footprints(str(tmp_path / "footprints.geojson"))
+    pc, buildings = sparse_city
     tracemalloc.start()
     try:
         out = extract_all(pc, buildings, RoofParams())
@@ -519,3 +526,32 @@ def test_extract_peak_memory_follows_the_roofs(tmp_path):
     grid = out.dsm.values
     assert min(grid.shape) >= 1000
     assert peak <= 3 * grid.nbytes
+
+
+def test_region_growing_fits_each_cell_once(sparse_city, monkeypatch):
+    # growth adds and refits each cell as it joins and tests it with holds
+    # before that; the final fits and the eviction sweeps are whole-array,
+    # so on this city (no cell rejected on its residual) holds runs at most
+    # once per non-seed cell
+    calls = {"add": 0, "refit": 0, "holds": 0, "segments": 0}
+    for name in ("add", "refit", "holds"):
+        method = getattr(roofs._PlaneFit, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(roofs._PlaneFit, name, counted)
+    grow = roofs.grow_segments
+
+    def counted_grow(*args, **kwargs):
+        segs = grow(*args, **kwargs)
+        calls["segments"] += len(segs)
+        return segs
+
+    monkeypatch.setattr(roofs, "grow_segments", counted_grow)
+    out = extract_all(*sparse_city, RoofParams())
+    cells = int(np.isfinite(out.dsm.values).sum())
+    assert cells == 5244
+    assert calls["add"] == calls["refit"] == cells
+    assert calls["holds"] <= cells - calls["segments"]

@@ -1,6 +1,7 @@
 import filecmp
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ def test_empty_city_still_valid(tmp_path):
     pc = read_point_cloud(str(out / "points.csv"))
     assert pc.xyz.shape[0] > 0
     assert len(read_footprints(str(out / "footprints.geojson"))) == 0
+
+
+@pytest.mark.parametrize("n_buildings", [-3, 200])
+def test_building_count_out_of_range_writes_nothing(tmp_path, n_buildings):
+    # checked before out_dir is made, not left to numpy's sampling
+    out = tmp_path / "a"
+    message = f"n_buildings must be from 0 to 144 (one per parcel), got {n_buildings}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_city(SyntheticCitySpec(n_buildings=n_buildings), str(out))
+    assert not out.exists()
 
 
 def test_roads_parse_with_both_classes(tmp_path):
