@@ -21,7 +21,11 @@ its cells, with a neighbor table from the same binary search. Per seed,
 the normal test covers all of the component's cells in one array
 expression; a segment's eviction sweeps and its final plane fit are
 whole-array too. Only the breadth-first growth visits cells one by one,
-because each cell it takes changes the running plane fit.
+because each cell it takes changes the running plane fit. Every growth and
+eviction decision is one float comparison, a cosine against the normal
+tolerance or a residual against the residual tolerance. The residuals come
+from plane fits solved by cofactors in Python floats, so no BLAS kernel
+touches a decision, except after a fit that the rank guard hands to numpy.
 """
 from __future__ import annotations
 
@@ -297,44 +301,24 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return np.ravel_multi_index((rr, cc), V.shape), best_a, best_b, best_res
 
 
-def _unit_normal(a: float, b: float) -> np.ndarray:
-    n = np.array([-a, -b, 1.0])
-    return n / np.linalg.norm(n)
-
-
 # ---------------------------------------------------------------------------
 # region growing
 # ---------------------------------------------------------------------------
 
 # Growth and eviction decide on a plane solved by cofactors in Python floats
-# (_PlaneFit.refit); the final per-segment plane and every guarded decision
-# use the numpy solve (_PlaneFit.plane). Each decision equals the one the
-# numpy plane gives, because a guard sends it to numpy wherever the two
-# solves could disagree. With eps the float64 machine epsilon:
+# (_PlaneFit.refit) and on a float cosine: IEEE arithmetic that gives the
+# same decisions on every machine. The final per-segment plane, and the
+# plane of a refit the rank guard stops, come from the numpy solve
+# (_PlaneFit.plane). With eps the float64 machine epsilon:
 #
 # * Rank guard. The normal matrix S is symmetric positive semi-definite with
 #   eigenvalues l1 >= l2 >= l3; l1 * l2 <= (trace / 2)**2, so
 #   4 * det / trace**2 <= l3. Cofactors are used only when that bound
 #   exceeds RANK_GUARD, a hundred times matrix_rank's 1e-8 tolerance, plus
 #   the SVD's rounding (eps * trace): numpy then also finds rank 3 and
-#   solves. The bound also caps the condition number,
-#   l1 / l3 <= kappa = trace**3 / (4 * det).
-# * Residual margin. To first order the cofactor solve is within about
-#   16 * eps * kappa * max|(a, b, c)| of the exact plane, and LU with partial
-#   pivoting within about 108 * eps * kappa * max|(a, b, c)|, so the two
-#   planes differ by under SOLVE_ERROR_ULPS * eps * kappa * max|(a, b, c)|
-#   per coefficient, the residuals of one cell by that times
-#   |dx| + |dy| + 1, and the two residual evaluations (five roundings each)
-#   by 10 * eps * (|z| + |a * dx| + |b * dy| + |c|) more. A residual within
-#   that sum plus RESIDUAL_MARGIN_M of the tolerance is decided by plane().
-#   On synthetic cities the measured gap stays below 1/4000 of the margin.
-# * Cosine margin. Both cosines of the normal test take about ten roundings
-#   on terms whose magnitudes sum to at most 1 (Cauchy-Schwarz), so they
-#   differ by under 3e-15; COS_MARGIN leaves a factor above 300.
+#   solves. Near-singular member sets, such as a one-cell-wide strip, go to
+#   plane(), which keeps the seed's gradient where numpy finds rank below 3.
 RANK_GUARD = 1e-6
-RESIDUAL_MARGIN_M = 1e-7
-SOLVE_ERROR_ULPS = 256.0
-COS_MARGIN = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -392,41 +376,21 @@ class _PlaneFit:
         det = sxx * c00 + sxy * c01 + sx * c02
         trace = sxx + syy + n
         if self.n < 3 or 4.0 * det <= (RANK_GUARD + _EPS * trace) * trace * trace:
-            self.coef, self.slack = self.plane(), None
+            self.coef = self.plane()
             return
         c11 = sxx * n - sx * sx
         c12 = sxy * sx - sxx * sy
         c22 = sxx * syy - sxy * sxy
         tx, ty, tz = self.tx, self.ty, self.tz
-        a = (c00 * tx + c01 * ty + c02 * tz) / det
-        b = (c01 * tx + c11 * ty + c12 * tz) / det
-        c = (c02 * tx + c12 * ty + c22 * tz) / det
-        self.coef = (a, b, c)
-        self.slack = (SOLVE_ERROR_ULPS * _EPS * trace ** 3 / (4.0 * det)
-                      * max(abs(a), abs(b), abs(c)))
+        self.coef = ((c00 * tx + c01 * ty + c02 * tz) / det,
+                     (c01 * tx + c11 * ty + c12 * tz) / det,
+                     (c02 * tx + c12 * ty + c22 * tz) / det)
 
-    def holds(self, dx: float, dy: float, z: float, residual_tol_m: float) -> bool:
-        """Whether the cell lies within residual_tol_m of the current plane,
-        decided as the numpy plane decides it."""
+    def holds(self, dx, dy, z, residual_tol_m: float):
+        """Whether the cell lies within residual_tol_m of the current plane;
+        given arrays of cells, the same test per cell, as an array."""
         a, b, c = self.coef
-        res = abs(z - (a * dx + b * dy + c))
-        if self.slack is not None:
-            margin = (RESIDUAL_MARGIN_M + self.slack * (abs(dx) + abs(dy) + 1.0)
-                      + 10.0 * _EPS * (abs(z) + abs(a * dx) + abs(b * dy) + abs(c)))
-            if abs(res - residual_tol_m) <= margin:
-                self.coef, self.slack = self.plane(), None
-                return self.holds(dx, dy, z, residual_tol_m)
-        return res <= residual_tol_m
-
-
-def _normals_agree(a: float, b: float, q: float, sa: float, sb: float, sq: float,
-                   cos_tol: float) -> bool:
-    """Whether the unit normals of gradients (a, b) and (sa, sb) are within
-    cos_tol of each other; q and sq are 1 / |(-a, -b, 1)| and its seed twin."""
-    cos = (a * sa + b * sb + 1.0) * q * sq
-    if abs(cos - cos_tol) <= COS_MARGIN:
-        return float(_unit_normal(a, b) @ _unit_normal(sa, sb)) >= cos_tol
-    return cos >= cos_tol
+        return abs(z - (a * dx + b * dy + c)) <= residual_tol_m
 
 
 def _summed_fit(fallback_ab: tuple[float, float], dx: np.ndarray, dy: np.ndarray,
@@ -443,28 +407,6 @@ def _summed_fit(fallback_ab: tuple[float, float], dx: np.ndarray, dy: np.ndarray
     fit.sxx, fit.sxy, fit.sx, fit.syy, fit.sy, fit.tx, fit.ty, fit.tz = sums
     fit.n = dx.size
     return fit
-
-
-def _misfits(fit: _PlaneFit, dx: np.ndarray, dy: np.ndarray, z: np.ndarray,
-             residual_tol_m: float) -> np.ndarray:
-    """Where fit.holds, called on each row (dx, dy, z) in order, is False.
-
-    The first row within the residual margin switches the fit to its numpy
-    plane, which then decides that row and every later one, as the scalar
-    calls would.
-    """
-    a, b, c = fit.coef
-    res = np.abs(z - (a * dx + b * dy + c))
-    if fit.slack is not None:
-        margin = (RESIDUAL_MARGIN_M + fit.slack * (np.abs(dx) + np.abs(dy) + 1.0)
-                  + 10.0 * _EPS * (np.abs(z) + np.abs(a * dx) + np.abs(b * dy) + abs(c)))
-        close = np.flatnonzero(np.abs(res - residual_tol_m) <= margin)
-        if close.size:
-            fit.coef, fit.slack = fit.plane(), None
-            a, b, c = fit.coef
-            i = close[0]
-            res[i:] = np.abs(z[i:] - (a * dx[i:] + b * dy[i:] + c))
-    return ~(res <= residual_tol_m)
 
 
 class _ComponentCells:
@@ -549,14 +491,9 @@ def _grow_one(seed: int, cells: _ComponentCells, pool: bytearray, cos_tol: float
     if not math.isfinite(cells.k[seed]):
         return [seed]
     sa, sb, sq = float(cells.a[seed]), float(cells.b[seed]), float(cells.q[seed])
-    # the normal test depends on the seed alone: decide it for every cell at
-    # once, and send only the close calls to _normals_agree
+    # the normal test depends on the seed alone: decide it for every cell at once
     cos = (cells.a * sa + cells.b * sb + 1.0) * cells.q * sq
-    agree = cells.usable & (cos >= cos_tol)
-    for i in np.flatnonzero(cells.usable & (np.abs(cos - cos_tol) <= COS_MARGIN)).tolist():
-        agree[i] = _normals_agree(float(cells.a[i]), float(cells.b[i]), float(cells.q[i]),
-                                  sa, sb, sq, cos_tol)
-    agree = agree.tobytes()
+    agree = (cells.usable & (cos >= cos_tol)).tobytes()
 
     xs, ys, zs, neighbours = cells.xs, cells.ys, cells.zs, cells.neighbours
     x0, y0 = xs[seed], ys[seed]
@@ -587,7 +524,7 @@ def _grow_one(seed: int, cells: _ComponentCells, pool: bytearray, cos_tol: float
     while len(joined) > 1:
         at = np.array(joined)
         dx, dy, z = cells.x[at] - x0, cells.y[at] - y0, cells.z[at]
-        keep = np.concatenate([[True], ~_misfits(fit, dx[1:], dy[1:], z[1:], residual_tol_m)])
+        keep = np.concatenate([[True], fit.holds(dx[1:], dy[1:], z[1:], residual_tol_m)])
         if keep.all():
             break
         for i in at[~keep].tolist():

@@ -531,17 +531,38 @@ def test_extract_peak_memory_follows_the_roofs(sparse_city):
 def test_region_growing_fits_each_cell_once(sparse_city, monkeypatch):
     # growth adds and refits each cell as it joins and tests it with holds
     # before that; the final fits and the eviction sweeps are whole-array,
-    # so on this city (no cell rejected on its residual) holds runs at most
-    # once per non-seed cell
-    calls = {"add": 0, "refit": 0, "holds": 0, "segments": 0}
-    for name in ("add", "refit", "holds"):
-        method = getattr(roofs._PlaneFit, name)
+    # so on this city (no cell rejected on its residual) holds runs on one
+    # cell at most once per non-seed cell. No growth or eviction decision
+    # reaches numpy: plane runs once per segment for its final fit, and
+    # inside refit only where the rank guard stops the cofactor solve, which
+    # on this city is a segment's first one or two cells, never three or more
+    calls = {"add": 0, "refit": 0, "holds": 0, "segments": 0, "plane": 0,
+             "refit below 3": 0, "refit by plane": 0}
+    fit = roofs._PlaneFit
+    add, refit, holds, plane = fit.add, fit.refit, fit.holds, fit.plane
 
-        def counted(*args, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(*args)
+    def counted_add(self, *row):
+        calls["add"] += 1
+        return add(self, *row)
 
-        monkeypatch.setattr(roofs._PlaneFit, name, counted)
+    def counted_refit(self):
+        calls["refit"] += 1
+        calls["refit below 3"] += self.n < 3
+        before = calls["plane"]
+        refit(self)
+        calls["refit by plane"] += calls["plane"] > before
+
+    def counted_holds(self, dx, dy, z, residual_tol_m):
+        calls["holds"] += np.ndim(dx) == 0  # the sweep's array calls aside
+        return holds(self, dx, dy, z, residual_tol_m)
+
+    def counted_plane(self):
+        calls["plane"] += 1
+        return plane(self)
+
+    for name, method in (("add", counted_add), ("refit", counted_refit),
+                         ("holds", counted_holds), ("plane", counted_plane)):
+        monkeypatch.setattr(fit, name, method)
     grow = roofs.grow_segments
 
     def counted_grow(*args, **kwargs):
@@ -555,3 +576,5 @@ def test_region_growing_fits_each_cell_once(sparse_city, monkeypatch):
     assert cells == 5244
     assert calls["add"] == calls["refit"] == cells
     assert calls["holds"] <= cells - calls["segments"]
+    assert calls["refit by plane"] == calls["refit below 3"] > 0
+    assert calls["plane"] == calls["segments"] + calls["refit by plane"]
