@@ -8,6 +8,7 @@ unchanged inputs reproduces its files byte for byte.
 
 import argparse
 import csv
+import math
 import os
 import sys
 from collections import namedtuple
@@ -160,7 +161,9 @@ def _write_table(cfg, name, rows):
 
 
 def _f(v):
-    return f"{float(v):.6f}"
+    """v at 6 decimals; a value that rounds to zero prints without a sign."""
+    text = f"{float(v):.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _write_surface(grid, path):
@@ -355,8 +358,11 @@ def cmd_prioritize(cfg):
         [s, FLAGS[s == cfg.scheme]] + [f"{w:.9f}" for w in weights[s]]
         for s in WEIGHT_SCHEMES])
 
-    per_scheme = {s: matrix @ weights[s] for s in WEIGHT_SCHEMES}
-    active = {bid: float(p) for bid, p in zip(ids, per_scheme[cfg.scheme])}
+    # a correctly rounded sum per building, not a BLAS product whose last
+    # bits follow the kernel
+    per_scheme = {s: [math.fsum(row) for row in (matrix * weights[s]).tolist()]
+                  for s in WEIGHT_SCHEMES}
+    active = dict(zip(ids, per_scheme[cfg.scheme]))
     ranked = rank_buildings(active)
     order = {s.building_id: s for s in ranked}
     p_rows = []

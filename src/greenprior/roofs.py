@@ -24,8 +24,8 @@ whole-array too. Only the breadth-first growth visits cells one by one,
 because each cell it takes changes the running plane fit. Every growth and
 eviction decision is one float comparison, a cosine against the normal
 tolerance or a residual against the residual tolerance. The residuals come
-from plane fits solved by cofactors in Python floats, so no BLAS kernel
-touches a decision, except after a fit that the rank guard hands to numpy.
+from plane fits solved by cofactors in Python floats, as does each
+segment's final plane, so no BLAS kernel touches a decision or a plane.
 """
 from __future__ import annotations
 
@@ -305,29 +305,21 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 # region growing
 # ---------------------------------------------------------------------------
 
-# Growth and eviction decide on a plane solved by cofactors in Python floats
-# (_PlaneFit.refit) and on a float cosine: IEEE arithmetic that gives the
-# same decisions on every machine. The final per-segment plane, and the
-# plane of a refit the rank guard stops, come from the numpy solve
-# (_PlaneFit.plane). With eps the float64 machine epsilon:
-#
-# * Rank guard. The normal matrix S is symmetric positive semi-definite with
-#   eigenvalues l1 >= l2 >= l3; l1 * l2 <= (trace / 2)**2, so
-#   4 * det / trace**2 <= l3. Cofactors are used only when that bound
-#   exceeds RANK_GUARD, a hundred times matrix_rank's 1e-8 tolerance, plus
-#   the SVD's rounding (eps * trace): numpy then also finds rank 3 and
-#   solves. Near-singular member sets, such as a one-cell-wide strip, go to
-#   plane(), which keeps the seed's gradient where numpy finds rank below 3.
+# Growth, eviction and each segment's final plane use one solve: the plane
+# by cofactors in Python floats (_PlaneFit.plane), IEEE arithmetic that gives
+# the same bits on every machine. The normal matrix S is symmetric positive
+# semi-definite with eigenvalues l1 >= l2 >= l3; l1 * l2 <= (trace / 2)**2, so
+# 4 * det / trace**2 <= l3. A fit with 4 * det / trace**2 <= RANK_GUARD, such
+# as a one-cell-wide strip, fixes no plane well: it keeps the seed's gradient
+# and fits only the offset.
 RANK_GUARD = 1e-6
-_EPS = float(np.finfo(float).eps)
 
 
 class _PlaneFit:
     """Running least-squares plane over cells, in seed-local coordinates.
 
-    The normal equations S @ (a, b, c) = t are kept as their nine sums,
-    added in the same order as the elementwise ``S += outer(v, v)``,
-    ``t += z * v`` with v = (dx, dy, 1), so both solves see the same bits.
+    The normal equations S @ (a, b, c) = t, with v = (dx, dy, 1), are kept
+    as their nine sums of ``outer(v, v)`` and ``z * v`` over the cells.
     """
 
     def __init__(self, fallback_ab: tuple[float, float]):
@@ -353,21 +345,9 @@ class _PlaneFit:
             self.add(dx, dy, z)
 
     def plane(self) -> tuple[float, float, float]:
-        """(a, b, c) minimizing squared residuals; degenerate member sets
-        keep the seed's local gradient and only fit the offset."""
-        if self.n >= 3:
-            S = np.array([[self.sxx, self.sxy, self.sx],
-                          [self.sxy, self.syy, self.sy],
-                          [self.sx, self.sy, float(self.n)]])
-            if np.linalg.matrix_rank(S, tol=1e-8) == 3:
-                a, b, c = np.linalg.solve(S, np.array([self.tx, self.ty, self.tz]))
-                return float(a), float(b), float(c)
-        a, b = self.fallback_ab
-        return a, b, (self.tz - a * self.sx - b * self.sy) / max(self.n, 1)
-
-    def refit(self):
-        """Set the plane the residual tests use: by cofactors when the rank
-        guard passes, else the numpy plane."""
+        """(a, b, c) minimizing squared residuals, by cofactors; member sets
+        that the rank guard stops keep the seed's local gradient and only
+        fit the offset."""
         sxx, sxy, sx, syy, sy = self.sxx, self.sxy, self.sx, self.syy, self.sy
         n = float(self.n)
         c00 = syy * n - sy * sy
@@ -375,16 +355,20 @@ class _PlaneFit:
         c02 = sxy * sy - syy * sx
         det = sxx * c00 + sxy * c01 + sx * c02
         trace = sxx + syy + n
-        if self.n < 3 or 4.0 * det <= (RANK_GUARD + _EPS * trace) * trace * trace:
-            self.coef = self.plane()
-            return
+        if self.n < 3 or 4.0 * det <= RANK_GUARD * trace * trace:
+            a, b = self.fallback_ab
+            return a, b, (self.tz - a * sx - b * sy) / max(self.n, 1)
         c11 = sxx * n - sx * sx
         c12 = sxy * sx - sxx * sy
         c22 = sxx * syy - sxy * sxy
         tx, ty, tz = self.tx, self.ty, self.tz
-        self.coef = ((c00 * tx + c01 * ty + c02 * tz) / det,
-                     (c01 * tx + c11 * ty + c12 * tz) / det,
-                     (c02 * tx + c12 * ty + c22 * tz) / det)
+        return ((c00 * tx + c01 * ty + c02 * tz) / det,
+                (c01 * tx + c11 * ty + c12 * tz) / det,
+                (c02 * tx + c12 * ty + c22 * tz) / det)
+
+    def refit(self):
+        """Set the plane the residual tests use."""
+        self.coef = self.plane()
 
     def holds(self, dx, dy, z, residual_tol_m: float):
         """Whether the cell lies within residual_tol_m of the current plane;

@@ -7,13 +7,17 @@ population grid are all built by ``geocore.snapped_grid`` and
 ``roofs._PlaneFit`` reads its fallback offset from its normal equations.
 The functions below are the earlier bodies, kept as oracles: the new code
 must give the same origin, shape, cell indices and floats to the last bit.
+The one exception is the plane a ``_PlaneFit`` solves by cofactors, which
+is checked against the exact plane (``exact_plane``) within a stated bound.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact_plane import cofactors, exact_terms, fit_sums, rank_guard_stops
 from greenprior import interp
 from greenprior.benefits import population_grid_from_points
 from greenprior.geocore import BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, snapped_grid
@@ -291,11 +295,12 @@ def test_gamma_matches_inline_expression(kind, nugget, partial, range_m, lags):
 
 
 # ---------------------------------------------------------------------------
-# plane fit fallback offset
+# plane fit: fallback offset and cofactor solve
 # ---------------------------------------------------------------------------
 
 COORD = st.floats(-30.0, 30.0)
 Z = st.floats(-5.0, 60.0)
+EPS = float(np.finfo(float).eps)
 
 
 def _fits(fallback, rows):
@@ -336,4 +341,23 @@ def test_plane_fallback_with_collinear_cells(fallback, direction, steps, zs):
 @given(fallback=st.tuples(COORD, COORD),
        rows=st.lists(st.tuples(COORD, COORD, Z), min_size=3, max_size=12))
 def test_plane_fit_matches_on_any_cells(fallback, rows):
-    _assert_same_plane(*_fits(fallback, rows))
+    # where the rank guard passes, each coefficient lies within 4 eps kappa s
+    # of the exact plane x: kappa = trace**3 / (4 det) bounds the condition
+    # number of the normal matrix from above, and s = |x| + |t| / trace with
+    # t its right-hand side (the worst of 20,000 targeted row sets reached
+    # 0.32 eps kappa s); where the guard stops the fit, the fallback's bits
+    new, old = _fits(fallback, rows)
+    if rank_guard_stops(fit_sums(new)):
+        _assert_same_plane(new, old)
+        return
+    sums = [Fraction(0)] * 9
+    for row in rows:
+        sums = [s + t for s, t in zip(sums, exact_terms(*row))]
+    det, num = cofactors(sums)
+    want = [v / det for v in num]
+    trace = sums[0] + sums[3] + sums[5]
+    kappa = trace ** 3 / (4 * det)
+    bound = 4 * Fraction(EPS) * kappa * (max(map(abs, want)) + max(map(abs, sums[6:])) / trace)
+    got = new.plane()
+    assert [type(v) for v in got] == [float, float, float]
+    assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= bound

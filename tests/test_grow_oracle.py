@@ -3,22 +3,29 @@ exact arithmetic.
 
 ``roofs._grow_one`` decides growth and eviction on a plane solved by
 cofactors from the fit's nine running sums, and the normal test on a cosine
-computed in Python floats. Two oracles check those decisions:
+computed in Python floats; each segment's final plane comes from the same
+cofactor solve. Where the rank guard stops a fit, the plane keeps the
+seed's gradient. Three oracles check this:
 
-* The earlier bodies, ``_OldPlaneFit``, ``_old_grow_one`` and
+* The earlier growth bodies, ``_OldPlaneFit``, ``_old_grow_one`` and
   ``_old_grow_segments`` (one ``np.outer``, ``matrix_rank`` and ``solve``
   per grown cell, unit normals by ``np.linalg.norm``, eviction capped at 50
   rounds). Wherever each of their decisions lies farther than the
   close-call bounds below from its tolerance, every segment must have the
-  same member cells and the same plane and slope bits. Closer calls may go
-  either way on either side: there the numpy plane, the cofactor plane and
-  the exact plane each disagree somewhere.
+  same member cells. Closer calls may go either way on either side: there
+  the numpy plane, the cofactor plane and the exact plane each disagree
+  somewhere.
 * The exact least-squares plane of the fit's float rows, in
   ``fractions.Fraction`` arithmetic. A residual decision must equal the
   exact one whenever the exact residual lies more than
   ``RESIDUAL_BOUND_M`` from the tolerance; a normal decision must equal
   the exact cosine test, decided by comparing squares, whenever the exact
-  cosine lies more than ``COS_BOUND`` from it.
+  cosine lies more than ``COS_BOUND`` from it. A segment's final plane
+  must lie within ``PLANE_BOUND`` and ``PLANE_BOUND_M`` of the exact one
+  where numpy finds its normal matrix of rank 3, and keep the fallback's
+  bits where it does not.
+* numpy's ``matrix_rank`` decides the rank guard: on member sets as growth
+  builds them, the guard stops a fit exactly where numpy finds rank below 3.
 
 The eviction sweep calls ``_PlaneFit.holds`` on arrays of members; it is
 checked against ``holds`` called row by row.
@@ -32,9 +39,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from exact_plane import exact_plane, exact_residual, exact_terms, fit_sums, rank_guard_stops
 from fullgrid_kernels import scatter_normals
 from greenprior import cli, roofs
 from greenprior.geocore import RasterGrid
@@ -54,6 +62,13 @@ from greenprior.roofs import (
 # magnitudes sum to at most 1, so it is within 3e-15 of the exact one.
 RESIDUAL_BOUND_M = 1e-9
 COS_BOUND = 1e-12
+# Final-plane bounds. Over 5,400 segments with an exact oracle plane on
+# the roof grids below, the cofactor gradient stayed within 1.9e-13 of the
+# exact one, and the plane's elevation at member cell centres within
+# 8.1e-10 m, most of that from rounding the world-coordinate offset at
+# origins near 5e6 m.
+PLANE_BOUND = 1e-11
+PLANE_BOUND_M = 1e-8
 
 # ---------------------------------------------------------------------------
 # oracles: the earlier bodies
@@ -85,8 +100,11 @@ class _OldPlaneFit:
         for dx, dy, z in rows:
             self.add(dx, dy, z)
 
+    def full_rank(self):
+        return self.n >= 3 and np.linalg.matrix_rank(self.S, tol=1e-8) == 3
+
     def plane(self):
-        if self.n >= 3 and np.linalg.matrix_rank(self.S, tol=1e-8) == 3:
+        if self.full_rank():
             a, b, c = np.linalg.solve(self.S, self.t)
             return float(a), float(b), float(c)
         a, b = self.fallback_ab
@@ -96,9 +114,11 @@ class _OldPlaneFit:
 
 def _old_grow_segments(component, dsm, normal_tol_deg=10.0, residual_tol_m=0.2, normals=None, *,
                        closest):
-    """The earlier grow_segments; closest, a dict, gets the smallest gap
-    between a residual ("residual") or a cosine ("cos") and its tolerance
-    over all decisions."""
+    """The earlier grow_segments, but each final plane is the exact
+    least-squares plane, as Fractions, where numpy finds the normal matrix
+    of rank 3; closest, a dict, gets the smallest gap between a residual
+    ("residual") or a cosine ("cos") and its tolerance over all
+    decisions."""
     if not component:
         return []
     if normals is None:
@@ -121,11 +141,18 @@ def _old_grow_segments(component, dsm, normal_tol_deg=10.0, residual_tol_m=0.2, 
         x0, y0 = dsm.cell_center(*seed)
         fallback = (float(A[seed]), float(B[seed])) if np.isfinite(curv[seed]) else (0.0, 0.0)
         fit = _OldPlaneFit(fallback)
+        exact = [Fraction(0)] * 9
         for r, c in cells:
             cx, cy = dsm.cell_center(r, c)
-            fit.add(cx - x0, cy - y0, float(V[r, c]))
-        a, b, c_loc = fit.plane()
-        plane = (a, b, c_loc - a * x0 - b * y0)
+            row = (cx - x0, cy - y0, float(V[r, c]))
+            fit.add(*row)
+            exact = [s + t for s, t in zip(exact, exact_terms(*row))]
+        if fit.full_rank():
+            a, b, c_loc = exact_plane(exact, fallback)
+            plane = (a, b, c_loc - a * Fraction(x0) - b * Fraction(y0))
+        else:
+            a, b, c_loc = fit.plane()
+            plane = (a, b, c_loc - a * x0 - b * y0)
         slope = math.degrees(math.atan(math.hypot(a, b)))
         segments.append(RoofSegment(cells, plane, slope, len(cells) * h * h))
     return segments
@@ -212,9 +239,27 @@ def _bits(values):
 def _segments(grow, dsm, normal_tol_deg=10.0, residual_tol_m=0.2, **kwargs):
     # the oracle indexes full grids; grow_segments takes the per-cell form
     normals = local_normals(dsm) if grow is grow_segments else scatter_normals(dsm)
-    return [(s.cells, _bits(s.plane), _bits(s.slope_deg), s.area_m2)
-            for comp in label_components(dsm)
+    return [s for comp in label_components(dsm)
             for s in grow(comp, dsm, normal_tol_deg, residual_tol_m, normals, **kwargs)]
+
+
+def _assert_same_segments(got, want, dsm):
+    """got, grow_segments' segments of dsm, against want, the oracle's: the
+    same member cells and areas. Where the oracle's plane is exact, got's
+    gradient lies within PLANE_BOUND of it, its slope within 100 *
+    PLANE_BOUND degrees, and its elevation within PLANE_BOUND_M at every
+    member cell centre; elsewhere got has the fallback's plane and slope
+    bits."""
+    assert [(s.cells, s.area_m2) for s in got] == [(s.cells, s.area_m2) for s in want]
+    for g, w in zip(got, want):
+        if not isinstance(w.plane[0], Fraction):
+            assert _bits(g.plane) == _bits(w.plane) and _bits(g.slope_deg) == _bits(w.slope_deg)
+            continue
+        (a, b, c), (ea, eb, ec) = map(Fraction, g.plane), w.plane
+        assert max(abs(a - ea), abs(b - eb)) <= PLANE_BOUND
+        assert abs(g.slope_deg - w.slope_deg) <= 100 * PLANE_BOUND
+        for x, y in (map(Fraction, dsm.cell_center(*rc)) for rc in g.cells):
+            assert abs((a - ea) * x + (b - eb) * y + c - ec) <= PLANE_BOUND_M
 
 
 def _oracle_segments(dsm, normal_tol_deg=10.0, residual_tol_m=0.2):
@@ -228,54 +273,15 @@ def _oracle_segments(dsm, normal_tol_deg=10.0, residual_tol_m=0.2):
     return segments, clear
 
 
-# ---------------------------------------------------------------------------
-# oracle: the exact plane
-# ---------------------------------------------------------------------------
-
-
-def _exact_terms(dx, dy, z):
-    """One row's terms of the nine sums, in _PlaneFit's order (n as 1)."""
-    dx, dy, z = Fraction(dx), Fraction(dy), Fraction(z)
-    return dx * dx, dx * dy, dx, dy * dy, dy, 1, z * dx, z * dy, z
-
-
-def _exact_plane(sums):
-    """The least-squares plane (a, b, c) of the exact sums, by Cramer's
-    rule; None when the sums fix no single plane."""
-    sxx, sxy, sx, syy, sy, n, tx, ty, tz = sums
-    c00 = syy * n - sy * sy
-    c01 = sy * sx - sxy * n
-    c02 = sxy * sy - syy * sx
-    det = sxx * c00 + sxy * c01 + sx * c02
-    if det == 0:
-        return None
-    c11 = sxx * n - sx * sx
-    c12 = sxy * sx - sxx * sy
-    c22 = sxx * syy - sxy * sxy
-    return ((c00 * tx + c01 * ty + c02 * tz) / det,
-            (c01 * tx + c11 * ty + c12 * tz) / det,
-            (c02 * tx + c12 * ty + c22 * tz) / det)
-
-
-def _exact_residual(plane, dx, dy, z):
-    a, b, c = plane
-    return abs(Fraction(z) - (a * Fraction(dx) + b * Fraction(dy) + c))
-
-
 @contextmanager
 def _holds_checked_against_exact_plane():
     """Patch _PlaneFit so that every holds verdict, on one cell or on an
-    array of them, is checked against the exact residual of its plane.
-
-    The plane is the exact least-squares plane of the rows added so far
-    where refit solved by cofactors; where the rank guard handed refit the
-    numpy plane, that plane's own float coefficients (the check then covers
-    only the residual arithmetic). Yields counts of the checked verdicts
-    and of the close calls left unchecked.
+    array of them, is checked against the exact residual of its plane, the
+    exact plane (exact_plane) of the rows added so far. Yields counts of
+    the checked verdicts and of the close calls left unchecked.
     """
     counts = {"checked": 0, "close": 0}
-    rebuild, add, plane, refit, holds = (_PlaneFit.rebuild, _PlaneFit.add, _PlaneFit.plane,
-                                         _PlaneFit.refit, _PlaneFit.holds)
+    rebuild, add, refit, holds = _PlaneFit.rebuild, _PlaneFit.add, _PlaneFit.refit, _PlaneFit.holds
 
     def exact_rebuild(self, rows):
         self.exact = [Fraction(0)] * 9
@@ -283,24 +289,18 @@ def _holds_checked_against_exact_plane():
 
     def exact_add(self, dx, dy, z):
         add(self, dx, dy, z)
-        self.exact = [s + t for s, t in zip(self.exact, _exact_terms(dx, dy, z))]
-
-    def spied_plane(self):
-        self.numpy_plane = True
-        return plane(self)
+        self.exact = [s + t for s, t in zip(self.exact, exact_terms(dx, dy, z))]
 
     def exact_refit(self):
-        self.numpy_plane = False
         refit(self)
-        self.exact_coef = (tuple(map(Fraction, self.coef)) if self.numpy_plane
-                           else _exact_plane(self.exact))
+        self.exact_coef = exact_plane(self.exact, self.fallback_ab)
 
     def checked_holds(self, dx, dy, z, residual_tol_m):
         verdict = holds(self, dx, dy, z, residual_tol_m)
         rows = zip(*(np.atleast_1d(v).tolist() for v in (dx, dy, z)))
         tol = Fraction(residual_tol_m)
         for row, got in zip(rows, np.atleast_1d(verdict).tolist()):
-            res = _exact_residual(self.exact_coef, *row)
+            res = exact_residual(self.exact_coef, *row)
             if abs(res - tol) > RESIDUAL_BOUND_M:
                 assert got == (res <= tol), row
                 counts["checked"] += 1
@@ -310,7 +310,6 @@ def _holds_checked_against_exact_plane():
 
     with mock.patch.object(_PlaneFit, "rebuild", exact_rebuild), \
             mock.patch.object(_PlaneFit, "add", exact_add), \
-            mock.patch.object(_PlaneFit, "plane", spied_plane), \
             mock.patch.object(_PlaneFit, "refit", exact_refit), \
             mock.patch.object(_PlaneFit, "holds", checked_holds):
         yield counts
@@ -431,7 +430,8 @@ def test_grow_segments_matches_numpy_oracle(dsm, normal_tol_deg, residual_tol_m)
     if not clear:
         event("close call: segments not compared")
         return
-    assert _segments(grow_segments, dsm, normal_tol_deg, residual_tol_m) == expected
+    _assert_same_segments(_segments(grow_segments, dsm, normal_tol_deg, residual_tol_m), expected,
+                          dsm)
 
 
 def test_close_call_strip_is_left_to_the_exact_oracle():
@@ -468,7 +468,7 @@ def test_evicting_roof_evicts(monkeypatch):
     monkeypatch.setattr(_PlaneFit, "rebuild", counted)
     expected, clear = _oracle_segments(_EVICTING)
     assert clear
-    assert _segments(grow_segments, _EVICTING) == expected
+    _assert_same_segments(_segments(grow_segments, _EVICTING), expected, _EVICTING)
     assert any(rebuilt)  # a rebuild over remaining members is an eviction round
 
 
@@ -495,30 +495,22 @@ def test_numpy_path_alone_gives_the_same_segments(small_city, tmp_path, monkeypa
 @pytest.mark.parametrize("dsm", [_STRIP, _SLOPED_STRIP, _DIAGONAL_STRIP],
                          ids=["valley", "sloped_ridge", "diagonal_valley"])
 def test_strip_takes_rank_guard(dsm, monkeypatch):
-    # a collinear segment fails the rank guard, so refit takes the numpy
-    # plane: plane runs inside refit on a fit of three or more cells
+    # a collinear segment of three or more cells fails the rank guard, read
+    # off the fit's sums, and its refit keeps the seed's gradient
     guarded = []
-    refit, plane = _PlaneFit.refit, _PlaneFit.plane
-    in_refit = []
+    refit = _PlaneFit.refit
 
     def spied_refit(self):
-        in_refit.append(True)
-        try:
-            refit(self)
-        finally:
-            in_refit.pop()
-
-    def spied_plane(self):
-        if in_refit:
+        refit(self)
+        if self.n >= 3 and rank_guard_stops(fit_sums(self)):
+            assert _bits(self.coef[:2]) == _bits(self.fallback_ab)
             guarded.append(self.n)
-        return plane(self)
 
     monkeypatch.setattr(_PlaneFit, "refit", spied_refit)
-    monkeypatch.setattr(_PlaneFit, "plane", spied_plane)
     expected, clear = _oracle_segments(dsm)
     assert clear
-    assert _segments(grow_segments, dsm) == expected
-    assert any(n >= 3 for n in guarded)
+    _assert_same_segments(_segments(grow_segments, dsm), expected, dsm)
+    assert guarded
 
 
 @settings(max_examples=100, deadline=None)
@@ -534,27 +526,35 @@ def test_grow_segments_ignores_cell_order(dsm, shuffle):
 
 @st.composite
 def grown_rows(draw):
-    """Rows (dx, dy, z) of cells as growth adds them, and a probe cell:
-    8-connected lattice cells around the seed at (0, 0), elevations on a
-    pitched plane plus noise, the probe a neighbour of some member."""
-    cell = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    """Rows (dx, dy, z) of cells as growth adds them, some of them evicted
+    again, and a probe cell: 8-connected lattice cells around the seed, the
+    probe a neighbour of some member, elevations on a pitched plane plus
+    noise. Cell centres and their offsets from the seed's are computed as
+    _ComponentCells and _grow_one compute them, on grids of cell size 0.1
+    to 2 m with origins up to 1e6 m."""
+    cell = draw(st.floats(0.1, 2.0))
+    ox, oy = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    r0, c0 = draw(st.integers(60, 10**4)), draw(st.integers(60, 10**4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = [(0, 0)]
     for pick, (dr, dc) in draw(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(NEIGH8)),
-                                        min_size=2, max_size=24)):
+                                        min_size=2, max_size=60)):
         r, c = cells[pick % len(cells)]
         if (r + dr, c + dc) not in cells:
             cells.append((r + dr, c + dc))
     pick, (dr, dc) = draw(st.tuples(st.integers(0, 10**6), st.sampled_from(NEIGH8)))
     r, c = cells[pick % len(cells)]
+    evicted = rng.random(len(cells)) < draw(st.sampled_from((0.0, 0.3)))
     z0, pa, pb = draw(st.floats(5.0, 60.0)), draw(st.floats(-0.8, 0.8)), draw(st.floats(-0.8, 0.8))
     noise = draw(st.sampled_from((0.0, 0.01, 0.2, 0.5)))
+    x0, y0 = ox + (c0 + 0.5) * cell, oy + (r0 + 0.5) * cell
 
     def row(r, c, spread):
-        dx, dy = c * cell, r * cell
+        dx, dy = ox + (c0 + c + 0.5) * cell - x0, oy + (r0 + r + 0.5) * cell - y0
         return dx, dy, z0 + pa * dx + pb * dy + float(rng.uniform(-spread, spread))
 
-    return [row(r, c, noise) for r, c in cells], row(r + dr, c + dc, 1.0)
+    rows = [row(r, c, noise) for k, (r, c) in enumerate(cells) if k == 0 or not evicted[k]]
+    return rows, row(r + dr, c + dc, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -569,13 +569,9 @@ def test_residual_decision_matches_exact_plane(rows_probe, residual_tol_m):
     sums = [Fraction(0)] * 9
     for row in rows:
         fit.add(*row)
-        sums = [s + t for s, t in zip(sums, _exact_terms(*row))]
-    guarded = []
-    plane = _PlaneFit.plane
-    with mock.patch.object(_PlaneFit, "plane", lambda self: guarded.append(True) or plane(self)):
-        fit.refit()
-    assume(not guarded)  # the rank guard's numpy plane: see test_strip_takes_rank_guard
-    res = _exact_residual(_exact_plane(sums), *probe)
+        sums = [s + t for s, t in zip(sums, exact_terms(*row))]
+    fit.refit()
+    res = exact_residual(exact_plane(sums, fit.fallback_ab), *probe)
     checked = 0
     for tol in (residual_tol_m, float(res) - 2 * RESIDUAL_BOUND_M,
                 float(res) + 2 * RESIDUAL_BOUND_M):
@@ -583,6 +579,19 @@ def test_residual_decision_matches_exact_plane(rows_probe, residual_tol_m):
             assert fit.holds(*probe, tol) == (res <= tol)
             checked += 1
     assert checked >= 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows_probe=grown_rows())
+def test_rank_guard_stops_where_numpy_finds_rank_below_3(rows_probe):
+    # a NaN fallback gradient marks the fits the guard stops
+    fit = _PlaneFit((math.nan, math.nan))
+    fit.rebuild(rows_probe[0])
+    S = np.array([[fit.sxx, fit.sxy, fit.sx], [fit.sxy, fit.syy, fit.sy],
+                  [fit.sx, fit.sy, float(fit.n)]])
+    stopped = math.isnan(fit.plane()[0])
+    event(f"stopped: {stopped}")
+    assert stopped == (np.linalg.matrix_rank(S, tol=1e-8) < 3)
 
 
 GRADIENT = st.floats(-2.0, 2.0)

@@ -1,20 +1,13 @@
-"""Extract gives the same files whichever kernel OpenBLAS picks.
+"""The pipeline writes the same files whichever kernel OpenBLAS picks.
 
-Region growing decides on Python-float arithmetic, so which cells each
-segment holds, and with that ``cells.csv``, ``buildings.csv`` and
-``dsm.asc``, must not depend on the BLAS kernel. Each run forces a kernel
-with ``OPENBLAS_CORETYPE`` in a fresh process, because OpenBLAS reads it
-when it loads, and reports the kernel OpenBLAS then ran, so a variable
-that took no effect fails the test. The kernels run on any x86-64 CPU with
-AVX2.
-
-``segments.csv`` is compared by value, not byte for byte: each segment's
-final plane still comes from LAPACK's ``solve``, whose last bits follow the
-kernel, and the file prints ``-0.000000`` as it is, so on the seed-42
-60-building city a few signed zeros in ``plane_a`` and ``plane_b`` differ
-between kernels. The seed-7 12-building city shows no such difference.
+Region growing decides, and fits each segment's final plane, in
+Python-float arithmetic, and each building's priority is a correctly
+rounded sum, so none of the 16 files of a chain from extract through
+report may depend on the BLAS kernel. Each run forces a kernel with
+``OPENBLAS_CORETYPE`` in a fresh process, because OpenBLAS reads it when it
+loads, and reports the kernel OpenBLAS then ran, so a variable that took no
+effect fails the test. The kernels run on any x86-64 CPU with AVX2.
 """
-import csv
 import ctypes
 import filecmp
 import glob
@@ -31,19 +24,21 @@ from greenprior import cli
 from greenprior.synth import SyntheticCitySpec, generate_city
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(greenprior.__file__)))
-COMPARED = ("cells.csv", "buildings.csv", "dsm.asc")
+STAGES = ("extract", "indicators", "prioritize", "benefits", "report")
 CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
                     "openblas_get_corename64_", "openblas_get_corename")
 
-# runs one CLI command, then prints the name of the kernel OpenBLAS ran
+# runs the CLI stages named in argv[3] with the options that follow, then
+# prints the name of the kernel OpenBLAS ran
 CHILD = """\
 import ctypes, sys
 from greenprior import cli
-code = cli.main(sys.argv[3:])
+for command in sys.argv[3].split(","):
+    if cli.main([command, *sys.argv[4:]]) != 0:
+        sys.exit(command)
 get = getattr(ctypes.CDLL(sys.argv[1]), sys.argv[2])
 get.restype = ctypes.c_char_p
 print(get().decode())
-sys.exit(code)
 """
 
 
@@ -83,40 +78,32 @@ NOT_FORCEABLE = _why_not_forceable()
 
 @pytest.fixture(scope="module")
 def city_42_60(tmp_path_factory):
-    """The seed-42 60-building city, extracted under the default kernel."""
+    """The seed-42 60-building city, run from extract through report under
+    the default kernel."""
     city = tmp_path_factory.mktemp("city42") / "city"
     generate_city(SyntheticCitySpec(seed=42, n_buildings=60), str(city))
-    code = cli.main(["extract", "--config", str(city / "config.txt"),
-                     "--out", str(city / "out")])
-    assert code == 0
+    for command in STAGES:
+        code = cli.main([command, "--config", str(city / "config.txt"),
+                         "--out", str(city / "out")])
+        assert code == 0, command
     return city
-
-
-def _values(path):
-    """The rows of a CSV file, numbers as floats, so -0.0 equals 0.0."""
-    def value(field):
-        try:
-            return float(field)
-        except ValueError:
-            return field
-    with open(path, newline="") as f:
-        return [[value(field) for field in row] for row in csv.reader(f)]
 
 
 @pytest.mark.skipif(NOT_FORCEABLE is not None, reason=str(NOT_FORCEABLE))
 @pytest.mark.parametrize("city_fixture", ["small_city", "city_42_60"])
 @pytest.mark.parametrize("kernel", ["Haswell", "Nehalem", "Sandybridge"])
-def test_extract_files_do_not_depend_on_the_blas_kernel(request, tmp_path, kernel, city_fixture):
+def test_chain_files_do_not_depend_on_the_blas_kernel(request, tmp_path, kernel, city_fixture):
     city = request.getfixturevalue(city_fixture)
     out = tmp_path / "out"
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, *_openblas()[0], "extract",
+        [sys.executable, "-c", CHILD, *_openblas()[0], ",".join(STAGES),
          "--config", str(city / "config.txt"), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == kernel
-    for name in COMPARED:
+    names = sorted(os.listdir(city / "out"))
+    assert len(names) == 16 and sorted(os.listdir(out)) == names
+    for name in names:
         assert filecmp.cmp(out / name, city / "out" / name, shallow=False), name
-    assert _values(out / "segments.csv") == _values(city / "out" / "segments.csv")

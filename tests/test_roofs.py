@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
+from exact_plane import fit_sums, rank_guard_stops
 from greenprior import geocore, roofs
 from greenprior.geocore import (
     BUILDING,
@@ -532,12 +533,12 @@ def test_region_growing_fits_each_cell_once(sparse_city, monkeypatch):
     # growth adds and refits each cell as it joins and tests it with holds
     # before that; the final fits and the eviction sweeps are whole-array,
     # so on this city (no cell rejected on its residual) holds runs on one
-    # cell at most once per non-seed cell. No growth or eviction decision
-    # reaches numpy: plane runs once per segment for its final fit, and
-    # inside refit only where the rank guard stops the cofactor solve, which
-    # on this city is a segment's first one or two cells, never three or more
+    # cell at most once per non-seed cell. plane solves once per refit and
+    # once per segment for its final fit; the rank guard, read off the fit's
+    # sums, stops a refit only on a segment's first one or two cells, never
+    # on three or more
     calls = {"add": 0, "refit": 0, "holds": 0, "segments": 0, "plane": 0,
-             "refit below 3": 0, "refit by plane": 0}
+             "refit below 3": 0, "refit stopped": 0}
     fit = roofs._PlaneFit
     add, refit, holds, plane = fit.add, fit.refit, fit.holds, fit.plane
 
@@ -548,9 +549,8 @@ def test_region_growing_fits_each_cell_once(sparse_city, monkeypatch):
     def counted_refit(self):
         calls["refit"] += 1
         calls["refit below 3"] += self.n < 3
-        before = calls["plane"]
+        calls["refit stopped"] += rank_guard_stops(fit_sums(self))
         refit(self)
-        calls["refit by plane"] += calls["plane"] > before
 
     def counted_holds(self, dx, dy, z, residual_tol_m):
         calls["holds"] += np.ndim(dx) == 0  # the sweep's array calls aside
@@ -576,5 +576,5 @@ def test_region_growing_fits_each_cell_once(sparse_city, monkeypatch):
     assert cells == 5244
     assert calls["add"] == calls["refit"] == cells
     assert calls["holds"] <= cells - calls["segments"]
-    assert calls["refit by plane"] == calls["refit below 3"] > 0
-    assert calls["plane"] == calls["segments"] + calls["refit by plane"]
+    assert calls["refit stopped"] == calls["refit below 3"] > 0
+    assert calls["plane"] == calls["refit"] + calls["segments"]
