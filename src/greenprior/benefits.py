@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geocore import ComputationError, RasterGrid, snapped_grid
+from .geocore import ComputationError, RasterGrid, check_tunables, snapped_grid, tunable
 from .indicators import GC_RADIUS_DEFAULT, greenspace_coverage
 
 KWH_PER_JOULE = 1.0 / 3.6e6
@@ -26,25 +26,21 @@ class CoolingParams:
     between sunny and cloudy days by sunny_fraction.
     """
 
-    dt_sunny: float = 0.15
-    dt_cloudy: float = 0.10
-    dt_rainy: float = 0.0
-    c_air: float = 1004.0
-    d_air: float = 1.29
-    season_days: int = 180
-    rainy_days: int = 30
-    sunny_fraction: float = 0.5
-    hours_per_day: float = 24.0
+    dt_sunny: float = tunable(0.15, zero_ok=True)
+    dt_cloudy: float = tunable(0.10, zero_ok=True)
+    dt_rainy: float = tunable(0.0, zero_ok=True)
+    c_air: float = tunable(1004.0, zero_ok=True)
+    d_air: float = tunable(1.29, zero_ok=True)
+    season_days: int = tunable(180, zero_ok=True)
+    rainy_days: int = tunable(30, zero_ok=True)
+    sunny_fraction: float = tunable(0.5, zero_ok=True, high=1)
+    hours_per_day: float = tunable(24.0, zero_ok=True)
 
     def __post_init__(self):
-        for name in ("dt_sunny", "dt_cloudy", "dt_rainy", "c_air", "d_air",
-                     "season_days", "rainy_days", "hours_per_day"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check_tunables(self)
         if self.rainy_days > self.season_days:
-            raise ValueError("rainy_days cannot exceed season_days")
-        if not 0.0 <= self.sunny_fraction <= 1.0:
-            raise ValueError("sunny_fraction must lie in [0, 1]")
+            raise ValueError(f"rainy_days ({self.rainy_days}) cannot exceed "
+                             f"season_days ({self.season_days})")
 
     def degree_hours(self):
         """Season total of temperature reduction times time, in degC*h."""
@@ -60,16 +56,13 @@ class CoolingParams:
 class EconParams:
     """Conversion factors from physical savings to emissions and money."""
 
-    co2_uptake_kg_per_m2: float = 1.46
-    co2_kg_per_kwh: float = 0.785
-    tariff_hkd_per_kwh: float = 1.29
-    carbon_price_hkd_per_ton: float = 65.0
+    co2_uptake_kg_per_m2: float = tunable(1.46)
+    co2_kg_per_kwh: float = tunable(0.785)
+    tariff_hkd_per_kwh: float = tunable(1.29)
+    carbon_price_hkd_per_ton: float = tunable(65.0)
 
     def __post_init__(self):
-        for name in ("co2_uptake_kg_per_m2", "co2_kg_per_kwh",
-                     "tariff_hkd_per_kwh", "carbon_price_hkd_per_ton"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_tunables(self)
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,8 @@ def greenspace_exposure(mask, population, radius=GC_RADIUS_DEFAULT):
     return weighted / total
 
 
-def carbon_sequestration(greenable_area_m2, co2_uptake_kg_per_m2=1.46):
+def carbon_sequestration(greenable_area_m2,
+                         co2_uptake_kg_per_m2=EconParams.co2_uptake_kg_per_m2):
     """Annual CO2 uptake (kg) of the greened area: plain product."""
     if greenable_area_m2 < 0:
         raise ValueError("greenable area must be non-negative")
@@ -146,7 +140,7 @@ def energy_savings(buildings, params=None):
     return joules, joules * KWH_PER_JOULE
 
 
-def indirect_carbon(energy_kwh, co2_kg_per_kwh=0.785):
+def indirect_carbon(energy_kwh, co2_kg_per_kwh=EconParams.co2_kg_per_kwh):
     """Avoided emissions (kg CO2) for energy no longer generated."""
     if energy_kwh < 0:
         raise ValueError("energy must be non-negative")

@@ -5,12 +5,19 @@ screening thresholds, cooling and economic assumptions, and the weighting
 scheme. Paths are resolved relative to the directory holding the config
 file so a dataset directory stays portable. Unknown keys are rejected so
 typos fail fast instead of silently falling back to defaults.
+
+Each numeric key is a tunable field of one parameter class, which holds
+its type, default and range; every value is checked when the config is
+built, so a bad one stops every stage, not only the stage that uses it.
 """
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .benefits import CoolingParams, EconParams
+from .geocore import check_tunable, tunable
+from .indicators import GC_RADIUS_DEFAULT, MASK_CELL_DEFAULT, ROAD_CAP_DEFAULT
+from .priority import WEIGHT_SCHEMES
 from .roofs import PotentialThresholds, RoofParams
 
 
@@ -31,46 +38,38 @@ PATH_KEYS = (
     "temp_winter",
 )
 
-FLOAT_KEYS = {
-    "dsm_cell": 1.0,
-    "mask_cell": 5.0,
-    "gc_radius": 500.0,
-    "interp_cell": 50.0,
-    "population_cell": 100.0,
-    "slope_max_deg": 15.0,
-    "area_min_m2": 10.0,
-    "road_cap_m": 500.0,
-    "wall_diff_m": 1.0,
-    "normal_tol_deg": 10.0,
-    "residual_tol_m": 0.2,
-    "dt_sunny": 0.15,
-    "dt_cloudy": 0.10,
-    "dt_rainy": 0.0,
-    "c_air": 1004.0,
-    "d_air": 1.29,
-    "sunny_fraction": 0.5,
-    "hours_per_day": 24.0,
-    "co2_uptake_kg_per_m2": 1.46,
-    "co2_kg_per_kwh": 0.785,
-    "tariff_hkd_per_kwh": 1.29,
-    "carbon_price_hkd_per_ton": 65.0,
-}
 
-INT_KEYS = {
-    "age_max_yr": 60,
-    "season_days": 180,
-    "rainy_days": 30,
-}
+@dataclass(frozen=True)
+class StageParams:
+    """Tunables the stages read from the config itself: the cells of the
+    greenspace mask, the kriged surfaces and the population grid, the
+    coverage radius and the road distance cap."""
 
-STR_KEYS = {
-    "scheme": "equal",
-    "interp_method": "kriging",
-    "out_dir": "out",
-}
+    mask_cell: float = tunable(MASK_CELL_DEFAULT)
+    gc_radius: float = tunable(GC_RADIUS_DEFAULT)
+    interp_cell: float = tunable(50.0)
+    population_cell: float = tunable(100.0)
+    road_cap_m: float = tunable(ROAD_CAP_DEFAULT)
 
-_POSITIVE = ("dsm_cell", "mask_cell", "gc_radius", "interp_cell",
-             "population_cell", "slope_max_deg", "area_min_m2", "road_cap_m",
-             "wall_diff_m", "normal_tol_deg", "residual_tol_m")
+
+_PARAM_CLASSES = (RoofParams, PotentialThresholds, CoolingParams, EconParams, StageParams)
+
+# the order default_config_text writes the numeric keys in; a tunable
+# field missing here fails the import (ValueError from .index)
+_NUMBER_ORDER = (
+    "dsm_cell", "mask_cell", "gc_radius", "interp_cell", "population_cell",
+    "slope_max_deg", "area_min_m2", "road_cap_m", "wall_diff_m", "normal_tol_deg",
+    "residual_tol_m", "dt_sunny", "dt_cloudy", "dt_rainy", "c_air", "d_air",
+    "sunny_fraction", "hours_per_day", "co2_uptake_kg_per_m2", "co2_kg_per_kwh",
+    "tariff_hkd_per_kwh", "carbon_price_hkd_per_ton", "age_max_yr", "season_days",
+    "rainy_days",
+)
+
+# config key -> (parameter class, tunable field); RoofParams.cell is dsm_cell
+NUMBER_KEYS = dict(sorted(
+    (("dsm_cell" if f.name == "cell" else f.name, (cls, f))
+     for cls in _PARAM_CLASSES for f in fields(cls) if "bound" in f.metadata),
+    key=lambda item: _NUMBER_ORDER.index(item[0])))
 
 
 @dataclass
@@ -91,20 +90,19 @@ class PipelineConfig:
     numbers: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = dict(FLOAT_KEYS)
-        merged.update(INT_KEYS)
-        merged.update(self.numbers)
-        self.numbers = merged
-        from .priority import WEIGHT_SCHEMES
         if self.scheme not in WEIGHT_SCHEMES:
             raise ConfigError(f"unknown weighting scheme {self.scheme!r}")
         if self.interp_method not in ("kriging", "idw"):
             raise ConfigError(f"unknown interp_method {self.interp_method!r}")
-        for key in _POSITIVE:
-            if self.numbers[key] <= 0:
-                raise ConfigError(f"config key {key!r} must be positive")
-        if self.numbers["age_max_yr"] < 0:
-            raise ConfigError("age_max_yr must be non-negative")
+        self.numbers = {key: self.numbers.get(key, f.default)
+                        for key, (_, f) in NUMBER_KEYS.items()}
+        try:
+            for key, (_, f) in NUMBER_KEYS.items():
+                check_tunable(f"config key {key!r}", self.numbers[key], f)
+            for cls in _PARAM_CLASSES:  # the rules that tie fields together
+                self._params(cls)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def __getattr__(self, name):
         numbers = self.__dict__.get("numbers")
@@ -119,42 +117,21 @@ class PipelineConfig:
             raise ConfigError(
                 "config is missing required path keys: " + ", ".join(missing))
 
+    def _params(self, cls, **extra):
+        return cls(**{f.name: self.numbers[key]
+                      for key, (owner, f) in NUMBER_KEYS.items() if owner is cls}, **extra)
+
     def thresholds(self):
-        return PotentialThresholds(
-            slope_max_deg=self.numbers["slope_max_deg"],
-            area_min_m2=self.numbers["area_min_m2"],
-            age_max_yr=self.numbers["age_max_yr"],
-        )
+        return self._params(PotentialThresholds)
 
     def roof_params(self):
-        return RoofParams(
-            cell=self.numbers["dsm_cell"],
-            wall_diff_m=self.numbers["wall_diff_m"],
-            normal_tol_deg=self.numbers["normal_tol_deg"],
-            residual_tol_m=self.numbers["residual_tol_m"],
-            thresholds=self.thresholds(),
-        )
+        return self._params(RoofParams, thresholds=self.thresholds())
 
     def cooling(self):
-        n = self.numbers
-        return CoolingParams(
-            dt_sunny=n["dt_sunny"], dt_cloudy=n["dt_cloudy"],
-            dt_rainy=n["dt_rainy"], c_air=n["c_air"], d_air=n["d_air"],
-            season_days=n["season_days"], rainy_days=n["rainy_days"],
-            sunny_fraction=n["sunny_fraction"], hours_per_day=n["hours_per_day"])
+        return self._params(CoolingParams)
 
     def econ(self):
-        n = self.numbers
-        return EconParams(
-            co2_uptake_kg_per_m2=n["co2_uptake_kg_per_m2"],
-            co2_kg_per_kwh=n["co2_kg_per_kwh"],
-            tariff_hkd_per_kwh=n["tariff_hkd_per_kwh"],
-            carbon_price_hkd_per_ton=n["carbon_price_hkd_per_ton"])
-
-
-def _known_keys():
-    keys = set(PATH_KEYS) | set(FLOAT_KEYS) | set(INT_KEYS) | set(STR_KEYS)
-    return keys
+        return self._params(EconParams)
 
 
 def parse_config_text(text, base_dir="."):
@@ -163,7 +140,7 @@ def parse_config_text(text, base_dir="."):
     Blank lines and lines starting with # are skipped. Path values resolve
     relative to base_dir. Duplicate or unknown keys are errors.
     """
-    known = _known_keys()
+    known = {f.name for f in fields(PipelineConfig)} - {"numbers"} | set(NUMBER_KEYS)
     seen = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -180,31 +157,23 @@ def parse_config_text(text, base_dir="."):
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         seen[key] = (lineno, value)
 
-    paths = {}
     numbers = {}
-    strings = dict(STR_KEYS)
+    strings = {}
     for key, (lineno, value) in seen.items():
-        if key in PATH_KEYS:
-            paths[key] = os.path.normpath(os.path.join(base_dir, value))
-        elif key in FLOAT_KEYS:
+        if key in PATH_KEYS or key == "out_dir":
+            strings[key] = os.path.normpath(os.path.join(base_dir, value))
+        elif key in NUMBER_KEYS:
+            kind = type(NUMBER_KEYS[key][1].default)
             try:
-                numbers[key] = float(value)
+                numbers[key] = kind(value)
             except ValueError:
+                need = "an integer" if kind is int else "a number"
                 raise ConfigError(
-                    f"line {lineno}: key {key!r} needs a number, got {value!r}") from None
-        elif key in INT_KEYS:
-            try:
-                numbers[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: key {key!r} needs an integer, got {value!r}") from None
+                    f"line {lineno}: key {key!r} needs {need}, got {value!r}") from None
         else:
             strings[key] = value
 
-    out_dir = strings.pop("out_dir")
-    if "out_dir" in seen:
-        out_dir = os.path.normpath(os.path.join(base_dir, seen["out_dir"][1]))
-    cfg = PipelineConfig(out_dir=out_dir, numbers=numbers, **paths, **strings)
+    cfg = PipelineConfig(numbers=numbers, **strings)
     for key in PATH_KEYS:
         p = getattr(cfg, key)
         if p is not None and not os.path.isfile(p):
@@ -223,31 +192,19 @@ def load_config(path, overrides=None):
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key == "out_dir":
-            cfg.out_dir = value
-        elif key == "scheme":
-            from .priority import WEIGHT_SCHEMES
-            if value not in WEIGHT_SCHEMES:
-                raise ConfigError(f"unknown weighting scheme {value!r}")
-            cfg.scheme = value
-        else:
+        if key not in ("out_dir", "scheme"):
             raise ConfigError(f"unsupported override {key!r}")
+        cfg = replace(cfg, **{key: value})  # checked again on the way in
     return cfg
 
 
 def default_config_text(paths):
     """Render a ready-to-run config file body for a dataset directory."""
     lines = ["# pipeline configuration", ""]
-    for key in PATH_KEYS:
-        if key in paths:
-            lines.append(f"{key} = {paths[key]}")
-    lines.append("out_dir = out")
-    lines.append("")
-    lines.append("# analysis parameters (defaults written out for visibility)")
-    for key, default in FLOAT_KEYS.items():
-        lines.append(f"{key} = {default!r}")
-    for key, default in INT_KEYS.items():
-        lines.append(f"{key} = {default}")
-    lines.append("scheme = equal")
-    lines.append("interp_method = kriging")
+    lines += [f"{key} = {paths[key]}" for key in PATH_KEYS if key in paths]
+    lines += [f"out_dir = {PipelineConfig.out_dir}", "",
+              "# analysis parameters (defaults written out for visibility)"]
+    lines += [f"{key} = {f.default!r}" for key, (_, f) in NUMBER_KEYS.items()]
+    lines += [f"scheme = {PipelineConfig.scheme}",
+              f"interp_method = {PipelineConfig.interp_method}"]
     return "\n".join(lines) + "\n"

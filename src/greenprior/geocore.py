@@ -7,7 +7,7 @@ southernmost row, and NaN marks nodata cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,40 @@ class GeometryError(ValueError):
 
 class ComputationError(RuntimeError):
     """A pipeline computation failed on otherwise well-formed inputs."""
+
+
+# ---------------------------------------------------------------------------
+# tunable parameters
+# ---------------------------------------------------------------------------
+
+def tunable(default, *, zero_ok=False, high=math.inf):
+    """A numeric parameter field: its default (whose type is the field's)
+    and its range, above 0 (from 0 if zero_ok) and up to high."""
+    return field(default=default, metadata={"bound": (zero_ok, high)})
+
+
+def check_tunable(name, value, f) -> None:
+    """Raise ValueError naming name unless value is finite and in f's range."""
+    zero_ok, high = f.metadata["bound"]
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0 or (value == 0 and not zero_ok) or value > high:
+        if high < math.inf:
+            rule = f"lie in {'[' if zero_ok else '('}0, {high}]"
+        else:
+            rule = "be non-negative" if zero_ok else "be positive"
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def check_tunables(obj) -> None:
+    """check_tunable on every tunable field of a parameter dataclass."""
+    for f in fields(obj):
+        if "bound" in f.metadata:
+            check_tunable(f.name, getattr(obj, f.name), f)
 
 
 # ---------------------------------------------------------------------------

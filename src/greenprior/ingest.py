@@ -248,29 +248,31 @@ def read_roads(path) -> list[Polyline]:
     return out
 
 
-def write_footprints(buildings: list[BuildingAttributes], path) -> None:
-    feats = []
-    for b in buildings:
-        rings = [b.footprint.exterior.tolist()] + [h.tolist() for h in b.footprint.holes]
-        feats.append({
-            "type": "Feature",
-            "geometry": {"type": "Polygon", "coordinates": rings},
-            "properties": {"id": b.id, "age_years": b.age_years, "category": b.category},
-        })
+def _polygon_geometry(poly: Polygon) -> dict:
+    rings = [poly.exterior.tolist()] + [h.tolist() for h in poly.holes]
+    return {"type": "Polygon", "coordinates": rings}
+
+
+def _write_features(path, features) -> None:
+    """Write (geometry, properties) pairs as one GeoJSON FeatureCollection."""
+    feats = [{"type": "Feature", "geometry": geom, "properties": props}
+             for geom, props in features]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"type": "FeatureCollection", "features": feats}, fh, indent=1)
         fh.write("\n")
+
+
+def write_footprints(buildings: list[BuildingAttributes], path) -> None:
+    _write_features(path, [
+        (_polygon_geometry(b.footprint),
+         {"id": b.id, "age_years": b.age_years, "category": b.category})
+        for b in buildings])
 
 
 def write_roads(lines: list[Polyline], path) -> None:
-    feats = [{
-        "type": "Feature",
-        "geometry": {"type": "LineString", "coordinates": ln.coords.tolist()},
-        "properties": {"class": ln.tag},
-    } for ln in lines]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": feats}, fh, indent=1)
-        fh.write("\n")
+    _write_features(path, [
+        ({"type": "LineString", "coordinates": ln.coords.tolist()}, {"class": ln.tag})
+        for ln in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +507,12 @@ def write_building_report(rows: list[BuildingReportRow], path_csv, path_geojson=
     if path_geojson is None:
         return
     footprints = footprints or {}
-    feats = []
+    features = []
     for r in rows:
         poly = footprints.get(r.id)
-        geom = None
-        if poly is not None:
-            rings = [poly.exterior.tolist()] + [h.tolist() for h in poly.holes]
-            geom = {"type": "Polygon", "coordinates": rings}
         props = {"id": r.id, "potential": r.potential}
         for col in REPORT_COLUMNS[2:]:
             v = getattr(r, col)
             props[col] = None if v is None else round(float(v), 6)
-        feats.append({"type": "Feature", "geometry": geom, "properties": props})
-    with open(path_geojson, "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": feats}, fh, indent=1)
-        fh.write("\n")
+        features.append((None if poly is None else _polygon_geometry(poly), props))
+    _write_features(path_geojson, features)

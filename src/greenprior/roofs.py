@@ -41,9 +41,11 @@ from .geocore import (
     PointCloud,
     RasterGrid,
     cells_in_polygon,
+    check_tunables,
     points_in_polygon,
     point_segment_distance,
     snapped_grid,
+    tunable,
 )
 from .ingest import BuildingAttributes, GridGeometry
 
@@ -68,9 +70,25 @@ class RoofSegment:
 
 @dataclass
 class PotentialThresholds:
-    slope_max_deg: float = 15.0
-    area_min_m2: float = 10.0
-    age_max_yr: int = 60
+    slope_max_deg: float = tunable(15.0)
+    area_min_m2: float = tunable(10.0)
+    age_max_yr: int = tunable(60, zero_ok=True)
+
+    def __post_init__(self):
+        check_tunables(self)
+
+
+@dataclass
+class RoofParams:
+    cell: float = tunable(1.0)
+    wall_diff_m: float = tunable(1.0)
+    # a cosine test: past 180 degrees the tolerance would wrap round
+    normal_tol_deg: float = tunable(10.0, high=180)
+    residual_tol_m: float = tunable(0.2)
+    thresholds: PotentialThresholds = field(default_factory=PotentialThresholds)
+
+    def __post_init__(self):
+        check_tunables(self)
 
 
 @dataclass
@@ -113,7 +131,7 @@ def _gather(V: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(inside, V[np.clip(r, 0, n - 1), np.clip(c, 0, m - 1)], np.nan)
 
 
-def filter_wall_edges(dsm: RasterGrid, threshold: float = 1.0) -> RasterGrid:
+def filter_wall_edges(dsm: RasterGrid, threshold: float = RoofParams.wall_diff_m) -> RasterGrid:
     """Drop cells that sit against a vertical discontinuity.
 
     A cell survives iff every occupied 4-neighbor differs in elevation by
@@ -426,8 +444,10 @@ class _ComponentCells:
         self.xs, self.ys, self.zs = self.x.tolist(), self.y.tolist(), self.z.tolist()
 
 
-def grow_segments(component, dsm: RasterGrid, normal_tol_deg: float = 10.0,
-                  residual_tol_m: float = 0.2, normals=None) -> list[RoofSegment]:
+def grow_segments(component, dsm: RasterGrid,
+                  normal_tol_deg: float = RoofParams.normal_tol_deg,
+                  residual_tol_m: float = RoofParams.residual_tol_m,
+                  normals=None) -> list[RoofSegment]:
     """Split one connected component into planar segments.
 
     Seeds are picked flattest-first. A frontier cell joins when its local
@@ -651,15 +671,6 @@ def building_height(building: BuildingAttributes, dsm: RasterGrid,
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RoofParams:
-    cell: float = 1.0
-    wall_diff_m: float = 1.0
-    normal_tol_deg: float = 10.0
-    residual_tol_m: float = 0.2
-    thresholds: PotentialThresholds = field(default_factory=PotentialThresholds)
-
 
 @dataclass
 class RoofExtraction:
