@@ -29,12 +29,12 @@ class CoolingParams:
     dt_sunny: float = tunable(0.15, zero_ok=True)
     dt_cloudy: float = tunable(0.10, zero_ok=True)
     dt_rainy: float = tunable(0.0, zero_ok=True)
-    c_air: float = tunable(1004.0, zero_ok=True)
-    d_air: float = tunable(1.29, zero_ok=True)
+    c_air: float = tunable(1004.0)
+    d_air: float = tunable(1.29)
     season_days: int = tunable(180, zero_ok=True)
     rainy_days: int = tunable(30, zero_ok=True)
     sunny_fraction: float = tunable(0.5, zero_ok=True, high=1)
-    hours_per_day: float = tunable(24.0, zero_ok=True)
+    hours_per_day: float = tunable(24.0, zero_ok=True, high=24)
 
     def __post_init__(self):
         check_tunables(self)
@@ -222,7 +222,7 @@ def income_greenspace_regression(pairs):
     return RegressionResult(slope, intercept, r, p, n)
 
 
-def population_grid_from_points(points, cell=100.0):
+def population_grid_from_points(points, cell):
     """Accumulate (x, y, count) triples into a population raster.
 
     The grid is the :func:`snapped_grid` of the points, and each cell sums

@@ -7,7 +7,6 @@ unchanged inputs reproduces its files byte for byte.
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -31,16 +30,22 @@ from .indicators import (
     normalize_indicators,
 )
 from .ingest import (
-    BuildingReportRow,
+    FLAGS,
     FormatError,
+    f6,
+    flag,
+    optional_float,
+    polygon_geometry,
     read_footprints,
     read_point_cloud,
     read_raster_asc,
     read_raster_geometry,
     read_roads,
+    read_table,
     read_xy_value,
-    write_building_report,
+    write_features,
     write_raster_asc,
+    write_table,
 )
 from .interp import SampleSet, fill_raster_nodata, interpolate_grid
 from .priority import (
@@ -54,18 +59,13 @@ from .synth import SyntheticCitySpec, generate_city
 
 IND_COLUMNS = tuple("ind_" + short for short in IndicatorVector.SHORT_NAMES)
 WEIGHT_COLUMNS = tuple("w_" + short for short in IndicatorVector.SHORT_NAMES)
-FLAGS = ("false", "true")
-
-
-def flag(text):
-    """A flag column value: exactly 'true' or 'false', else ValueError."""
-    return bool(FLAGS.index(text))
-
+# the per-building values of the final report, after its id and potential
+REPORT_VALUES = ("roof_area_m2", "slope_deg", "height_m") + IND_COLUMNS + ("priority",)
 
 Table = namedtuple("Table", "stage columns")
 
-# Every CSV one stage hands to another: the stage that writes it, and its
-# columns in file order, each with the type later stages parse it with.
+# Every CSV a stage writes: the stage that writes it, and its columns in
+# file order, each with the type a reader parses it with.
 TABLES = {
     "segments.csv": Table("extract", {
         "building_id": str, "seg_id": str, "qualifying": flag, "slope_deg": float,
@@ -87,6 +87,8 @@ TABLES = {
     "benefits.csv": Table("benefits", {"metric": str, "value": float, "unit": str}),
     "regression.csv": Table("benefits", {
         "slope": float, "intercept": float, "pearson_r": float, "p_value": float, "n": int}),
+    "buildings_report.csv": Table("report", {
+        "id": str, "potential": flag, **dict.fromkeys(REPORT_VALUES, optional_float)}),
 }
 
 # Reference values reported by the Hong Kong 2021 citywide study the method
@@ -119,55 +121,17 @@ def _artifact(cfg, name, prior):
 
 
 def _read_table(cfg, name):
-    """The rows of a stage table as dicts, every column parsed with its type.
-
-    The header must hold every column of TABLES[name], each row must have as
-    many fields as the header, and every value must parse; blank lines are
-    skipped.
-    """
+    """The rows of the stage table name; a missing file names the stage to run."""
     table = TABLES[name]
-    path = _artifact(cfg, name, table.stage)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in table.columns if c not in header]
-        if missing:
-            raise FormatError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
-        where = {column: i for i, column in enumerate(header)}
-        rows = []
-        for fields in reader:
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise FormatError(f"{path}: line {reader.line_num}: expected "
-                                  f"{len(header)} fields, got {len(fields)}")
-            row = {}
-            for column, kind in table.columns.items():
-                value = fields[where[column]]
-                try:
-                    row[column] = kind(value)
-                except ValueError:
-                    raise FormatError(f"{path}: line {reader.line_num}: column {column}: "
-                                      f"{value!r} is not a valid {kind.__name__}") from None
-            rows.append(row)
-    return rows
+    return read_table(_artifact(cfg, name, table.stage), table.columns)
 
 
 def _write_table(cfg, name, rows):
-    with open(_out_path(cfg, name), "w", encoding="utf-8") as fh:
-        fh.write(",".join(TABLES[name].columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _f(v):
-    """v at 6 decimals; a value that rounds to zero prints without a sign."""
-    text = f"{float(v):.6f}"
-    return "0.000000" if text == "-0.000000" else text
+    write_table(_out_path(cfg, name), TABLES[name].columns, rows)
 
 
 def _write_surface(grid, path):
-    """Write a kriged surface at _f's 6 decimals, not repr.
+    """Write a kriged surface at f6's 6 decimals, not repr.
 
     Its last bits come from the variogram fit and the kriging solves,
     which differ between machines; no stage reads the file back.
@@ -211,8 +175,8 @@ def cmd_extract(cfg):
                       and seg.area_m2 > th.area_min_m2)
         a, b, c = seg.plane
         seg_rows.append([seg.building_id, seg.seg_id, FLAGS[bool(qualifying)],
-                         _f(seg.slope_deg), _f(seg.area_m2),
-                         str(len(seg.cells)), _f(a), _f(b), _f(c)])
+                         f6(seg.slope_deg), f6(seg.area_m2),
+                         str(len(seg.cells)), f6(a), f6(b), f6(c)])
         for row, col in seg.cells:
             cell_rows.append([seg.building_id, seg.seg_id, str(row), str(col)])
     _write_table(cfg, "segments.csv", seg_rows)
@@ -223,7 +187,7 @@ def cmd_extract(cfg):
         dec = extraction.decisions[b.id]
         b_rows.append([b.id, FLAGS[bool(dec.potential)],
                        "|".join(sorted(dec.reasons)),
-                       _f(dec.greenable_m2), _f(extraction.heights[b.id]),
+                       f6(dec.greenable_m2), f6(extraction.heights[b.id]),
                        str(b.age_years), b.category])
     _write_table(cfg, "buildings.csv", b_rows)
 
@@ -325,11 +289,11 @@ def cmd_indicators(cfg):
     rows = []
     for raw in raws:
         vec = vectors[raw.building_id]
-        rows.append([raw.building_id, _f(raw.greenspace), _f(raw.road_distance_m),
-                     raw.category, _f(raw.income)]
-                    + [_f(t) for t in raw.seasonal_temps]
-                    + [_f(raw.precipitation)]
-                    + [_f(v) for v in vec.as_array()])
+        rows.append([raw.building_id, f6(raw.greenspace), f6(raw.road_distance_m),
+                     raw.category, f6(raw.income)]
+                    + [f6(t) for t in raw.seasonal_temps]
+                    + [f6(raw.precipitation)]
+                    + [f6(v) for v in vec.as_array()])
     _write_table(cfg, "indicators.csv", rows)
     print(f"indicators: scored {len(raws)} potential buildings")
     return 0
@@ -368,8 +332,8 @@ def cmd_prioritize(cfg):
     p_rows = []
     for i, bid in enumerate(ids):
         s = order[bid]
-        p_rows.append([bid] + [_f(per_scheme[sch][i]) for sch in WEIGHT_SCHEMES]
-                      + [_f(s.priority), str(s.rank), _f(s.percentile)])
+        p_rows.append([bid] + [f6(per_scheme[sch][i]) for sch in WEIGHT_SCHEMES]
+                      + [f6(s.priority), str(s.rank), f6(s.percentile)])
     _write_table(cfg, "priorities.csv", p_rows)
 
     summary = priority_summary(ranked)
@@ -402,18 +366,18 @@ def cmd_benefits(cfg):
                              cooling=cfg.cooling(), econ=cfg.econ())
 
     rows = [
-        ["potential_buildings", _f(len(potential)), "count"],
-        ["greenable_area_m2", _f(report.greenable_area_m2), "m2"],
-        ["exposure_baseline", _f(report.exposure_baseline), "fraction"],
-        ["exposure_greened", _f(report.exposure_greened), "fraction"],
-        ["carbon_direct_kg", _f(report.carbon_direct_kg), "kg_per_yr"],
-        ["energy_joules", _f(report.energy_joules), "J_per_yr"],
-        ["energy_kwh", _f(report.energy_kwh), "kWh_per_yr"],
-        ["carbon_indirect_kg", _f(report.carbon_indirect_kg), "kg_per_yr"],
-        ["carbon_total_kg", _f(report.carbon_total_kg), "kg_per_yr"],
-        ["value_energy_hkd", _f(report.value_energy_hkd), "HKD_per_yr"],
-        ["value_carbon_hkd", _f(report.value_carbon_hkd), "HKD_per_yr"],
-        ["value_total_hkd", _f(report.value_total_hkd), "HKD_per_yr"],
+        ["potential_buildings", f6(len(potential)), "count"],
+        ["greenable_area_m2", f6(report.greenable_area_m2), "m2"],
+        ["exposure_baseline", f6(report.exposure_baseline), "fraction"],
+        ["exposure_greened", f6(report.exposure_greened), "fraction"],
+        ["carbon_direct_kg", f6(report.carbon_direct_kg), "kg_per_yr"],
+        ["energy_joules", f6(report.energy_joules), "J_per_yr"],
+        ["energy_kwh", f6(report.energy_kwh), "kWh_per_yr"],
+        ["carbon_indirect_kg", f6(report.carbon_indirect_kg), "kg_per_yr"],
+        ["carbon_total_kg", f6(report.carbon_total_kg), "kg_per_yr"],
+        ["value_energy_hkd", f6(report.value_energy_hkd), "HKD_per_yr"],
+        ["value_carbon_hkd", f6(report.value_carbon_hkd), "HKD_per_yr"],
+        ["value_total_hkd", f6(report.value_total_hkd), "HKD_per_yr"],
     ]
     _write_table(cfg, "benefits.csv", rows)
 
@@ -422,7 +386,7 @@ def cmd_benefits(cfg):
     try:
         reg = income_greenspace_regression(pairs)
         reg_rows.append([f"{reg.slope:.9g}", f"{reg.intercept:.9g}",
-                         _f(reg.pearson_r), _f(reg.p_value), str(reg.n)])
+                         f6(reg.pearson_r), f6(reg.p_value), str(reg.n)])
         reg_note = (f"regression: r = {reg.pearson_r:.3f}, "
                     f"p = {reg.p_value:.4g}, n = {reg.n}")
     except ValueError as exc:
@@ -458,31 +422,34 @@ def cmd_report(cfg):
             min_slope[bid] = s
 
     footprints = {b.id: b.footprint for b in read_footprints(cfg.footprints)}
-    rows = []
+    rows, features, priorities = [], [], []
     for r in sorted(building_rows, key=lambda r: r["id"]):
         bid = r["id"]
         ind = ind_rows.get(bid)
         pri = pri_rows.get(bid)
-        rows.append(BuildingReportRow(
-            id=bid,
-            potential=r["potential"],
-            roof_area_m2=r["greenable_m2"],
-            slope_deg=min_slope.get(bid),
-            height_m=r["height_m"],
-            priority=pri["priority"] if pri else None,
-            **{c: ind[c] if ind else None for c in IND_COLUMNS},
-        ))
-    write_building_report(rows, _out_path(cfg, "buildings_report.csv"),
-                          _out_path(cfg, "buildings_report.geojson"), footprints)
+        values = [r["greenable_m2"], min_slope.get(bid), r["height_m"],
+                  *(ind[c] if ind else None for c in IND_COLUMNS),
+                  pri["priority"] if pri else None]
+        rows.append([bid, FLAGS[r["potential"]]]
+                    + ["" if v is None else f6(v) for v in values])
+        props = {"id": bid, "potential": r["potential"]}
+        props.update((c, None if v is None else round(v, 6))
+                     for c, v in zip(REPORT_VALUES, values))
+        poly = footprints.get(bid)
+        features.append((None if poly is None else polygon_geometry(poly), props))
+        if pri:
+            priorities.append(pri["priority"])
+    _write_table(cfg, "buildings_report.csv", rows)
+    write_features(_out_path(cfg, "buildings_report.geojson"), features)
 
-    text = _render_report(cfg, building_rows, rows, weight_rows, metrics, reg_rows)
+    text = _render_report(building_rows, priorities, weight_rows, metrics, reg_rows)
     with open(_out_path(cfg, "report.md"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"report: wrote {_out_path(cfg, 'report.md')} and the per-building table")
     return 0
 
 
-def _render_report(cfg, building_rows, report_rows, weight_rows, metrics, reg_rows):
+def _render_report(building_rows, priorities, weight_rows, metrics, reg_rows):
     n = len(building_rows)
     n_pot = int(metrics["potential_buildings"])
     share = 100.0 * n_pot / n if n else 0.0
@@ -504,14 +471,13 @@ def _render_report(cfg, building_rows, report_rows, weight_rows, metrics, reg_ro
     for r in weight_rows:
         w("| " + r["scheme"] + " | " + FLAGS[r["active"]] + " | "
           + " | ".join(f"{r[c]:.4f}" for c in WEIGHT_COLUMNS) + " |")
-    scored = [r for r in report_rows if r.priority is not None]
-    if scored:
-        ps = [r.priority for r in scored]
-        above = 100.0 * sum(1 for p in ps if p > 0.5) / len(ps)
+    if priorities:
+        n_scored = len(priorities)
+        above = 100.0 * sum(1 for p in priorities if p > 0.5) / n_scored
         w("")
-        w(f"- scored buildings: {len(ps)}")
+        w(f"- scored buildings: {n_scored}")
         w(f"- share with priority above 0.5: {above:.1f} %")
-        w(f"- mean priority: {sum(ps) / len(ps):.3f}, max: {max(ps):.3f}")
+        w(f"- mean priority: {sum(priorities) / n_scored:.3f}, max: {max(priorities):.3f}")
     w("")
     w("## Benefits")
     w("")

@@ -1,15 +1,17 @@
 """Readers and writers for every file format the pipeline touches.
 
-Everything is plain text: point clouds and station samples are CSV,
-footprints and roads are GeoJSON, rasters are ESRI ASCII grids. Readers
-validate and fail loudly; none of them skip a malformed record silently.
+Everything is plain text: point clouds, station samples and the tables
+the stages write are CSV, footprints and roads are GeoJSON, rasters are
+ESRI ASCII grids. Readers validate and fail loudly; none of them skip a
+malformed record silently.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,12 +250,12 @@ def read_roads(path) -> list[Polyline]:
     return out
 
 
-def _polygon_geometry(poly: Polygon) -> dict:
+def polygon_geometry(poly: Polygon) -> dict:
     rings = [poly.exterior.tolist()] + [h.tolist() for h in poly.holes]
     return {"type": "Polygon", "coordinates": rings}
 
 
-def _write_features(path, features) -> None:
+def write_features(path, features) -> None:
     """Write (geometry, properties) pairs as one GeoJSON FeatureCollection."""
     feats = [{"type": "Feature", "geometry": geom, "properties": props}
              for geom, props in features]
@@ -263,14 +265,14 @@ def _write_features(path, features) -> None:
 
 
 def write_footprints(buildings: list[BuildingAttributes], path) -> None:
-    _write_features(path, [
-        (_polygon_geometry(b.footprint),
+    write_features(path, [
+        (polygon_geometry(b.footprint),
          {"id": b.id, "age_years": b.age_years, "category": b.category})
         for b in buildings])
 
 
 def write_roads(lines: list[Polyline], path) -> None:
-    _write_features(path, [
+    write_features(path, [
         ({"type": "LineString", "coordinates": ln.coords.tolist()}, {"class": ln.tag})
         for ln in lines])
 
@@ -458,61 +460,64 @@ def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
 
 
 # ---------------------------------------------------------------------------
-# building report
+# tables (CSV)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BuildingReportRow:
-    """One output row of the final per-building report.
+FLAGS = ("false", "true")
 
-    Numeric fields other than id/potential may be None for buildings that
-    were screened out before indicators were computed; they serialize as
-    empty strings.
+
+def flag(text):
+    """A flag column value: exactly 'true' or 'false', else ValueError."""
+    return bool(FLAGS.index(text))
+
+
+def optional_float(text):
+    """A number column that may be empty: None for '', else float(text)."""
+    return None if text == "" else float(text)
+
+
+def f6(v) -> str:
+    """v at 6 decimals; a value that rounds to zero prints without a sign."""
+    text = f"{float(v):.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
+def read_table(path, columns) -> list[dict]:
+    """The rows of a CSV table as dicts, every column parsed with its type.
+
+    columns maps each column name to the function that parses its values.
+    The header must hold every column, each row must have as many fields as
+    the header, and every value must parse; blank lines are skipped.
     """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise FormatError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        where = {column: i for i, column in enumerate(header)}
+        rows = []
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise FormatError(f"{path}: line {reader.line_num}: expected "
+                                  f"{len(header)} fields, got {len(fields)}")
+            row = {}
+            for column, kind in columns.items():
+                value = fields[where[column]]
+                try:
+                    row[column] = kind(value)
+                except ValueError:
+                    raise FormatError(f"{path}: line {reader.line_num}: column {column}: "
+                                      f"{value!r} is not a valid {kind.__name__}") from None
+            rows.append(row)
+    return rows
 
-    id: str
-    potential: bool
-    roof_area_m2: float | None = None
-    slope_deg: float | None = None
-    height_m: float | None = None
-    ind_greenspace: float | None = None
-    ind_road_dist: float | None = None
-    ind_category: float | None = None
-    ind_income: float | None = None
-    ind_temperature: float | None = None
-    ind_precip: float | None = None
-    priority: float | None = None
 
-
-# the report's column order: the fields of BuildingReportRow
-REPORT_COLUMNS = tuple(f.name for f in fields(BuildingReportRow))
-
-
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
-
-
-def write_building_report(rows: list[BuildingReportRow], path_csv, path_geojson=None,
-                          footprints: dict[str, Polygon] | None = None) -> None:
-    """Write the per-building report CSV and, optionally, its GeoJSON mirror.
-
-    Column order is fixed (REPORT_COLUMNS); floats use 6 decimal places and
-    the potential flag is lowercase true/false.
-    """
-    with open(path_csv, "w", encoding="utf-8") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join([r.id, "true" if r.potential else "false"]
-                              + [_fmt(getattr(r, col)) for col in REPORT_COLUMNS[2:]]) + "\n")
-    if path_geojson is None:
-        return
-    footprints = footprints or {}
-    features = []
-    for r in rows:
-        poly = footprints.get(r.id)
-        props = {"id": r.id, "potential": r.potential}
-        for col in REPORT_COLUMNS[2:]:
-            v = getattr(r, col)
-            props[col] = None if v is None else round(float(v), 6)
-        features.append((None if poly is None else _polygon_geometry(poly), props))
-    _write_features(path_geojson, features)
+def write_table(path, columns, rows) -> None:
+    """Write a CSV table: the column names, then each row's field strings."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")

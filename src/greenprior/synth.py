@@ -26,11 +26,16 @@ from .geocore import (
     RasterGrid,
 )
 from .ingest import (
+    FLAGS,
     BuildingAttributes,
+    f6,
+    flag,
+    read_table,
     write_footprints,
     write_point_cloud,
     write_raster_asc,
     write_roads,
+    write_table,
     write_xy_value,
 )
 
@@ -63,6 +68,14 @@ class GroundTruth:
     true_greenable_m2: float
     true_height_m: float
     potential: bool
+
+
+# the columns of groundtruth.csv, one per GroundTruth field in order, each
+# with the type read_ground_truth parses it with
+GROUND_TRUTH_COLUMNS = {
+    "id": str, "roof_type": str, "age_years": int, "category": str,
+    "true_slope_deg": float, "true_greenable_m2": float, "true_height_m": float,
+    "potential": flag}
 
 
 def _roads(domain):
@@ -364,13 +377,10 @@ def generate_city(spec, out_dir):
         write_raster_asc(grid, os.path.join(out_dir, name))
         paths[f"temp_{season}"] = name
 
-    with open(os.path.join(out_dir, "groundtruth.csv"), "w", encoding="utf-8") as fh:
-        fh.write("id,roof_type,age_years,category,true_slope_deg,"
-                 "true_greenable_m2,true_height_m,potential\n")
-        for t in truths:
-            fh.write(f"{t.building_id},{t.roof_type},{t.age_years},{t.category},"
-                     f"{t.true_slope_deg:.6f},{t.true_greenable_m2:.6f},"
-                     f"{t.true_height_m:.6f},{'true' if t.potential else 'false'}\n")
+    write_table(os.path.join(out_dir, "groundtruth.csv"), GROUND_TRUTH_COLUMNS, [
+        [t.building_id, t.roof_type, str(t.age_years), t.category, f6(t.true_slope_deg),
+         f6(t.true_greenable_m2), f6(t.true_height_m), FLAGS[t.potential]]
+        for t in truths])
 
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(default_config_text(paths))
@@ -379,15 +389,6 @@ def generate_city(spec, out_dir):
 
 
 def read_ground_truth(path):
-    """Load groundtruth.csv back into GroundTruth records."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            (bid, rtype, age, cat, slope, green, height, potential) = line.split(",")
-            out.append(GroundTruth(bid, rtype, int(age), cat, float(slope),
-                                   float(green), float(height), potential == "true"))
-    return out
+    """Load groundtruth.csv back into GroundTruth records; a value that does
+    not parse raises FormatError naming the line and the column."""
+    return [GroundTruth(*row.values()) for row in read_table(path, GROUND_TRUTH_COLUMNS)]

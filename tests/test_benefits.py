@@ -268,7 +268,7 @@ def test_population_grid_accumulates():
     assert grid.values[0, 0] == 8.0  # two buildings share the first cell
     assert grid.values[0, 1] == 7.0
     with pytest.raises(ValueError):
-        population_grid_from_points([(0.0, 0.0, -2.0)])
+        population_grid_from_points([(0.0, 0.0, -2.0)], cell=100.0)
 
 
 def test_population_grid_total_preserved():

@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from greenprior import cli
 from greenprior.geocore import RasterGrid
-from greenprior.ingest import read_raster_asc, write_raster_asc
+from greenprior.ingest import f6, read_raster_asc, write_raster_asc
 from greenprior.priority import WEIGHT_SCHEMES, compute_weights
-from greenprior.synth import SyntheticCitySpec, generate_city
+from greenprior.synth import GROUND_TRUTH_COLUMNS, SyntheticCitySpec, generate_city
 
 PIPELINE_FILES = (
     "dsm.asc", "segments.csv", "cells.csv", "buildings.csv",
@@ -50,11 +50,13 @@ def test_full_chain_writes_all_artifacts(small_city):
 
 def test_stage_tables_match_schema(small_city):
     out = small_city / "out"
-    tables = sorted(p.name for p in out.glob("*.csv") if p.name != "buildings_report.csv")
+    tables = sorted(p.name for p in out.glob("*.csv"))
     assert tables == sorted(cli.TABLES)
     for name in tables:
         header = (out / name).read_text().split("\n", 1)[0]
         assert header == ",".join(cli.TABLES[name].columns), name
+    header = (small_city / "groundtruth.csv").read_text().split("\n", 1)[0]
+    assert header == ",".join(GROUND_TRUTH_COLUMNS)
 
 
 def test_synth_subcommand(tmp_path):
@@ -150,9 +152,9 @@ def test_surface_file_ignores_last_bit_noise(tmp_path):
 
 
 def test_rounded_values_print_no_negative_zero():
-    assert cli._f(-0.0) == cli._f(-4e-7) == "0.000000"
-    assert cli._f(-6e-7) == "-0.000001"
-    assert cli._f(0.0) == "0.000000"
+    assert f6(-0.0) == f6(-4e-7) == "0.000000"
+    assert f6(-6e-7) == "-0.000001"
+    assert f6(0.0) == "0.000000"
 
 
 # degenerate matrices make cv_weights warn; that is not under test here
@@ -167,7 +169,7 @@ def test_priority_scores_are_correctly_rounded(small_city, tmp_path_factory, mat
     rows = [f"b{i:03d},0,0,residential,0,0,0,0,0,0," + ",".join(map(repr, row))
             for i, row in enumerate(matrix.tolist())]
     (out / "indicators.csv").write_text("\n".join([IND_HEADER, *rows]) + "\n")
-    with mock.patch.object(cli, "_f", lambda v: repr(float(v))):
+    with mock.patch.object(cli, "f6", lambda v: repr(float(v))):
         code = cli.main(["prioritize", "--config", str(small_city / "config.txt"),
                          "--out", str(out)])
     assert code == 0

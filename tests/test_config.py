@@ -146,7 +146,8 @@ def _city_config(city, tmp_path, line):
     ("carbon_price_hkd_per_ton = inf",
      "config key 'carbon_price_hkd_per_ton' must be finite, got inf"),
     ("dt_sunny = nan", "config key 'dt_sunny' must be finite, got nan"),
-], ids=["negative", "cross-field", "zero", "renamed-field", "inf", "nan"])
+    ("c_air = 0", "config key 'c_air' must be positive, got 0.0"),
+], ids=["negative", "cross-field", "zero", "renamed-field", "inf", "nan", "zero-heat-capacity"])
 def test_bad_value_stops_every_stage_at_load(small_city, tmp_path, capsys, line, message):
     config = _city_config(small_city, tmp_path, line)
     out = tmp_path / "out"
@@ -180,11 +181,15 @@ def test_int_past_the_float_range_is_rejected():
     (PotentialThresholds, {"age_max_yr": -1}, "age_max_yr must be non-negative, got -1"),
     (CoolingParams, {"dt_sunny": -0.1}, "dt_sunny must be non-negative, got -0.1"),
     (CoolingParams, {"sunny_fraction": 1.5}, "sunny_fraction must lie in [0, 1], got 1.5"),
+    (CoolingParams, {"c_air": 0.0}, "c_air must be positive, got 0.0"),
+    (CoolingParams, {"d_air": 0.0}, "d_air must be positive, got 0.0"),
+    (CoolingParams, {"hours_per_day": 48.0}, "hours_per_day must lie in [0, 24], got 48.0"),
     (EconParams, {"carbon_price_hkd_per_ton": float("inf")},
      "carbon_price_hkd_per_ton must be finite, got inf"),
 ], ids=["normal_tol_deg-negative", "normal_tol_deg-wraps", "residual_tol_m-negative",
         "cell-nan", "area_min_m2-negative", "age_max_yr-negative", "dt_sunny-negative",
-        "sunny_fraction-above-1", "carbon_price-inf"])
+        "sunny_fraction-above-1", "c_air-zero", "d_air-zero", "hours_per_day-above-24",
+        "carbon_price-inf"])
 def test_parameter_classes_check_their_bounds(cls, kwargs, message):
     with pytest.raises(ValueError) as info:
         cls(**kwargs)

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -7,19 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greenprior import ingest
+from greenprior import cli, ingest
 from greenprior.geocore import BUILDING, CLASS_NAMES, GROUND, PointCloud, RasterGrid
 from greenprior.ingest import (
-    BuildingReportRow,
     FormatError,
+    flag,
+    optional_float,
     read_footprints,
     read_point_cloud,
     read_raster_asc,
     read_roads,
+    read_table,
     read_xy_value,
-    write_building_report,
     write_point_cloud,
     write_raster_asc,
+    write_table,
     write_xy_value,
 )
 
@@ -406,48 +410,74 @@ def test_raster_value_count_mismatch(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# building report
+# tables
 # ---------------------------------------------------------------------------
 
-def test_building_report_roundtrip(tmp_path):
-    rows = [
-        BuildingReportRow("b1", True, 120.0, 3.5, 25.0,
-                          0.9, 0.8, 0.5, 0.6, 0.7, 0.9, 0.733333),
-        BuildingReportRow("b2", False),
-    ]
-    csv_path = tmp_path / "report.csv"
-    gj_path = tmp_path / "report.geojson"
-    write_building_report(rows, csv_path, gj_path)
-    with open(csv_path, newline="") as fh:
-        back = list(csv.DictReader(fh))
-    assert len(back) == 2
-    assert back[0]["id"] == "b1" and back[0]["potential"] == "true"
-    assert float(back[0]["priority"]) == pytest.approx(0.733333)
-    assert back[1]["potential"] == "false"
-    assert back[1]["roof_area_m2"] == ""
-
-    doc = json.loads(gj_path.read_text())
-    assert doc["type"] == "FeatureCollection"
-    assert doc["features"][0]["properties"]["priority"] == pytest.approx(0.733333)
-    assert doc["features"][1]["properties"]["roof_area_m2"] is None
+def test_table_round_trip(tmp_path):
+    columns = {"id": str, "active": flag, "n": int, "x": optional_float}
+    path = tmp_path / "t.csv"
+    write_table(path, columns, [["a", "true", "3", "1.500000"], ["b", "false", "-2", ""]])
+    assert path.read_text() == "id,active,n,x\na,true,3,1.500000\nb,false,-2,\n"
+    assert read_table(path, columns) == [
+        {"id": "a", "active": True, "n": 3, "x": 1.5},
+        {"id": "b", "active": False, "n": -2, "x": None}]
 
 
-def test_building_report_formatting(tmp_path):
-    rows = [BuildingReportRow("b9", True, 10.0, 1.0, 5.0,
-                              0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.654321)]
-    csv_path = tmp_path / "report.csv"
-    write_building_report(rows, csv_path)
-    text = csv_path.read_text().splitlines()
-    assert text[0].startswith("id,potential,roof_area_m2")
-    assert text[1].split(",")[1] == "true"
-    assert text[1].split(",")[-1] == "0.654321"  # 6 decimal places, always
+# ---------------------------------------------------------------------------
+# building report: cmd_report writes it with write_table and write_features
+# ---------------------------------------------------------------------------
+
+REPORT_HEADER = list(cli.TABLES["buildings_report.csv"].columns)
 
 
-def test_building_report_empty(tmp_path):
-    csv_path = tmp_path / "report.csv"
-    gj_path = tmp_path / "report.geojson"
-    write_building_report([], csv_path, gj_path)
-    lines = csv_path.read_text().splitlines()
-    assert len(lines) == 1  # header only
-    doc = json.loads(gj_path.read_text())
-    assert doc["features"] == []
+def _report_files(out):
+    with open(out / "buildings_report.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    features = json.loads((out / "buildings_report.geojson").read_text())["features"]
+    return lines, features
+
+
+def test_building_report_roundtrip(small_city):
+    out = small_city / "out"
+    lines, features = _report_files(out)
+    rows = read_table(out / "buildings_report.csv", cli.TABLES["buildings_report.csv"].columns)
+    priorities = {r["id"]: r["priority"]
+                  for r in read_table(out / "priorities.csv", cli.TABLES["priorities.csv"].columns)}
+    assert [r["id"] for r in rows] == [f["properties"]["id"] for f in features]
+    assert all(f["geometry"]["type"] == "Polygon" for f in features)
+    missing = 0
+    for line, row, feature in zip(lines[1:], rows, features):
+        props = feature["properties"]
+        assert list(props) == REPORT_HEADER
+        assert props["potential"] is row["potential"]
+        assert row["priority"] == priorities.get(row["id"])
+        for column, text in zip(REPORT_HEADER[2:], line[2:]):
+            # a missing value is an empty field in the CSV and null in the GeoJSON
+            missing += text == ""
+            assert props[column] == row[column]
+            assert (props[column] is None) == (text == "")
+    assert missing > 0
+    assert any(r["priority"] is not None for r in rows)
+
+
+def test_building_report_formatting(small_city):
+    lines, _ = _report_files(small_city / "out")
+    assert lines[0] == REPORT_HEADER
+    assert {line[1] for line in lines[1:]} == {"true", "false"}
+    numbers = [text for line in lines[1:] for text in line[2:] if text]
+    assert numbers
+    for text in numbers:  # 6 decimal places, always, and never a negative zero
+        assert re.fullmatch(r"-?\d+\.\d{6}", text), text
+        assert text != "-0.000000"
+
+
+def test_building_report_empty(small_city, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    header = (out / "buildings.csv").read_text().split("\n", 1)[0]
+    (out / "buildings.csv").write_text(header + "\n")
+    assert cli.main(["report", "--config", str(small_city / "config.txt"),
+                     "--out", str(out)]) == 0
+    lines, features = _report_files(out)
+    assert lines == [REPORT_HEADER]  # header only
+    assert features == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from greenprior.ingest import (
+    FormatError,
     read_footprints,
     read_point_cloud,
     read_raster_asc,
@@ -97,6 +98,26 @@ def test_ground_truth_round_trip(tmp_path):
         assert a.true_greenable_m2 == pytest.approx(b.true_greenable_m2,
                                                     abs=1e-5)
         assert a.true_slope_deg == pytest.approx(b.true_slope_deg, abs=1e-5)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("potential", "yes", "line 3: column potential: 'yes' is not a valid flag"),
+    ("true_slope_deg", "steep", "line 3: column true_slope_deg: 'steep' is not a valid float"),
+    ("category", None, "line 1: missing column(s) category"),
+])
+def test_ground_truth_is_read_with_checks(tmp_path, column, value, message):
+    out, _ = _generate(tmp_path, "a", seed=6, n_buildings=4)
+    path = out / "groundtruth.csv"
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    at = lines[0].index(column)
+    if value is None:
+        lines = [line[:at] + line[at + 1:] for line in lines]
+    else:
+        lines[2][at] = value
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+    with pytest.raises(FormatError) as info:
+        read_ground_truth(str(path))
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_ground_truth_internal_rules(tmp_path):
