@@ -26,6 +26,8 @@ from .indicators import (
     SEASONS,
     IndicatorVector,
     build_greenspace_mask,
+    building_coverage_rate,
+    greened_mask,
     measure_building,
     normalize_indicators,
 )
@@ -36,6 +38,7 @@ from .ingest import (
     flag,
     optional_float,
     polygon_geometry,
+    read_cell_table,
     read_footprints,
     read_point_cloud,
     read_raster_asc,
@@ -204,20 +207,30 @@ def cmd_extract(cfg):
 # indicators
 # ---------------------------------------------------------------------------
 
+def _cells_by_segment(path, grid):
+    """The cells of each (building_id, seg_id) in a cells.csv, in file order;
+    every cell must lie on the surface-model grid."""
+    keys, cells = read_cell_table(path, TABLES["cells.csv"].columns)
+    rows, cols = cells[:, 0], cells[:, 1]
+    off_grid = np.flatnonzero((rows < 0) | (rows >= grid.nrows)
+                              | (cols < 0) | (cols >= grid.ncols))
+    if off_grid.size:
+        i = off_grid[0]
+        raise FormatError(
+            f"{path}: segment ({keys[i][0]}, {keys[i][1]}) has cell "
+            f"{tuple(cells[i].tolist())}, outside the {grid.nrows} x {grid.ncols} grid of dsm.asc")
+    cells_by_seg = {}
+    for key, cell in zip(keys, zip(rows.tolist(), cols.tolist())):
+        cells_by_seg.setdefault(key, []).append(cell)
+    return cells_by_seg
+
+
 def _load_segments(cfg, grid):
     """Rebuild the qualifying RoofSegments of each building from the extract
-    stage's tables; every cell must lie on the surface-model grid."""
+    stage's tables."""
     seg_rows = _read_table(cfg, "segments.csv")
-    cells_path = _out_path(cfg, "cells.csv")
-    cells_by_seg = {}
-    for row in _read_table(cfg, "cells.csv"):
-        key = (row["building_id"], row["seg_id"])
-        cell = (row["row"], row["col"])
-        if not (0 <= cell[0] < grid.nrows and 0 <= cell[1] < grid.ncols):
-            raise FormatError(
-                f"{cells_path}: segment ({key[0]}, {key[1]}) has cell {cell}, outside "
-                f"the {grid.nrows} x {grid.ncols} grid of dsm.asc")
-        cells_by_seg.setdefault(key, []).append(cell)
+    cells_path = _artifact(cfg, "cells.csv", "extract")
+    cells_by_seg = _cells_by_segment(cells_path, grid)
     qualifying = {}
     for row in seg_rows:
         key = (row["building_id"], row["seg_id"])
@@ -249,7 +262,7 @@ def cmd_indicators(cfg):
     # only the header: segment cells are placed by its origin and cell size
     dsm = read_raster_geometry(_artifact(cfg, "dsm.asc", "extract"))
     qualifying = _load_segments(cfg, dsm)
-    potential_ids = [r["id"] for r in _read_table(cfg, "buildings.csv") if r["potential"]]
+    potential_ids = sorted(r["id"] for r in _read_table(cfg, "buildings.csv") if r["potential"])
 
     pc = read_point_cloud(cfg.points)
     buildings = {b.id: b for b in read_footprints(cfg.footprints)}
@@ -257,8 +270,7 @@ def cmd_indicators(cfg):
 
     mask_base = build_greenspace_mask(pc, None, cell=cfg.mask_cell)
     green_segs = [s for bid in potential_ids for s in qualifying.get(bid, [])]
-    mask_green = build_greenspace_mask(pc, green_segs, cell=cfg.mask_cell,
-                                       roof_grid=dsm)
+    mask_green = greened_mask(mask_base, green_segs, dsm)
     write_raster_asc(mask_base, _out_path(cfg, "greenspace_base.asc"))
     write_raster_asc(mask_green, _out_path(cfg, "greenspace_greened.asc"))
 
@@ -279,11 +291,11 @@ def cmd_indicators(cfg):
                 raise ComputationError(f"{path}: cannot fill gaps: {exc}") from None
         temps[season] = grid
 
-    raws = []
-    for bid in sorted(potential_ids):
-        raws.append(measure_building(
-            buildings[bid], qualifying.get(bid, []), mask_green, dsm, roads,
-            income_surface, temps, precip_surface, radius=cfg.gc_radius))
+    coverage = building_coverage_rate([qualifying.get(bid, []) for bid in potential_ids],
+                                      mask_green, dsm, radius=cfg.gc_radius)
+    raws = [measure_building(buildings[bid], greenspace, roads, income_surface, temps,
+                             precip_surface)
+            for bid, greenspace in zip(potential_ids, coverage)]
     vectors = normalize_indicators(raws, road_cap=cfg.road_cap_m)
 
     rows = []

@@ -92,17 +92,29 @@ def build_greenspace_mask(pc: PointCloud, potential_roofs: list[RoofSegment] | N
     if potential_roofs and roof_grid is None:
         raise ValueError("greened mode needs the roof grid for georeferencing")
     mask = snapped_grid(pc.xyz, cell)
-    green = [pc.points_of(VEGETATION)]
-    green += [segment_cell_centers(seg, roof_grid) for seg in potential_roofs or []]
-    for xy in green:
-        rows, cols = mask.cells_of(xy)
-        inside = (rows >= 0) & (rows < mask.nrows) & (cols >= 0) & (cols < mask.ncols)
-        mask.values[rows[inside], cols[inside]] = 1.0
-    return mask
+    _mark_green(mask, pc.points_of(VEGETATION))
+    return greened_mask(mask, potential_roofs, roof_grid) if potential_roofs else mask
 
 
-# (query, mask row) pairs the coverage kernel handles per vectorized pass
-COVERAGE_CHUNK_PAIRS = 1 << 16
+def greened_mask(mask: RasterGrid, potential_roofs: list[RoofSegment],
+                 roof_grid: RasterGrid | GridGeometry) -> RasterGrid:
+    """A copy of mask with the pixels under the roof segments' cells marked."""
+    greened = mask.copy()
+    if potential_roofs:
+        _mark_green(greened, np.concatenate([segment_cell_centers(seg, roof_grid)
+                                             for seg in potential_roofs]))
+    return greened
+
+
+def _mark_green(mask: RasterGrid, xy: np.ndarray) -> None:
+    rows, cols = mask.cells_of(xy)
+    inside = (rows >= 0) & (rows < mask.nrows) & (cols >= 0) & (cols < mask.ncols)
+    mask.values[rows[inside], cols[inside]] = 1.0
+
+
+# (query, mask row) pairs the coverage kernel handles per vectorized pass;
+# a chunk holds whole queries, or a single query larger than this
+COVERAGE_CHUNK_PAIRS = 1 << 14
 
 
 def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.ndarray,
@@ -135,33 +147,55 @@ def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.n
     row_hi = np.clip(np.floor((yq + radius - oy) / cell) + 1, row_lo, nrows).astype(np.int64)
     col_lo = np.clip(np.floor((xq - radius - ox) / cell), 0, ncols).astype(np.int64)
     col_hi = np.clip(np.floor((xq + radius - ox) / cell) + 1, col_lo, ncols).astype(np.int64)
+    x_centers, y_centers = mask.x_centers(), mask.y_centers()
     # first window column whose center lies at or east of the query: left of
     # it the disk test can only turn from false to true, from it on only
     # from true to false
-    split = np.clip(np.searchsorted(mask.x_centers(), xq), col_lo, col_hi)
+    split = np.clip(np.searchsorted(x_centers, xq), col_lo, col_hi)
+    # the query's x in column units, column c's center at c
+    u = (xq - ox) / cell - 0.5
 
-    pref = np.zeros((nrows, ncols + 1), dtype=np.int64)
+    width = ncols + 1
+    pref = np.zeros((nrows, width), dtype=np.int64)
     np.cumsum(mask.values > 0, axis=1, out=pref[:, 1:])
-    starts = np.concatenate(([0], np.cumsum(row_hi - row_lo)))
+    pref = pref.ravel()
+    n_pairs = row_hi - row_lo
+    ends = np.cumsum(n_pairs)
+    # pair k of the run of pairs from 0 is the one with mask row k + shift
+    # of its query
+    shift = row_lo - (ends - n_pairs)
     counts = np.zeros(xq.size)
-    for k0 in range(0, int(starts[-1]), COVERAGE_CHUNK_PAIRS):
-        k = np.arange(k0, min(k0 + COVERAGE_CHUNK_PAIRS, int(starts[-1])))
-        q = np.searchsorted(starts, k, side="right") - 1
-        rows = row_lo[q] + (k - starts[q])
-        dy2 = (oy + (rows + 0.5) * cell - yq[q]) ** 2
-        qx, mid = xq[q], split[q]
+    q0 = 0
+    while q0 < xq.size:
+        first = int(ends[q0] - n_pairs[q0])
+        q1 = max(q0 + 1, int(np.searchsorted(ends, first + COVERAGE_CHUNK_PAIRS, side="right")))
+        per_query = n_pairs[q0:q1]
+
+        def pairs(values):
+            """values of queries q0..q1-1, repeated once per pair of each"""
+            return np.repeat(values[q0:q1], per_query)
+
+        rows = np.arange(first, ends[q1 - 1]) + pairs(shift)
+        dy2 = (y_centers[rows] - pairs(yq)) ** 2
+        qx, lo, mid, hi = pairs(xq), pairs(col_lo), pairs(split), pairs(col_hi)
 
         def inside(i, c):
-            return dy2[i] + (ox + (c + 0.5) * cell - qx[i]) ** 2 <= r2
+            # _first_true also tests columns lo - 1 and hi, which may lie
+            # off the mask, at positions whose result it then drops
+            return dy2[i] + (x_centers.take(c, mode="clip") - qx[i]) ** 2 <= r2
 
         half = np.sqrt(np.maximum(r2 - dy2, 0.0)) / cell
-        u = (qx - ox) / cell - 0.5
+        qu = pairs(u)
         # [a, b) is the run of columns inside the disk
-        a = np.clip(np.ceil(u - half).astype(np.int64), col_lo[q], mid)
-        b = np.clip(np.floor(u + half).astype(np.int64) + 1, mid, col_hi[q])
-        _first_true(a, inside, col_lo[q], mid)
-        _first_true(b, lambda i, c: ~inside(i, c), mid, col_hi[q])
-        counts += np.bincount(q, weights=pref[rows, b] - pref[rows, a], minlength=xq.size)
+        a = np.clip(np.ceil(qu - half).astype(np.int64), lo, mid)
+        b = np.clip(np.floor(qu + half).astype(np.int64) + 1, mid, hi)
+        _first_true(a, inside, lo, mid)
+        _first_true(b, lambda i, c: ~inside(i, c), mid, hi)
+        row_start = rows * width
+        counts[q0:q1] = np.bincount(np.repeat(np.arange(q1 - q0), per_query),
+                                    weights=pref[row_start + b] - pref[row_start + a],
+                                    minlength=q1 - q0)
+        q0 = q1
     cov = np.minimum(1.0, counts * cell * cell / (math.pi * radius * radius))
     return float(cov[0]) if shape == () else cov.reshape(shape)
 
@@ -183,14 +217,27 @@ def _first_true(c, test, lo, hi):
         i = i[~test(i, c[i])]
 
 
-def building_coverage_rate(segments: list[RoofSegment], mask: RasterGrid,
+def building_coverage_rate(buildings: list[list[RoofSegment]], mask: RasterGrid,
                            roof_grid: RasterGrid | GridGeometry,
-                           radius: float = GC_RADIUS_DEFAULT) -> float:
-    """Mean coverage over all cells of the building's segments together."""
-    if not segments:
-        raise ValueError("building has no segments to evaluate")
-    centers = np.concatenate([segment_cell_centers(seg, roof_grid) for seg in segments])
-    return float(np.mean(greenspace_coverage(mask, centers[:, 0], centers[:, 1], radius)))
+                           radius: float = GC_RADIUS_DEFAULT) -> list[float]:
+    """Mean coverage over all cells of each building's segments together.
+
+    buildings holds one list of segments per building; every cell of every
+    building is one query of a single :func:`greenspace_coverage` call, and
+    each rate is the mean of its building's run of the result.
+    """
+    centers = []
+    for segments in buildings:
+        if not segments:
+            raise ValueError("building has no segments to evaluate")
+        centers.append(np.concatenate([segment_cell_centers(seg, roof_grid)
+                                       for seg in segments]))
+    if not centers:
+        return []
+    xy = np.concatenate(centers)
+    coverage = greenspace_coverage(mask, xy[:, 0], xy[:, 1], radius)
+    runs = np.split(coverage, np.cumsum([len(c) for c in centers[:-1]]))
+    return [float(np.mean(run)) for run in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +340,16 @@ def normalize_indicators(raws: list[RawIndicators],
 # per-building measurement
 # ---------------------------------------------------------------------------
 
-def measure_building(building: BuildingAttributes, segments: list[RoofSegment],
-                     mask: RasterGrid, roof_grid: RasterGrid | GridGeometry,
+def measure_building(building: BuildingAttributes, greenspace: float,
                      roads: list[Polyline],
                      income: RasterGrid, temps: dict[str, RasterGrid],
-                     precip: RasterGrid, radius: float = GC_RADIUS_DEFAULT,
-                     road_class: str = "main") -> RawIndicators:
+                     precip: RasterGrid, road_class: str = "main") -> RawIndicators:
     """Collect all raw indicator inputs for one building.
 
-    The footprint's cells are looked up once per distinct grid geometry
-    among the six surfaces (the seasonal rasters share one, the kriged
-    surfaces another).
+    greenspace is the building's roof coverage rate, from
+    :func:`building_coverage_rate`. The footprint's cells are looked up
+    once per distinct grid geometry among the six surfaces (the seasonal
+    rasters share one, the kriged surfaces another).
     """
     cx, cy = building.footprint.centroid()
     looked_up: list[tuple[RasterGrid, tuple[np.ndarray, np.ndarray]]] = []
@@ -317,11 +363,10 @@ def measure_building(building: BuildingAttributes, segments: list[RoofSegment],
 
     return RawIndicators(
         building_id=building.id,
-        greenspace=building_coverage_rate(segments, mask, roof_grid, radius),
+        greenspace=greenspace,
         road_distance_m=distance_to_polylines(cx, cy, roads, tag=road_class),
         category=building.category,
         income=sample(income),
         seasonal_temps=tuple(sample(temps[s]) for s in SEASONS),
         precipitation=sample(precip),
     )
-

@@ -8,8 +8,10 @@ malformed record silently.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -428,11 +430,15 @@ def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
     """
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
     nodata_text = repr(nodata)
-    # only values that are not NaN are formatted, in file order; each row
-    # is then the nodata row with those values put in at their columns
+    # only values that are not NaN are written, in file order; each row is
+    # then the nodata row with those values put in at their columns
     values = np.flipud(grid.values)
     occupied = ~np.isnan(values)
-    texts = [fmt(v) for v in values[occupied].tolist()]
+    # each distinct value is formatted once, keyed by its bits so that 0.0
+    # and -0.0 keep their own text
+    bits, which = np.unique(values[occupied].view(np.int64), return_inverse=True)
+    distinct = [fmt(v) for v in bits.view(np.float64).tolist()]
+    texts = [distinct[i] for i in which.tolist()]
     cols = np.nonzero(occupied)[1].tolist()
     nodata_row = [nodata_text] * grid.ncols
     nodata_line = " ".join(nodata_row) + "\n"
@@ -513,6 +519,64 @@ def read_table(path, columns) -> list[dict]:
                                       f"{value!r} is not a valid {kind.__name__}") from None
             rows.append(row)
     return rows
+
+
+# characters that make the csv module read a line otherwise than a split at
+# commas does
+_CSV_SPECIALS = '"\r\0'
+
+
+def read_cell_table(path, columns) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """A table of two text key columns and two int columns, such as
+    cells.csv: the keys of each row, and its two ints as an (n, 2) array.
+
+    columns names the four columns, in file order, with their types, as for
+    :func:`read_table`, whose values and errors this gives. The usual file
+    is read in bulk: one regular-expression pass for the keys, then one
+    ``np.loadtxt`` call for the ints. A file that holds a quote, a carriage
+    return, a NUL or an ASCII separator character, a header other than the
+    four names, no rows, a blank line, a line of more or fewer than four
+    fields, or an int that loadtxt cannot read, is read by
+    :func:`read_table` instead, which names the first bad line. Ints past
+    the int64 range come back as Python ints in an object array, so that a
+    range check can name them.
+    """
+    names = list(columns)
+    try:
+        parsed = _bulk_cell_table(path, names)
+    except ValueError:  # an int loadtxt cannot read
+        parsed = None
+    if parsed is not None:
+        return parsed
+    rows = read_table(path, columns)
+    keys = [(row[names[0]], row[names[1]]) for row in rows]
+    ints = [(row[names[2]], row[names[3]]) for row in rows]
+    try:
+        return keys, np.array(ints, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return keys, np.array(ints, dtype=object).reshape(-1, 2)
+
+
+# one line of exactly four comma-separated fields; groups: the first two
+_FOUR_FIELD_LINE = re.compile(r"^([^,\n]*),([^,\n]*),[^,\n]*,[^,\n]*$", re.MULTILINE)
+
+
+def _bulk_cell_table(path, names):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if any(ch in text for ch in _CSV_SPECIALS + _SEPARATORS):
+        return None
+    header, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    if header != ",".join(names) or not body:
+        return None
+    n_lines = body.count("\n") + 1
+    keys = _FOUR_FIELD_LINE.findall(body)
+    if len(keys) != n_lines:  # a blank line, or one of other than four fields
+        return None
+    ints = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", usecols=(2, 3),
+                      comments=None, quotechar=None, ndmin=2)
+    return keys, ints
 
 
 def write_table(path, columns, rows) -> None:

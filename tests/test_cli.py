@@ -225,6 +225,23 @@ def test_truncated_cells_table_exit_one(small_city, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_potential_building_without_qualifying_segment_exit_one(small_city, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    potential = sorted(r["id"] for r in _read_rows(out / "buildings.csv")
+                       if r["potential"] == "true")
+    lines = (out / "segments.csv").read_text().splitlines(keepends=True)
+    target = potential[-1]
+    lines = [ln.replace(",true,", ",false,", 1) if ln.startswith(target + ",") else ln
+             for ln in lines]
+    (out / "segments.csv").write_text("".join(lines))
+    code = cli.main(["indicators", "--config", str(small_city / "config.txt"),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: building has no segments to evaluate\n"
+
+
 def test_cell_outside_surface_model_exit_one(small_city, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(small_city / "out", out)

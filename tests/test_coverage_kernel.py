@@ -8,17 +8,17 @@ the same floats to the last bit, including for pixels whose centers lie
 exactly on the circle.
 """
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greenprior import benefits, indicators
+from greenprior import benefits, cli, indicators, ingest
 from greenprior.benefits import greenspace_exposure
-from greenprior.geocore import Polygon, Polyline, RasterGrid
+from greenprior.geocore import RasterGrid
 from greenprior.indicators import greenspace_coverage
-from greenprior.ingest import BuildingAttributes
 from greenprior.roofs import RoofSegment
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,53 @@ def test_coverage_independent_of_chunking(monkeypatch):
         assert _bits(greenspace_coverage(mask, xs[:300], ys[:300], 500.0)) == _bits(whole[:300])
 
 
+# a 30 x 30 mask with green and nodata pixels, and radius 4 cells: each disk
+# window spans at most 9 mask rows
+_CHUNK_MASK = RasterGrid(-3.0, 12.5, 5.0, np.random.default_rng(8).choice(
+    np.array(MASK_VALUES), size=(30, 30), p=[0.5, 0.3, 0.1, 0.05, 0.05]))
+
+
+def _chunk_queries(rows):
+    """Queries on pixel centers at the given mask rows, two columns apart."""
+    return np.array([_CHUNK_MASK.cell_center(r, 2 * i - 3) for i, r in enumerate(rows)])
+
+
+def _assert_oracle_bits(mask, pts, radius):
+    got = greenspace_coverage(mask, pts[:, 0], pts[:, 1], radius)
+    assert _bits(got) == _bits([_coverage_oracle(mask, x, y, radius) for x, y in pts])
+
+
+@pytest.mark.parametrize("pairs", [1, 4, 9, 10, 23])
+def test_coverage_zero_row_queries_among_inside_ones(monkeypatch, pairs):
+    # disks wholly below or above the mask have no (query, row) pair at all,
+    # and may open or close a chunk or fill one on their own
+    monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
+    rows = [-40, 5, -40, -40, 12, 80, 29, 80, -6, 0, 35, 15, -40]
+    _assert_oracle_bits(_CHUNK_MASK, _chunk_queries(rows), 20.0)
+    _assert_oracle_bits(_CHUNK_MASK, _chunk_queries([-40, 80, -40]), 20.0)
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 8])
+def test_coverage_single_query_larger_than_a_chunk(monkeypatch, pairs):
+    # a disk of 29 rows is one chunk on its own, whatever the chunk size
+    monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
+    _assert_oracle_bits(_CHUNK_MASK, _chunk_queries([14]), 70.0)
+    _assert_oracle_bits(_CHUNK_MASK, _chunk_queries([14, 3, 14, 26]), 70.0)
+
+
+@pytest.mark.parametrize("pairs", [12, 13, 17, 20])
+def test_coverage_queries_across_a_chunk_boundary(monkeypatch, pairs):
+    # 9 rows per inside query: a chunk ends in the middle of one, which then
+    # starts the next chunk whole
+    monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
+    pts = _chunk_queries([10, 11, 12, 13, 14, 15, 16, 17])
+    _assert_oracle_bits(_CHUNK_MASK, pts, 20.0)
+    monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", 1 << 14)
+    whole = greenspace_coverage(_CHUNK_MASK, pts[:, 0], pts[:, 1], 20.0)
+    monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
+    assert _bits(greenspace_coverage(_CHUNK_MASK, pts[:, 0], pts[:, 1], 20.0)) == _bits(whole)
+
+
 # ---------------------------------------------------------------------------
 # callers
 # ---------------------------------------------------------------------------
@@ -213,17 +260,32 @@ def test_building_coverage_is_mean_of_scalar_oracle():
     rng = np.random.default_rng(11)
     mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((60, 60)) < 0.4).astype(float))
     roof_grid = RasterGrid(0.5, -0.5, 1.0, np.zeros((300, 300)))
-    segs = [RoofSegment([(int(r), int(c)) for r, c in rng.integers(0, 300, (k, 2))],
-                        (0.0, 0.0, 1.0), 0.0, float(k)) for k in (5, 1, 30)]
-    got = indicators.building_coverage_rate(segs, mask, roof_grid, radius=120.0)
-    want = [_coverage_oracle(mask, *roof_grid.cell_center(r, c), 120.0)
-            for seg in segs for r, c in seg.cells]
-    assert _bits([got]) == _bits([float(np.mean(want))])
+    buildings = [[RoofSegment([(int(r), int(c)) for r, c in rng.integers(0, 300, (k, 2))],
+                              (0.0, 0.0, 1.0), 0.0, float(k)) for k in ks]
+                 for ks in ((5, 1, 30), (1,), (17, 4))]
+    got = indicators.building_coverage_rate(buildings, mask, roof_grid, radius=120.0)
+    want = [float(np.mean([_coverage_oracle(mask, *roof_grid.cell_center(r, c), 120.0)
+                           for seg in segs for r, c in seg.cells]))
+            for segs in buildings]
+    assert _bits(got) == _bits(want)
+    assert all(type(rate) is float for rate in got)
+    assert indicators.building_coverage_rate([], mask, roof_grid) == []
+    with pytest.raises(ValueError, match="building has no segments to evaluate"):
+        indicators.building_coverage_rate([buildings[0], []], mask, roof_grid)
 
 
-def test_coverage_work_is_one_call_per_building_and_mask(monkeypatch):
-    # guards against per-cell coverage queries coming back: one kernel call
-    # per building in measure_building, one per mask in greenspace_exposure
+def test_coverage_work_is_one_call_per_mask(small_city, tmp_path, monkeypatch):
+    # guards against per-building or per-cell coverage queries coming back:
+    # one kernel call for every roof cell of every potential building in the
+    # indicators stage, one per mask in greenspace_exposure
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    buildings = ingest.read_table(out / "buildings.csv", cli.TABLES["buildings.csv"].columns)
+    segments = ingest.read_table(out / "segments.csv", cli.TABLES["segments.csv"].columns)
+    potential = {r["id"] for r in buildings if r["potential"]}
+    assert len(potential) > 1
+    roof_cells = sum(r["n_cells"] for r in segments
+                     if r["qualifying"] and r["building_id"] in potential)
     calls = []
     kernel = indicators.greenspace_coverage
 
@@ -233,23 +295,12 @@ def test_coverage_work_is_one_call_per_building_and_mask(monkeypatch):
 
     monkeypatch.setattr(indicators, "greenspace_coverage", counted)
     monkeypatch.setattr(benefits, "greenspace_coverage", counted)
-    mask = RasterGrid(0.0, 0.0, 5.0, np.ones((40, 40)))
-    roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
-    surface = RasterGrid(0.0, 0.0, 10.0, np.ones((20, 20)))
-    building = BuildingAttributes("b1", 20, "public",
-                                  Polygon([[10, 10], [30, 10], [30, 30], [10, 30], [10, 10]]))
-    segs = [RoofSegment([(r, c) for r in range(10, 20) for c in range(10, 20)],
-                        (0.0, 0.0, 1.0), 0.0, 100.0),
-            RoofSegment([(r, c) for r in range(20, 30) for c in range(10, 30)],
-                        (0.0, 0.0, 1.0), 0.0, 200.0)]
-    temps = {s: surface for s in indicators.SEASONS}
-    roads = [Polyline([[0.0, 0.0], [100.0, 0.0]], tag="main")]
-    indicators.measure_building(building, segs, mask, roof_grid, roads, surface, temps,
-                                surface, radius=50.0)
-    assert len(calls) == 1
-    assert np.size(calls[0]) == 300
+    config = str(small_city / "config.txt")
+    assert cli.main(["indicators", "--config", config, "--out", str(out)]) == 0
+    assert [np.size(x) for x in calls] == [roof_cells]
 
     calls.clear()
+    mask = RasterGrid(0.0, 0.0, 5.0, np.ones((40, 40)))
     population = RasterGrid(0.0, 0.0, 20.0, np.ones((6, 6)))
     for m in (mask, RasterGrid(0.0, 0.0, 5.0, np.zeros((40, 40)))):
         greenspace_exposure(m, population, radius=50.0)

@@ -11,6 +11,7 @@ from greenprior.indicators import (
     RawIndicators,
     build_greenspace_mask,
     building_coverage_rate,
+    greened_mask,
     category_indicator,
     combine_seasonal_temperature,
     distance_indicator,
@@ -63,6 +64,20 @@ def test_mask_greened_adds_roof_pixels():
     assert baseline.values.sum() == 0.0
     assert greened.values.sum() == 4.0  # 100 m2 at 25 m2 per pixel
     assert set(np.unique(greened.values)) <= {0.0, 1.0}
+
+
+def test_greened_mask_marks_a_copy_of_the_base():
+    pc = pc_of([[0, 0, 0, GROUND], [30, 30, 0, GROUND], [12, 7, 3, VEGETATION]])
+    roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((32, 32)))
+    segs = [flat_segment([(r, c) for r in range(10) for c in range(10)]),
+            flat_segment([(31, 31), (7, 12)])]
+    base = build_greenspace_mask(pc)
+    before = base.values.copy()
+    greened = greened_mask(base, segs, roof_grid)
+    assert np.array_equal(base.values, before)
+    assert greened.same_as(build_greenspace_mask(pc, segs, roof_grid=roof_grid))
+    unchanged = greened_mask(base, [], roof_grid)
+    assert unchanged.same_as(base) and unchanged.values is not base.values
 
 
 def test_mask_greened_needs_grid():
@@ -143,7 +158,7 @@ def test_roof_coverage_is_mean_over_cells():
     mask = RasterGrid(0.0, 0.0, 5.0, vals)
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
     seg = RoofSegment([(100, 40), (100, 160)], (0.0, 0.0, 5.0), 0.0, 2.0)
-    got = building_coverage_rate([seg], mask, roof_grid, radius=100.0)
+    [got] = building_coverage_rate([[seg]], mask, roof_grid, radius=100.0)
     g1 = greenspace_coverage(mask, 40.5, 100.5, radius=100.0)
     g2 = greenspace_coverage(mask, 160.5, 100.5, radius=100.0)
     assert g1 != g2  # the two cells genuinely see different surroundings
@@ -155,7 +170,7 @@ def test_single_cell_roof_equals_point_coverage():
     mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((60, 60)) < 0.4).astype(float))
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((300, 300)))
     seg = flat_segment([(123, 77)])
-    got = building_coverage_rate([seg], mask, roof_grid, radius=200.0)
+    [got] = building_coverage_rate([[seg]], mask, roof_grid, radius=200.0)
     assert got == pytest.approx(greenspace_coverage(mask, 77.5, 123.5, 200.0))
 
 
@@ -163,13 +178,13 @@ def test_building_coverage_pools_all_segments():
     mask = RasterGrid(0.0, 0.0, 5.0, np.ones((40, 40)))
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
     segs = [flat_segment([(10, 10)]), flat_segment([(10, 11), (11, 10)])]
-    pooled = building_coverage_rate(segs, mask, roof_grid, radius=50.0)
+    [pooled] = building_coverage_rate([segs], mask, roof_grid, radius=50.0)
     singles = [greenspace_coverage(mask, 10.5, 10.5, 50.0),
                greenspace_coverage(mask, 11.5, 10.5, 50.0),
                greenspace_coverage(mask, 10.5, 11.5, 50.0)]
     assert pooled == pytest.approx(np.mean(singles))
     with pytest.raises(ValueError):
-        building_coverage_rate([], mask, roof_grid)
+        building_coverage_rate([[]], mask, roof_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +244,6 @@ def test_measure_building_looks_up_cells_once_per_grid_geometry(monkeypatch):
     seasonal["winter"].values[10:20, 10:20] = np.nan
     b = BuildingAttributes("b1", 10, "public", Polygon(
         [[30, 40], [120, 45], [110, 130], [35, 120], [30, 40]]))
-    mask = RasterGrid(0.0, 0.0, 5.0, np.zeros((40, 40)))
-    segments = [flat_segment([(8, 8), (8, 9)])]
     roads = [Polyline([[0, 0], [200, 0]], tag="main")]
     lookups = []
     cells_in_polygon = indicators.cells_in_polygon
@@ -240,9 +253,10 @@ def test_measure_building_looks_up_cells_once_per_grid_geometry(monkeypatch):
         return cells_in_polygon(grid, poly)
 
     monkeypatch.setattr(indicators, "cells_in_polygon", counted)
-    raw = measure_building(b, segments, mask, mask, roads, kriged[0], seasonal, kriged[1])
+    raw = measure_building(b, 0.25, roads, kriged[0], seasonal, kriged[1])
     assert len(lookups) == 2
     monkeypatch.setattr(indicators, "cells_in_polygon", cells_in_polygon)
+    assert raw.greenspace == 0.25
     assert raw.income == sample_surface_at_building(kriged[0], b)
     assert raw.precipitation == sample_surface_at_building(kriged[1], b)
     assert raw.seasonal_temps == tuple(sample_surface_at_building(seasonal[s], b)

@@ -394,6 +394,28 @@ def test_raster_writer_matches_oracle_row_by_row(tmp_path_factory, grid, decimal
     assert got.read_bytes() == want.read_bytes()
 
 
+# few values, many cells: the writer formats each distinct bit pattern once,
+# so values that share a text at 6 decimals, or a sign only (-0.0), and NaN
+# payloads must still come out as the per-element oracle writes them
+REPEATED_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1.0, 0.1,
+                   0.1000000001, 0.0999999999, -0.0000004, 1e-300, np.nan,
+                   *np.array([0x7FF8000000000001, -0x0008000000000000]).view(np.float64).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.sampled_from(REPEATED_VALUES), min_size=1, max_size=60),
+       ncols=st.integers(1, 9), decimals=st.sampled_from((None, 6)))
+def test_raster_writer_formats_repeated_values_as_oracle(tmp_path_factory, values, ncols,
+                                                         decimals):
+    values += [values[-1]] * (-len(values) % ncols)
+    grid = RasterGrid(0.0, 0.0, 1.0, np.array(values).reshape(-1, ncols))
+    folder = tmp_path_factory.mktemp("asc")
+    got, want = folder / "got.asc", folder / "want.asc"
+    write_raster_asc(grid, got, decimals=decimals)
+    _write_raster_asc_oracle(grid, want, decimals=decimals)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_raster_missing_header_keyword(tmp_path):
     p = tmp_path / "g.asc"
     p.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4\n")

@@ -1,14 +1,17 @@
-"""Bulk point-cloud and raster parsing against the line loops they replaced.
+"""Bulk point-cloud, raster and cell-table parsing against the line loops
+they replaced.
 
 ``read_point_cloud`` parses the file with one ``np.loadtxt`` call and falls
 back to its line loop to name a bad line, or where loadtxt reads numbers
 differently from ``float()`` and ``int()``; ``read_raster_asc`` converts
-its whole body with one cast. The earlier
+its whole body with one cast; the indicators stage reads ``cells.csv``
+through ``read_cell_table``, one loadtxt call that falls back to
+``read_table``. The earlier
 bodies below are kept as oracles: over generated files (awkward
 number spellings, blank lines, CRLF, header present or absent, ragged
-raster rows, wrong field counts, unknown class codes) the new readers must
-give the same float bits and class codes, or fail with the same exception
-and message.
+raster rows, wrong field counts, unknown class codes, quoted keys) the new
+readers must give the same float bits, class codes and cells, or fail with
+the same exception and message.
 
 The point oracle has gained the reader's one later rule, a line whose
 coordinates are not finite is malformed, so that both name that line. The
@@ -25,13 +28,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greenprior import ingest
+from greenprior import cli, ingest
 from greenprior.geocore import CLASS_NAMES, PointCloud, RasterGrid
 from greenprior.ingest import (
     FormatError,
+    read_cell_table,
     read_point_cloud,
     read_raster_asc,
     read_raster_geometry,
+    read_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -367,3 +372,103 @@ def test_header_read_gives_raster_geometry(tmp_path_factory, file):
     assert (geometry.origin_x, geometry.origin_y, geometry.cell,
             geometry.nrows, geometry.ncols) == (grid.origin_x, grid.origin_y, grid.cell,
                                                 grid.nrows, grid.ncols)
+
+
+# ---------------------------------------------------------------------------
+# cells.csv
+# ---------------------------------------------------------------------------
+
+CELL_GRID = RasterGrid(0.0, 0.0, 1.0, np.zeros((20, 30)))
+
+
+def _old_cells_by_segment(path, grid):
+    cells_by_seg = {}
+    for row in read_table(path, cli.TABLES["cells.csv"].columns):
+        key = (row["building_id"], row["seg_id"])
+        cell = (row["row"], row["col"])
+        if not (0 <= cell[0] < grid.nrows and 0 <= cell[1] < grid.ncols):
+            raise FormatError(
+                f"{path}: segment ({key[0]}, {key[1]}) has cell {cell}, outside "
+                f"the {grid.nrows} x {grid.ncols} grid of dsm.asc")
+        cells_by_seg.setdefault(key, []).append(cell)
+    return cells_by_seg
+
+
+INT_TOKENS = ("0", "7", "19", "29", "20", "30", "-1", "+3", " 4", "5 ", "\t6", "007", "-0",
+              "1_0", "٣", "２", "2.5", "1e1", "", "x", "0x1", "3\x1c", "\x1f3",
+              "99999999999999999999", "-99999999999999999999", "12\x85", "\u20034")
+KEY_TOKENS = ("b001", "b002", "s0", "s1", "", " b001", "b\u00e9", '"b001"', 'a"b', "b\x1c")
+
+
+@st.composite
+def cell_files(draw):
+    """The text of a cells.csv: the header or another, runs of rows per key,
+    keys that come back later, blank lines, CRLF, and awkward fields."""
+    good = draw(st.booleans())
+    header = draw(st.sampled_from(
+        ("building_id,seg_id,row,col",) * 4
+        + ("seg_id,building_id,row,col", "building_id,seg_id,row,col,extra",
+           '"building_id",seg_id,row,col', "building_id,seg_id,row")))
+    lines = [header]
+    ints = st.integers(0, 35).map(str) if good else st.sampled_from(INT_TOKENS)
+    keys = st.sampled_from(KEY_TOKENS[:4] if good else KEY_TOKENS)
+    for _ in range(draw(st.integers(0, 5))):
+        key = [draw(keys), draw(keys)]
+        for _ in range(draw(st.integers(1, 4))):
+            fields = key + [draw(ints), draw(ints)]
+            if not good and draw(st.integers(0, 7)) == 0:
+                fields = fields[:draw(st.integers(1, 5))] + ["1"] * draw(st.integers(0, 2))
+            lines.append(",".join(fields))
+            if not good and draw(st.integers(0, 9)) == 0:
+                lines.append(draw(st.sampled_from(("", " ", "\t"))))
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")) if not good else st.just("\n"))
+    return end.join(lines) + draw(st.sampled_from(("", end, end * 2)))
+
+
+def _outcome_cells(read, path):
+    try:
+        return list(read(path, CELL_GRID).items())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=cell_files())
+@example(text="building_id,seg_id,row,col\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,2\nb,t,3,4\nb,s,5,6\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,2\n\nb,s,3,4\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,2,3\nb,s,3\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,2,x,y,z\n\nb,s,3,4\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,2,x,y,z\n \nb,s,3,4\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,2\n\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,2,3\n")
+@example(text='building_id,seg_id,row,col\n"b",s,1,2\n')
+@example(text="building_id,seg_id,row,col\nb\rx,s,1,2\n")
+@example(text="building_id,seg_id,row,col\nb,s,2.5,1\n")
+@example(text="building_id,seg_id,row,col\nb,s,3\x1c,1\n")
+@example(text="building_id,seg_id,row,col\nb,s,99999999999999999999,1\nb,s,2.5,1\n")
+@example(text="building_id,seg_id,row,col\nb,s,1,99\nb,t,-1,2\n")
+@example(text='building_id,seg_id,row,col\n"b,1",s,1,2\n')
+@example(text="building_id,seg_id,row,col\r\nb,s,1,2\r\n")
+@example(text="building_id,seg_id,row,col\nb,s, 1 ,+2\nb,s,1_0,٣\n")
+def test_cells_match_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cells") / "cells.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_outcome_cells(cli._cells_by_segment, path)
+            == _outcome_cells(_old_cells_by_segment, path))
+
+
+def test_cell_table_reads_extract_output_in_bulk(small_city, monkeypatch):
+    # the file extract writes never needs the line loop
+    path = small_city / "out" / "cells.csv"
+    columns = cli.TABLES["cells.csv"].columns
+    rows = read_table(path, columns)
+
+    def no_loop(*args):
+        raise AssertionError("read_table called")
+
+    monkeypatch.setattr(ingest, "read_table", no_loop)
+    keys, cells = read_cell_table(path, columns)
+    assert cells.dtype == np.int64 and cells.shape == (len(rows), 2)
+    assert keys == [(r["building_id"], r["seg_id"]) for r in rows]
+    assert cells.tolist() == [[r["row"], r["col"]] for r in rows]
