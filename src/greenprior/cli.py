@@ -11,6 +11,8 @@ import math
 import os
 import sys
 from collections import namedtuple
+from dataclasses import asdict
+from itertools import compress
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .ingest import (
     flag,
     optional_float,
     polygon_geometry,
-    read_cell_table,
     read_footprints,
     read_point_cloud,
     read_raster_asc,
@@ -94,6 +95,23 @@ TABLES = {
         "id": str, "potential": flag, **dict.fromkeys(REPORT_VALUES, optional_float)}),
 }
 
+# The rows of benefits.csv in file order: each metric and its unit. All but
+# the first are the fields of benefits.BenefitReport.
+BENEFIT_METRICS = (
+    ("potential_buildings", "count"),
+    ("greenable_area_m2", "m2"),
+    ("exposure_baseline", "fraction"),
+    ("exposure_greened", "fraction"),
+    ("carbon_direct_kg", "kg_per_yr"),
+    ("energy_joules", "J_per_yr"),
+    ("energy_kwh", "kWh_per_yr"),
+    ("carbon_indirect_kg", "kg_per_yr"),
+    ("carbon_total_kg", "kg_per_yr"),
+    ("value_energy_hkd", "HKD_per_yr"),
+    ("value_carbon_hkd", "HKD_per_yr"),
+    ("value_total_hkd", "HKD_per_yr"),
+)
+
 # Reference values reported by the Hong Kong 2021 citywide study the method
 # follows; shown in report.md for orientation only, since a synthetic
 # desk-scale scene cannot reproduce citywide magnitudes.
@@ -124,7 +142,8 @@ def _artifact(cfg, name, prior):
 
 
 def _read_table(cfg, name):
-    """The rows of the stage table name; a missing file names the stage to run."""
+    """The columns of the stage table name; a missing file names the stage to
+    run."""
     table = TABLES[name]
     return read_table(_artifact(cfg, name, table.stage), table.columns)
 
@@ -210,38 +229,44 @@ def cmd_extract(cfg):
 def _cells_by_segment(path, grid):
     """The cells of each (building_id, seg_id) in a cells.csv, in file order;
     every cell must lie on the surface-model grid."""
-    keys, cells = read_cell_table(path, TABLES["cells.csv"].columns)
-    rows, cols = cells[:, 0], cells[:, 1]
-    off_grid = np.flatnonzero((rows < 0) | (rows >= grid.nrows)
-                              | (cols < 0) | (cols >= grid.ncols))
+    table = read_table(path, TABLES["cells.csv"].columns)
+    bids, sids, rows, cols = table.values()
+    # Python ints, so that one past the int64 range is off the grid too
+    r, c = np.array(rows, dtype=object), np.array(cols, dtype=object)
+    off_grid = np.flatnonzero((r < 0) | (r >= grid.nrows) | (c < 0) | (c >= grid.ncols))
     if off_grid.size:
         i = off_grid[0]
         raise FormatError(
-            f"{path}: segment ({keys[i][0]}, {keys[i][1]}) has cell "
-            f"{tuple(cells[i].tolist())}, outside the {grid.nrows} x {grid.ncols} grid of dsm.asc")
+            f"{path}: segment ({bids[i]}, {sids[i]}) has cell ({rows[i]}, {cols[i]}), "
+            f"outside the {grid.nrows} x {grid.ncols} grid of dsm.asc")
     cells_by_seg = {}
-    for key, cell in zip(keys, zip(rows.tolist(), cols.tolist())):
+    for key, cell in zip(zip(bids, sids), zip(rows, cols)):
         cells_by_seg.setdefault(key, []).append(cell)
     return cells_by_seg
 
 
 def _load_segments(cfg, grid):
     """Rebuild the qualifying RoofSegments of each building from the extract
-    stage's tables."""
-    seg_rows = _read_table(cfg, "segments.csv")
+    stage's tables; every segment has cells, and every cell a segment."""
+    segs = _read_table(cfg, "segments.csv")
     cells_path = _artifact(cfg, "cells.csv", "extract")
     cells_by_seg = _cells_by_segment(cells_path, grid)
-    qualifying = {}
-    for row in seg_rows:
-        key = (row["building_id"], row["seg_id"])
+    keys = list(zip(segs["building_id"], segs["seg_id"]))
+    for key in keys:
         if key not in cells_by_seg:
+            raise FormatError(f"{cells_path}: segment ({key[0]}, {key[1]}) has no cells")
+    known = set(keys)
+    for key in cells_by_seg:
+        if key not in known:
             raise FormatError(
-                f"{cells_path}: segment ({key[0]}, {key[1]}) has no cells")
-        if row["qualifying"]:
-            qualifying.setdefault(row["building_id"], []).append(RoofSegment(
-                cells_by_seg[key], (row["plane_a"], row["plane_b"], row["plane_c"]),
-                row["slope_deg"], row["area_m2"],
-                building_id=row["building_id"], seg_id=row["seg_id"]))
+                f"{cells_path}: segment ({key[0]}, {key[1]}) is not in segments.csv")
+    qualifying = {}
+    for (bid, sid), chosen, a, b, c, slope, area in zip(
+            keys, segs["qualifying"], segs["plane_a"], segs["plane_b"], segs["plane_c"],
+            segs["slope_deg"], segs["area_m2"]):
+        if chosen:
+            qualifying.setdefault(bid, []).append(RoofSegment(
+                cells_by_seg[bid, sid], (a, b, c), slope, area, building_id=bid, seg_id=sid))
     return qualifying
 
 
@@ -262,13 +287,14 @@ def cmd_indicators(cfg):
     # only the header: segment cells are placed by its origin and cell size
     dsm = read_raster_geometry(_artifact(cfg, "dsm.asc", "extract"))
     qualifying = _load_segments(cfg, dsm)
-    potential_ids = sorted(r["id"] for r in _read_table(cfg, "buildings.csv") if r["potential"])
+    buildings_table = _read_table(cfg, "buildings.csv")
+    potential_ids = sorted(compress(buildings_table["id"], buildings_table["potential"]))
 
     pc = read_point_cloud(cfg.points)
     buildings = {b.id: b for b in read_footprints(cfg.footprints)}
     roads = read_roads(cfg.roads)
 
-    mask_base = build_greenspace_mask(pc, None, cell=cfg.mask_cell)
+    mask_base = build_greenspace_mask(pc, cell=cfg.mask_cell)
     green_segs = [s for bid in potential_ids for s in qualifying.get(bid, [])]
     mask_green = greened_mask(mask_base, green_segs, dsm)
     write_raster_asc(mask_base, _out_path(cfg, "greenspace_base.asc"))
@@ -316,10 +342,8 @@ def cmd_indicators(cfg):
 # ---------------------------------------------------------------------------
 
 def _read_indicator_vectors(cfg):
-    rows = _read_table(cfg, "indicators.csv")
-    ids = [r["id"] for r in rows]
-    matrix = np.array([[r[c] for c in IND_COLUMNS] for r in rows])
-    return ids, matrix
+    table = _read_table(cfg, "indicators.csv")
+    return table["id"], np.column_stack([table[c] for c in IND_COLUMNS])
 
 
 def cmd_prioritize(cfg):
@@ -361,39 +385,28 @@ def cmd_prioritize(cfg):
 
 def cmd_benefits(cfg):
     cfg.require("population")
-    building_rows = _read_table(cfg, "buildings.csv")
+    buildings_table = _read_table(cfg, "buildings.csv")
     mask_base = read_raster_asc(_artifact(cfg, "greenspace_base.asc", "indicators"))
     mask_green = read_raster_asc(_artifact(cfg, "greenspace_greened.asc", "indicators"))
-    ind_rows = _read_table(cfg, "indicators.csv")
+    ind_table = _read_table(cfg, "indicators.csv")
 
     population = population_grid_from_points(read_xy_value(cfg.population),
                                              cell=cfg.population_cell)
     exposure_base = greenspace_exposure(mask_base, population, radius=cfg.gc_radius)
     exposure_green = greenspace_exposure(mask_green, population, radius=cfg.gc_radius)
 
-    potential = [r for r in building_rows if r["potential"]]
-    greenable = sum(r["greenable_m2"] for r in potential)
-    volumes = [(r["greenable_m2"], r["height_m"]) for r in potential]
+    potential = buildings_table["potential"]
+    volumes = list(zip(compress(buildings_table["greenable_m2"], potential),
+                       compress(buildings_table["height_m"], potential)))
+    greenable = sum(area for area, _ in volumes)
     report = assemble_report(greenable, exposure_base, exposure_green, volumes,
                              cooling=cfg.cooling(), econ=cfg.econ())
 
-    rows = [
-        ["potential_buildings", f6(len(potential)), "count"],
-        ["greenable_area_m2", f6(report.greenable_area_m2), "m2"],
-        ["exposure_baseline", f6(report.exposure_baseline), "fraction"],
-        ["exposure_greened", f6(report.exposure_greened), "fraction"],
-        ["carbon_direct_kg", f6(report.carbon_direct_kg), "kg_per_yr"],
-        ["energy_joules", f6(report.energy_joules), "J_per_yr"],
-        ["energy_kwh", f6(report.energy_kwh), "kWh_per_yr"],
-        ["carbon_indirect_kg", f6(report.carbon_indirect_kg), "kg_per_yr"],
-        ["carbon_total_kg", f6(report.carbon_total_kg), "kg_per_yr"],
-        ["value_energy_hkd", f6(report.value_energy_hkd), "HKD_per_yr"],
-        ["value_carbon_hkd", f6(report.value_carbon_hkd), "HKD_per_yr"],
-        ["value_total_hkd", f6(report.value_total_hkd), "HKD_per_yr"],
-    ]
-    _write_table(cfg, "benefits.csv", rows)
+    values = {"potential_buildings": len(volumes), **asdict(report)}
+    _write_table(cfg, "benefits.csv", [[metric, f6(values[metric]), unit]
+                                       for metric, unit in BENEFIT_METRICS])
 
-    pairs = [(r["income_raw"], r["gc_raw"]) for r in ind_rows]
+    pairs = list(zip(ind_table["income_raw"], ind_table["gc_raw"]))
     reg_rows = []
     try:
         reg = income_greenspace_regression(pairs)
@@ -418,51 +431,53 @@ def cmd_benefits(cfg):
 
 def cmd_report(cfg):
     cfg.require("footprints")
-    building_rows = _read_table(cfg, "buildings.csv")
-    seg_rows = _read_table(cfg, "segments.csv")
-    ind_rows = {r["id"]: r for r in _read_table(cfg, "indicators.csv")}
-    pri_rows = {r["id"]: r for r in _read_table(cfg, "priorities.csv")}
-    weight_rows = _read_table(cfg, "weights.csv")
-    metrics = {r["metric"]: r["value"] for r in _read_table(cfg, "benefits.csv")}
-    reg_rows = _read_table(cfg, "regression.csv")
+    buildings = _read_table(cfg, "buildings.csv")
+    segs = _read_table(cfg, "segments.csv")
+    ind = _read_table(cfg, "indicators.csv")
+    ind_values = dict(zip(ind["id"], zip(*(ind[c] for c in IND_COLUMNS))))
+    pri = _read_table(cfg, "priorities.csv")
+    priority = dict(zip(pri["id"], pri["priority"]))
+    weights = _read_table(cfg, "weights.csv")
+    benefits = _read_table(cfg, "benefits.csv")
+    metrics = dict(zip(benefits["metric"], benefits["value"]))
+    for metric, _ in BENEFIT_METRICS:
+        if metric not in metrics:
+            raise FormatError(f"{_out_path(cfg, 'benefits.csv')}: missing metric {metric}")
+    regression = _read_table(cfg, "regression.csv")
 
     min_slope = {}
-    for r in seg_rows:
-        bid = r["building_id"]
-        s = r["slope_deg"]
-        if bid not in min_slope or s < min_slope[bid]:
-            min_slope[bid] = s
+    for bid, slope in zip(segs["building_id"], segs["slope_deg"]):
+        if bid not in min_slope or slope < min_slope[bid]:
+            min_slope[bid] = slope
 
     footprints = {b.id: b.footprint for b in read_footprints(cfg.footprints)}
+    no_indicators = (None,) * len(IND_COLUMNS)
     rows, features, priorities = [], [], []
-    for r in sorted(building_rows, key=lambda r: r["id"]):
-        bid = r["id"]
-        ind = ind_rows.get(bid)
-        pri = pri_rows.get(bid)
-        values = [r["greenable_m2"], min_slope.get(bid), r["height_m"],
-                  *(ind[c] if ind else None for c in IND_COLUMNS),
-                  pri["priority"] if pri else None]
-        rows.append([bid, FLAGS[r["potential"]]]
+    for bid, potential, greenable, height in sorted(
+            zip(buildings["id"], buildings["potential"], buildings["greenable_m2"],
+                buildings["height_m"]), key=lambda r: r[0]):
+        values = [greenable, min_slope.get(bid), height,
+                  *ind_values.get(bid, no_indicators), priority.get(bid)]
+        rows.append([bid, FLAGS[potential]]
                     + ["" if v is None else f6(v) for v in values])
-        props = {"id": bid, "potential": r["potential"]}
+        props = {"id": bid, "potential": potential}
         props.update((c, None if v is None else round(v, 6))
                      for c, v in zip(REPORT_VALUES, values))
         poly = footprints.get(bid)
         features.append((None if poly is None else polygon_geometry(poly), props))
-        if pri:
-            priorities.append(pri["priority"])
+        if bid in priority:
+            priorities.append(priority[bid])
     _write_table(cfg, "buildings_report.csv", rows)
     write_features(_out_path(cfg, "buildings_report.geojson"), features)
 
-    text = _render_report(building_rows, priorities, weight_rows, metrics, reg_rows)
+    text = _render_report(len(buildings["id"]), priorities, weights, metrics, regression)
     with open(_out_path(cfg, "report.md"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"report: wrote {_out_path(cfg, 'report.md')} and the per-building table")
     return 0
 
 
-def _render_report(building_rows, priorities, weight_rows, metrics, reg_rows):
-    n = len(building_rows)
+def _render_report(n, priorities, weights, metrics, regression):
     n_pot = int(metrics["potential_buildings"])
     share = 100.0 * n_pot / n if n else 0.0
     lines = []
@@ -480,9 +495,10 @@ def _render_report(building_rows, priorities, weight_rows, metrics, reg_rows):
     w("")
     w("| scheme | active | " + " | ".join(WEIGHT_COLUMNS) + " |")
     w("|---|---|" + "---|" * len(WEIGHT_COLUMNS))
-    for r in weight_rows:
-        w("| " + r["scheme"] + " | " + FLAGS[r["active"]] + " | "
-          + " | ".join(f"{r[c]:.4f}" for c in WEIGHT_COLUMNS) + " |")
+    for scheme, active, *values in zip(weights["scheme"], weights["active"],
+                                       *(weights[c] for c in WEIGHT_COLUMNS)):
+        w("| " + scheme + " | " + FLAGS[active] + " | "
+          + " | ".join(f"{v:.4f}" for v in values) + " |")
     if priorities:
         n_scored = len(priorities)
         above = 100.0 * sum(1 for p in priorities if p > 0.5) / n_scored
@@ -505,11 +521,10 @@ def _render_report(building_rows, priorities, weight_rows, metrics, reg_rows):
     w("")
     w("## Income and greenspace")
     w("")
-    if reg_rows:
-        r = reg_rows[0]
-        w(f"- linear fit of coverage on income: slope {r['slope']:.3e}, "
-          f"r = {r['pearson_r']:.3f}, p = {r['p_value']:.4g}, "
-          f"n = {r['n']}")
+    if regression["slope"]:
+        w(f"- linear fit of coverage on income: slope {regression['slope'][0]:.3e}, "
+          f"r = {regression['pearson_r'][0]:.3f}, p = {regression['p_value'][0]:.4g}, "
+          f"n = {regression['n'][0]}")
     else:
         w("- regression not computed (too few scored buildings or no spread)")
     w("")

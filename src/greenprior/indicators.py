@@ -79,21 +79,13 @@ class IndicatorVector:
 # greenspace mask and coverage
 # ---------------------------------------------------------------------------
 
-def build_greenspace_mask(pc: PointCloud, potential_roofs: list[RoofSegment] | None = None,
-                          cell: float = MASK_CELL_DEFAULT,
-                          roof_grid: RasterGrid | GridGeometry | None = None) -> RasterGrid:
-    """Binary plan-view map of green pixels.
-
-    Baseline mode (no segments) marks pixels containing vegetation points.
-    Greened mode additionally marks pixels under the given roof segments,
-    which requires the surface-model grid to place their cells. The mask
-    is the :func:`snapped_grid` of the whole cloud either way.
-    """
-    if potential_roofs and roof_grid is None:
-        raise ValueError("greened mode needs the roof grid for georeferencing")
+def build_greenspace_mask(pc: PointCloud, cell: float = MASK_CELL_DEFAULT) -> RasterGrid:
+    """Binary plan-view map of green pixels: those holding vegetation points,
+    on the :func:`snapped_grid` of the whole cloud. :func:`greened_mask`
+    adds the roofs."""
     mask = snapped_grid(pc.xyz, cell)
     _mark_green(mask, pc.points_of(VEGETATION))
-    return greened_mask(mask, potential_roofs, roof_grid) if potential_roofs else mask
+    return mask
 
 
 def greened_mask(mask: RasterGrid, potential_roofs: list[RoofSegment],

@@ -7,11 +7,8 @@ malformed record silently.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -488,95 +485,62 @@ def f6(v) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def read_table(path, columns) -> list[dict]:
-    """The rows of a CSV table as dicts, every column parsed with its type.
+def read_table(path, columns) -> dict[str, list]:
+    """The columns of a CSV table, each a list of its values in file order,
+    parsed with its type.
 
     columns maps each column name to the function that parses its values.
     The header must hold every column, each row must have as many fields as
-    the header, and every value must parse; blank lines are skipped.
+    the header, and every value must parse; CRLF and CR line ends read as
+    LF, and empty lines are skipped. Fields are never quoted, as
+    :func:`write_table` writes them: a double quote anywhere is an error.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise FormatError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
-        where = {column: i for i, column in enumerate(header)}
-        rows = []
-        for fields in reader:
-            if not fields:
-                continue
+        text = fh.read()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header = lines[0].split(",")
+    where = {column: i for i, column in enumerate(header)}
+    rows = list(filter(None, lines[1:]))
+    if ('"' in text or columns.keys() - where.keys()
+            or {row.count(",") for row in rows} - {len(header) - 1}):
+        _table_error(path, lines, columns)
+    # every row has one field per column, so column i is every
+    # len(header)-th field of the rows from i on
+    fields = ",".join(rows).split(",") if rows else []
+    try:
+        return {column: list(map(kind, fields[where[column]::len(header)]))
+                for column, kind in columns.items()}
+    except ValueError:
+        _table_error(path, lines, columns)
+
+
+def _table_error(path, lines, columns):
+    """Raise the FormatError of the first bad line of a table that
+    :func:`read_table` could not read: a double quote, a missing column, a
+    row of the wrong length or a value that does not parse."""
+    header = lines[0].split(",")
+    where = {column: i for i, column in enumerate(header)}
+    for lineno, line in enumerate(lines, start=1):
+        if '"' in line:
+            raise FormatError(f"{path}: line {lineno}: holds a double quote; "
+                              "table fields are never quoted")
+        if lineno == 1:
+            missing = [c for c in columns if c not in where]
+            if missing:
+                raise FormatError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        elif line:
+            fields = line.split(",")
             if len(fields) != len(header):
-                raise FormatError(f"{path}: line {reader.line_num}: expected "
+                raise FormatError(f"{path}: line {lineno}: expected "
                                   f"{len(header)} fields, got {len(fields)}")
-            row = {}
             for column, kind in columns.items():
                 value = fields[where[column]]
                 try:
-                    row[column] = kind(value)
+                    kind(value)
                 except ValueError:
-                    raise FormatError(f"{path}: line {reader.line_num}: column {column}: "
+                    raise FormatError(f"{path}: line {lineno}: column {column}: "
                                       f"{value!r} is not a valid {kind.__name__}") from None
-            rows.append(row)
-    return rows
-
-
-# characters that make the csv module read a line otherwise than a split at
-# commas does
-_CSV_SPECIALS = '"\r\0'
-
-
-def read_cell_table(path, columns) -> tuple[list[tuple[str, str]], np.ndarray]:
-    """A table of two text key columns and two int columns, such as
-    cells.csv: the keys of each row, and its two ints as an (n, 2) array.
-
-    columns names the four columns, in file order, with their types, as for
-    :func:`read_table`, whose values and errors this gives. The usual file
-    is read in bulk: one regular-expression pass for the keys, then one
-    ``np.loadtxt`` call for the ints. A file that holds a quote, a carriage
-    return, a NUL or an ASCII separator character, a header other than the
-    four names, no rows, a blank line, a line of more or fewer than four
-    fields, or an int that loadtxt cannot read, is read by
-    :func:`read_table` instead, which names the first bad line. Ints past
-    the int64 range come back as Python ints in an object array, so that a
-    range check can name them.
-    """
-    names = list(columns)
-    try:
-        parsed = _bulk_cell_table(path, names)
-    except ValueError:  # an int loadtxt cannot read
-        parsed = None
-    if parsed is not None:
-        return parsed
-    rows = read_table(path, columns)
-    keys = [(row[names[0]], row[names[1]]) for row in rows]
-    ints = [(row[names[2]], row[names[3]]) for row in rows]
-    try:
-        return keys, np.array(ints, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        return keys, np.array(ints, dtype=object).reshape(-1, 2)
-
-
-# one line of exactly four comma-separated fields; groups: the first two
-_FOUR_FIELD_LINE = re.compile(r"^([^,\n]*),([^,\n]*),[^,\n]*,[^,\n]*$", re.MULTILINE)
-
-
-def _bulk_cell_table(path, names):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if any(ch in text for ch in _CSV_SPECIALS + _SEPARATORS):
-        return None
-    header, _, body = text.partition("\n")
-    body = body.removesuffix("\n")
-    if header != ",".join(names) or not body:
-        return None
-    n_lines = body.count("\n") + 1
-    keys = _FOUR_FIELD_LINE.findall(body)
-    if len(keys) != n_lines:  # a blank line, or one of other than four fields
-        return None
-    ints = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", usecols=(2, 3),
-                      comments=None, quotechar=None, ndmin=2)
-    return keys, ints
+    raise AssertionError(f"{path}: read_table failed on no line")
 
 
 def write_table(path, columns, rows) -> None:

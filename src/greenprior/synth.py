@@ -391,4 +391,5 @@ def generate_city(spec, out_dir):
 def read_ground_truth(path):
     """Load groundtruth.csv back into GroundTruth records; a value that does
     not parse raises FormatError naming the line and the column."""
-    return [GroundTruth(*row.values()) for row in read_table(path, GROUND_TRUTH_COLUMNS)]
+    table = read_table(path, GROUND_TRUTH_COLUMNS)
+    return [GroundTruth(*values) for values in zip(*table.values())]

@@ -257,6 +257,45 @@ def test_cell_outside_surface_model_exit_one(small_city, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cell_of_unknown_segment_exit_one(small_city, tmp_path, capsys):
+    # such rows used to be dropped; the first one in file order is named
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / "cells.csv").read_text().splitlines(keepends=True)
+    lines[2:2] = ["zz99,s999,1,1\n"]
+    lines.append("aa00,s0,1,1\n")
+    (out / "cells.csv").write_text("".join(lines))
+    code = cli.main(["indicators", "--config", str(small_city / "config.txt"),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'cells.csv'}: segment (zz99, s999) is not in segments.csv" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage, metric", [
+    ("header only", "potential_buildings"),
+    ("cut", "carbon_direct_kg"),
+    ("nul", "energy_kwh"),
+])
+def test_damaged_benefits_table_exit_one(small_city, tmp_path, capsys, damage, metric):
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / "benefits.csv").read_text().splitlines(keepends=True)
+    if damage == "header only":
+        lines = lines[:1]
+    elif damage == "cut":
+        lines = lines[:5]
+    else:
+        lines = [ln.replace("energy_kwh", "energy\0kwh") for ln in lines]
+    (out / "benefits.csv").write_text("".join(lines))
+    code = cli.main(["report", "--config", str(small_city / "config.txt"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'benefits.csv'}: missing metric {metric}" in err
+    assert "Traceback" not in err
+
+
 RASTER_HEADER = {"ncols": "3", "nrows": "2", "xllcorner": "0.0", "yllcorner": "0.0",
                  "cellsize": "1.0", "NODATA_value": "-9999.0"}
 

@@ -282,10 +282,11 @@ def test_coverage_work_is_one_call_per_mask(small_city, tmp_path, monkeypatch):
     shutil.copytree(small_city / "out", out)
     buildings = ingest.read_table(out / "buildings.csv", cli.TABLES["buildings.csv"].columns)
     segments = ingest.read_table(out / "segments.csv", cli.TABLES["segments.csv"].columns)
-    potential = {r["id"] for r in buildings if r["potential"]}
+    potential = {bid for bid, p in zip(buildings["id"], buildings["potential"]) if p}
     assert len(potential) > 1
-    roof_cells = sum(r["n_cells"] for r in segments
-                     if r["qualifying"] and r["building_id"] in potential)
+    roof_cells = sum(n for bid, chosen, n in zip(segments["building_id"], segments["qualifying"],
+                                                 segments["n_cells"])
+                     if chosen and bid in potential)
     calls = []
     kernel = indicators.greenspace_coverage
 

@@ -60,7 +60,7 @@ def test_mask_greened_adds_roof_pixels():
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((12, 12)))
     seg = flat_segment([(r, c) for r in range(10) for c in range(10)])  # 100 m2
     baseline = build_greenspace_mask(pc)
-    greened = build_greenspace_mask(pc, [seg], roof_grid=roof_grid)
+    greened = greened_mask(baseline, [seg], roof_grid)
     assert baseline.values.sum() == 0.0
     assert greened.values.sum() == 4.0  # 100 m2 at 25 m2 per pixel
     assert set(np.unique(greened.values)) <= {0.0, 1.0}
@@ -75,15 +75,13 @@ def test_greened_mask_marks_a_copy_of_the_base():
     before = base.values.copy()
     greened = greened_mask(base, segs, roof_grid)
     assert np.array_equal(base.values, before)
-    assert greened.same_as(build_greenspace_mask(pc, segs, roof_grid=roof_grid))
+    # the 10 m square fills 2 x 2 pixels of 5 m; of the two single cells, one
+    # lands on the vegetation pixel
+    want = before.copy()
+    want[0:2, 0:2] = want[6, 6] = 1.0
+    assert np.array_equal(greened.values, want)
     unchanged = greened_mask(base, [], roof_grid)
     assert unchanged.same_as(base) and unchanged.values is not base.values
-
-
-def test_mask_greened_needs_grid():
-    pc = pc_of([[0, 0, 0, GROUND]])
-    with pytest.raises(ValueError, match="roof grid"):
-        build_greenspace_mask(pc, [flat_segment([(0, 0)])])
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def test_gc_greened_dominates_baseline():
     roof_grid = RasterGrid(100.0, 100.0, 1.0, np.zeros((20, 20)))
     seg = flat_segment([(r, c) for r in range(12) for c in range(12)])
     baseline = build_greenspace_mask(pc)
-    greened = build_greenspace_mask(pc, [seg], roof_grid=roof_grid)
+    greened = greened_mask(baseline, [seg], roof_grid)
     for _ in range(50):
         x, y = rng.uniform(0, 400, 2)
         assert greenspace_coverage(greened, x, y) >= greenspace_coverage(baseline, x, y)

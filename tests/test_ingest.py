@@ -440,9 +440,45 @@ def test_table_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, columns, [["a", "true", "3", "1.500000"], ["b", "false", "-2", ""]])
     assert path.read_text() == "id,active,n,x\na,true,3,1.500000\nb,false,-2,\n"
-    assert read_table(path, columns) == [
-        {"id": "a", "active": True, "n": 3, "x": 1.5},
-        {"id": "b", "active": False, "n": -2, "x": None}]
+    assert read_table(path, columns) == {
+        "id": ["a", "b"], "active": [True, False], "n": [3, -2], "x": [1.5, None]}
+
+
+def test_table_refuses_a_quote_and_names_its_line(tmp_path):
+    # write_table never quotes a field, so a quote is damage, not csv quoting
+    columns = {"id": str, "n": int}
+    path = tmp_path / "t.csv"
+    for text, line in (('id,n\na,1\n"b",2\n', 3), ('"id",n\na,1\n', 1),
+                       ('id,n\na,1\n\nb,"2,3"\n', 4), ('id,n\na,1\nb,2\nc,3"\n', 4)):
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"line {line}: holds a double quote"):
+            read_table(path, columns)
+
+
+def test_table_reads_crlf_and_cr_as_lf(tmp_path):
+    columns = {"id": str, "n": int}
+    path = tmp_path / "t.csv"
+    want = {"id": ["a", "b"], "n": [1, 2]}
+    for end in ("\r\n", "\r"):
+        path.write_bytes(end.join(["id,n", "a,1", "b,2", ""]).encode())
+        assert read_table(path, columns) == want
+    path.write_bytes(b"id,n\r\na,1\r\n\r\nb,x\r\n")
+    with pytest.raises(FormatError, match=r"line 4: column n: 'x' is not a valid int$"):
+        read_table(path, columns)
+
+
+def test_table_names_lines_after_skipped_blank_lines(tmp_path):
+    columns = {"id": str, "n": int}
+    path = tmp_path / "t.csv"
+    for body, message in (("a,1\n\n\nb,2,3\n", "line 5: expected 2 fields, got 3"),
+                          ("\na,1\n\nb,2\n\nc,z\n", "line 7: column n: 'z' is not a valid int"),
+                          ("a,1\n\n\n\nb,\n", "line 6: column n: '' is not a valid int")):
+        path.write_text("id,n\n" + body)
+        with pytest.raises(FormatError, match=f"{message}$"):
+            read_table(path, columns)
+    path.write_text("\nid,n\na,1\n")
+    with pytest.raises(FormatError, match="line 1: missing column"):
+        read_table(path, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +498,10 @@ def _report_files(out):
 def test_building_report_roundtrip(small_city):
     out = small_city / "out"
     lines, features = _report_files(out)
-    rows = read_table(out / "buildings_report.csv", cli.TABLES["buildings_report.csv"].columns)
-    priorities = {r["id"]: r["priority"]
-                  for r in read_table(out / "priorities.csv", cli.TABLES["priorities.csv"].columns)}
+    table = read_table(out / "buildings_report.csv", cli.TABLES["buildings_report.csv"].columns)
+    rows = [dict(zip(table, values)) for values in zip(*table.values())]
+    pri = read_table(out / "priorities.csv", cli.TABLES["priorities.csv"].columns)
+    priorities = dict(zip(pri["id"], pri["priority"]))
     assert [r["id"] for r in rows] == [f["properties"]["id"] for f in features]
     assert all(f["geometry"]["type"] == "Polygon" for f in features)
     missing = 0
