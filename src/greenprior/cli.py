@@ -383,11 +383,22 @@ def cmd_prioritize(cfg):
 # benefits
 # ---------------------------------------------------------------------------
 
+def _read_mask(cfg, name):
+    """A greenspace mask of indicators; each cell must be 0 or 1."""
+    path = _artifact(cfg, name, "indicators")
+    mask = read_raster_asc(path)
+    bad = mask.values[(mask.values != 0.0) & (mask.values != 1.0)]
+    if bad.size:
+        raise FormatError(f"{path}: greenspace mask holds {float(bad[0])!r}; "
+                          "its cells must be 0 or 1")
+    return mask
+
+
 def cmd_benefits(cfg):
     cfg.require("population")
     buildings_table = _read_table(cfg, "buildings.csv")
-    mask_base = read_raster_asc(_artifact(cfg, "greenspace_base.asc", "indicators"))
-    mask_green = read_raster_asc(_artifact(cfg, "greenspace_greened.asc", "indicators"))
+    mask_base = _read_mask(cfg, "greenspace_base.asc")
+    mask_green = _read_mask(cfg, "greenspace_greened.asc")
     ind_table = _read_table(cfg, "indicators.csv")
 
     population = population_grid_from_points(read_xy_value(cfg.population),
@@ -437,6 +448,14 @@ def cmd_report(cfg):
     ind_values = dict(zip(ind["id"], zip(*(ind[c] for c in IND_COLUMNS))))
     pri = _read_table(cfg, "priorities.csv")
     priority = dict(zip(pri["id"], pri["priority"]))
+    unscored = next((bid for bid in ind["id"] if bid not in priority), None)
+    if unscored is not None:
+        raise FormatError(f"{_out_path(cfg, 'priorities.csv')}: no priority for building "
+                          f"{unscored} of indicators.csv")
+    stray = next((bid for bid in priority if bid not in ind_values), None)
+    if stray is not None:
+        raise FormatError(f"{_out_path(cfg, 'priorities.csv')}: building {stray} "
+                          "is not in indicators.csv")
     weights = _read_table(cfg, "weights.csv")
     benefits = _read_table(cfg, "benefits.csv")
     metrics = dict(zip(benefits["metric"], benefits["value"]))

@@ -197,13 +197,15 @@ def read_footprints(path) -> list[BuildingAttributes]:
     seen: set[str] = set()
     for idx, feat in enumerate(feats):
         props, geom = _feature_parts(path, idx, feat)
-        label = props.get("id", f"feature #{idx}")
+        bid = props.get("id")
+        label = bid if isinstance(bid, str) else f"feature #{idx}"
         if geom.get("type") != "Polygon":
             raise FormatError(f"{path}: {label}: geometry must be Polygon, got {geom.get('type')!r}")
         for key in ("id", "age_years", "category"):
             if key not in props:
                 raise FormatError(f"{path}: {label}: missing property {key!r}")
-        bid = str(props["id"])
+        if not isinstance(bid, str):
+            raise FormatError(f"{path}: {label}: id must be a JSON string, got {bid!r}")
         if any(ch in bid for ch in ',"\r\n'):
             raise FormatError(f"{path}: feature #{idx}: building id {bid!r} holds a comma, "
                               "quote or line break, which the stage tables cannot hold")
@@ -217,10 +219,9 @@ def read_footprints(path) -> list[BuildingAttributes]:
             poly = Polygon(rings[0], holes=list(rings[1:]))
         except (TypeError, ValueError) as exc:  # GeometryError, non-numeric coordinates
             raise FormatError(f"{path}: {bid}: {exc}") from None
-        try:
-            age = int(props["age_years"])
-        except (TypeError, ValueError):
-            raise FormatError(f"{path}: {bid}: age_years must be an integer") from None
+        age = props["age_years"]
+        if type(age) is not int:  # bool is an int type, JSON true is not a number
+            raise FormatError(f"{path}: {bid}: age_years must be a JSON integer, got {age!r}")
         try:
             out.append(BuildingAttributes(bid, age, str(props["category"]), poly))
         except ValueError as exc:
@@ -505,10 +506,11 @@ def read_table(path, columns) -> dict[str, list]:
             or {row.count(",") for row in rows} - {len(header) - 1}):
         _table_error(path, lines, columns)
     # every row has one field per column, so column i is every
-    # len(header)-th field of the rows from i on
+    # len(header)-th field of the rows from i on; a str column is that slice
     fields = ",".join(rows).split(",") if rows else []
     try:
-        return {column: list(map(kind, fields[where[column]::len(header)]))
+        return {column: (fields[where[column]::len(header)] if kind is str
+                         else list(map(kind, fields[where[column]::len(header)])))
                 for column, kind in columns.items()}
     except ValueError:
         _table_error(path, lines, columns)

@@ -10,10 +10,12 @@ stages that import this module without kriging do not load it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geocore import ComputationError, RasterGrid
 
@@ -27,6 +29,10 @@ VARIOGRAM_KINDS = ("spherical", "exponential")
 # Kriging systems built and solved together; each query holds about 13 kB
 # of stacked arrays with 16 neighbors.
 KRIGING_CHUNK_QUERIES = 1 << 10
+
+# Lattice offsets of one row offset whose pairs grid_semivariogram sums
+# together; its temporaries take 9 bytes per grid cell and offset.
+OFFSET_BLOCK = 16
 
 
 @dataclass
@@ -119,10 +125,7 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
     if len(samples) < 2:
         raise ValueError("need at least 2 samples for a semivariogram")
     if max_dist is None:
-        span = samples.xy.max(axis=0) - samples.xy.min(axis=0)
-        max_dist = float(np.hypot(span[0], span[1])) / 2.0
-        if max_dist <= 0:
-            raise ValueError("all samples at one location")
+        max_dist = _half_diagonal(samples.xy.max(axis=0) - samples.xy.min(axis=0))
     from scipy.spatial.distance import pdist
     d = pdist(samples.xy)
     keep = (d > 0) & (d <= max_dist)
@@ -147,6 +150,93 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
     for b in np.flatnonzero(counts):
         s = slice(stops[b] - counts[b], stops[b])
         out.append((float(d[s].mean()), float(sq[s].mean()), int(counts[b])))
+    return out
+
+
+def _half_diagonal(span) -> float:
+    """Default max_dist: half the diagonal of a bounding box's (x, y) span."""
+    max_dist = float(np.hypot(span[0], span[1])) / 2.0
+    if max_dist <= 0:
+        raise ValueError("all samples at one location")
+    return max_dist
+
+
+def grid_semivariogram(grid: RasterGrid) -> list[tuple[float, float, int]]:
+    """Binned semivariance of the pairs of finite cells of a raster.
+
+    The bins of empirical_semivariogram with its defaults over the finite
+    cell centres (15 bins, same max_dist, edges and bin rule), summed by
+    lattice offset as in GSLIB's ``gam`` (Deutsch and Journel 1998), so
+    memory grows with the cells, not the pairs. Time grows with the cells
+    of the bounding box times the offsets within max_dist, whatever share
+    of them are gaps. Each offset o = (drow, dcol) of the half plane
+    (drow > 0, or drow = 0 and dcol > 0) has the distance
+    d_o = hypot(dcol * cell, drow * cell), the count n_o of its pairs of
+    finite cells and S_o, the sum of their squared differences (v_i - v_j)**2.
+    An offset lies in the bin of d_o, and each bin gives
+
+        count = sum n_o,  lag = fsum(n_o * d_o) / count,
+        gamma = 0.5 * fsum(S_o) / count,
+
+    so the result does not depend on the order of the offsets.
+    """
+    valid = np.isfinite(grid.values)
+    if np.count_nonzero(valid) < 2:
+        raise ValueError("need at least 2 samples for a semivariogram")
+    rows = np.flatnonzero(valid.any(axis=1))
+    cols = np.flatnonzero(valid.any(axis=0))
+    xs = grid.x_centers()[cols[[0, -1]]]
+    ys = grid.y_centers()[rows[[0, -1]]]
+    max_dist = _half_diagonal((xs[1] - xs[0], ys[1] - ys[0]))
+    d, n, s = _offset_terms(grid, valid, rows, cols, max_dist)
+    return _bin_offsets(np.linspace(0.0, max_dist, 15 + 1), d, n, s)
+
+
+def _offset_terms(grid, valid, rows, cols, max_dist):
+    """d_o, n_o and S_o of every offset with d_o <= max_dist and n_o > 0,
+    over the bounding box of the finite cells. The gaps are NaN, so a pair
+    counts where the difference of its cells is not NaN."""
+    box = np.where(valid, grid.values, np.nan)[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    nr, nc = box.shape
+    # padded[:, k:k + nc] is the box moved by dcols[k]
+    padded = np.full((nr, 3 * nc - 2), np.nan)
+    padded[:, nc - 1:2 * nc - 1] = box
+    dcols = np.arange(1 - nc, nc)
+    diff = np.empty(OFFSET_BLOCK * box.size)
+    gap = np.empty(diff.size, dtype=bool)
+    terms = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))]
+    for drow in range(nr):
+        d = np.hypot(dcols * grid.cell, drow * grid.cell)
+        inside = (d <= max_dist) & ((drow > 0) | (dcols > 0))
+        if not inside.any():
+            continue
+        top = box[:nr - drow]
+        shifted = sliding_window_view(padded[drow:], nc, axis=1).transpose(1, 0, 2)
+        first, last = np.flatnonzero(inside)[[0, -1]]
+        for k in range(first, last + 1, OFFSET_BLOCK):
+            ks = slice(k, min(k + OFFSET_BLOCK, last + 1))
+            m = ks.stop - ks.start
+            block = diff[:m * top.size].reshape(m, *top.shape)
+            np.subtract(shifted[ks], top, out=block)
+            isgap = np.isnan(block, out=gap[:block.size].reshape(block.shape))
+            np.copyto(block, 0.0, where=isgap)
+            np.square(block, out=block)
+            n = top.size - np.count_nonzero(isgap.reshape(m, -1), axis=1)
+            keep = inside[ks] & (n > 0)
+            terms.append((d[ks][keep], n[keep], block.reshape(m, -1).sum(axis=1)[keep]))
+    return [np.concatenate(t) for t in zip(*terms)]
+
+
+def _bin_offsets(edges, d, n, s):
+    """(lag, semivariance, pair count) of each nonempty bin from the offset
+    terms d_o, n_o and S_o, by the sums of grid_semivariogram."""
+    which = np.searchsorted(edges[1:], d)
+    out = []
+    for b in np.unique(which):
+        sel = which == b
+        count = int(n[sel].sum())
+        out.append((math.fsum((n[sel] * d[sel]).tolist()) / count,
+                    0.5 * math.fsum(s[sel].tolist()) / count, count))
     return out
 
 
@@ -338,7 +428,8 @@ def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
                        k_neighbors: int = 16) -> RasterGrid:
     """Krige the NaN cells of a raster from its valid cells.
 
-    The valid cells become the sample set; filled-in values land only where
+    The valid cells become the sample set, and their semivariogram comes
+    from grid_semivariogram; filled-in values land only where
     the input had gaps, everything else is untouched. A grid without gaps
     comes back as a copy. Valid cells too few or too close together for a
     variogram fit raise ComputationError, as on any well-formed grid that
@@ -350,13 +441,13 @@ def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
     rr, cc = np.nonzero(valid)
     if rr.size < 3:
         raise ComputationError(f"too few valid cells to fill gaps ({rr.size} of {valid.size})")
-    samples = SampleSet.from_points(np.column_stack(
-        [grid.x_centers()[cc], grid.y_centers()[rr], grid.values[rr, cc]]))
-    empirical = empirical_semivariogram(samples)
+    empirical = grid_semivariogram(grid)
     try:
         model = fit_variogram(empirical, kind)
     except ValueError as exc:  # valid cells too close together for 3 lag bins
         raise ComputationError(f"{rr.size} valid cells: {exc}") from None
+    samples = SampleSet.from_points(np.column_stack(
+        [grid.x_centers()[cc], grid.y_centers()[rr], grid.values[rr, cc]]))
     rows, cols = np.nonzero(~valid)
     out = grid.values.copy()
     out[rows, cols], _ = kriging_predict(samples, model, grid.x_centers()[cols],

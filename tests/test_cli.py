@@ -438,6 +438,78 @@ def test_building_id_with_comma_exit_one(small_city, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("id", None, "feature #0: id must be a JSON string, got None"),
+    ("id", True, "feature #0: id must be a JSON string, got True"),
+    ("id", -5, "feature #0: id must be a JSON string, got -5"),
+    ("age_years", True, "{bid}: age_years must be a JSON integer, got True"),
+    ("age_years", 2.7, "{bid}: age_years must be a JSON integer, got 2.7"),
+    ("age_years", 1e308, "{bid}: age_years must be a JSON integer, got 1e+308"),
+])
+def test_footprint_property_of_wrong_json_type_exit_one(small_city, tmp_path, capsys, key,
+                                                        value, message):
+    # these used to be read as the text 'None', 'True', '-5' and through int()
+    doc = json.loads((small_city / "footprints.geojson").read_text())
+    props = doc["features"][0]["properties"]
+    bid = props["id"]
+    props[key] = value
+    (tmp_path / "footprints.geojson").write_text(json.dumps(doc))
+    (tmp_path / "points.csv").write_text("x,y,z,class\n0.5,0.5,10.0,1\n")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("points = points.csv\nfootprints = footprints.geojson\n")
+    code = cli.main(["extract", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'footprints.geojson'}: {message.format(bid=bid)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "1e308", "0.5", "-9999"])
+def test_greenspace_mask_value_not_0_or_1_exit_one(small_city, tmp_path, capsys, value):
+    # benefits used to count any value above 0 as green; -9999 is the nodata marker
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / "greenspace_greened.asc").read_text().splitlines(keepends=True)
+    lines[-1] = " ".join([value] + lines[-1].split()[1:]) + "\n"
+    (out / "greenspace_greened.asc").write_text("".join(lines))
+    code = cli.main(["benefits", "--config", str(small_city / "config.txt"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    shown = "nan" if value == "-9999" else repr(float(value))
+    assert (f"{out / 'greenspace_greened.asc'}: greenspace mask holds {shown}; "
+            "its cells must be 0 or 1") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["row dropped", "header only", "stray row"])
+def test_priorities_lacking_an_indicators_id_exit_one(small_city, tmp_path, capsys, damage):
+    # a header-only priorities.csv used to give a report with no priority
+    # lines, and a stray row a priority for a building that was not scored
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / "priorities.csv").read_text().splitlines(keepends=True)
+    if damage == "header only":
+        first = (out / "indicators.csv").read_text().split("\n")[1]
+        lines, missing = lines[:1], first.split(",")[0]
+        message = f"no priority for building {missing} of indicators.csv"
+    elif damage == "row dropped":
+        missing = lines[2].split(",")[0]
+        del lines[2]
+        message = f"no priority for building {missing} of indicators.csv"
+    else:
+        def ids(name):
+            return [line.split(",")[0] for line in (out / name).read_text().splitlines()[1:]]
+        stray = next(bid for bid in ids("buildings.csv") if bid not in ids("indicators.csv"))
+        lines.append(stray + lines[1][lines[1].index(","):])
+        message = f"building {stray} is not in indicators.csv"
+    (out / "priorities.csv").write_text("".join(lines))
+    code = cli.main(["report", "--config", str(small_city / "config.txt"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'priorities.csv'}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("column", [0, 1, 2])
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e309"])
 def test_non_finite_point_coordinate_exit_one(small_city, tmp_path, capsys, column, token):

@@ -481,6 +481,18 @@ def test_table_names_lines_after_skipped_blank_lines(tmp_path):
         read_table(path, columns)
 
 
+def test_every_stage_table_reads_as_its_lines(small_city):
+    # str columns come back as the split fields themselves, the others parsed
+    for name, table in cli.TABLES.items():
+        path = small_city / "out" / name
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows or name == "regression.csv"
+        assert read_table(path, table.columns) == {
+            column: [kind(row[column]) for row in rows]
+            for column, kind in table.columns.items()}
+
+
 # ---------------------------------------------------------------------------
 # building report: cmd_report writes it with write_table and write_features
 # ---------------------------------------------------------------------------

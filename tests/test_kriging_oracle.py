@@ -22,9 +22,9 @@ from greenprior.interp import (
     MATCH_TOL,
     SampleSet,
     VariogramModel,
-    empirical_semivariogram,
     fill_raster_nodata,
     fit_variogram,
+    grid_semivariogram,
     interpolate_grid,
     kriging_predict,
 )
@@ -103,7 +103,10 @@ def _old_interpolate_grid(samples, template, method, model, k):
 def _old_fill_raster_nodata(grid, kind, k_neighbors):
     # the error contract is the current one: a gapless grid comes back
     # before the cell count is checked, and a fit with too few bins is a
-    # ComputationError, not fit_variogram's ValueError
+    # ComputationError, not fit_variogram's ValueError. The variogram is the
+    # current one too: this oracle checks the per-cell kriging loop, and the
+    # lattice-offset sums of grid_semivariogram differ from the pdist means
+    # of empirical_semivariogram in the last bits (tests/test_grid_semivariogram.py)
     gaps = ~np.isfinite(grid.values)
     if not gaps.any():
         return grid.values.copy()
@@ -115,7 +118,7 @@ def _old_fill_raster_nodata(grid, kind, k_neighbors):
     ys = grid.origin_y + (rr + 0.5) * grid.cell
     samples = SampleSet.from_points(np.column_stack([xs, ys, grid.values[rr, cc]]))
     try:
-        model = fit_variogram(empirical_semivariogram(samples), kind)
+        model = fit_variogram(grid_semivariogram(grid), kind)
     except ValueError as exc:
         raise ComputationError(f"{rr.size} valid cells: {exc}") from None
     out = grid.values.copy()

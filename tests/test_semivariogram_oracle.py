@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from greenprior.geocore import RasterGrid
 from greenprior.interp import SampleSet, empirical_semivariogram
 
 # ---------------------------------------------------------------------------
@@ -68,16 +69,29 @@ N_BINS = st.sampled_from([1, 15, 300])  # 300 bins need a 16-bit bin code
 VALUES = st.one_of(st.floats(-50.0, 50.0), st.integers(-3, 3).map(float))
 
 
+def lattice_grid(nrows, ncols, cell, origin, present, values):
+    """A grid whose present cells hold the values in row-major order; the
+    others are gaps (NaN)."""
+    grid = np.full((nrows, ncols), np.nan)
+    present = np.reshape(present, (nrows, ncols))
+    grid[present] = values[:np.count_nonzero(present)]
+    return RasterGrid(origin[0], origin[1], cell, grid)
+
+
+def grid_samples(grid):
+    """The valid cells of a grid as the samples fill_raster_nodata krigs from."""
+    rr, cc = np.nonzero(np.isfinite(grid.values))
+    return SampleSet.from_points(np.column_stack(
+        [grid.x_centers()[cc], grid.y_centers()[rr], grid.values[rr, cc]]))
+
+
 def _lattice(nrows, ncols, cell, origin, present, values):
-    rr, cc = np.nonzero(np.reshape(present, (nrows, ncols)))
-    xy = np.column_stack([origin[0] + (cc + 0.5) * cell, origin[1] + (rr + 0.5) * cell])
-    return SampleSet.from_points(np.column_stack([xy, values[:rr.size]]))
+    return grid_samples(lattice_grid(nrows, ncols, cell, origin, present, values))
 
 
 @st.composite
-def lattices(draw):
-    """Cell centres of a grid with holes, sampled as fill_raster_nodata samples
-    its valid cells, and an explicit max_dist that may fall on a pair
+def lattice_grids(draw):
+    """A grid with holes and an explicit max_dist that may fall on a pair
     distance."""
     nrows, ncols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
     present = draw(st.lists(st.booleans(), min_size=nrows * ncols,
@@ -85,9 +99,16 @@ def lattices(draw):
     values = np.array(draw(st.lists(VALUES, min_size=nrows * ncols, max_size=nrows * ncols)))
     cell = draw(st.sampled_from([1.0, 30.0, 0.1, 2.5]))
     origin = draw(st.sampled_from([(0.0, 0.0), (-15.0, 100.0), (0.3, 1e5)]))
-    samples = _lattice(nrows, ncols, cell, origin, present, values)
+    grid = lattice_grid(nrows, ncols, cell, origin, present, values)
     max_dist = draw(st.one_of(st.none(), st.integers(1, 20).map(lambda k: k * cell)))
-    return samples, max_dist
+    return grid, max_dist
+
+
+def lattices():
+    """Cell centres of a grid with holes, sampled as fill_raster_nodata samples
+    its valid cells, and an explicit max_dist that may fall on a pair
+    distance."""
+    return lattice_grids().map(lambda scene: (grid_samples(scene[0]), scene[1]))
 
 
 @st.composite
