@@ -16,6 +16,10 @@ from .indicators import GC_RADIUS_DEFAULT, greenspace_coverage
 
 KWH_PER_JOULE = 1.0 / 3.6e6
 
+# continued-fraction terms _betainc evaluates at most; about sqrt(a + b)
+# of them converge
+_BETA_MAX_TERMS = 10_000
+
 
 @dataclass(frozen=True)
 class CoolingParams:
@@ -217,9 +221,38 @@ def income_greenspace_regression(pairs):
     else:
         dof = n - 2
         t2 = r * r * dof / (1.0 - r * r)
-        from scipy import special
-        p = float(special.betainc(dof / 2.0, 0.5, dof / (dof + t2)))
+        p = _betainc(dof / 2.0, 0.5, dof / (dof + t2))
     return RegressionResult(slope, intercept, r, p, n)
+
+
+def _betainc(a, b, x):
+    """The regularized incomplete beta function I_x(a, b), for a, b > 0 and
+    x in [0, 1]: its continued fraction (Numerical Recipes, 2nd ed., section
+    6.4) by the modified Lentz method, on the side of the symmetry
+    I_x(a, b) = 1 - I_(1-x)(b, a) where the fraction converges fast, that
+    is for x below (a + 1) / (a + b + 2)."""
+    if x == 0.0 or x == 1.0:
+        return x
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    tiny = 1e-300  # keeps the Lentz denominators off zero
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    fraction = d
+    for m in range(1, _BETA_MAX_TERMS + 1):
+        # the even and the odd coefficient of term m
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return front * fraction / a
+    raise ComputationError(f"incomplete beta I_{x}({a}, {b}) did not converge")
 
 
 def population_grid_from_points(points, cell):

@@ -13,6 +13,7 @@ import sys
 from collections import namedtuple
 from dataclasses import asdict
 from itertools import compress
+from operator import ne, or_
 
 import numpy as np
 
@@ -231,17 +232,23 @@ def _cells_by_segment(path, grid):
     every cell must lie on the surface-model grid."""
     table = read_table(path, TABLES["cells.csv"].columns)
     bids, sids, rows, cols = table.values()
+    if not bids:
+        return {}
     # Python ints, so that one past the int64 range is off the grid too
-    r, c = np.array(rows, dtype=object), np.array(cols, dtype=object)
-    off_grid = np.flatnonzero((r < 0) | (r >= grid.nrows) | (c < 0) | (c >= grid.ncols))
-    if off_grid.size:
-        i = off_grid[0]
+    if not (0 <= min(rows) and max(rows) < grid.nrows
+            and 0 <= min(cols) and max(cols) < grid.ncols):
+        i = next(i for i, (r, c) in enumerate(zip(rows, cols))
+                 if not (0 <= r < grid.nrows and 0 <= c < grid.ncols))
         raise FormatError(
             f"{path}: segment ({bids[i]}, {sids[i]}) has cell ({rows[i]}, {cols[i]}), "
             f"outside the {grid.nrows} x {grid.ncols} grid of dsm.asc")
+    # a segment's rows come in runs, which start where either key changes
+    starts = [0, *compress(range(1, len(bids)),
+                           map(or_, map(ne, bids[1:], bids), map(ne, sids[1:], sids))), len(bids)]
     cells_by_seg = {}
-    for key, cell in zip(zip(bids, sids), zip(rows, cols)):
-        cells_by_seg.setdefault(key, []).append(cell)
+    for start, stop in zip(starts, starts[1:]):
+        cells_by_seg.setdefault((bids[start], sids[start]), []).extend(
+            zip(rows[start:stop], cols[start:stop]))
     return cells_by_seg
 
 

@@ -104,9 +104,12 @@ def _mark_green(mask: RasterGrid, xy: np.ndarray) -> None:
     mask.values[rows[inside], cols[inside]] = 1.0
 
 
-# (query, mask row) pairs the coverage kernel handles per vectorized pass;
-# a chunk holds whole queries, or a single query larger than this
+# (query, mask row) pairs the coverage kernel handles per vectorized step: a
+# tile of consecutive mask rows times a run of queries, or part of one row's
+# queries when they alone are more
 COVERAGE_CHUNK_PAIRS = 1 << 14
+
+_EPS = 2.0 ** -53  # unit roundoff of float64
 
 
 def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.ndarray,
@@ -118,11 +121,13 @@ def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.n
     extent contribute zero, and the result is capped at 1. Scalar x, y give
     a float, arrays an array of their broadcast shape.
 
-    Each (query, mask row) pair takes its count from row-wise prefix sums of
-    the mask. The disk's column interval in that row starts from a sqrt
-    estimate, and both ends are then settled with the exact test on pixel
-    centers, ``dy**2 + dx**2 <= radius**2``, so pixels on the circle count
-    exactly as a direct scan of the bounding window counts them.
+    Each (query, mask row) pair takes its count from the row's prefix sums
+    over the column run [a, b) of the disk in that row. :func:`_disk_runs`
+    sweeps the mask rows, the queries sorted by y, and estimates each run
+    from a sqrt; an estimate that lies within its proven rounding margin of
+    a column is settled with the exact test on pixel centers,
+    ``dy**2 + dx**2 <= radius**2``. Pixels on the circle thus count exactly
+    as a direct scan of the bounding window counts them.
     """
     if not radius > 0:
         raise ValueError("coverage radius must be positive")
@@ -131,65 +136,160 @@ def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.n
     xq, yq = xq.ravel(), yq.ravel()
     if not (np.isfinite(xq).all() and np.isfinite(yq).all()):
         raise ValueError("coverage query points must be finite")
-    cell, ox, oy = mask.cell, mask.origin_x, mask.origin_y
-    nrows, ncols = mask.nrows, mask.ncols
-    r2 = radius * radius
-    # bounding window of each disk, clipped to the mask
-    row_lo = np.clip(np.floor((yq - radius - oy) / cell), 0, nrows).astype(np.int64)
-    row_hi = np.clip(np.floor((yq + radius - oy) / cell) + 1, row_lo, nrows).astype(np.int64)
-    col_lo = np.clip(np.floor((xq - radius - ox) / cell), 0, ncols).astype(np.int64)
-    col_hi = np.clip(np.floor((xq + radius - ox) / cell) + 1, col_lo, ncols).astype(np.int64)
-    x_centers, y_centers = mask.x_centers(), mask.y_centers()
-    # first window column whose center lies at or east of the query: left of
-    # it the disk test can only turn from false to true, from it on only
-    # from true to false
-    split = np.clip(np.searchsorted(x_centers, xq), col_lo, col_hi)
-    # the query's x in column units, column c's center at c
-    u = (xq - ox) / cell - 0.5
-
-    width = ncols + 1
-    pref = np.zeros((nrows, width), dtype=np.int64)
+    order = np.argsort(yq, kind="stable")
+    xs, ys = xq[order], yq[order]
+    width = mask.ncols + 1
+    pref = np.zeros((mask.nrows, width), dtype=np.int32)
     np.cumsum(mask.values > 0, axis=1, out=pref[:, 1:])
-    pref = pref.ravel()
-    n_pairs = row_hi - row_lo
-    ends = np.cumsum(n_pairs)
-    # pair k of the run of pairs from 0 is the one with mask row k + shift
-    # of its query
-    shift = row_lo - (ends - n_pairs)
-    counts = np.zeros(xq.size)
-    q0 = 0
-    while q0 < xq.size:
-        first = int(ends[q0] - n_pairs[q0])
-        q1 = max(q0 + 1, int(np.searchsorted(ends, first + COVERAGE_CHUNK_PAIRS, side="right")))
-        per_query = n_pairs[q0:q1]
-
-        def pairs(values):
-            """values of queries q0..q1-1, repeated once per pair of each"""
-            return np.repeat(values[q0:q1], per_query)
-
-        rows = np.arange(first, ends[q1 - 1]) + pairs(shift)
-        dy2 = (y_centers[rows] - pairs(yq)) ** 2
-        qx, lo, mid, hi = pairs(xq), pairs(col_lo), pairs(split), pairs(col_hi)
-
-        def inside(i, c):
-            # _first_true also tests columns lo - 1 and hi, which may lie
-            # off the mask, at positions whose result it then drops
-            return dy2[i] + (x_centers.take(c, mode="clip") - qx[i]) ** 2 <= r2
-
-        half = np.sqrt(np.maximum(r2 - dy2, 0.0)) / cell
-        qu = pairs(u)
-        # [a, b) is the run of columns inside the disk
-        a = np.clip(np.ceil(qu - half).astype(np.int64), lo, mid)
-        b = np.clip(np.floor(qu + half).astype(np.int64) + 1, mid, hi)
-        _first_true(a, inside, lo, mid)
-        _first_true(b, lambda i, c: ~inside(i, c), mid, hi)
-        row_start = rows * width
-        counts[q0:q1] = np.bincount(np.repeat(np.arange(q1 - q0), per_query),
-                                    weights=pref[row_start + b] - pref[row_start + a],
-                                    minlength=q1 - q0)
-        q0 = q1
-    cov = np.minimum(1.0, counts * cell * cell / (math.pi * radius * radius))
+    counts = np.zeros(xq.size, dtype=np.int64)
+    near_pairs = []
+    for rows, queries, a, b, near in _disk_runs(mask, xs, ys, radius):
+        n_rows, n_queries = near.shape
+        i = np.flatnonzero(near)
+        if i.size:
+            near_pairs.append((rows.start + i // n_queries, queries.start + i % n_queries,
+                               a.ravel()[i], b.ravel()[i]))
+        tile = pref[rows].ravel()
+        if n_rows > 1:
+            offsets = np.arange(0, tile.size, width)[:, None]
+            a += offsets
+            b += offsets
+        counts[queries] += (tile[b] - tile[a]).sum(axis=0)
+    if near_pairs:
+        rows, q, a, b = (np.concatenate(v) for v in zip(*near_pairs))
+        start = rows * width
+        pref = pref.ravel()
+        estimated = pref[start + b] - pref[start + a]
+        _settle_runs(mask, xs[q], ys[q], rows, radius, a, b)
+        np.add.at(counts, q, pref[start + b] - pref[start + a] - estimated)
+    cov = np.empty(xq.size)
+    cov[order] = np.minimum(1.0, counts * mask.cell * mask.cell / (math.pi * radius * radius))
     return float(cov[0]) if shape == () else cov.reshape(shape)
+
+
+def _window(v, radius, origin, cell, n):
+    """[lo, hi) as floats: the rows or columns of a grid axis of n cells that
+    the bounding window of the disk around each v spans, clipped to it."""
+    lo = np.clip(np.floor((v - radius - origin) / cell), 0, n)
+    return lo, np.clip(np.floor((v + radius - origin) / cell) + 1, lo, n)
+
+
+def _window_columns(mask, x, radius):
+    """(lo, mid, hi, u) of each query x, as floats: its window columns
+    [lo, hi), split at mid, the first of them whose center lies at or east
+    of x (left of it the disk test can only turn from false to true, from it
+    on only from true to false), and x in column units, column c's center
+    at c."""
+    lo, hi = _window(x, radius, mask.origin_x, mask.cell, mask.ncols)
+    mid = np.clip(np.searchsorted(mask.x_centers(), x), lo, hi)
+    return lo, mid, hi, (x - mask.origin_x) / mask.cell - 0.5
+
+
+def _disk_runs(mask, xs, ys, radius):
+    """Estimated column run [a, b) of the disk in every (query, mask row)
+    pair of the queries (xs, ys), sorted so that ys does not decrease.
+
+    Sorted so, each mask row's queries (those whose window holds it) are a
+    run of them. Yields one tile at a time: (rows, queries, a, b, near),
+    with rows and queries slices and a, b, near arrays of shape (rows,
+    queries); a tile holds at most ``COVERAGE_CHUNK_PAIRS`` pairs. A pair
+    whose row is not in its query's window has a == b and near False. Each
+    other pair's run is exact unless near is set; near pairs start the
+    exact test of :func:`_settle_runs` from [a, b).
+
+    The estimate works in column units, column c's center at c: qu is the
+    computed query x, half = sqrt(max(r2 - dy2, 0)) / cell, and
+    a = ceil(qu - half), b = ceil(qu + half), clipped to the window's two
+    halves (b is floor(qu + half) + 1 wherever qu + half is no integer, and
+    all other pairs are near). With eps = 2**-53, rho = r / cell, and U, H
+    the exact values that qu and half round:
+    - the exact test puts column c inside if |c - U| <= H - beta and outside
+      if |c - U| > H + beta, beta = sqrt(eps) rho + 4 eps rho + E: the
+      square of dx has a relative error of at most 3.0001 eps; the sum
+      rounds to r2 or below only if it is at most r2 (1 + eps), which moves
+      sqrt(W), W = r2 - dy2, by at most sqrt(eps r2); and
+      E = eps (2.01 ncols + |origin_x| / cell) bounds the rounding of the
+      column centers;
+    - qu lies within 3.1 eps (|qu| + 1) of U, half within 2.51 eps rho of H,
+      and qu -+ half round by at most 1.01 eps (|qu| + rho);
+    - so an end farther than M = sqrt(eps) rho + 8 eps (rho + ncols +
+      |origin_x| / cell + max |qu| + 2) from every integer is the end of the
+      exact test. Where dy2 > r2 no column is inside and half is 0; ceil(qu),
+      that far from every integer, is then the split column, and the run is
+      empty as it should be. A radius whose square is not a normal float,
+      or an M of half a column or more, settles every pair.
+    """
+    cell, nrows, ncols = mask.cell, mask.nrows, mask.ncols
+    r2 = radius * radius
+    row_lo, row_hi = _window(ys, radius, mask.origin_y, cell, nrows)
+    lo, mid, hi, qu = _window_columns(mask, xs, radius)
+    rho = radius / cell
+    margin = math.sqrt(_EPS) * rho + 8 * _EPS * (
+        rho + ncols + abs(mask.origin_x) / cell + float(np.abs(qu).max(initial=0.0)) + 2)
+    estimate = np.finfo(float).tiny <= r2 < math.inf and margin < 0.5
+    y_centers = mask.y_centers()
+    # the queries whose window holds row r are first[r]:stop[r]
+    first = np.searchsorted(row_hi, np.arange(nrows), side="right").tolist()
+    stop = np.searchsorted(row_lo, np.arange(nrows), side="right").tolist()
+    r0 = 0
+    while r0 < nrows:
+        if first[r0] == stop[r0]:
+            r0 += 1
+            continue
+        r1 = r0 + 1
+        while r1 < nrows and (r1 + 1 - r0) * (stop[r1] - first[r0]) <= COVERAGE_CHUNK_PAIRS:
+            r1 += 1
+        rows = slice(r0, r1)
+        step = max(1, COVERAGE_CHUNK_PAIRS // (r1 - r0))
+        for s in range(first[r0], stop[r1 - 1], step):
+            q = slice(s, min(s + step, stop[r1 - 1]))
+            if estimate:
+                dy2 = np.square(y_centers[rows, None] - ys[q])
+                half = np.maximum(r2 - dy2, 0.0, out=dy2)
+                np.sqrt(half, out=half)
+                half /= cell
+                left = qu[q] - half
+                right = np.add(qu[q], half, out=half)
+                a, b = np.ceil(left), np.ceil(right)
+                # each end's distance from the nearest integer, from
+                # |ceil(v) - v - 1/2| > 1/2 - margin
+                for end, v in ((a, left), (b, right)):
+                    np.subtract(end, v, out=v)
+                    v -= 0.5
+                    np.abs(v, out=v)
+                near = np.maximum(left, right, out=left) > 0.5 - margin
+                for end, low, high in ((a, lo[q], mid[q]), (b, mid[q], hi[q])):
+                    np.maximum(end, low, out=end)
+                    np.minimum(end, high, out=end)
+                a, b = a.astype(np.int64), b.astype(np.int64)
+            else:
+                shape = (r1 - r0, q.stop - q.start)
+                a = np.broadcast_to(lo[q], shape).astype(np.int64)
+                b = np.broadcast_to(mid[q], shape).astype(np.int64)
+                near = np.ones(shape, dtype=bool)
+            if r1 - r0 > 1:
+                row = np.arange(r0, r1)[:, None]
+                outside = (row < row_lo[q]) | (row >= row_hi[q])
+                np.copyto(b, a, where=outside)
+                near &= ~outside
+            yield rows, q, a, b, near
+        r0 = r1
+
+
+def _settle_runs(mask, x, y, rows, radius, a, b):
+    """Move each run [a, b) of the disk around (x, y) in its mask row, in
+    place, to the one the exact test on pixel centers gives."""
+    lo, mid, hi, _ = (v.astype(np.int64) for v in _window_columns(mask, x, radius))
+    dy2 = (mask.y_centers()[rows] - y) ** 2
+    x_centers, r2 = mask.x_centers(), radius * radius
+
+    def inside(i, c):
+        # _first_true also tests columns lo - 1 and hi, which may lie off the
+        # mask, at positions whose result it then drops
+        return dy2[i] + (x_centers.take(c, mode="clip") - x[i]) ** 2 <= r2
+
+    _first_true(a, inside, lo, mid)
+    _first_true(b, lambda i, c: ~inside(i, c), mid, hi)
 
 
 def _first_true(c, test, lo, hi):

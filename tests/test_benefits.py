@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenprior.benefits import (
     BenefitReport,
@@ -17,6 +20,7 @@ from greenprior.benefits import (
     indirect_carbon,
     population_grid_from_points,
 )
+from greenprior.benefits import _betainc
 from greenprior.geocore import ComputationError, RasterGrid
 from greenprior.indicators import greenspace_coverage
 
@@ -218,6 +222,22 @@ def test_regression_matches_scipy_pearsonr():
         ref_slope, ref_intercept = np.polyfit(x, y, 1)
         assert res.slope == pytest.approx(ref_slope, rel=1e-9)
         assert res.intercept == pytest.approx(ref_intercept, rel=1e-9)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 5000), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 1.0))
+@example(1, 0.0, 0.0)
+@example(2, 0.999999, 1.0)
+@example(5000, 1e-9, 0.5)
+@example(4977, -0.020760622460629777, 0.9995689965550473)
+def test_p_value_beta_matches_scipy(dof, r, x):
+    # the p-value's incomplete beta, at the x of a correlation r with dof
+    # degrees of freedom and at any x
+    t2 = r * r * dof / (1.0 - r * r)
+    for at in (dof / (dof + t2), x):
+        want = float(scipy.special.betainc(dof / 2.0, 0.5, at))
+        assert _betainc(dof / 2.0, 0.5, at) == pytest.approx(want, rel=0, abs=1e-10)
 
 
 def test_regression_independent_data_r_near_zero():

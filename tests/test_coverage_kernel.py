@@ -5,10 +5,13 @@
 their query points. The scalar window scan and the per-cell exposure loop
 below are their earlier bodies, kept as oracles: the new code must return
 the same floats to the last bit, including for pixels whose centers lie
-exactly on the circle.
+exactly on the circle. The kernel settles only the (query, row) pairs whose
+sqrt estimate lies within a proven rounding margin of a column; the margin
+checks below require every other pair's estimate to be the exact run.
 """
 import math
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from greenprior import benefits, cli, indicators, ingest
 from greenprior.benefits import greenspace_exposure
 from greenprior.geocore import RasterGrid
-from greenprior.indicators import greenspace_coverage
+from greenprior.indicators import _disk_runs, greenspace_coverage
 from greenprior.roofs import RoofSegment
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,7 @@ def _assert_oracle_bits(mask, pts, radius):
 @pytest.mark.parametrize("pairs", [1, 4, 9, 10, 23])
 def test_coverage_zero_row_queries_among_inside_ones(monkeypatch, pairs):
     # disks wholly below or above the mask have no (query, row) pair at all,
-    # and may open or close a chunk or fill one on their own
+    # and sit among the queries of a tile or at either end of one
     monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
     rows = [-40, 5, -40, -40, 12, 80, 29, 80, -6, 0, 35, 15, -40]
     _assert_oracle_bits(_CHUNK_MASK, _chunk_queries(rows), 20.0)
@@ -219,7 +222,8 @@ def test_coverage_zero_row_queries_among_inside_ones(monkeypatch, pairs):
 
 @pytest.mark.parametrize("pairs", [1, 2, 8])
 def test_coverage_single_query_larger_than_a_chunk(monkeypatch, pairs):
-    # a disk of 29 rows is one chunk on its own, whatever the chunk size
+    # a disk of 29 rows spans several tiles of consecutive rows, whatever
+    # the tile size
     monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
     _assert_oracle_bits(_CHUNK_MASK, _chunk_queries([14]), 70.0)
     _assert_oracle_bits(_CHUNK_MASK, _chunk_queries([14, 3, 14, 26]), 70.0)
@@ -227,8 +231,8 @@ def test_coverage_single_query_larger_than_a_chunk(monkeypatch, pairs):
 
 @pytest.mark.parametrize("pairs", [12, 13, 17, 20])
 def test_coverage_queries_across_a_chunk_boundary(monkeypatch, pairs):
-    # 9 rows per inside query: a chunk ends in the middle of one, which then
-    # starts the next chunk whole
+    # 9 rows per inside query: a tile ends in the middle of a query's rows,
+    # and the next tile goes on from there
     monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
     pts = _chunk_queries([10, 11, 12, 13, 14, 15, 16, 17])
     _assert_oracle_bits(_CHUNK_MASK, pts, 20.0)
@@ -236,6 +240,144 @@ def test_coverage_queries_across_a_chunk_boundary(monkeypatch, pairs):
     whole = greenspace_coverage(_CHUNK_MASK, pts[:, 0], pts[:, 1], 20.0)
     monkeypatch.setattr(indicators, "COVERAGE_CHUNK_PAIRS", pairs)
     assert _bits(greenspace_coverage(_CHUNK_MASK, pts[:, 0], pts[:, 1], 20.0)) == _bits(whole)
+
+
+# ---------------------------------------------------------------------------
+# row sweep: estimates, margin and query order
+# ---------------------------------------------------------------------------
+
+# origins far from 0 make the column centers round; the prototype cities lie
+# at about 2.3e6 m
+FAR_ORIGINS = (0.0, -3.0, 12.5, 0.1, 2.3e6, -7.1e5 + 0.3)
+
+
+def _nudged(draw, v):
+    """v moved by up to 4 units in the last place, either way"""
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        v = float(np.nextafter(v, math.copysign(math.inf, steps)))
+    return v
+
+
+@st.composite
+def run_cases(draw):
+    cell = draw(st.sampled_from(CELLS))
+    nrows, ncols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    origin = draw(st.sampled_from(FAR_ORIGINS))
+    mask = RasterGrid(origin, -origin, cell, np.zeros((nrows, ncols)))
+    radius = _nudged(draw, draw(radii(cell)))
+    pts = draw(queries(mask, draw(st.integers(1, 12))))
+    pts = np.array([[_nudged(draw, x), _nudged(draw, y)] for x, y in pts])
+    return mask, radius, pts[np.argsort(pts[:, 1], kind="stable")]
+
+
+def _window_rows(mask, y, radius):
+    lo = max(0, int(math.floor((y - radius - mask.origin_y) / mask.cell)))
+    return lo, min(mask.nrows, int(math.floor((y + radius - mask.origin_y) / mask.cell)) + 1)
+
+
+def _exact_run(mask, x, y, row, radius):
+    """[a, b): the window columns of the mask row whose pixel centers the
+    disk test puts inside, from a scan of the whole window row"""
+    cell = mask.cell
+    col_lo = min(max(0, int(math.floor((x - radius - mask.origin_x) / cell))), mask.ncols)
+    col_hi = min(mask.ncols, int(math.floor((x + radius - mask.origin_x) / cell)) + 1)
+    xs = mask.origin_x + (np.arange(col_lo, max(col_lo, col_hi)) + 0.5) * cell
+    yc = mask.origin_y + (row + 0.5) * cell
+    inside = (yc - y) ** 2 + (xs - x) ** 2 <= radius * radius
+    west = int(np.sum(xs < x))
+    # false then true west of the query, true then false from it on
+    assert list(inside[:west]) == sorted(inside[:west])
+    assert list(inside[west:]) == sorted(inside[west:], reverse=True)
+    mid = col_lo + west
+    return mid - int(inside[:west].sum()), mid + int(inside[west:].sum())
+
+
+# row 0 of a 1 m mask, radius 10: the query lies 1.7e-7 m east of column 10's
+# center and 10 m less two units in the last place north of the row, so
+# r2 - dy2 is 2.8e-14 and the exact sum rounds down to r2: column 10 is
+# inside, while the sqrt estimate puts the run's west end 1.7e-9 columns
+# east of it. Only the sqrt(eps) * rho term of the margin settles the pair.
+_TANGENT_ROW = (RasterGrid(0.0, 0.0, 1.0, np.zeros((21, 21))), 10.0,
+                np.array([[10.500000170273267, 10.499999999999998]]))
+
+
+# a 0.1 m mask at 2.3e6 m, radius half a tenth of a cell: the disk's east
+# end lies on column 5's center in decimal; the estimate puts it 7.5e-10
+# columns east of that center, which the exact test leaves outside. Only the
+# rounding of the column centers and of the query, far from the origin,
+# make the margin wide enough to settle the pair.
+_FAR_TIE_MASK = RasterGrid(2.3e6, -2.3e6, 0.1, np.zeros((4, 24)))
+_FAR_TIE = (_FAR_TIE_MASK, 0.05 * 0.1,
+            np.array([[2300000.455, _FAR_TIE_MASK.cell_center(1, 0)[1]]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_cases(), st.sampled_from((1, 7, 40, 1 << 14)))
+@example(_TANGENT_ROW, 1 << 14)
+@example(_FAR_TIE, 1 << 14)
+@example((_ON_CIRCLE, 500.0, _ON_CIRCLE_QUERY), 1 << 14)
+def test_runs_off_the_margin_are_exact(case, tile_pairs):
+    # every (query, row) pair of a window comes once; a pair the kernel does
+    # not settle already has the exact test's run
+    mask, radius, pts = case
+    seen = []
+    with mock.patch.object(indicators, "COVERAGE_CHUNK_PAIRS", tile_pairs):
+        for rows, queries, a, b, near in _disk_runs(mask, pts[:, 0], pts[:, 1], radius):
+            assert a.shape == b.shape == near.shape
+            assert near.shape == (rows.stop - rows.start, queries.stop - queries.start)
+            assert near.size <= tile_pairs
+            for i, row in enumerate(range(rows.start, rows.stop)):
+                for j, q in enumerate(range(queries.start, queries.stop)):
+                    x, y = pts[q]
+                    lo, hi = _window_rows(mask, y, radius)
+                    if not lo <= row < hi:
+                        assert a[i, j] == b[i, j] and not near[i, j]
+                        continue
+                    seen.append((q, row))
+                    if not near[i, j]:
+                        assert (a[i, j], b[i, j]) == _exact_run(mask, x, y, row, radius)
+    want = [(q, row) for q, (x, y) in enumerate(pts)
+            for row in range(*_window_rows(mask, y, radius))]
+    assert sorted(seen) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(coverage_cases(), st.data())
+def test_permuted_queries_give_permuted_results(case, data):
+    mask, radius, pts = case
+    perm = data.draw(st.permutations(range(len(pts))))
+    whole = greenspace_coverage(mask, pts[:, 0], pts[:, 1], radius)
+    got = greenspace_coverage(mask, pts[perm, 0], pts[perm, 1], radius)
+    assert _bits(got) == _bits(whole[perm])
+
+
+def test_permuted_queries_across_tiles():
+    # 2000 queries over a 200-row mask, many sharing a y: many tiles, and
+    # ties the sort by y must not let into the result
+    rng = np.random.default_rng(5)
+    mask = RasterGrid(2.3e6, -1.1e5, 5.0, (rng.random((200, 200)) < 0.4).astype(float))
+    xs = mask.origin_x + (rng.integers(-20, 220, 2000) + 0.5) * mask.cell
+    ys = mask.origin_y + (rng.integers(-20, 220, 2000) + rng.choice([0.0, 0.5], 2000)) * mask.cell
+    whole = greenspace_coverage(mask, xs, ys, 300.0)
+    perm = rng.permutation(2000)
+    assert _bits(greenspace_coverage(mask, xs[perm], ys[perm], 300.0)) == _bits(whole[perm])
+    assert _bits(whole[:200]) == _bits([_coverage_oracle(mask, x, y, 300.0)
+                                        for x, y in zip(xs[:200], ys[:200])])
+
+
+def test_exposure_shaped_call_matches_oracle():
+    # the population call of the 60-building benchmark city: 60 cells of a
+    # 100 m grid over a 241-row, 5 m mask, each disk spanning about 201 rows,
+    # so one tile holds every row of those few queries
+    rng = np.random.default_rng(23)
+    mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((241, 241)) < 0.3).astype(float))
+    cells = rng.choice(144, 60, replace=False)
+    xs = (cells % 12 + 0.5) * 100.0
+    ys = (cells // 12 + 0.5) * 100.0
+    tiles = list(_disk_runs(mask, np.sort(xs), np.sort(ys), 500.0))
+    assert len(tiles) == 1 and tiles[0][0] == slice(0, 241)
+    _assert_oracle_bits(mask, np.column_stack([xs, ys]), 500.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Which stages load scipy.
 
-Only the stages that compute with scipy import it: ``indicators`` (kriging
-and gap fills) and ``benefits`` (one incomplete beta function). Importing
-the CLI, and running ``synth``, ``extract``, ``prioritize`` or ``report``,
-must leave scipy unloaded, so that each of those processes starts in the
-time numpy takes. Each stage runs in a fresh interpreter on a tiny city.
+Only the stage that computes with scipy imports it: ``indicators`` (kriging
+and gap fills). Importing the CLI, and running ``synth``, ``extract``,
+``prioritize``, ``benefits`` or ``report``, must leave scipy unloaded, so
+that each of those processes starts in the time numpy takes. Each stage
+runs in a fresh interpreter on a tiny city.
 """
 import os
 import subprocess
@@ -48,7 +48,8 @@ def stages(tmp_path_factory):
     return loaded
 
 
-@pytest.mark.parametrize("stage", ["import", "synth", "extract", "prioritize", "report"])
+@pytest.mark.parametrize("stage", ["import", "synth", "extract", "prioritize", "benefits",
+                                   "report"])
 def test_stage_does_not_load_scipy(stages, stage):
     assert not stages[stage]
 
