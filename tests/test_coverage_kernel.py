@@ -135,6 +135,7 @@ _ON_CIRCLE_DECIMAL_QUERIES = np.array([_ON_CIRCLE_DECIMAL.cell_center(r, c)
 @example((_ON_CIRCLE, 500.0, _ON_CIRCLE_QUERY))
 @example((_ON_CIRCLE_DECIMAL, 0.5, _ON_CIRCLE_DECIMAL_QUERIES))
 @example((_ON_CIRCLE_DECIMAL, 1.3, _ON_CIRCLE_DECIMAL_QUERIES))
+@example((_ON_CIRCLE_DECIMAL, 1e-155, _ON_CIRCLE_DECIMAL_QUERIES))  # radius**2 subnormal
 def test_coverage_matches_scalar_oracle_bits(case):
     mask, radius, pts = case
     got = greenspace_coverage(mask, pts[:, 0], pts[:, 1], radius)
