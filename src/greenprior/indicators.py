@@ -141,27 +141,38 @@ def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.n
     width = mask.ncols + 1
     pref = np.zeros((mask.nrows, width), dtype=np.int32)
     np.cumsum(mask.values > 0, axis=1, out=pref[:, 1:])
+    flat = pref.ravel()
     counts = np.zeros(xq.size, dtype=np.int64)
-    near_pairs = []
+
+    def settle(rows, q, a, b):
+        start = rows * width
+        estimated = flat[start + b] - flat[start + a]
+        _settle_runs(mask, xs[q], ys[q], rows, radius, a, b)
+        np.add.at(counts, q, flat[start + b] - flat[start + a] - estimated)
+
+    # (row, query, a, b) of the near pairs, settled a batch at a time; a
+    # buffer made once, so that the tiles' temporaries do not land between
+    # the arrays of a growing list and spread the heap
+    held = np.empty((4, max(1, COVERAGE_CHUNK_PAIRS)), dtype=np.int64)
+    n_held = 0
     for rows, queries, a, b, near in _disk_runs(mask, xs, ys, radius):
         n_rows, n_queries = near.shape
         i = np.flatnonzero(near)
-        if i.size:
-            near_pairs.append((rows.start + i // n_queries, queries.start + i % n_queries,
-                               a.ravel()[i], b.ravel()[i]))
+        if n_held + i.size > held.shape[1]:
+            settle(*held[:, :n_held])
+            n_held = 0
+        held[:, n_held:n_held + i.size] = (rows.start + i // n_queries,
+                                           queries.start + i % n_queries,
+                                           a.ravel()[i], b.ravel()[i])
+        n_held += i.size
         tile = pref[rows].ravel()
         if n_rows > 1:
             offsets = np.arange(0, tile.size, width)[:, None]
             a += offsets
             b += offsets
         counts[queries] += (tile[b] - tile[a]).sum(axis=0)
-    if near_pairs:
-        rows, q, a, b = (np.concatenate(v) for v in zip(*near_pairs))
-        start = rows * width
-        pref = pref.ravel()
-        estimated = pref[start + b] - pref[start + a]
-        _settle_runs(mask, xs[q], ys[q], rows, radius, a, b)
-        np.add.at(counts, q, pref[start + b] - pref[start + a] - estimated)
+    if n_held:
+        settle(*held[:, :n_held])
     cov = np.empty(xq.size)
     cov[order] = np.minimum(1.0, counts * mask.cell * mask.cell / (math.pi * radius * radius))
     return float(cov[0]) if shape == () else cov.reshape(shape)
