@@ -145,9 +145,21 @@ def greenspace_coverage(mask: RasterGrid, x: float | np.ndarray, y: float | np.n
     counts = np.zeros(xq.size, dtype=np.int64)
 
     def settle(rows, q, a, b):
+        """Move the near pairs' runs [a, b) to those of the exact test on
+        pixel centers and correct their queries' counts."""
         start = rows * width
         estimated = flat[start + b] - flat[start + a]
-        _settle_runs(mask, xs[q], ys[q], rows, radius, a, b)
+        lo, mid, hi, _ = (v.astype(np.int64) for v in _window_columns(mask, xs[q], radius))
+        dy2 = (mask.y_centers()[rows] - ys[q]) ** 2
+        x, x_centers, r2 = xs[q], mask.x_centers(), radius * radius
+
+        def inside(i, c):
+            # _first_true also tests columns lo - 1 and hi, which may lie off
+            # the mask, at positions whose result it then drops
+            return dy2[i] + (x_centers.take(c, mode="clip") - x[i]) ** 2 <= r2
+
+        _first_true(a, inside, lo, mid)
+        _first_true(b, lambda i, c: ~inside(i, c), mid, hi)
         np.add.at(counts, q, flat[start + b] - flat[start + a] - estimated)
 
     # (row, query, a, b) of the near pairs, settled a batch at a time; a
@@ -206,7 +218,7 @@ def _disk_runs(mask, xs, ys, radius):
     queries); a tile holds at most ``COVERAGE_CHUNK_PAIRS`` pairs. A pair
     whose row is not in its query's window has a == b and near False. Each
     other pair's run is exact unless near is set; near pairs start the
-    exact test of :func:`_settle_runs` from [a, b).
+    exact test from [a, b).
 
     The estimate works in column units, column c's center at c: qu is the
     computed query x, half = sqrt(max(r2 - dy2, 0)) / cell, and
@@ -285,22 +297,6 @@ def _disk_runs(mask, xs, ys, radius):
                 near &= ~outside
             yield rows, q, a, b, near
         r0 = r1
-
-
-def _settle_runs(mask, x, y, rows, radius, a, b):
-    """Move each run [a, b) of the disk around (x, y) in its mask row, in
-    place, to the one the exact test on pixel centers gives."""
-    lo, mid, hi, _ = (v.astype(np.int64) for v in _window_columns(mask, x, radius))
-    dy2 = (mask.y_centers()[rows] - y) ** 2
-    x_centers, r2 = mask.x_centers(), radius * radius
-
-    def inside(i, c):
-        # _first_true also tests columns lo - 1 and hi, which may lie off the
-        # mask, at positions whose result it then drops
-        return dy2[i] + (x_centers.take(c, mode="clip") - x[i]) ** 2 <= r2
-
-    _first_true(a, inside, lo, mid)
-    _first_true(b, lambda i, c: ~inside(i, c), mid, hi)
 
 
 def _first_true(c, test, lo, hi):

@@ -247,8 +247,8 @@ def test_coverage_queries_across_a_chunk_boundary(monkeypatch, pairs):
 # row sweep: estimates, margin and query order
 # ---------------------------------------------------------------------------
 
-# origins far from 0 make the column centers round; the prototype cities lie
-# at about 2.3e6 m
+# origins far from 0 make the column centers round, as projected
+# coordinates of about 2.3e6 m do
 FAR_ORIGINS = (0.0, -3.0, 12.5, 0.1, 2.3e6, -7.1e5 + 0.3)
 
 
