@@ -11,20 +11,23 @@ stages that import this module without kriging do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geocore import ComputationError, RasterGrid
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
 MATCH_TOL = 1e-9  # queries closer than this to a sample return it exactly
 
 VARIOGRAM_KINDS = ("spherical", "exponential")
+
+# Query-sample pairs SampleSet.nearest measures at once; its buffers take
+# 17 bytes per pair.
+NEAREST_CHUNK_PAIRS = 1 << 15
+
+# Sample pairs empirical_semivariogram measures at once.
+PAIR_BLOCK = 1 << 15
 
 # Kriging systems built and solved together; each query holds about 13 kB
 # of stacked arrays with 16 neighbors.
@@ -42,7 +45,6 @@ class SampleSet:
     xy: np.ndarray
     values: np.ndarray
     units: str = ""
-    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.xy = np.asarray(self.xy, dtype=float)
@@ -74,20 +76,48 @@ class SampleSet:
     def __len__(self) -> int:
         return self.xy.shape[0]
 
-    @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            from scipy.spatial import cKDTree
-            self._tree = cKDTree(self.xy)
-        return self._tree
-
     def nearest(self, x, y, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Distances and indices of the k nearest samples (k clamped to n),
-        of shape x.shape + (k,)."""
-        k = min(k, len(self))
-        d, idx = self.tree.query(np.stack([x, y], axis=-1), k=k)
+        of shape x.shape + (k,), ordered by (distance, sample index).
+
+        The distance from query (qx, qy) to sample (sx, sy) is
+        sqrt(dx*dx + dy*dy) with dx = qx - sx and dy = qy - sy. Queries go
+        NEAREST_CHUNK_PAIRS query-sample pairs at a time: the k-th distance
+        of each query comes from a partition, and only the samples at or
+        below it are sorted, by distance and then index.
+        """
+        qx, qy = np.ravel(x), np.ravel(y)
+        n = len(self)
+        k = min(k, n)
+        d = np.empty((qx.size, k))
+        idx = np.empty((qx.size, k), dtype=np.intp)
+        step = max(1, min(qx.size, NEAREST_CHUNK_PAIRS // n))
+        dist_buf, part_buf = np.empty((2, step, n))
+        mask_buf = np.empty((step, n), dtype=bool)
+        for start in range(0, qx.size, step):
+            q = slice(start, start + step)
+            m = qx[q].size
+            dist, part, mask = dist_buf[:m], part_buf[:m], mask_buf[:m]
+            np.subtract.outer(qx[q], self.xy[:, 0], out=dist)
+            np.subtract.outer(qy[q], self.xy[:, 1], out=part)
+            dist *= dist
+            part *= part
+            dist += part
+            np.sqrt(dist, out=dist)
+            np.copyto(part, dist)
+            part.partition(k - 1, axis=1)
+            flat = np.flatnonzero(np.less_equal(dist, part[:, k - 1:k], out=mask))
+            rows = flat // n
+            counts = np.bincount(rows, minlength=m)
+            starts = np.cumsum(counts) - counts
+            # each query's candidates (k or more) in index order, padded with inf
+            cand = np.full((m, counts.max()), np.inf)
+            cand[rows, np.arange(flat.size) - starts[rows]] = dist.ravel()[flat]
+            pick = np.argsort(cand, axis=1, kind="stable")[:, :k]
+            d[q] = np.take_along_axis(cand, pick, axis=1)
+            idx[q] = flat[starts[:, None] + pick] % n
         shape = np.shape(x) + (k,)
-        return np.reshape(d, shape), np.reshape(idx, shape)
+        return d.reshape(shape), idx.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +149,14 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
     edges[b] < d <= edges[b + 1].
 
     One pass: the pairs are stably sorted by bin, so each bin's pairs lie
-    in one contiguous slice in their pdist order, and its means sum the
+    in one contiguous slice in their pair order, and its means sum the
     same values in the same order as a per-bin mask would.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples for a semivariogram")
     if max_dist is None:
         max_dist = _half_diagonal(samples.xy.max(axis=0) - samples.xy.min(axis=0))
-    from scipy.spatial.distance import pdist
-    d = pdist(samples.xy)
-    keep = (d > 0) & (d <= max_dist)
-    d = d[keep]
-    # (v_i - v_j)**2 in the pair order of pdist(xy)
-    sq = pdist(samples.values[:, None], "sqeuclidean")[keep]
-    del keep
-    sq *= 0.5
+    d, sq = _kept_pairs(samples, max_dist)
     edges = np.linspace(0.0, max_dist, n_bins + 1)
     if n_bins < 1:
         return []
@@ -151,6 +174,37 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
         s = slice(stops[b] - counts[b], stops[b])
         out.append((float(d[s].mean()), float(sq[s].mean()), int(counts[b])))
     return out
+
+
+def _kept_pairs(samples: SampleSet, max_dist: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distance d and semivariance 0.5 * (v_i - v_j)**2 of the sample pairs
+    i < j with 0 < d <= max_dist, in row-major order over (i, j), the order
+    of scipy's pdist, whose distances these are bit for bit:
+    d = sqrt(dx*dx + dy*dy) with dx = x_i - x_j and dy = y_i - y_j.
+
+    Rows of pairs go at most PAIR_BLOCK pairs at a time (or one row).
+    """
+    n = len(samples)
+    d_out = np.empty(n * (n - 1) // 2)
+    sq_out = np.empty_like(d_out)
+    kept = 0
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, PAIR_BLOCK // (n - 1 - i0)))
+        ii, jj = np.triu_indices(i1 - i0, 1, n - i0)
+        ii += i0
+        jj += i0
+        dx = samples.xy[ii, 0] - samples.xy[jj, 0]
+        dy = samples.xy[ii, 1] - samples.xy[jj, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        dv = samples.values[ii] - samples.values[jj]
+        keep = (d > 0) & (d <= max_dist)
+        m = np.count_nonzero(keep)
+        d_out[kept:kept + m] = d[keep]
+        sq_out[kept:kept + m] = 0.5 * (dv * dv)[keep]
+        kept += m
+        i0 = i1
+    return d_out[:kept], sq_out[:kept]
 
 
 def _half_diagonal(span) -> float:
@@ -346,8 +400,10 @@ def _ok_weights(samples: SampleSet, model: VariogramModel, d: np.ndarray,
     """Kriging weights and Lagrange multipliers for neighbor distances and
     indices of shape (..., k), from one stacked solve."""
     k = idx.shape[-1]
-    pts = samples.xy[idx]
-    pair = np.linalg.norm(pts[..., :, None, :] - pts[..., None, :, :], axis=-1)
+    px, py = samples.xy[idx, 0], samples.xy[idx, 1]
+    dx = px[..., :, None] - px[..., None, :]
+    dy = py[..., :, None] - py[..., None, :]
+    pair = np.sqrt(dx * dx + dy * dy)
     ii, jj = np.triu_indices(k, 1)
     off = pair[..., ii, jj]
     dup = np.flatnonzero((off < MATCH_TOL).any(axis=-1))

@@ -1,19 +1,23 @@
-"""Whole-array kriging and IDW against the per-cell loops they replaced.
+"""Whole-array kriging and IDW against the per-cell loops they replaced,
+and the neighbour rule against a plain sort.
 
 ``interpolate_grid`` and ``fill_raster_nodata`` make one call each to
-``kriging_predict`` or ``idw_predict`` for all their cells: one tree query
-and one stacked ``np.linalg.solve`` per ``KRIGING_CHUNK_QUERIES`` cells.
-The per-point predictors and the per-cell grid loops below are their
-earlier bodies, kept as oracles: grids and gap fills must match to the
-last bit, and damaged sample sets must fail with the same
-``ComputationError`` message.
+``kriging_predict`` or ``idw_predict`` for all their cells: one
+``SampleSet.nearest`` call and one stacked ``np.linalg.solve`` per
+``KRIGING_CHUNK_QUERIES`` cells. The per-point predictors and the per-cell
+grid loops below are their earlier bodies, kept as oracles: grids and gap
+fills must match to the last bit, and damaged sample sets must fail with
+the same ``ComputationError`` message. Their neighbours come from
+``_sorted_nearest``, the neighbour rule written as a sort of every sample
+by (distance, index).
 """
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.spatial
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenprior import interp
@@ -22,6 +26,7 @@ from greenprior.interp import (
     MATCH_TOL,
     SampleSet,
     VariogramModel,
+    _ok_weights,
     fill_raster_nodata,
     fit_variogram,
     grid_semivariogram,
@@ -34,14 +39,18 @@ from greenprior.interp import (
 # ---------------------------------------------------------------------------
 
 
-def _old_nearest(samples, x, y, k):
-    k = min(k, len(samples))
-    d, idx = samples.tree.query([x, y], k=k)
-    return np.atleast_1d(d), np.atleast_1d(idx)
+def _sorted_nearest(samples, x, y, k):
+    """The neighbour rule: every sample sorted by (distance, index), with the
+    distance sqrt(dx*dx + dy*dy), dx = x - sx, in Python floats."""
+    x, y = float(x), float(y)
+    dist = [math.sqrt((x - sx) * (x - sx) + (y - sy) * (y - sy))
+            for sx, sy in samples.xy.tolist()]
+    order = sorted(range(len(dist)), key=lambda i: (dist[i], i))[:k]
+    return np.array([dist[i] for i in order]), np.array(order)
 
 
 def _old_idw_predict(samples, x, y, power, k_neighbors):
-    d, idx = _old_nearest(samples, x, y, k_neighbors)
+    d, idx = _sorted_nearest(samples, x, y, k_neighbors)
     if d[0] < MATCH_TOL:
         return float(samples.values[idx[0]])
     w = d ** (-power)
@@ -49,7 +58,7 @@ def _old_idw_predict(samples, x, y, power, k_neighbors):
 
 
 def _old_ok_solve(samples, model, x, y, k_neighbors):
-    d, idx = _old_nearest(samples, x, y, k_neighbors)
+    d, idx = _sorted_nearest(samples, x, y, k_neighbors)
     pts = samples.xy[idx]
     k = len(idx)
     pair = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -77,7 +86,7 @@ def _old_ok_solve(samples, model, x, y, k_neighbors):
 
 
 def _old_kriging_predict(samples, model, x, y, k_neighbors):
-    d, idx = _old_nearest(samples, x, y, k_neighbors)
+    d, idx = _sorted_nearest(samples, x, y, k_neighbors)
     if d[0] < MATCH_TOL:
         return float(samples.values[idx[0]]), 0.0
     nb_idx, w, mu = _old_ok_solve(samples, model, x, y, k_neighbors)
@@ -233,41 +242,38 @@ def test_scalar_and_array_queries_agree():
                 rel=1e-12, abs=1e-12)
 
 
-class _CountingTree(scipy.spatial.cKDTree):
-    queries = 0
-
-    def query(self, *args, **kwargs):
-        _CountingTree.queries += 1
-        return super().query(*args, **kwargs)
-
-
 @pytest.mark.parametrize("shape", [(1, 1), (4, 5), (12, 15)])
 def test_grid_work_does_not_grow_with_cells(monkeypatch, shape):
-    # one stacked solve and one tree query per call, whatever the cell count
-    calls = {"solve": 0}
+    # one stacked solve and one neighbour search per call, whatever the cell count
+    calls = {"solve": 0, "nearest": 0}
     solve = np.linalg.solve
+    nearest = SampleSet.nearest
 
     def counted_solve(*args, **kwargs):
         calls["solve"] += 1
         return solve(*args, **kwargs)
 
+    def counted_nearest(*args, **kwargs):
+        calls["nearest"] += 1
+        return nearest(*args, **kwargs)
+
     model = VariogramModel("spherical", 0.1, 2.0, 60.0)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", _CountingTree)
+    monkeypatch.setattr(SampleSet, "nearest", counted_nearest)
     monkeypatch.setattr(interp, "fit_variogram", lambda empirical, kind="spherical": model)
     rng = np.random.default_rng(11)
     pts = np.column_stack([rng.uniform(0, 300, (25, 2)), rng.normal(0, 1, 25)])
     template = RasterGrid(0.0, 0.0, 300.0 / max(shape), np.zeros(shape))
     for method in ("idw", "kriging"):
-        _CountingTree.queries, calls["solve"] = 0, 0
+        calls["nearest"], calls["solve"] = 0, 0
         interpolate_grid(SampleSet.from_points(pts), template, method=method, model=model)
-        assert _CountingTree.queries == 1
+        assert calls["nearest"] == 1
         assert calls["solve"] == (method == "kriging")
     values = 10.0 + rng.normal(0, 1, (shape[0] + 2, shape[1] + 2))
     values[::2, ::2] = np.nan
-    _CountingTree.queries, calls["solve"] = 0, 0
+    calls["nearest"], calls["solve"] = 0, 0
     fill_raster_nodata(RasterGrid(0.0, 0.0, 10.0, values))
-    assert _CountingTree.queries == 1
+    assert calls["nearest"] == 1
     assert calls["solve"] == 1
 
 
@@ -305,3 +311,83 @@ def test_kriging_memory_does_not_grow_with_cells():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the neighbour rule
+# ---------------------------------------------------------------------------
+
+COORD = st.one_of(st.floats(-20.0, 200.0), st.integers(-1, 10).map(lambda k: 20.0 * k))
+LATTICE = [(20.0 * i, 20.0 * j) for i in range(5) for j in range(5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(xy=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40),
+       queries=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=12),
+       k=st.integers(1, 45), chunk=st.sampled_from([1, 7, interp.NEAREST_CHUNK_PAIRS]))
+# a lattice: every query has rings of equidistant samples, cut by k
+@example(xy=LATTICE, queries=[(40.0, 40.0), (50.0, 50.0), (10.0, 40.0), (-20.0, -20.0),
+                              (40.0, 30.0), (0.0, 0.0)], k=5, chunk=interp.NEAREST_CHUNK_PAIRS)
+@example(xy=LATTICE, queries=[(40.0, 40.0), (50.0, 50.0), (10.0, 40.0)], k=8, chunk=7)
+@example(xy=LATTICE, queries=[(50.0, 50.0), (30.0, 30.0)], k=2, chunk=1)
+@example(xy=LATTICE + LATTICE[::-1], queries=[(40.0, 40.0), (50.0, 50.0)], k=9, chunk=1)
+@example(xy=LATTICE, queries=[(40.0, 40.0)], k=25, chunk=interp.NEAREST_CHUNK_PAIRS)
+def test_nearest_matches_sorted_rule(xy, queries, k, chunk):
+    samples = SampleSet(np.array(xy, dtype=float), np.zeros(len(xy)))
+    qx, qy = np.array(queries, dtype=float).T
+    with mock.patch.object(interp, "NEAREST_CHUNK_PAIRS", chunk):
+        d, idx = samples.nearest(qx, qy, k)
+    assert d.shape == idx.shape == (len(queries), min(k, len(xy)))
+    for (x, y), got_d, got_idx in zip(queries, d, idx):
+        want_d, want_idx = _sorted_nearest(samples, x, y, k)
+        assert _bits(got_d) == _bits(want_d)
+        assert got_idx.tolist() == want_idx.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(interp.VARIOGRAM_KINDS))
+def test_shuffled_rows_give_the_same_bits(seed, kind):
+    # a lattice with repeated rows: the queries' neighbour rings tie, and
+    # rows at one location are averaged
+    rng = np.random.default_rng(seed)
+    xy = np.array(LATTICE + LATTICE[:7])
+    rows = np.column_stack([xy, rng.normal(10.0, 2.0, len(xy))])
+    template = RasterGrid(-15.0, -15.0, 10.0, np.zeros((11, 11)))
+    outputs = []
+    for perm in (np.arange(len(rows)), rng.permutation(len(rows)), rng.permutation(len(rows))):
+        samples = SampleSet.from_points(rows[perm])
+        d, idx = samples.nearest(*np.meshgrid(template.x_centers(), template.y_centers()), 9)
+        grids = [interpolate_grid(samples, template, method=method, variogram_kind=kind).values
+                 for method in ("idw", "kriging")]
+        outputs.append([_bits(d), idx.tolist(), *map(_bits, grids)])
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def _norm_ok_weights(samples, model, d, idx):
+    """The kriging systems with neighbour pair distances from np.linalg.norm
+    over a stacked (..., k, k, 2) array, the form _ok_weights replaced."""
+    k = idx.shape[-1]
+    pts = samples.xy[idx]
+    pair = np.linalg.norm(pts[..., :, None, :] - pts[..., None, :, :], axis=-1)
+    A = np.ones(idx.shape[:-1] + (k + 1, k + 1))
+    A[..., :k, :k] = model.gamma(pair)
+    A[..., k, k] = 0.0
+    rhs = np.append(model.gamma(d), np.ones_like(d[..., :1]), axis=-1)
+    sol = np.linalg.solve(A, rhs[..., None])[..., 0]
+    return sol[..., :k], sol[..., k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=scenes())
+def test_pair_distances_match_norm_form(scene):
+    samples, template, model, k = scene
+    xs, ys = np.meshgrid(template.x_centers(), template.y_centers())
+    d, idx = samples.nearest(np.ravel(xs), np.ravel(ys), k)
+    try:
+        got = _ok_weights(samples, model, d, idx)
+    except ComputationError:  # duplicate neighbours, checked against the loop above
+        return
+    want = _norm_ok_weights(samples, model, d, idx)
+    assert _bits(got[0]) == _bits(want[0])
+    assert _bits(got[1]) == _bits(want[1])
