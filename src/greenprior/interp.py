@@ -5,8 +5,12 @@ Sample sets are canonicalized on construction (exact duplicate coordinates
 averaged, then sorted), which makes every downstream prediction independent
 of input file ordering.
 
-scipy is imported inside the functions that compute with it, so the
-stages that import this module without kriging do not load it.
+Every rule that reaches an output is stated here and computed with numpy
+and Python floats, without scipy: the neighbours of a query are the k
+nearest samples ordered by (distance, sample index) (SampleSet.nearest),
+station pairs are taken in pdist order (_kept_pairs), and the variogram
+is fitted by variable projection with golden-section search over the
+range (fit_variogram).
 """
 from __future__ import annotations
 
@@ -32,6 +36,13 @@ PAIR_BLOCK = 1 << 15
 # Kriging systems built and solved together; each query holds about 13 kB
 # of stacked arrays with 16 neighbors.
 KRIGING_CHUNK_QUERIES = 1 << 10
+
+# The range search of fit_variogram stops when its bracket is narrower than
+# this share of the range: within about sqrt(eps) of a minimum the
+# profiled SSE is flat to rounding, so a narrower bracket follows noise.
+RANGE_TOL = 2.0 ** -26
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden section, 0.618...
 
 # Lattice offsets of one row offset whose pairs grid_semivariogram sums
 # together; its temporaries take 9 bytes per grid cell and offset.
@@ -326,69 +337,88 @@ class VariogramModel:
         return out if out.ndim else float(out)
 
 
-def _linear_subfit(lags, gammas, weights, shape):
-    """Weighted LS for (nugget, partial) given the range-shaped basis."""
-    w = weights
-    s11 = np.sum(w)
-    s1f = np.sum(w * shape)
-    sff = np.sum(w * shape * shape)
-    s1g = np.sum(w * gammas)
-    sfg = np.sum(w * shape * gammas)
+def _shape_at(kind, t):
+    """_shape at one lag ratio t, in Python floats."""
+    if kind == "spherical":
+        return 1.5 * t - 0.5 * t ** 3 if t < 1.0 else 1.0
+    return 1.0 - math.exp(-3.0 * t)
+
+
+def _linear_subfit(gammas, weights, shape):
+    """(weighted SSE, nugget, partial) of the least-squares fit of
+    nugget + partial * shape to the gammas with nugget >= 0 and
+    partial >= 1e-12, in closed form and in Python floats."""
+    def sse(nugget, partial):
+        return math.fsum([w * (nugget + partial * f - g) ** 2
+                          for w, f, g in zip(weights, shape, gammas)])
+
+    s11 = math.fsum(weights)
+    s1f = math.fsum([w * f for w, f in zip(weights, shape)])
+    sff = math.fsum([w * f * f for w, f in zip(weights, shape)])
+    s1g = math.fsum([w * g for w, g in zip(weights, gammas)])
+    sfg = math.fsum([w * f * g for w, f, g in zip(weights, shape, gammas)])
     det = s11 * sff - s1f * s1f
-    if abs(det) < 1e-12:
-        nugget, partial = 0.0, max(s1g / s11, 1e-12)
-    else:
+    if abs(det) >= 1e-12:
         nugget = (sff * s1g - s1f * sfg) / det
         partial = (s11 * sfg - s1f * s1g) / det
-    if nugget < 0:
-        nugget = 0.0
-        partial = sfg / sff if sff > 0 else 1e-12
-    partial = max(partial, 1e-12)
-    return nugget, partial
+        if nugget >= 0 and partial >= 1e-12:
+            return sse(nugget, partial), nugget, partial
+    # the constrained least squares lie on an edge: no nugget, or the
+    # smallest partial sill
+    edges = [(0.0, max(sfg / sff, 1e-12)), (max((s1g - 1e-12 * s1f) / s11, 0.0), 1e-12)]
+    return min((sse(nugget, partial), nugget, partial) for nugget, partial in edges)
 
 
 def fit_variogram(empirical: list[tuple[float, float, int]],
                   kind: str = "spherical") -> VariogramModel:
     """Fit nugget/sill/range to a binned semivariogram.
 
-    Count-weighted least squares with a fixed multi-start over candidate
-    ranges, then bounded local refinement; deterministic for a given input.
-    All-zero curves come back flagged degenerate.
+    Count-weighted least squares by variable projection (Golub and Pereyra
+    1973): at each range, _linear_subfit gives the nugget and partial sill
+    in closed form, so only the range is searched. A scan of 24 ranges,
+    evenly spaced in log from 0.25 to 2 times the extreme lags, picks the
+    best; golden-section search (Kiefer 1953) then refines it between its
+    scan neighbours, clipped to [0.01 * min lag, 2 * max lag], until the
+    bracket is narrower than RANGE_TOL of the range. The fit is the best
+    range evaluated. Python floats and math.fsum throughout, so the fit is
+    the same on every IEEE machine. All-zero curves come back flagged
+    degenerate.
     """
     if kind not in VARIOGRAM_KINDS:
         raise ValueError(f"unknown variogram kind {kind!r}")
     if len(empirical) < 3:
         raise ValueError("need at least 3 semivariogram bins to fit")
-    lags = np.array([e[0] for e in empirical])
-    gammas = np.array([e[1] for e in empirical])
-    weights = np.array([float(e[2]) for e in empirical])
-    max_lag = float(lags.max())
-    if np.all(gammas <= 1e-15):
+    lags = [float(e[0]) for e in empirical]
+    gammas = [float(e[1]) for e in empirical]
+    weights = [float(e[2]) for e in empirical]
+    min_lag, max_lag = min(lags), max(lags)
+    if all(g <= 1e-15 for g in gammas):
         return VariogramModel(kind, 0.0, 1e-12, max_lag, degenerate=True)
 
-    best = None
-    for r in np.geomspace(0.25 * float(lags.min()), 2.0 * max_lag, 24):
-        shape = _shape(kind, lags / r)
-        nugget, partial = _linear_subfit(lags, gammas, weights, shape)
-        sse = float(np.sum(weights * (nugget + partial * shape - gammas) ** 2))
-        if best is None or sse < best[0]:
-            best = (sse, nugget, partial, r)
-    _, n0, p0, r0 = best
+    def fit_at(r):
+        return (*_linear_subfit(gammas, weights, [_shape_at(kind, h / r) for h in lags]), r)
 
-    def residuals(theta):
-        nugget, partial, r = theta
-        return np.sqrt(weights) * (nugget + partial * _shape(kind, lags / r) - gammas)
-
-    # range capped at twice the observed lag span: a larger value would make
-    # the sill an extrapolation the data cannot support
-    lo = [0.0, 1e-12, 0.01 * float(lags.min())]
-    hi = [np.inf, np.inf, 2.0 * max_lag]
-    import scipy.optimize
-    sol = scipy.optimize.least_squares(residuals, [n0, max(p0, 1e-10), r0],
-                                       bounds=(lo, hi), method="trf")
-    nugget, partial, range_m = sol.x
-    return VariogramModel(kind, float(nugget), float(nugget + max(partial, 1e-12)),
-                          float(range_m))
+    lo, hi = 0.25 * min_lag, 2.0 * max_lag
+    step = (hi / lo) ** (1.0 / 23.0)
+    best = min([fit_at(lo * step ** i) for i in range(23)] + [fit_at(hi)],
+               key=lambda fit: fit[0])
+    # range capped at twice the largest lag: a larger value would make the
+    # sill an extrapolation the data cannot support
+    a = max(0.01 * min_lag, best[3] / step)
+    b = min(hi, best[3] * step)
+    c, d = fit_at(b - _INVPHI * (b - a)), fit_at(a + _INVPHI * (b - a))
+    while b - a > RANGE_TOL * b:
+        if c[0] < d[0]:
+            b, d = d[3], c
+            c = fit_at(b - _INVPHI * (b - a))
+        else:
+            a, c = c[3], d
+            d = fit_at(a + _INVPHI * (b - a))
+    _, nugget, partial, range_m = min((best, c, d), key=lambda fit: fit[0])
+    # a large nugget absorbs the smallest partial sill: the sill must still
+    # lie above it
+    return VariogramModel(kind, nugget, max(nugget + partial, math.nextafter(nugget, math.inf)),
+                          range_m)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +431,14 @@ def _ok_weights(samples: SampleSet, model: VariogramModel, d: np.ndarray,
     indices of shape (..., k), from one stacked solve."""
     k = idx.shape[-1]
     px, py = samples.xy[idx, 0], samples.xy[idx, 1]
-    dx = px[..., :, None] - px[..., None, :]
+    pair = px[..., :, None] - px[..., None, :]
     dy = py[..., :, None] - py[..., None, :]
-    pair = np.sqrt(dx * dx + dy * dy)
+    pair *= pair
+    dy *= dy
+    pair += dy
+    # sqrt(dx*dx + dy*dy) in place: a fresh (..., k, k) temporary per step
+    # took twice the time of the arithmetic
+    np.sqrt(pair, out=pair)
     ii, jj = np.triu_indices(k, 1)
     off = pair[..., ii, jj]
     dup = np.flatnonzero((off < MATCH_TOL).any(axis=-1))

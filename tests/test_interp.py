@@ -202,6 +202,17 @@ def test_fit_degenerate_flat_zero():
     assert m.nugget == 0.0
 
 
+@pytest.mark.parametrize("kind", ["spherical", "exponential"])
+def test_fit_flat_curve_at_income_scale(kind):
+    # a flat curve is all nugget: the sill must still lie above it, though
+    # a nugget of 2.5e7 absorbs a partial sill of 1e-12
+    empirical = [(100.0, 2.5e7, 40), (200.0, 2.5e7, 80), (300.0, 2.5e7, 120),
+                 (400.0, 2.5e7, 90)]
+    m = fit_variogram(empirical, kind)
+    assert m.sill > m.nugget
+    assert m.sill == pytest.approx(2.5e7, rel=1e-12)
+
+
 def test_fit_pure_nugget_statistics():
     rng = np.random.default_rng(101)
     sills = []

@@ -1,0 +1,158 @@
+"""The variable-projection variogram fit against scipy's bounded least squares.
+
+``fit_variogram`` searches the range alone, each range's nugget and partial
+sill coming in closed form from ``_linear_subfit``. ``_trf_fit`` below is
+the fit it replaced, kept as an oracle: the same 24-range scan, then
+``scipy.optimize.least_squares`` (method ``trf``) over nugget, partial
+sill and range within the same bounds. The new fit's count-weighted SSE
+must be no larger than the oracle's, within
+
+    SSE_new <= SSE_trf * (1 + REL_TOL) + ABS_TOL * sum(w * gamma**2).
+
+The absolute term is the rounding floor: residuals are differences of
+numbers of the size of gamma, so no float fit resolves an SSE much below
+eps * sum(w * gamma**2), and on noise-free curves the oracle's SSE sits at
+that floor. On the variograms of the synthetic cities the relative bound
+holds alone.
+"""
+import math
+
+import numpy as np
+import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from greenprior import interp
+from greenprior.ingest import read_raster_asc, read_xy_value
+from greenprior.interp import (
+    SampleSet,
+    VariogramModel,
+    empirical_semivariogram,
+    fit_variogram,
+    grid_semivariogram,
+)
+from greenprior.synth import SyntheticCitySpec, generate_city
+
+REL_TOL = 1e-9
+ABS_TOL = 1e-13
+
+# ---------------------------------------------------------------------------
+# oracle: the earlier fit
+# ---------------------------------------------------------------------------
+
+
+def _old_linear_subfit(weights, gammas, shape):
+    w = weights
+    s11 = np.sum(w)
+    s1f = np.sum(w * shape)
+    sff = np.sum(w * shape * shape)
+    s1g = np.sum(w * gammas)
+    sfg = np.sum(w * shape * gammas)
+    det = s11 * sff - s1f * s1f
+    if abs(det) < 1e-12:
+        nugget, partial = 0.0, max(s1g / s11, 1e-12)
+    else:
+        nugget = (sff * s1g - s1f * sfg) / det
+        partial = (s11 * sfg - s1f * s1g) / det
+    if nugget < 0:
+        nugget = 0.0
+        partial = sfg / sff if sff > 0 else 1e-12
+    return nugget, max(partial, 1e-12)
+
+
+def _trf_fit(empirical, kind):
+    lags = np.array([e[0] for e in empirical])
+    gammas = np.array([e[1] for e in empirical])
+    weights = np.array([float(e[2]) for e in empirical])
+    max_lag = float(lags.max())
+    best = None
+    for r in np.geomspace(0.25 * float(lags.min()), 2.0 * max_lag, 24):
+        shape = interp._shape(kind, lags / r)
+        nugget, partial = _old_linear_subfit(weights, gammas, shape)
+        sse = float(np.sum(weights * (nugget + partial * shape - gammas) ** 2))
+        if best is None or sse < best[0]:
+            best = (sse, nugget, partial, r)
+    _, n0, p0, r0 = best
+
+    def residuals(theta):
+        nugget, partial, r = theta
+        return np.sqrt(weights) * (nugget + partial * interp._shape(kind, lags / r) - gammas)
+
+    sol = scipy.optimize.least_squares(
+        residuals, [n0, max(p0, 1e-10), r0], method="trf",
+        bounds=([0.0, 1e-12, 0.01 * float(lags.min())], [np.inf, np.inf, 2.0 * max_lag]))
+    nugget, partial, range_m = sol.x
+    return VariogramModel(kind, float(nugget), float(nugget + max(partial, 1e-12)),
+                          float(range_m))
+
+
+def _sse(model, empirical):
+    return math.fsum(c * (float(model.gamma(h)) - g) ** 2 for h, g, c in empirical)
+
+
+def _scale(empirical):
+    return math.fsum(c * g * g for _, g, c in empirical)
+
+
+# ---------------------------------------------------------------------------
+# checks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def curves(draw):
+    """Binned curves of a drawn variogram model, with multiplicative noise
+    of up to 100 % and counts from 1 to 2000, at scales from 1e-3 to 1e6."""
+    n = draw(st.integers(3, 15))
+    span = 10.0 ** draw(st.floats(0.0, 4.0))
+    lags = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n, unique=True)))
+    nugget = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    model = VariogramModel(draw(st.sampled_from(interp.VARIOGRAM_KINDS)), nugget,
+                           nugget + draw(st.floats(0.01, 5.0)),
+                           span * 10.0 ** draw(st.floats(-1.5, 1.0)))
+    noise = draw(st.sampled_from([0.0, 0.01, 0.2, 1.0]))
+    scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+    out = []
+    for lag in lags:
+        h = lag * span
+        g = abs(model.gamma(h) * (1.0 + noise * draw(st.floats(-1.0, 1.0)))) * scale
+        out.append((h, g, draw(st.integers(1, 2000))))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(empirical=curves(), kind=st.sampled_from(interp.VARIOGRAM_KINDS))
+def test_fit_is_no_worse_than_trf(empirical, kind):
+    try:
+        old = _trf_fit(empirical, kind)
+    except ValueError:  # its nugget absorbed the 1e-12 partial sill
+        return
+    new = fit_variogram(empirical, kind)
+    assert 0.01 * empirical[0][0] <= new.range_m <= 2.0 * empirical[-1][0]
+    assert _sse(new, empirical) <= (_sse(old, empirical) * (1.0 + REL_TOL)
+                                    + ABS_TOL * _scale(empirical))
+
+
+@pytest.fixture(scope="module", params=[(7, 15), (42, 60)], ids=["7-15", "42-60"])
+def city_variograms(request, tmp_path_factory):
+    """Every variogram indicators fits on a synthetic city: the income and
+    precipitation stations, and the temperature rasters with gaps."""
+    seed, n = request.param
+    city = tmp_path_factory.mktemp(f"fit{seed}") / "city"
+    generate_city(SyntheticCitySpec(seed=seed, n_buildings=n), str(city))
+    found = {name: empirical_semivariogram(SampleSet.from_points(read_xy_value(city / name)))
+             for name in ("income_stations.csv", "precip_stations.csv")}
+    for season in ("spring", "summer", "autumn", "winter"):
+        grid = read_raster_asc(city / f"temp_{season}.asc")
+        if np.isnan(grid.values).any():
+            found[season] = grid_semivariogram(grid)
+    assert len(found) == 4
+    return found
+
+
+@pytest.mark.parametrize("kind", interp.VARIOGRAM_KINDS)
+def test_city_fits_are_no_worse_than_trf(city_variograms, kind):
+    for name, empirical in city_variograms.items():
+        new, old = fit_variogram(empirical, kind), _trf_fit(empirical, kind)
+        assert _sse(new, empirical) <= _sse(old, empirical) * (1.0 + REL_TOL), name
