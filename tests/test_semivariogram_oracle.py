@@ -1,18 +1,21 @@
 """The one-pass semivariogram against the per-bin mask loop it replaced.
 
-``empirical_semivariogram`` sorts the pairs by bin once and takes each
-bin's means from one contiguous slice. ``_old_empirical_semivariogram``
-below is its earlier body, kept as an oracle: every (mean lag,
+``empirical_semivariogram`` takes the pairs in blocks of rows, sorts them
+by bin once and takes each bin's means from one contiguous slice.
+``_old_empirical_semivariogram`` below is its earlier body, with scipy's
+``pdist`` for the distances, kept as an oracle: every (mean lag,
 semivariance, count) tuple must match to the last bit, and bad input must
 fail with the same ``ValueError`` message.
 """
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from greenprior import interp
 from greenprior.geocore import RasterGrid
 from greenprior.interp import SampleSet, empirical_semivariogram
 
@@ -66,6 +69,8 @@ def _agree(samples, n_bins, max_dist):
 # ---------------------------------------------------------------------------
 
 N_BINS = st.sampled_from([1, 15, 300])  # 300 bins need a 16-bit bin code
+# pairs come in blocks of whole rows: one row at a time, some rows, all rows
+PAIR_BLOCKS = st.sampled_from([1, 100, interp.PAIR_BLOCK])
 VALUES = st.one_of(st.floats(-50.0, 50.0), st.integers(-3, 3).map(float))
 
 
@@ -143,10 +148,11 @@ def on_edges(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(scene=lattices(), n_bins=N_BINS)
-def test_lattice_with_holes_matches_mask_loop(scene, n_bins):
+@given(scene=lattices(), n_bins=N_BINS, block=PAIR_BLOCKS)
+def test_lattice_with_holes_matches_mask_loop(scene, n_bins, block):
     samples, max_dist = scene
-    _agree(samples, n_bins, max_dist)
+    with mock.patch.object(interp, "PAIR_BLOCK", block):
+        _agree(samples, n_bins, max_dist)
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,11 +170,12 @@ def test_pairs_on_bin_edges_and_at_max_dist_match_mask_loop(scene):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(30, 120), seed=st.integers(0, 2**32 - 1), n_bins=N_BINS,
-       scale=st.sampled_from([1.0, 1e-3, 1e4]))
-def test_random_samples_match_mask_loop(n, seed, n_bins, scale):
+       scale=st.sampled_from([1.0, 1e-3, 1e4]), block=PAIR_BLOCKS)
+def test_random_samples_match_mask_loop(n, seed, n_bins, scale, block):
     rng = np.random.default_rng(seed)
     samples = SampleSet(rng.uniform(0.0, 100.0 * scale, (n, 2)), rng.normal(20.0, 3.0, n))
-    _agree(samples, n_bins, None)
+    with mock.patch.object(interp, "PAIR_BLOCK", block):
+        _agree(samples, n_bins, None)
 
 
 def test_single_pair_and_one_location():
