@@ -7,12 +7,13 @@ unchanged inputs reproduces its files byte for byte.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict
-from itertools import compress
+from itertools import chain, compress
 from operator import ne, or_
 
 import numpy as np
@@ -60,7 +61,7 @@ from .priority import (
     rank_buildings,
 )
 from .roofs import RoofSegment, extract_all
-from .synth import SyntheticCitySpec, generate_city
+from .synth import DOMAIN_RANGE_M, SyntheticCitySpec, generate_city
 
 IND_COLUMNS = tuple("ind_" + short for short in IndicatorVector.SHORT_NAMES)
 WEIGHT_COLUMNS = tuple("w_" + short for short in IndicatorVector.SHORT_NAMES)
@@ -167,7 +168,12 @@ def _write_surface(grid, path):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args):
-    spec = SyntheticCitySpec(seed=args.seed, n_buildings=args.buildings)
+    low, high = DOMAIN_RANGE_M
+    if not low <= args.domain_m <= high:
+        raise ValueError(f"--domain-m must be from {low:g} to {high:g} m (the road layout "
+                         f"reaches 1150 m), got {args.domain_m:g}")
+    spec = SyntheticCitySpec(seed=args.seed, n_buildings=args.buildings,
+                             domain_m=args.domain_m)
     if not 0 <= spec.n_buildings <= spec.max_buildings:
         raise ValueError(f"--buildings must be from 0 to {spec.max_buildings} "
                          f"(one per parcel), got {spec.n_buildings}")
@@ -192,18 +198,17 @@ def cmd_extract(cfg):
     write_raster_asc(extraction.dsm, _out_path(cfg, "dsm.asc"))
 
     th = cfg.thresholds()
-    seg_rows, cell_rows = [], []
-    for seg in sorted(extraction.segments, key=lambda s: (s.building_id, s.seg_id)):
+    ordered = sorted(extraction.segments, key=lambda s: (s.building_id, s.seg_id))
+    seg_rows = []
+    for seg in ordered:
         qualifying = (seg.slope_deg < th.slope_max_deg
                       and seg.area_m2 > th.area_min_m2)
         a, b, c = seg.plane
         seg_rows.append([seg.building_id, seg.seg_id, FLAGS[bool(qualifying)],
                          f6(seg.slope_deg), f6(seg.area_m2),
                          str(len(seg.cells)), f6(a), f6(b), f6(c)])
-        for row, col in seg.cells:
-            cell_rows.append([seg.building_id, seg.seg_id, str(row), str(col)])
     _write_table(cfg, "segments.csv", seg_rows)
-    _write_table(cfg, "cells.csv", cell_rows)
+    _write_table(cfg, "cells.csv", _cell_rows(ordered))
 
     b_rows = []
     for b in sorted(buildings, key=lambda b: b.id):
@@ -214,6 +219,8 @@ def cmd_extract(cfg):
                        str(b.age_years), b.category])
     _write_table(cfg, "buildings.csv", b_rows)
 
+    for reason in extraction.height_fallbacks.values():
+        print(f"warning: {reason}; height_m set to 0", file=sys.stderr)
     n_pot = sum(1 for d in extraction.decisions.values() if d.potential)
     greenable = sum(d.greenable_m2 for d in extraction.decisions.values()
                     if d.potential)
@@ -221,6 +228,21 @@ def cmd_extract(cfg):
     print(f"extract: {n_pot}/{len(buildings)} buildings with potential "
           f"({share:.1f} %), greenable roof area {greenable:.1f} m2")
     return 0
+
+
+def _cell_rows(segments):
+    """The rows of cells.csv for segments, one per segment: a single field
+    that holds all of its lines, as write_table writes a row, without the
+    last line end. Only the cells go through a %-format; the ids are put
+    in front of each line as they are, so a % in an id stays a %."""
+    rows = []
+    for seg in segments:
+        if not seg.cells:
+            continue
+        prefix = seg.building_id + "," + seg.seg_id + ","
+        lines = "%d,%d\n" * len(seg.cells) % tuple(chain.from_iterable(seg.cells))
+        rows.append([prefix + lines[:-1].replace("\n", "\n" + prefix)])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +594,7 @@ def _render_report(n, priorities, weights, metrics, regression):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process, however often main runs
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="greenprior",
@@ -582,6 +605,10 @@ def build_parser():
     p_synth.add_argument("--out", default="city", help="dataset directory")
     p_synth.add_argument("--seed", type=int, default=42)
     p_synth.add_argument("--buildings", type=int, default=60)
+    low, high = DOMAIN_RANGE_M
+    p_synth.add_argument("--domain-m", type=float, default=SyntheticCitySpec.domain_m,
+                         help=f"side of the square scene in metres, from {low:g} to "
+                              f"{high:g} (default %(default)g)")
 
     for name, help_text in (
             ("extract", "roof segmentation and potential screening"),

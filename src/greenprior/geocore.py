@@ -2,7 +2,10 @@
 
 All coordinates are meters in a projected CRS; nothing in here knows about
 geodesy. Rasters are anchored at their lower-left corner, row 0 is the
-southernmost row, and NaN marks nodata cells.
+southernmost row, and NaN marks nodata cells. A raster is held either
+dense (:class:`RasterGrid`) or as its occupied cells alone
+(:class:`SparseGrid`); both give their occupied cells by
+``occupied_cells()``.
 """
 from __future__ import annotations
 
@@ -18,6 +21,10 @@ VEGETATION = 2
 OTHER = 3
 
 CLASS_NAMES = {GROUND: "ground", BUILDING: "building", VEGETATION: "vegetation", OTHER: "other"}
+
+# The 8-neighbour offsets (drow, dcol) in row-major order; the last four
+# are the forward ones, which a row-major scan meets after the cell.
+NEIGH8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 # Absolute tolerance (meters) below which a point counts as lying on a
 # polygon edge or on top of a sample location.
@@ -175,9 +182,84 @@ class RasterGrid:
         return (self.same_geometry(other)
                 and np.array_equal(self.values, other.values, equal_nan=True))
 
+    def occupied_cells(self) -> "SparseGrid":
+        """The cells that are not NaN, as a SparseGrid of this geometry."""
+        occupied = ~np.isnan(self.values)
+        return SparseGrid(self.origin_x, self.origin_y, self.cell, self.nrows, self.ncols,
+                          np.flatnonzero(occupied), self.values[occupied])
 
-def snapped_grid(xy: np.ndarray, cell: float) -> RasterGrid:
-    """The grid of zeros, snapped to multiples of the cell, that holds xy.
+
+@dataclass(frozen=True)
+class GridGeometry:
+    """Where a grid lies: lower-left origin, cell size and shape, named as
+    on RasterGrid."""
+
+    origin_x: float
+    origin_y: float
+    cell: float
+    nrows: int
+    ncols: int
+
+
+@dataclass(eq=False)
+class SparseGrid:
+    """A raster held as its occupied cells only, so that its size follows
+    those cells and not the grid's extent.
+
+    The geometry is named as on RasterGrid. ``flat`` holds the sorted
+    row-major flat indices ``row * ncols + col`` of the occupied cells, and
+    ``values`` their values in the same order; every other cell is nodata.
+    A cell is known by its position in these arrays.
+    """
+
+    origin_x: float
+    origin_y: float
+    cell: float
+    nrows: int
+    ncols: int
+    flat: np.ndarray
+    values: np.ndarray
+    # (n, 8): the position of each cell's neighbour at each NEIGH8 offset, n
+    # where that neighbour is empty or off the grid; built by neighbours()
+    table: np.ndarray | None = field(default=None, repr=False)
+
+    def occupied_cells(self) -> "SparseGrid":
+        return self
+
+    def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The position of each cell (rows, cols), arrays that broadcast
+        together; the cell count n where that cell is empty or off the
+        grid. One binary search of flat."""
+        on = (rows >= 0) & (rows < self.nrows) & (cols >= 0) & (cols < self.ncols)
+        key = np.where(on, rows * self.ncols + cols, -1)
+        at = np.searchsorted(self.flat, key)
+        # -1 marks the end, where no key of an occupied cell can match
+        return np.where(np.append(self.flat, -1)[at] == key, at, self.flat.size)
+
+    def neighbours(self) -> np.ndarray:
+        """The neighbour table, built on the first call by one positions()
+        search per offset."""
+        if self.table is None:
+            rr, cc = np.divmod(self.flat, self.ncols)
+            self.table = np.stack([self.positions(rr + dr, cc + dc) for dr, dc in NEIGH8],
+                                  axis=1)
+        return self.table
+
+    def subset(self, keep: np.ndarray) -> "SparseGrid":
+        """The cells where the boolean array keep is true; a neighbour table
+        already built is renumbered, not searched again."""
+        count = int(np.count_nonzero(keep))
+        table = None
+        if self.table is not None:
+            renumber = np.full(self.flat.size + 1, count)
+            renumber[np.flatnonzero(keep)] = np.arange(count)
+            table = renumber[self.table[keep]]
+        return SparseGrid(self.origin_x, self.origin_y, self.cell, self.nrows, self.ncols,
+                          self.flat[keep], self.values[keep], table)
+
+
+def snapped_geometry(xy: np.ndarray, cell: float) -> GridGeometry:
+    """The grid, snapped to multiples of the cell, that holds xy.
 
     Only the first two columns of xy, x and y, are read. On each axis the
     origin is floor(min / cell) * cell, one cell lower where that product
@@ -193,7 +275,13 @@ def snapped_grid(xy: np.ndarray, cell: float) -> RasterGrid:
     origin = [math.floor(v / cell) * cell for v in lo]
     origin = [o - cell if o > v else o for o, v in zip(origin, lo)]
     ncols, nrows = (int(math.floor((h - o) / cell)) + 1 for h, o in zip(hi, origin))
-    return RasterGrid(origin[0], origin[1], cell, np.zeros((nrows, ncols)))
+    return GridGeometry(origin[0], origin[1], cell, nrows, ncols)
+
+
+def snapped_grid(xy: np.ndarray, cell: float) -> RasterGrid:
+    """The grid of zeros of :func:`snapped_geometry`."""
+    g = snapped_geometry(xy, cell)
+    return RasterGrid(g.origin_x, g.origin_y, cell, np.zeros((g.nrows, g.ncols)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +427,8 @@ def points_in_polygon(points: np.ndarray, poly: Polygon, tol: float = EDGE_TOL) 
     return inside | on_edge
 
 
-def cells_in_polygon(grid: RasterGrid, poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
+def cells_in_polygon(grid: RasterGrid | SparseGrid | GridGeometry,
+                     poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the grid cells whose centers lie in the polygon.
 
     One vectorized containment test over the centers of the cells in the

@@ -16,11 +16,13 @@ import numpy as np
 
 from .geocore import (
     CLASS_NAMES,
+    GridGeometry,
     PointCloud,
     Polygon,
     Polyline,
     RasterGrid,
     ROAD_CLASSES,
+    SparseGrid,
 )
 
 BUILDING_CATEGORIES = ("private", "public", "misc")
@@ -324,18 +326,6 @@ def write_xy_value(arr: np.ndarray, path, header: str = "x,y,value") -> None:
 _ASC_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-@dataclass(frozen=True)
-class GridGeometry:
-    """Where an ESRI ASCII grid lies: lower-left origin, cell size and shape,
-    named as on RasterGrid."""
-
-    origin_x: float
-    origin_y: float
-    cell: float
-    nrows: int
-    ncols: int
-
-
 def _read_asc_header(fh, path) -> tuple[GridGeometry, float]:
     """Read lines from fh until all six header keywords are seen.
 
@@ -411,9 +401,9 @@ def read_raster_asc(path) -> RasterGrid:
     return RasterGrid(geometry.origin_x, geometry.origin_y, geometry.cell, values)
 
 
-def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
+def write_raster_asc(grid: RasterGrid | SparseGrid, path, nodata: float = NODATA_DEFAULT,
                      decimals: int | None = None) -> None:
-    """Write a RasterGrid as an ESRI ASCII file.
+    """Write a RasterGrid or SparseGrid as an ESRI ASCII file.
 
     With decimals=None (the default) values are serialized with repr() so
     that read_raster_asc(write(g)) reproduces g to the last bit. Use it for
@@ -428,39 +418,38 @@ def write_raster_asc(grid: RasterGrid, path, nodata: float = NODATA_DEFAULT,
     """
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
     nodata_text = repr(nodata)
-    # only values that are not NaN are written, in file order; each row is
-    # then the nodata row with those values put in at their columns
-    values = np.flipud(grid.values)
-    occupied = ~np.isnan(values)
+    cells = grid.occupied_cells()
+    flat, ncols = cells.flat, grid.ncols
     # each distinct value is formatted once, keyed by its bits so that 0.0
     # and -0.0 keep their own text
-    bits, which = np.unique(values[occupied].view(np.int64), return_inverse=True)
+    bits, which = np.unique(cells.values.view(np.int64), return_inverse=True)
     distinct = [fmt(v) for v in bits.view(np.float64).tolist()]
     texts = [distinct[i] for i in which.tolist()]
-    cols = np.nonzero(occupied)[1].tolist()
-    nodata_row = [nodata_text] * grid.ncols
+    # the occupied cells of row r are those at starts[r]:starts[r + 1]; each
+    # row is the nodata row with their texts put in at their columns
+    starts = np.searchsorted(flat, np.arange(grid.nrows + 1) * ncols).tolist()
+    nodata_row = [nodata_text] * ncols
     nodata_line = " ".join(nodata_row) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"ncols {grid.ncols}\n")
+        fh.write(f"ncols {ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
         fh.write(f"xllcorner {repr(grid.origin_x)}\n")
         fh.write(f"yllcorner {repr(grid.origin_y)}\n")
         fh.write(f"cellsize {repr(grid.cell)}\n")
         fh.write(f"NODATA_value {nodata_text}\n")
-        lo = 0
-        for count in occupied.sum(axis=1).tolist():
-            if count == 0:
+        # the file stores the top row first
+        for r in range(grid.nrows - 1, -1, -1):
+            lo, hi = starts[r], starts[r + 1]
+            if lo == hi:
                 fh.write(nodata_line)
                 continue
-            hi = lo + count
-            if count == grid.ncols:
+            if hi - lo == ncols:
                 row = texts[lo:hi]
             else:
                 row = nodata_row.copy()
-                for col, text in zip(cols[lo:hi], texts[lo:hi]):
+                for col, text in zip((flat[lo:hi] - r * ncols).tolist(), texts[lo:hi]):
                     row[col] = text
             fh.write(" ".join(row) + "\n")
-            lo = hi
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,18 @@ survivors with 8-connected component labeling, split each cluster into
 planar segments by region growing, and finally decide per building whether
 any segment is worth greening.
 
-The wall filter and the local plane estimates work on the arrays of
-occupied cells only, reading each neighbor with a bounds-checked gather
-from the grid itself, so their cost follows the roof area rather than the
-scene's; off-grid and empty neighbors read alike as NaN. The component
-labeling finds each occupied cell's neighbors by a binary search of the
-occupied cells' flat indices, and grows no label grid. The plane
-estimates are kept per occupied cell, never as grids, so extraction holds
-at most two scene-sized grids at a time: the rasterized surface model and
-its wall-filtered copy.
+The surface model is a SparseGrid: the sorted flat indices of its occupied
+cells and their elevations, with no array of the scene's size. Its
+8-neighbor table is built once, by one binary search of the flat indices
+per offset, and serves the wall filter, the 2x2 stencils of the local
+normals, the component labeling and region growing; the wall filter hands
+it on renumbered to the cells it keeps. Empty and off-grid neighbors read
+alike as NaN. So every kernel's cost and memory follow the roof area, not
+the scene's. The kernels take a RasterGrid too, through the same
+occupied_cells() accessor.
 
 Region growing works on one component at a time, on integer positions of
-its cells, with a neighbor table from the same binary search. Per seed,
+its cells, with the slice of the neighbor table that covers them. Per seed,
 the normal test covers all of the component's cells in one array
 expression; a segment's eviction sweeps and its final plane fit are
 whole-array too. Only the breadth-first growth visits cells one by one,
@@ -37,20 +37,22 @@ import numpy as np
 from .geocore import (
     BUILDING,
     GROUND,
+    NEIGH8,
     ComputationError,
+    GridGeometry,
     PointCloud,
     RasterGrid,
+    SparseGrid,
     cells_in_polygon,
     check_tunables,
     points_in_polygon,
     point_segment_distance,
-    snapped_grid,
+    snapped_geometry,
     tunable,
 )
-from .ingest import BuildingAttributes, GridGeometry
+from .ingest import BuildingAttributes
 
 NEIGH4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-NEIGH8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 # one-sided 2x2 stencil quadrants, in tie-break order
 QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -107,69 +109,53 @@ class PotentialDecision:
 # surface model and wall filter
 # ---------------------------------------------------------------------------
 
-def candidate_roof_points(pc: PointCloud, cell: float) -> RasterGrid:
-    """Rasterize building points to a grid of per-cell maximum elevations.
+def candidate_roof_points(pc: PointCloud, cell: float) -> SparseGrid:
+    """Rasterize building points to per-cell maximum elevations.
 
-    Cells without any building point are NaN. The grid is the
-    :func:`snapped_grid` of the building points.
+    The grid is the :func:`snapped_geometry` of the building points; only
+    the cells that hold one are occupied. Each cell's maximum is taken over
+    its points in file order, as a running maximum would take it.
     """
     pts = pc.points_of(BUILDING)
     if pts.shape[0] == 0:
         raise ComputationError("no building points in the cloud")
-    grid = snapped_grid(pts, cell)
-    grid.values[:] = -np.inf
-    np.maximum.at(grid.values, grid.cells_of(pts), pts[:, 2])
-    grid.values[np.isinf(grid.values)] = np.nan
-    return grid
+    g = snapped_geometry(pts, cell)
+    # the cell arithmetic of RasterGrid.cells_of
+    flat = (np.floor((pts[:, 1] - g.origin_y) / cell).astype(int) * g.ncols
+            + np.floor((pts[:, 0] - g.origin_x) / cell).astype(int))
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    starts = np.flatnonzero(np.concatenate([[True], flat[1:] != flat[:-1]]))
+    return SparseGrid(g.origin_x, g.origin_y, cell, g.nrows, g.ncols, flat[starts],
+                      np.maximum.reduceat(pts[order, 2], starts))
 
 
-def _gather(V: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """V[r, c] over index arrays that broadcast together, NaN wherever
-    (r, c) lies off the grid, as if the grid had a NaN border."""
-    n, m = V.shape
-    inside = (r >= 0) & (r < n) & (c >= 0) & (c < m)
-    return np.where(inside, V[np.clip(r, 0, n - 1), np.clip(c, 0, m - 1)], np.nan)
-
-
-def filter_wall_edges(dsm: RasterGrid, threshold: float = RoofParams.wall_diff_m) -> RasterGrid:
+def filter_wall_edges(dsm: RasterGrid | SparseGrid,
+                      threshold: float = RoofParams.wall_diff_m) -> SparseGrid:
     """Drop cells that sit against a vertical discontinuity.
 
     A cell survives iff every occupied 4-neighbor differs in elevation by
     less than the threshold. Missing neighbors pass vacuously, so roof
-    borders and isolated cells are kept. Only occupied cells are tested.
+    borders and isolated cells are kept. Returns the kept cells, with the
+    neighbour table of dsm's cells renumbered to them.
     """
-    V = dsm.values
-    rr, cc = np.nonzero(np.isfinite(V))
-    z = V[rr, cc]
-    keep = np.ones(rr.size, dtype=bool)
-    for dr, dc in NEIGH4:
-        nb = _gather(V, rr + dr, cc + dc)
+    surf = dsm.occupied_cells()
+    table = surf.neighbours()
+    z = surf.values
+    padded = np.append(z, np.nan)  # position n, no neighbour, reads as NaN
+    keep = np.ones(z.size, dtype=bool)
+    for offset in NEIGH4:
+        nb = padded[table[:, NEIGH8.index(offset)]]
         with np.errstate(invalid="ignore"):
             keep &= ~(np.isfinite(nb) & (np.abs(z - nb) >= threshold))
-    out = np.full(V.shape, np.nan)
-    out[rr[keep], cc[keep]] = z[keep]
-    return RasterGrid(dsm.origin_x, dsm.origin_y, dsm.cell, out)
+    return surf.subset(keep)
 
 
 # ---------------------------------------------------------------------------
 # connected components
 # ---------------------------------------------------------------------------
 
-def _neighbour_positions(flat: np.ndarray, rr: np.ndarray, cc: np.ndarray,
-                         shape: tuple[int, int], offsets):
-    """Per (dr, dc) of offsets, the pairs (i, j) of positions in flat, the
-    sorted flat indices of cells (rr, cc) of a grid of the given shape, such
-    that cell j is cell i moved by (dr, dc). One binary search per offset."""
-    n, m = shape
-    for dr, dc in offsets:
-        on = np.flatnonzero((rr + dr >= 0) & (rr + dr < n) & (cc + dc >= 0) & (cc + dc < m))
-        nb = flat[on] + (dr * m + dc)
-        at = np.minimum(np.searchsorted(flat, nb), flat.size - 1)
-        hit = flat[at] == nb
-        yield on[hit], at[hit]
-
-
-def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
+def label_components(dsm: RasterGrid | SparseGrid) -> list[list[tuple[int, int]]]:
     """Partition occupied cells into 8-connected components.
 
     Components are ordered by (min row, min col); cells within a component
@@ -181,12 +167,11 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
     pointer jumping flattens the trees, until every edge has one root. The
     root of a component is then its first cell in row-major order.
     """
-    V = dsm.values
-    rr, cc = np.nonzero(np.isfinite(V))
-    flat = rr * V.shape[1] + cc
-    src, dst = map(np.concatenate, zip(*_neighbour_positions(
-        flat, rr, cc, V.shape, ((0, 1), (1, -1), (1, 0), (1, 1)))))
-    root = np.arange(rr.size)
+    surf = dsm.occupied_cells()
+    forward = surf.neighbours()[:, 4:]  # the forward offsets of NEIGH8
+    src, k = np.nonzero(forward < surf.flat.size)
+    dst = forward[src, k]
+    root = np.arange(surf.flat.size)
     while True:
         a, b = root[src], root[dst]
         if (a == b).all():
@@ -195,9 +180,9 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
         jumped = root[root]
         while (jumped != root).any():
             root, jumped = jumped, jumped[jumped]
-    # nonzero is row-major; a stable sort by root keeps that order per component
+    # positions are row-major; a stable sort by root keeps that order per component
     order = np.argsort(root, kind="stable")
-    rr, cc = rr[order].tolist(), cc[order].tolist()
+    rr, cc = (v.tolist() for v in np.divmod(surf.flat[order], surf.ncols))
     sizes = np.bincount(root)
     ends = [0] + np.cumsum(sizes[sizes > 0]).tolist()
     comps = [list(zip(rr[lo:hi], cc[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
@@ -209,20 +194,21 @@ def label_components(dsm: RasterGrid) -> list[list[tuple[int, int]]]:
 # local plane estimates
 # ---------------------------------------------------------------------------
 
-def _quadrant_planes(V: np.ndarray, rr: np.ndarray, cc: np.ndarray,
+def _quadrant_planes(Z: np.ndarray, table: np.ndarray,
                      h: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Gradient and flatness residual of each one-sided 2x2 stencil.
 
-    (rr, cc) are occupied cells of the grid V. Returns, per quadrant,
-    arrays (a, b, res) over those cells: the least-squares plane gradient
-    over the up-to-four stencil cells and the worst per-point deviation.
-    Stencils with fewer than three cells yield NaN/inf.
+    Z holds the elevations of a surface's occupied cells and table their
+    neighbour table. Returns, per quadrant, arrays (a, b, res) over those
+    cells: the least-squares plane gradient over the up-to-four stencil
+    cells and the worst per-point deviation. Stencils with fewer than three
+    cells yield NaN/inf.
     """
-    Z = V[rr, cc]
+    padded = np.append(Z, np.nan)  # position n, no neighbour, reads as NaN
     out = []
     for dr, dc in QUADRANTS:
-        Zx, Zy = _gather(V, rr, cc + dc), _gather(V, rr + dr, cc)
-        Zxy = _gather(V, rr + dr, cc + dc)
+        Zx, Zy, Zxy = (padded[table[:, NEIGH8.index(offset)]]
+                       for offset in ((0, dc), (dr, 0), (dr, dc)))
         fx, fy, fxy = np.isfinite(Zx), np.isfinite(Zy), np.isfinite(Zxy)
         a = np.full(Z.shape, np.nan)
         b = np.full(Z.shape, np.nan)
@@ -250,19 +236,21 @@ def _quadrant_planes(V: np.ndarray, rr: np.ndarray, cc: np.ndarray,
     return out
 
 
-def _window_scores(V: np.ndarray, r, c, dr, dc) -> np.ndarray:
+def _window_scores(surf: SparseGrid, r, c, dr, dc) -> np.ndarray:
     """Worst plane-fit deviation over the one-sided 3x3 window of each
-    (cell, quadrant) pair (arrays r, c, dr, dc) of the grid V, 0 under four
-    cells. A 2x2 stencil that straddles a crease can be coplanar by accident
+    (cell, quadrant) pair (arrays r, c, dr, dc) of the occupied cells of
+    surf, 0 under four cells; the window's cells are looked up by binary
+    search. A 2x2 stencil that straddles a crease can be coplanar by accident
     (a symmetric ridge, a two-level step); one cell deeper on the same side
     exposes the bend, while a stencil inside a true face stays exact.
     Deviations depend on neither cell size nor window direction: the fit
     uses the unit lattice.
     """
     i, j = np.divmod(np.arange(9), 3)
-    z = _gather(V, r[:, None] + i * dr[:, None], c[:, None] + j * dc[:, None])
+    z = np.append(surf.values, np.nan)[
+        surf.positions(r[:, None] + i * dr[:, None], c[:, None] + j * dc[:, None])]
     occ = np.isfinite(z)
-    z = np.where(occ, z - V[r, c][:, None], 0.0)
+    z = np.where(occ, z - z[:, :1], 0.0)  # window cell 0 is the cell itself
     design = np.column_stack([j, i, np.ones(9)])
     S = np.einsum("nk,ki,kj->nij", occ.astype(float), design, design)
     few = occ.sum(axis=1) < 4
@@ -272,7 +260,8 @@ def _window_scores(V: np.ndarray, r, c, dr, dc) -> np.ndarray:
     return np.where(few, 0.0, dev)
 
 
-def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def local_normals(dsm: RasterGrid | SparseGrid
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell plane gradient (a, b) and flatness residual.
 
     Each occupied cell tries the four one-sided 2x2 stencils around it and
@@ -285,12 +274,12 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     value per such cell; a and b are NaN and curvature +inf where no
     quadrant has three stencil cells.
     """
-    V = dsm.values
-    rr, cc = np.nonzero(np.isfinite(V))
-    quads = _quadrant_planes(V, rr, cc, dsm.cell)
-    best_a = np.full(rr.size, np.nan)
-    best_b = np.full(rr.size, np.nan)
-    best_res = np.full(rr.size, np.inf)
+    surf = dsm.occupied_cells()
+    n = surf.flat.size
+    quads = _quadrant_planes(surf.values, surf.neighbours(), surf.cell)
+    best_a = np.full(n, np.nan)
+    best_b = np.full(n, np.nan)
+    best_res = np.full(n, np.inf)
     for a, b, res in quads:
         upd = np.isfinite(a) & (res < best_res)
         best_a[upd] = a[upd]
@@ -298,7 +287,7 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         best_res[upd] = res[upd]
     # find cells where another quadrant ties the minimum with a different
     # gradient; those need the deeper look
-    ambiguous = np.zeros(rr.size, dtype=bool)
+    ambiguous = np.zeros(n, dtype=bool)
     for a, b, res in quads:
         with np.errstate(invalid="ignore"):
             tie = np.isfinite(a) & (res <= best_res + 1e-12)
@@ -312,11 +301,12 @@ def local_normals(dsm: RasterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     pair, q = np.nonzero(tie)
     dr, dc = np.array(QUADRANTS)[q].T
     score = np.full(tie.shape, np.inf)
-    score[pair, q] = np.round(_window_scores(V, rr[amb][pair], cc[amb][pair], dr, dc), 9)
+    rr, cc = np.divmod(surf.flat[amb][pair], surf.ncols)
+    score[pair, q] = np.round(_window_scores(surf, rr, cc, dr, dc), 9)
     pick = np.argmin(score, axis=1), np.arange(amb.size)
     best_a[amb] = np.stack([a[amb] for a, _, _ in quads])[pick]
     best_b[amb] = np.stack([b[amb] for _, b, _ in quads])[pick]
-    return np.ravel_multi_index((rr, cc), V.shape), best_a, best_b, best_res
+    return surf.flat, best_a, best_b, best_res
 
 
 # ---------------------------------------------------------------------------
@@ -416,35 +406,38 @@ class _ComponentCells:
     order, with their centres, elevations and local normals.
 
     neighbours[i] lists the positions of cell i's 8-neighbours in NEIGH8
-    order; a neighbour outside the component is position size, a sentinel
-    that the growth flags mark as taken.
+    order, taken from the surface's neighbour table; a neighbour outside
+    the component is position size, a sentinel that the growth flags mark
+    as taken.
     """
 
-    def __init__(self, component, dsm: RasterGrid, normals):
-        cells, A, B, curv = normals
-        shape = dsm.values.shape
+    def __init__(self, component, dsm: RasterGrid | SparseGrid, normals):
+        _, A, B, curv = normals
+        surf = dsm.occupied_cells()
         flat = np.unique(np.ravel_multi_index(
-            np.asarray(component, dtype=np.int64).reshape(-1, 2).T, shape))
-        at = np.minimum(np.searchsorted(cells, flat), cells.size - 1)
-        if cells.size == 0 or (cells[at] != flat).any():
-            raise ValueError("component holds a cell that is not occupied in the surface model")
+            np.asarray(component, dtype=np.int64).reshape(-1, 2).T, (surf.nrows, surf.ncols)))
         self.size = flat.size
-        self.rr, self.cc = rr, cc = np.divmod(flat, shape[1])
-        self.x = dsm.origin_x + (cc + 0.5) * dsm.cell
-        self.y = dsm.origin_y + (rr + 0.5) * dsm.cell
-        self.z = dsm.values[rr, cc]
+        self.rr, self.cc = rr, cc = np.divmod(flat, surf.ncols)
+        # the component's positions in the surface, ascending as flat is
+        at = surf.positions(rr, cc)
+        if (at == surf.flat.size).any():
+            raise ValueError("component holds a cell that is not occupied in the surface model")
+        self.x = surf.origin_x + (cc + 0.5) * surf.cell
+        self.y = surf.origin_y + (rr + 0.5) * surf.cell
+        self.z = surf.values[at]
         self.a, self.b, self.k = A[at], B[at], curv[at]
         self.q = 1.0 / np.sqrt(self.a * self.a + self.b * self.b + 1.0)
         self.usable = np.isfinite(self.k)
-        nb = np.full((self.size, len(NEIGH8)), self.size)
-        for d, (i, j) in enumerate(_neighbour_positions(flat, rr, cc, shape, NEIGH8)):
-            nb[i, d] = j
-        self.neighbours = nb.tolist()
+        # surface positions to component positions: one search of at; the
+        # -1 at the end matches no position, so misses become the sentinel
+        nb = surf.neighbours()[at]
+        local = np.searchsorted(at, nb)
+        self.neighbours = np.where(np.append(at, -1)[local] == nb, local, self.size).tolist()
         # Python floats for the per-cell growth loop
         self.xs, self.ys, self.zs = self.x.tolist(), self.y.tolist(), self.z.tolist()
 
 
-def grow_segments(component, dsm: RasterGrid,
+def grow_segments(component, dsm: RasterGrid | SparseGrid,
                   normal_tol_deg: float = RoofParams.normal_tol_deg,
                   residual_tol_m: float = RoofParams.residual_tol_m,
                   normals=None) -> list[RoofSegment]:
@@ -554,7 +547,8 @@ def _grow_one(seed: int, cells: _ComponentCells, pool: bytearray, cos_tol: float
     return out
 
 
-def segment_cell_centers(segment: RoofSegment, grid: RasterGrid | GridGeometry) -> np.ndarray:
+def segment_cell_centers(segment: RoofSegment,
+                         grid: RasterGrid | SparseGrid | GridGeometry) -> np.ndarray:
     """World coordinates of the segment's cell centers, shape (m, 2)."""
     cols_rows = np.asarray(segment.cells, dtype=np.int64).reshape(-1, 2)[:, ::-1]
     return np.array([grid.origin_x, grid.origin_y]) + (cols_rows + 0.5) * grid.cell
@@ -565,7 +559,7 @@ def segment_cell_centers(segment: RoofSegment, grid: RasterGrid | GridGeometry) 
 # ---------------------------------------------------------------------------
 
 def assign_segments(segments: list[RoofSegment], buildings: list[BuildingAttributes],
-                    grid: RasterGrid) -> None:
+                    grid: RasterGrid | SparseGrid) -> None:
     """Attach each segment to the building whose footprint holds its centroid.
 
     Segments whose centroid falls outside every footprint keep
@@ -653,15 +647,16 @@ def _ground_level(footprint, ground_xyz: np.ndarray, search_m: float) -> float:
     return float(near[keep, 2].min()) if keep.any() else 0.0
 
 
-def building_height(building: BuildingAttributes, dsm: RasterGrid,
+def building_height(building: BuildingAttributes, dsm: RasterGrid | SparseGrid,
                     ground_xyz: np.ndarray, search_m: float = 10.0) -> float:
     """Roof elevation (median of in-footprint cells) above local ground.
 
     Ground level is the lowest ground-class point within search_m of the
     footprint; with no such point it defaults to 0. Result is clamped at 0.
     """
-    zs = dsm.values[cells_in_polygon(dsm, building.footprint)]
-    zs = zs[np.isfinite(zs)]
+    surf = dsm.occupied_cells()
+    at = surf.positions(*cells_in_polygon(surf, building.footprint))
+    zs = surf.values[at[at < surf.flat.size]]
     if not zs.size:
         raise ComputationError(f"building {building.id}: no roof cells inside footprint")
     ground_z = _ground_level(building.footprint, ground_xyz, search_m)
@@ -674,19 +669,19 @@ def building_height(building: BuildingAttributes, dsm: RasterGrid,
 
 @dataclass
 class RoofExtraction:
-    dsm: RasterGrid  # wall-filtered surface model
+    dsm: SparseGrid  # wall-filtered surface model
     segments: list[RoofSegment]  # assigned to buildings, in id order
     decisions: dict[str, PotentialDecision]
     heights: dict[str, float]
+    # why each building whose height fell back to 0 has none, by id
+    height_fallbacks: dict[str, str] = field(default_factory=dict)
 
 
 def extract_all(pc: PointCloud, buildings: list[BuildingAttributes],
                 params: RoofParams | None = None) -> RoofExtraction:
     """Run the full extraction chain for one scene."""
     p = params or RoofParams()
-    raw = candidate_roof_points(pc, p.cell)
-    dsm = filter_wall_edges(raw, p.wall_diff_m)
-    del raw  # from here on only the filtered grid is scene-sized
+    dsm = filter_wall_edges(candidate_roof_points(pc, p.cell), p.wall_diff_m)
     normals = local_normals(dsm)
     segments: list[RoofSegment] = []
     for comp in label_components(dsm):
@@ -701,10 +696,12 @@ def extract_all(pc: PointCloud, buildings: list[BuildingAttributes],
     ground = pc.points_of(GROUND)
     decisions = {}
     heights = {}
+    fallbacks = {}
     for b in sorted(buildings, key=lambda b: b.id):
         decisions[b.id] = decide_potential(b, by_building.get(b.id, []), p.thresholds)
         try:
             heights[b.id] = building_height(b, dsm, ground)
-        except ComputationError:
+        except ComputationError as exc:
             heights[b.id] = 0.0
-    return RoofExtraction(dsm, segments, decisions, heights)
+            fallbacks[b.id] = str(exc)
+    return RoofExtraction(dsm, segments, decisions, heights, fallbacks)

@@ -43,6 +43,12 @@ ROOF_TYPES = ("flat", "gabled", "stepped", "small")
 TYPE_SHARES = {"flat": 0.45, "gabled": 0.30, "stepped": 0.15, "small": 0.10}
 
 
+# The scene sides the command line accepts, in metres: the fixed road layout
+# reaches 1150 m, and 4800 m, 16 times the default area, is the largest
+# scene the pipeline has been measured on.
+DOMAIN_RANGE_M = (1200.0, 4800.0)
+
+
 @dataclass(frozen=True)
 class SyntheticCitySpec:
     seed: int = 42

@@ -6,7 +6,8 @@ as oracles.
 model. The bodies below are their earlier versions, which shifted and
 masked the whole grid once per neighbour and per quadrant, or labeled it
 with ``scipy.ndimage``; the occupied-cell kernels must give the same float
-bits and the same component lists.
+bits and the same component lists. ``densify`` turns a surface the kernels
+return into the dense grid these bodies read.
 """
 import numpy as np
 import scipy.ndimage
@@ -123,10 +124,18 @@ def scatter_normals(dsm):
     cells, *per_cell = occupied_local_normals(dsm)
     grids = []
     for values, fill in zip(per_cell, (np.nan, np.nan, np.inf)):
-        grid = np.full(dsm.values.shape, fill)
+        grid = np.full((dsm.nrows, dsm.ncols), fill)
         grid.flat[cells] = values
         grids.append(grid)
     return tuple(grids)
+
+
+def densify(surface):
+    """A surface model held as its occupied cells (a SparseGrid) as the
+    dense RasterGrid it stands for, NaN off those cells."""
+    values = np.full((surface.nrows, surface.ncols), np.nan)
+    values.flat[surface.flat] = surface.values
+    return RasterGrid(surface.origin_x, surface.origin_y, surface.cell, values)
 
 
 def label_components(dsm):

@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from greenprior import cli
 from greenprior.geocore import RasterGrid
-from greenprior.ingest import f6, read_raster_asc, write_raster_asc
+from greenprior.ingest import f6, read_raster_asc, write_raster_asc, write_table
+from greenprior.roofs import RoofSegment
 from greenprior.priority import WEIGHT_SCHEMES, compute_weights
 from greenprior.synth import GROUND_TRUTH_COLUMNS, SyntheticCitySpec, generate_city
 
@@ -83,6 +84,38 @@ def test_synth_zero_buildings(tmp_path):
     code = cli.main(["synth", "--out", str(tmp_path / "none"), "--buildings", "0"])
     assert code == 0
     assert (tmp_path / "none" / "groundtruth.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1199", "4801", "0", "-1200", "nan", "inf"])
+def test_synth_domain_out_of_range_exit_one(tmp_path, capsys, value):
+    out = tmp_path / "c"
+    code = cli.main(["synth", "--out", str(out), "--domain-m", value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: --domain-m must be from 1200 to 4800 m (the road layout reaches "
+                   f"1150 m), got {value}\n")
+    assert not out.exists()
+
+
+def test_synth_domain_sets_the_parcel_count(tmp_path, capsys):
+    # 1300 m holds 13 x 13 parcels; the building check reads that count
+    out = tmp_path / "c"
+    assert cli.main(["synth", "--out", str(out), "--domain-m", "1300", "--buildings", "170"]) == 1
+    assert capsys.readouterr().err == \
+        "error: --buildings must be from 0 to 169 (one per parcel), got 170\n"
+    assert cli.main(["synth", "--out", str(out), "--domain-m", "1300", "--buildings", "1"]) == 0
+    xyz = np.loadtxt(out / "points.csv", delimiter=",", skiprows=1)
+    assert 1200.0 < xyz[:, :2].max() <= 1300.0
+
+
+def test_synth_help_states_the_domain_range(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["synth", "--help"])
+    assert "from 1200 to 4800" in " ".join(capsys.readouterr().out.split())
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_priorities_consistent_with_weights(small_city):
@@ -420,6 +453,63 @@ def test_non_numeric_stage_value_exit_one(small_city, tmp_path, capsys, table, c
     err = capsys.readouterr().err
     assert f"{table}: line 2: {message}" in err
     assert "Traceback" not in err
+
+
+def _old_cell_rows(segments):
+    """The row loop that cli._cell_rows replaced: one list per cell."""
+    return [[seg.building_id, seg.seg_id, str(row), str(col)]
+            for seg in segments for row, col in seg.cells]
+
+
+# ids a footprint may carry: % is allowed, and must not act as a format
+PERCENT_IDS = ("b001", "100%", "b%d", "%s%%", "%(x)s", "%", "h\u00e9%i")
+
+
+@settings(max_examples=100, deadline=None)
+@given(segments=st.lists(st.tuples(
+    st.sampled_from(PERCENT_IDS), st.sampled_from(("s0001", "s%d", "%%")),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=6)),
+    max_size=6))
+def test_cell_rows_match_the_row_loop(segments, tmp_path_factory):
+    segs = [RoofSegment(cells, (0.0, 0.0, 0.0), 0.0, 1.0, building_id=bid, seg_id=sid)
+            for bid, sid, cells in segments]
+    tmp = tmp_path_factory.mktemp("cells")
+    columns = cli.TABLES["cells.csv"].columns
+    write_table(tmp / "want.csv", columns, _old_cell_rows(segs))
+    write_table(tmp / "got.csv", columns, cli._cell_rows(segs))
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def test_extract_names_height_fallbacks_on_stderr(small_city, tmp_path, capsys):
+    # a footprint off the scene holds no roof cell: its height falls back to
+    # 0, and extract names it on stderr; the rest of the run is unchanged
+    doc = json.loads((small_city / "footprints.geojson").read_text())
+    ring = [[-60.0, -60.0], [-50.0, -60.0], [-50.0, -50.0], [-60.0, -50.0], [-60.0, -60.0]]
+    doc["features"].append({"type": "Feature",
+                            "geometry": {"type": "Polygon", "coordinates": [ring]},
+                            "properties": {"id": "zz%none", "age_years": 5, "category": "misc"}})
+    (tmp_path / "footprints.geojson").write_text(json.dumps(doc))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"points = {small_city / 'points.csv'}\n"
+                       "footprints = footprints.geojson\n")
+    out = tmp_path / "out"
+    assert cli.main(["extract", "--config", str(cfgfile), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: building zz%none: no roof cells inside footprint; "
+                            "height_m set to 0\n")
+    assert captured.out.startswith("extract: ") and captured.out.count("\n") == 1
+    rows = _read_rows(out / "buildings.csv")
+    assert [r["height_m"] for r in rows if r["id"] == "zz%none"] == ["0.000000"]
+    assert [r for r in rows if r["id"] != "zz%none"] == \
+        _read_rows(small_city / "out" / "buildings.csv")
+    for name in ("dsm.asc", "segments.csv", "cells.csv"):
+        assert filecmp.cmp(out / name, small_city / "out" / name, shallow=False), name
+
+    # the city's own footprints all have roof cells: nothing on stderr
+    code = cli.main(["extract", "--config", str(small_city / "config.txt"),
+                     "--out", str(tmp_path / "plain")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_building_id_with_comma_exit_one(small_city, tmp_path, capsys):

@@ -2,8 +2,8 @@
 they replaced.
 
 The surface model, the greenspace mask, the kriging template and the
-population grid are all built by ``geocore.snapped_grid`` and
-``RasterGrid.cells_of``; the variogram shape lives in ``interp._shape``; and
+population grid are all placed by ``geocore.snapped_geometry`` (through
+``snapped_grid`` for the dense ones) and ``RasterGrid.cells_of``; the variogram shape lives in ``interp._shape``; and
 ``roofs._PlaneFit`` reads its fallback offset from its normal equations.
 The functions below are the earlier bodies, kept as oracles: the new code
 must give the same origin, shape, cell indices and floats to the last bit.
@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_plane import cofactors, exact_terms, fit_sums, rank_guard_stops
+from fullgrid_kernels import densify
 from greenprior import interp
 from greenprior.benefits import population_grid_from_points
 from greenprior.geocore import BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, snapped_grid
@@ -186,7 +187,8 @@ def test_candidate_roof_points_matches_inline_builder(cp, data):
                                   min_size=len(xyz), max_size=len(xyz))))
     classes[0] = BUILDING
     pc = _cloud(xyz, classes)
-    _assert_same_grid(candidate_roof_points(pc, cell), _old_candidate_roof_points(pc, cell))
+    _assert_same_grid(densify(candidate_roof_points(pc, cell)),
+                      _old_candidate_roof_points(pc, cell))
 
 
 @settings(max_examples=200, deadline=None)

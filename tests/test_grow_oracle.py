@@ -43,7 +43,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from exact_plane import exact_plane, exact_residual, exact_terms, fit_sums, rank_guard_stops
-from fullgrid_kernels import scatter_normals
+from fullgrid_kernels import densify, scatter_normals
 from greenprior import cli, roofs
 from greenprior.geocore import RasterGrid
 from greenprior.roofs import (
@@ -479,9 +479,10 @@ def test_numpy_path_alone_gives_the_same_segments(small_city, tmp_path, monkeypa
 
     def oracle(component, dsm, normal_tol_deg, residual_tol_m, normals):
         if not grids:  # extract grows every component on one surface model
-            grids.append(scatter_normals(dsm))
-        return _old_grow_segments(component, dsm, normal_tol_deg, residual_tol_m, grids[0],
-                                  closest=closest)
+            grids.append((densify(dsm), scatter_normals(dsm)))
+        dense, normal_grids = grids[0]
+        return _old_grow_segments(component, dense, normal_tol_deg, residual_tol_m,
+                                  normal_grids, closest=closest)
 
     monkeypatch.setattr(roofs, "grow_segments", oracle)
     out = tmp_path / "out"

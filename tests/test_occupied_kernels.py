@@ -1,10 +1,11 @@
 """The occupied-cell wall filter, local normals and component labeling
 against the full-grid kernels they replaced (kept in ``fullgrid_kernels``).
 
-``roofs.filter_wall_edges`` and ``roofs.local_normals`` gather the
-neighbours of each occupied cell with a bounds-checked read of the grid,
-instead of shifting and masking the whole grid; ``local_normals`` returns
-one value per occupied cell, scattered here into grids. Over generated
+``roofs.filter_wall_edges`` and ``roofs.local_normals`` read the
+neighbours of each occupied cell through the surface's neighbour table,
+instead of shifting and masking the whole grid; ``filter_wall_edges``
+returns the kept cells and ``local_normals`` one value per occupied cell,
+made dense here. Over generated
 scenes, with roofs 1-3 cells apart, touching each grid edge, single cells
 and one-cell-wide strips, they must give the same float bits; and a roof
 must get the same bits wherever it lies in a large empty grid.
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import fullgrid_kernels
 from greenprior.geocore import RasterGrid
+from fullgrid_kernels import densify
 from greenprior.roofs import QUADRANTS, _quadrant_planes, filter_wall_edges, label_components
 
 
@@ -95,7 +97,7 @@ SINGLE = RasterGrid(0.0, 0.0, 1.0, np.array([[7.0]]))
 @example(dsm=EMPTY, threshold=1.0)
 @example(dsm=SINGLE, threshold=1.0)
 def test_wall_filter_matches_full_grid(dsm, threshold):
-    got = filter_wall_edges(dsm, threshold)
+    got = densify(filter_wall_edges(dsm, threshold))
     want = fullgrid_kernels.filter_wall_edges(dsm, threshold)
     assert _bits(got.values) == _bits(want.values)
     assert (got.origin_x, got.origin_y, got.cell) == (want.origin_x, want.origin_y, want.cell)
@@ -106,10 +108,12 @@ def test_wall_filter_matches_full_grid(dsm, threshold):
 @example(dsm=EMPTY, filtered=False)
 @example(dsm=SINGLE, filtered=False)
 def test_local_normals_match_full_grid(dsm, filtered):
-    if filtered:  # as extract_all calls it
-        dsm = filter_wall_edges(dsm)
+    surf = dsm
+    if filtered:  # as extract_all calls it: on the kept cells, their table renumbered
+        surf = filter_wall_edges(dsm)
+        dsm = densify(surf)
     want_grids = fullgrid_kernels.local_normals(dsm)
-    for got, want in zip(fullgrid_kernels.scatter_normals(dsm), want_grids):
+    for got, want in zip(fullgrid_kernels.scatter_normals(surf), want_grids):
         assert got.shape == want.shape
         assert _bits(got) == _bits(want)
 
@@ -117,14 +121,13 @@ def test_local_normals_match_full_grid(dsm, filtered):
 @settings(max_examples=150, deadline=None)
 @given(dsm=scenes())
 def test_quadrant_planes_match_full_grid_on_occupied_cells(dsm):
-    V = dsm.values
-    rr, cc = np.nonzero(np.isfinite(V))
-    got = _quadrant_planes(V, rr, cc, dsm.cell)
-    want = fullgrid_kernels.quadrant_planes(V, dsm.cell)
+    surf = dsm.occupied_cells()
+    got = _quadrant_planes(surf.values, surf.neighbours(), dsm.cell)
+    want = fullgrid_kernels.quadrant_planes(dsm.values, dsm.cell)
     assert len(got) == len(want) == len(QUADRANTS)
     for g, w in zip(got, want):
         for g_arr, w_arr in zip(g, w):
-            assert _bits(g_arr) == _bits(w_arr[rr, cc])
+            assert _bits(g_arr) == _bits(w_arr.flat[surf.flat])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +223,8 @@ def test_roof_bits_do_not_depend_on_its_place_in_the_grid(where):
     outside = np.ones(big.shape, dtype=bool)
     outside[own] = False
 
-    got = filter_wall_edges(placed).values
-    assert _bits(got[own]) == _bits(filter_wall_edges(alone).values)
+    got = densify(filter_wall_edges(placed)).values
+    assert _bits(got[own]) == _bits(densify(filter_wall_edges(alone)).values)
     assert np.isnan(got[outside]).all()
 
     for dsm_alone, dsm_placed in ((alone, placed),

@@ -6,6 +6,7 @@ import pytest
 import scipy.ndimage
 
 from exact_plane import fit_sums, rank_guard_stops
+from fullgrid_kernels import densify
 from greenprior import geocore, roofs
 from greenprior.geocore import (
     BUILDING,
@@ -52,7 +53,7 @@ def square(x0, y0, side):
 def test_candidate_max_per_cell():
     pc = PointCloud(np.array([[0.5, 0.5, 5.0], [0.6, 0.4, 8.0]]),
                     np.array([BUILDING, BUILDING], dtype=np.uint8))
-    dsm = candidate_roof_points(pc, 1.0)
+    dsm = densify(candidate_roof_points(pc, 1.0))
     rows, cols = np.nonzero(np.isfinite(dsm.values))
     assert len(rows) == 1
     assert dsm.values[rows[0], cols[0]] == 8.0
@@ -86,7 +87,7 @@ def test_candidate_matches_bruteforce_oracle():
                      p=[0.3, 0.5, 0.2]).astype(np.uint8)
     pc = PointCloud(pts, cls)
     cell = 2.0
-    dsm = candidate_roof_points(pc, cell)
+    dsm = densify(candidate_roof_points(pc, cell))
     expect: dict[tuple[int, int], float] = {}
     for (x, y, z), c in zip(pts, cls):
         if c != BUILDING:
@@ -113,7 +114,7 @@ def test_wall_filter_removes_cliff_cells():
     vals[1, 1] = 10.0
     vals[1, 2] = 4.0
     vals[0, 0] = 7.0  # isolated diagonal cell: no 4-neighbors, survives
-    out = filter_wall_edges(grid_from(vals))
+    out = densify(filter_wall_edges(grid_from(vals)))
     assert np.isnan(out.values[1, 1])
     assert np.isnan(out.values[1, 2])
     assert out.values[0, 0] == 7.0
@@ -513,20 +514,44 @@ def sparse_city(tmp_path_factory):
             read_footprints(str(city / "footprints.geojson")))
 
 
-def test_extract_peak_memory_follows_the_roofs(sparse_city):
-    # the surface model spans the scene while roofs fill a few per cent of
-    # it: extraction may hold the rasterized and the wall-filtered grid at
-    # once, but no third scene-sized array
-    pc, buildings = sparse_city
+def _extract_peak(pc, buildings):
+    """extract_all's result and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
         out = extract_all(pc, buildings, RoofParams())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    grid = out.dsm.values
-    assert min(grid.shape) >= 1000
-    assert peak <= 3 * grid.nbytes
+    return out, peak
+
+
+def test_extract_peak_memory_follows_the_roofs(sparse_city):
+    # the surface model spans the scene while roofs fill under 1 % of it:
+    # extraction holds the occupied cells only, so its peak stays below half
+    # of one dense float grid of the scene
+    out, peak = _extract_peak(*sparse_city)
+    dsm = out.dsm
+    assert min(dsm.nrows, dsm.ncols) >= 1000
+    assert peak <= dsm.nrows * dsm.ncols * 8 / 2
+
+
+def test_extract_peak_memory_does_not_follow_the_scene():
+    # two 10 m roofs 5 km apart span a 5000 x 5000 grid, 200 MB dense; the
+    # extraction's peak stays under 1/20 of that
+    pts, buildings = [], []
+    for k, (x0, y0) in enumerate(((0.0, 0.0), (4990.0, 4990.0))):
+        xs, ys = np.meshgrid(np.arange(x0 + 0.25, x0 + 10, 0.5), np.arange(y0 + 0.25, y0 + 10, 0.5))
+        pts.append(np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, 12.0),
+                                    np.full(xs.size, BUILDING)]))
+        pts.append([[x0 - 5.0, y0 - 5.0, 0.0, GROUND]])
+        buildings.append(BuildingAttributes(f"b{k}", 10, "public", square(x0, y0, 10)))
+    arr = np.vstack(pts)
+    out, peak = _extract_peak(PointCloud(arr[:, :3], arr[:, 3].astype(np.uint8)), buildings)
+    dsm = out.dsm
+    assert (dsm.nrows, dsm.ncols) == (5000, 5000)
+    assert dsm.flat.size == 200
+    assert [out.decisions[b.id].potential for b in buildings] == [True, True]
+    assert peak < dsm.nrows * dsm.ncols * 8 / 20
 
 
 def test_region_growing_fits_each_cell_once(sparse_city, monkeypatch):

@@ -125,7 +125,8 @@ def test_window_scores_match_lstsq(dsm):
     V = dsm.values
     rr, cc = np.nonzero(np.isfinite(V))
     for dr, dc in QUADRANTS:
-        got = _window_scores(V, rr, cc, np.full(rr.size, dr), np.full(rr.size, dc))
+        got = _window_scores(dsm.occupied_cells(), rr, cc, np.full(rr.size, dr),
+                             np.full(rr.size, dc))
         want = [_old_window_score(V, dsm.cell, int(r), int(c), dr, dc) for r, c in zip(rr, cc)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
