@@ -224,6 +224,7 @@ class SparseGrid:
     table: np.ndarray | None = field(default=None, repr=False)
 
     def occupied_cells(self) -> "SparseGrid":
+        """Itself: it holds only occupied cells."""
         return self
 
     def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
