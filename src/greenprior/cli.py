@@ -13,7 +13,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict
-from itertools import chain, compress
+from itertools import compress
 from operator import ne, or_
 
 import numpy as np
@@ -237,10 +237,10 @@ def _cell_rows(segments):
     in front of each line as they are, so a % in an id stays a %."""
     rows = []
     for seg in segments:
-        if not seg.cells:
+        if not seg.cells.size:
             continue
         prefix = seg.building_id + "," + seg.seg_id + ","
-        lines = "%d,%d\n" * len(seg.cells) % tuple(chain.from_iterable(seg.cells))
+        lines = "%d,%d\n" * len(seg.cells) % tuple(seg.cells.ravel().tolist())
         rows.append([prefix + lines[:-1].replace("\n", "\n" + prefix)])
     return rows
 
@@ -250,8 +250,8 @@ def _cell_rows(segments):
 # ---------------------------------------------------------------------------
 
 def _cells_by_segment(path, grid):
-    """The cells of each (building_id, seg_id) in a cells.csv, in file order;
-    every cell must lie on the surface-model grid."""
+    """The (m, 2) int64 (row, col) cells of each (building_id, seg_id) in a
+    cells.csv, in file order; every cell must lie on the surface-model grid."""
     table = read_table(path, TABLES["cells.csv"].columns)
     bids, sids, rows, cols = table.values()
     if not bids:
@@ -264,14 +264,15 @@ def _cells_by_segment(path, grid):
         raise FormatError(
             f"{path}: segment ({bids[i]}, {sids[i]}) has cell ({rows[i]}, {cols[i]}), "
             f"outside the {grid.nrows} x {grid.ncols} grid of dsm.asc")
+    cells = np.array((rows, cols), dtype=np.int64).T
     # a segment's rows come in runs, which start where either key changes
     starts = [0, *compress(range(1, len(bids)),
                            map(or_, map(ne, bids[1:], bids), map(ne, sids[1:], sids))), len(bids)]
-    cells_by_seg = {}
+    runs = {}
     for start, stop in zip(starts, starts[1:]):
-        cells_by_seg.setdefault((bids[start], sids[start]), []).extend(
-            zip(rows[start:stop], cols[start:stop]))
-    return cells_by_seg
+        runs.setdefault((bids[start], sids[start]), []).append(cells[start:stop])
+    return {key: parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for key, parts in runs.items()}
 
 
 def _load_segments(cfg, grid):

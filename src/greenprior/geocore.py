@@ -234,8 +234,10 @@ class SparseGrid:
         on = (rows >= 0) & (rows < self.nrows) & (cols >= 0) & (cols < self.ncols)
         key = np.where(on, rows * self.ncols + cols, -1)
         at = np.searchsorted(self.flat, key)
-        # -1 marks the end, where no key of an occupied cell can match
-        return np.where(np.append(self.flat, -1)[at] == key, at, self.flat.size)
+        if not self.flat.size:
+            return at  # all 0, the cell count
+        # a search past the end reads the last cell, whose key cannot match
+        return np.where(self.flat.take(at, mode="clip") == key, at, self.flat.size)
 
     def neighbours(self) -> np.ndarray:
         """The neighbour table, built on the first call by one positions()

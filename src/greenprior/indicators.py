@@ -325,18 +325,15 @@ def building_coverage_rate(buildings: list[list[RoofSegment]], mask: RasterGrid,
     building is one query of a single :func:`greenspace_coverage` call, and
     each rate is the mean of its building's run of the result.
     """
-    centers = []
-    for segments in buildings:
-        if not segments:
-            raise ValueError("building has no segments to evaluate")
-        centers.append(np.concatenate([segment_cell_centers(seg, roof_grid)
-                                       for seg in segments]))
-    if not centers:
+    if not all(buildings):
+        raise ValueError("building has no segments to evaluate")
+    if not buildings:
         return []
-    xy = np.concatenate(centers)
+    xy = np.concatenate([segment_cell_centers(seg, roof_grid)
+                         for segments in buildings for seg in segments])
     coverage = greenspace_coverage(mask, xy[:, 0], xy[:, 1], radius)
-    runs = np.split(coverage, np.cumsum([len(c) for c in centers[:-1]]))
-    return [float(np.mean(run)) for run in runs]
+    sizes = [sum(len(seg.cells) for seg in segments) for segments in buildings]
+    return [float(np.mean(run)) for run in np.split(coverage, np.cumsum(sizes[:-1]))]
 
 
 # ---------------------------------------------------------------------------

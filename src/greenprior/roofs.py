@@ -62,7 +62,7 @@ QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 class RoofSegment:
     """One planar roof piece: member cells plus the fitted plane."""
 
-    cells: list[tuple[int, int]]
+    cells: np.ndarray  # (m, 2) int64 (row, col), in (row, col) order
     plane: tuple[float, float, float]  # z = a*x + b*y + c in world coordinates
     slope_deg: float
     area_m2: float
@@ -155,11 +155,11 @@ def filter_wall_edges(dsm: RasterGrid | SparseGrid,
 # connected components
 # ---------------------------------------------------------------------------
 
-def label_components(dsm: RasterGrid | SparseGrid) -> list[list[tuple[int, int]]]:
-    """Partition occupied cells into 8-connected components.
-
-    Components are ordered by (min row, min col); cells within a component
-    by (row, col).
+def component_positions(dsm: RasterGrid | SparseGrid) -> list[np.ndarray]:
+    """Partition occupied cells into 8-connected components, each an
+    ascending int64 array of positions in dsm.occupied_cells(), a slice of
+    one stable argsort by component. Components are ordered by (min row,
+    min col), then by first cell.
 
     Works on the occupied cells only, by hook and compress (Shiloach and
     Vishkin): every cell starts as its own root, each edge to a forward
@@ -168,26 +168,36 @@ def label_components(dsm: RasterGrid | SparseGrid) -> list[list[tuple[int, int]]
     root of a component is then its first cell in row-major order.
     """
     surf = dsm.occupied_cells()
-    forward = surf.neighbours()[:, 4:]  # the forward offsets of NEIGH8
-    src, k = np.nonzero(forward < surf.flat.size)
-    dst = forward[src, k]
-    root = np.arange(surf.flat.size)
-    while True:
-        a, b = root[src], root[dst]
-        if (a == b).all():
-            break
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        jumped = root[root]
-        while (jumped != root).any():
-            root, jumped = jumped, jumped[jumped]
-    # positions are row-major; a stable sort by root keeps that order per component
+    n = surf.flat.size
+    root = np.arange(n)
+    hooked = True
+    while hooked:
+        hooked = False
+        for nb in surf.neighbours()[:, 4:].T:  # one forward offset of NEIGH8 at a time
+            src = np.flatnonzero(nb < n)
+            a, b = root[src], root[nb[src]]
+            if (a == b).all():
+                continue
+            hooked = True
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while (root[root] != root).any():
+                root = root[root]
+    del src, a, b  # the last offset's arrays, freed before the sort
+    # positions are row-major: a stable sort by root starts each component at
+    # its root, in its min row; lexsort is stable too, so ties keep root order
     order = np.argsort(root, kind="stable")
-    rr, cc = (v.tolist() for v in np.divmod(surf.flat[order], surf.ncols))
-    sizes = np.bincount(root)
-    ends = [0] + np.cumsum(sizes[sizes > 0]).tolist()
-    comps = [list(zip(rr[lo:hi], cc[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
-    comps.sort(key=lambda cells: (min(r for r, _ in cells), min(c for _, c in cells)))
-    return comps
+    starts = np.flatnonzero(root[order] == order)
+    rows, cols = np.divmod(surf.flat[order], surf.ncols)
+    rank = np.lexsort((np.minimum.reduceat(cols, starts), rows[starts]))
+    ends = np.append(starts[1:], n)
+    return [order[lo:hi] for lo, hi in zip(starts[rank].tolist(), ends[rank].tolist())]
+
+
+def label_components(dsm: RasterGrid | SparseGrid) -> list[list[tuple[int, int]]]:
+    """component_positions(dsm) as lists of (row, col) cells, in that order."""
+    surf = dsm.occupied_cells()
+    return [list(zip(*(v.tolist() for v in np.divmod(surf.flat[at], surf.ncols))))
+            for at in component_positions(surf)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,37 +412,29 @@ def _summed_fit(fallback_ab: tuple[float, float], dx: np.ndarray, dy: np.ndarray
 
 
 class _ComponentCells:
-    """The cells of one component at positions 0 .. size - 1, in (row, col)
-    order, with their centres, elevations and local normals.
+    """The cells of one component, at surface positions at, as positions
+    0 .. size - 1, in (row, col) order, with their (row, col), centres,
+    elevations and local normals.
 
     neighbours[i] lists the positions of cell i's 8-neighbours in NEIGH8
-    order, taken from the surface's neighbour table; a neighbour outside
-    the component is position size, a sentinel that the growth flags mark
-    as taken.
+    order, taken from the surface's neighbour table; an empty neighbour is
+    position size, a sentinel that the growth flags mark as taken.
     """
 
-    def __init__(self, component, dsm: RasterGrid | SparseGrid, normals):
+    def __init__(self, at: np.ndarray, dsm: RasterGrid | SparseGrid, normals):
         _, A, B, curv = normals
         surf = dsm.occupied_cells()
-        flat = np.unique(np.ravel_multi_index(
-            np.asarray(component, dtype=np.int64).reshape(-1, 2).T, (surf.nrows, surf.ncols)))
-        self.size = flat.size
-        self.rr, self.cc = rr, cc = np.divmod(flat, surf.ncols)
-        # the component's positions in the surface, ascending as flat is
-        at = surf.positions(rr, cc)
-        if (at == surf.flat.size).any():
-            raise ValueError("component holds a cell that is not occupied in the surface model")
-        self.x = surf.origin_x + (cc + 0.5) * surf.cell
-        self.y = surf.origin_y + (rr + 0.5) * surf.cell
+        self.size = at.size
+        self.rc = np.column_stack(np.divmod(surf.flat[at], surf.ncols))
+        self.x = surf.origin_x + (self.rc[:, 1] + 0.5) * surf.cell
+        self.y = surf.origin_y + (self.rc[:, 0] + 0.5) * surf.cell
         self.z = surf.values[at]
         self.a, self.b, self.k = A[at], B[at], curv[at]
         self.q = 1.0 / np.sqrt(self.a * self.a + self.b * self.b + 1.0)
         self.usable = np.isfinite(self.k)
-        # surface positions to component positions: one search of at; the
-        # -1 at the end matches no position, so misses become the sentinel
-        nb = surf.neighbours()[at]
-        local = np.searchsorted(at, nb)
-        self.neighbours = np.where(np.append(at, -1)[local] == nb, local, self.size).tolist()
+        # occupied neighbours lie in the component: one search of at maps them
+        # to component positions, and the surface's sentinel n to size
+        self.neighbours = np.searchsorted(at, surf.neighbours()[at]).tolist()
         # Python floats for the per-cell growth loop
         self.xs, self.ys, self.zs = self.x.tolist(), self.y.tolist(), self.z.tolist()
 
@@ -448,12 +450,10 @@ def grow_segments(component, dsm: RasterGrid | SparseGrid,
     within residual_tol_m of the segment's running plane fit. After growth
     the fit is re-checked and outlier cells are evicted back into the pool
     until it holds every member.
-    Cells with no usable local normal end up as singletons. The component's
-    cells must be occupied cells of dsm; normals, if given, is what
+    Cells with no usable local normal end up as singletons. component is
+    one of component_positions(dsm); normals, if given, is what
     local_normals(dsm) returns.
     """
-    if not component:
-        return []
     if normals is None:
         normals = local_normals(dsm)
     cells = _ComponentCells(component, dsm, normals)
@@ -477,8 +477,7 @@ def grow_segments(component, dsm: RasterGrid | SparseGrid,
         pa, pb, c_loc = fit.plane()
         plane = (pa, pb, c_loc - pa * x0 - pb * y0)
         slope = math.degrees(math.atan(math.hypot(pa, pb)))
-        rc = list(zip(cells.rr[members].tolist(), cells.cc[members].tolist()))
-        segments.append(RoofSegment(rc, plane, slope, members.size * h * h))
+        segments.append(RoofSegment(cells.rc[members], plane, slope, members.size * h * h))
     return segments
 
 
@@ -550,8 +549,7 @@ def _grow_one(seed: int, cells: _ComponentCells, pool: bytearray, cos_tol: float
 def segment_cell_centers(segment: RoofSegment,
                          grid: RasterGrid | SparseGrid | GridGeometry) -> np.ndarray:
     """World coordinates of the segment's cell centers, shape (m, 2)."""
-    cols_rows = np.asarray(segment.cells, dtype=np.int64).reshape(-1, 2)[:, ::-1]
-    return np.array([grid.origin_x, grid.origin_y]) + (cols_rows + 0.5) * grid.cell
+    return np.array([grid.origin_x, grid.origin_y]) + (segment.cells[:, ::-1] + 0.5) * grid.cell
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +682,7 @@ def extract_all(pc: PointCloud, buildings: list[BuildingAttributes],
     dsm = filter_wall_edges(candidate_roof_points(pc, p.cell), p.wall_diff_m)
     normals = local_normals(dsm)
     segments: list[RoofSegment] = []
-    for comp in label_components(dsm):
+    for comp in component_positions(dsm):
         segments.extend(grow_segments(comp, dsm, p.normal_tol_deg, p.residual_tol_m, normals))
     assign_segments(segments, buildings, dsm)
     segments = [s for s in segments if s.building_id is not None]

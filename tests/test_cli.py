@@ -458,7 +458,7 @@ def test_non_numeric_stage_value_exit_one(small_city, tmp_path, capsys, table, c
 def _old_cell_rows(segments):
     """The row loop that cli._cell_rows replaced: one list per cell."""
     return [[seg.building_id, seg.seg_id, str(row), str(col)]
-            for seg in segments for row, col in seg.cells]
+            for seg in segments for row, col in seg.cells.tolist()]
 
 
 # ids a footprint may carry: % is allowed, and must not act as a format
@@ -471,7 +471,8 @@ PERCENT_IDS = ("b001", "100%", "b%d", "%s%%", "%(x)s", "%", "h\u00e9%i")
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=6)),
     max_size=6))
 def test_cell_rows_match_the_row_loop(segments, tmp_path_factory):
-    segs = [RoofSegment(cells, (0.0, 0.0, 0.0), 0.0, 1.0, building_id=bid, seg_id=sid)
+    segs = [RoofSegment(np.array(cells, dtype=np.int64).reshape(-1, 2), (0.0, 0.0, 0.0), 0.0,
+                        1.0, building_id=bid, seg_id=sid)
             for bid, sid, cells in segments]
     tmp = tmp_path_factory.mktemp("cells")
     columns = cli.TABLES["cells.csv"].columns

@@ -403,12 +403,12 @@ def test_building_coverage_is_mean_of_scalar_oracle():
     rng = np.random.default_rng(11)
     mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((60, 60)) < 0.4).astype(float))
     roof_grid = RasterGrid(0.5, -0.5, 1.0, np.zeros((300, 300)))
-    buildings = [[RoofSegment([(int(r), int(c)) for r, c in rng.integers(0, 300, (k, 2))],
+    buildings = [[RoofSegment(rng.integers(0, 300, (k, 2)),
                               (0.0, 0.0, 1.0), 0.0, float(k)) for k in ks]
                  for ks in ((5, 1, 30), (1,), (17, 4))]
     got = indicators.building_coverage_rate(buildings, mask, roof_grid, radius=120.0)
     want = [float(np.mean([_coverage_oracle(mask, *roof_grid.cell_center(r, c), 120.0)
-                           for seg in segs for r, c in seg.cells]))
+                           for seg in segs for r, c in seg.cells.tolist()]))
             for segs in buildings]
     assert _bits(got) == _bits(want)
     assert all(type(rate) is float for rate in got)

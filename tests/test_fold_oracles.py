@@ -209,7 +209,8 @@ def test_greenspace_mask_matches_inline_builder(cp, data):
         index = st.integers(-10, 1000)
         for _ in range(data.draw(st.integers(0, 3))):
             cells = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
-            segs.append(RoofSegment(cells, (0.0, 0.0, 0.0), 0.0, float(len(cells))))
+            segs.append(RoofSegment(np.array(cells, dtype=np.int64), (0.0, 0.0, 0.0), 0.0,
+                                    float(len(cells))))
     base = build_greenspace_mask(pc, cell=cell)
     _assert_same_grid(base, _old_build_greenspace_mask(pc, None, cell, roof_grid))
     _assert_same_grid(greened_mask(base, segs, roof_grid),

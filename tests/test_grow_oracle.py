@@ -50,6 +50,7 @@ from greenprior.roofs import (
     NEIGH8,
     RoofSegment,
     _PlaneFit,
+    component_positions,
     grow_segments,
     label_components,
     local_normals,
@@ -237,9 +238,13 @@ def _bits(values):
 
 
 def _segments(grow, dsm, normal_tol_deg=10.0, residual_tol_m=0.2, **kwargs):
-    # the oracle indexes full grids; grow_segments takes the per-cell form
-    normals = local_normals(dsm) if grow is grow_segments else scatter_normals(dsm)
-    return [s for comp in label_components(dsm)
+    # the oracle indexes full grids and takes (row, col) cells; grow_segments
+    # takes the per-cell normals and the components' positions
+    if grow is grow_segments:
+        normals, components = local_normals(dsm), component_positions(dsm)
+    else:
+        normals, components = scatter_normals(dsm), label_components(dsm)
+    return [s for comp in components
             for s in grow(comp, dsm, normal_tol_deg, residual_tol_m, normals, **kwargs)]
 
 
@@ -250,7 +255,8 @@ def _assert_same_segments(got, want, dsm):
     PLANE_BOUND degrees, and its elevation within PLANE_BOUND_M at every
     member cell centre; elsewhere got has the fallback's plane and slope
     bits."""
-    assert [(s.cells, s.area_m2) for s in got] == [(s.cells, s.area_m2) for s in want]
+    assert [(s.cells.tolist(), s.area_m2) for s in got] \
+        == [(np.asarray(s.cells).tolist(), s.area_m2) for s in want]
     for g, w in zip(got, want):
         if not isinstance(w.plane[0], Fraction):
             assert _bits(g.plane) == _bits(w.plane) and _bits(g.slope_deg) == _bits(w.slope_deg)
@@ -258,7 +264,7 @@ def _assert_same_segments(got, want, dsm):
         (a, b, c), (ea, eb, ec) = map(Fraction, g.plane), w.plane
         assert max(abs(a - ea), abs(b - eb)) <= PLANE_BOUND
         assert abs(g.slope_deg - w.slope_deg) <= 100 * PLANE_BOUND
-        for x, y in (map(Fraction, dsm.cell_center(*rc)) for rc in g.cells):
+        for x, y in (map(Fraction, dsm.cell_center(*rc)) for rc in g.cells.tolist()):
             assert abs((a - ea) * x + (b - eb) * y + c - ec) <= PLANE_BOUND_M
 
 
@@ -335,7 +341,7 @@ def _normal_test(cell, seed, cos_tol):
     dsm = RasterGrid(0.0, 0.0, 1.0, np.full((1, 2), 10.0))
     gradients = np.array([seed, cell], dtype=float)
     normals = (np.arange(2), gradients[:, 0], gradients[:, 1], np.zeros(2))
-    cells = roofs._ComponentCells([(0, 0), (0, 1)], dsm, normals)
+    cells = roofs._ComponentCells(np.arange(2), dsm, normals)
     return roofs._grow_one(0, cells, bytearray(b"\x01\x01"), cos_tol, math.inf) == [0, 1]
 
 
@@ -481,8 +487,12 @@ def test_numpy_path_alone_gives_the_same_segments(small_city, tmp_path, monkeypa
         if not grids:  # extract grows every component on one surface model
             grids.append((densify(dsm), scatter_normals(dsm)))
         dense, normal_grids = grids[0]
-        return _old_grow_segments(component, dense, normal_tol_deg, residual_tol_m,
-                                  normal_grids, closest=closest)
+        cells = list(zip(*(v.tolist() for v in np.divmod(dsm.flat[component], dsm.ncols))))
+        segments = _old_grow_segments(cells, dense, normal_tol_deg, residual_tol_m,
+                                      normal_grids, closest=closest)
+        for seg in segments:
+            seg.cells = np.array(seg.cells, dtype=np.int64)
+        return segments
 
     monkeypatch.setattr(roofs, "grow_segments", oracle)
     out = tmp_path / "out"
@@ -515,14 +525,16 @@ def test_strip_takes_rank_guard(dsm, monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(dsm=roof_grids(), shuffle=st.randoms(use_true_random=False))
-def test_grow_segments_ignores_cell_order(dsm, shuffle):
-    normals = local_normals(dsm)
-    for comp in label_components(dsm):
-        shuffled = list(comp)
-        shuffle.shuffle(shuffled)
-        assert [(s.cells, _bits(s.plane)) for s in grow_segments(shuffled, dsm, normals=normals)] \
-            == [(s.cells, _bits(s.plane)) for s in grow_segments(comp, dsm, normals=normals)]
+@given(dsm=roof_grids())
+@example(dsm=_DIAGONAL_STRIP)
+def test_component_positions_are_the_labeled_cells(dsm):
+    # the kernel's positions, read back as cells, are label_components'
+    # lists, component order and cell order included
+    surf = dsm.occupied_cells()
+    comps = component_positions(dsm)
+    assert all(p.dtype == np.int64 and (np.diff(p) > 0).all() for p in comps)
+    assert [[divmod(f, surf.ncols) for f in surf.flat[p].tolist()] for p in comps] \
+        == label_components(dsm)
 
 
 @st.composite

@@ -35,7 +35,7 @@ def square(x0, y0, side):
 
 
 def flat_segment(cells):
-    return RoofSegment(list(cells), (0.0, 0.0, 10.0), 0.0, float(len(cells)))
+    return RoofSegment(np.array(cells, dtype=np.int64), (0.0, 0.0, 10.0), 0.0, float(len(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_roof_coverage_is_mean_over_cells():
     vals[:, :10] = 1.0
     mask = RasterGrid(0.0, 0.0, 5.0, vals)
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
-    seg = RoofSegment([(100, 40), (100, 160)], (0.0, 0.0, 5.0), 0.0, 2.0)
+    seg = RoofSegment(np.array([[100, 40], [100, 160]]), (0.0, 0.0, 5.0), 0.0, 2.0)
     [got] = building_coverage_rate([[seg]], mask, roof_grid, radius=100.0)
     g1 = greenspace_coverage(mask, 40.5, 100.5, radius=100.0)
     g2 = greenspace_coverage(mask, 160.5, 100.5, radius=100.0)

@@ -457,7 +457,7 @@ def cell_files(draw):
 
 def _outcome_cells(read, path):
     try:
-        return list(read(path, CELL_GRID).items())
+        return [(key, np.asarray(cells).tolist()) for key, cells in read(path, CELL_GRID).items()]
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 

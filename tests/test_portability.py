@@ -1,4 +1,5 @@
-"""The pipeline writes the same files whichever kernel OpenBLAS picks.
+"""The pipeline writes the same files whichever kernel OpenBLAS picks, and
+whichever SIMD code numpy dispatches to.
 
 Region growing decides, and fits each segment's final plane, in
 Python-float arithmetic, and each building's priority is a correctly
@@ -7,6 +8,12 @@ report may depend on the BLAS kernel. Each run forces a kernel with
 ``OPENBLAS_CORETYPE`` in a fresh process, because OpenBLAS reads it when it
 loads, and reports the kernel OpenBLAS then ran, so a variable that took no
 effect fails the test. The kernels run on any x86-64 CPU with AVX2.
+
+numpy picks its SIMD code when it loads, by the CPU's features, and
+``NPY_DISABLE_CPU_FEATURES`` turns groups of them off. The chain runs with
+numpy held to the X86_V3 (AVX2) level and to the X86_V2 baseline, and
+reports the groups numpy then had on, so a variable that took no effect
+fails the test.
 """
 import ctypes
 import filecmp
@@ -40,6 +47,23 @@ get = getattr(ctypes.CDLL(sys.argv[1]), sys.argv[2])
 get.restype = ctypes.c_char_p
 print(get().decode())
 """
+
+# runs the CLI stages named in argv[1] with the options that follow, then
+# prints the CPU feature groups numpy had on
+DISPATCH_CHILD = """\
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+from greenprior import cli
+for command in sys.argv[1].split(","):
+    if cli.main([command, *sys.argv[2:]]) != 0:
+        sys.exit(command)
+print(" ".join(sorted(f for f, on in __cpu_features__.items() if on)))
+"""
+
+# numpy's x86-64 dispatch groups above each level, to turn off to hold it
+# at that level
+ABOVE = {"X86_V3": ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+         "X86_V2": ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")}
 
 
 def _openblas():
@@ -76,6 +100,19 @@ def _why_not_forceable():
 NOT_FORCEABLE = _why_not_forceable()
 
 
+def _dispatch_on():
+    """The dispatch groups numpy runs here, or None where it is not an
+    x86-64 numpy that reports them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return None
+    return {f for f in __cpu_dispatch__ if __cpu_features__.get(f)}
+
+
+DISPATCH_ON = _dispatch_on()
+
+
 @pytest.fixture(scope="module")
 def city_42_60(tmp_path_factory):
     """The seed-42 60-building city, run from extract through report under
@@ -94,16 +131,37 @@ def city_42_60(tmp_path_factory):
 @pytest.mark.parametrize("kernel", ["Haswell", "Nehalem", "Sandybridge"])
 def test_chain_files_do_not_depend_on_the_blas_kernel(request, tmp_path, kernel, city_fixture):
     city = request.getfixturevalue(city_fixture)
-    out = tmp_path / "out"
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+    reported = _chain_in_child(city, tmp_path / "out", {"OPENBLAS_CORETYPE": kernel},
+                               CHILD, *_openblas()[0])
+    assert reported == kernel
+
+
+@pytest.mark.parametrize("city_fixture", ["small_city", "city_42_60"])
+@pytest.mark.parametrize("level", ["X86_V3", "X86_V2"])
+def test_chain_files_do_not_depend_on_numpy_dispatch(request, tmp_path, level, city_fixture):
+    off = [group for group in ABOVE[level] if group in (DISPATCH_ON or ())]
+    if not off:
+        pytest.skip(f"numpy dispatches no group above {level} here")
+    city = request.getfixturevalue(city_fixture)
+    reported = _chain_in_child(city, tmp_path / "out",
+                               {"NPY_DISABLE_CPU_FEATURES": " ".join(off)}, DISPATCH_CHILD)
+    on = set(reported.split())
+    assert level in on and not on & set(off), reported
+
+
+def _chain_in_child(city, out, variables, child, *child_args):
+    """Run the chain of city in a fresh process with the environment
+    variables added, writing to out; every one of the 16 files must equal
+    city's. Returns the last line the child printed."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, *_openblas()[0], ",".join(STAGES),
+        [sys.executable, "-c", child, *child_args, ",".join(STAGES),
          "--config", str(city / "config.txt"), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == kernel
     names = sorted(os.listdir(city / "out"))
     assert len(names) == 16 and sorted(os.listdir(out)) == names
     for name in names:
         assert filecmp.cmp(out / name, city / "out" / name, shallow=False), name
+    return done.stdout.splitlines()[-1]

@@ -16,6 +16,7 @@ from greenprior.geocore import (
     PointCloud,
     Polygon,
     RasterGrid,
+    SparseGrid,
 )
 from greenprior.ingest import BuildingAttributes, read_footprints, read_point_cloud
 from greenprior.roofs import (
@@ -24,6 +25,7 @@ from greenprior.roofs import (
     assign_segments,
     building_height,
     candidate_roof_points,
+    component_positions,
     decide_potential,
     extract_all,
     filter_wall_edges,
@@ -38,8 +40,8 @@ def grid_from(values):
 
 
 def dense_component(grid):
-    rr, cc = np.nonzero(np.isfinite(grid.values))
-    return [(int(r), int(c)) for r, c in zip(rr, cc)]
+    """The positions of all of grid's occupied cells: one component."""
+    return np.arange(np.count_nonzero(np.isfinite(grid.values)))
 
 
 def square(x0, y0, side):
@@ -214,6 +216,47 @@ def test_components_order_matches_per_label_oracle():
         assert label_components(grid) == _label_components_per_label_oracle(grid)
 
 
+def _roof_surface(seed=5, blocks=20, block=40):
+    """A surface of blocks x blocks rectangular roofs, 8 to 35 cells a
+    side, one at a random place in each square of block cells; roofs in
+    neighbouring squares may touch."""
+    rng = np.random.default_rng(seed)
+    side = blocks * block
+    flat = []
+    for br in range(blocks):
+        for bc in range(blocks):
+            h, w = rng.integers(8, 36, 2)
+            r0 = br * block + rng.integers(0, block - h + 1)
+            c0 = bc * block + rng.integers(0, block - w + 1)
+            rr, cc = np.mgrid[r0:r0 + h, c0:c0 + w]
+            flat.append((rr * side + cc).ravel())
+    flat = np.unique(np.concatenate(flat))
+    return SparseGrid(0.0, 0.0, 1.0, side, side, flat, np.full(flat.size, 10.0))
+
+
+# component_positions peaked at 53 bytes per cell on _roof_surface (numpy
+# 2.4); the bound allows about 1.5 times that. The kernel that held every
+# edge at once and built (row, col) tuples peaked at 305.
+COMPONENT_PEAK_BYTES_PER_CELL = 80
+
+
+def test_component_kernel_peak_memory_follows_the_cells():
+    # the neighbour table is the surface's, built before; the labeling
+    # takes the edges one offset at a time and gives the components as
+    # slices of one position array
+    surf = _roof_surface()
+    surf.neighbours()
+    tracemalloc.start()
+    try:
+        comps = component_positions(surf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert surf.flat.size >= 100_000
+    assert np.array_equal(np.sort(np.concatenate(comps)), np.arange(surf.flat.size))
+    assert peak <= COMPONENT_PEAK_BYTES_PER_CELL * surf.flat.size
+
+
 # ---------------------------------------------------------------------------
 # grow_segments
 # ---------------------------------------------------------------------------
@@ -263,22 +306,14 @@ def test_grow_covers_component_disjointly():
     dsm = grid_from(vals)
     comp = dense_component(dsm)
     segs = grow_segments(comp, dsm)
-    covered = [c for s in segs for c in s.cells]
+    covered = [tuple(rc) for s in segs for rc in s.cells.tolist()]
     assert len(covered) == len(set(covered)) == len(comp)
-    assert set(covered) == set(comp)
+    assert set(covered) == set(zip(*(v.tolist() for v in np.nonzero(np.isfinite(vals)))))
 
 
 def test_grow_empty_component():
     dsm = grid_from(np.full((2, 2), np.nan))
-    assert grow_segments([], dsm) == []
-
-
-@pytest.mark.parametrize("values", [[[np.nan, 10.0]], [[np.nan, np.nan]]])
-def test_grow_rejects_unoccupied_cell(values):
-    # the local normals exist only for occupied cells
-    dsm = grid_from(values)
-    with pytest.raises(ValueError, match="not occupied"):
-        grow_segments([(0, 0)], dsm)
+    assert grow_segments(np.zeros(0, dtype=np.int64), dsm) == []
 
 
 @pytest.mark.parametrize("theta", [0.0, 5.0, 14.0, 15.0, 30.0])
@@ -310,9 +345,10 @@ def test_segment_slope_area_arithmetic():
 def make_segment(cells, slope=5.0, area=None):
     from greenprior.roofs import RoofSegment
 
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
     area = area if area is not None else float(len(cells))
     a = math.tan(math.radians(slope))
-    return RoofSegment(list(cells), (a, 0.0, 0.0), slope, area)
+    return RoofSegment(cells, (a, 0.0, 0.0), slope, area)
 
 
 def test_assign_segments_by_centroid():
@@ -418,6 +454,17 @@ def test_building_height_no_cells_errors():
     b = BuildingAttributes("b1", 10, "public", square(0, 0, 4))
     with pytest.raises(ComputationError, match="no roof cells"):
         building_height(b, dsm, np.zeros((0, 3)))
+
+
+def test_building_height_on_a_surface_the_wall_filter_emptied():
+    # two cells 1 m apart in elevation: the filter keeps neither, and a
+    # lookup on the empty surface finds no cell, so the height falls back
+    surf = filter_wall_edges(grid_from([[10.0, 11.0]]), threshold=1.0)
+    assert surf.flat.size == 0
+    assert surf.positions(np.array([0, 0, -1, 5]), np.array([0, 1, 0, 9])).tolist() == [0] * 4
+    b = BuildingAttributes("b1", 10, "public", square(0, 0, 2))
+    with pytest.raises(ComputationError, match="no roof cells"):
+        building_height(b, surf, np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
