@@ -212,9 +212,10 @@ def income_greenspace_regression(pairs):
     n = len(x)
     xc = x - x.mean()
     yc = y - y.mean()
-    slope = float(np.dot(xc, yc) / np.dot(xc, xc))
+    sxy, sxx, syy = (math.fsum((u * v).tolist()) for u, v in ((xc, yc), (xc, xc), (yc, yc)))
+    slope = sxy / sxx
     intercept = float(y.mean() - slope * x.mean())
-    r = float(np.dot(xc, yc) / math.sqrt(np.dot(xc, xc) * np.dot(yc, yc)))
+    r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0

@@ -16,6 +16,7 @@ import numpy as np
 from .geocore import (
     VEGETATION,
     ComputationError,
+    GridGeometry,
     PointCloud,
     Polyline,
     RasterGrid,
@@ -23,7 +24,7 @@ from .geocore import (
     distance_to_polylines,
     snapped_grid,
 )
-from .ingest import BuildingAttributes, GridGeometry
+from .ingest import BuildingAttributes
 from .roofs import RoofSegment, segment_cell_centers
 
 SEASONS = ("spring", "summer", "autumn", "winter")

@@ -25,7 +25,8 @@ because each cell it takes changes the running plane fit. Every growth and
 eviction decision is one float comparison, a cosine against the normal
 tolerance or a residual against the residual tolerance. The residuals come
 from plane fits solved by cofactors in Python floats, as does each
-segment's final plane, so no BLAS kernel touches a decision or a plane.
+segment's final plane and, elementwise, the tie-break scores of the local
+normals: no BLAS or LAPACK kernel touches a decision or a plane.
 """
 from __future__ import annotations
 
@@ -246,6 +247,19 @@ def _quadrant_planes(Z: np.ndarray, table: np.ndarray,
     return out
 
 
+def _plane_cofactors(sxx, sxy, sx, syy, sy, n, tx, ty, tz):
+    """The determinant of the normal matrix of a plane fit's nine sums, and
+    the cofactor numerators of (a, b, c); Python floats or numpy arrays."""
+    c00 = syy * n - sy * sy
+    c01 = sy * sx - sxy * n
+    c02 = sxy * sy - syy * sx
+    c11 = sxx * n - sx * sx
+    c12 = sxy * sx - sxx * sy
+    c22 = sxx * syy - sxy * sxy
+    return (sxx * c00 + sxy * c01 + sx * c02, c00 * tx + c01 * ty + c02 * tz,
+            c01 * tx + c11 * ty + c12 * tz, c02 * tx + c12 * ty + c22 * tz)
+
+
 def _window_scores(surf: SparseGrid, r, c, dr, dc) -> np.ndarray:
     """Worst plane-fit deviation over the one-sided 3x3 window of each
     (cell, quadrant) pair (arrays r, c, dr, dc) of the occupied cells of
@@ -256,17 +270,20 @@ def _window_scores(surf: SparseGrid, r, c, dr, dc) -> np.ndarray:
     Deviations depend on neither cell size nor window direction: the fit
     uses the unit lattice.
     """
-    i, j = np.divmod(np.arange(9), 3)
-    z = np.append(surf.values, np.nan)[
-        surf.positions(r[:, None] + i * dr[:, None], c[:, None] + j * dc[:, None])]
+    i, j = np.divmod(np.arange(9)[:, None], 3)  # one row per window cell
+    z = np.append(surf.values, np.nan)[surf.positions(r + i * dr, c + j * dc)]
     occ = np.isfinite(z)
-    z = np.where(occ, z - z[:, :1], 0.0)  # window cell 0 is the cell itself
-    design = np.column_stack([j, i, np.ones(9)])
-    S = np.einsum("nk,ki,kj->nij", occ.astype(float), design, design)
-    few = occ.sum(axis=1) < 4
-    S[few] = np.eye(3)
-    coef = np.linalg.solve(S, (z @ design)[..., None])[..., 0]
-    dev = np.where(occ, np.abs(z - coef @ design.T), 0.0).max(axis=1)
+    z = np.where(occ, z - z[0], 0.0)  # window cell 0 is the cell itself
+    # _PlaneFit's nine sums over each window's cells in cell order, dx = j
+    # and dy = i; four or more cells of a 3x3 lattice are never collinear,
+    # so det > 0 wherever a window is scored
+    one = np.ones_like(i)
+    sums = [sum(w * o for w, o in zip(wk, occ)) for wk in (j * j, j * i, j, i * i, i, one)]
+    sums += [sum(w * zk for w, zk in zip(wk, z)) for wk in (j, i, one)]
+    few = sums[5] < 4
+    det, *num = _plane_cofactors(*sums)
+    a, b, c0 = (v / np.where(few, 1, det) for v in num)
+    dev = np.where(occ, np.abs(z - (a * j + b * i + c0)), 0.0).max(axis=0)
     return np.where(few, 0.0, dev)
 
 
@@ -324,7 +341,7 @@ def local_normals(dsm: RasterGrid | SparseGrid
 # ---------------------------------------------------------------------------
 
 # Growth, eviction and each segment's final plane use one solve: the plane
-# by cofactors in Python floats (_PlaneFit.plane), IEEE arithmetic that gives
+# by cofactors in Python floats (_plane_cofactors), IEEE arithmetic that gives
 # the same bits on every machine. The normal matrix S is symmetric positive
 # semi-definite with eigenvalues l1 >= l2 >= l3; l1 * l2 <= (trace / 2)**2, so
 # 4 * det / trace**2 <= l3. A fit with 4 * det / trace**2 <= RANK_GUARD, such
@@ -336,7 +353,7 @@ RANK_GUARD = 1e-6
 class _PlaneFit:
     """Running least-squares plane over cells, in seed-local coordinates.
 
-    The normal equations S @ (a, b, c) = t, with v = (dx, dy, 1), are kept
+    The normal equations S (a, b, c) = t, with v = (dx, dy, 1), are kept
     as their nine sums of ``outer(v, v)`` and ``z * v`` over the cells.
     """
 
@@ -366,23 +383,14 @@ class _PlaneFit:
         """(a, b, c) minimizing squared residuals, by cofactors; member sets
         that the rank guard stops keep the seed's local gradient and only
         fit the offset."""
-        sxx, sxy, sx, syy, sy = self.sxx, self.sxy, self.sx, self.syy, self.sy
         n = float(self.n)
-        c00 = syy * n - sy * sy
-        c01 = sy * sx - sxy * n
-        c02 = sxy * sy - syy * sx
-        det = sxx * c00 + sxy * c01 + sx * c02
-        trace = sxx + syy + n
+        det, na, nb, nc = _plane_cofactors(self.sxx, self.sxy, self.sx, self.syy, self.sy, n,
+                                           self.tx, self.ty, self.tz)
+        trace = self.sxx + self.syy + n
         if self.n < 3 or 4.0 * det <= RANK_GUARD * trace * trace:
             a, b = self.fallback_ab
-            return a, b, (self.tz - a * sx - b * sy) / max(self.n, 1)
-        c11 = sxx * n - sx * sx
-        c12 = sxy * sx - sxx * sy
-        c22 = sxx * syy - sxy * sxy
-        tx, ty, tz = self.tx, self.ty, self.tz
-        return ((c00 * tx + c01 * ty + c02 * tz) / det,
-                (c01 * tx + c11 * ty + c12 * tz) / det,
-                (c02 * tx + c12 * ty + c22 * tz) / det)
+            return a, b, (self.tz - a * self.sx - b * self.sy) / max(self.n, 1)
+        return na / det, nb / det, nc / det
 
     def refit(self):
         """Set the plane the residual tests use."""

@@ -8,7 +8,9 @@ population grid are all placed by ``geocore.snapped_geometry`` (through
 The functions below are the earlier bodies, kept as oracles: the new code
 must give the same origin, shape, cell indices and floats to the last bit.
 The one exception is the plane a ``_PlaneFit`` solves by cofactors, which
-is checked against the exact plane (``exact_plane``) within a stated bound.
+is checked against the exact plane (``exact_plane``) within a stated bound,
+and against ``roofs._plane_cofactors`` on numpy arrays of its sums, the
+form the tie-break window scores use, to the last bit.
 """
 import math
 from fractions import Fraction
@@ -24,7 +26,8 @@ from greenprior.benefits import population_grid_from_points
 from greenprior.geocore import BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, snapped_grid
 from greenprior.indicators import build_greenspace_mask, greened_mask
 from greenprior.interp import VARIOGRAM_KINDS, VariogramModel
-from greenprior.roofs import RoofSegment, _PlaneFit, candidate_roof_points, segment_cell_centers
+from greenprior.roofs import (RoofSegment, _PlaneFit, _plane_cofactors, candidate_roof_points,
+                              segment_cell_centers)
 
 CELLS = (0.1, 1.0, 5.0, 50.0, 100.0)
 
@@ -375,3 +378,6 @@ def test_plane_fit_matches_on_any_cells(fallback, rows):
     got = new.plane()
     assert [type(v) for v in got] == [float, float, float]
     assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= bound
+    # the same cofactors on numpy arrays of the sums give the same bits
+    det, *num = _plane_cofactors(*(np.array([float(s)]) for s in fit_sums(new)))
+    assert _bits(np.concatenate([v / det for v in num])) == _bits(got)

@@ -1,18 +1,23 @@
 """The whole-array normal tie-break against the per-cell loop it replaced.
 
 ``roofs.local_normals`` scores every tying quadrant of every ambiguous cell
-with one stacked normal-equation solve (``roofs._window_scores``) and
-rounds the score to 1e-9. The per-cell ``lstsq`` loop below is its earlier
+at once (``roofs._window_scores``): each window's plane is solved by the
+cofactors of ``_PlaneFit.plane``, elementwise over all windows, and the
+score is rounded to 1e-9. The per-cell ``lstsq`` loop below is its earlier
 body, kept as an oracle with the same rounding: the quadrant choices, and
 so the gradients, must match to the last bit. The unrounded scores must
 agree with ``lstsq`` within 1e-10. The stencil planes come from the
-full-grid oracle in ``fullgrid_kernels``.
+full-grid oracle in ``fullgrid_kernels``. Extract calls no LAPACK solver
+and no ``einsum``.
 """
+import filecmp
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgrid_kernels import quadrant_planes, scatter_normals
+from greenprior import cli
 from greenprior.geocore import RasterGrid
 from greenprior.roofs import QUADRANTS, _window_scores
 
@@ -131,24 +136,25 @@ def test_window_scores_match_lstsq(dsm):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
-def test_local_normals_makes_one_solve_and_no_lstsq(monkeypatch):
+def test_extract_calls_no_solve_lstsq_or_einsum(small_city, tmp_path, monkeypatch):
     # a symmetric gable has ambiguous cells along its ridge
     _, x = np.mgrid[0:12, 0:15].astype(float)
     dsm = RasterGrid(0.0, 0.0, 1.0, 20.0 - 0.5 * np.abs(x - 7.0))
-    calls = {"solve": 0}
-    solve = np.linalg.solve
 
-    def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
-        return solve(*args, **kwargs)
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"extract must not call {name}")
+        return call
 
-    def no_lstsq(*args, **kwargs):
-        raise AssertionError("local_normals must not call lstsq")
-
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(np.linalg, "solve", refuse("np.linalg.solve"))
+    monkeypatch.setattr(np.linalg, "lstsq", refuse("np.linalg.lstsq"))
+    monkeypatch.setattr(np, "einsum", refuse("np.einsum"))
     got = scatter_normals(dsm)
-    assert calls["solve"] == 1
+    out = tmp_path / "out"
+    code = cli.main(["extract", "--config", str(small_city / "config.txt"), "--out", str(out)])
     monkeypatch.undo()
+    assert code == 0
     for new, old in zip(got, _old_local_normals(dsm)):
         assert _bits(new) == _bits(old)
+    for name in ("segments.csv", "cells.csv", "buildings.csv", "dsm.asc"):
+        assert filecmp.cmp(out / name, small_city / "out" / name, shallow=False), name
