@@ -60,7 +60,7 @@ from .priority import (
     priority_summary,
     rank_buildings,
 )
-from .roofs import RoofSegment, extract_all
+from .roofs import extract_all
 from .synth import DOMAIN_RANGE_M, SyntheticCitySpec, generate_city
 
 IND_COLUMNS = tuple("ind_" + short for short in IndicatorVector.SHORT_NAMES)
@@ -201,10 +201,8 @@ def cmd_extract(cfg):
     ordered = sorted(extraction.segments, key=lambda s: (s.building_id, s.seg_id))
     seg_rows = []
     for seg in ordered:
-        qualifying = (seg.slope_deg < th.slope_max_deg
-                      and seg.area_m2 > th.area_min_m2)
         a, b, c = seg.plane
-        seg_rows.append([seg.building_id, seg.seg_id, FLAGS[bool(qualifying)],
+        seg_rows.append([seg.building_id, seg.seg_id, FLAGS[th.qualifies(seg)],
                          f6(seg.slope_deg), f6(seg.area_m2),
                          str(len(seg.cells)), f6(a), f6(b), f6(c)])
     _write_table(cfg, "segments.csv", seg_rows)
@@ -275,9 +273,10 @@ def _cells_by_segment(path, grid):
             for key, parts in runs.items()}
 
 
-def _load_segments(cfg, grid):
-    """Rebuild the qualifying RoofSegments of each building from the extract
-    stage's tables; every segment has cells, and every cell a segment."""
+def _load_roof_cells(cfg, grid):
+    """The cells of each building's qualifying segments, as one (m, 2) int64
+    (row, col) array in segments.csv order, from the extract stage's
+    tables; every segment has cells, and every cell a segment."""
     segs = _read_table(cfg, "segments.csv")
     cells_path = _artifact(cfg, "cells.csv", "extract")
     cells_by_seg = _cells_by_segment(cells_path, grid)
@@ -291,13 +290,9 @@ def _load_segments(cfg, grid):
             raise FormatError(
                 f"{cells_path}: segment ({key[0]}, {key[1]}) is not in segments.csv")
     qualifying = {}
-    for (bid, sid), chosen, a, b, c, slope, area in zip(
-            keys, segs["qualifying"], segs["plane_a"], segs["plane_b"], segs["plane_c"],
-            segs["slope_deg"], segs["area_m2"]):
-        if chosen:
-            qualifying.setdefault(bid, []).append(RoofSegment(
-                cells_by_seg[bid, sid], (a, b, c), slope, area, building_id=bid, seg_id=sid))
-    return qualifying
+    for key in compress(keys, segs["qualifying"]):
+        qualifying.setdefault(key[0], []).append(cells_by_seg[key])
+    return {bid: np.concatenate(parts) for bid, parts in qualifying.items()}
 
 
 def _station_surface(path, template, method):
@@ -314,9 +309,9 @@ def cmd_indicators(cfg):
     cfg.require("points", "footprints", "roads", "income_stations",
                 "precip_stations", "temp_spring", "temp_summer",
                 "temp_autumn", "temp_winter")
-    # only the header: segment cells are placed by its origin and cell size
+    # only the header: roof cells are placed by its origin and cell size
     dsm = read_raster_geometry(_artifact(cfg, "dsm.asc", "extract"))
-    qualifying = _load_segments(cfg, dsm)
+    roof_cells = _load_roof_cells(cfg, dsm)
     buildings_table = _read_table(cfg, "buildings.csv")
     potential_ids = sorted(compress(buildings_table["id"], buildings_table["potential"]))
 
@@ -325,8 +320,8 @@ def cmd_indicators(cfg):
     roads = read_roads(cfg.roads)
 
     mask_base = build_greenspace_mask(pc, cell=cfg.mask_cell)
-    green_segs = [s for bid in potential_ids for s in qualifying.get(bid, [])]
-    mask_green = greened_mask(mask_base, green_segs, dsm)
+    mask_green = greened_mask(mask_base, [roof_cells[bid] for bid in potential_ids
+                                          if bid in roof_cells], dsm)
     write_raster_asc(mask_base, _out_path(cfg, "greenspace_base.asc"))
     write_raster_asc(mask_green, _out_path(cfg, "greenspace_greened.asc"))
 
@@ -340,14 +335,14 @@ def cmd_indicators(cfg):
     for season in SEASONS:
         path = getattr(cfg, f"temp_{season}")
         grid = read_raster_asc(path)
-        if np.isnan(grid.values).any():
+        if not np.isfinite(grid.values).all():
             try:
                 grid = fill_raster_nodata(grid)
             except ComputationError as exc:
                 raise ComputationError(f"{path}: cannot fill gaps: {exc}") from None
         temps[season] = grid
 
-    coverage = building_coverage_rate([qualifying.get(bid, []) for bid in potential_ids],
+    coverage = building_coverage_rate([roof_cells.get(bid, ()) for bid in potential_ids],
                                       mask_green, dsm, radius=cfg.gc_radius)
     raws = [measure_building(buildings[bid], greenspace, roads, income_surface, temps,
                              precip_surface)

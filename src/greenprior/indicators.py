@@ -20,12 +20,12 @@ from .geocore import (
     PointCloud,
     Polyline,
     RasterGrid,
+    cell_centers,
     cells_in_polygon,
     distance_to_polylines,
     snapped_grid,
 )
 from .ingest import BuildingAttributes
-from .roofs import RoofSegment, segment_cell_centers
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -89,13 +89,13 @@ def build_greenspace_mask(pc: PointCloud, cell: float = MASK_CELL_DEFAULT) -> Ra
     return mask
 
 
-def greened_mask(mask: RasterGrid, potential_roofs: list[RoofSegment],
+def greened_mask(mask: RasterGrid, potential_roofs: list[np.ndarray],
                  roof_grid: RasterGrid | GridGeometry) -> RasterGrid:
-    """A copy of mask with the pixels under the roof segments' cells marked."""
+    """A copy of mask with the pixels under the roof cells marked:
+    potential_roofs holds (m, 2) arrays of (row, col) cells of roof_grid."""
     greened = mask.copy()
     if potential_roofs:
-        _mark_green(greened, np.concatenate([segment_cell_centers(seg, roof_grid)
-                                             for seg in potential_roofs]))
+        _mark_green(greened, cell_centers(roof_grid, np.concatenate(potential_roofs)))
     return greened
 
 
@@ -317,23 +317,23 @@ def _first_true(c, test, lo, hi):
         i = i[~test(i, c[i])]
 
 
-def building_coverage_rate(buildings: list[list[RoofSegment]], mask: RasterGrid,
+def building_coverage_rate(buildings: list[np.ndarray], mask: RasterGrid,
                            roof_grid: RasterGrid | GridGeometry,
                            radius: float = GC_RADIUS_DEFAULT) -> list[float]:
-    """Mean coverage over all cells of each building's segments together.
+    """Mean coverage over the roof cells of each building.
 
-    buildings holds one list of segments per building; every cell of every
-    building is one query of a single :func:`greenspace_coverage` call, and
-    each rate is the mean of its building's run of the result.
+    buildings holds one (m, 2) array of (row, col) cells of roof_grid per
+    building; every cell of every building is one query of a single
+    :func:`greenspace_coverage` call, and each rate is the mean of its
+    building's run of the result.
     """
-    if not all(buildings):
+    sizes = [len(cells) for cells in buildings]
+    if not all(sizes):
         raise ValueError("building has no segments to evaluate")
     if not buildings:
         return []
-    xy = np.concatenate([segment_cell_centers(seg, roof_grid)
-                         for segments in buildings for seg in segments])
+    xy = cell_centers(roof_grid, np.concatenate(buildings))
     coverage = greenspace_coverage(mask, xy[:, 0], xy[:, 1], radius)
-    sizes = [sum(len(seg.cells) for seg in segments) for segments in buildings]
     return [float(np.mean(run)) for run in np.split(coverage, np.cumsum(sizes[:-1]))]
 
 
@@ -440,13 +440,14 @@ def normalize_indicators(raws: list[RawIndicators],
 def measure_building(building: BuildingAttributes, greenspace: float,
                      roads: list[Polyline],
                      income: RasterGrid, temps: dict[str, RasterGrid],
-                     precip: RasterGrid, road_class: str = "main") -> RawIndicators:
+                     precip: RasterGrid) -> RawIndicators:
     """Collect all raw indicator inputs for one building.
 
     greenspace is the building's roof coverage rate, from
-    :func:`building_coverage_rate`. The footprint's cells are looked up
-    once per distinct grid geometry among the six surfaces (the seasonal
-    rasters share one, the kriged surfaces another).
+    :func:`building_coverage_rate`; road distance is to the main roads. The
+    footprint's cells are looked up once per distinct grid geometry among
+    the six surfaces (the seasonal rasters share one, the kriged surfaces
+    another).
     """
     cx, cy = building.footprint.centroid()
     looked_up: list[tuple[RasterGrid, tuple[np.ndarray, np.ndarray]]] = []
@@ -461,7 +462,7 @@ def measure_building(building: BuildingAttributes, greenspace: float,
     return RawIndicators(
         building_id=building.id,
         greenspace=greenspace,
-        road_distance_m=distance_to_polylines(cx, cy, roads, tag=road_class),
+        road_distance_m=distance_to_polylines(cx, cy, roads, tag="main"),
         category=building.category,
         income=sample(income),
         seasonal_temps=tuple(sample(temps[s]) for s in SEASONS),

@@ -57,31 +57,28 @@ def read_point_cloud(path) -> PointCloud:
     or infinite is malformed.
 
     The file is parsed in one ``np.loadtxt`` call, whose conversions give
-    the bits of ``float()`` and ``int()`` on every spelling it accepts. A
-    file it cannot read, or that it reads to a non-finite coordinate, an
-    unknown class code or no points, is read again line by line: that loop
-    raises the error naming the first bad line, or returns the cloud when
-    only loadtxt was stricter (underscores in numbers, non-ASCII digits,
-    whitespace-only lines).
+    the bits of ``float()`` and ``int()`` on every spelling it accepts, and
+    checked by PointCloud. A file it cannot read, or that PointCloud
+    rejects (a non-finite coordinate, an unknown class code), or with no
+    points, is read again line by line: that loop raises the error naming
+    the first bad line, or returns the cloud when only loadtxt was stricter
+    (underscores in numbers, non-ASCII digits, whitespace-only lines).
     """
     try:
-        parsed = _point_table(path)
+        return PointCloud(*_point_table(path))
     except (ValueError, OverflowError, UserWarning):
-        parsed = None
-    if parsed is None:
         return _read_point_lines(path)
-    return PointCloud(*parsed)
 
 
-def _point_table(path) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (xyz, class codes) of a point CSV read by np.loadtxt, or None
-    when the file holds an ASCII separator character, a coordinate is not
-    finite, a class code is unknown or there are no points; loadtxt raises
-    on a line it cannot read, and on no points warns, which raises here."""
+def _point_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (xyz, class codes) of a point CSV read by np.loadtxt. Raises
+    ValueError when the file holds an ASCII separator character, and as
+    loadtxt raises on a line it cannot read; loadtxt warns on no points,
+    which raises here."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if any(sep in text for sep in _SEPARATORS):
-        return None
+        raise ValueError(f"{path}: holds an ASCII separator character")
     head = text.partition("\n")[0].strip()
     del text
     header = bool(head) and _is_point_header(head.split(","))
@@ -89,10 +86,7 @@ def _point_table(path) -> tuple[np.ndarray, np.ndarray] | None:
         warnings.simplefilter("error", UserWarning)
         rows = np.loadtxt(path, dtype="f8,f8,f8,i8", delimiter=",", comments=None,
                           quotechar=None, skiprows=int(header), encoding="utf-8", ndmin=1)
-    xyz = np.column_stack([rows["f0"], rows["f1"], rows["f2"]])
-    if not np.isfinite(xyz).all() or not np.isin(rows["f3"], list(CLASS_NAMES)).all():
-        return None
-    return xyz, rows["f3"].astype(np.uint8)
+    return np.column_stack([rows["f0"], rows["f1"], rows["f2"]]), rows["f3"]
 
 
 def _is_point_header(parts: list[str]) -> bool:

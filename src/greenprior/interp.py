@@ -55,7 +55,6 @@ class SampleSet:
 
     xy: np.ndarray
     values: np.ndarray
-    units: str = ""
 
     def __post_init__(self):
         self.xy = np.asarray(self.xy, dtype=float)
@@ -68,7 +67,7 @@ class SampleSet:
             raise ValueError("samples must be finite")
 
     @classmethod
-    def from_points(cls, arr: np.ndarray, units: str = "") -> "SampleSet":
+    def from_points(cls, arr: np.ndarray) -> "SampleSet":
         """Build from (n, 3) rows of x, y, value.
 
         Rows at bit-identical coordinates are averaged; samples are then
@@ -82,7 +81,7 @@ class SampleSet:
         np.add.at(counts, inverse, 1.0)
         values = sums / counts
         order = np.lexsort((coords[:, 1], coords[:, 0]))
-        return cls(coords[order], values[order], units)
+        return cls(coords[order], values[order])
 
     def __len__(self) -> int:
         return self.xy.shape[0]

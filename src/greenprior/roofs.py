@@ -40,10 +40,10 @@ from .geocore import (
     GROUND,
     NEIGH8,
     ComputationError,
-    GridGeometry,
     PointCloud,
     RasterGrid,
     SparseGrid,
+    cell_centers,
     cells_in_polygon,
     check_tunables,
     points_in_polygon,
@@ -79,6 +79,17 @@ class PotentialThresholds:
 
     def __post_init__(self):
         check_tunables(self)
+
+    def shortfalls(self, segment: RoofSegment) -> set[str]:
+        """The thresholds segment misses: "slope" unless it is flatter than
+        slope_max_deg, "area" unless it is larger than area_min_m2."""
+        return {reason for reason, met in (("slope", segment.slope_deg < self.slope_max_deg),
+                                           ("area", segment.area_m2 > self.area_min_m2))
+                if not met}
+
+    def qualifies(self, segment: RoofSegment) -> bool:
+        """Whether segment is flat enough and large enough to green."""
+        return not self.shortfalls(segment)
 
 
 @dataclass
@@ -359,7 +370,9 @@ class _PlaneFit:
 
     def __init__(self, fallback_ab: tuple[float, float]):
         self.fallback_ab = fallback_ab
-        self.rebuild(())
+        self.sxx = self.sxy = self.sx = self.syy = self.sy = 0.0
+        self.tx = self.ty = self.tz = 0.0
+        self.n = 0
 
     def add(self, dx: float, dy: float, z: float):
         self.sxx += dx * dx
@@ -371,13 +384,6 @@ class _PlaneFit:
         self.tx += z * dx
         self.ty += z * dy
         self.tz += z
-
-    def rebuild(self, rows):
-        self.sxx = self.sxy = self.sx = self.syy = self.sy = 0.0
-        self.tx = self.ty = self.tz = 0.0
-        self.n = 0
-        for dx, dy, z in rows:
-            self.add(dx, dy, z)
 
     def plane(self) -> tuple[float, float, float]:
         """(a, b, c) minimizing squared residuals, by cofactors; member sets
@@ -434,8 +440,7 @@ class _ComponentCells:
         surf = dsm.occupied_cells()
         self.size = at.size
         self.rc = np.column_stack(np.divmod(surf.flat[at], surf.ncols))
-        self.x = surf.origin_x + (self.rc[:, 1] + 0.5) * surf.cell
-        self.y = surf.origin_y + (self.rc[:, 0] + 0.5) * surf.cell
+        self.x, self.y = cell_centers(surf, self.rc).T
         self.z = surf.values[at]
         self.a, self.b, self.k = A[at], B[at], curv[at]
         self.q = 1.0 / np.sqrt(self.a * self.a + self.b * self.b + 1.0)
@@ -447,10 +452,9 @@ class _ComponentCells:
         self.xs, self.ys, self.zs = self.x.tolist(), self.y.tolist(), self.z.tolist()
 
 
-def grow_segments(component, dsm: RasterGrid | SparseGrid,
+def grow_segments(component, dsm: RasterGrid | SparseGrid, normals,
                   normal_tol_deg: float = RoofParams.normal_tol_deg,
-                  residual_tol_m: float = RoofParams.residual_tol_m,
-                  normals=None) -> list[RoofSegment]:
+                  residual_tol_m: float = RoofParams.residual_tol_m) -> list[RoofSegment]:
     """Split one connected component into planar segments.
 
     Seeds are picked flattest-first. A frontier cell joins when its local
@@ -459,11 +463,9 @@ def grow_segments(component, dsm: RasterGrid | SparseGrid,
     the fit is re-checked and outlier cells are evicted back into the pool
     until it holds every member.
     Cells with no usable local normal end up as singletons. component is
-    one of component_positions(dsm); normals, if given, is what
-    local_normals(dsm) returns.
+    one of component_positions(dsm), and normals what local_normals(dsm)
+    returns.
     """
-    if normals is None:
-        normals = local_normals(dsm)
     cells = _ComponentCells(component, dsm, normals)
     cos_tol = math.cos(math.radians(normal_tol_deg))
     h = dsm.cell
@@ -534,7 +536,7 @@ def _grow_one(seed: int, cells: _ComponentCells, pool: bytearray, cos_tol: float
         for i in at[~keep].tolist():
             member[i] = 0
         joined = at[keep].tolist()
-        fit.rebuild(zip(dx[keep].tolist(), dy[keep].tolist(), z[keep].tolist()))
+        fit = _summed_fit(fit.fallback_ab, dx[keep], dy[keep], z[keep])
         fit.refit()
         evicted = True
     if not evicted:
@@ -554,12 +556,6 @@ def _grow_one(seed: int, cells: _ComponentCells, pool: bytearray, cos_tol: float
     return out
 
 
-def segment_cell_centers(segment: RoofSegment,
-                         grid: RasterGrid | SparseGrid | GridGeometry) -> np.ndarray:
-    """World coordinates of the segment's cell centers, shape (m, 2)."""
-    return np.array([grid.origin_x, grid.origin_y]) + (segment.cells[:, ::-1] + 0.5) * grid.cell
-
-
 # ---------------------------------------------------------------------------
 # building assignment and the greening decision
 # ---------------------------------------------------------------------------
@@ -574,7 +570,7 @@ def assign_segments(segments: list[RoofSegment], buildings: list[BuildingAttribu
     ordered = sorted(buildings, key=lambda b: b.id)
     boxes = [b.footprint.bounds() for b in ordered]
     for seg in segments:
-        centers = segment_cell_centers(seg, grid)
+        centers = cell_centers(grid, seg.cells)
         cx, cy = float(centers[:, 0].mean()), float(centers[:, 1].mean())
         for b, (x_min, y_min, x_max, y_max) in zip(ordered, boxes):
             if x_min <= cx <= x_max and y_min <= cy <= y_max and b.footprint.contains(cx, cy):
@@ -595,18 +591,10 @@ def decide_potential(building: BuildingAttributes, segments: list[RoofSegment],
     reasons = set()
     if building.age_years > th.age_max_yr:
         reasons.add("age")
-    qualifying = [s for s in segments
-                  if s.slope_deg < th.slope_max_deg and s.area_m2 > th.area_min_m2]
+    qualifying = [s for s in segments if th.qualifies(s)]
     greenable = sum(s.area_m2 for s in qualifying)
     if not qualifying:
-        if segments:
-            for s in segments:
-                if s.slope_deg >= th.slope_max_deg:
-                    reasons.add("slope")
-                if s.area_m2 <= th.area_min_m2:
-                    reasons.add("area")
-        else:
-            reasons.add("area")
+        reasons |= set().union(*map(th.shortfalls, segments)) if segments else {"area"}
     return PotentialDecision(building.id, len(reasons) == 0, frozenset(reasons), greenable)
 
 
@@ -691,7 +679,7 @@ def extract_all(pc: PointCloud, buildings: list[BuildingAttributes],
     normals = local_normals(dsm)
     segments: list[RoofSegment] = []
     for comp in component_positions(dsm):
-        segments.extend(grow_segments(comp, dsm, p.normal_tol_deg, p.residual_tol_m, normals))
+        segments.extend(grow_segments(comp, dsm, normals, p.normal_tol_deg, p.residual_tol_m))
     assign_segments(segments, buildings, dsm)
     segments = [s for s in segments if s.building_id is not None]
     for i, seg in enumerate(segments, start=1):

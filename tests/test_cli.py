@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from greenprior import cli
 from greenprior.geocore import RasterGrid
-from greenprior.ingest import f6, read_raster_asc, write_raster_asc, write_table
+from greenprior.ingest import f6, read_footprints, read_raster_asc, write_raster_asc, write_table
 from greenprior.roofs import RoofSegment
 from greenprior.priority import WEIGHT_SCHEMES, compute_weights
 from greenprior.synth import GROUND_TRUTH_COLUMNS, SyntheticCitySpec, generate_city
@@ -383,6 +383,29 @@ def test_degenerate_gap_fill_exit_three(small_city, tmp_path, capsys, valid, mes
     assert "Traceback" not in err
 
 
+def test_infinite_temperature_cell_is_filled_as_nan_is(small_city, tmp_path):
+    # every non-finite cell of a temperature raster is a gap to krige: inf
+    # under a scored building's centroid gives the indicators of NaN there
+    scored = _read_rows(small_city / "out" / "indicators.csv")[0]["id"]
+    footprint = next(b.footprint for b in read_footprints(small_city / "footprints.geojson")
+                     if b.id == scored)
+    grid = read_raster_asc(small_city / "temp_spring.asc")
+    row, col = grid.world_to_cell(*footprint.centroid())
+    tables = []
+    for name, gap in (("nan", np.nan), ("inf", np.inf)):
+        city = tmp_path / name
+        shutil.copytree(small_city, city)
+        values = grid.values.copy()
+        values[row, col] = gap
+        write_raster_asc(RasterGrid(grid.origin_x, grid.origin_y, grid.cell, values),
+                         city / "temp_spring.asc")
+        code = cli.main(["indicators", "--config", str(city / "config.txt"),
+                         "--out", str(city / "out")])
+        assert code == 0
+        tables.append((city / "out" / "indicators.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("stations, message", [
     (1, "kriging needs at least 2 distinct sample locations, got 1"),
     (2, "2 distinct sample locations: need at least 3 semivariogram bins to fit"),
@@ -615,6 +638,21 @@ def test_non_finite_point_coordinate_exit_one(small_city, tmp_path, capsys, colu
     assert code == 1
     err = capsys.readouterr().err
     assert f"{tmp_path / 'points.csv'}: line 4: coordinates must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["256", "-255"])
+def test_class_code_past_uint8_exit_one(small_city, tmp_path, capsys, token):
+    # as uint8, 256 and -255 would wrap to ground and building
+    lines = (small_city / "points.csv").read_text().splitlines(keepends=True)[:5]
+    lines[3] = ",".join(lines[3].split(",")[:3] + [token]) + "\n"
+    (tmp_path / "points.csv").write_text("".join(lines))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"points = points.csv\nfootprints = {small_city / 'footprints.geojson'}\n")
+    code = cli.main(["extract", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'points.csv'}: line 4: unknown class code {token}" in err
     assert "Traceback" not in err
 
 

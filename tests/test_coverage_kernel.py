@@ -22,7 +22,6 @@ from greenprior import benefits, cli, indicators, ingest
 from greenprior.benefits import greenspace_exposure
 from greenprior.geocore import RasterGrid
 from greenprior.indicators import _disk_runs, greenspace_coverage
-from greenprior.roofs import RoofSegment
 
 # ---------------------------------------------------------------------------
 # scalar oracles
@@ -403,18 +402,19 @@ def test_building_coverage_is_mean_of_scalar_oracle():
     rng = np.random.default_rng(11)
     mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((60, 60)) < 0.4).astype(float))
     roof_grid = RasterGrid(0.5, -0.5, 1.0, np.zeros((300, 300)))
-    buildings = [[RoofSegment(rng.integers(0, 300, (k, 2)),
-                              (0.0, 0.0, 1.0), 0.0, float(k)) for k in ks]
+    # each building's cells, its segments' one after another
+    buildings = [np.concatenate([rng.integers(0, 300, (k, 2)) for k in ks])
                  for ks in ((5, 1, 30), (1,), (17, 4))]
     got = indicators.building_coverage_rate(buildings, mask, roof_grid, radius=120.0)
     want = [float(np.mean([_coverage_oracle(mask, *roof_grid.cell_center(r, c), 120.0)
-                           for seg in segs for r, c in seg.cells.tolist()]))
-            for segs in buildings]
+                           for r, c in cells.tolist()]))
+            for cells in buildings]
     assert _bits(got) == _bits(want)
     assert all(type(rate) is float for rate in got)
     assert indicators.building_coverage_rate([], mask, roof_grid) == []
     with pytest.raises(ValueError, match="building has no segments to evaluate"):
-        indicators.building_coverage_rate([buildings[0], []], mask, roof_grid)
+        indicators.building_coverage_rate([buildings[0], np.empty((0, 2), dtype=np.int64)],
+                                          mask, roof_grid)
 
 
 def test_coverage_work_is_one_call_per_mask(small_city, tmp_path, monkeypatch):

@@ -26,8 +26,7 @@ from greenprior.benefits import population_grid_from_points
 from greenprior.geocore import BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, snapped_grid
 from greenprior.indicators import build_greenspace_mask, greened_mask
 from greenprior.interp import VARIOGRAM_KINDS, VariogramModel
-from greenprior.roofs import (RoofSegment, _PlaneFit, _plane_cofactors, candidate_roof_points,
-                              segment_cell_centers)
+from greenprior.roofs import _PlaneFit, _plane_cofactors, _summed_fit, candidate_roof_points
 
 CELLS = (0.1, 1.0, 5.0, 50.0, 100.0)
 
@@ -68,8 +67,8 @@ def _old_build_greenspace_mask(pc, potential_roofs, cell, roof_grid):
         rows = np.floor((veg[:, 1] - origin_y) / cell).astype(int)
         inside = (rows >= 0) & (rows < nrows) & (cols >= 0) & (cols < ncols)
         values[rows[inside], cols[inside]] = 1.0
-    for seg in potential_roofs or []:
-        centers = segment_cell_centers(seg, roof_grid)
+    for cells in potential_roofs or []:
+        centers = np.array([roof_grid.cell_center(r, c) for r, c in cells.tolist()]).reshape(-1, 2)
         cols = np.floor((centers[:, 0] - origin_x) / cell).astype(int)
         rows = np.floor((centers[:, 1] - origin_y) / cell).astype(int)
         inside = (rows >= 0) & (rows < nrows) & (cols >= 0) & (cols < ncols)
@@ -204,7 +203,7 @@ def test_greenspace_mask_matches_inline_builder(cp, data):
                                   min_size=len(xyz), max_size=len(xyz))))
     pc = _cloud(xyz, classes)
     roof_grid = RasterGrid(-3000.0, -3000.0, 1.0, np.zeros((1, 1)))
-    segs = []
+    roofs = []
     if data is not None:
         roof_grid = RasterGrid(data.draw(st.sampled_from([-3000.0, -0.5, 0.0, 7.3])),
                                data.draw(st.sampled_from([-3000.0, -0.5, 0.0, 7.3])),
@@ -212,12 +211,11 @@ def test_greenspace_mask_matches_inline_builder(cp, data):
         index = st.integers(-10, 1000)
         for _ in range(data.draw(st.integers(0, 3))):
             cells = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
-            segs.append(RoofSegment(np.array(cells, dtype=np.int64), (0.0, 0.0, 0.0), 0.0,
-                                    float(len(cells))))
+            roofs.append(np.array(cells, dtype=np.int64))
     base = build_greenspace_mask(pc, cell=cell)
     _assert_same_grid(base, _old_build_greenspace_mask(pc, None, cell, roof_grid))
-    _assert_same_grid(greened_mask(base, segs, roof_grid),
-                      _old_build_greenspace_mask(pc, segs, cell, roof_grid))
+    _assert_same_grid(greened_mask(base, roofs, roof_grid),
+                      _old_build_greenspace_mask(pc, roofs, cell, roof_grid))
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,7 +337,8 @@ def test_plane_fallback_with_collinear_cells(fallback, direction, steps, zs):
     rows = [(k * direction[0] * 1.0, k * direction[1] * 1.0, zs.draw(Z)) for k in steps]
     new, old = _fits(fallback, rows)
     _assert_same_plane(new, old)
-    new.rebuild(rows[1:])
+    # an eviction refits the remaining rows by _summed_fit
+    new = _summed_fit(fallback, *np.array(rows[1:]).T)
     old = _fits(fallback, rows[1:])[1]
     _assert_same_plane(new, old)
 

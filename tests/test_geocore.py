@@ -7,13 +7,16 @@ from greenprior.geocore import (
     BUILDING,
     GROUND,
     GeometryError,
+    GridGeometry,
     PointCloud,
     Polygon,
     Polyline,
     RasterGrid,
+    cell_centers,
     distance_to_polylines,
     point_segment_distance,
     points_in_polygon,
+    snapped_geometry,
 )
 
 
@@ -43,6 +46,20 @@ def test_point_cloud_rejects_bad_shapes():
         PointCloud(np.array([[0.0, 0.0, np.nan]]), np.array([0], dtype=np.uint8))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((1, 3)), np.array([9], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("codes", [[256, -255], [256], [-255], np.array([256, 1]),
+                                   np.array([1.0, 0.5])])
+def test_point_cloud_checks_codes_before_the_cast(codes):
+    # as uint8, 256 and -255 would wrap to ground and building
+    with pytest.raises(ValueError, match="unknown classification code"):
+        PointCloud(np.zeros((len(codes), 3)), codes)
+
+
+def test_point_cloud_holds_codes_as_uint8():
+    pc = PointCloud(np.zeros((3, 3)), [BUILDING, GROUND, 3])
+    assert pc.cls.dtype == np.uint8 and pc.cls.tolist() == [BUILDING, GROUND, 3]
+    assert PointCloud(np.zeros((0, 3)), []).cls.dtype == np.uint8
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +105,44 @@ def test_cell_center_roundtrip():
         for col in range(6):
             cx, cy = grid.cell_center(row, col)
             assert grid.world_to_cell(cx, cy) == (row, col)
+
+
+def test_cell_centers_match_cell_center_bits():
+    rng = np.random.default_rng(21)
+    grid = RasterGrid(0.1, -1234.3, 0.3, np.zeros((400, 400)))
+    cells = rng.integers(0, 400, (50, 2))
+    got = cell_centers(grid, cells)
+    want = np.array([grid.cell_center(r, c) for r, c in cells.tolist()])
+    assert got.shape == (50, 2)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert cell_centers(grid, np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
+    assert cell_centers(grid, np.array([[3, 7]])).shape == (1, 2)
+
+
+def _old_snapped_geometry(xy, cell):
+    """snapped_geometry with its earlier reduction over both columns at once."""
+    lo, hi = xy[:, :2].min(axis=0), xy[:, :2].max(axis=0)
+    origin = [math.floor(v / cell) * cell for v in lo]
+    origin = [o - cell if o > v else o for o, v in zip(origin, lo)]
+    ncols, nrows = (int(math.floor((h - o) / cell)) + 1 for h, o in zip(hi, origin))
+    return GridGeometry(origin[0], origin[1], cell, nrows, ncols)
+
+
+def _fields(g):
+    """A GridGeometry's fields as (type, repr) pairs: bits and types alike."""
+    return [(type(v), repr(v)) for v in vars(g).values()]
+
+
+@pytest.mark.parametrize("cell", [0.1, 1.0, 5.0])
+def test_snapped_geometry_matches_both_column_reduction(cell):
+    rng = np.random.default_rng(29)
+    for n, scale in ((1, 1.0), (7, 50.0), (5000, 1200.0), (3000, 5e6)):
+        xyz = rng.uniform(-scale, scale, (n, 3))
+        xyz[rng.random(n) < 0.1, :2] = -0.0
+        want = _fields(_old_snapped_geometry(xyz, cell))
+        for perm in (np.arange(n), rng.permutation(n), rng.permutation(n)):
+            assert _fields(snapped_geometry(xyz[perm], cell)) == want
+            assert _fields(snapped_geometry(xyz[perm, :2], cell)) == want
 
 
 def test_raster_grid_validation():

@@ -28,7 +28,9 @@ seed's gradient. Three oracles check this:
   builds them, the guard stops a fit exactly where numpy finds rank below 3.
 
 The eviction sweep calls ``_PlaneFit.holds`` on arrays of members; it is
-checked against ``holds`` called row by row.
+checked against ``holds`` called row by row. After each sweep that evicts,
+``roofs._summed_fit`` builds the fit of the remaining members, as it builds
+each segment's final fit.
 """
 import filecmp
 import math
@@ -241,10 +243,11 @@ def _segments(grow, dsm, normal_tol_deg=10.0, residual_tol_m=0.2, **kwargs):
     # the oracle indexes full grids and takes (row, col) cells; grow_segments
     # takes the per-cell normals and the components' positions
     if grow is grow_segments:
-        normals, components = local_normals(dsm), component_positions(dsm)
-    else:
-        normals, components = scatter_normals(dsm), label_components(dsm)
-    return [s for comp in components
+        normals = local_normals(dsm)
+        return [s for comp in component_positions(dsm)
+                for s in grow(comp, dsm, normals, normal_tol_deg, residual_tol_m)]
+    normals = scatter_normals(dsm)
+    return [s for comp in label_components(dsm)
             for s in grow(comp, dsm, normal_tol_deg, residual_tol_m, normals, **kwargs)]
 
 
@@ -281,17 +284,26 @@ def _oracle_segments(dsm, normal_tol_deg=10.0, residual_tol_m=0.2):
 
 @contextmanager
 def _holds_checked_against_exact_plane():
-    """Patch _PlaneFit so that every holds verdict, on one cell or on an
-    array of them, is checked against the exact residual of its plane, the
-    exact plane (exact_plane) of the rows added so far. Yields counts of
-    the checked verdicts and of the close calls left unchecked.
+    """Patch _PlaneFit, and _summed_fit, which builds a fit from whole
+    arrays of rows, so that every holds verdict, on one cell or on an array
+    of them, is checked against the exact residual of its plane, the exact
+    plane (exact_plane) of the fit's rows: those added one by one to a new
+    fit, or those it was built from. Yields counts of the checked verdicts
+    and of the close calls left unchecked.
     """
     counts = {"checked": 0, "close": 0}
-    rebuild, add, refit, holds = _PlaneFit.rebuild, _PlaneFit.add, _PlaneFit.refit, _PlaneFit.holds
+    init, add, refit, holds = _PlaneFit.__init__, _PlaneFit.add, _PlaneFit.refit, _PlaneFit.holds
+    summed_fit = roofs._summed_fit
 
-    def exact_rebuild(self, rows):
+    def exact_init(self, fallback_ab):
+        init(self, fallback_ab)
         self.exact = [Fraction(0)] * 9
-        rebuild(self, rows)
+
+    def exact_summed_fit(fallback_ab, dx, dy, z):
+        fit = summed_fit(fallback_ab, dx, dy, z)
+        for row in zip(dx.tolist(), dy.tolist(), z.tolist()):
+            fit.exact = [s + t for s, t in zip(fit.exact, exact_terms(*row))]
+        return fit
 
     def exact_add(self, dx, dy, z):
         add(self, dx, dy, z)
@@ -314,7 +326,8 @@ def _holds_checked_against_exact_plane():
                 counts["close"] += 1
         return verdict
 
-    with mock.patch.object(_PlaneFit, "rebuild", exact_rebuild), \
+    with mock.patch.object(_PlaneFit, "__init__", exact_init), \
+            mock.patch.object(roofs, "_summed_fit", exact_summed_fit), \
             mock.patch.object(_PlaneFit, "add", exact_add), \
             mock.patch.object(_PlaneFit, "refit", exact_refit), \
             mock.patch.object(_PlaneFit, "holds", checked_holds):
@@ -463,19 +476,21 @@ def test_growth_decisions_match_exact_plane(dsm, normal_tol_deg, residual_tol_m)
 
 
 def test_evicting_roof_evicts(monkeypatch):
-    rebuilt = []
-    rebuild = _PlaneFit.rebuild
+    built = []
+    summed_fit = roofs._summed_fit
 
-    def counted(self, rows):
-        rows = list(rows)
-        rebuilt.append(len(rows))
-        rebuild(self, rows)
+    def counted(fallback_ab, dx, dy, z):
+        built.append(dx.size)
+        return summed_fit(fallback_ab, dx, dy, z)
 
-    monkeypatch.setattr(_PlaneFit, "rebuild", counted)
+    monkeypatch.setattr(roofs, "_summed_fit", counted)
     expected, clear = _oracle_segments(_EVICTING)
     assert clear
-    _assert_same_segments(_segments(grow_segments, _EVICTING), expected, _EVICTING)
-    assert any(rebuilt)  # a rebuild over remaining members is an eviction round
+    got = _segments(grow_segments, _EVICTING)
+    _assert_same_segments(got, expected, _EVICTING)
+    # one summed fit per segment is its final fit; each one more is the
+    # refit over the remaining members of an eviction round
+    assert len(built) > len(got)
 
 
 def test_numpy_path_alone_gives_the_same_segments(small_city, tmp_path, monkeypatch):
@@ -483,7 +498,7 @@ def test_numpy_path_alone_gives_the_same_segments(small_city, tmp_path, monkeypa
     # city: none of its decisions is a close call, so every file must match
     closest, grids = {}, []
 
-    def oracle(component, dsm, normal_tol_deg, residual_tol_m, normals):
+    def oracle(component, dsm, normals, normal_tol_deg, residual_tol_m):
         if not grids:  # extract grows every component on one surface model
             grids.append((densify(dsm), scatter_normals(dsm)))
         dense, normal_grids = grids[0]
@@ -599,7 +614,8 @@ def test_residual_decision_matches_exact_plane(rows_probe, residual_tol_m):
 def test_rank_guard_stops_where_numpy_finds_rank_below_3(rows_probe):
     # a NaN fallback gradient marks the fits the guard stops
     fit = _PlaneFit((math.nan, math.nan))
-    fit.rebuild(rows_probe[0])
+    for row in rows_probe[0]:
+        fit.add(*row)
     S = np.array([[fit.sxx, fit.sxy, fit.sx], [fit.sxy, fit.syy, fit.sy],
                   [fit.sx, fit.sy, float(fit.n)]])
     stopped = math.isnan(fit.plane()[0])

@@ -1,11 +1,16 @@
-"""No stage loads scipy.
+"""No stage loads scipy, and the stages after extract do not import roofs.
 
 Importing the CLI, and running ``synth``, ``extract``, ``indicators``,
 ``prioritize``, ``benefits`` or ``report``, must leave scipy unloaded, so
 that each of those processes starts in the time numpy takes and holds no
 scipy module in memory. scipy serves only the tests' oracles. Each stage
 runs in a fresh interpreter on a tiny city.
+
+The modules of the stages after extract take roof cells as arrays from
+the extract tables; none imports anything from ``greenprior.roofs``, which
+an AST scan of their sources checks.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -59,3 +64,27 @@ def test_probe_sees_scipy_it_imported():
     # the probe sees modules that are loaded: without this the checks above
     # could pass on a probe that never sees any
     assert _run(before="import scipy.spatial\n")
+
+
+def _imported_modules(module):
+    """The absolute names of the modules and of the module attributes that
+    the source of greenprior.module imports, at any depth of its tree: an
+    import from greenprior.roofs, or of it, yields a name in that module."""
+    path = os.path.join(SRC, "greenprior", module + ".py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("greenprior" if node.level else "", node.module)))
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["indicators", "interp", "priority", "benefits"])
+def test_stage_module_imports_nothing_from_roofs(module):
+    names = _imported_modules(module)
+    assert "greenprior.geocore.ComputationError" in names  # the scan sees the package
+    assert not [name for name in names if name.startswith("greenprior.roofs")]

@@ -22,7 +22,6 @@ from greenprior.indicators import (
     sample_surface_at_building,
 )
 from greenprior.ingest import BuildingAttributes
-from greenprior.roofs import RoofSegment
 
 
 def pc_of(rows):
@@ -34,8 +33,9 @@ def square(x0, y0, side):
     return Polygon([[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side], [x0, y0]])
 
 
-def flat_segment(cells):
-    return RoofSegment(np.array(cells, dtype=np.int64), (0.0, 0.0, 10.0), 0.0, float(len(cells)))
+def roof_cells(cells):
+    """(row, col) cells as the (m, 2) int64 array the indicators take."""
+    return np.array(cells, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +58,9 @@ def test_mask_single_vegetation_pixel():
 def test_mask_greened_adds_roof_pixels():
     pc = pc_of([[0, 0, 0, GROUND], [30, 30, 0, GROUND]])
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((12, 12)))
-    seg = flat_segment([(r, c) for r in range(10) for c in range(10)])  # 100 m2
+    roof = roof_cells([(r, c) for r in range(10) for c in range(10)])  # 100 m2
     baseline = build_greenspace_mask(pc)
-    greened = greened_mask(baseline, [seg], roof_grid)
+    greened = greened_mask(baseline, [roof], roof_grid)
     assert baseline.values.sum() == 0.0
     assert greened.values.sum() == 4.0  # 100 m2 at 25 m2 per pixel
     assert set(np.unique(greened.values)) <= {0.0, 1.0}
@@ -69,11 +69,11 @@ def test_mask_greened_adds_roof_pixels():
 def test_greened_mask_marks_a_copy_of_the_base():
     pc = pc_of([[0, 0, 0, GROUND], [30, 30, 0, GROUND], [12, 7, 3, VEGETATION]])
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((32, 32)))
-    segs = [flat_segment([(r, c) for r in range(10) for c in range(10)]),
-            flat_segment([(31, 31), (7, 12)])]
+    roofs = [roof_cells([(r, c) for r in range(10) for c in range(10)]),
+             roof_cells([(31, 31), (7, 12)])]
     base = build_greenspace_mask(pc)
     before = base.values.copy()
-    greened = greened_mask(base, segs, roof_grid)
+    greened = greened_mask(base, roofs, roof_grid)
     assert np.array_equal(base.values, before)
     # the 10 m square fills 2 x 2 pixels of 5 m; of the two single cells, one
     # lands on the vegetation pixel
@@ -138,9 +138,9 @@ def test_gc_greened_dominates_baseline():
     pts += [[x, y, 2, VEGETATION] for x, y in rng.uniform(0, 400, (40, 2))]
     pc = pc_of(pts)
     roof_grid = RasterGrid(100.0, 100.0, 1.0, np.zeros((20, 20)))
-    seg = flat_segment([(r, c) for r in range(12) for c in range(12)])
+    roof = roof_cells([(r, c) for r in range(12) for c in range(12)])
     baseline = build_greenspace_mask(pc)
-    greened = greened_mask(baseline, [seg], roof_grid)
+    greened = greened_mask(baseline, [roof], roof_grid)
     for _ in range(50):
         x, y = rng.uniform(0, 400, 2)
         assert greenspace_coverage(greened, x, y) >= greenspace_coverage(baseline, x, y)
@@ -155,8 +155,8 @@ def test_roof_coverage_is_mean_over_cells():
     vals[:, :10] = 1.0
     mask = RasterGrid(0.0, 0.0, 5.0, vals)
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
-    seg = RoofSegment(np.array([[100, 40], [100, 160]]), (0.0, 0.0, 5.0), 0.0, 2.0)
-    [got] = building_coverage_rate([[seg]], mask, roof_grid, radius=100.0)
+    [got] = building_coverage_rate([roof_cells([(100, 40), (100, 160)])], mask, roof_grid,
+                                   radius=100.0)
     g1 = greenspace_coverage(mask, 40.5, 100.5, radius=100.0)
     g2 = greenspace_coverage(mask, 160.5, 100.5, radius=100.0)
     assert g1 != g2  # the two cells genuinely see different surroundings
@@ -167,22 +167,22 @@ def test_single_cell_roof_equals_point_coverage():
     rng = np.random.default_rng(9)
     mask = RasterGrid(0.0, 0.0, 5.0, (rng.random((60, 60)) < 0.4).astype(float))
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((300, 300)))
-    seg = flat_segment([(123, 77)])
-    [got] = building_coverage_rate([[seg]], mask, roof_grid, radius=200.0)
+    [got] = building_coverage_rate([roof_cells([(123, 77)])], mask, roof_grid, radius=200.0)
     assert got == pytest.approx(greenspace_coverage(mask, 77.5, 123.5, 200.0))
 
 
 def test_building_coverage_pools_all_segments():
     mask = RasterGrid(0.0, 0.0, 5.0, np.ones((40, 40)))
     roof_grid = RasterGrid(0.0, 0.0, 1.0, np.zeros((200, 200)))
-    segs = [flat_segment([(10, 10)]), flat_segment([(10, 11), (11, 10)])]
-    [pooled] = building_coverage_rate([segs], mask, roof_grid, radius=50.0)
+    # a building's cells come as its segments' cells, one after another
+    segs = [roof_cells([(10, 10)]), roof_cells([(10, 11), (11, 10)])]
+    [pooled] = building_coverage_rate([np.concatenate(segs)], mask, roof_grid, radius=50.0)
     singles = [greenspace_coverage(mask, 10.5, 10.5, 50.0),
                greenspace_coverage(mask, 11.5, 10.5, 50.0),
                greenspace_coverage(mask, 10.5, 11.5, 50.0)]
     assert pooled == pytest.approx(np.mean(singles))
     with pytest.raises(ValueError):
-        building_coverage_rate([[]], mask, roof_grid)
+        building_coverage_rate([roof_cells([])], mask, roof_grid)
 
 
 # ---------------------------------------------------------------------------

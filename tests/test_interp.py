@@ -15,8 +15,8 @@ from greenprior.interp import (
 )
 
 
-def samples_of(rows, units=""):
-    return SampleSet.from_points(np.asarray(rows, dtype=float), units)
+def samples_of(rows):
+    return SampleSet.from_points(np.asarray(rows, dtype=float))
 
 
 # ---------------------------------------------------------------------------

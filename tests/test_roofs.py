@@ -31,6 +31,7 @@ from greenprior.roofs import (
     filter_wall_edges,
     grow_segments,
     label_components,
+    local_normals,
 )
 from greenprior.synth import SyntheticCitySpec, generate_city
 
@@ -263,7 +264,7 @@ def test_component_kernel_peak_memory_follows_the_cells():
 
 def test_grow_flat_component():
     dsm = grid_from(np.full((6, 6), 10.0))
-    segs = grow_segments(dense_component(dsm), dsm)
+    segs = grow_segments(dense_component(dsm), dsm, local_normals(dsm))
     assert len(segs) == 1
     assert segs[0].slope_deg == pytest.approx(0.0, abs=1e-9)
     assert segs[0].area_m2 == 36.0
@@ -277,7 +278,7 @@ def test_grow_gabled_roof_two_faces():
     z = 30.0 - pitch * np.abs(cols - ridge_x)
     vals = np.tile(z, (12, 1))
     dsm = grid_from(vals)
-    segs = grow_segments(dense_component(dsm), dsm)
+    segs = grow_segments(dense_component(dsm), dsm, local_normals(dsm))
     assert len(segs) == 2
     for s in segs:
         assert s.slope_deg == pytest.approx(20.0, abs=1.0)
@@ -290,7 +291,7 @@ def test_grow_staircase_levels_split():
     vals = np.full((5, 10), 10.0)
     vals[:, 5:] = 14.0
     dsm = grid_from(vals)
-    segs = grow_segments(dense_component(dsm), dsm)
+    segs = grow_segments(dense_component(dsm), dsm, local_normals(dsm))
     assert len(segs) == 2
     areas = sorted(s.area_m2 for s in segs)
     assert areas == [25.0, 25.0]
@@ -305,7 +306,7 @@ def test_grow_covers_component_disjointly():
     vals += rng.normal(0, 0.01, vals.shape)
     dsm = grid_from(vals)
     comp = dense_component(dsm)
-    segs = grow_segments(comp, dsm)
+    segs = grow_segments(comp, dsm, local_normals(dsm))
     covered = [tuple(rc) for s in segs for rc in s.cells.tolist()]
     assert len(covered) == len(set(covered)) == len(comp)
     assert set(covered) == set(zip(*(v.tolist() for v in np.nonzero(np.isfinite(vals)))))
@@ -313,7 +314,7 @@ def test_grow_covers_component_disjointly():
 
 def test_grow_empty_component():
     dsm = grid_from(np.full((2, 2), np.nan))
-    assert grow_segments(np.zeros(0, dtype=np.int64), dsm) == []
+    assert grow_segments(np.zeros(0, dtype=np.int64), dsm, local_normals(dsm)) == []
 
 
 @pytest.mark.parametrize("theta", [0.0, 5.0, 14.0, 15.0, 30.0])
@@ -321,20 +322,21 @@ def test_slope_recovery_known_pitch(theta):
     slope = math.tan(math.radians(theta))
     xs, ys = np.meshgrid(np.arange(15) + 0.5, np.arange(15) + 0.5)
     dsm = grid_from(20.0 + slope * xs)
-    segs = grow_segments(dense_component(dsm), dsm)
+    segs = grow_segments(dense_component(dsm), dsm, local_normals(dsm))
     assert len(segs) == 1
     assert segs[0].slope_deg == pytest.approx(theta, abs=0.5)
 
 
 def test_segment_slope_area_arithmetic():
     dsm = grid_from(np.full((5, 5), 10.0))
-    seg = grow_segments(dense_component(dsm), dsm)[0]
+    seg = grow_segments(dense_component(dsm), dsm, local_normals(dsm))[0]
     assert (seg.slope_deg, seg.area_m2) == (pytest.approx(0.0, abs=1e-9), 25.0)
     half = RasterGrid(0.0, 0.0, 0.5, np.full((5, 5), 10.0))
-    assert grow_segments(dense_component(half), half)[0].area_m2 == 6.25  # 25 cells at 0.5 m
+    # 25 cells at 0.5 m
+    assert grow_segments(dense_component(half), half, local_normals(half))[0].area_m2 == 6.25
 
     pitched = grid_from(np.tile(0.2677 * (np.arange(12) + 0.5), (12, 1)))
-    seg_p = grow_segments(dense_component(pitched), pitched)[0]
+    seg_p = grow_segments(dense_component(pitched), pitched, local_normals(pitched))[0]
     assert seg_p.slope_deg == pytest.approx(15.0, abs=0.1)
 
 
@@ -360,18 +362,6 @@ def test_assign_segments_by_centroid():
     assign_segments([seg_in, seg_out], [b1, b2], dsm)
     assert seg_in.building_id == "b1"
     assert seg_out.building_id is None
-
-
-def test_segment_cell_centers_match_cell_center_bits():
-    rng = np.random.default_rng(21)
-    grid = RasterGrid(0.1, -1234.3, 0.3, np.zeros((400, 400)))
-    cells = [(int(r), int(c)) for r, c in rng.integers(0, 400, (50, 2))]
-    got = roofs.segment_cell_centers(make_segment(cells), grid)
-    want = np.array([grid.cell_center(r, c) for r, c in cells])
-    assert got.shape == (50, 2)
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert roofs.segment_cell_centers(make_segment([]), grid).shape == (0, 2)
-    assert roofs.segment_cell_centers(make_segment([(3, 7)]), grid).shape == (1, 2)
 
 
 def test_decide_potential_cases():
