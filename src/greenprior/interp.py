@@ -9,7 +9,7 @@ Every rule that reaches an output is stated here and computed with numpy
 and Python floats, without scipy: the neighbours of a query are the k
 nearest samples ordered by (distance, sample index) (SampleSet.nearest),
 station pairs are taken in pdist order (_kept_pairs), and the variogram
-is fitted by variable projection with golden-section search over the
+is fitted by variable projection with golden-section searches over the
 range (fit_variogram).
 """
 from __future__ import annotations
@@ -37,10 +37,14 @@ PAIR_BLOCK = 1 << 15
 # of stacked arrays with 16 neighbors.
 KRIGING_CHUNK_QUERIES = 1 << 10
 
-# The range search of fit_variogram stops when its bracket is narrower than
-# this share of the range: within about sqrt(eps) of a minimum the
+# The range searches of fit_variogram stop when their bracket is narrower
+# than this share of the range: within about sqrt(eps) of a minimum the
 # profiled SSE is flat to rounding, so a narrower bracket follows noise.
 RANGE_TOL = 2.0 ** -26
+
+# Two SSEs of fit_variogram closer than this share of the larger are equal:
+# the difference is the rounding of the subfit.
+SSE_TOL = 2.0 ** -40
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden section, 0.618...
 
@@ -346,7 +350,12 @@ def _shape_at(kind, t):
 def _linear_subfit(gammas, weights, shape):
     """(weighted SSE, nugget, partial) of the least-squares fit of
     nugget + partial * shape to the gammas with nugget >= 0 and
-    partial >= 1e-12, in closed form and in Python floats."""
+    partial >= 1e-12, in closed form and in Python floats.
+
+    The free fit regresses on the shape and gammas centred on their weighted
+    means: where the shape is near 1 at every lag, the uncentred normal
+    equations lose most of their digits to cancellation, and the range
+    search then follows rounding noise instead of the SSE."""
     def sse(nugget, partial):
         return math.fsum([w * (nugget + partial * f - g) ** 2
                           for w, f, g in zip(weights, shape, gammas)])
@@ -356,10 +365,14 @@ def _linear_subfit(gammas, weights, shape):
     sff = math.fsum([w * f * f for w, f in zip(weights, shape)])
     s1g = math.fsum([w * g for w, g in zip(weights, gammas)])
     sfg = math.fsum([w * f * g for w, f, g in zip(weights, shape, gammas)])
-    det = s11 * sff - s1f * s1f
-    if abs(det) >= 1e-12:
-        nugget = (sff * s1g - s1f * sfg) / det
-        partial = (s11 * sfg - s1f * s1g) / det
+    f_mean, g_mean = s1f / s11, s1g / s11
+    cff = math.fsum([w * (f - f_mean) ** 2 for w, f in zip(weights, shape)])
+    cfg = math.fsum([w * (f - f_mean) * (g - g_mean)
+                     for w, f, g in zip(weights, shape, gammas)])
+    # s11 * cff is the determinant s11 * sff - s1f**2 without its cancellation
+    if s11 * cff >= 1e-12:
+        partial = cfg / cff
+        nugget = g_mean - partial * f_mean
         if nugget >= 0 and partial >= 1e-12:
             return sse(nugget, partial), nugget, partial
     # the constrained least squares lie on an edge: no nugget, or the
@@ -374,14 +387,16 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
 
     Count-weighted least squares by variable projection (Golub and Pereyra
     1973): at each range, _linear_subfit gives the nugget and partial sill
-    in closed form, so only the range is searched. A scan of 24 ranges,
-    evenly spaced in log from 0.25 to 2 times the extreme lags, picks the
-    best; golden-section search (Kiefer 1953) then refines it between its
-    scan neighbours, clipped to [0.01 * min lag, 2 * max lag], until the
-    bracket is narrower than RANGE_TOL of the range. The fit is the best
-    range evaluated. Python floats and math.fsum throughout, so the fit is
-    the same on every IEEE machine. All-zero curves come back flagged
-    degenerate.
+    in closed form, so only the range is searched, within
+    [0.01 * min lag, 2 * max lag]. A scan of 24 ranges, evenly spaced in log
+    from 0.25 to 2 times the extreme lags, is extended by one step below
+    and, for the spherical model, by the lags. Golden-section search
+    (Kiefer 1953) then narrows the bracket between a scan point and each
+    neighbour until it is narrower than RANGE_TOL of the range, from every
+    local minimum of the scan that is not inside a plateau, from the best
+    point and from the best of the 24. The fit is the best range evaluated.
+    Python floats and math.fsum throughout, so the fit is the same on every
+    IEEE machine. All-zero curves come back flagged degenerate.
     """
     if kind not in VARIOGRAM_KINDS:
         raise ValueError(f"unknown variogram kind {kind!r}")
@@ -397,23 +412,47 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
     def fit_at(r):
         return (*_linear_subfit(gammas, weights, [_shape_at(kind, h / r) for h in lags]), r)
 
-    lo, hi = 0.25 * min_lag, 2.0 * max_lag
-    step = (hi / lo) ** (1.0 / 23.0)
-    best = min([fit_at(lo * step ** i) for i in range(23)] + [fit_at(hi)],
-               key=lambda fit: fit[0])
+    def sse(fit):
+        return fit[0]
+
+    def below(p, q):
+        return p[0] < q[0] - SSE_TOL * q[0]
+
+    # Where the subfit sits on an edge, or fits the only bin below a
+    # spherical sill exactly, the SSE is flat in the range but for rounding,
+    # and the best range may lie in a dip beside that plateau. Where the two
+    # inner points of a search tie, the bracket keeps its lower end.
+    def golden(a, b):
+        c, d = fit_at(b[3] - _INVPHI * (b[3] - a[3])), fit_at(a[3] + _INVPHI * (b[3] - a[3]))
+        while b[3] - a[3] > RANGE_TOL * b[3]:
+            if below(c, d) or not below(d, c) and a[0] <= b[0]:
+                b, d = d, c
+                c = fit_at(b[3] - _INVPHI * (b[3] - a[3]))
+            else:
+                a, c = c, d
+                d = fit_at(a[3] + _INVPHI * (b[3] - a[3]))
+        return min((a, c, d, b), key=sse)
+
     # range capped at twice the largest lag: a larger value would make the
     # sill an extrapolation the data cannot support
-    a = max(0.01 * min_lag, best[3] / step)
-    b = min(hi, best[3] * step)
-    c, d = fit_at(b - _INVPHI * (b - a)), fit_at(a + _INVPHI * (b - a))
-    while b - a > RANGE_TOL * b:
-        if c[0] < d[0]:
-            b, d = d[3], c
-            c = fit_at(b - _INVPHI * (b - a))
-        else:
-            a, c = c[3], d
-            d = fit_at(a + _INVPHI * (b - a))
-    _, nugget, partial, range_m = min((best, c, d), key=lambda fit: fit[0])
+    lo, hi = 0.25 * min_lag, 2.0 * max_lag
+    step = (hi / lo) ** (1.0 / 23.0)
+    log_scan = [fit_at(lo * step ** i) for i in range(23)] + [fit_at(hi)]
+    extra = [max(0.01 * min_lag, lo / step)]
+    if kind == "spherical":
+        # past each lag one more bin rises to the sill, and the SSE can turn
+        extra += lags
+    scan = sorted(log_scan + [fit_at(r) for r in extra], key=lambda fit: fit[3])
+    starts = {scan.index(min(scan, key=sse)), scan.index(min(log_scan, key=sse))}
+    for i, p in enumerate(scan):
+        sides = scan[max(i - 1, 0):i] + scan[i + 1:i + 2]
+        if not any(below(q, p) for q in sides) and any(below(p, q) for q in sides):
+            starts.add(i)
+    fits = []
+    for i in sorted(starts):
+        fits += [golden(scan[i - 1], scan[i])] if i > 0 else []
+        fits += [golden(scan[i], scan[i + 1])] if i + 1 < len(scan) else []
+    _, nugget, partial, range_m = min(fits + scan, key=sse)
     # a large nugget absorbs the smallest partial sill: the sill must still
     # lie above it
     return VariogramModel(kind, nugget, max(nugget + partial, math.nextafter(nugget, math.inf)),

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenprior import interp
@@ -121,8 +121,44 @@ def curves(draw):
     return out
 
 
+# flat at its sill from the first lag: the uncentred normal equations of the
+# subfit lost the SSE to cancellation there
+FLAT_AT_SILL = [(0.25, 0.999954664072634, 1), (0.3125, 0.9999962799127161, 5),
+                (0.375, 0.9999996947443186, 1), (0.4375, 0.9999999749519235, 2),
+                (0.5, 0.9999999979446537, 1), (0.5625, 0.9999999998313464, 1),
+                (0.625, 0.999999999986161, 1), (0.75, 0.9999999999999069, 1),
+                (0.875, 0.9999999999999993, 1), (0.890625, 0.9999999999999997, 142),
+                (0.90625, 0.9999999999999998, 1), (0.9375, 1.0, 1), (0.96875, 1.0, 1),
+                (1.0, 1.0, 1)]
+# one bin below the sill for spherical ranges up to the second lag: a flat
+# SSE there, beside the dip of the best fit
+ONE_BIN_BELOW_SILL = [(0.08776703929616426, 0.25210973134314985, 1),
+                      (0.5, 0.47262499999999996, 2), (0.625, 0.475, 1), (0.75, 0.47025, 1),
+                      (0.875, 0.475, 52), (1.0, 0.47321874999999997, 197)]
+# the best spherical range a hair above a lag, beside a plateau where the
+# partial sill sits at its bound
+DIP_AT_LAG = [(0.5, 0.6875, 1), (0.625, 1.630859375, 50), (0.75, 0.9140625, 1),
+              (0.875, 0.9775390625, 1), (1.0, 0.0, 60)]
+# a narrow spherical dip just above the second lag, between the scan's best
+# and the plateau below it
+DIP_BELOW_SCAN = [(0.015625, 0.6026492202641168, 1), (0.04296875, 1.0, 1),
+                  *((h, 1.0, 1) for h in (0.25, 0.375, 0.5, 0.5625, 0.625, 0.6875,
+                                          0.75, 0.8125, 0.875)),
+                  (1.0, 1.01, 1)]
+# two spherical dips either side of a lag, the scan's best between them
+TWO_DIPS = [(0.010000000000000002, 0.950056218998905, 259),
+            (0.08708493522908516, 2.1263145221793796, 966), (0.125, 1.8877135642677592, 338),
+            (0.5, 2.099999999994793, 202), (0.75, 2.454375, 330),
+            (0.84375, 2.4675000000000002, 750)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(empirical=curves(), kind=st.sampled_from(interp.VARIOGRAM_KINDS))
+@example(empirical=FLAT_AT_SILL, kind="exponential")
+@example(empirical=ONE_BIN_BELOW_SILL, kind="spherical")
+@example(empirical=DIP_AT_LAG, kind="spherical")
+@example(empirical=DIP_BELOW_SCAN, kind="spherical")
+@example(empirical=TWO_DIPS, kind="spherical")
 def test_fit_is_no_worse_than_trf(empirical, kind):
     try:
         old = _trf_fit(empirical, kind)
