@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geocore import ComputationError, RasterGrid, check_tunables, snapped_grid, tunable
+from .geocore import ComputationError, RasterGrid, cells_of, check_tunables, snapped_grid, tunable
 from .indicators import GC_RADIUS_DEFAULT, greenspace_coverage
 
 KWH_PER_JOULE = 1.0 / 3.6e6
@@ -268,5 +268,5 @@ def population_grid_from_points(points, cell):
     if arr[:, 2].min() < 0:
         raise ValueError("population counts must be non-negative")
     grid = snapped_grid(arr, cell)
-    np.add.at(grid.values, grid.cells_of(arr), arr[:, 2])
+    np.add.at(grid.values, cells_of(grid, arr), arr[:, 2])
     return grid

@@ -152,12 +152,6 @@ class RasterGrid:
             return row, col
         return None
 
-    def cells_of(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the cells holding each point of xy (x and y in
-        its first two columns); indices off the grid are not clipped."""
-        return (np.floor((xy[:, 1] - self.origin_y) / self.cell).astype(int),
-                np.floor((xy[:, 0] - self.origin_x) / self.cell).astype(int))
-
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         return (self.origin_x + (col + 0.5) * self.cell,
                 self.origin_y + (row + 0.5) * self.cell)
@@ -285,6 +279,14 @@ def snapped_geometry(xy: np.ndarray, cell: float) -> GridGeometry:
     return GridGeometry(origin[0], origin[1], cell, nrows, ncols)
 
 
+def cells_of(grid: RasterGrid | SparseGrid | GridGeometry,
+             xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) on grid of the cells holding each point of xy (x and y
+    in its first two columns); indices off the grid are not clipped."""
+    return (np.floor((xy[:, 1] - grid.origin_y) / grid.cell).astype(int),
+            np.floor((xy[:, 0] - grid.origin_x) / grid.cell).astype(int))
+
+
 def cell_centers(grid: RasterGrid | SparseGrid | GridGeometry, cells: np.ndarray) -> np.ndarray:
     """World (x, y) of the centres of cells, an (m, 2) integer array of
     (row, col) on grid; shape (m, 2)."""
@@ -400,7 +402,8 @@ class Polygon:
 
 
 def _on_any_edge(points: np.ndarray, ring: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean mask of points lying within tol of any segment of the ring."""
+    """Boolean mask of points lying within tol of any segment of the ring: a
+    tolerance test on squared offsets, not a distance (segment_distances)."""
     hit = np.zeros(points.shape[0], dtype=bool)
     for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
         dx, dy = bx - ax, by - ay
@@ -485,15 +488,20 @@ class Polyline:
             raise GeometryError(f"unknown polyline class {self.tag!r}")
 
 
-def point_segment_distance(px: float, py: float, ax: float, ay: float,
-                           bx: float, by: float) -> float:
-    dx, dy = bx - ax, by - ay
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+def segment_distances(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Distance from each point (x, y in its first two columns) to the
+    nearest segment of the vertex chain coords. Per segment from a by d:
+    t = clip((p - a)·d / |d|², 0, 1) in numpy's elementwise IEEE operations,
+    then math.hypot of p - (a + t·d), CPython's own, not the platform libm's
+    np.hypot. A segment whose |d|² is 0 measures to a.
+    """
+    px, py = points[:, :1], points[:, 1:2]
+    (ax, ay), (dx, dy) = coords[:-1].T, np.diff(coords, axis=0).T
+    along, len2 = (px - ax) * dx + (py - ay) * dy, dx * dx + dy * dy
+    t = np.clip(np.divide(along, len2, out=np.zeros(along.shape), where=len2 > 0), 0.0, 1.0)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    d = np.fromiter(map(math.hypot, ex.ravel().tolist(), ey.ravel().tolist()), float, ex.size)
+    return d.reshape(ex.shape).min(axis=1, initial=math.inf)
 
 
 def distance_to_polylines(x: float, y: float, lines: list[Polyline],
@@ -506,10 +514,4 @@ def distance_to_polylines(x: float, y: float, lines: list[Polyline],
     selected = [ln for ln in lines if tag is None or ln.tag == tag]
     if not selected:
         raise GeometryError(f"no polylines with class {tag!r} to measure against")
-    best = math.inf
-    for ln in selected:
-        for (ax, ay), (bx, by) in zip(ln.coords[:-1], ln.coords[1:]):
-            d = point_segment_distance(x, y, ax, ay, bx, by)
-            if d < best:
-                best = d
-    return best
+    return min(float(segment_distances(np.array([[x, y]]), ln.coords)[0]) for ln in selected)

@@ -22,6 +22,7 @@ from .geocore import (
     RasterGrid,
     cell_centers,
     cells_in_polygon,
+    cells_of,
     distance_to_polylines,
     snapped_grid,
 )
@@ -100,7 +101,7 @@ def greened_mask(mask: RasterGrid, potential_roofs: list[np.ndarray],
 
 
 def _mark_green(mask: RasterGrid, xy: np.ndarray) -> None:
-    rows, cols = mask.cells_of(xy)
+    rows, cols = cells_of(mask, xy)
     inside = (rows >= 0) & (rows < mask.nrows) & (cols >= 0) & (cols < mask.ncols)
     mask.values[rows[inside], cols[inside]] = 1.0
 

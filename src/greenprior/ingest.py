@@ -404,13 +404,13 @@ def write_raster_asc(grid: RasterGrid | SparseGrid, path, nodata: float = NODATA
     rasters that a later stage reads back (dsm.asc, the synthetic
     temperature grids) or whose values are exact (the greenspace masks).
 
-    With decimals=n each value is written with n digits after the point,
-    as the CSV outputs are. Use it for derived float surfaces such as the
-    kriged ones, whose last bits differ between machines with the linear
-    algebra libraries and would otherwise make the file differ too. The
-    header and nodata cells are written with repr() either way.
+    With decimals=6 each value is written by :func:`f6`, as the CSV
+    outputs are. Use it for derived float surfaces such as the kriged ones,
+    whose last bits differ between machines with the linear algebra
+    libraries and would otherwise make the file differ too. The header and
+    nodata cells are written with repr() either way.
     """
-    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    fmt = {None: repr, 6: f6}[decimals]
     nodata_text = repr(nodata)
     cells = grid.occupied_cells()
     flat, ncols = cells.flat, grid.ncols

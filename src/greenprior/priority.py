@@ -7,6 +7,7 @@ ranking. All weighting functions take a buildings-by-indicators matrix with
 values in [0, 1] and return weights that are non-negative and sum to one.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -107,8 +108,9 @@ def _column_stds(arr):
 
 def _correlation_matrix(arr, stds):
     n, m = arr.shape
-    centered = arr - arr.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / (n - 1)
+    columns = (arr - arr.mean(axis=0, keepdims=True)).T
+    # sums of products correctly rounded, not in a BLAS's blocking order
+    cov = np.array([[math.fsum((u * v).tolist()) for v in columns] for u in columns]) / (n - 1)
     corr = np.zeros((m, m))
     varying = stds > 0
     denom = np.outer(stds, stds)

@@ -45,9 +45,10 @@ from .geocore import (
     SparseGrid,
     cell_centers,
     cells_in_polygon,
+    cells_of,
     check_tunables,
     points_in_polygon,
-    point_segment_distance,
+    segment_distances,
     snapped_geometry,
     tunable,
 )
@@ -132,9 +133,8 @@ def candidate_roof_points(pc: PointCloud, cell: float) -> SparseGrid:
     if pts.shape[0] == 0:
         raise ComputationError("no building points in the cloud")
     g = snapped_geometry(pts, cell)
-    # the cell arithmetic of RasterGrid.cells_of
-    flat = (np.floor((pts[:, 1] - g.origin_y) / cell).astype(int) * g.ncols
-            + np.floor((pts[:, 0] - g.origin_x) / cell).astype(int))
+    rows, cols = cells_of(g, pts)
+    flat = rows * g.ncols + cols
     order = np.argsort(flat, kind="stable")
     flat = flat[order]
     starts = np.flatnonzero(np.concatenate([[True], flat[1:] != flat[:-1]]))
@@ -598,30 +598,6 @@ def decide_potential(building: BuildingAttributes, segments: list[RoofSegment],
     return PotentialDecision(building.id, len(reasons) == 0, frozenset(reasons), greenable)
 
 
-# np.hypot and math.hypot may differ in the last bit, so a ground point whose
-# vectorized ring distance lies within this of search_m is measured again by
-# point_segment_distance; a last-bit difference of a distance below 1e6 m
-# is under 2e-10 m
-RING_DISTANCE_MARGIN_M = 1e-9
-
-
-def _ring_distances(xy: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest segment of the ring, with the
-    arithmetic of point_segment_distance except for np.hypot."""
-    px, py = xy[:, 0], xy[:, 1]
-    best = np.full(xy.shape[0], np.inf)
-    for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
-        dx, dy = bx - ax, by - ay
-        seg_len2 = dx * dx + dy * dy
-        if seg_len2 == 0.0:
-            d = np.hypot(px - ax, py - ay)
-        else:
-            t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg_len2, 0.0, 1.0)
-            d = np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-        np.minimum(best, d, out=best)
-    return best
-
-
 def _ground_level(footprint, ground_xyz: np.ndarray, search_m: float) -> float:
     """Lowest ground-class point inside the footprint or within search_m of
     its exterior ring; 0 when there is none."""
@@ -631,13 +607,7 @@ def _ground_level(footprint, ground_xyz: np.ndarray, search_m: float) -> float:
         & (ground_xyz[:, 1] >= y_min - search_m) & (ground_xyz[:, 1] <= y_max + search_m)]
     keep = points_in_polygon(near[:, :2], footprint)
     out = np.flatnonzero(~keep)
-    ring = footprint.exterior
-    d = _ring_distances(near[out, :2], ring)
-    keep[out] = d <= search_m
-    for i in out[np.abs(d - search_m) <= RING_DISTANCE_MARGIN_M]:
-        x, y = near[i, :2]
-        keep[i] = min(point_segment_distance(x, y, ax, ay, bx, by)
-                      for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:])) <= search_m
+    keep[out] = segment_distances(near[out], footprint.exterior) <= search_m
     return float(near[keep, 2].min()) if keep.any() else 0.0
 
 

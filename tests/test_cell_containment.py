@@ -18,12 +18,12 @@ from greenprior.geocore import (
     Polygon,
     RasterGrid,
     cells_in_polygon,
-    point_segment_distance,
     points_in_polygon,
 )
 from greenprior.indicators import sample_surface_at_building
 from greenprior.ingest import BuildingAttributes
 from greenprior.roofs import _ground_level, building_height
+from scalar_distance import point_segment_distance
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ they replaced.
 
 The surface model, the greenspace mask, the kriging template and the
 population grid are all placed by ``geocore.snapped_geometry`` (through
-``snapped_grid`` for the dense ones) and ``RasterGrid.cells_of``; the variogram shape lives in ``interp._shape``; and
+``snapped_grid`` for the dense ones) and ``geocore.cells_of``; the variogram
+shape lives in ``interp._shape``; and
 ``roofs._PlaneFit`` reads its fallback offset from its normal equations.
 The functions below are the earlier bodies, kept as oracles: the new code
 must give the same origin, shape, cell indices and floats to the last bit.
@@ -23,7 +24,8 @@ from exact_plane import cofactors, exact_terms, fit_sums, rank_guard_stops
 from fullgrid_kernels import densify
 from greenprior import interp
 from greenprior.benefits import population_grid_from_points
-from greenprior.geocore import BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, snapped_grid
+from greenprior.geocore import (BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, cells_of,
+                               snapped_grid)
 from greenprior.indicators import build_greenspace_mask, greened_mask
 from greenprior.interp import VARIOGRAM_KINDS, VariogramModel
 from greenprior.roofs import _PlaneFit, _plane_cofactors, _summed_fit, candidate_roof_points
@@ -244,7 +246,7 @@ def test_kriging_template_matches_inline_builder(cp):
 def test_cells_of_matches_inline_indices(cp):
     cell, xy = cp
     grid = snapped_grid(xy, cell)
-    rows, cols = grid.cells_of(xy)
+    rows, cols = cells_of(grid, xy)
     assert rows.tolist() == np.floor((xy[:, 1] - grid.origin_y) / cell).astype(int).tolist()
     assert cols.tolist() == np.floor((xy[:, 0] - grid.origin_x) / cell).astype(int).tolist()
     # the far edge holds the largest coordinate by construction; the near edge
@@ -259,13 +261,13 @@ def test_snapped_grid_holds_a_minimum_that_the_product_overshoots():
     xy = np.array([[1.7, 0.3], [2.5, 1.0]])
     grid = snapped_grid(xy, 0.1)
     assert grid.origin_x <= 1.7 and grid.origin_y <= 0.3
-    rows, cols = grid.cells_of(xy)
+    rows, cols = cells_of(grid, xy)
     assert cols.tolist() == [0, grid.ncols - 1] and rows.tolist() == [0, grid.nrows - 1]
     # every coordinate 0.0, 0.1, ..., 299.9 as a minimum lands in column 0
     for cell in (0.1, 0.2, 0.3):
         for v in np.arange(3000) / 10.0:
             g = snapped_grid(np.array([[v, 0.0], [v + 1.0, 1.0]]), cell)
-            assert g.cells_of(np.array([[v, 0.0]]))[1][0] == 0
+            assert cells_of(g, np.array([[v, 0.0]]))[1][0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from greenprior.geocore import (
     BUILDING,
@@ -14,10 +16,11 @@ from greenprior.geocore import (
     RasterGrid,
     cell_centers,
     distance_to_polylines,
-    point_segment_distance,
     points_in_polygon,
+    segment_distances,
     snapped_geometry,
 )
+from scalar_distance import chain_distance
 
 
 def square(x0, y0, side):
@@ -266,25 +269,70 @@ def test_points_in_polygon_against_convex_oracle():
         # disagreement is only tolerable within a hair of the boundary
         for q, g, w in zip(queries, got, want):
             if g != w:
-                d = min(point_segment_distance(q[0], q[1], *a, *b)
-                        for a, b in zip(ring[:-1], ring[1:]))
-                assert d < 1e-7
+                assert chain_distance(q[0], q[1], ring) < 1e-7
 
 
 # ---------------------------------------------------------------------------
 # polylines and distances
 # ---------------------------------------------------------------------------
 
-def test_point_segment_distance_cases():
-    # perpendicular drop onto the interior
-    assert point_segment_distance(5.0, 3.0, 0.0, 0.0, 10.0, 0.0) == pytest.approx(3.0)
-    # beyond an endpoint: distance to that endpoint
-    assert point_segment_distance(-3.0, 4.0, 0.0, 0.0, 10.0, 0.0) == pytest.approx(5.0)
-    assert point_segment_distance(13.0, 4.0, 0.0, 0.0, 10.0, 0.0) == pytest.approx(5.0)
-    # degenerate zero-length segment
-    assert point_segment_distance(3.0, 4.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(5.0)
-    # point on the segment
-    assert point_segment_distance(4.0, 0.0, 0.0, 0.0, 10.0, 0.0) == 0.0
+def test_segment_distances_cases():
+    segment = np.array([[0.0, 0.0], [10.0, 0.0]])
+    # perpendicular drop onto the interior; beyond either endpoint, the
+    # distance to that endpoint; a point on the segment
+    d = segment_distances(np.array([[5.0, 3.0], [-3.0, 4.0], [13.0, 4.0], [4.0, 0.0]]), segment)
+    assert d[:3] == pytest.approx([3.0, 5.0, 5.0])
+    assert d[3] == 0.0
+    # a segment too short for its squared length to be above 0 measures to
+    # its first vertex, as the scalar rule does, not to NaN
+    tiny = np.array([[0.0, 0.0], [1e-170, 0.0]])
+    assert segment_distances(np.array([[3.0, 4.0], [0.0, 4.0]]), tiny).tolist() == [5.0, 4.0]
+    assert segment_distances(np.empty((0, 2)), segment).shape == (0,)
+
+
+SEARCH_M = 10.0
+
+
+@st.composite
+def chains_and_probes(draw):
+    """The vertex chain of a validated Polygon exterior or Polyline, with
+    points at SEARCH_M from its vertices, a last bit either side of those,
+    the vertices themselves and points anywhere around it."""
+    ox, oy = draw(st.sampled_from(((0.0, 0.0), (-3.0, 10.5), (512345.25, 5432109.75))))
+    n = draw(st.integers(3, 7))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                                  min_size=n, max_size=n, unique=True)))
+    radii = draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
+    verts = [(ox + r * math.cos(a), oy + r * math.sin(a)) for a, r in zip(angles, radii)]
+    try:
+        if draw(st.booleans()):
+            coords = Polygon(verts + verts[:1]).exterior
+        else:
+            coords = Polyline(verts).coords
+    except GeometryError:
+        reject()
+    pts = list(verts)
+    for vx, vy in verts:
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        pts.append((vx + SEARCH_M * math.cos(theta), vy + SEARCH_M * math.sin(theta)))
+    pts += [(np.nextafter(x, x + step), np.nextafter(y, y + step))
+            for x, y in pts[n:] for step in (-1.0, 1.0)]
+    for _ in range(draw(st.integers(0, 6))):
+        pts.append((ox + draw(st.floats(-55.0, 55.0)), oy + draw(st.floats(-55.0, 55.0))))
+    return coords, np.array(pts)
+
+
+# two points about 10 m from a vertex of a rectangle where math.hypot and
+# np.hypot round to either side of 10 m
+@settings(max_examples=300, deadline=None)
+@given(chains_and_probes())
+@example((square(0.0, 0.0, 12.0).exterior,
+          np.array([[-3.775793, -9.259772525345912], [-6.788069, -7.343168202570265]])))
+def test_segment_distances_match_scalar_rule(case):
+    coords, pts = case
+    got = segment_distances(pts, coords)
+    want = np.array([chain_distance(x, y, coords) for x, y in pts.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_polyline_validation():

@@ -9,6 +9,11 @@ runs in a fresh interpreter on a tiny city.
 The modules of the stages after extract take roof cells as arrays from
 the extract tables; none imports anything from ``greenprior.roofs``, which
 an AST scan of their sources checks.
+
+Only ``interp`` calls linear algebra (its kriging solves, whose outputs are
+written at 6 decimals): another AST scan checks that no other module uses
+``@``, numpy's products or ``numpy.linalg``, whose last bits follow the
+BLAS and LAPACK builds of the machine.
 """
 import ast
 import os
@@ -66,15 +71,19 @@ def test_probe_sees_scipy_it_imported():
     assert _run(before="import scipy.spatial\n")
 
 
+def _tree(module):
+    """The AST of the source of greenprior.module."""
+    path = os.path.join(SRC, "greenprior", module + ".py")
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
 def _imported_modules(module):
     """The absolute names of the modules and of the module attributes that
     the source of greenprior.module imports, at any depth of its tree: an
     import from greenprior.roofs, or of it, yields a name in that module."""
-    path = os.path.join(SRC, "greenprior", module + ".py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -88,3 +97,35 @@ def test_stage_module_imports_nothing_from_roofs(module):
     names = _imported_modules(module)
     assert "greenprior.geocore.ComputationError" in names  # the scan sees the package
     assert not [name for name in names if name.startswith("greenprior.roofs")]
+
+
+LINEAR_ALGEBRA = ("dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg")
+
+MODULES = sorted(name[:-3] for name in os.listdir(os.path.join(SRC, "greenprior"))
+                 if name.endswith(".py") and name != "__init__.py")
+
+
+def _linear_algebra(module):
+    """What the source of greenprior.module uses of linear algebra: "@" for
+    the matrix product operator, "np.<name>" for an attribute of numpy named
+    in LINEAR_ALGEBRA, and the numpy imports that name one."""
+    found = {name for name in _imported_modules(module)
+             if name.split(".")[0] == "numpy" and set(name.split(".")) & set(LINEAR_ALGEBRA)}
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add("@")
+        elif (isinstance(node, ast.Attribute) and node.attr in LINEAR_ALGEBRA
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.add(f"np.{node.attr}")
+    return found
+
+
+def test_linear_algebra_scan_sees_interp_solves():
+    # the scan sees linear algebra where it is: without this the check below
+    # could pass on a scan that finds nothing
+    assert "np.linalg" in _linear_algebra("interp")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "interp"])
+def test_only_interp_uses_linear_algebra(module):
+    assert not _linear_algebra(module)

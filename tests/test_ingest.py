@@ -13,6 +13,7 @@ from greenprior import cli, ingest
 from greenprior.geocore import BUILDING, CLASS_NAMES, GROUND, PointCloud, RasterGrid
 from greenprior.ingest import (
     FormatError,
+    f6,
     flag,
     optional_float,
     read_footprints,
@@ -332,8 +333,9 @@ def test_raster_row_order_top_first(tmp_path):
 
 
 def _write_raster_asc_oracle(grid, path, nodata=-9999.0, decimals=None):
-    """The per-element writer that write_raster_asc replaced."""
-    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    """The per-element writer that write_raster_asc replaced, with the CSV
+    tables' f6 at 6 decimals."""
+    fmt = repr if decimals is None else f6
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
@@ -358,6 +360,15 @@ def test_raster_writer_matches_per_element_oracle(tmp_path, decimals):
     write_raster_asc(g, got, decimals=decimals)
     _write_raster_asc_oracle(g, want, decimals=decimals)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_raster_writer_drops_the_sign_of_a_value_that_rounds_to_zero(tmp_path):
+    g = RasterGrid(0.0, 0.0, 1.0, np.array([[-0.0, -4e-7, 4e-7, -6e-7]]))
+    p = tmp_path / "g.asc"
+    write_raster_asc(g, p, decimals=6)
+    assert p.read_text().splitlines()[-1] == "0.000000 0.000000 0.000000 -0.000001"
+    with pytest.raises(KeyError):  # repr or 6 decimals, nothing else
+        write_raster_asc(g, p, decimals=3)
 
 
 RASTER_VALUES = (-0.0, 0.0, np.inf, -np.inf, 5e-324, 1e-7, 1e16, 0.1 + 0.2, -9999.0,

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgrid_kernels import densify
-from greenprior.geocore import BUILDING, GROUND, NEIGH8, PointCloud, RasterGrid, snapped_grid
+from greenprior.geocore import (BUILDING, GROUND, NEIGH8, PointCloud, RasterGrid, cells_of,
+                               snapped_grid)
 from greenprior.roofs import candidate_roof_points
 
 
@@ -33,7 +34,7 @@ def _dense_max(pc, cell):
     pts = pc.points_of(BUILDING)
     grid = snapped_grid(pts, cell)
     grid.values[:] = -np.inf
-    np.maximum.at(grid.values, grid.cells_of(pts), pts[:, 2])
+    np.maximum.at(grid.values, cells_of(grid, pts), pts[:, 2])
     grid.values[np.isinf(grid.values)] = np.nan
     return grid
 
