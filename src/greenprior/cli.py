@@ -25,14 +25,14 @@ from .benefits import (
     population_grid_from_points,
 )
 from .config import ConfigError, load_config
-from .geocore import ComputationError, snapped_grid
+from .geocore import ComputationError, GeometryError, snapped_grid
 from .indicators import (
     SEASONS,
     IndicatorVector,
     build_greenspace_mask,
     building_coverage_rate,
     greened_mask,
-    measure_building,
+    measure_buildings,
     normalize_indicators,
 )
 from .ingest import (
@@ -317,6 +317,10 @@ def cmd_indicators(cfg):
 
     pc = read_point_cloud(cfg.points)
     buildings = {b.id: b for b in read_footprints(cfg.footprints)}
+    missing = next((bid for bid in potential_ids if bid not in buildings), None)
+    if missing is not None:
+        raise FormatError(f"{_out_path(cfg, 'buildings.csv')}: potential building "
+                          f"{missing!r} has no feature in {cfg.footprints}")
     roads = read_roads(cfg.roads)
 
     mask_base = build_greenspace_mask(pc, cell=cfg.mask_cell)
@@ -344,21 +348,19 @@ def cmd_indicators(cfg):
 
     coverage = building_coverage_rate([roof_cells.get(bid, ()) for bid in potential_ids],
                                       mask_green, dsm, radius=cfg.gc_radius)
-    raws = [measure_building(buildings[bid], greenspace, roads, income_surface, temps,
-                             precip_surface)
-            for bid, greenspace in zip(potential_ids, coverage)]
-    vectors = normalize_indicators(raws, road_cap=cfg.road_cap_m)
+    try:
+        raw = measure_buildings([buildings[bid] for bid in potential_ids], coverage, roads,
+                                income_surface, temps, precip_surface)
+    except GeometryError as exc:  # no main road to measure against
+        raise FormatError(f"{cfg.roads}: {exc}") from None
+    matrix = normalize_indicators(raw, road_cap=cfg.road_cap_m)
 
-    rows = []
-    for raw in raws:
-        vec = vectors[raw.building_id]
-        rows.append([raw.building_id, f6(raw.greenspace), f6(raw.road_distance_m),
-                     raw.category, f6(raw.income)]
-                    + [f6(t) for t in raw.seasonal_temps]
-                    + [f6(raw.precipitation)]
-                    + [f6(v) for v in vec.as_array()])
-    _write_table(cfg, "indicators.csv", rows)
-    print(f"indicators: scored {len(raws)} potential buildings")
+    numbers = np.column_stack([raw.greenspace, raw.road_distance_m, raw.income,
+                               raw.seasonal_temps, raw.precipitation, matrix])
+    _write_table(cfg, "indicators.csv", [
+        [bid, f6(v[0]), f6(v[1]), category] + [f6(x) for x in v[2:]]
+        for bid, category, v in zip(raw.ids, raw.categories, numbers.tolist())])
+    print(f"indicators: scored {len(raw.ids)} potential buildings")
     return 0
 
 

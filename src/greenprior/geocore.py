@@ -140,18 +140,6 @@ class RasterGrid:
     def ncols(self) -> int:
         return self.values.shape[1]
 
-    def world_to_cell(self, x: float, y: float) -> tuple[int, int] | None:
-        """Map a world coordinate to its (row, col), or None when outside.
-
-        Cells are half-open, so a point exactly on an interior cell boundary
-        belongs to the higher-index cell.
-        """
-        col = math.floor((x - self.origin_x) / self.cell)
-        row = math.floor((y - self.origin_y) / self.cell)
-        if 0 <= row < self.nrows and 0 <= col < self.ncols:
-            return row, col
-        return None
-
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         return (self.origin_x + (col + 0.5) * self.cell,
                 self.origin_y + (row + 0.5) * self.cell)
@@ -504,14 +492,17 @@ def segment_distances(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return d.reshape(ex.shape).min(axis=1, initial=math.inf)
 
 
-def distance_to_polylines(x: float, y: float, lines: list[Polyline],
-                          tag: str | None = None) -> float:
-    """Minimum distance from (x, y) to any segment of the selected polylines.
-
-    ``tag`` restricts the search to polylines with that class; None uses all.
-    Raises GeometryError when no polyline passes the filter.
+def distance_to_polylines(points: np.ndarray, lines: list[Polyline],
+                          tag: str | None = None) -> np.ndarray:
+    """Each of the (n, 2) points' least distance to the selected polylines:
+    the elementwise minimum of one :func:`segment_distances` call per
+    polyline. ``tag`` selects polylines of that class; None selects all.
+    GeometryError when there are points and no polyline is selected.
     """
     selected = [ln for ln in lines if tag is None or ln.tag == tag]
-    if not selected:
+    if not selected and len(points):
         raise GeometryError(f"no polylines with class {tag!r} to measure against")
-    return min(float(segment_distances(np.array([[x, y]]), ln.coords)[0]) for ln in selected)
+    nearest = np.full(len(points), math.inf)
+    for ln in selected:
+        np.minimum(nearest, segment_distances(points, ln.coords), out=nearest)
+    return nearest

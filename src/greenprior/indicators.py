@@ -1,10 +1,10 @@
 """The six per-building greening indicators and their normalization.
 
 Raw quantities (surrounding greenspace, road distance, category, income,
-seasonal surface temperature, precipitation) are measured per building,
-then scaled to [0, 1] across the potential-building population with the
-demand direction applied: hot and rainy push priority up, while abundant
-nearby greenery, distance from traffic, and high income push it down.
+seasonal surface temperature, precipitation) are measured as columns over
+all potential buildings, then scaled to [0, 1] across them with the demand
+direction applied: hot and rainy push priority up, while abundant nearby
+greenery, distance from traffic, and high income push it down.
 """
 from __future__ import annotations
 
@@ -39,15 +39,17 @@ CATEGORY_VALUES = {"private": 0.5, "public": 1.0, "misc": 0.75}
 
 @dataclass
 class RawIndicators:
-    """Measured (pre-normalization) indicator inputs for one building."""
+    """Measured (pre-normalization) indicator inputs as columns, one entry
+    per building in the order of ids; seasonal_temps is (n, 4), in SEASONS
+    order."""
 
-    building_id: str
-    greenspace: float
-    road_distance_m: float
-    category: str
-    income: float
-    seasonal_temps: tuple[float, float, float, float]
-    precipitation: float
+    ids: list[str]
+    greenspace: np.ndarray
+    road_distance_m: np.ndarray
+    categories: list[str]
+    income: np.ndarray
+    seasonal_temps: np.ndarray
+    precipitation: np.ndarray
 
 
 @dataclass
@@ -339,21 +341,21 @@ def building_coverage_rate(buildings: list[np.ndarray], mask: RasterGrid,
 
 
 # ---------------------------------------------------------------------------
-# scalar indicators
+# indicator columns
 # ---------------------------------------------------------------------------
 
-def distance_indicator(d: float, cap: float = ROAD_CAP_DEFAULT) -> float:
+def distance_indicator(d: np.ndarray, cap: float = ROAD_CAP_DEFAULT) -> np.ndarray:
     """Demand from road proximity: 1 at the road, linear to 0 at the cap."""
-    if d < 0:
+    if np.any(d < 0):
         raise ValueError("distance must be non-negative")
-    return max(0.0, 1.0 - d / cap)
+    return np.maximum(0.0, 1.0 - d / cap)
 
 
-def category_indicator(category: str) -> float:
+def category_indicator(categories: list[str]) -> np.ndarray:
     try:
-        return CATEGORY_VALUES[category]
-    except KeyError:
-        raise ValueError(f"unknown building category {category!r}") from None
+        return np.array([CATEGORY_VALUES[c] for c in categories], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"unknown building category {exc.args[0]!r}") from None
 
 
 def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes,
@@ -366,8 +368,8 @@ def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes
     the surface's geometry.
     """
     cx, cy = building.footprint.centroid()
-    centroid_cell = surface.world_to_cell(cx, cy)
-    if centroid_cell is None:
+    (row,), (col,) = cells_of(surface, np.array([[cx, cy]]))
+    if not (0 <= row < surface.nrows and 0 <= col < surface.ncols):
         raise ComputationError(
             f"building {building.id}: centroid ({cx:.1f}, {cy:.1f}) outside surface extent")
     if cells is None:
@@ -376,18 +378,18 @@ def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes
     vals = vals[np.isfinite(vals)]
     if vals.size:
         return float(np.mean(vals))
-    v = surface.values[centroid_cell]
+    v = surface.values[row, col]
     if not np.isfinite(v):
         raise ComputationError(f"building {building.id}: no data at footprint")
     return float(v)
 
 
-def combine_seasonal_temperature(t: tuple[float, float, float, float]) -> float:
-    """Blend the four normalized seasonal temperatures into one indicator."""
-    t1, t2, t3, t4 = t
-    for v in (t1, t2, t3, t4):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError("seasonal temperatures must be normalized to [0, 1]")
+def combine_seasonal_temperature(t: np.ndarray) -> np.ndarray:
+    """Blend the (n, 4) normalized seasonal temperatures into one indicator
+    per row."""
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        raise ValueError("seasonal temperatures must be normalized to [0, 1]")
+    t1, t2, t3, t4 = t.T
     return (t1 + 4.0 * t2 + 4.0 * t3 + t4) / 10.0
 
 
@@ -405,67 +407,68 @@ def minmax_scale(values: np.ndarray, positive: bool) -> np.ndarray:
     return scaled if positive else 1.0 - scaled
 
 
-def normalize_indicators(raws: list[RawIndicators],
-                         road_cap: float = ROAD_CAP_DEFAULT) -> dict[str, IndicatorVector]:
-    """Scale raw indicators across the population into IndicatorVectors.
+def normalize_indicators(raw: RawIndicators,
+                         road_cap: float = ROAD_CAP_DEFAULT) -> np.ndarray:
+    """Scale the raw columns across the buildings into the (n, 6) matrix of
+    indicators, columns in ``IndicatorVector.FIELDS`` order.
 
     Greenspace and income scale negatively (abundance lowers demand);
     seasonal temperatures scale positively per season before blending;
     precipitation scales positively. Road distance and category are already
-    indicator-valued and pass through untouched.
+    indicator-valued and pass through untouched. A value outside [0, 1] is
+    a ValueError naming its building and indicator.
     """
-    if not raws:
-        return {}
-    greens = minmax_scale(np.array([r.greenspace for r in raws]), positive=False)
-    incomes = minmax_scale(np.array([r.income for r in raws]), positive=False)
-    precips = minmax_scale(np.array([r.precipitation for r in raws]), positive=True)
-    temps = np.array([r.seasonal_temps for r in raws])
-    temps_n = np.column_stack([minmax_scale(temps[:, i], positive=True) for i in range(4)])
-    out = {}
-    for i, r in enumerate(raws):
-        out[r.building_id] = IndicatorVector(
-            greenspace=float(greens[i]),
-            road_distance=distance_indicator(r.road_distance_m, road_cap),
-            category=category_indicator(r.category),
-            income=float(incomes[i]),
-            temperature=combine_seasonal_temperature(tuple(temps_n[i])),
-            precipitation=float(precips[i]),
-        )
-    return out
+    if not raw.ids:
+        return np.empty((0, len(IndicatorVector.FIELDS)))
+    temps = np.column_stack([minmax_scale(column, positive=True)
+                             for column in raw.seasonal_temps.T])
+    matrix = np.column_stack([
+        minmax_scale(raw.greenspace, positive=False),
+        distance_indicator(raw.road_distance_m, road_cap),
+        category_indicator(raw.categories),
+        minmax_scale(raw.income, positive=False),
+        combine_seasonal_temperature(temps),
+        minmax_scale(raw.precipitation, positive=True),
+    ])
+    bad = np.argwhere(~((matrix >= 0.0) & (matrix <= 1.0)))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"building {raw.ids[i]}: indicator {IndicatorVector.FIELDS[j]}="
+                         f"{matrix[i, j]} outside [0, 1]")
+    return matrix
 
 
 # ---------------------------------------------------------------------------
-# per-building measurement
+# measurement
 # ---------------------------------------------------------------------------
 
-def measure_building(building: BuildingAttributes, greenspace: float,
-                     roads: list[Polyline],
-                     income: RasterGrid, temps: dict[str, RasterGrid],
-                     precip: RasterGrid) -> RawIndicators:
-    """Collect all raw indicator inputs for one building.
+def measure_buildings(buildings: list[BuildingAttributes], greenspace: list[float],
+                      roads: list[Polyline], income: RasterGrid,
+                      temps: dict[str, RasterGrid], precip: RasterGrid) -> RawIndicators:
+    """Collect the raw indicator columns of the buildings.
 
-    greenspace is the building's roof coverage rate, from
+    greenspace holds each building's roof coverage rate, from
     :func:`building_coverage_rate`; road distance is to the main roads. The
-    footprint's cells are looked up once per distinct grid geometry among
-    the six surfaces (the seasonal rasters share one, the kriged surfaces
-    another).
+    six surfaces are grouped by grid geometry (the seasonal rasters share
+    one, the kriged surfaces another), and each footprint's cells are
+    looked up once per geometry.
     """
-    cx, cy = building.footprint.centroid()
-    looked_up: list[tuple[RasterGrid, tuple[np.ndarray, np.ndarray]]] = []
-
-    def sample(surface):
-        cells = next((c for g, c in looked_up if g.same_geometry(surface)), None)
-        if cells is None:
-            cells = cells_in_polygon(surface, building.footprint)
-            looked_up.append((surface, cells))
-        return sample_surface_at_building(surface, building, cells)
-
+    centroids = np.array([b.footprint.centroid() for b in buildings]).reshape(-1, 2)
+    road_distance = distance_to_polylines(centroids, roads, tag="main")
+    surfaces = [income, *(temps[s] for s in SEASONS), precip]
+    geometries = [GridGeometry(s.origin_x, s.origin_y, s.cell, s.nrows, s.ncols)
+                  for s in surfaces]
+    cells = {g: [cells_in_polygon(g, b.footprint) for b in buildings]
+             for g in dict.fromkeys(geometries)}
+    samples = np.array([[sample_surface_at_building(s, b, cells[g][i])
+                         for s, g in zip(surfaces, geometries)]
+                        for i, b in enumerate(buildings)]).reshape(-1, len(surfaces))
     return RawIndicators(
-        building_id=building.id,
-        greenspace=greenspace,
-        road_distance_m=distance_to_polylines(cx, cy, roads, tag="main"),
-        category=building.category,
-        income=sample(income),
-        seasonal_temps=tuple(sample(temps[s]) for s in SEASONS),
-        precipitation=sample(precip),
+        ids=[b.id for b in buildings],
+        greenspace=np.array(greenspace, dtype=float),
+        road_distance_m=road_distance,
+        categories=[b.category for b in buildings],
+        income=samples[:, 0],
+        seasonal_temps=samples[:, 1:5],
+        precipitation=samples[:, 5],
     )

@@ -75,8 +75,9 @@ def _ground_z_oracle(footprint, ground_xyz, search_m=10.0):
 
 def _sample_surface_oracle(surface, building):
     cx, cy = building.footprint.centroid()
-    centroid_cell = surface.world_to_cell(cx, cy)
-    if centroid_cell is None:
+    row = math.floor((cy - surface.origin_y) / surface.cell)
+    col = math.floor((cx - surface.origin_x) / surface.cell)
+    if not (0 <= row < surface.nrows and 0 <= col < surface.ncols):
         raise ComputationError(
             f"building {building.id}: centroid ({cx:.1f}, {cy:.1f}) outside surface extent")
     x_min, y_min, x_max, y_max = building.footprint.bounds()
@@ -93,7 +94,7 @@ def _sample_surface_oracle(surface, building):
                 vals.append(float(v))
     if vals:
         return float(np.mean(vals))
-    v = surface.values[centroid_cell]
+    v = surface.values[row, col]
     if not np.isfinite(v):
         raise ComputationError(f"building {building.id}: no data at footprint")
     return float(v)

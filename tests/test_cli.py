@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import math
 import os
 import shutil
 from fractions import Fraction
@@ -390,7 +391,9 @@ def test_infinite_temperature_cell_is_filled_as_nan_is(small_city, tmp_path):
     footprint = next(b.footprint for b in read_footprints(small_city / "footprints.geojson")
                      if b.id == scored)
     grid = read_raster_asc(small_city / "temp_spring.asc")
-    row, col = grid.world_to_cell(*footprint.centroid())
+    cx, cy = footprint.centroid()
+    row = math.floor((cy - grid.origin_y) / grid.cell)
+    col = math.floor((cx - grid.origin_x) / grid.cell)
     tables = []
     for name, gap in (("nan", np.nan), ("inf", np.inf)):
         city = tmp_path / name
@@ -576,6 +579,56 @@ def test_footprint_property_of_wrong_json_type_exit_one(small_city, tmp_path, ca
     err = capsys.readouterr().err
     assert f"{tmp_path / 'footprints.geojson'}: {message.format(bid=bid)}" in err
     assert "Traceback" not in err
+
+
+def _indicators_on_copy(small_city, tmp_path, capsys, edit):
+    """indicators on a copy of the small city after edit(city): its exit
+    code and stderr."""
+    city = tmp_path / "city"
+    shutil.copytree(small_city, city)
+    edit(city)
+    code = cli.main(["indicators", "--config", str(city / "config.txt"),
+                     "--out", str(city / "out")])
+    return city, code, capsys.readouterr().err
+
+
+def test_potential_building_without_footprint_exit_one(small_city, tmp_path, capsys):
+    # used to end in a KeyError traceback
+    first = next(r["id"] for r in _read_rows(small_city / "out" / "buildings.csv")
+                 if r["potential"] == "true")
+
+    def drop_footprint(city):
+        doc = json.loads((city / "footprints.geojson").read_text())
+        doc["features"] = [f for f in doc["features"] if f["properties"]["id"] != first]
+        (city / "footprints.geojson").write_text(json.dumps(doc))
+
+    city, code, err = _indicators_on_copy(small_city, tmp_path, capsys, drop_footprint)
+    assert code == 1
+    assert err == (f"error: {city / 'out' / 'buildings.csv'}: potential building {first!r} "
+                   f"has no feature in {city / 'footprints.geojson'}\n")
+
+
+@pytest.mark.parametrize("potential", [True, False])
+def test_no_main_road_names_the_roads_file(small_city, tmp_path, capsys, potential):
+    # road distance is measured to the main roads; with no potential building
+    # there is nothing to measure, and the run still succeeds
+    def edit(city):
+        doc = json.loads((city / "roads.geojson").read_text())
+        for feature in doc["features"]:
+            feature["properties"]["class"] = "minor"
+        (city / "roads.geojson").write_text(json.dumps(doc))
+        if not potential:
+            table = city / "out" / "buildings.csv"
+            table.write_text(table.read_text().replace(",true,", ",false,"))
+
+    city, code, err = _indicators_on_copy(small_city, tmp_path, capsys, edit)
+    if potential:
+        assert code == 1
+        assert err == (f"error: {city / 'roads.geojson'}: no polylines with class 'main' "
+                       "to measure against\n")
+    else:
+        assert code == 0 and err == ""
+        assert (city / "out" / "indicators.csv").read_text() == IND_HEADER + "\n"
 
 
 @pytest.mark.parametrize("value", ["-1", "1e308", "0.5", "-9999"])

@@ -15,6 +15,7 @@ from greenprior.geocore import (
     Polyline,
     RasterGrid,
     cell_centers,
+    cells_of,
     distance_to_polylines,
     points_in_polygon,
     segment_distances,
@@ -66,37 +67,39 @@ def test_point_cloud_holds_codes_as_uint8():
 
 
 # ---------------------------------------------------------------------------
-# RasterGrid / world_to_cell
+# RasterGrid / cells_of
 # ---------------------------------------------------------------------------
 
-def test_world_to_cell_known_points():
+def _cells(grid, points):
+    """cells_of as a list of (row, col) pairs."""
+    rows, cols = cells_of(grid, np.array(points, dtype=float))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def test_cells_of_known_points():
     grid = RasterGrid(0.0, 0.0, 5.0, np.zeros((4, 4)))
-    assert grid.world_to_cell(0.0, 0.0) == (0, 0)
-    assert grid.world_to_cell(4.999, 4.999) == (0, 0)
+    assert _cells(grid, [(0.0, 0.0), (4.999, 4.999)]) == [(0, 0), (0, 0)]
     # exact boundary goes to the higher-index cell
-    assert grid.world_to_cell(5.0, 0.0) == (0, 1)
-    assert grid.world_to_cell(0.0, 5.0) == (1, 0)
-    assert grid.world_to_cell(12.5, 17.5) == (3, 2)
-    assert grid.world_to_cell(-0.001, 0.0) is None
-    assert grid.world_to_cell(20.0, 0.0) is None  # right edge is exclusive
+    assert _cells(grid, [(5.0, 0.0), (0.0, 5.0)]) == [(0, 1), (1, 0)]
+    assert _cells(grid, [(12.5, 17.5)]) == [(3, 2)]
+    # off the grid, and not clipped; the right edge is exclusive
+    assert _cells(grid, [(-0.001, 0.0), (20.0, 0.0)]) == [(0, -1), (0, 4)]
 
 
-def test_world_to_cell_offset_origin():
+def test_cells_of_offset_origin():
     grid = RasterGrid(100.0, -50.0, 2.5, np.zeros((10, 8)))
-    assert grid.world_to_cell(100.0, -50.0) == (0, 0)
-    assert grid.world_to_cell(101.0, -48.0) == (0, 0)
-    assert grid.world_to_cell(102.5, -47.5) == (1, 1)
+    assert _cells(grid, [(100.0, -50.0), (101.0, -48.0), (102.5, -47.5)]) == \
+        [(0, 0), (0, 0), (1, 1)]
 
 
-def test_world_to_cell_roundtrip_property():
+def test_cells_of_roundtrip_property():
     rng = np.random.default_rng(7)
     grid = RasterGrid(-30.0, 12.0, 3.0, np.zeros((15, 22)))
     for _ in range(500):
         x = rng.uniform(-30.0, -30.0 + 22 * 3.0 - 1e-9)
         y = rng.uniform(12.0, 12.0 + 15 * 3.0 - 1e-9)
-        rc = grid.world_to_cell(x, y)
-        assert rc is not None
-        row, col = rc
+        [(row, col)] = _cells(grid, [(x, y)])
+        assert 0 <= row < grid.nrows and 0 <= col < grid.ncols
         # the point must actually lie inside the half-open box of that cell
         assert grid.origin_x + col * 3.0 <= x < grid.origin_x + (col + 1) * 3.0
         assert grid.origin_y + row * 3.0 <= y < grid.origin_y + (row + 1) * 3.0
@@ -106,8 +109,7 @@ def test_cell_center_roundtrip():
     grid = RasterGrid(10.0, 20.0, 4.0, np.zeros((6, 6)))
     for row in range(6):
         for col in range(6):
-            cx, cy = grid.cell_center(row, col)
-            assert grid.world_to_cell(cx, cy) == (row, col)
+            assert _cells(grid, [grid.cell_center(row, col)]) == [(row, col)]
 
 
 def test_cell_centers_match_cell_center_bits():
@@ -344,14 +346,32 @@ def test_polyline_validation():
         Polyline([[0, 0], [1, 1]], tag="highway")
 
 
+def _distances(points, lines, tag=None):
+    """distance_to_polylines of points as a list, and each point's scalar
+    oracle minimum over the selected polylines, both as bit patterns."""
+    points = np.array(points, dtype=float).reshape(-1, 2)
+    got = distance_to_polylines(points, lines, tag=tag)
+    want = np.array([min(chain_distance(x, y, ln.coords) for ln in lines
+                         if tag is None or ln.tag == tag)
+                     for x, y in points.tolist()])
+    assert got.shape == (len(points),)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    return got.tolist()
+
+
 def test_distance_to_polylines_simple():
     lines = [Polyline([[0, 0], [10, 0]], tag="main"),
              Polyline([[0, 5], [10, 5]], tag="minor")]
-    assert distance_to_polylines(5.0, 2.0, lines) == pytest.approx(2.0)
-    assert distance_to_polylines(5.0, 2.0, lines, tag="minor") == pytest.approx(3.0)
-    assert distance_to_polylines(5.0, 2.0, lines, tag="main") == pytest.approx(2.0)
+    assert _distances([(5.0, 2.0)], lines) == pytest.approx([2.0])
+    assert _distances([(5.0, 2.0)], lines, tag="minor") == pytest.approx([3.0])
+    assert _distances([(5.0, 2.0)], lines, tag="main") == pytest.approx([2.0])
+    # many points at once: each its own nearest polyline
+    assert _distances([(5.0, 2.0), (5.0, 4.0), (-3.0, 9.0), (12.0, -4.0)], lines) == \
+        pytest.approx([2.0, 1.0, 5.0, 2.0 * math.sqrt(5.0)])
     with pytest.raises(GeometryError):
-        distance_to_polylines(0.0, 0.0, [lines[0]], tag="minor")
+        distance_to_polylines(np.array([[0.0, 0.0]]), [lines[0]], tag="minor")
+    # with no point there is nothing to measure, and no polyline is needed
+    assert distance_to_polylines(np.empty((0, 2)), [lines[0]], tag="minor").shape == (0,)
 
 
 def test_distance_to_polylines_l_shape_against_dense_oracle():
@@ -366,9 +386,9 @@ def test_distance_to_polylines_l_shape_against_dense_oracle():
             samples.append((10.0, s - 10.0))
     samples = np.array(samples)
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        x, y = rng.uniform(-5, 15, size=2)
-        d = distance_to_polylines(float(x), float(y), [line])
+    points = rng.uniform(-5, 15, size=(100, 2))
+    # all points at once, bit for bit the scalar oracle's per point
+    for (x, y), d in zip(points.tolist(), _distances(points, [line])):
         brute = np.hypot(samples[:, 0] - x, samples[:, 1] - y).min()
         assert d == pytest.approx(float(brute), abs=1e-3)
         assert d <= brute + 1e-12  # exact answer can only be closer
@@ -383,9 +403,7 @@ def test_distance_rigid_transform_invariance():
     rot = np.array([[c, -s], [s, c]])
     shift = np.array([123.4, -55.1])
     moved = Polyline(coords @ rot.T + shift, tag="minor")
-    for _ in range(50):
-        p = rng.uniform(-20, 120, size=2)
-        p_moved = rot @ p + shift
-        d0 = distance_to_polylines(float(p[0]), float(p[1]), [line])
-        d1 = distance_to_polylines(float(p_moved[0]), float(p_moved[1]), [moved])
-        assert d1 == pytest.approx(d0, abs=1e-9)
+    p = rng.uniform(-20, 120, size=(50, 2))
+    d0 = distance_to_polylines(p, [line])
+    d1 = distance_to_polylines(p @ rot.T + shift, [moved])
+    np.testing.assert_allclose(d1, d0, rtol=0, atol=1e-9)

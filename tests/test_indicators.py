@@ -1,9 +1,10 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from greenprior import indicators
+from greenprior import cli, geocore, indicators
 from greenprior.geocore import BUILDING, GROUND, VEGETATION, ComputationError, PointCloud, Polygon, Polyline, RasterGrid
 from greenprior.indicators import (
     SEASONS,
@@ -16,12 +17,12 @@ from greenprior.indicators import (
     combine_seasonal_temperature,
     distance_indicator,
     greenspace_coverage,
-    measure_building,
+    measure_buildings,
     minmax_scale,
     normalize_indicators,
     sample_surface_at_building,
 )
-from greenprior.ingest import BuildingAttributes
+from greenprior.ingest import BuildingAttributes, read_roads, read_table
 
 
 def pc_of(rows):
@@ -186,24 +187,22 @@ def test_building_coverage_pools_all_segments():
 
 
 # ---------------------------------------------------------------------------
-# scalar indicators
+# indicator columns
 # ---------------------------------------------------------------------------
 
 def test_distance_indicator_values():
-    assert distance_indicator(0.0) == 1.0
-    assert distance_indicator(250.0) == 0.5
-    assert distance_indicator(500.0) == 0.0
-    assert distance_indicator(900.0) == 0.0
-    with pytest.raises(ValueError):
-        distance_indicator(-1.0)
+    assert distance_indicator(np.array([0.0, 250.0, 500.0, 900.0])).tolist() == \
+        [1.0, 0.5, 0.0, 0.0]
+    assert distance_indicator(np.array([100.0]), cap=200.0).tolist() == [0.5]
+    with pytest.raises(ValueError, match="distance must be non-negative"):
+        distance_indicator(np.array([3.0, -1.0]))
 
 
 def test_category_indicator_values():
-    assert category_indicator("private") == 0.5
-    assert category_indicator("public") == 1.0
-    assert category_indicator("misc") == 0.75
-    with pytest.raises(ValueError):
-        category_indicator("industrial")
+    assert category_indicator(["private", "public", "misc"]).tolist() == [0.5, 1.0, 0.75]
+    assert category_indicator([]).shape == (0,)
+    with pytest.raises(ValueError, match="unknown building category 'industrial'"):
+        category_indicator(["public", "industrial"])
 
 
 def test_sample_surface_constant():
@@ -233,46 +232,81 @@ def test_sample_surface_outside_extent_errors():
         sample_surface_at_building(surf, b)
 
 
-def test_measure_building_looks_up_cells_once_per_grid_geometry(monkeypatch):
+def test_measure_buildings_samples_each_surface_as_on_its_own():
     # income and precipitation share one geometry, the four seasons another;
     # each surface must still be sampled as on its own
     rng = np.random.default_rng(41)
     kriged = [RasterGrid(-20.0, -20.0, 50.0, rng.normal(0.0, 1.0, (6, 6))) for _ in range(2)]
     seasonal = {s: RasterGrid(0.0, 0.0, 7.0, rng.normal(25.0, 2.0, (30, 30))) for s in SEASONS}
     seasonal["winter"].values[10:20, 10:20] = np.nan
-    b = BuildingAttributes("b1", 10, "public", Polygon(
-        [[30, 40], [120, 45], [110, 130], [35, 120], [30, 40]]))
-    roads = [Polyline([[0, 0], [200, 0]], tag="main")]
-    lookups = []
-    cells_in_polygon = indicators.cells_in_polygon
+    buildings = [
+        BuildingAttributes("b1", 10, "public", Polygon(
+            [[30, 40], [120, 45], [110, 130], [35, 120], [30, 40]])),
+        BuildingAttributes("b2", 20, "misc", square(150, 150, 30)),
+        BuildingAttributes("b3", 30, "private", square(160, 20, 3)),  # traps no center
+    ]
+    roads = [Polyline([[0, 0], [200, 0]], tag="main"), Polyline([[0, 5], [200, 5]])]
+    raw = measure_buildings(buildings, [0.25, 0.5, 0.75], roads, kriged[0], seasonal,
+                            kriged[1])
+    assert raw.ids == ["b1", "b2", "b3"]
+    assert raw.categories == ["public", "misc", "private"]
+    assert raw.greenspace.tolist() == [0.25, 0.5, 0.75]
+    assert raw.road_distance_m.tolist() == pytest.approx([b.footprint.centroid()[1]
+                                                          for b in buildings])
+    for i, b in enumerate(buildings):
+        assert raw.income[i] == sample_surface_at_building(kriged[0], b)
+        assert raw.precipitation[i] == sample_surface_at_building(kriged[1], b)
+        assert raw.seasonal_temps[i].tolist() == [sample_surface_at_building(seasonal[s], b)
+                                                  for s in SEASONS]
+    empty = measure_buildings([], [], roads, kriged[0], seasonal, kriged[1])
+    assert empty.ids == [] and empty.seasonal_temps.shape == (0, 4)
 
-    def counted(grid, poly):
+
+def test_measure_work_is_per_road_and_per_geometry(small_city, tmp_path, monkeypatch):
+    # guards against per-building road distances or per-surface cell lookups
+    # coming back: one segment_distances call per main road over all the
+    # centroids, one cells_in_polygon call per building and distinct surface
+    # geometry (the kriged surfaces share one, the seasonal rasters another)
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    table = read_table(out / "buildings.csv", cli.TABLES["buildings.csv"].columns)
+    potential = sum(table["potential"])
+    assert potential > 1
+    main_roads = sum(ln.tag == "main" for ln in read_roads(small_city / "roads.geojson"))
+    distances, lookups = [], []
+    segment_distances, cells_in_polygon = geocore.segment_distances, indicators.cells_in_polygon
+
+    def counted_distances(points, coords):
+        distances.append(len(points))
+        return segment_distances(points, coords)
+
+    def counted_lookups(grid, poly):
         lookups.append(grid)
         return cells_in_polygon(grid, poly)
 
-    monkeypatch.setattr(indicators, "cells_in_polygon", counted)
-    raw = measure_building(b, 0.25, roads, kriged[0], seasonal, kriged[1])
-    assert len(lookups) == 2
-    monkeypatch.setattr(indicators, "cells_in_polygon", cells_in_polygon)
-    assert raw.greenspace == 0.25
-    assert raw.income == sample_surface_at_building(kriged[0], b)
-    assert raw.precipitation == sample_surface_at_building(kriged[1], b)
-    assert raw.seasonal_temps == tuple(sample_surface_at_building(seasonal[s], b)
-                                       for s in SEASONS)
+    monkeypatch.setattr(geocore, "segment_distances", counted_distances)
+    monkeypatch.setattr(indicators, "cells_in_polygon", counted_lookups)
+    config = str(small_city / "config.txt")
+    assert cli.main(["indicators", "--config", config, "--out", str(out)]) == 0
+    assert distances == [potential] * main_roads
+    assert len(lookups) == 2 * potential and len(set(lookups)) == 2
 
 
 def test_combine_seasonal_temperature():
-    assert combine_seasonal_temperature((0.0, 1.0, 1.0, 0.0)) == pytest.approx(0.8)
-    assert combine_seasonal_temperature((1.0, 0.0, 0.0, 1.0)) == pytest.approx(0.2)
+    np.testing.assert_allclose(
+        combine_seasonal_temperature(np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])),
+        [0.8, 0.2])
     rng = np.random.default_rng(33)
-    for _ in range(100):
-        x = float(rng.random())
-        assert combine_seasonal_temperature((x, x, x, x)) == pytest.approx(x)
-        t = tuple(rng.random(4))
-        v = combine_seasonal_temperature(t)
-        assert min(t) - 1e-12 <= v <= max(t) + 1e-12
-    with pytest.raises(ValueError):
-        combine_seasonal_temperature((0.5, 1.2, 0.5, 0.5))
+    x = rng.random(100)
+    np.testing.assert_allclose(combine_seasonal_temperature(np.repeat(x[:, None], 4, axis=1)),
+                               x)
+    t = rng.random((100, 4))
+    v = combine_seasonal_temperature(t)
+    assert v.shape == (100,)
+    assert ((t.min(axis=1) - 1e-12 <= v) & (v <= t.max(axis=1) + 1e-12)).all()
+    for bad in (1.2, np.nan):
+        with pytest.raises(ValueError):
+            combine_seasonal_temperature(np.array([[0.5, 0.5, 0.5, 0.5], [0.5, bad, 0.5, 0.5]]))
 
 
 def test_season_constants():
@@ -301,17 +335,28 @@ def test_minmax_preserves_ranking():
     assert (np.argsort(neg) == np.argsort(-v)).all()
 
 
-def raw(bid, green, dist, cat, income, temps, precip):
-    return RawIndicators(bid, green, dist, cat, income, temps, precip)
+def raw_columns(*rows):
+    """RawIndicators from per-building rows (id, greenspace, distance,
+    category, income, seasonal temperatures, precipitation)."""
+    ids, green, dist, cats, income, temps, precip = zip(*rows)
+    return RawIndicators(list(ids), np.array(green), np.array(dist), list(cats),
+                         np.array(income), np.array(temps), np.array(precip))
+
+
+def normalized(raw, **kwargs):
+    """normalize_indicators as one IndicatorVector per building id."""
+    return {bid: IndicatorVector(*row)
+            for bid, row in zip(raw.ids, normalize_indicators(raw, **kwargs).tolist())}
 
 
 def test_normalize_indicators_full():
-    raws = [
-        raw("a", 0.10, 0.0, "private", 20000.0, (20.0, 30.0, 28.0, 15.0), 1800.0),
-        raw("b", 0.30, 250.0, "public", 30000.0, (22.0, 33.0, 30.0, 16.0), 2400.0),
-        raw("c", 0.50, 700.0, "misc", 40000.0, (24.0, 36.0, 32.0, 17.0), 2100.0),
-    ]
-    vecs = normalize_indicators(raws)
+    raws = raw_columns(
+        ("a", 0.10, 0.0, "private", 20000.0, (20.0, 30.0, 28.0, 15.0), 1800.0),
+        ("b", 0.30, 250.0, "public", 30000.0, (22.0, 33.0, 30.0, 16.0), 2400.0),
+        ("c", 0.50, 700.0, "misc", 40000.0, (24.0, 36.0, 32.0, 17.0), 2100.0),
+    )
+    assert normalize_indicators(raws).shape == (3, len(IndicatorVector.FIELDS))
+    vecs = normalized(raws)
     assert set(vecs) == {"a", "b", "c"}
     # greenspace is a negative indicator: least surrounded scores highest
     assert vecs["a"].greenspace == 1.0 and vecs["c"].greenspace == 0.0
@@ -333,19 +378,31 @@ def test_normalize_indicators_full():
     for v in vecs.values():
         arr = v.as_array()
         assert ((arr >= 0.0) & (arr <= 1.0)).all()
+    empty = RawIndicators([], np.empty(0), np.empty(0), [], np.empty(0), np.empty((0, 4)),
+                          np.empty(0))
+    assert normalize_indicators(empty).shape == (0, 6)
 
 
 def test_normalize_constant_column_rule():
-    raws = [
-        raw("a", 0.2, 100.0, "misc", 25000.0, (20.0, 30.0, 28.0, 15.0), 2000.0),
-        raw("b", 0.2, 200.0, "misc", 25000.0, (20.0, 30.0, 28.0, 15.0), 2000.0),
-    ]
-    vecs = normalize_indicators(raws)
+    raws = raw_columns(
+        ("a", 0.2, 100.0, "misc", 25000.0, (20.0, 30.0, 28.0, 15.0), 2000.0),
+        ("b", 0.2, 200.0, "misc", 25000.0, (20.0, 30.0, 28.0, 15.0), 2000.0),
+    )
+    vecs = normalized(raws)
     for v in vecs.values():
         assert v.greenspace == 0.5
         assert v.income == 0.5
         assert v.precipitation == 0.5
         assert v.temperature == pytest.approx(0.5)
+
+
+def test_normalize_names_the_building_and_indicator_out_of_range():
+    raws = raw_columns(
+        ("a", 0.2, 0.0, "misc", 25000.0, (20.0, 30.0, 28.0, 15.0), 2000.0),
+        ("b", 0.4, 200.0, "misc", 26000.0, (21.0, 31.0, 29.0, 16.0), 2100.0),
+    )
+    with pytest.raises(ValueError, match=r"building b: indicator road_distance=1.5 outside"):
+        normalize_indicators(raws, road_cap=-400.0)
 
 
 def test_indicator_vector_bounds_checked():
