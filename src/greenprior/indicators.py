@@ -359,15 +359,16 @@ def category_indicator(categories: list[str]) -> np.ndarray:
 
 
 def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes,
-                               cells: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+                               cells: tuple[np.ndarray, np.ndarray] | None = None,
+                               centroid: tuple[float, float] | None = None) -> float:
     """Mean surface value over cells whose centers fall inside the footprint.
 
     Small footprints that trap no cell center fall back to the value at the
     centroid's cell. A centroid beyond the surface extent is an error.
     cells, when given, is ``cells_in_polygon`` of the footprint on a grid of
-    the surface's geometry.
+    the surface's geometry, and centroid, when given, the footprint's.
     """
-    cx, cy = building.footprint.centroid()
+    cx, cy = building.footprint.centroid() if centroid is None else centroid
     (row,), (col,) = cells_of(surface, np.array([[cx, cy]]))
     if not (0 <= row < surface.nrows and 0 <= col < surface.ncols):
         raise ComputationError(
@@ -451,7 +452,7 @@ def measure_buildings(buildings: list[BuildingAttributes], greenspace: list[floa
     :func:`building_coverage_rate`; road distance is to the main roads. The
     six surfaces are grouped by grid geometry (the seasonal rasters share
     one, the kriged surfaces another), and each footprint's cells are
-    looked up once per geometry.
+    looked up once per geometry; its centroid is computed once.
     """
     centroids = np.array([b.footprint.centroid() for b in buildings]).reshape(-1, 2)
     road_distance = distance_to_polylines(centroids, roads, tag="main")
@@ -460,7 +461,7 @@ def measure_buildings(buildings: list[BuildingAttributes], greenspace: list[floa
                   for s in surfaces]
     cells = {g: [cells_in_polygon(g, b.footprint) for b in buildings]
              for g in dict.fromkeys(geometries)}
-    samples = np.array([[sample_surface_at_building(s, b, cells[g][i])
+    samples = np.array([[sample_surface_at_building(s, b, cells[g][i], centroids[i])
                          for s, g in zip(surfaces, geometries)]
                         for i, b in enumerate(buildings)]).reshape(-1, len(surfaces))
     return RawIndicators(

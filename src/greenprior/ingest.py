@@ -416,7 +416,12 @@ def write_raster_asc(grid: RasterGrid | SparseGrid, path, nodata: float = NODATA
     flat, ncols = cells.flat, grid.ncols
     # each distinct value is formatted once, keyed by its bits so that 0.0
     # and -0.0 keep their own text
-    bits, which = np.unique(cells.values.view(np.int64), return_inverse=True)
+    keys = cells.values.view(np.int64)
+    bits = np.sort(keys)
+    first = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits = bits[first]
+    which = np.searchsorted(bits, keys)
     distinct = [fmt(v) for v in bits.view(np.float64).tolist()]
     texts = [distinct[i] for i in which.tolist()]
     # the occupied cells of row r are those at starts[r]:starts[r + 1]; each

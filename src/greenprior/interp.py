@@ -33,9 +33,9 @@ NEAREST_CHUNK_PAIRS = 1 << 15
 # Sample pairs empirical_semivariogram measures at once.
 PAIR_BLOCK = 1 << 15
 
-# Kriging systems built and solved together; each query holds about 13 kB
-# of stacked arrays with 16 neighbors.
-KRIGING_CHUNK_QUERIES = 1 << 10
+# Kriging systems built and solved together; each query holds about 8.5 kB
+# of stacked arrays with 16 neighbors, the solver's copy included.
+KRIGING_CHUNK_QUERIES = 1 << 8
 
 # The range searches of fit_variogram stop when their bracket is narrower
 # than this share of the range: within about sqrt(eps) of a minimum the
@@ -311,7 +311,9 @@ def _bin_offsets(edges, d, n, s):
 def _shape(kind, ratio):
     """Unit-sill variogram shape at lag ratio = h / range."""
     if kind == "spherical":
-        return np.where(ratio < 1.0, 1.5 * ratio - 0.5 * ratio ** 3, 1.0)
+        # the cube by products: numpy's power takes other bits at other
+        # SIMD dispatch levels
+        return np.where(ratio < 1.0, 1.5 * ratio - 0.5 * (ratio * ratio * ratio), 1.0)
     return 1.0 - np.exp(-3.0 * ratio)
 
 
@@ -468,17 +470,16 @@ def _ok_weights(samples: SampleSet, model: VariogramModel, d: np.ndarray,
     """Kriging weights and Lagrange multipliers for neighbor distances and
     indices of shape (..., k), from one stacked solve."""
     k = idx.shape[-1]
-    px, py = samples.xy[idx, 0], samples.xy[idx, 1]
-    pair = px[..., :, None] - px[..., None, :]
-    dy = py[..., :, None] - py[..., None, :]
-    pair *= pair
-    dy *= dy
-    pair += dy
-    # sqrt(dx*dx + dy*dy) in place: a fresh (..., k, k) temporary per step
-    # took twice the time of the arithmetic
-    np.sqrt(pair, out=pair)
+    # each neighbour pair i < j is measured once, sqrt(dx*dx + dy*dy) with
+    # dx = x_i - x_j; pair (j, i) has the same bits, the diagonal gamma(0) = 0
     ii, jj = np.triu_indices(k, 1)
-    off = pair[..., ii, jj]
+    px, py = samples.xy[idx, 0], samples.xy[idx, 1]
+    off = px[..., ii] - px[..., jj]
+    dy = py[..., ii] - py[..., jj]
+    off *= off
+    dy *= dy
+    off += dy
+    np.sqrt(off, out=off)
     dup = np.flatnonzero((off < MATCH_TOL).any(axis=-1))
     if dup.size:
         flat = int(np.argmin(off.reshape(-1, ii.size)[dup[0]]))
@@ -486,9 +487,9 @@ def _ok_weights(samples: SampleSet, model: VariogramModel, d: np.ndarray,
         raise ComputationError(
             f"duplicate sample coordinates at {tuple(samples.xy[a])} "
             f"(samples {a} and {b}); kriging system is singular")
-    A = np.ones(idx.shape[:-1] + (k + 1, k + 1))
-    A[..., :k, :k] = model.gamma(pair)
-    A[..., k, k] = 0.0
+    A = np.zeros(idx.shape[:-1] + (k + 1, k + 1))
+    A[..., ii, jj] = A[..., jj, ii] = model.gamma(off)
+    A[..., :k, k] = A[..., k, :k] = 1.0
     rhs = np.append(model.gamma(d), np.ones_like(d[..., :1]), axis=-1)
     try:
         sol = np.linalg.solve(A, rhs[..., None])[..., 0]
@@ -567,7 +568,9 @@ def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
     valid = np.isfinite(grid.values)
     if valid.all():
         return grid.copy()
-    rr, cc = np.nonzero(valid)
+    # the valid cells in column-major order are the (x, y) order of
+    # SampleSet.from_points, and + 0.0 turns -0.0 into its average 0.0
+    cc, rr = np.nonzero(valid.T)
     if rr.size < 3:
         raise ComputationError(f"too few valid cells to fill gaps ({rr.size} of {valid.size})")
     empirical = grid_semivariogram(grid)
@@ -575,8 +578,8 @@ def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
         model = fit_variogram(empirical, kind)
     except ValueError as exc:  # valid cells too close together for 3 lag bins
         raise ComputationError(f"{rr.size} valid cells: {exc}") from None
-    samples = SampleSet.from_points(np.column_stack(
-        [grid.x_centers()[cc], grid.y_centers()[rr], grid.values[rr, cc]]))
+    samples = SampleSet(np.column_stack([grid.x_centers()[cc], grid.y_centers()[rr]]),
+                        grid.values[rr, cc] + 0.0)
     rows, cols = np.nonzero(~valid)
     out = grid.values.copy()
     out[rows, cols], _ = kriging_predict(samples, model, grid.x_centers()[cols],

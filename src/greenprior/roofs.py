@@ -59,6 +59,10 @@ NEIGH4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 # one-sided 2x2 stencil quadrants, in tie-break order
 QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+# (cell, quadrant) pairs whose tie-break windows local_normals scores at
+# once; _window_scores' temporaries take about 400 bytes per pair.
+WINDOW_BLOCK_PAIRS = 1 << 12
+
 
 @dataclass
 class RoofSegment:
@@ -271,18 +275,19 @@ def _plane_cofactors(sxx, sxy, sx, syy, sy, n, tx, ty, tz):
             c01 * tx + c11 * ty + c12 * tz, c02 * tx + c12 * ty + c22 * tz)
 
 
-def _window_scores(surf: SparseGrid, r, c, dr, dc) -> np.ndarray:
+def _window_scores(surf: SparseGrid, padded: np.ndarray, r, c, dr, dc) -> np.ndarray:
     """Worst plane-fit deviation over the one-sided 3x3 window of each
     (cell, quadrant) pair (arrays r, c, dr, dc) of the occupied cells of
     surf, 0 under four cells; the window's cells are looked up by binary
-    search. A 2x2 stencil that straddles a crease can be coplanar by accident
-    (a symmetric ridge, a two-level step); one cell deeper on the same side
-    exposes the bend, while a stencil inside a true face stays exact.
-    Deviations depend on neither cell size nor window direction: the fit
-    uses the unit lattice.
+    search, and padded is surf.values with NaN appended, so an unoccupied
+    cell (position n) reads as NaN. A 2x2 stencil that straddles a crease
+    can be coplanar by accident (a symmetric ridge, a two-level step); one
+    cell deeper on the same side exposes the bend, while a stencil inside a
+    true face stays exact. Deviations depend on neither cell size nor window
+    direction: the fit uses the unit lattice.
     """
     i, j = np.divmod(np.arange(9)[:, None], 3)  # one row per window cell
-    z = np.append(surf.values, np.nan)[surf.positions(r + i * dr, c + j * dc)]
+    z = padded[surf.positions(r + i * dr, c + j * dc)]
     occ = np.isfinite(z)
     z = np.where(occ, z - z[0], 0.0)  # window cell 0 is the cell itself
     # _PlaneFit's nine sums over each window's cells in cell order, dx = j
@@ -331,8 +336,9 @@ def local_normals(dsm: RasterGrid | SparseGrid
             tie = np.isfinite(a) & (res <= best_res + 1e-12)
             differs = (np.abs(a - best_a) > 1e-9) | (np.abs(b - best_b) > 1e-9)
         ambiguous |= tie & differs
-    # score all tying quadrants of all ambiguous cells at once; rounding to
-    # 1e-9 sends gaps at rounding-noise level to quadrant order on any build
+    # score the tying quadrants of the ambiguous cells WINDOW_BLOCK_PAIRS at a
+    # time; rounding to 1e-9 sends gaps at rounding-noise level to quadrant
+    # order on any build
     amb = np.flatnonzero(ambiguous)
     tie = np.stack([np.isfinite(a[amb]) & (res[amb] <= best_res[amb] + 1e-12)
                     for a, _, res in quads], axis=1)
@@ -340,7 +346,11 @@ def local_normals(dsm: RasterGrid | SparseGrid
     dr, dc = np.array(QUADRANTS)[q].T
     score = np.full(tie.shape, np.inf)
     rr, cc = np.divmod(surf.flat[amb][pair], surf.ncols)
-    score[pair, q] = np.round(_window_scores(surf, rr, cc, dr, dc), 9)
+    padded = np.append(surf.values, np.nan)
+    for start in range(0, pair.size, WINDOW_BLOCK_PAIRS):
+        s = slice(start, start + WINDOW_BLOCK_PAIRS)
+        score[pair[s], q[s]] = np.round(
+            _window_scores(surf, padded, rr[s], cc[s], dr[s], dc[s]), 9)
     pick = np.argmin(score, axis=1), np.arange(amb.size)
     best_a[amb] = np.stack([a[amb] for a, _, _ in quads])[pick]
     best_b[amb] = np.stack([b[amb] for _, b, _ in quads])[pick]

@@ -103,7 +103,9 @@ def _old_interp_template(pc, cell):
 
 def _old_shape(kind, ratio):
     if kind == "spherical":
-        shape = np.where(ratio < 1.0, 1.5 * ratio - 0.5 * ratio ** 3, 1.0)
+        # the cube by products, as the shape has taken it since numpy's
+        # power was found to give other bits at other SIMD dispatch levels
+        shape = np.where(ratio < 1.0, 1.5 * ratio - 0.5 * (ratio * ratio * ratio), 1.0)
     else:
         shape = 1.0 - np.exp(-3.0 * ratio)
     return shape

@@ -292,6 +292,30 @@ def test_measure_work_is_per_road_and_per_geometry(small_city, tmp_path, monkeyp
     assert len(lookups) == 2 * potential and len(set(lookups)) == 2
 
 
+def test_measure_computes_each_centroid_once(monkeypatch):
+    # six surfaces, one centroid per building; a centroid outside a surface
+    # keeps its message
+    calls = []
+    centroid = Polygon.centroid
+
+    def counted(poly):
+        calls.append(poly)
+        return centroid(poly)
+
+    monkeypatch.setattr(Polygon, "centroid", counted)
+    seasonal = {s: RasterGrid(0.0, 0.0, 7.0, np.full((30, 30), 25.0)) for s in SEASONS}
+    kriged = RasterGrid(-20.0, -20.0, 50.0, np.ones((6, 6)))
+    buildings = [BuildingAttributes("b1", 10, "public", square(30, 40, 20)),
+                 BuildingAttributes("b2", 20, "misc", square(150, 150, 3))]
+    roads = [Polyline([[0, 0], [200, 0]], tag="main")]
+    measure_buildings(buildings, [0.5, 0.5], roads, kriged, seasonal, kriged)
+    assert len(calls) == len(buildings)
+    far = [BuildingAttributes("b3", 10, "public", square(250, 40, 20))]
+    with pytest.raises(ComputationError,
+                       match=r"^building b3: centroid \(260\.0, 50\.0\) outside surface extent$"):
+        measure_buildings(far, [0.5], roads, kriged, seasonal, kriged)
+
+
 def test_combine_seasonal_temperature():
     np.testing.assert_allclose(
         combine_seasonal_temperature(np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])),

@@ -313,6 +313,74 @@ def test_kriging_memory_does_not_grow_with_cells():
     assert peak < 64 * 2**20
 
 
+# interpolate_grid of a 625-cell station surface from 24 stations peaked at
+# 2.34 MiB (numpy 2.4), the kriging systems KRIGING_CHUNK_QUERIES = 256 at a
+# time with each neighbour pair measured once; the bound allows 1.5 times
+# that. Stacked (k, k) pair arrays over 1,024 queries peaked at 8.7 MiB.
+STATION_SURFACE_PEAK_BYTES = 3.5 * 2**20
+
+
+def test_station_surface_peak_memory():
+    rng = np.random.default_rng(5)
+    samples = SampleSet.from_points(np.column_stack([rng.uniform(0, 1200, (24, 2)),
+                                                     rng.normal(0, 1, 24)]))
+    model = VariogramModel("spherical", 0.1, 2.0, 800.0)
+    template = RasterGrid(0.0, 0.0, 48.0, np.zeros((25, 25)))
+    tracemalloc.start()
+    try:
+        interpolate_grid(samples, template, model=model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= STATION_SURFACE_PEAK_BYTES
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+def test_chunk_size_does_not_move_a_bit(monkeypatch, chunk):
+    rng = np.random.default_rng(29)
+    samples = SampleSet.from_points(np.column_stack([rng.uniform(0, 500, (30, 2)),
+                                                     rng.normal(0, 1, 30)]))
+    xs, ys = np.meshgrid(np.arange(5.0, 500.0, 20.0), np.arange(5.0, 500.0, 20.0))
+    gappy = 10.0 + rng.normal(0, 1, (20, 20))
+    gappy[rng.random(gappy.shape) < 0.2] = np.nan
+
+    def run():
+        model = fit_variogram(interp.empirical_semivariogram(samples))
+        return [*kriging_predict(samples, model, xs, ys),
+                fill_raster_nodata(RasterGrid(0.0, 0.0, 25.0, gappy)).values]
+
+    want = run()
+    monkeypatch.setattr(interp, "KRIGING_CHUNK_QUERIES", chunk)
+    for got, expected in zip(run(), want):
+        assert _bits(got) == _bits(expected)
+
+
+def test_gap_fill_samples_match_from_points(monkeypatch):
+    # the samples of a gap fill come straight from the lattice: the bits of
+    # SampleSet.from_points over the valid cells, -0.0 read as 0.0
+    rng = np.random.default_rng(31)
+    values = rng.choice([-0.0, 0.0, -1.5, 2.25, np.nan, np.inf], (13, 17))
+    values[0, :3] = [np.nan, -0.0, 0.0]
+    grid = RasterGrid(-123.4, 567.8, 2.5, values)
+    seen = []
+    predict = interp.kriging_predict
+
+    def kept(samples, *args):
+        seen.append(samples)
+        return predict(samples, *args)
+
+    monkeypatch.setattr(interp, "kriging_predict", kept)
+    fill_raster_nodata(grid)
+    rr, cc = np.nonzero(np.isfinite(values))
+    want = SampleSet.from_points(np.column_stack(
+        [grid.x_centers()[cc], grid.y_centers()[rr], values[rr, cc]]))
+    (got,) = seen
+    assert _bits(got.xy) == _bits(want.xy)
+    assert _bits(got.values) == _bits(want.values)
+    assert np.signbit(values[values == 0]).any()
+    assert not np.signbit(want.values[want.values == 0]).any()
+
+
 # ---------------------------------------------------------------------------
 # the neighbour rule
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ numpy picks its SIMD code when it loads, by the CPU's features, and
 ``NPY_DISABLE_CPU_FEATURES`` turns groups of them off. The chain runs with
 numpy held to the X86_V3 (AVX2) level and to the X86_V2 baseline, and
 reports the groups numpy then had on, so a variable that took no effect
-fails the test.
+fails the test. The spherical variogram, which every kriged value passes
+through, is compared bit for bit at those levels too.
 """
 import ctypes
 import filecmp
 import glob
+import hashlib
 import os
 import platform
 import subprocess
@@ -28,6 +30,7 @@ import pytest
 
 import greenprior
 from greenprior import cli
+from greenprior.interp import VariogramModel
 from greenprior.synth import SyntheticCitySpec, generate_city
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(greenprior.__file__)))
@@ -57,6 +60,17 @@ from greenprior import cli
 for command in sys.argv[1].split(","):
     if cli.main([command, *sys.argv[2:]]) != 0:
         sys.exit(command)
+print(" ".join(sorted(f for f, on in __cpu_features__.items() if on)))
+"""
+
+# prints a digest of the bits of the spherical VariogramModel.gamma over
+# fixed lags, then the CPU feature groups numpy had on
+GAMMA_CHILD = """\
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+sys.path.insert(0, sys.argv[1])
+from test_portability import gamma_digest
+print(gamma_digest())
 print(" ".join(sorted(f for f, on in __cpu_features__.items() if on)))
 """
 
@@ -147,6 +161,32 @@ def test_chain_files_do_not_depend_on_numpy_dispatch(request, tmp_path, level, c
                                {"NPY_DISABLE_CPU_FEATURES": " ".join(off)}, DISPATCH_CHILD)
     on = set(reported.split())
     assert level in on and not on & set(off), reported
+
+
+def gamma_digest():
+    """sha256 of the bits of the spherical VariogramModel.gamma at 200,001
+    lags from 0 to 1.5 times the range (products of exact steps)."""
+    model = VariogramModel("spherical", 0.25, 2.0, 700.3)
+    lags = np.arange(200_001) * (1.5 * model.range_m / 200_000)
+    return hashlib.sha256(model.gamma(lags).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("level", ["X86_V3", "X86_V2"])
+def test_variogram_bits_do_not_depend_on_numpy_dispatch(level):
+    # the cube of the spherical shape is taken by products: numpy's power
+    # gives other bits below the CPU's own level
+    off = [group for group in ABOVE[level] if group in (DISPATCH_ON or ())]
+    if not off:
+        pytest.skip(f"numpy dispatches no group above {level} here")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", GAMMA_CHILD, os.path.dirname(__file__)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    digest, reported = done.stdout.splitlines()[-2:]
+    on = set(reported.split())
+    assert level in on and not on & set(off), reported
+    assert digest == gamma_digest()
 
 
 def _chain_in_child(city, out, variables, child, *child_args):

@@ -1,9 +1,9 @@
 """The whole-array normal tie-break against the per-cell loop it replaced.
 
 ``roofs.local_normals`` scores every tying quadrant of every ambiguous cell
-at once (``roofs._window_scores``): each window's plane is solved by the
-cofactors of ``_PlaneFit.plane``, elementwise over all windows, and the
-score is rounded to 1e-9. The per-cell ``lstsq`` loop below is its earlier
+in whole-array blocks (``roofs._window_scores``): each window's plane is
+solved by the cofactors of ``_PlaneFit.plane``, elementwise over a block's
+windows, and the score is rounded to 1e-9. The per-cell ``lstsq`` loop below is its earlier
 body, kept as an oracle with the same rounding: the quadrant choices, and
 so the gradients, must match to the last bit. The unrounded scores must
 agree with ``lstsq`` within 1e-10. The stencil planes come from the
@@ -11,15 +11,17 @@ full-grid oracle in ``fullgrid_kernels``. Extract calls no LAPACK solver
 and no ``einsum``.
 """
 import filecmp
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgrid_kernels import quadrant_planes, scatter_normals
-from greenprior import cli
+from greenprior import cli, roofs
 from greenprior.geocore import RasterGrid
-from greenprior.roofs import QUADRANTS, _window_scores
+from greenprior.roofs import QUADRANTS, _window_scores, local_normals
 
 # ---------------------------------------------------------------------------
 # oracle: the earlier per-cell body
@@ -129,9 +131,10 @@ def test_tie_break_matches_per_cell_loop(dsm):
 def test_window_scores_match_lstsq(dsm):
     V = dsm.values
     rr, cc = np.nonzero(np.isfinite(V))
+    surf = dsm.occupied_cells()
     for dr, dc in QUADRANTS:
-        got = _window_scores(dsm.occupied_cells(), rr, cc, np.full(rr.size, dr),
-                             np.full(rr.size, dc))
+        got = _window_scores(surf, np.append(surf.values, np.nan), rr, cc,
+                             np.full(rr.size, dr), np.full(rr.size, dc))
         want = [_old_window_score(V, dsm.cell, int(r), int(c), dr, dc) for r, c in zip(rr, cc)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -158,3 +161,53 @@ def test_extract_calls_no_solve_lstsq_or_einsum(small_city, tmp_path, monkeypatc
         assert _bits(new) == _bits(old)
     for name in ("segments.csv", "cells.csv", "buildings.csv", "dsm.asc"):
         assert filecmp.cmp(out / name, small_city / "out" / name, shallow=False), name
+
+
+def _gables(side, period):
+    """Gables of the given period across a side x side surface; at a short
+    period nearly every cell ties quadrants with different gradients."""
+    _, x = np.mgrid[0:side, 0:side].astype(float)
+    return RasterGrid(0.0, 0.0, 1.0, 20.0 - 0.5 * np.abs(x % period - period / 2)).occupied_cells()
+
+
+def _tie_pairs(surf, monkeypatch):
+    """The (cell, quadrant) pairs local_normals scores on surf."""
+    pairs = []
+
+    def counted(surf, padded, r, *rest):
+        pairs.append(r.size)
+        return _window_scores(surf, padded, r, *rest)
+
+    monkeypatch.setattr(roofs, "_window_scores", counted)
+    local_normals(surf)
+    monkeypatch.undo()
+    return sum(pairs)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+def test_window_block_size_does_not_move_a_bit(monkeypatch, block):
+    surf = _gables(24, 6)
+    assert _tie_pairs(surf, monkeypatch) > 7 * 20
+    want = local_normals(surf)
+    monkeypatch.setattr(roofs, "WINDOW_BLOCK_PAIRS", block)
+    for got, expected in zip(local_normals(surf), want):
+        assert _bits(got) == _bits(expected)
+
+
+# local_normals peaked at 288 bytes per cell on _gables(300, 4) (numpy 2.4),
+# with two tie pairs per cell; the bound allows about 1.4 times that.
+# Scoring every tie pair in one batch peaked at 996.
+NORMALS_PEAK_BYTES_PER_CELL = 400
+
+
+def test_local_normals_peak_memory_follows_the_cells(monkeypatch):
+    surf = _gables(300, 4)
+    surf.neighbours()
+    assert _tie_pairs(surf, monkeypatch) >= 1.9 * surf.flat.size
+    tracemalloc.start()
+    try:
+        local_normals(surf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= NORMALS_PEAK_BYTES_PER_CELL * surf.flat.size
