@@ -375,24 +375,53 @@ def read_raster_geometry(path) -> GridGeometry:
 def read_raster_asc(path) -> RasterGrid:
     """Read an ESRI ASCII grid. Nodata cells become NaN internally.
 
-    Values are read exactly as Python's ``float()`` reads them, in one numpy
-    cast over the body's whitespace-separated tokens; rows may wrap across
-    lines.
+    Values are read exactly as Python's ``float()`` reads them; rows may
+    wrap across lines. The body is converted by one ``np.loadtxt`` pass,
+    whose conversions give the bits of ``float()`` on every spelling it
+    accepts, and taken in reading order. A body it refuses (rows wrapped
+    unevenly, spellings such as ``1_0`` or non-ASCII digits, no values) or
+    that holds another count of values than the grid's is read again by
+    :func:`_split_raster_body`, which raises the error, or returns the
+    values where only loadtxt was stricter.
     """
     with open(path, "r", encoding="utf-8") as fh:
         geometry, nodata = _read_asc_header(fh, path)
-        tokens = fh.read().split()
-    nrows, ncols = geometry.nrows, geometry.ncols
-    if len(tokens) != ncols * nrows:
-        raise FormatError(f"{path}: expected {ncols * nrows} values, found {len(tokens)}")
-    try:
-        flat = np.array(tokens, dtype=float)
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric raster value") from None
+        count = geometry.nrows * geometry.ncols
+        body = fh.tell()
+        flat = _loadtxt_raster_body(fh)
+        if flat is None or flat.size != count:
+            fh.seek(body)
+            flat = _split_raster_body(fh, path, count)
     flat[flat == nodata] = np.nan
     # file stores the top row first; flip into the bottom-row-0 convention
-    values = np.flipud(flat.reshape(nrows, ncols))
+    values = np.flipud(flat.reshape(geometry.nrows, geometry.ncols))
     return RasterGrid(geometry.origin_x, geometry.origin_y, geometry.cell, values)
+
+
+def _loadtxt_raster_body(fh) -> np.ndarray | None:
+    """The values of the raster body that fh is open at, in reading order,
+    by one np.loadtxt pass; None where loadtxt refuses the body or warns
+    that it holds no values."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(fh, dtype=float, comments=None, quotechar=None,
+                              ndmin=2).ravel()
+    except (ValueError, UserWarning):
+        return None
+
+
+def _split_raster_body(fh, path, count: int) -> np.ndarray:
+    """The values of the raster body that fh is open at, as one numpy cast
+    over its ``str.split()`` tokens: the exact path, whose errors name a
+    count of values other than count or a value that is not a number."""
+    tokens = fh.read().split()
+    if len(tokens) != count:
+        raise FormatError(f"{path}: expected {count} values, found {len(tokens)}")
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        raise FormatError(f"{path}: non-numeric raster value") from None
 
 
 def write_raster_asc(grid: RasterGrid | SparseGrid, path, nodata: float = NODATA_DEFAULT,

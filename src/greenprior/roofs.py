@@ -608,13 +608,35 @@ def decide_potential(building: BuildingAttributes, segments: list[RoofSegment],
     return PotentialDecision(building.id, len(reasons) == 0, frozenset(reasons), greenable)
 
 
-def _ground_level(footprint, ground_xyz: np.ndarray, search_m: float) -> float:
+@dataclass(eq=False)
+class GroundPoints:
+    """Ground-class points, (n, 3) in file order, with their order by x,
+    made once per extract so that each building reads only the points in
+    its x range."""
+
+    xyz: np.ndarray
+    by_x: np.ndarray = field(init=False, repr=False)  # indices of xyz, ascending x
+    x: np.ndarray = field(init=False, repr=False)  # x in that order
+
+    def __post_init__(self):
+        self.by_x = np.argsort(self.xyz[:, 0])
+        self.x = self.xyz[self.by_x, 0]
+
+    def x_range(self, lo: float, hi: float) -> np.ndarray:
+        """The points with lo <= x <= hi, in file order: two binary searches
+        of the sorted x, then the slice's indices sorted back."""
+        start, stop = np.searchsorted(self.x, lo, "left"), np.searchsorted(self.x, hi, "right")
+        return self.xyz[np.sort(self.by_x[start:stop])]
+
+
+def _ground_level(footprint, ground: GroundPoints, search_m: float) -> float:
     """Lowest ground-class point inside the footprint or within search_m of
-    its exterior ring; 0 when there is none."""
+    its exterior ring; 0 when there is none. The candidates are the points
+    of the footprint's box grown by search_m, in file order, so that the
+    minimum and its sign do not depend on the order by x."""
     x_min, y_min, x_max, y_max = footprint.bounds()
-    near = ground_xyz[
-        (ground_xyz[:, 0] >= x_min - search_m) & (ground_xyz[:, 0] <= x_max + search_m)
-        & (ground_xyz[:, 1] >= y_min - search_m) & (ground_xyz[:, 1] <= y_max + search_m)]
+    near = ground.x_range(x_min - search_m, x_max + search_m)
+    near = near[(near[:, 1] >= y_min - search_m) & (near[:, 1] <= y_max + search_m)]
     keep = points_in_polygon(near[:, :2], footprint)
     out = np.flatnonzero(~keep)
     keep[out] = segment_distances(near[out], footprint.exterior) <= search_m
@@ -622,7 +644,7 @@ def _ground_level(footprint, ground_xyz: np.ndarray, search_m: float) -> float:
 
 
 def building_height(building: BuildingAttributes, dsm: RasterGrid | SparseGrid,
-                    ground_xyz: np.ndarray, search_m: float = 10.0) -> float:
+                    ground: GroundPoints, search_m: float = 10.0) -> float:
     """Roof elevation (median of in-footprint cells) above local ground.
 
     Ground level is the lowest ground-class point within search_m of the
@@ -633,7 +655,7 @@ def building_height(building: BuildingAttributes, dsm: RasterGrid | SparseGrid,
     zs = surf.values[at[at < surf.flat.size]]
     if not zs.size:
         raise ComputationError(f"building {building.id}: no roof cells inside footprint")
-    ground_z = _ground_level(building.footprint, ground_xyz, search_m)
+    ground_z = _ground_level(building.footprint, ground, search_m)
     return max(0.0, float(np.median(zs)) - ground_z)
 
 
@@ -667,7 +689,7 @@ def extract_all(pc: PointCloud, buildings: list[BuildingAttributes],
     by_building: dict[str, list[RoofSegment]] = {}
     for seg in segments:
         by_building.setdefault(seg.building_id, []).append(seg)
-    ground = pc.points_of(GROUND)
+    ground = GroundPoints(pc.points_of(GROUND))
     decisions = {}
     heights = {}
     fallbacks = {}

@@ -8,21 +8,25 @@ so that centers land exactly on edges and corners, the new code must return
 the same float to the last bit or raise the same error.
 """
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from greenprior import geocore
 from greenprior.geocore import (
     ComputationError,
     Polygon,
     RasterGrid,
     cells_in_polygon,
     points_in_polygon,
+    segment_distances,
 )
 from greenprior.indicators import sample_surface_at_building
 from greenprior.ingest import BuildingAttributes
-from greenprior.roofs import _ground_level, building_height
+from greenprior.roofs import GroundPoints, _ground_level, building_height
 from scalar_distance import point_segment_distance
 
 
@@ -206,7 +210,7 @@ def test_building_height_matches_scalar_oracle(data):
     grid, poly = data.draw(scenes())
     ground = data.draw(ground_points(grid))
     b = BuildingAttributes("b1", 10, "public", poly)
-    assert _outcome(building_height, b, grid, ground) == \
+    assert _outcome(building_height, b, grid, GroundPoints(ground)) == \
         _outcome(_building_height_oracle, b, grid, ground)
 
 
@@ -280,11 +284,165 @@ def test_ground_level_matches_per_point_loop(case):
     poly, ground = case
     for point in ground:
         single = point[None, :]
-        assert _bits(_ground_level(poly, single, SEARCH_M)) == \
+        assert _bits(_ground_level(poly, GroundPoints(single), SEARCH_M)) == \
             _bits(_ground_z_oracle(poly, single, SEARCH_M))
-    assert _bits(_ground_level(poly, ground, SEARCH_M)) == \
+    assert _bits(_ground_level(poly, GroundPoints(ground), SEARCH_M)) == \
         _bits(_ground_z_oracle(poly, ground, SEARCH_M))
 
 
 def _bits(value):
     return np.float64(value).view(np.int64).item()
+
+
+# ---------------------------------------------------------------------------
+# ground points by x: the same level as the mask over the whole scene, from
+# the points of each footprint's x range alone
+# ---------------------------------------------------------------------------
+
+def _masked_ground_level(footprint, ground_xyz, search_m):
+    """_ground_level's earlier body: one mask over every ground point."""
+    x_min, y_min, x_max, y_max = footprint.bounds()
+    near = ground_xyz[
+        (ground_xyz[:, 0] >= x_min - search_m) & (ground_xyz[:, 0] <= x_max + search_m)
+        & (ground_xyz[:, 1] >= y_min - search_m) & (ground_xyz[:, 1] <= y_max + search_m)]
+    keep = points_in_polygon(near[:, :2], footprint)
+    out = np.flatnonzero(~keep)
+    keep[out] = segment_distances(near[out], footprint.exterior) <= search_m
+    return float(near[keep, 2].min()) if keep.any() else 0.0
+
+
+# x on and about the search box's edges, with ties; z with both zeros, whose
+# minimum takes its sign from the order the points come in
+_GROUND_X = (-10.0, -10.000000000000002, -9.5, 0.0, 5.0, 20.0, 29.5, 30.0, 30.000000000000004)
+_GROUND_Z = (0.0, -0.0, 1.5, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_GROUND_X), st.floats(-15.0, 25.0),
+                          st.sampled_from(_GROUND_Z)), max_size=12))
+@example([(30.0, 6.0, 0.0), (-10.0, 6.0, -0.0)])
+@example([(-10.0, 6.0, -0.0), (30.0, 6.0, 0.0)])
+def test_ground_level_matches_the_mask_over_every_point(points):
+    ground = np.array(points, dtype=float).reshape(len(points), 3)
+    assert _bits(_ground_level(_RECT, GroundPoints(ground), SEARCH_M)) == \
+        _bits(_masked_ground_level(_RECT, ground, SEARCH_M))
+
+
+def test_ground_search_reads_only_each_footprints_x_range(monkeypatch):
+    # two buildings 4 km apart: the ground points _ground_level examines are
+    # those of the footprints' x ranges, however many the scene holds
+    buildings = [Polygon([[x, y], [x + 20.0, y], [x + 20.0, y + 12.0], [x, y + 12.0], [x, y]])
+                 for x, y in ((500.0, 500.0), (4500.0, 4500.0))]
+    lattice = np.arange(-40.0, 60.0, 2.0)
+    near = np.array([(x0 + dx, y0 + dy, dx / 100.0) for x0, y0 in ((500.0, 500.0),
+                                                                    (4500.0, 4500.0))
+                     for dx in lattice for dy in lattice])
+    in_range = sum(int(np.count_nonzero((near[:, 0] >= x_min - SEARCH_M)
+                                        & (near[:, 0] <= x_max + SEARCH_M)))
+                   for x_min, _, x_max, _ in (b.bounds() for b in buildings))
+    rng = np.random.default_rng(3)
+    far = np.column_stack([rng.uniform(1000.0, 4000.0, 50_000), rng.uniform(0.0, 5000.0, 50_000),
+                           rng.uniform(-5.0, 5.0, 50_000)])
+    examined = []
+    x_range = GroundPoints.x_range
+
+    def counted(self, lo, hi):
+        got = x_range(self, lo, hi)
+        examined.append(len(got))
+        return got
+
+    monkeypatch.setattr(GroundPoints, "x_range", counted)
+    for scene in (near, np.concatenate([far[:25_000], near, far[25_000:]])):
+        examined.clear()
+        ground = GroundPoints(scene)
+        for b in buildings:
+            assert _bits(_ground_level(b, ground, SEARCH_M)) == \
+                _bits(_masked_ground_level(b, scene, SEARCH_M))
+        assert sum(examined) == in_range
+
+
+# ---------------------------------------------------------------------------
+# containment over (point, edge) blocks against the loop over edges
+# ---------------------------------------------------------------------------
+
+def _edge_loop_points_in_polygon(points, poly, tol=1e-9):
+    """points_in_polygon's earlier body: one pass over the points per edge."""
+    def on_edge(ring):
+        hit = np.zeros(points.shape[0], dtype=bool)
+        for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
+            dx, dy = bx - ax, by - ay
+            seg_len2 = dx * dx + dy * dy
+            px = points[:, 0] - ax
+            py = points[:, 1] - ay
+            t = np.clip((px * dx + py * dy) / seg_len2, 0.0, 1.0)
+            ex = px - t * dx
+            ey = py - t * dy
+            hit |= ex * ex + ey * ey <= tol * tol
+        return hit
+
+    def ray_cast(ring):
+        inside = np.zeros(points.shape[0], dtype=bool)
+        x, y = points[:, 0], points[:, 1]
+        for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
+            crosses = (ay > y) != (by > y)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                x_at = ax + (y - ay) * (bx - ax) / (by - ay)
+            inside ^= crosses & (x < x_at)
+        return inside
+
+    hit = on_edge(poly.exterior)
+    inside = ray_cast(poly.exterior)
+    for h in poly.holes:
+        hit |= on_edge(h)
+        inside &= ~ray_cast(h)
+    return inside | hit
+
+
+def _star(n, outer, inner, hole):
+    """An n-vertex star about the origin whose vertices alternate between
+    radii outer and inner, with a square hole of half-side hole."""
+    angles = 2.0 * math.pi * np.arange(n) / n
+    radii = np.where(np.arange(n) % 2 == 0, outer, inner)
+    ring = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    square = [[-hole, -hole], [hole, -hole], [hole, hole], [-hole, hole], [-hole, -hole]]
+    return Polygon(np.vstack([ring, ring[:1]]), [square])
+
+
+_STAR = _star(100, 50.0, 30.0, 10.0)
+
+
+def _star_probes():
+    """Every vertex and edge midpoint of _STAR, a last bit either side of
+    each, and the centres of a 1 m lattice over its box."""
+    rings = np.vstack([_STAR.exterior, _STAR.holes[0]])
+    marks = np.vstack([rings, (rings[:-1] + rings[1:]) / 2.0])
+    nudged = [np.nextafter(marks, marks + step) for step in (-1.0, 1.0)]
+    lattice = np.stack(np.meshgrid(np.arange(-50.5, 51.0), np.arange(-50.5, 51.0)),
+                       axis=-1).reshape(-1, 2)
+    return np.vstack([marks, *nudged, lattice])
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 1 << 13, 1 << 30])
+def test_containment_in_edge_blocks_matches_the_edge_loop(monkeypatch, block):
+    monkeypatch.setattr(geocore, "EDGE_BLOCK_PAIRS", block)
+    probes = _star_probes()
+    want = _edge_loop_points_in_polygon(probes, _STAR)
+    assert 0 < np.count_nonzero(want) < len(probes)
+    assert points_in_polygon(probes, _STAR).tolist() == want.tolist()
+
+
+# a 100-vertex footprint over a 10,000-cell box peaked at 0.8 MiB (numpy
+# 2.4); one block of every (cell, edge) pair took 54 MiB
+CONTAINMENT_PEAK_BYTES = 2 * 2**20
+
+
+def test_containment_of_a_large_box_holds_little():
+    grid = RasterGrid(-50.0, -50.0, 1.0, np.zeros((100, 100)))
+    tracemalloc.start()
+    try:
+        rows, _ = cells_in_polygon(grid, _STAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < rows.size < grid.values.size
+    assert peak < CONTAINMENT_PEAK_BYTES

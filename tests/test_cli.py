@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -160,6 +161,81 @@ def test_rerun_is_byte_identical(small_city, tmp_path):
         assert cli.main([command, "--config", config, "--out", str(out)]) == 0
     for fname in ("priorities.csv", "benefits.csv", "report.md"):
         assert filecmp.cmp(snapshot / fname, out / fname, shallow=False), fname
+
+
+# a shift of the kind HK 1980 Grid coordinates carry, exact in decimal
+HK_GRID_SHIFT = (Decimal(836000), Decimal(818000))
+
+
+def _shift_xy_csv(src, dst):
+    """Copy a CSV whose first two fields are x and y, shifted exactly."""
+    lines = src.read_text().splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        x, y, rest = line.split(",", 2)
+        rows.append(f"{Decimal(x) + HK_GRID_SHIFT[0]},{Decimal(y) + HK_GRID_SHIFT[1]},{rest}")
+    dst.write_text("\n".join(rows) + "\n")
+
+
+def _shift_features(src, dst):
+    """Copy a GeoJSON file with every coordinate pair shifted to the float
+    nearest the exact decimal sum."""
+    def shift(coords):
+        if isinstance(coords[0], list):
+            return [shift(c) for c in coords]
+        return [float(Decimal(repr(v)) + d) for v, d in zip(coords, HK_GRID_SHIFT)]
+
+    doc = json.loads(src.read_text())
+    for feat in doc["features"]:
+        feat["geometry"]["coordinates"] = shift(feat["geometry"]["coordinates"])
+    dst.write_text(json.dumps(doc))
+
+
+def _shift_raster(src, dst):
+    """Copy an ESRI ASCII grid with its lower-left corner shifted."""
+    lines = src.read_text().split("\n")
+    for i, key in ((2, "xllcorner"), (3, "yllcorner")):
+        name, value = lines[i].split()
+        assert name == key
+        lines[i] = f"{key} {float(Decimal(value) + HK_GRID_SHIFT[i - 2])!r}"
+    dst.write_text("\n".join(lines))
+
+
+def test_chain_in_hong_kong_grid_coordinates_writes_the_same_tables(small_city, tmp_path):
+    # the 7/12 city moved by (836000, 818000) m: every table, raster body and
+    # report is the unmoved chain's, but the plane offsets of segments.csv;
+    # this holds the absolute edge tolerance to a scale where a coordinate's
+    # last bit is 1.2e-10 m
+    city = tmp_path / "city"
+    city.mkdir()
+    for src in sorted(small_city.iterdir()):
+        dst = city / src.name
+        if src.suffix == ".csv" and src.name != "groundtruth.csv":
+            _shift_xy_csv(src, dst)
+        elif src.suffix == ".geojson":
+            _shift_features(src, dst)
+        elif src.suffix == ".asc":
+            _shift_raster(src, dst)
+        elif src.is_file():
+            shutil.copy2(src, dst)
+    for command in ("extract", "indicators", "prioritize", "benefits", "report"):
+        assert cli.main([command, "--config", str(city / "config.txt"),
+                         "--out", str(city / "out")]) == 0, command
+    moved, still = city / "out", small_city / "out"
+    for name in PIPELINE_FILES:
+        if name == "segments.csv":
+            rows = list(zip(_read_rows(moved / name), _read_rows(still / name), strict=True))
+            offsets = [(a.pop("plane_c"), b.pop("plane_c")) for a, b in rows]
+            assert all(a == b for a, b in rows)
+            assert any(a != b for a, b in offsets)  # the sloped roofs'
+        elif name.endswith(".asc"):
+            assert (moved / name).read_text().split("\n")[6:] == \
+                (still / name).read_text().split("\n")[6:], name
+        elif name.endswith(".geojson"):
+            assert [f["properties"] for f in json.loads((moved / name).read_text())["features"]] \
+                == [f["properties"] for f in json.loads((still / name).read_text())["features"]]
+        else:
+            assert filecmp.cmp(moved / name, still / name, shallow=False), name
 
 
 def test_surface_file_ignores_last_bit_noise(tmp_path):

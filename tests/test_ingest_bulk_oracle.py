@@ -4,7 +4,8 @@ they replaced.
 ``read_point_cloud`` parses the file with one ``np.loadtxt`` call and falls
 back to its line loop to name a bad line, or where loadtxt reads numbers
 differently from ``float()`` and ``int()``; ``read_raster_asc`` converts
-its whole body with one cast; ``read_table`` splits a stage table such as
+its body with one ``np.loadtxt`` pass, and falls back to one cast over its
+``str.split()`` tokens; ``read_table`` splits a stage table such as
 ``cells.csv`` into columns and converts each with one ``map``. The earlier
 bodies below are kept as oracles: over generated files (awkward
 number spellings, blank lines, CRLF, header present or absent, ragged
@@ -168,6 +169,13 @@ def point_files(draw):
     return end.join(lines) + draw(st.sampled_from(("", end)))
 
 
+# what str.split() splits on between raster values: ASCII blanks, and
+# characters a parser could take for part of a number, a line break or no
+# separator at all
+TOKEN_SEPARATORS = (" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+                    "\xa0", "\u3000", " \x0c\t")
+
+
 @st.composite
 def raster_files(draw):
     """(text, quirks) of an ESRI ASCII grid with a header in any order and
@@ -200,7 +208,9 @@ def raster_files(draw):
     rows = []
     while body:
         take = draw(st.integers(1, len(body)))
-        rows.append(draw(st.sampled_from((" ", "  ", "\t"))).join(body[:take]))
+        seps = draw(st.lists(st.sampled_from(TOKEN_SEPARATORS), min_size=take - 1,
+                             max_size=take - 1))
+        rows.append(body[0] + "".join(sep + token for sep, token in zip(seps, body[1:take])))
         body = body[take:]
         if draw(st.integers(0, 4)) == 0:
             rows.append(draw(blank_lines))
@@ -359,6 +369,40 @@ def test_raster_header_quirks_are_errors(tmp_path, text, message):
         with pytest.raises(FormatError) as exc:
             read(path)
         assert str(exc.value) == f"{path}: {message}"
+
+
+def test_chain_rasters_read_without_the_split_path(small_city, monkeypatch):
+    # the temperature rasters a chain reads and every raster it writes (the
+    # surface model, both greenspace masks, the kriged surfaces) are read by
+    # the loadtxt pass alone, to the bits of the split path
+    def no_split(*args):
+        raise AssertionError("_split_raster_body called")
+
+    paths = sorted(small_city.glob("*.asc")) + sorted((small_city / "out").glob("*.asc"))
+    assert len(paths) == 9
+    monkeypatch.setattr(ingest, "_split_raster_body", no_split)
+    bulk = [_outcome_raster(read_raster_asc, path) for path in paths]
+    monkeypatch.undo()
+    monkeypatch.setattr(ingest, "_loadtxt_raster_body", lambda fh: None)
+    assert bulk == [_outcome_raster(read_raster_asc, path) for path in paths]
+
+
+def test_raster_bulk_read_holds_less_than_split_path(tmp_path, monkeypatch):
+    # a greenspace mask of the 42/60 city's size, 241 x 241 cells
+    rng = np.random.default_rng(5)
+    values = (rng.random((241, 241)) < 0.3).astype(float)
+    values[rng.random(values.shape) < 0.2] = np.nan
+    path = tmp_path / "mask.asc"
+    ingest.write_raster_asc(RasterGrid(0.0, 0.0, 5.0, values), path)
+    peaks = []
+    for split in (False, True):
+        if split:
+            monkeypatch.setattr(ingest, "_loadtxt_raster_body", lambda fh: None)
+        tracemalloc.start()
+        read_raster_asc(path)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 @settings(max_examples=100, deadline=None)

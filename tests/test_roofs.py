@@ -20,6 +20,7 @@ from greenprior.geocore import (
 )
 from greenprior.ingest import BuildingAttributes, read_footprints, read_point_cloud
 from greenprior.roofs import (
+    GroundPoints,
     PotentialThresholds,
     RoofParams,
     assign_segments,
@@ -420,7 +421,7 @@ def test_decide_potential_monotone():
 def test_building_height_flat():
     dsm = grid_from(np.full((12, 12), 30.0))
     b = BuildingAttributes("b1", 10, "public", square(1, 1, 8))
-    ground = np.array([[0.0, 0.0, 0.0]])
+    ground = GroundPoints(np.array([[0.0, 0.0, 0.0]]))
     assert building_height(b, dsm, ground) == pytest.approx(30.0)
 
 
@@ -429,13 +430,13 @@ def test_building_height_median_robust_to_antenna():
     vals[1, 1], vals[1, 2], vals[1, 3] = 10.0, 10.0, 50.0
     dsm = grid_from(vals)
     b = BuildingAttributes("b1", 10, "public", square(0.5, 0.5, 4))
-    assert building_height(b, dsm, np.array([[0.0, 0.0, 0.0]])) == pytest.approx(10.0)
+    assert building_height(b, dsm, GroundPoints(np.array([[0.0, 0.0, 0.0]]))) == pytest.approx(10.0)
 
 
 def test_building_height_uses_nearby_ground():
     dsm = grid_from(np.full((10, 10), 25.0))
     b = BuildingAttributes("b1", 10, "public", square(1, 1, 6))
-    ground = np.array([[0.0, 0.0, 5.0], [500.0, 500.0, -20.0]])  # far point ignored
+    ground = GroundPoints(np.array([[0.0, 0.0, 5.0], [500.0, 500.0, -20.0]]))  # far point ignored
     assert building_height(b, dsm, ground) == pytest.approx(20.0)
 
 
@@ -443,7 +444,7 @@ def test_building_height_no_cells_errors():
     dsm = grid_from(np.full((4, 4), np.nan))
     b = BuildingAttributes("b1", 10, "public", square(0, 0, 4))
     with pytest.raises(ComputationError, match="no roof cells"):
-        building_height(b, dsm, np.zeros((0, 3)))
+        building_height(b, dsm, GroundPoints(np.zeros((0, 3))))
 
 
 def test_building_height_on_a_surface_the_wall_filter_emptied():
@@ -454,7 +455,7 @@ def test_building_height_on_a_surface_the_wall_filter_emptied():
     assert surf.positions(np.array([0, 0, -1, 5]), np.array([0, 1, 0, 9])).tolist() == [0] * 4
     b = BuildingAttributes("b1", 10, "public", square(0, 0, 2))
     with pytest.raises(ComputationError, match="no roof cells"):
-        building_height(b, surf, np.zeros((1, 3)))
+        building_height(b, surf, GroundPoints(np.zeros((1, 3))))
 
 
 # ---------------------------------------------------------------------------
