@@ -1,5 +1,6 @@
 """Scattered-data interpolation: inverse distance weighting and ordinary
-kriging, plus the variogram machinery kriging needs.
+kriging, plus the variogram machinery kriging needs. The variogram model is
+spherical.
 
 Sample sets are canonicalized on construction (exact duplicate coordinates
 averaged, then sorted), which makes every downstream prediction independent
@@ -23,8 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .geocore import ComputationError, RasterGrid
 
 MATCH_TOL = 1e-9  # queries closer than this to a sample return it exactly
-
-VARIOGRAM_KINDS = ("spherical", "exponential")
 
 # Query-sample pairs SampleSet.nearest measures at once; its buffers take
 # 17 bytes per pair.
@@ -308,28 +307,23 @@ def _bin_offsets(edges, d, n, s):
     return out
 
 
-def _shape(kind, ratio):
-    """Unit-sill variogram shape at lag ratio = h / range."""
-    if kind == "spherical":
-        # the cube by products: numpy's power takes other bits at other
-        # SIMD dispatch levels
-        return np.where(ratio < 1.0, 1.5 * ratio - 0.5 * (ratio * ratio * ratio), 1.0)
-    return 1.0 - np.exp(-3.0 * ratio)
+def _shape(ratio):
+    """Unit-sill spherical variogram shape at lag ratio = h / range."""
+    # the cube by products: numpy's power takes other bits at other SIMD
+    # dispatch levels
+    return np.where(ratio < 1.0, 1.5 * ratio - 0.5 * (ratio * ratio * ratio), 1.0)
 
 
 @dataclass
 class VariogramModel:
-    """Isotropic semivariogram: nugget + partial sill shaped by range."""
+    """Isotropic spherical semivariogram: nugget + partial sill by range."""
 
-    kind: str
     nugget: float
     sill: float
     range_m: float
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.kind not in VARIOGRAM_KINDS:
-            raise ValueError(f"unknown variogram kind {self.kind!r}")
         if self.nugget < 0 or self.sill <= self.nugget or self.range_m <= 0:
             raise ValueError("variogram needs 0 <= nugget < sill and range > 0")
 
@@ -337,30 +331,28 @@ class VariogramModel:
         """Semivariance at lag h (array friendly); exactly 0 at h = 0."""
         h = np.asarray(h, dtype=float)
         partial = self.sill - self.nugget
-        shape = _shape(self.kind, h / self.range_m)
+        shape = _shape(h / self.range_m)
         out = np.where(h > 0, self.nugget + partial * shape, 0.0)
         return out if out.ndim else float(out)
-
-
-def _shape_at(kind, t):
-    """_shape at one lag ratio t, in Python floats."""
-    if kind == "spherical":
-        return 1.5 * t - 0.5 * t ** 3 if t < 1.0 else 1.0
-    return 1.0 - math.exp(-3.0 * t)
 
 
 def _linear_subfit(gammas, weights, shape):
     """(weighted SSE, nugget, partial) of the least-squares fit of
     nugget + partial * shape to the gammas with nugget >= 0 and
-    partial >= 1e-12, in closed form and in Python floats.
+    partial >= 1e-12, in closed form and in Python floats, squares taken by
+    products. A sum past the largest float raises OverflowError, as
+    math.fsum does.
 
     The free fit regresses on the shape and gammas centred on their weighted
     means: where the shape is near 1 at every lag, the uncentred normal
     equations lose most of their digits to cancellation, and the range
     search then follows rounding noise instead of the SSE."""
     def sse(nugget, partial):
-        return math.fsum([w * (nugget + partial * f - g) ** 2
-                          for w, f, g in zip(weights, shape, gammas)])
+        residuals = [nugget + partial * f - g for f, g in zip(shape, gammas)]
+        total = math.fsum([w * (r * r) for w, r in zip(weights, residuals)])
+        if not math.isfinite(total):
+            raise OverflowError("squared residuals overflow")
+        return total
 
     s11 = math.fsum(weights)
     s1f = math.fsum([w * f for w, f in zip(weights, shape)])
@@ -368,9 +360,9 @@ def _linear_subfit(gammas, weights, shape):
     s1g = math.fsum([w * g for w, g in zip(weights, gammas)])
     sfg = math.fsum([w * f * g for w, f, g in zip(weights, shape, gammas)])
     f_mean, g_mean = s1f / s11, s1g / s11
-    cff = math.fsum([w * (f - f_mean) ** 2 for w, f in zip(weights, shape)])
-    cfg = math.fsum([w * (f - f_mean) * (g - g_mean)
-                     for w, f, g in zip(weights, shape, gammas)])
+    centred = [f - f_mean for f in shape]
+    cff = math.fsum([w * (c * c) for w, c in zip(weights, centred)])
+    cfg = math.fsum([w * c * (g - g_mean) for w, c, g in zip(weights, centred, gammas)])
     # s11 * cff is the determinant s11 * sff - s1f**2 without its cancellation
     if s11 * cff >= 1e-12:
         partial = cfg / cff
@@ -383,25 +375,23 @@ def _linear_subfit(gammas, weights, shape):
     return min((sse(nugget, partial), nugget, partial) for nugget, partial in edges)
 
 
-def fit_variogram(empirical: list[tuple[float, float, int]],
-                  kind: str = "spherical") -> VariogramModel:
-    """Fit nugget/sill/range to a binned semivariogram.
+def fit_variogram(empirical: list[tuple[float, float, int]]) -> VariogramModel:
+    """Fit the spherical nugget/sill/range to a binned semivariogram.
 
     Count-weighted least squares by variable projection (Golub and Pereyra
     1973): at each range, _linear_subfit gives the nugget and partial sill
     in closed form, so only the range is searched, within
     [0.01 * min lag, 2 * max lag]. A scan of 24 ranges, evenly spaced in log
     from 0.25 to 2 times the extreme lags, is extended by one step below
-    and, for the spherical model, by the lags. Golden-section search
-    (Kiefer 1953) then narrows the bracket between a scan point and each
-    neighbour until it is narrower than RANGE_TOL of the range, from every
-    local minimum of the scan that is not inside a plateau, from the best
-    point and from the best of the 24. The fit is the best range evaluated.
-    Python floats and math.fsum throughout, so the fit is the same on every
-    IEEE machine. All-zero curves come back flagged degenerate.
+    and by the lags. Golden-section search (Kiefer 1953) then narrows the
+    bracket between a scan point and each neighbour until it is narrower
+    than RANGE_TOL of the range, from every local minimum of the scan that
+    is not inside a plateau, from the best point and from the best of the
+    24. The fit is the best range evaluated. Python floats and math.fsum
+    throughout, the shape by products, so the fit is the same on every IEEE
+    machine. All-zero curves come back flagged degenerate; curves too large
+    for a finite SSE raise ValueError.
     """
-    if kind not in VARIOGRAM_KINDS:
-        raise ValueError(f"unknown variogram kind {kind!r}")
     if len(empirical) < 3:
         raise ValueError("need at least 3 semivariogram bins to fit")
     lags = [float(e[0]) for e in empirical]
@@ -409,10 +399,14 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
     weights = [float(e[2]) for e in empirical]
     min_lag, max_lag = min(lags), max(lags)
     if all(g <= 1e-15 for g in gammas):
-        return VariogramModel(kind, 0.0, 1e-12, max_lag, degenerate=True)
+        return VariogramModel(0.0, 1e-12, max_lag, degenerate=True)
+    lag_array = np.array(lags)
 
     def fit_at(r):
-        return (*_linear_subfit(gammas, weights, [_shape_at(kind, h / r) for h in lags]), r)
+        try:
+            return (*_linear_subfit(gammas, weights, _shape(lag_array / r).tolist()), r)
+        except OverflowError:  # no range can be told from another
+            raise ValueError("semivariances too large to fit: their sums overflow") from None
 
     def sse(fit):
         return fit[0]
@@ -440,10 +434,8 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
     lo, hi = 0.25 * min_lag, 2.0 * max_lag
     step = (hi / lo) ** (1.0 / 23.0)
     log_scan = [fit_at(lo * step ** i) for i in range(23)] + [fit_at(hi)]
-    extra = [max(0.01 * min_lag, lo / step)]
-    if kind == "spherical":
-        # past each lag one more bin rises to the sill, and the SSE can turn
-        extra += lags
+    # past each lag one more bin rises to the sill, and the SSE can turn
+    extra = [max(0.01 * min_lag, lo / step)] + lags
     scan = sorted(log_scan + [fit_at(r) for r in extra], key=lambda fit: fit[3])
     starts = {scan.index(min(scan, key=sse)), scan.index(min(log_scan, key=sse))}
     for i, p in enumerate(scan):
@@ -457,8 +449,7 @@ def fit_variogram(empirical: list[tuple[float, float, int]],
     _, nugget, partial, range_m = min(fits + scan, key=sse)
     # a large nugget absorbs the smallest partial sill: the sill must still
     # lie above it
-    return VariogramModel(kind, nugget, max(nugget + partial, math.nextafter(nugget, math.inf)),
-                          range_m)
+    return VariogramModel(nugget, max(nugget + partial, math.nextafter(nugget, math.inf)), range_m)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +521,11 @@ def kriging_predict(samples: SampleSet, model: VariogramModel, x, y, k_neighbors
 
 def interpolate_grid(samples: SampleSet, template: RasterGrid, method: str = "kriging",
                      model: VariogramModel | None = None, idw_power: float = 2.0,
-                     idw_k: int = 12, kriging_k: int = 16,
-                     variogram_kind: str = "spherical") -> RasterGrid:
+                     idw_k: int = 12, kriging_k: int = 16) -> RasterGrid:
     """Predict a full raster (every cell center) from scattered samples.
 
-    Without a model, kriging fits one; samples too few or too close
-    together for that fit raise ComputationError, as on any well-formed
+    Without a model, kriging fits one; samples too few, too close together
+    or too large for that fit raise ComputationError, as on any well-formed
     sample set that cannot be kriged.
     """
     if method not in ("idw", "kriging"):
@@ -545,8 +535,8 @@ def interpolate_grid(samples: SampleSet, template: RasterGrid, method: str = "kr
             raise ComputationError(
                 f"kriging needs at least 2 distinct sample locations, got {len(samples)}")
         try:
-            model = fit_variogram(empirical_semivariogram(samples), variogram_kind)
-        except ValueError as exc:  # samples too close together for 3 lag bins
+            model = fit_variogram(empirical_semivariogram(samples))
+        except ValueError as exc:  # too few lag bins, or too large
             raise ComputationError(f"{len(samples)} distinct sample locations: {exc}") from None
     xs, ys = np.meshgrid(template.x_centers(), template.y_centers())
     out = (idw_predict(samples, xs, ys, idw_power, idw_k) if method == "idw"
@@ -554,16 +544,15 @@ def interpolate_grid(samples: SampleSet, template: RasterGrid, method: str = "kr
     return RasterGrid(template.origin_x, template.origin_y, template.cell, out)
 
 
-def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
-                       k_neighbors: int = 16) -> RasterGrid:
+def fill_raster_nodata(grid: RasterGrid, k_neighbors: int = 16) -> RasterGrid:
     """Krige the NaN cells of a raster from its valid cells.
 
     The valid cells become the sample set, and their semivariogram comes
     from grid_semivariogram; filled-in values land only where
     the input had gaps, everything else is untouched. A grid without gaps
-    comes back as a copy. Valid cells too few or too close together for a
-    variogram fit raise ComputationError, as on any well-formed grid that
-    cannot be filled.
+    comes back as a copy. Valid cells too few, too close together or too
+    large for a variogram fit raise ComputationError, as on any well-formed
+    grid that cannot be filled.
     """
     valid = np.isfinite(grid.values)
     if valid.all():
@@ -573,10 +562,9 @@ def fill_raster_nodata(grid: RasterGrid, kind: str = "spherical",
     cc, rr = np.nonzero(valid.T)
     if rr.size < 3:
         raise ComputationError(f"too few valid cells to fill gaps ({rr.size} of {valid.size})")
-    empirical = grid_semivariogram(grid)
     try:
-        model = fit_variogram(empirical, kind)
-    except ValueError as exc:  # valid cells too close together for 3 lag bins
+        model = fit_variogram(grid_semivariogram(grid))
+    except (ValueError, OverflowError) as exc:  # too few lag bins, or too large
         raise ComputationError(f"{rr.size} valid cells: {exc}") from None
     samples = SampleSet(np.column_stack([grid.x_centers()[cc], grid.y_centers()[rr]]),
                         grid.values[rr, cc] + 0.0)

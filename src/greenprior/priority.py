@@ -69,7 +69,10 @@ def entropy_weights(matrix):
     arr = np.maximum(_as_matrix(matrix), _ENTROPY_FLOOR)
     n, m = arr.shape
     shares = arr / arr.sum(axis=0, keepdims=True)
-    entropy = -np.sum(shares * np.log(shares), axis=0) / np.log(n)
+    # logs by CPython's libm: numpy's log takes other bits at other SIMD
+    # dispatch levels
+    logs = np.array([math.log(p) for p in shares.ravel().tolist()]).reshape(shares.shape)
+    entropy = -np.sum(shares * logs, axis=0) / math.log(n)
     divergence = np.clip(1.0 - entropy, 0.0, None)
     total = divergence.sum()
     if total <= _DEGENERATE_TOTAL:

@@ -216,6 +216,7 @@ def _ground_truth(bid, roof_type, age, category, w, length, params, age_max=60):
 
 def _vegetation(rng, spec, rects):
     n_patches = max(6, spec.n_buildings // 4)
+    boxes = np.array(rects, dtype=float).reshape(-1, 4)
     pts = []
     for _ in range(n_patches):
         # denser greenery on the west side, where the income field is low,
@@ -233,7 +234,10 @@ def _vegetation(rng, spec, rects):
         inside_domain = (X >= 0) & (X <= spec.domain_m) & (Y >= 0) & (Y <= spec.domain_m)
         X, Y = X[inside_domain], Y[inside_domain]
         clear = np.ones(X.shape, dtype=bool)
-        for (x0, y0, x1, y1) in rects:
+        # a building holds none of the points unless its box meets theirs
+        near = ((boxes[:, 0] <= X.max(initial=-np.inf)) & (boxes[:, 2] >= X.min(initial=np.inf))
+                & (boxes[:, 1] <= Y.max(initial=-np.inf)) & (boxes[:, 3] >= Y.min(initial=np.inf)))
+        for (x0, y0, x1, y1) in boxes[near].tolist():
             clear &= ~((X >= x0) & (X <= x1) & (Y >= y0) & (Y <= y1))
         X, Y = X[clear], Y[clear]
         Z = rng.uniform(2.0, 8.0, X.shape[0])

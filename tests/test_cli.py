@@ -504,6 +504,32 @@ def test_degenerate_station_file_exit_three(small_city, tmp_path, capsys, statio
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, message", [
+    ("income_stations.csv", "24 distinct sample locations: "),
+    ("temp_summer.asc", "cannot fill gaps: 1547 valid cells: "),
+], ids=["stations", "raster"])
+def test_value_too_large_to_fit_exit_three(small_city, tmp_path, capsys, name, message):
+    # one finite value of 1e100: the squares of its differences overflow the
+    # variogram fit's sums, which used to end in an OverflowError traceback
+    def enlarge(city):
+        path = city / name
+        if name.endswith(".csv"):
+            lines = path.read_text().splitlines(keepends=True)
+            x, y, _ = lines[1].split(",")
+            lines[1] = f"{x},{y},1e100\n"
+            path.write_text("".join(lines))
+        else:
+            grid = read_raster_asc(path)
+            values = grid.values.copy()
+            values[np.unravel_index(np.flatnonzero(np.isfinite(values))[0], values.shape)] = 1e100
+            write_raster_asc(RasterGrid(grid.origin_x, grid.origin_y, grid.cell, values), path)
+
+    city, code, err = _indicators_on_copy(small_city, tmp_path, capsys, enlarge)
+    assert code == 3
+    assert err == (f"error: {city / name}: {message}"
+                   "semivariances too large to fit: their sums overflow\n")
+
+
 @pytest.mark.parametrize("damage, message", [
     ("header", "line 1: missing column(s) reasons, greenable_m2, height_m, age_years, category"),
     ("short", "line 2: expected 7 fields, got 3"),

@@ -27,7 +27,7 @@ from greenprior.benefits import population_grid_from_points
 from greenprior.geocore import (BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, cells_of,
                                snapped_grid)
 from greenprior.indicators import build_greenspace_mask, greened_mask
-from greenprior.interp import VARIOGRAM_KINDS, VariogramModel
+from greenprior.interp import VariogramModel
 from greenprior.roofs import _PlaneFit, _plane_cofactors, _summed_fit, candidate_roof_points
 
 CELLS = (0.1, 1.0, 5.0, 50.0, 100.0)
@@ -101,20 +101,16 @@ def _old_interp_template(pc, cell):
     return RasterGrid(ox, oy, cell, np.zeros((nrows, ncols)))
 
 
-def _old_shape(kind, ratio):
-    if kind == "spherical":
-        # the cube by products, as the shape has taken it since numpy's
-        # power was found to give other bits at other SIMD dispatch levels
-        shape = np.where(ratio < 1.0, 1.5 * ratio - 0.5 * (ratio * ratio * ratio), 1.0)
-    else:
-        shape = 1.0 - np.exp(-3.0 * ratio)
-    return shape
+def _old_shape(ratio):
+    # the cube by products, as the shape has taken it since numpy's power
+    # was found to give other bits at other SIMD dispatch levels
+    return np.where(ratio < 1.0, 1.5 * ratio - 0.5 * (ratio * ratio * ratio), 1.0)
 
 
 def _old_gamma(model, h):
     h = np.asarray(h, dtype=float)
     partial = model.sill - model.nugget
-    out = np.where(h > 0, model.nugget + partial * _old_shape(model.kind, h / model.range_m), 0.0)
+    out = np.where(h > 0, model.nugget + partial * _old_shape(h / model.range_m), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -281,22 +277,21 @@ RATIOS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(VARIOGRAM_KINDS), ratios=st.lists(RATIOS, min_size=1, max_size=20))
-@example(kind="spherical", ratios=[0.0, 1.0, 1.5])
-@example(kind="exponential", ratios=[0.0, 1.0, 1.5])
-def test_variogram_shape_matches_inline_expression(kind, ratios):
+@given(ratios=st.lists(RATIOS, min_size=1, max_size=20))
+@example(ratios=[0.0, 1.0, 1.5])
+def test_variogram_shape_matches_inline_expression(ratios):
     ratio = np.array(ratios)
-    assert _bits(interp._shape(kind, ratio)) == _bits(_old_shape(kind, ratio))
+    assert _bits(interp._shape(ratio)) == _bits(_old_shape(ratio))
     for r in ratios:
-        assert _bits(interp._shape(kind, r)) == _bits(_old_shape(kind, r))
+        assert _bits(interp._shape(r)) == _bits(_old_shape(r))
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(VARIOGRAM_KINDS), nugget=st.floats(0.0, 5.0),
-       partial=st.floats(1e-3, 50.0), range_m=st.floats(1.0, 2000.0),
+@given(nugget=st.floats(0.0, 5.0), partial=st.floats(1e-3, 50.0),
+       range_m=st.floats(1.0, 2000.0),
        lags=st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=20))
-def test_gamma_matches_inline_expression(kind, nugget, partial, range_m, lags):
-    model = VariogramModel(kind, nugget, nugget + partial, range_m)
+def test_gamma_matches_inline_expression(nugget, partial, range_m, lags):
+    model = VariogramModel(nugget, nugget + partial, range_m)
     lags = lags + [range_m]
     assert _bits(model.gamma(lags)) == _bits(_old_gamma(model, lags))
     got, want = model.gamma(lags[0]), _old_gamma(model, lags[0])

@@ -14,6 +14,13 @@ Only ``interp`` calls linear algebra (its kriging solves, whose outputs are
 written at 6 decimals): another AST scan checks that no other module uses
 ``@``, numpy's products or ``numpy.linalg``, whose last bits follow the
 BLAS and LAPACK builds of the machine.
+
+Only ``synth`` calls numpy's transcendental functions (exp, log, power, the
+trigonometric and hyperbolic ones, cbrt), whose last bits follow the SIMD
+code numpy dispatches to; synth writes the same files at every level. A
+third scan checks the other modules. ``sqrt`` and ``hypot`` give the same
+bits at every level and are allowed. The scan sees attributes and imports,
+not operators: ``x ** y`` on arrays is numpy's power unseen.
 """
 import ast
 import os
@@ -105,18 +112,27 @@ MODULES = sorted(name[:-3] for name in os.listdir(os.path.join(SRC, "greenprior"
                  if name.endswith(".py") and name != "__init__.py")
 
 
+def _numpy_uses(module, names):
+    """What the source of greenprior.module uses of numpy's attributes in
+    names: "np.<name>" for an attribute of numpy, and the numpy imports that
+    name one."""
+    found = {name for name in _imported_modules(module)
+             if name.split(".")[0] == "numpy" and set(name.split(".")) & set(names)}
+    for node in ast.walk(_tree(module)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.add(f"np.{node.attr}")
+    return found
+
+
 def _linear_algebra(module):
     """What the source of greenprior.module uses of linear algebra: "@" for
-    the matrix product operator, "np.<name>" for an attribute of numpy named
-    in LINEAR_ALGEBRA, and the numpy imports that name one."""
-    found = {name for name in _imported_modules(module)
-             if name.split(".")[0] == "numpy" and set(name.split(".")) & set(LINEAR_ALGEBRA)}
-    for node in ast.walk(_tree(module)):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.add("@")
-        elif (isinstance(node, ast.Attribute) and node.attr in LINEAR_ALGEBRA
-              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
-            found.add(f"np.{node.attr}")
+    the matrix product operator, and its uses of numpy named in
+    LINEAR_ALGEBRA."""
+    found = _numpy_uses(module, LINEAR_ALGEBRA)
+    if any(isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+           for node in ast.walk(_tree(module))):
+        found.add("@")
     return found
 
 
@@ -129,3 +145,19 @@ def test_linear_algebra_scan_sees_interp_solves():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "interp"])
 def test_only_interp_uses_linear_algebra(module):
     assert not _linear_algebra(module)
+
+
+TRANSCENDENTAL = ("exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "power",
+                  "float_power", "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2",
+                  "sinh", "cosh", "tanh", "cbrt")
+
+
+def test_transcendental_scan_sees_synth_sines():
+    # the scan sees numpy's transcendental functions where they are: without
+    # this the check below could pass on a scan that finds nothing
+    assert "np.sin" in _numpy_uses("synth", TRANSCENDENTAL)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "synth"])
+def test_only_synth_uses_numpy_transcendental_functions(module):
+    assert not _numpy_uses(module, TRANSCENDENTAL)

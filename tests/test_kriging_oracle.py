@@ -109,7 +109,7 @@ def _old_interpolate_grid(samples, template, method, model, k):
     return out
 
 
-def _old_fill_raster_nodata(grid, kind, k_neighbors):
+def _old_fill_raster_nodata(grid, k_neighbors):
     # the error contract is the current one: a gapless grid comes back
     # before the cell count is checked, and a fit with too few bins is a
     # ComputationError, not fit_variogram's ValueError. The variogram is the
@@ -127,7 +127,7 @@ def _old_fill_raster_nodata(grid, kind, k_neighbors):
     ys = grid.origin_y + (rr + 0.5) * grid.cell
     samples = SampleSet.from_points(np.column_stack([xs, ys, grid.values[rr, cc]]))
     try:
-        model = fit_variogram(grid_semivariogram(grid), kind)
+        model = fit_variogram(grid_semivariogram(grid))
     except ValueError as exc:
         raise ComputationError(f"{rr.size} valid cells: {exc}") from None
     out = grid.values.copy()
@@ -170,9 +170,8 @@ def scenes(draw):
         samples = SampleSet.from_points(np.column_stack([np.array(xy), values]))
     else:  # raw, so exact duplicates survive
         samples = SampleSet(np.array(xy), np.array(values))
-    kind = draw(st.sampled_from(interp.VARIOGRAM_KINDS))
     nugget = draw(st.sampled_from([0.0, 0.1, 1.0]))
-    model = VariogramModel(kind, nugget, nugget + draw(st.sampled_from([0.5, 2.0, 30.0])),
+    model = VariogramModel(nugget, nugget + draw(st.sampled_from([0.5, 2.0, 30.0])),
                            draw(st.sampled_from([15.0, 60.0, 400.0])))
     k = draw(st.sampled_from([1, 2, 5, 16, 40]))
     return samples, template, model, k
@@ -200,21 +199,20 @@ def test_grid_matches_per_cell_loop(scene, method):
 
 @settings(max_examples=100, deadline=None)
 @given(nrows=st.integers(2, 9), ncols=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
-       gap_share=st.sampled_from([0.0, 0.1, 0.4, 0.9]),
-       kind=st.sampled_from(interp.VARIOGRAM_KINDS), k=st.sampled_from([1, 4, 16, 100]))
-def test_gap_fill_matches_per_cell_loop(nrows, ncols, seed, gap_share, kind, k):
+       gap_share=st.sampled_from([0.0, 0.1, 0.4, 0.9]), k=st.sampled_from([1, 4, 16, 100]))
+def test_gap_fill_matches_per_cell_loop(nrows, ncols, seed, gap_share, k):
     rng = np.random.default_rng(seed)
     values = 15.0 + rng.normal(0.0, 1.5, (nrows, ncols)) + np.arange(ncols) * 0.3
     values[rng.uniform(size=values.shape) < gap_share] = np.nan
     grid = RasterGrid(100.0, 200.0, 30.0, values)
-    assert (_outcome(lambda g: fill_raster_nodata(g, kind, k).values, grid)
-            == _outcome(_old_fill_raster_nodata, grid, kind, k))
+    assert (_outcome(lambda g: fill_raster_nodata(g, k).values, grid)
+            == _outcome(_old_fill_raster_nodata, grid, k))
 
 
 def test_duplicate_sample_message_names_the_first_failing_cell():
     samples = SampleSet(np.array([[0.0, 0.0], [40.0, 40.0], [40.0, 40.0], [100.0, 0.0]]),
                         np.array([1.0, 2.0, 3.0, 4.0]))
-    model = VariogramModel("spherical", 0.1, 2.0, 60.0)
+    model = VariogramModel(0.1, 2.0, 60.0)
     template = RasterGrid(0.0, 0.0, 10.0, np.zeros((6, 6)))
     with pytest.raises(ComputationError) as new:
         interpolate_grid(samples, template, model=model, kriging_k=2)
@@ -228,7 +226,7 @@ def test_scalar_and_array_queries_agree():
     rng = np.random.default_rng(5)
     samples = SampleSet.from_points(np.column_stack([rng.uniform(0, 100, (30, 2)),
                                                      rng.normal(0, 1, 30)]))
-    model = VariogramModel("exponential", 0.0, 1.0, 50.0)
+    model = VariogramModel(0.0, 1.0, 50.0)
     xs, ys = rng.uniform(0, 100, (2, 3, 4))
     values, variances = kriging_predict(samples, model, xs, ys)
     assert values.shape == variances.shape == (3, 4)
@@ -257,10 +255,10 @@ def test_grid_work_does_not_grow_with_cells(monkeypatch, shape):
         calls["nearest"] += 1
         return nearest(*args, **kwargs)
 
-    model = VariogramModel("spherical", 0.1, 2.0, 60.0)
+    model = VariogramModel(0.1, 2.0, 60.0)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(SampleSet, "nearest", counted_nearest)
-    monkeypatch.setattr(interp, "fit_variogram", lambda empirical, kind="spherical": model)
+    monkeypatch.setattr(interp, "fit_variogram", lambda empirical: model)
     rng = np.random.default_rng(11)
     pts = np.column_stack([rng.uniform(0, 300, (25, 2)), rng.normal(0, 1, 25)])
     template = RasterGrid(0.0, 0.0, 300.0 / max(shape), np.zeros(shape))
@@ -284,7 +282,7 @@ def test_grid_over_several_chunks_matches_per_cell_loop(duplicate):
     if duplicate:  # near the last rows, so the first failing cell is in a late chunk
         xy[-2:] = [[250.0, 490.0], [250.0, 490.0]]
     samples = SampleSet(xy, rng.normal(0.0, 1.0, len(xy)))
-    model = VariogramModel("spherical", 0.1, 2.0, 150.0)
+    model = VariogramModel(0.1, 2.0, 150.0)
     template = RasterGrid(0.0, 0.0, 10.0, np.zeros((50, 50)))
     assert template.values.size > 2 * interp.KRIGING_CHUNK_QUERIES
     k = 2 if duplicate else 16
@@ -302,7 +300,7 @@ def test_kriging_memory_does_not_grow_with_cells():
     rng = np.random.default_rng(23)
     samples = SampleSet.from_points(np.column_stack([rng.uniform(0, 2000, (30, 2)),
                                                      rng.normal(0, 1, 30)]))
-    model = VariogramModel("spherical", 0.1, 2.0, 600.0)
+    model = VariogramModel(0.1, 2.0, 600.0)
     template = RasterGrid(0.0, 0.0, 10.0, np.zeros((200, 200)))
     tracemalloc.start()
     try:
@@ -324,7 +322,7 @@ def test_station_surface_peak_memory():
     rng = np.random.default_rng(5)
     samples = SampleSet.from_points(np.column_stack([rng.uniform(0, 1200, (24, 2)),
                                                      rng.normal(0, 1, 24)]))
-    model = VariogramModel("spherical", 0.1, 2.0, 800.0)
+    model = VariogramModel(0.1, 2.0, 800.0)
     template = RasterGrid(0.0, 0.0, 48.0, np.zeros((25, 25)))
     tracemalloc.start()
     try:
@@ -413,8 +411,8 @@ def test_nearest_matches_sorted_rule(xy, queries, k, chunk):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(interp.VARIOGRAM_KINDS))
-def test_shuffled_rows_give_the_same_bits(seed, kind):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_shuffled_rows_give_the_same_bits(seed):
     # a lattice with repeated rows: the queries' neighbour rings tie, and
     # rows at one location are averaged
     rng = np.random.default_rng(seed)
@@ -425,7 +423,7 @@ def test_shuffled_rows_give_the_same_bits(seed, kind):
     for perm in (np.arange(len(rows)), rng.permutation(len(rows)), rng.permutation(len(rows))):
         samples = SampleSet.from_points(rows[perm])
         d, idx = samples.nearest(*np.meshgrid(template.x_centers(), template.y_centers()), 9)
-        grids = [interpolate_grid(samples, template, method=method, variogram_kind=kind).values
+        grids = [interpolate_grid(samples, template, method=method).values
                  for method in ("idw", "kriging")]
         outputs.append([_bits(d), idx.tolist(), *map(_bits, grids)])
     assert outputs[1] == outputs[0]

@@ -13,8 +13,10 @@ numpy picks its SIMD code when it loads, by the CPU's features, and
 ``NPY_DISABLE_CPU_FEATURES`` turns groups of them off. The chain runs with
 numpy held to the X86_V3 (AVX2) level and to the X86_V2 baseline, and
 reports the groups numpy then had on, so a variable that took no effect
-fails the test. The spherical variogram, which every kriged value passes
-through, is compared bit for bit at those levels too.
+fails the test. Files hold rounded values, so values before rounding are
+compared bit for bit at those levels too: the spherical variogram, which
+every kriged value passes through, the 42/60 city's kriged station
+surfaces and gap fills, and the weights of every scheme on its indicators.
 """
 import ctypes
 import filecmp
@@ -30,7 +32,11 @@ import pytest
 
 import greenprior
 from greenprior import cli
-from greenprior.interp import VariogramModel
+from greenprior.config import load_config
+from greenprior.indicators import SEASONS
+from greenprior.ingest import read_raster_asc, read_xy_value
+from greenprior.interp import SampleSet, VariogramModel, fill_raster_nodata, interpolate_grid
+from greenprior.priority import WEIGHT_SCHEMES, compute_weights
 from greenprior.synth import SyntheticCitySpec, generate_city
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(greenprior.__file__)))
@@ -63,14 +69,14 @@ for command in sys.argv[1].split(","):
 print(" ".join(sorted(f for f, on in __cpu_features__.items() if on)))
 """
 
-# prints a digest of the bits of the spherical VariogramModel.gamma over
-# fixed lags, then the CPU feature groups numpy had on
-GAMMA_CHILD = """\
+# prints value_digest of the city in argv[2], then the CPU feature groups
+# numpy had on
+DIGEST_CHILD = """\
 import sys
 from numpy._core._multiarray_umath import __cpu_features__
 sys.path.insert(0, sys.argv[1])
-from test_portability import gamma_digest
-print(gamma_digest())
+from test_portability import value_digest
+print(value_digest(sys.argv[2]))
 print(" ".join(sorted(f for f, on in __cpu_features__.items() if on)))
 """
 
@@ -163,30 +169,48 @@ def test_chain_files_do_not_depend_on_numpy_dispatch(request, tmp_path, level, c
     assert level in on and not on & set(off), reported
 
 
-def gamma_digest():
-    """sha256 of the bits of the spherical VariogramModel.gamma at 200,001
-    lags from 0 to 1.5 times the range (products of exact steps)."""
-    model = VariogramModel("spherical", 0.25, 2.0, 700.3)
+def value_digest(city):
+    """sha256 of the bits, before rounding, of: the spherical
+    VariogramModel.gamma at 200,001 lags from 0 to 1.5 times the range
+    (products of exact steps); the city's kriged station surfaces; its
+    temperature grids with gaps, filled; and compute_weights of every scheme
+    on its indicators. Reads the city's config and its out/ tables."""
+    model = VariogramModel(0.25, 2.0, 700.3)
     lags = np.arange(200_001) * (1.5 * model.range_m / 200_000)
-    return hashlib.sha256(model.gamma(lags).tobytes()).hexdigest()
+    values = [model.gamma(lags)]
+    cfg = load_config(os.path.join(city, "config.txt"))
+    template = read_raster_asc(os.path.join(cfg.out_dir, "income_surface.asc"))
+    for path in (cfg.income_stations, cfg.precip_stations):
+        values.append(interpolate_grid(SampleSet.from_points(read_xy_value(path)),
+                                       template).values)
+    grids = [read_raster_asc(getattr(cfg, f"temp_{season}")) for season in SEASONS]
+    values += [fill_raster_nodata(g).values for g in grids if np.isnan(g.values).any()]
+    _, matrix = cli._read_indicator_vectors(cfg)
+    values += [compute_weights(matrix, scheme) for scheme in WEIGHT_SCHEMES]
+    assert len(values) == 3 + 2 + len(WEIGHT_SCHEMES)
+    digest = hashlib.sha256()
+    for v in values:
+        digest.update(np.ascontiguousarray(v, dtype=float).tobytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("level", ["X86_V3", "X86_V2"])
-def test_variogram_bits_do_not_depend_on_numpy_dispatch(level):
-    # the cube of the spherical shape is taken by products: numpy's power
-    # gives other bits below the CPU's own level
+def test_variogram_bits_do_not_depend_on_numpy_dispatch(city_42_60, level):
+    # the cube of the spherical shape is taken by products, and the entropy
+    # weights' logs by math.log: numpy's power and log give other bits below
+    # the CPU's own level
     off = [group for group in ABOVE[level] if group in (DISPATCH_ON or ())]
     if not off:
         pytest.skip(f"numpy dispatches no group above {level} here")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", GAMMA_CHILD, os.path.dirname(__file__)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", DIGEST_CHILD, os.path.dirname(__file__),
+                           str(city_42_60)], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     digest, reported = done.stdout.splitlines()[-2:]
     on = set(reported.split())
     assert level in on and not on & set(off), reported
-    assert digest == gamma_digest()
+    assert digest == value_digest(city_42_60)
 
 
 def _chain_in_child(city, out, variables, child, *child_args):
