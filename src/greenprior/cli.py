@@ -295,12 +295,12 @@ def _load_roof_cells(cfg, grid):
     return {bid: np.concatenate(parts) for bid, parts in qualifying.items()}
 
 
-def _station_surface(path, template, method):
+def _station_surface(path, template):
     """The stations of one x,y,value file interpolated onto the template; a
     well-formed file that cannot be kriged names itself in the error."""
     samples = SampleSet.from_points(read_xy_value(path))
     try:
-        return interpolate_grid(samples, template, method=method)
+        return interpolate_grid(samples, template)
     except ComputationError as exc:
         raise ComputationError(f"{path}: {exc}") from None
 
@@ -330,8 +330,8 @@ def cmd_indicators(cfg):
     write_raster_asc(mask_green, _out_path(cfg, "greenspace_greened.asc"))
 
     template = snapped_grid(pc.xyz, cfg.interp_cell)
-    income_surface = _station_surface(cfg.income_stations, template, cfg.interp_method)
-    precip_surface = _station_surface(cfg.precip_stations, template, cfg.interp_method)
+    income_surface = _station_surface(cfg.income_stations, template)
+    precip_surface = _station_surface(cfg.precip_stations, template)
     _write_surface(income_surface, _out_path(cfg, "income_surface.asc"))
     _write_surface(precip_surface, _out_path(cfg, "precip_surface.asc"))
 

@@ -86,14 +86,11 @@ class PipelineConfig:
     temp_winter: str | None = None
     out_dir: str = "out"
     scheme: str = "equal"
-    interp_method: str = "kriging"
     numbers: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.scheme not in WEIGHT_SCHEMES:
             raise ConfigError(f"unknown weighting scheme {self.scheme!r}")
-        if self.interp_method not in ("kriging", "idw"):
-            raise ConfigError(f"unknown interp_method {self.interp_method!r}")
         self.numbers = {key: self.numbers.get(key, f.default)
                         for key, (_, f) in NUMBER_KEYS.items()}
         try:
@@ -205,6 +202,5 @@ def default_config_text(paths):
     lines += [f"out_dir = {PipelineConfig.out_dir}", "",
               "# analysis parameters (defaults written out for visibility)"]
     lines += [f"{key} = {f.default!r}" for key, (_, f) in NUMBER_KEYS.items()]
-    lines += [f"scheme = {PipelineConfig.scheme}",
-              f"interp_method = {PipelineConfig.interp_method}"]
+    lines.append(f"scheme = {PipelineConfig.scheme}")
     return "\n".join(lines) + "\n"

@@ -359,22 +359,20 @@ def category_indicator(categories: list[str]) -> np.ndarray:
 
 
 def sample_surface_at_building(surface: RasterGrid, building: BuildingAttributes,
-                               cells: tuple[np.ndarray, np.ndarray] | None = None,
-                               centroid: tuple[float, float] | None = None) -> float:
+                               cells: tuple[np.ndarray, np.ndarray],
+                               centroid: tuple[float, float]) -> float:
     """Mean surface value over cells whose centers fall inside the footprint.
 
     Small footprints that trap no cell center fall back to the value at the
     centroid's cell. A centroid beyond the surface extent is an error.
-    cells, when given, is ``cells_in_polygon`` of the footprint on a grid of
-    the surface's geometry, and centroid, when given, the footprint's.
+    cells is ``cells_in_polygon`` of the footprint on a grid of the
+    surface's geometry, and centroid the footprint's.
     """
-    cx, cy = building.footprint.centroid() if centroid is None else centroid
+    cx, cy = centroid
     (row,), (col,) = cells_of(surface, np.array([[cx, cy]]))
     if not (0 <= row < surface.nrows and 0 <= col < surface.ncols):
         raise ComputationError(
             f"building {building.id}: centroid ({cx:.1f}, {cy:.1f}) outside surface extent")
-    if cells is None:
-        cells = cells_in_polygon(surface, building.footprint)
     vals = surface.values[cells]
     vals = vals[np.isfinite(vals)]
     if vals.size:

@@ -1,6 +1,6 @@
-"""Scattered-data interpolation: inverse distance weighting and ordinary
-kriging, plus the variogram machinery kriging needs. The variogram model is
-spherical.
+"""Scattered-data interpolation by ordinary kriging, plus the variogram
+machinery it needs; the variogram model is spherical. idw_predict (inverse
+distance weighting) is kept only for the acceptance gate: no stage calls it.
 
 Sample sets are canonicalized on construction (exact duplicate coordinates
 averaged, then sorted), which makes every downstream prediction independent
@@ -138,7 +138,8 @@ class SampleSet:
 # ---------------------------------------------------------------------------
 
 def idw_predict(samples: SampleSet, x, y, power: float = 2.0, k_neighbors: int = 12):
-    """Inverse-distance estimate at (x, y), shaped like x (a float for a scalar)."""
+    """Inverse-distance estimate at (x, y), shaped like x (a float for a scalar).
+    Only the acceptance gate calls it: its ``**`` is numpy's power."""
     d, idx = samples.nearest(np.ravel(x), np.ravel(y), k_neighbors)
     out = samples.values[idx[:, 0]]
     far = d[:, 0] >= MATCH_TOL
@@ -169,7 +170,8 @@ def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
         raise ValueError("need at least 2 samples for a semivariogram")
     if max_dist is None:
         max_dist = _half_diagonal(samples.xy.max(axis=0) - samples.xy.min(axis=0))
-    d, sq = _kept_pairs(samples, max_dist)
+    with np.errstate(over="ignore"):  # an inf square fails the fit, not here
+        d, sq = _kept_pairs(samples, max_dist)
     edges = np.linspace(0.0, max_dist, n_bins + 1)
     if n_bins < 1:
         return []
@@ -195,7 +197,8 @@ def _kept_pairs(samples: SampleSet, max_dist: float) -> tuple[np.ndarray, np.nda
     of scipy's pdist, whose distances these are bit for bit:
     d = sqrt(dx*dx + dy*dy) with dx = x_i - x_j and dy = y_i - y_j.
 
-    Rows of pairs go at most PAIR_BLOCK pairs at a time (or one row).
+    Rows of pairs go at most PAIR_BLOCK pairs at a time (or one row). Squares
+    past the largest float are inf, which fit_variogram refuses.
     """
     n = len(samples)
     d_out = np.empty(n * (n - 1) // 2)
@@ -255,14 +258,16 @@ def grid_semivariogram(grid: RasterGrid) -> list[tuple[float, float, int]]:
     xs = grid.x_centers()[cols[[0, -1]]]
     ys = grid.y_centers()[rows[[0, -1]]]
     max_dist = _half_diagonal((xs[1] - xs[0], ys[1] - ys[0]))
-    d, n, s = _offset_terms(grid, valid, rows, cols, max_dist)
+    with np.errstate(over="ignore"):  # as in empirical_semivariogram
+        d, n, s = _offset_terms(grid, valid, rows, cols, max_dist)
     return _bin_offsets(np.linspace(0.0, max_dist, 15 + 1), d, n, s)
 
 
 def _offset_terms(grid, valid, rows, cols, max_dist):
     """d_o, n_o and S_o of every offset with d_o <= max_dist and n_o > 0,
     over the bounding box of the finite cells. The gaps are NaN, so a pair
-    counts where the difference of its cells is not NaN."""
+    counts where the difference of its cells is not NaN. Squares past the
+    largest float are inf, as in _kept_pairs."""
     box = np.where(valid, grid.values, np.nan)[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     nr, nc = box.shape
     # padded[:, k:k + nc] is the box moved by dcols[k]
@@ -519,18 +524,15 @@ def kriging_predict(samples: SampleSet, model: VariogramModel, x, y, k_neighbors
 # grid interpolation
 # ---------------------------------------------------------------------------
 
-def interpolate_grid(samples: SampleSet, template: RasterGrid, method: str = "kriging",
-                     model: VariogramModel | None = None, idw_power: float = 2.0,
-                     idw_k: int = 12, kriging_k: int = 16) -> RasterGrid:
-    """Predict a full raster (every cell center) from scattered samples.
+def interpolate_grid(samples: SampleSet, template: RasterGrid,
+                     model: VariogramModel | None = None, kriging_k: int = 16) -> RasterGrid:
+    """Krige a full raster (every cell center) from scattered samples.
 
-    Without a model, kriging fits one; samples too few, too close together
-    or too large for that fit raise ComputationError, as on any well-formed
+    Without a model, one is fitted; samples too few, too close together or
+    too large for that fit raise ComputationError, as on any well-formed
     sample set that cannot be kriged.
     """
-    if method not in ("idw", "kriging"):
-        raise ValueError(f"unknown interpolation method {method!r}")
-    if method == "kriging" and model is None:
+    if model is None:
         if len(samples) < 2:
             raise ComputationError(
                 f"kriging needs at least 2 distinct sample locations, got {len(samples)}")
@@ -539,8 +541,7 @@ def interpolate_grid(samples: SampleSet, template: RasterGrid, method: str = "kr
         except ValueError as exc:  # too few lag bins, or too large
             raise ComputationError(f"{len(samples)} distinct sample locations: {exc}") from None
     xs, ys = np.meshgrid(template.x_centers(), template.y_centers())
-    out = (idw_predict(samples, xs, ys, idw_power, idw_k) if method == "idw"
-           else kriging_predict(samples, model, xs, ys, kriging_k)[0])
+    out = kriging_predict(samples, model, xs, ys, kriging_k)[0]
     return RasterGrid(template.origin_x, template.origin_y, template.cell, out)
 
 

@@ -220,8 +220,8 @@ def test_building_height_matches_scalar_oracle(data):
 def test_sample_surface_matches_scalar_oracle(scene):
     grid, poly = scene
     b = BuildingAttributes("b1", 10, "public", poly)
-    assert _outcome(sample_surface_at_building, grid, b) == \
-        _outcome(_sample_surface_oracle, grid, b)
+    assert _outcome(sample_surface_at_building, grid, b, cells_in_polygon(grid, poly),
+                    poly.centroid()) == _outcome(_sample_surface_oracle, grid, b)
 
 
 # ---------------------------------------------------------------------------

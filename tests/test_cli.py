@@ -508,26 +508,32 @@ def test_degenerate_station_file_exit_three(small_city, tmp_path, capsys, statio
     ("income_stations.csv", "24 distinct sample locations: "),
     ("temp_summer.asc", "cannot fill gaps: 1547 valid cells: "),
 ], ids=["stations", "raster"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings fail
 def test_value_too_large_to_fit_exit_three(small_city, tmp_path, capsys, name, message):
-    # one finite value of 1e100: the squares of its differences overflow the
-    # variogram fit's sums, which used to end in an OverflowError traceback
-    def enlarge(city):
-        path = city / name
-        if name.endswith(".csv"):
-            lines = path.read_text().splitlines(keepends=True)
-            x, y, _ = lines[1].split(",")
-            lines[1] = f"{x},{y},1e100\n"
-            path.write_text("".join(lines))
-        else:
-            grid = read_raster_asc(path)
-            values = grid.values.copy()
-            values[np.unravel_index(np.flatnonzero(np.isfinite(values))[0], values.shape)] = 1e100
-            write_raster_asc(RasterGrid(grid.origin_x, grid.origin_y, grid.cell, values), path)
+    # one finite value: at 1e100 the squares of its differences overflow the
+    # variogram fit's sums, which used to end in an OverflowError traceback;
+    # at 1e200 the squares themselves overflow, which used to print numpy's
+    # RuntimeWarning before the error
+    for value in ("1e100", "1e200"):
+        def enlarge(city):
+            path = city / name
+            if name.endswith(".csv"):
+                lines = path.read_text().splitlines(keepends=True)
+                x, y, _ = lines[1].split(",")
+                lines[1] = f"{x},{y},{value}\n"
+                path.write_text("".join(lines))
+            else:
+                grid = read_raster_asc(path)
+                values = grid.values.copy()
+                first = np.flatnonzero(np.isfinite(values))[0]
+                values[np.unravel_index(first, values.shape)] = float(value)
+                write_raster_asc(RasterGrid(grid.origin_x, grid.origin_y, grid.cell, values),
+                                 path)
 
-    city, code, err = _indicators_on_copy(small_city, tmp_path, capsys, enlarge)
-    assert code == 3
-    assert err == (f"error: {city / name}: {message}"
-                   "semivariances too large to fit: their sums overflow\n")
+        city, code, err = _indicators_on_copy(small_city, tmp_path / value, capsys, enlarge)
+        assert code == 3, value
+        assert err == (f"error: {city / name}: {message}"
+                       "semivariances too large to fit: their sums overflow\n"), value
 
 
 @pytest.mark.parametrize("damage, message", [

@@ -157,6 +157,20 @@ def test_bad_value_stops_every_stage_at_load(small_city, tmp_path, capsys, line,
     assert not out.exists() or not os.listdir(out)
 
 
+def test_interp_method_line_is_refused(small_city, tmp_path, capsys):
+    # kriging is the one interpolation method; the key that chose it is gone
+    # and refused like any other unknown key, so no old config reads as new
+    config = _city_config(small_city, tmp_path, "scheme = equal")
+    with open(config, "a", encoding="utf-8") as fh:
+        fh.write("interp_method = kriging\n")
+    with open(config, encoding="utf-8") as fh:
+        lineno = len(fh.read().splitlines())
+    for stage in STAGES:
+        assert cli.main([stage, "--config", config]) == 1, stage
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: unknown config key 'interp_method'\n"), stage
+
+
 @pytest.mark.parametrize("key", list(NUMBER_KEYS))
 def test_non_finite_numbers_are_rejected(key):
     for value in ("nan", "inf", "-inf", "1e309"):

@@ -20,7 +20,10 @@ trigonometric and hyperbolic ones, cbrt), whose last bits follow the SIMD
 code numpy dispatches to; synth writes the same files at every level. A
 third scan checks the other modules. ``sqrt`` and ``hypot`` give the same
 bits at every level and are allowed. The scan sees attributes and imports,
-not operators: ``x ** y`` on arrays is numpy's power unseen.
+not operators: ``x ** y`` on arrays is numpy's power unseen. The one such
+power left is in ``interp.idw_predict``, which only the acceptance gate
+calls: a fourth scan checks that no other module names it and that
+``interp`` only defines it, so no stage reaches it.
 """
 import ast
 import os
@@ -161,3 +164,24 @@ def test_transcendental_scan_sees_synth_sines():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "synth"])
 def test_only_synth_uses_numpy_transcendental_functions(module):
     assert not _numpy_uses(module, TRANSCENDENTAL)
+
+
+def _mentions(module, name):
+    """How the source of greenprior.module names ``name``: "def" for its
+    definition, "name" or "attribute" for a use, "import" for an import."""
+    found = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            found.append("def")
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.append("name")
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.append("attribute")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += ["import" for alias in node.names if alias.name.split(".")[-1] == name]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_stage_reaches_idw(module):
+    assert _mentions(module, "idw_predict") == (["def"] if module == "interp" else [])

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from greenprior import cli, geocore, indicators
-from greenprior.geocore import BUILDING, GROUND, VEGETATION, ComputationError, PointCloud, Polygon, Polyline, RasterGrid
+from greenprior.geocore import (
+    BUILDING,
+    GROUND,
+    VEGETATION,
+    ComputationError,
+    PointCloud,
+    Polygon,
+    Polyline,
+    RasterGrid,
+    cells_in_polygon,
+)
 from greenprior.indicators import (
     SEASONS,
     IndicatorVector,
@@ -37,6 +47,14 @@ def square(x0, y0, side):
 def roof_cells(cells):
     """(row, col) cells as the (m, 2) int64 array the indicators take."""
     return np.array(cells, dtype=np.int64).reshape(-1, 2)
+
+
+def _sample(surface, building):
+    """sample_surface_at_building with the cells and centroid that
+    measure_buildings passes it."""
+    return sample_surface_at_building(surface, building,
+                                      cells_in_polygon(surface, building.footprint),
+                                      building.footprint.centroid())
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +226,7 @@ def test_category_indicator_values():
 def test_sample_surface_constant():
     surf = RasterGrid(0.0, 0.0, 10.0, np.full((6, 6), 7.0))
     b = BuildingAttributes("b1", 10, "public", square(12, 12, 25))
-    assert sample_surface_at_building(surf, b) == 7.0
+    assert _sample(surf, b) == 7.0
 
 
 def test_sample_surface_two_cell_mean():
@@ -216,20 +234,20 @@ def test_sample_surface_two_cell_mean():
     surf = RasterGrid(0.0, 0.0, 10.0, vals)
     b = BuildingAttributes("b1", 10, "public", Polygon(
         [[1, 1], [19, 1], [19, 9], [1, 9], [1, 1]]))  # spans both cell centers
-    assert sample_surface_at_building(surf, b) == pytest.approx(5.0)
+    assert _sample(surf, b) == pytest.approx(5.0)
 
 
 def test_sample_surface_centroid_fallback():
     surf = RasterGrid(0.0, 0.0, 10.0, np.array([[3.0, 9.0]]))
     b = BuildingAttributes("b1", 10, "public", square(1.0, 1.0, 2.0))  # traps no center
-    assert sample_surface_at_building(surf, b) == 3.0
+    assert _sample(surf, b) == 3.0
 
 
 def test_sample_surface_outside_extent_errors():
     surf = RasterGrid(0.0, 0.0, 10.0, np.full((2, 2), 1.0))
     b = BuildingAttributes("b1", 10, "public", square(100, 100, 10))
     with pytest.raises(ComputationError, match="outside surface extent"):
-        sample_surface_at_building(surf, b)
+        _sample(surf, b)
 
 
 def test_measure_buildings_samples_each_surface_as_on_its_own():
@@ -254,9 +272,9 @@ def test_measure_buildings_samples_each_surface_as_on_its_own():
     assert raw.road_distance_m.tolist() == pytest.approx([b.footprint.centroid()[1]
                                                           for b in buildings])
     for i, b in enumerate(buildings):
-        assert raw.income[i] == sample_surface_at_building(kriged[0], b)
-        assert raw.precipitation[i] == sample_surface_at_building(kriged[1], b)
-        assert raw.seasonal_temps[i].tolist() == [sample_surface_at_building(seasonal[s], b)
+        assert raw.income[i] == _sample(kriged[0], b)
+        assert raw.precipitation[i] == _sample(kriged[1], b)
+        assert raw.seasonal_temps[i].tolist() == [_sample(seasonal[s], b)
                                                   for s in SEASONS]
     empty = measure_buildings([], [], roads, kriged[0], seasonal, kriged[1])
     assert empty.ids == [] and empty.seasonal_temps.shape == (0, 4)

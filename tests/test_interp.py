@@ -315,11 +315,15 @@ def test_kriging_variance_nonnegative():
 # grid interpolation
 # ---------------------------------------------------------------------------
 
+def idw_grid(samples, template):
+    """idw_predict at every cell center of the template."""
+    return idw_predict(samples, *np.meshgrid(template.x_centers(), template.y_centers()))
+
+
 def test_grid_single_sample_idw_constant():
     s = samples_of([[50, 50, 42.0]])
     template = RasterGrid(0.0, 0.0, 10.0, np.zeros((5, 5)))
-    g = interpolate_grid(s, template, method="idw")
-    assert (g.values == 42.0).all()
+    assert (idw_grid(s, template) == 42.0).all()
 
 
 def test_grid_exact_at_cell_center_samples():
@@ -333,9 +337,8 @@ def test_grid_exact_at_cell_center_samples():
             rows.append([cx, cy, v])
             want[r, c] = v
     s = samples_of(rows)
-    for method in ("idw", "kriging"):
-        g = interpolate_grid(s, template, method=method, model=MODEL)
-        np.testing.assert_array_equal(g.values, want)
+    np.testing.assert_array_equal(interpolate_grid(s, template, model=MODEL).values, want)
+    np.testing.assert_array_equal(idw_grid(s, template), want)
 
 
 def test_grid_kriging_within_neighbor_bounds_linear_trend():
@@ -343,7 +346,7 @@ def test_grid_kriging_within_neighbor_bounds_linear_trend():
                          np.arange(0, 60, 10, dtype=float))
     s = SampleSet.from_points(np.column_stack([xs.ravel(), ys.ravel(), xs.ravel()]))
     template = RasterGrid(5.0, 5.0, 10.0, np.zeros((4, 4)))
-    g = interpolate_grid(s, template, method="kriging", model=MODEL, kriging_k=8)
+    g = interpolate_grid(s, template, model=MODEL, kriging_k=8)
     for r in range(4):
         for c in range(4):
             cx, cy = template.cell_center(r, c)
@@ -358,12 +361,11 @@ def test_grid_reorder_invariance_bitwise():
                            rng.normal(20, 5, 30)])
     template = RasterGrid(10.0, 10.0, 15.0, np.zeros((5, 5)))
     perm = rng.permutation(30)
-    for method in ("idw", "kriging"):
-        g1 = interpolate_grid(SampleSet.from_points(pts), template, method=method,
-                              model=MODEL)
-        g2 = interpolate_grid(SampleSet.from_points(pts[perm]), template, method=method,
-                              model=MODEL)
-        assert np.array_equal(g1.values, g2.values)  # bit-identical
+    for grid in (lambda s: interpolate_grid(s, template, model=MODEL).values,
+                 lambda s: idw_grid(s, template)):
+        g1 = grid(SampleSet.from_points(pts))
+        g2 = grid(SampleSet.from_points(pts[perm]))
+        assert np.array_equal(g1, g2)  # bit-identical
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -378,7 +380,7 @@ def test_grid_kriging_too_few_samples_to_fit(rows, message):
     template = RasterGrid(0.0, 0.0, 10.0, np.zeros((3, 3)))
     with pytest.raises(ComputationError, match=f"^{message}$"):
         interpolate_grid(SampleSet.from_points(np.array(rows, dtype=float)), template)
-    assert interpolate_grid(samples_of(rows), template, method="idw").values.shape == (3, 3)
+    assert idw_grid(samples_of(rows), template).shape == (3, 3)
 
 
 def test_fill_raster_nodata_leaves_valid_cells():

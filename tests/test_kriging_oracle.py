@@ -2,9 +2,10 @@
 and the neighbour rule against a plain sort.
 
 ``interpolate_grid`` and ``fill_raster_nodata`` make one call each to
-``kriging_predict`` or ``idw_predict`` for all their cells: one
-``SampleSet.nearest`` call and one stacked ``np.linalg.solve`` per
-``KRIGING_CHUNK_QUERIES`` cells. The per-point predictors and the per-cell
+``kriging_predict`` for all their cells: one ``SampleSet.nearest`` call
+and one stacked ``np.linalg.solve`` per ``KRIGING_CHUNK_QUERIES`` cells.
+``idw_predict``, which no stage calls, takes a grid's cells in one call
+too. The per-point predictors and the per-cell
 grid loops below are their earlier bodies, kept as oracles: grids and gap
 fills must match to the last bit, and damaged sample sets must fail with
 the same ``ComputationError`` message. Their neighbours come from
@@ -30,6 +31,7 @@ from greenprior.interp import (
     fill_raster_nodata,
     fit_variogram,
     grid_semivariogram,
+    idw_predict,
     interpolate_grid,
     kriging_predict,
 )
@@ -107,6 +109,12 @@ def _old_interpolate_grid(samples, template, method, model, k):
             else:
                 out[row, col], _ = _old_kriging_predict(samples, model, cx, cy, k)
     return out
+
+
+def _idw_grid(samples, template, k=12):
+    """idw_predict at every cell center of the template, in one call."""
+    xs, ys = np.meshgrid(template.x_centers(), template.y_centers())
+    return idw_predict(samples, xs, ys, 2.0, k)
 
 
 def _old_fill_raster_nodata(grid, k_neighbors):
@@ -188,8 +196,9 @@ def test_grid_matches_per_cell_loop(scene, method):
     samples, template, model, k = scene
 
     def new(samples, template):
-        return interpolate_grid(samples, template, method=method, model=model,
-                                idw_k=k, kriging_k=k).values
+        if method == "idw":
+            return _idw_grid(samples, template, k)
+        return interpolate_grid(samples, template, model=model, kriging_k=k).values
 
     def old(samples, template):
         return _old_interpolate_grid(samples, template, method, model, k)
@@ -262,11 +271,13 @@ def test_grid_work_does_not_grow_with_cells(monkeypatch, shape):
     rng = np.random.default_rng(11)
     pts = np.column_stack([rng.uniform(0, 300, (25, 2)), rng.normal(0, 1, 25)])
     template = RasterGrid(0.0, 0.0, 300.0 / max(shape), np.zeros(shape))
-    for method in ("idw", "kriging"):
+    samples = SampleSet.from_points(pts)
+    for grid, solves in ((lambda: _idw_grid(samples, template), 0),
+                         (lambda: interpolate_grid(samples, template, model=model), 1)):
         calls["nearest"], calls["solve"] = 0, 0
-        interpolate_grid(SampleSet.from_points(pts), template, method=method, model=model)
+        grid()
         assert calls["nearest"] == 1
-        assert calls["solve"] == (method == "kriging")
+        assert calls["solve"] == solves
     values = 10.0 + rng.normal(0, 1, (shape[0] + 2, shape[1] + 2))
     values[::2, ::2] = np.nan
     calls["nearest"], calls["solve"] = 0, 0
@@ -423,8 +434,7 @@ def test_shuffled_rows_give_the_same_bits(seed):
     for perm in (np.arange(len(rows)), rng.permutation(len(rows)), rng.permutation(len(rows))):
         samples = SampleSet.from_points(rows[perm])
         d, idx = samples.nearest(*np.meshgrid(template.x_centers(), template.y_centers()), 9)
-        grids = [interpolate_grid(samples, template, method=method).values
-                 for method in ("idw", "kriging")]
+        grids = [_idw_grid(samples, template), interpolate_grid(samples, template).values]
         outputs.append([_bits(d), idx.tolist(), *map(_bits, grids)])
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
