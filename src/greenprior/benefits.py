@@ -7,7 +7,7 @@ regression used to examine equity of access.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class BenefitReport:
     value_total_hkd: float
 
     def __post_init__(self):
+        # finite inputs whose products or sums pass the largest float
+        for field in fields(self):
+            v = getattr(self, field.name)
+            if not math.isfinite(v):
+                raise ComputationError(f"benefit {field.name} overflows to {v!r}")
         for name in ("exposure_baseline", "exposure_greened"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -28,7 +28,7 @@ from .config import ConfigError, load_config
 from .geocore import ComputationError, GeometryError, snapped_grid
 from .indicators import (
     SEASONS,
-    IndicatorVector,
+    SHORT_NAMES,
     build_greenspace_mask,
     building_coverage_rate,
     greened_mask,
@@ -63,8 +63,8 @@ from .priority import (
 from .roofs import extract_all
 from .synth import DOMAIN_RANGE_M, SyntheticCitySpec, generate_city
 
-IND_COLUMNS = tuple("ind_" + short for short in IndicatorVector.SHORT_NAMES)
-WEIGHT_COLUMNS = tuple("w_" + short for short in IndicatorVector.SHORT_NAMES)
+IND_COLUMNS = tuple("ind_" + short for short in SHORT_NAMES)
+WEIGHT_COLUMNS = tuple("w_" + short for short in SHORT_NAMES)
 # the per-building values of the final report, after its id and potential
 REPORT_VALUES = ("roof_area_m2", "slope_deg", "height_m") + IND_COLUMNS + ("priority",)
 

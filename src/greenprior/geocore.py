@@ -140,10 +140,6 @@ class RasterGrid:
     def ncols(self) -> int:
         return self.values.shape[1]
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        return (self.origin_x + (col + 0.5) * self.cell,
-                self.origin_y + (row + 0.5) * self.cell)
-
     def x_centers(self) -> np.ndarray:
         return self.origin_x + (np.arange(self.ncols) + 0.5) * self.cell
 
@@ -152,19 +148,6 @@ class RasterGrid:
 
     def copy(self) -> "RasterGrid":
         return RasterGrid(self.origin_x, self.origin_y, self.cell, self.values.copy())
-
-    def same_geometry(self, other: "RasterGrid") -> bool:
-        """Exact equality of origin, cell size and shape: every (row, col)
-        covers the same box on both grids."""
-        return (self.origin_x == other.origin_x
-                and self.origin_y == other.origin_y
-                and self.cell == other.cell
-                and self.values.shape == other.values.shape)
-
-    def same_as(self, other: "RasterGrid") -> bool:
-        """Exact equality of georeference and values (NaN placement included)."""
-        return (self.same_geometry(other)
-                and np.array_equal(self.values, other.values, equal_nan=True))
 
     def occupied_cells(self) -> "SparseGrid":
         """The cells that are not NaN, as a SparseGrid of this geometry."""

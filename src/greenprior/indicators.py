@@ -52,31 +52,12 @@ class RawIndicators:
     precipitation: np.ndarray
 
 
-@dataclass
-class IndicatorVector:
-    """The six normalized indicators, each in [0, 1], in canonical order."""
-
-    greenspace: float
-    road_distance: float
-    category: float
-    income: float
-    temperature: float
-    precipitation: float
-
-    FIELDS = ("greenspace", "road_distance", "category", "income",
+# the six normalized indicators, each in [0, 1], in canonical column order
+INDICATORS = ("greenspace", "road_distance", "category", "income",
               "temperature", "precipitation")
-    # the same indicators, as named in the CSV columns (ind_*, w_*)
-    SHORT_NAMES = ("greenspace", "road_dist", "category", "income",
-                   "temperature", "precip")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in self.FIELDS])
-
-    def __post_init__(self):
-        for f in self.FIELDS:
-            v = getattr(self, f)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"indicator {f}={v} outside [0, 1]")
+# the same indicators, as named in the CSV columns (ind_*, w_*)
+SHORT_NAMES = ("greenspace", "road_dist", "category", "income",
+               "temperature", "precip")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +390,7 @@ def minmax_scale(values: np.ndarray, positive: bool) -> np.ndarray:
 def normalize_indicators(raw: RawIndicators,
                          road_cap: float = ROAD_CAP_DEFAULT) -> np.ndarray:
     """Scale the raw columns across the buildings into the (n, 6) matrix of
-    indicators, columns in ``IndicatorVector.FIELDS`` order.
+    indicators, columns in ``INDICATORS`` order.
 
     Greenspace and income scale negatively (abundance lowers demand);
     seasonal temperatures scale positively per season before blending;
@@ -418,7 +399,7 @@ def normalize_indicators(raw: RawIndicators,
     a ValueError naming its building and indicator.
     """
     if not raw.ids:
-        return np.empty((0, len(IndicatorVector.FIELDS)))
+        return np.empty((0, len(INDICATORS)))
     temps = np.column_stack([minmax_scale(column, positive=True)
                              for column in raw.seasonal_temps.T])
     matrix = np.column_stack([
@@ -432,7 +413,7 @@ def normalize_indicators(raw: RawIndicators,
     bad = np.argwhere(~((matrix >= 0.0) & (matrix <= 1.0)))
     if bad.size:
         i, j = bad[0]
-        raise ValueError(f"building {raw.ids[i]}: indicator {IndicatorVector.FIELDS[j]}="
+        raise ValueError(f"building {raw.ids[i]}: indicator {INDICATORS[j]}="
                          f"{matrix[i, j]} outside [0, 1]")
     return matrix
 

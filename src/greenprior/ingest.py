@@ -509,9 +509,11 @@ def read_table(path, columns) -> dict[str, list]:
 
     columns maps each column name to the function that parses its values.
     The header must hold every column, each row must have as many fields as
-    the header, and every value must parse; CRLF and CR line ends read as
-    LF, and empty lines are skipped. Fields are never quoted, as
-    :func:`write_table` writes them: a double quote anywhere is an error.
+    the header, and every value must parse; a float, or an optional_float
+    that is not empty, must also be finite, since stages write no nan or
+    inf. CRLF and CR line ends read as LF, and empty lines are skipped.
+    Fields are never quoted, as :func:`write_table` writes them: a double
+    quote anywhere is an error.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -526,17 +528,27 @@ def read_table(path, columns) -> dict[str, list]:
     # len(header)-th field of the rows from i on; a str column is that slice
     fields = ",".join(rows).split(",") if rows else []
     try:
-        return {column: (fields[where[column]::len(header)] if kind is str
-                         else list(map(kind, fields[where[column]::len(header)])))
-                for column, kind in columns.items()}
+        table = {column: (fields[where[column]::len(header)] if kind is str
+                          else list(map(kind, fields[where[column]::len(header)])))
+                 for column, kind in columns.items()}
     except ValueError:
         _table_error(path, lines, columns)
+    for column, kind in columns.items():
+        if kind in (float, optional_float) and not all(map(_finite, table[column])):
+            _table_error(path, lines, columns)
+    return table
+
+
+def _finite(value):
+    """A parsed number is finite; an empty optional_float (None) passes."""
+    return value is None or math.isfinite(value)
 
 
 def _table_error(path, lines, columns):
     """Raise the FormatError of the first bad line of a table that
     :func:`read_table` could not read: a double quote, a missing column, a
-    row of the wrong length or a value that does not parse."""
+    row of the wrong length, a value that does not parse or a number that
+    is not finite."""
     header = lines[0].split(",")
     where = {column: i for i, column in enumerate(header)}
     for lineno, line in enumerate(lines, start=1):
@@ -555,10 +567,13 @@ def _table_error(path, lines, columns):
             for column, kind in columns.items():
                 value = fields[where[column]]
                 try:
-                    kind(value)
+                    parsed = kind(value)
                 except ValueError:
                     raise FormatError(f"{path}: line {lineno}: column {column}: "
                                       f"{value!r} is not a valid {kind.__name__}") from None
+                if kind in (float, optional_float) and not _finite(parsed):
+                    raise FormatError(f"{path}: line {lineno}: column {column}: "
+                                      f"{value!r} is not a finite number")
     raise AssertionError(f"{path}: read_table failed on no line")
 
 

@@ -1,6 +1,5 @@
 """Scattered-data interpolation by ordinary kriging, plus the variogram
-machinery it needs; the variogram model is spherical. idw_predict (inverse
-distance weighting) is kept only for the acceptance gate: no stage calls it.
+machinery it needs; the variogram model is spherical.
 
 Sample sets are canonicalized on construction (exact duplicate coordinates
 averaged, then sorted), which makes every downstream prediction independent
@@ -131,21 +130,6 @@ class SampleSet:
             idx[q] = flat[starts[:, None] + pick] % n
         shape = np.shape(x) + (k,)
         return d.reshape(shape), idx.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# inverse distance weighting
-# ---------------------------------------------------------------------------
-
-def idw_predict(samples: SampleSet, x, y, power: float = 2.0, k_neighbors: int = 12):
-    """Inverse-distance estimate at (x, y), shaped like x (a float for a scalar).
-    Only the acceptance gate calls it: its ``**`` is numpy's power."""
-    d, idx = samples.nearest(np.ravel(x), np.ravel(y), k_neighbors)
-    out = samples.values[idx[:, 0]]
-    far = d[:, 0] >= MATCH_TOL
-    w = d[far] ** (-power)
-    out[far] = np.sum(w * samples.values[idx[far]], axis=1) / np.sum(w, axis=1)
-    return out.reshape(np.shape(x))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +285,18 @@ def _offset_terms(grid, valid, rows, cols, max_dist):
 
 def _bin_offsets(edges, d, n, s):
     """(lag, semivariance, pair count) of each nonempty bin from the offset
-    terms d_o, n_o and S_o, by the sums of grid_semivariogram."""
+    terms d_o, n_o and S_o, by the sums of grid_semivariogram. A sum of
+    squares past the largest float raises the ValueError of fit_variogram."""
     which = np.searchsorted(edges[1:], d)
     out = []
     for b in np.unique(which):
         sel = which == b
         count = int(n[sel].sum())
-        out.append((math.fsum((n[sel] * d[sel]).tolist()) / count,
-                    0.5 * math.fsum(s[sel].tolist()) / count, count))
+        try:
+            gamma = 0.5 * math.fsum(s[sel].tolist()) / count
+        except OverflowError:  # fsum's intermediate overflow
+            raise ValueError("semivariances too large to fit: their sums overflow") from None
+        out.append((math.fsum((n[sel] * d[sel]).tolist()) / count, gamma, count))
     return out
 
 
@@ -494,12 +482,6 @@ def _ok_weights(samples: SampleSet, model: VariogramModel, d: np.ndarray,
     return sol[..., :k], sol[..., k]
 
 
-def _ok_solve(samples: SampleSet, model: VariogramModel, x, y, k_neighbors: int):
-    """Neighbor indices, kriging weights and Lagrange multipliers, stacked like x."""
-    d, idx = samples.nearest(x, y, k_neighbors)
-    return (idx, *_ok_weights(samples, model, d, idx))
-
-
 def kriging_predict(samples: SampleSet, model: VariogramModel, x, y, k_neighbors: int = 16):
     """Ordinary-kriging estimate and variance at (x, y), each shaped like x.
 
@@ -565,7 +547,7 @@ def fill_raster_nodata(grid: RasterGrid, k_neighbors: int = 16) -> RasterGrid:
         raise ComputationError(f"too few valid cells to fill gaps ({rr.size} of {valid.size})")
     try:
         model = fit_variogram(grid_semivariogram(grid))
-    except (ValueError, OverflowError) as exc:  # too few lag bins, or too large
+    except ValueError as exc:  # too few lag bins, or too large
         raise ComputationError(f"{rr.size} valid cells: {exc}") from None
     samples = SampleSet(np.column_stack([grid.x_centers()[cc], grid.y_centers()[rr]]),
                         grid.values[rr, cc] + 0.0)

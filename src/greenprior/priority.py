@@ -42,11 +42,6 @@ class PriorityScore:
             raise ValueError("percentile must lie in [0, 100]")
 
 
-def equal_weight_priority(vector):
-    """Arithmetic mean of the six indicator values."""
-    return float(np.mean(vector.as_array()))
-
-
 def _as_matrix(matrix):
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:

@@ -171,7 +171,7 @@ def filter_wall_edges(dsm: RasterGrid | SparseGrid,
 # connected components
 # ---------------------------------------------------------------------------
 
-def component_positions(dsm: RasterGrid | SparseGrid) -> list[np.ndarray]:
+def label_components(dsm: RasterGrid | SparseGrid) -> list[np.ndarray]:
     """Partition occupied cells into 8-connected components, each an
     ascending int64 array of positions in dsm.occupied_cells(), a slice of
     one stable argsort by component. Components are ordered by (min row,
@@ -207,13 +207,6 @@ def component_positions(dsm: RasterGrid | SparseGrid) -> list[np.ndarray]:
     rank = np.lexsort((np.minimum.reduceat(cols, starts), rows[starts]))
     ends = np.append(starts[1:], n)
     return [order[lo:hi] for lo, hi in zip(starts[rank].tolist(), ends[rank].tolist())]
-
-
-def label_components(dsm: RasterGrid | SparseGrid) -> list[list[tuple[int, int]]]:
-    """component_positions(dsm) as lists of (row, col) cells, in that order."""
-    surf = dsm.occupied_cells()
-    return [list(zip(*(v.tolist() for v in np.divmod(surf.flat[at], surf.ncols))))
-            for at in component_positions(surf)]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +466,7 @@ def grow_segments(component, dsm: RasterGrid | SparseGrid, normals,
     the fit is re-checked and outlier cells are evicted back into the pool
     until it holds every member.
     Cells with no usable local normal end up as singletons. component is
-    one of component_positions(dsm), and normals what local_normals(dsm)
+    one of label_components(dsm), and normals what local_normals(dsm)
     returns.
     """
     cells = _ComponentCells(component, dsm, normals)
@@ -680,7 +673,7 @@ def extract_all(pc: PointCloud, buildings: list[BuildingAttributes],
     dsm = filter_wall_edges(candidate_roof_points(pc, p.cell), p.wall_diff_m)
     normals = local_normals(dsm)
     segments: list[RoofSegment] = []
-    for comp in component_positions(dsm):
+    for comp in label_components(dsm):
         segments.extend(grow_segments(comp, dsm, normals, p.normal_tol_deg, p.residual_tol_m))
     assign_segments(segments, buildings, dsm)
     segments = [s for s in segments if s.building_id is not None]

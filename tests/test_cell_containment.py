@@ -20,6 +20,7 @@ from greenprior.geocore import (
     ComputationError,
     Polygon,
     RasterGrid,
+    cell_centers,
     cells_in_polygon,
     points_in_polygon,
     segment_distances,
@@ -92,7 +93,7 @@ def _sample_surface_oracle(surface, building):
     vals = []
     for r in range(row_lo, row_hi):
         for c in range(col_lo, col_hi):
-            px, py = surface.cell_center(r, c)
+            px, py = cell_centers(surface, np.array([[r, c]]))[0]
             v = surface.values[r, c]
             if np.isfinite(v) and building.footprint.contains(px, py):
                 vals.append(float(v))
@@ -200,7 +201,7 @@ def test_cells_in_polygon_matches_full_scan(scene):
     grid, poly = scene
     rows, cols = cells_in_polygon(grid, poly)
     expected = [(r, c) for r in range(grid.nrows) for c in range(grid.ncols)
-                if poly.contains(*grid.cell_center(r, c))]
+                if poly.contains(*cell_centers(grid, np.array([[r, c]]))[0])]
     assert list(zip(rows.tolist(), cols.tolist())) == expected
 
 

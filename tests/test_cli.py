@@ -514,7 +514,9 @@ def test_value_too_large_to_fit_exit_three(small_city, tmp_path, capsys, name, m
     # variogram fit's sums, which used to end in an OverflowError traceback;
     # at 1e200 the squares themselves overflow, which used to print numpy's
     # RuntimeWarning before the error
-    for value in ("1e100", "1e200"):
+    # at 4e153 the squares are finite and their sums overflow, the raster's
+    # in the semivariogram itself
+    for value in ("1e100", "4e153", "1e200"):
         def enlarge(city):
             path = city / name
             if name.endswith(".csv"):
@@ -571,6 +573,11 @@ def test_damaged_buildings_table_exit_one(small_city, tmp_path, capsys, damage, 
     ("indicators.csv", "ind_income", "high", "column ind_income: 'high' is not a valid float"),
     ("buildings.csv", "potential", "TRUE", "column potential: 'TRUE' is not a valid flag"),
     ("segments.csv", "qualifying", "yes", "column qualifying: 'yes' is not a valid flag"),
+    # a float column parses nan and inf, which the table layer refuses
+    ("indicators.csv", "gc_raw", "nan", "column gc_raw: 'nan' is not a finite number"),
+    ("indicators.csv", "gc_raw", "-inf", "column gc_raw: '-inf' is not a finite number"),
+    ("buildings.csv", "height_m", "nan", "column height_m: 'nan' is not a finite number"),
+    ("buildings.csv", "height_m", "inf", "column height_m: 'inf' is not a finite number"),
 ])
 def test_non_numeric_stage_value_exit_one(small_city, tmp_path, capsys, table, column, value,
                                           message):
@@ -587,6 +594,25 @@ def test_non_numeric_stage_value_exit_one(small_city, tmp_path, capsys, table, c
     err = capsys.readouterr().err
     assert f"{table}: line 2: {message}" in err
     assert "Traceback" not in err
+
+
+def test_benefit_total_that_overflows_exit_three(small_city, tmp_path, capsys):
+    # finite inputs whose products pass the largest float: the totals would
+    # be inf on every energy, carbon and money row
+    out = tmp_path / "out"
+    shutil.copytree(small_city / "out", out)
+    lines = (out / "buildings.csv").read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    row = next(i for i, line in enumerate(lines)
+               if line.split(",")[header.index("potential")] == "true")
+    fields = lines[row].rstrip("\n").split(",")
+    fields[header.index("greenable_m2")] = "1e308"
+    lines[row] = ",".join(fields) + "\n"
+    (out / "buildings.csv").write_text("".join(lines))
+    code = cli.main(["benefits", "--config", str(small_city / "config.txt"), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: benefit energy_joules overflows to inf\n"
 
 
 def _old_cell_rows(segments):

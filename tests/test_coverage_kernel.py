@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from greenprior import benefits, cli, indicators, ingest
 from greenprior.benefits import greenspace_exposure
-from greenprior.geocore import RasterGrid
+from greenprior.geocore import RasterGrid, cell_centers
 from greenprior.indicators import _disk_runs, greenspace_coverage
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def _exposure_oracle(mask, population, radius):
     total = float(pop.sum())
     weighted = 0.0
     for row, col in zip(*np.nonzero(pop > 0)):
-        x, y = population.cell_center(int(row), int(col))
+        x, y = cell_centers(population, np.array([[int(row), int(col)]]))[0]
         weighted += pop[row, col] * _coverage_oracle(mask, x, y, radius)
     return weighted / total
 
@@ -99,7 +99,7 @@ def queries(draw, mask, n):
         c = draw(st.integers(-6, mask.ncols + 6))
         r = draw(st.integers(-6, mask.nrows + 6))
         if kind == "center":
-            out.append(mask.cell_center(r, c))
+            out.append(cell_centers(mask, np.array([[r, c]]))[0])
         elif kind == "grid":
             out.append((mask.origin_x + c * mask.cell, mask.origin_y + r * mask.cell))
         else:
@@ -118,11 +118,11 @@ def coverage_cases(draw):
 # a 5 m mask, radius 500, query on a pixel center: the pixels at
 # (+-300, +-400), (+-400, +-300), (+-500, 0) and (0, +-500) lie on the circle
 _ON_CIRCLE = RasterGrid(0.0, 0.0, 5.0, np.ones((220, 220)))
-_ON_CIRCLE_QUERY = np.array([_ON_CIRCLE.cell_center(110, 110)])
+_ON_CIRCLE_QUERY = cell_centers(_ON_CIRCLE, np.array([[110, 110]]))
 # the same triples at a 0.1 m pitch, where the sums round
 _ON_CIRCLE_DECIMAL = RasterGrid(0.1, -0.1, 0.1, np.ones((24, 24)))
-_ON_CIRCLE_DECIMAL_QUERIES = np.array([_ON_CIRCLE_DECIMAL.cell_center(r, c)
-                                       for r in range(4, 20) for c in range(4, 20)])
+_ON_CIRCLE_DECIMAL_QUERIES = cell_centers(_ON_CIRCLE_DECIMAL, np.array(
+    [(r, c) for r in range(4, 20) for c in range(4, 20)]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ _CHUNK_MASK = RasterGrid(-3.0, 12.5, 5.0, np.random.default_rng(8).choice(
 
 def _chunk_queries(rows):
     """Queries on pixel centers at the given mask rows, two columns apart."""
-    return np.array([_CHUNK_MASK.cell_center(r, 2 * i - 3) for i, r in enumerate(rows)])
+    return cell_centers(_CHUNK_MASK, np.array([(r, 2 * i - 3) for i, r in enumerate(rows)]))
 
 
 def _assert_oracle_bits(mask, pts, radius):
@@ -309,7 +309,7 @@ _TANGENT_ROW = (RasterGrid(0.0, 0.0, 1.0, np.zeros((21, 21))), 10.0,
 # make the margin wide enough to settle the pair.
 _FAR_TIE_MASK = RasterGrid(2.3e6, -2.3e6, 0.1, np.zeros((4, 24)))
 _FAR_TIE = (_FAR_TIE_MASK, 0.05 * 0.1,
-            np.array([[2300000.455, _FAR_TIE_MASK.cell_center(1, 0)[1]]]))
+            np.array([[2300000.455, cell_centers(_FAR_TIE_MASK, np.array([[1, 0]]))[0, 1]]]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -406,8 +406,8 @@ def test_building_coverage_is_mean_of_scalar_oracle():
     buildings = [np.concatenate([rng.integers(0, 300, (k, 2)) for k in ks])
                  for ks in ((5, 1, 30), (1,), (17, 4))]
     got = indicators.building_coverage_rate(buildings, mask, roof_grid, radius=120.0)
-    want = [float(np.mean([_coverage_oracle(mask, *roof_grid.cell_center(r, c), 120.0)
-                           for r, c in cells.tolist()]))
+    want = [float(np.mean([_coverage_oracle(mask, x, y, 120.0)
+                           for x, y in cell_centers(roof_grid, cells).tolist()]))
             for cells in buildings]
     assert _bits(got) == _bits(want)
     assert all(type(rate) is float for rate in got)

@@ -24,8 +24,8 @@ from exact_plane import cofactors, exact_terms, fit_sums, rank_guard_stops
 from fullgrid_kernels import densify
 from greenprior import interp
 from greenprior.benefits import population_grid_from_points
-from greenprior.geocore import (BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid, cells_of,
-                               snapped_grid)
+from greenprior.geocore import (BUILDING, GROUND, VEGETATION, PointCloud, RasterGrid,
+                               cell_centers, cells_of, snapped_grid)
 from greenprior.indicators import build_greenspace_mask, greened_mask
 from greenprior.interp import VariogramModel
 from greenprior.roofs import _PlaneFit, _plane_cofactors, _summed_fit, candidate_roof_points
@@ -70,7 +70,7 @@ def _old_build_greenspace_mask(pc, potential_roofs, cell, roof_grid):
         inside = (rows >= 0) & (rows < nrows) & (cols >= 0) & (cols < ncols)
         values[rows[inside], cols[inside]] = 1.0
     for cells in potential_roofs or []:
-        centers = np.array([roof_grid.cell_center(r, c) for r, c in cells.tolist()]).reshape(-1, 2)
+        centers = cell_centers(roof_grid, np.asarray(cells).reshape(-1, 2))
         cols = np.floor((centers[:, 0] - origin_x) / cell).astype(int)
         rows = np.floor((centers[:, 1] - origin_y) / cell).astype(int)
         inside = (rows >= 0) & (rows < nrows) & (cols >= 0) & (cols < ncols)

@@ -45,14 +45,15 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from exact_plane import exact_plane, exact_residual, exact_terms, fit_sums, rank_guard_stops
+import fullgrid_kernels
 from fullgrid_kernels import densify, scatter_normals
+from gate_oracles import component_cells
 from greenprior import cli, roofs
-from greenprior.geocore import RasterGrid
+from greenprior.geocore import RasterGrid, cell_centers
 from greenprior.roofs import (
     NEIGH8,
     RoofSegment,
     _PlaneFit,
-    component_positions,
     grow_segments,
     label_components,
     local_normals,
@@ -141,12 +142,12 @@ def _old_grow_segments(component, dsm, normal_tol_deg=10.0, residual_tol_m=0.2, 
                                 closest)
         pool -= members
         cells = sorted(members)
-        x0, y0 = dsm.cell_center(*seed)
+        x0, y0 = cell_centers(dsm, np.array([seed]))[0]
         fallback = (float(A[seed]), float(B[seed])) if np.isfinite(curv[seed]) else (0.0, 0.0)
         fit = _OldPlaneFit(fallback)
         exact = [Fraction(0)] * 9
         for r, c in cells:
-            cx, cy = dsm.cell_center(r, c)
+            cx, cy = cell_centers(dsm, np.array([[r, c]]))[0]
             row = (cx - x0, cy - y0, float(V[r, c]))
             fit.add(*row)
             exact = [s + t for s, t in zip(exact, exact_terms(*row))]
@@ -170,7 +171,7 @@ def _old_grow_one(seed, pool, comp, dsm, A, B, curv, cos_tol, residual_tol_m, cl
         closest[kind] = min(closest.get(kind, math.inf), gap)
 
     seed_normal = _unit_normal(float(A[seed]), float(B[seed]))
-    x0, y0 = dsm.cell_center(*seed)
+    x0, y0 = cell_centers(dsm, np.array([seed]))[0]
     fit = _OldPlaneFit((float(A[seed]), float(B[seed])))
     members = {seed}
     rows = {seed: (0.0, 0.0, float(V[seed]))}
@@ -192,7 +193,7 @@ def _old_grow_one(seed, pool, comp, dsm, A, B, curv, cos_tol, residual_tol_m, cl
         note("cos", abs(cos - cos_tol))
         if cos < cos_tol:
             continue
-        cx, cy = dsm.cell_center(*cell)
+        cx, cy = cell_centers(dsm, np.array([cell]))[0]
         dx, dy, z = cx - x0, cy - y0, float(V[cell])
         res = abs(z - (a * dx + b * dy + c))
         note("residual", abs(res - residual_tol_m))
@@ -244,10 +245,10 @@ def _segments(grow, dsm, normal_tol_deg=10.0, residual_tol_m=0.2, **kwargs):
     # takes the per-cell normals and the components' positions
     if grow is grow_segments:
         normals = local_normals(dsm)
-        return [s for comp in component_positions(dsm)
+        return [s for comp in label_components(dsm)
                 for s in grow(comp, dsm, normals, normal_tol_deg, residual_tol_m)]
     normals = scatter_normals(dsm)
-    return [s for comp in label_components(dsm)
+    return [s for comp in component_cells(dsm)
             for s in grow(comp, dsm, normal_tol_deg, residual_tol_m, normals, **kwargs)]
 
 
@@ -267,7 +268,7 @@ def _assert_same_segments(got, want, dsm):
         (a, b, c), (ea, eb, ec) = map(Fraction, g.plane), w.plane
         assert max(abs(a - ea), abs(b - eb)) <= PLANE_BOUND
         assert abs(g.slope_deg - w.slope_deg) <= 100 * PLANE_BOUND
-        for x, y in (map(Fraction, dsm.cell_center(*rc)) for rc in g.cells.tolist()):
+        for x, y in (map(Fraction, xy) for xy in cell_centers(dsm, g.cells).tolist()):
             assert abs((a - ea) * x + (b - eb) * y + c - ec) <= PLANE_BOUND_M
 
 
@@ -543,13 +544,13 @@ def test_strip_takes_rank_guard(dsm, monkeypatch):
 @given(dsm=roof_grids())
 @example(dsm=_DIAGONAL_STRIP)
 def test_component_positions_are_the_labeled_cells(dsm):
-    # the kernel's positions, read back as cells, are label_components'
-    # lists, component order and cell order included
+    # the kernel's positions, read back as cells, are the components of the
+    # scipy labeling, component order and cell order included
     surf = dsm.occupied_cells()
-    comps = component_positions(dsm)
+    comps = label_components(dsm)
     assert all(p.dtype == np.int64 and (np.diff(p) > 0).all() for p in comps)
     assert [[divmod(f, surf.ncols) for f in surf.flat[p].tolist()] for p in comps] \
-        == label_components(dsm)
+        == fullgrid_kernels.label_components(dsm)
 
 
 @st.composite

@@ -20,10 +20,10 @@ trigonometric and hyperbolic ones, cbrt), whose last bits follow the SIMD
 code numpy dispatches to; synth writes the same files at every level. A
 third scan checks the other modules. ``sqrt`` and ``hypot`` give the same
 bits at every level and are allowed. The scan sees attributes and imports,
-not operators: ``x ** y`` on arrays is numpy's power unseen. The one such
-power left is in ``interp.idw_predict``, which only the acceptance gate
-calls: a fourth scan checks that no other module names it and that
-``interp`` only defines it, so no stage reaches it.
+not operators: ``x ** y`` on arrays is numpy's power unseen. The last such
+power was in ``idw_predict``, which now lives with the tests' oracles
+(``gate_oracles``): a fourth scan checks that no package module names it,
+so no stage can reach it.
 """
 import ast
 import os
@@ -184,4 +184,4 @@ def _mentions(module, name):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_stage_reaches_idw(module):
-    assert _mentions(module, "idw_predict") == (["def"] if module == "interp" else [])
+    assert _mentions(module, "idw_predict") == []

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from gate_oracles import IndicatorVector
 from greenprior import cli, geocore, indicators
 from greenprior.geocore import (
     BUILDING,
@@ -17,8 +18,8 @@ from greenprior.geocore import (
     cells_in_polygon,
 )
 from greenprior.indicators import (
+    INDICATORS,
     SEASONS,
-    IndicatorVector,
     RawIndicators,
     build_greenspace_mask,
     building_coverage_rate,
@@ -100,7 +101,10 @@ def test_greened_mask_marks_a_copy_of_the_base():
     want[0:2, 0:2] = want[6, 6] = 1.0
     assert np.array_equal(greened.values, want)
     unchanged = greened_mask(base, [], roof_grid)
-    assert unchanged.same_as(base) and unchanged.values is not base.values
+    assert (unchanged.origin_x, unchanged.origin_y, unchanged.cell) \
+        == (base.origin_x, base.origin_y, base.cell)
+    assert np.array_equal(unchanged.values, base.values, equal_nan=True)
+    assert unchanged.values is not base.values
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +401,7 @@ def test_normalize_indicators_full():
         ("b", 0.30, 250.0, "public", 30000.0, (22.0, 33.0, 30.0, 16.0), 2400.0),
         ("c", 0.50, 700.0, "misc", 40000.0, (24.0, 36.0, 32.0, 17.0), 2100.0),
     )
-    assert normalize_indicators(raws).shape == (3, len(IndicatorVector.FIELDS))
+    assert normalize_indicators(raws).shape == (3, len(INDICATORS))
     vecs = normalized(raws)
     assert set(vecs) == {"a", "b", "c"}
     # greenspace is a negative indicator: least surrounded scores highest

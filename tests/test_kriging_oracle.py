@@ -4,8 +4,8 @@ and the neighbour rule against a plain sort.
 ``interpolate_grid`` and ``fill_raster_nodata`` make one call each to
 ``kriging_predict`` for all their cells: one ``SampleSet.nearest`` call
 and one stacked ``np.linalg.solve`` per ``KRIGING_CHUNK_QUERIES`` cells.
-``idw_predict``, which no stage calls, takes a grid's cells in one call
-too. The per-point predictors and the per-cell
+The tests' ``idw_predict`` (``gate_oracles``), which no stage calls, takes
+a grid's cells in one call too. The per-point predictors and the per-cell
 grid loops below are their earlier bodies, kept as oracles: grids and gap
 fills must match to the last bit, and damaged sample sets must fail with
 the same ``ComputationError`` message. Their neighbours come from
@@ -21,8 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gate_oracles import idw_predict
 from greenprior import interp
-from greenprior.geocore import ComputationError, RasterGrid
+from greenprior.geocore import ComputationError, RasterGrid, cell_centers
 from greenprior.interp import (
     MATCH_TOL,
     SampleSet,
@@ -31,7 +32,6 @@ from greenprior.interp import (
     fill_raster_nodata,
     fit_variogram,
     grid_semivariogram,
-    idw_predict,
     interpolate_grid,
     kriging_predict,
 )
@@ -140,7 +140,7 @@ def _old_fill_raster_nodata(grid, k_neighbors):
         raise ComputationError(f"{rr.size} valid cells: {exc}") from None
     out = grid.values.copy()
     for row, col in zip(*np.nonzero(gaps)):
-        cx, cy = grid.cell_center(int(row), int(col))
+        cx, cy = cell_centers(grid, np.array([[int(row), int(col)]]))[0]
         out[row, col], _ = _old_kriging_predict(samples, model, cx, cy, k_neighbors)
     return out
 
@@ -172,7 +172,7 @@ def scenes(draw):
     xy = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24))
     on_centre = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
                               max_size=3))
-    xy += [template.cell_center(r, c) for r, c in on_centre]
+    xy += cell_centers(template, np.array(on_centre, dtype=np.int64).reshape(-1, 2)).tolist()
     values = draw(st.lists(st.floats(-50.0, 50.0), min_size=len(xy), max_size=len(xy)))
     if draw(st.booleans()):
         samples = SampleSet.from_points(np.column_stack([np.array(xy), values]))

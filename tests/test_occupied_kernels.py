@@ -10,8 +10,8 @@ scenes, with roofs 1-3 cells apart, touching each grid edge, single cells
 and one-cell-wide strips, they must give the same float bits; and a roof
 must get the same bits wherever it lies in a large empty grid.
 ``roofs.label_components`` hooks and compresses the occupied cells instead
-of labeling the grid with ``scipy.ndimage``; it must give the same
-component lists, in the same order.
+of labeling the grid with ``scipy.ndimage``; read back as (row, col)
+cells, it must give the same component lists, in the same order.
 """
 import numpy as np
 import pytest
@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import fullgrid_kernels
 from greenprior.geocore import RasterGrid
 from fullgrid_kernels import densify
-from greenprior.roofs import QUADRANTS, _quadrant_planes, filter_wall_edges, label_components
+from gate_oracles import component_cells
+from greenprior.roofs import QUADRANTS, _quadrant_planes, filter_wall_edges
 
 
 def _bits(values):
@@ -183,14 +184,14 @@ TIE = _occupied(".....#....#",
 @example(dsm=SPIRAL)
 @example(dsm=TIE)
 def test_components_match_scipy_labeling(dsm):
-    assert label_components(dsm) == fullgrid_kernels.label_components(dsm)
+    assert component_cells(dsm) == fullgrid_kernels.label_components(dsm)
 
 
 def test_tied_components_keep_row_major_order():
-    comps = label_components(TIE)
+    comps = component_cells(TIE)
     assert [min(comp) for comp in comps] == [(0, 5), (0, 10)]
     assert [(min(r for r, _ in comp), min(c for _, c in comp)) for comp in comps] == [(0, 5)] * 2
-    assert len(label_components(SPIRAL)) == 1
+    assert len(component_cells(SPIRAL)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from gate_oracles import IndicatorVector, equal_weight_priority
 from greenprior import priority
 from greenprior.geocore import ComputationError
-from greenprior.indicators import IndicatorVector
 from greenprior.priority import (
     PriorityScore,
     compute_weights,
     critic_weights,
     cv_weights,
     entropy_weights,
-    equal_weight_priority,
     priority_summary,
     rank_buildings,
 )

