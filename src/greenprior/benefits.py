@@ -111,7 +111,10 @@ def greenspace_exposure(mask, population, radius=GC_RADIUS_DEFAULT):
     pop = np.nan_to_num(population.values, nan=0.0)
     if pop.min() < 0:
         raise ValueError("population grid contains negative counts")
-    total = float(pop.sum())
+    with np.errstate(over="ignore"):
+        total = float(pop.sum())
+    if not math.isfinite(total):
+        raise ComputationError(f"population grid total overflows to {total!r}")
     if total <= 0:
         raise ComputationError("population grid has zero total population")
     rows, cols = np.nonzero(pop > 0)
@@ -273,5 +276,6 @@ def population_grid_from_points(points, cell):
     if arr[:, 2].min() < 0:
         raise ValueError("population counts must be non-negative")
     grid = snapped_grid(arr, cell)
-    np.add.at(grid.values, cells_of(grid, arr), arr[:, 2])
+    with np.errstate(over="ignore"):  # greenspace_exposure refuses an inf total
+        np.add.at(grid.values, cells_of(grid, arr), arr[:, 2])
     return grid

@@ -154,15 +154,6 @@ def _write_table(cfg, name, rows):
     write_table(_out_path(cfg, name), TABLES[name].columns, rows)
 
 
-def _write_surface(grid, path):
-    """Write a kriged surface at f6's 6 decimals, not repr.
-
-    Its last bits come from the variogram fit and the kriging solves,
-    which differ between machines; no stage reads the file back.
-    """
-    write_raster_asc(grid, path, decimals=6)
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -278,7 +269,7 @@ def _load_roof_cells(cfg, grid):
     (row, col) array in segments.csv order, from the extract stage's
     tables; every segment has cells, and every cell a segment."""
     segs = _read_table(cfg, "segments.csv")
-    cells_path = _artifact(cfg, "cells.csv", "extract")
+    cells_path = _artifact(cfg, "cells.csv", TABLES["cells.csv"].stage)
     cells_by_seg = _cells_by_segment(cells_path, grid)
     keys = list(zip(segs["building_id"], segs["seg_id"]))
     for key in keys:
@@ -314,6 +305,10 @@ def cmd_indicators(cfg):
     roof_cells = _load_roof_cells(cfg, dsm)
     buildings_table = _read_table(cfg, "buildings.csv")
     potential_ids = sorted(compress(buildings_table["id"], buildings_table["potential"]))
+    bare = next((bid for bid in potential_ids if bid not in roof_cells), None)
+    if bare is not None:
+        raise FormatError(f"{_out_path(cfg, 'buildings.csv')}: potential building {bare!r} "
+                          f"has no qualifying segment in {_out_path(cfg, 'segments.csv')}")
 
     pc = read_point_cloud(cfg.points)
     buildings = {b.id: b for b in read_footprints(cfg.footprints)}
@@ -324,16 +319,18 @@ def cmd_indicators(cfg):
     roads = read_roads(cfg.roads)
 
     mask_base = build_greenspace_mask(pc, cell=cfg.mask_cell)
-    mask_green = greened_mask(mask_base, [roof_cells[bid] for bid in potential_ids
-                                          if bid in roof_cells], dsm)
+    mask_green = greened_mask(mask_base, [roof_cells[bid] for bid in potential_ids], dsm)
     write_raster_asc(mask_base, _out_path(cfg, "greenspace_base.asc"))
     write_raster_asc(mask_green, _out_path(cfg, "greenspace_greened.asc"))
 
     template = snapped_grid(pc.xyz, cfg.interp_cell)
     income_surface = _station_surface(cfg.income_stations, template)
     precip_surface = _station_surface(cfg.precip_stations, template)
-    _write_surface(income_surface, _out_path(cfg, "income_surface.asc"))
-    _write_surface(precip_surface, _out_path(cfg, "precip_surface.asc"))
+    # the kriged surfaces at f6's 6 decimals, not repr: their last bits come
+    # from the variogram fit and the kriging solves, which differ between
+    # machines, and no stage reads them back
+    write_raster_asc(income_surface, _out_path(cfg, "income_surface.asc"), decimals=6)
+    write_raster_asc(precip_surface, _out_path(cfg, "precip_surface.asc"), decimals=6)
 
     temps = {}
     for season in SEASONS:
@@ -346,7 +343,7 @@ def cmd_indicators(cfg):
                 raise ComputationError(f"{path}: cannot fill gaps: {exc}") from None
         temps[season] = grid
 
-    coverage = building_coverage_rate([roof_cells.get(bid, ()) for bid in potential_ids],
+    coverage = building_coverage_rate([roof_cells[bid] for bid in potential_ids],
                                       mask_green, dsm, radius=cfg.gc_radius)
     try:
         raw = measure_buildings([buildings[bid] for bid in potential_ids], coverage, roads,
@@ -399,9 +396,9 @@ def cmd_prioritize(cfg):
                       + [f6(s.priority), str(s.rank), f6(s.percentile)])
     _write_table(cfg, "priorities.csv", p_rows)
 
-    summary = priority_summary(ranked)
+    summary = priority_summary([s.priority for s in ranked])
     print(f"prioritize: scheme={cfg.scheme}, {summary.count} buildings, "
-          f"share above 0.5 = {100 * summary.share_above_half:.1f} %, "
+          f"share above 0.5 = {summary.percent_above_half:.1f} %, "
           f"mean {summary.mean_priority:.3f}, max {summary.max_priority:.3f}")
     return 0
 
@@ -428,10 +425,15 @@ def cmd_benefits(cfg):
     mask_green = _read_mask(cfg, "greenspace_greened.asc")
     ind_table = _read_table(cfg, "indicators.csv")
 
-    population = population_grid_from_points(read_xy_value(cfg.population),
-                                             cell=cfg.population_cell)
-    exposure_base = greenspace_exposure(mask_base, population, radius=cfg.gc_radius)
-    exposure_green = greenspace_exposure(mask_green, population, radius=cfg.gc_radius)
+    points = read_xy_value(cfg.population)
+    try:
+        population = population_grid_from_points(points, cell=cfg.population_cell)
+        exposure_base = greenspace_exposure(mask_base, population, radius=cfg.gc_radius)
+        exposure_green = greenspace_exposure(mask_green, population, radius=cfg.gc_radius)
+    except ComputationError as exc:  # a zero or overflowing total
+        raise ComputationError(f"{cfg.population}: {exc}") from None
+    except ValueError as exc:  # a negative count
+        raise FormatError(f"{cfg.population}: {exc}") from None
 
     potential = buildings_table["potential"]
     volumes = list(zip(compress(buildings_table["greenable_m2"], potential),
@@ -507,8 +509,7 @@ def cmd_report(cfg):
         rows.append([bid, FLAGS[potential]]
                     + ["" if v is None else f6(v) for v in values])
         props = {"id": bid, "potential": potential}
-        props.update((c, None if v is None else round(v, 6))
-                     for c, v in zip(REPORT_VALUES, values))
+        props.update(zip(REPORT_VALUES, values))
         poly = footprints.get(bid)
         features.append((None if poly is None else polygon_geometry(poly), props))
         if bid in priority:
@@ -546,12 +547,11 @@ def _render_report(n, priorities, weights, metrics, regression):
         w("| " + scheme + " | " + FLAGS[active] + " | "
           + " | ".join(f"{v:.4f}" for v in values) + " |")
     if priorities:
-        n_scored = len(priorities)
-        above = 100.0 * sum(1 for p in priorities if p > 0.5) / n_scored
+        summary = priority_summary(priorities)
         w("")
-        w(f"- scored buildings: {n_scored}")
-        w(f"- share with priority above 0.5: {above:.1f} %")
-        w(f"- mean priority: {sum(priorities) / n_scored:.3f}, max: {max(priorities):.3f}")
+        w(f"- scored buildings: {summary.count}")
+        w(f"- share with priority above 0.5: {summary.percent_above_half:.1f} %")
+        w(f"- mean priority: {summary.mean_priority:.3f}, max: {summary.max_priority:.3f}")
     w("")
     w("## Benefits")
     w("")

@@ -31,8 +31,12 @@ NEAREST_CHUNK_PAIRS = 1 << 15
 # Sample pairs empirical_semivariogram measures at once.
 PAIR_BLOCK = 1 << 15
 
+# Lag bins of both semivariograms; nearest samples in each kriging system.
+N_BINS = 15
+KRIGING_NEIGHBOURS = 16
+
 # Kriging systems built and solved together; each query holds about 8.5 kB
-# of stacked arrays with 16 neighbors, the solver's copy included.
+# of stacked arrays at KRIGING_NEIGHBOURS, the solver's copy included.
 KRIGING_CHUNK_QUERIES = 1 << 8
 
 # The range searches of fit_variogram stop when their bracket is narrower
@@ -136,7 +140,7 @@ class SampleSet:
 # variograms
 # ---------------------------------------------------------------------------
 
-def empirical_semivariogram(samples: SampleSet, n_bins: int = 15,
+def empirical_semivariogram(samples: SampleSet, n_bins: int = N_BINS,
                             max_dist: float | None = None) -> list[tuple[float, float, int]]:
     """Binned semivariance of sample pairs.
 
@@ -219,7 +223,7 @@ def grid_semivariogram(grid: RasterGrid) -> list[tuple[float, float, int]]:
     """Binned semivariance of the pairs of finite cells of a raster.
 
     The bins of empirical_semivariogram with its defaults over the finite
-    cell centres (15 bins, same max_dist, edges and bin rule), summed by
+    cell centres (N_BINS bins, same max_dist, edges and bin rule), summed by
     lattice offset as in GSLIB's ``gam`` (Deutsch and Journel 1998), so
     memory grows with the cells, not the pairs. Time grows with the cells
     of the bounding box times the offsets within max_dist, whatever share
@@ -244,7 +248,7 @@ def grid_semivariogram(grid: RasterGrid) -> list[tuple[float, float, int]]:
     max_dist = _half_diagonal((xs[1] - xs[0], ys[1] - ys[0]))
     with np.errstate(over="ignore"):  # as in empirical_semivariogram
         d, n, s = _offset_terms(grid, valid, rows, cols, max_dist)
-    return _bin_offsets(np.linspace(0.0, max_dist, 15 + 1), d, n, s)
+    return _bin_offsets(np.linspace(0.0, max_dist, N_BINS + 1), d, n, s)
 
 
 def _offset_terms(grid, valid, rows, cols, max_dist):
@@ -314,7 +318,6 @@ class VariogramModel:
     nugget: float
     sill: float
     range_m: float
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.nugget < 0 or self.sill <= self.nugget or self.range_m <= 0:
@@ -382,8 +385,9 @@ def fit_variogram(empirical: list[tuple[float, float, int]]) -> VariogramModel:
     is not inside a plateau, from the best point and from the best of the
     24. The fit is the best range evaluated. Python floats and math.fsum
     throughout, the shape by products, so the fit is the same on every IEEE
-    machine. All-zero curves come back flagged degenerate; curves too large
-    for a finite SSE raise ValueError.
+    machine. All-zero curves come back as the flat model (nugget 0, sill
+    1e-12, range the largest lag); curves too large for a finite SSE raise
+    ValueError.
     """
     if len(empirical) < 3:
         raise ValueError("need at least 3 semivariogram bins to fit")
@@ -392,7 +396,7 @@ def fit_variogram(empirical: list[tuple[float, float, int]]) -> VariogramModel:
     weights = [float(e[2]) for e in empirical]
     min_lag, max_lag = min(lags), max(lags)
     if all(g <= 1e-15 for g in gammas):
-        return VariogramModel(0.0, 1e-12, max_lag, degenerate=True)
+        return VariogramModel(0.0, 1e-12, max_lag)
     lag_array = np.array(lags)
 
     def fit_at(r):
@@ -482,7 +486,8 @@ def _ok_weights(samples: SampleSet, model: VariogramModel, d: np.ndarray,
     return sol[..., :k], sol[..., k]
 
 
-def kriging_predict(samples: SampleSet, model: VariogramModel, x, y, k_neighbors: int = 16):
+def kriging_predict(samples: SampleSet, model: VariogramModel, x, y,
+                    k_neighbors: int = KRIGING_NEIGHBOURS):
     """Ordinary-kriging estimate and variance at (x, y), each shaped like x.
 
     Queries that coincide with a sample short-circuit to (value, 0); the
@@ -507,7 +512,8 @@ def kriging_predict(samples: SampleSet, model: VariogramModel, x, y, k_neighbors
 # ---------------------------------------------------------------------------
 
 def interpolate_grid(samples: SampleSet, template: RasterGrid,
-                     model: VariogramModel | None = None, kriging_k: int = 16) -> RasterGrid:
+                     model: VariogramModel | None = None,
+                     kriging_k: int = KRIGING_NEIGHBOURS) -> RasterGrid:
     """Krige a full raster (every cell center) from scattered samples.
 
     Without a model, one is fitted; samples too few, too close together or
@@ -527,7 +533,7 @@ def interpolate_grid(samples: SampleSet, template: RasterGrid,
     return RasterGrid(template.origin_x, template.origin_y, template.cell, out)
 
 
-def fill_raster_nodata(grid: RasterGrid, k_neighbors: int = 16) -> RasterGrid:
+def fill_raster_nodata(grid: RasterGrid, k_neighbors: int = KRIGING_NEIGHBOURS) -> RasterGrid:
     """Krige the NaN cells of a raster from its valid cells.
 
     The valid cells become the sample set, and their semivariogram comes

@@ -183,19 +183,20 @@ def rank_buildings(priorities):
 @dataclass(frozen=True)
 class PrioritySummary:
     count: int
-    share_above_half: float
+    percent_above_half: float
     mean_priority: float
     max_priority: float
 
 
-def priority_summary(scores):
-    """Distribution summary used in reports (share above 0.5, mean, max)."""
-    if not scores:
+def priority_summary(priorities):
+    """Distribution summary used in reports (percent above 0.5, mean, max)
+    of a list of priorities, in Python floats."""
+    if not priorities:
         raise ValueError("no scores to summarize")
-    values = np.array([s.priority for s in scores])
+    n = len(priorities)
     return PrioritySummary(
-        count=len(values),
-        share_above_half=float(np.mean(values > 0.5)),
-        mean_priority=float(values.mean()),
-        max_priority=float(values.max()),
+        count=n,
+        percent_above_half=100.0 * sum(1 for p in priorities if p > 0.5) / n,
+        mean_priority=sum(priorities) / n,
+        max_priority=max(priorities),
     )

@@ -238,19 +238,14 @@ def _quadrant_planes(Z: np.ndarray, table: np.ndarray,
         a[m] = ((zx + zxy - z - zy) / 2.0) * dc / h
         b[m] = ((zy + zxy - z - zx) / 2.0) * dr / h
         res[m] = np.abs(z + zxy - zx - zy) / 4.0
-        # three corners: the plane through them is exact
-        m = fx & fy & ~fxy
-        a[m] = (Zx[m] - Z[m]) * dc / h
-        b[m] = (Zy[m] - Z[m]) * dr / h
-        res[m] = 0.0
-        m = ~fx & fy & fxy
-        a[m] = (Zxy[m] - Zy[m]) * dc / h
-        b[m] = (Zy[m] - Z[m]) * dr / h
-        res[m] = 0.0
-        m = fx & ~fy & fxy
-        a[m] = (Zx[m] - Z[m]) * dc / h
-        b[m] = (Zxy[m] - Zx[m]) * dr / h
-        res[m] = 0.0
+        # three corners: the plane through them is exact; each mask names
+        # the corners of its x and y differences
+        for m, (x1, x0), (y1, y0) in ((fx & fy & ~fxy, (Zx, Z), (Zy, Z)),
+                                      (~fx & fy & fxy, (Zxy, Zy), (Zy, Z)),
+                                      (fx & ~fy & fxy, (Zx, Z), (Zxy, Zx))):
+            a[m] = (x1[m] - x0[m]) * dc / h
+            b[m] = (y1[m] - y0[m]) * dr / h
+            res[m] = 0.0
         out.append((a, b, res))
     return out
 
@@ -323,18 +318,16 @@ def local_normals(dsm: RasterGrid | SparseGrid
         best_res[upd] = res[upd]
     # find cells where another quadrant ties the minimum with a different
     # gradient; those need the deeper look
-    ambiguous = np.zeros(n, dtype=bool)
-    for a, b, res in quads:
-        with np.errstate(invalid="ignore"):
-            tie = np.isfinite(a) & (res <= best_res + 1e-12)
-            differs = (np.abs(a - best_a) > 1e-9) | (np.abs(b - best_b) > 1e-9)
-        ambiguous |= tie & differs
+    with np.errstate(invalid="ignore"):
+        tie = np.stack([np.isfinite(a) & (res <= best_res + 1e-12)
+                        for a, _, res in quads], axis=1)
+        differs = np.stack([(np.abs(a - best_a) > 1e-9) | (np.abs(b - best_b) > 1e-9)
+                            for a, b, _ in quads], axis=1)
     # score the tying quadrants of the ambiguous cells WINDOW_BLOCK_PAIRS at a
     # time; rounding to 1e-9 sends gaps at rounding-noise level to quadrant
     # order on any build
-    amb = np.flatnonzero(ambiguous)
-    tie = np.stack([np.isfinite(a[amb]) & (res[amb] <= best_res[amb] + 1e-12)
-                    for a, _, res in quads], axis=1)
+    amb = np.flatnonzero((tie & differs).any(axis=1))
+    tie = tie[amb]
     pair, q = np.nonzero(tie)
     dr, dc = np.array(QUADRANTS)[q].T
     score = np.full(tie.shape, np.inf)

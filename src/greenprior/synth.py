@@ -25,7 +25,9 @@ from .geocore import (
     Polyline,
     RasterGrid,
 )
+from .indicators import SEASONS
 from .ingest import (
+    BUILDING_CATEGORIES,
     FLAGS,
     BuildingAttributes,
     f6,
@@ -38,6 +40,7 @@ from .ingest import (
     write_table,
     write_xy_value,
 )
+from .roofs import PotentialThresholds
 
 ROOF_TYPES = ("flat", "gabled", "stepped", "small")
 TYPE_SHARES = {"flat": 0.45, "gabled": 0.30, "stepped": 0.15, "small": 0.10}
@@ -130,26 +133,6 @@ def _wall_samples(x0, y0, w, length, top_z):
     return np.vstack(pts)
 
 
-def _cell_max_grid(roof_type, w, length, params):
-    """The per-cell maximum roof elevation the emitted samples produce."""
-    cols = np.arange(w)
-    if roof_type in ("flat", "small"):
-        col_max = np.full(w, params["z"])
-    elif roof_type == "gabled":
-        ridge = params["ridge_offset"]  # in local cell units from x0
-        near = np.minimum(np.abs(cols + 0.25 - ridge), np.abs(cols + 0.75 - ridge))
-        col_max = params["z_ridge"] - math.tan(math.radians(params["pitch"])) * near
-    else:  # stepped: handled per row below
-        col_max = None
-    if col_max is not None:
-        return np.tile(col_max, (length, 1))
-    half = length // 2
-    grid = np.empty((length, w))
-    grid[:half, :] = params["z_lo"]
-    grid[half:, :] = params["z_hi"]
-    return grid
-
-
 def _building_geometry(rng, roof_type, parcel_x, parcel_y, parcel_m):
     if roof_type == "small":
         w = length = 3
@@ -196,20 +179,17 @@ def _roof_z_function(roof_type, x0, y0, length, params):
     return lambda X, Y: np.where(Y < y_mid, params["z_lo"], params["z_hi"])
 
 
-def _ground_truth(bid, roof_type, age, category, w, length, params, age_max=60):
-    if roof_type == "small":
-        slope, greenable = 0.0, 0.0  # 9 m2 roof fails the area gate
-    elif roof_type == "flat":
-        slope, greenable = 0.0, float(w * length)
-    elif roof_type == "gabled":
-        slope = params["pitch"]
-        greenable = float(w * length) if slope < 15.0 else 0.0
-    else:
-        # the wall filter eats one cell row on each side of the step
-        slope, greenable = 0.0, float((length - 2) * w)
-    cell_max = _cell_max_grid(roof_type, w, length, params)
+def _ground_truth(bid, roof_type, age, category, w, length, params, roof):
+    """The screen of extract's default thresholds applied to the true roof;
+    roof holds its samples, 2 x 2 per 1 m cell in _roof_samples' order."""
+    th = PotentialThresholds
+    slope = params.get("pitch", 0.0)
+    # the wall filter eats one cell row on each side of the step
+    area = float((length - 2) * w if roof_type == "stepped" else w * length)
+    greenable = area if slope < th.slope_max_deg and area > th.area_min_m2 else 0.0
+    cell_max = roof[:, 2].reshape(length, 2, w, 2).max(axis=(1, 3))
     height = float(np.median(cell_max))
-    potential = age <= age_max and greenable > 0.0
+    potential = age <= th.age_max_yr and greenable > 0.0
     return GroundTruth(bid, roof_type, age, category, slope, greenable,
                        height, potential)
 
@@ -280,7 +260,7 @@ def _temperature_rasters(rng, spec):
     xs = (np.arange(n) + 0.5) * spec.temp_cell_m
     X, Y = np.meshgrid(xs, xs)
     rasters = {}
-    for season in ("spring", "summer", "autumn", "winter"):
+    for season in SEASONS:
         vals = _TEMP_FIELDS[season](X, Y) + rng.normal(0.0, 0.15, (n, n))
         if season == "summer":
             cx = float(rng.uniform(200.0, spec.domain_m - 200.0))
@@ -334,20 +314,19 @@ def generate_city(spec, out_dir):
         params = _roof_params(rng, roof_type, w, steep)
         old = rng.random() < spec.old_share
         age = int(rng.integers(61, 95)) if old else int(rng.integers(3, 61))
-        category = ("private", "public", "misc")[int(rng.choice(3, p=(0.5, 0.25, 0.25)))]
+        category = BUILDING_CATEGORIES[int(rng.choice(3, p=(0.5, 0.25, 0.25)))]
         population.append((x0 + w / 2.0, y0 + length / 2.0, float(rng.integers(20, 400))))
 
         footprint = Polygon([[x0, y0], [x0 + w, y0], [x0 + w, y0 + length],
                              [x0, y0 + length], [x0, y0]])
         buildings.append(BuildingAttributes(bid, age, category, footprint))
         rects.append((x0, y0, x0 + w, y0 + length))
-        truths.append(_ground_truth(bid, roof_type, age, category, w, length, params))
-
         z_of = _roof_z_function(roof_type, x0, y0, length, params)
         roof = _roof_samples(x0, y0, w, length, z_of)
+        truths.append(_ground_truth(bid, roof_type, age, category, w, length, params, roof))
         base_z = params.get("z_eave", params.get("z_lo", params.get("z", 10.0)))
         walls = _wall_samples(x0, y0, w, length, base_z)
-        cloud_chunks.append((np.vstack([roof, walls]), BUILDING))
+        cloud_chunks.append(np.vstack([roof, walls]))
 
     # bare terrain on a 10 m lattice at elevation zero
     gs = np.arange(0.0, spec.domain_m + 1e-9, 10.0)
@@ -355,10 +334,10 @@ def generate_city(spec, out_dir):
     ground = np.column_stack([GX.ravel(), GY.ravel(), np.zeros(GX.size)])
     veg = _vegetation(rng, spec, rects)
 
-    xyz = np.vstack([ground] + [c for c, _ in cloud_chunks] + ([veg] if len(veg) else []))
+    xyz = np.vstack([ground] + cloud_chunks + ([veg] if len(veg) else []))
     cls = np.concatenate(
         [np.full(len(ground), GROUND, dtype=np.uint8)]
-        + [np.full(len(c), BUILDING, dtype=np.uint8) for c, _ in cloud_chunks]
+        + [np.full(len(c), BUILDING, dtype=np.uint8) for c in cloud_chunks]
         + ([np.full(len(veg), VEGETATION, dtype=np.uint8)] if len(veg) else []))
     pc = PointCloud(xyz, cls)
 

@@ -252,8 +252,8 @@ def test_surface_file_ignores_last_bit_noise(tmp_path):
         noisy = np.nextafter(noisy, toward)
     assert (noisy != vals)[np.isfinite(vals)].all()
     a, b = tmp_path / "a.asc", tmp_path / "b.asc"
-    cli._write_surface(RasterGrid(0.0, 0.0, 50.0, vals), a)
-    cli._write_surface(RasterGrid(0.0, 0.0, 50.0, noisy), b)
+    write_raster_asc(RasterGrid(0.0, 0.0, 50.0, vals), a, decimals=6)
+    write_raster_asc(RasterGrid(0.0, 0.0, 50.0, noisy), b, decimals=6)
     assert a.read_bytes() == b.read_bytes()
 
     back = read_raster_asc(a)
@@ -349,7 +349,8 @@ def test_potential_building_without_qualifying_segment_exit_one(small_city, tmp_
                      "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "error: building has no segments to evaluate\n"
+    assert err == (f"error: {out / 'buildings.csv'}: potential building {target!r} "
+                   f"has no qualifying segment in {out / 'segments.csv'}\n")
 
 
 def test_cell_outside_surface_model_exit_one(small_city, tmp_path, capsys):
@@ -508,7 +509,6 @@ def test_degenerate_station_file_exit_three(small_city, tmp_path, capsys, statio
     ("income_stations.csv", "24 distinct sample locations: "),
     ("temp_summer.asc", "cannot fill gaps: 1547 valid cells: "),
 ], ids=["stations", "raster"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings fail
 def test_value_too_large_to_fit_exit_three(small_city, tmp_path, capsys, name, message):
     # one finite value: at 1e100 the squares of its differences overflow the
     # variogram fit's sums, which used to end in an OverflowError traceback;
@@ -613,6 +613,28 @@ def test_benefit_total_that_overflows_exit_three(small_city, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "error: benefit energy_joules overflows to inf\n"
+
+
+@pytest.mark.parametrize("first, rest, code, message", [
+    # the total passes the largest float: it used to print numpy's
+    # overflow warning (an error under the suite's filterwarnings) and
+    # write an exposure of 0
+    ("1e308", "1e308", 3, "population grid total overflows to inf"),
+    ("-1", "5", 1, "population counts must be non-negative"),
+    ("0", "0", 3, "population grid has zero total population"),
+], ids=["overflow", "negative", "zero"])
+def test_unusable_population_counts_name_the_file(small_city, tmp_path, capsys, first, rest,
+                                                  code, message):
+    city = tmp_path / "city"
+    shutil.copytree(small_city, city)
+    pop = city / "population.csv"
+    header, *rows = pop.read_text().splitlines()
+    counts = [first] + [rest] * (len(rows) - 1)
+    rows = [row.rsplit(",", 1)[0] + "," + count for row, count in zip(rows, counts)]
+    pop.write_text("\n".join([header, *rows]) + "\n")
+    assert cli.main(["benefits", "--config", str(city / "config.txt"),
+                     "--out", str(city / "out")]) == code
+    assert capsys.readouterr().err == f"error: {pop}: {message}\n"
 
 
 def _old_cell_rows(segments):

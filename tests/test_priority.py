@@ -217,9 +217,8 @@ def test_priority_score_validation():
 
 
 def test_priority_summary():
-    scores = rank_buildings({"a": 0.9, "b": 0.8, "c": 0.6, "d": 0.3})
-    s = priority_summary(scores)
+    s = priority_summary([0.9, 0.8, 0.6, 0.3])
     assert s.count == 4
-    assert s.share_above_half == pytest.approx(0.75)
+    assert s.percent_above_half == 75.0
     assert s.mean_priority == pytest.approx(0.65)
     assert s.max_priority == pytest.approx(0.9)

@@ -14,6 +14,7 @@ from greenprior.ingest import (
     read_roads,
     read_xy_value,
 )
+from greenprior import synth
 from greenprior.roofs import RoofParams, extract_all
 from greenprior.synth import (
     ROOF_TYPES,
@@ -135,6 +136,53 @@ def test_ground_truth_internal_rules(tmp_path):
             assert gt.true_greenable_m2 > 0.0
         if gt.roof_type == "flat":
             assert gt.true_slope_deg == 0.0
+
+
+def _cell_max_grid(roof_type, w, length, params):
+    """The per-cell maximum roof elevation the emitted samples produce."""
+    cols = np.arange(w)
+    if roof_type in ("flat", "small"):
+        col_max = np.full(w, params["z"])
+    elif roof_type == "gabled":
+        ridge = params["ridge_offset"]  # in local cell units from x0
+        near = np.minimum(np.abs(cols + 0.25 - ridge), np.abs(cols + 0.75 - ridge))
+        col_max = params["z_ridge"] - math.tan(math.radians(params["pitch"])) * near
+    else:  # stepped: handled per row below
+        col_max = None
+    if col_max is not None:
+        return np.tile(col_max, (length, 1))
+    half = length // 2
+    grid = np.empty((length, w))
+    grid[:half, :] = params["z_lo"]
+    grid[half:, :] = params["z_hi"]
+    return grid
+
+
+@pytest.mark.parametrize("seed, n_buildings", [(7, 15), (42, 60), (11, 120)])
+def test_true_height_matches_the_analytic_roof_model(tmp_path, monkeypatch, seed, n_buildings):
+    # the truth takes its height from the emitted samples; the analytic
+    # model of the roofs they sample is the oracle, to the bit
+    drawn = []
+
+    def recorded(draw, keep):
+        def wrapper(*args):
+            value = draw(*args)
+            drawn.append(keep(args, value))
+            return value
+        return wrapper
+
+    monkeypatch.setattr(synth, "_building_geometry", recorded(
+        synth._building_geometry, lambda args, g: g[2:]))
+    monkeypatch.setattr(synth, "_roof_params", recorded(
+        synth._roof_params, lambda args, params: params))
+    _, truths = _generate(tmp_path, "a", seed=seed, n_buildings=n_buildings)
+    kinds = set()
+    for gt, (w, length), params in zip(truths, drawn[0::2], drawn[1::2], strict=True):
+        expected = float(np.median(_cell_max_grid(gt.roof_type, w, length, params)))
+        assert gt.true_height_m == expected, gt.building_id
+        kinds.add(gt.roof_type if gt.roof_type != "gabled"
+                  else ("steep" if gt.true_slope_deg >= 15.0 else "shallow"))
+    assert kinds == {"flat", "small", "steep", "shallow", "stepped"}
 
 
 def test_old_share_controls_age(tmp_path):
